@@ -20,7 +20,6 @@ from .formal_types import orbit_equivalent, validate_formal_type
 from .matrices import LaurentMatrix
 from .moduli import (GlobalConfig, assemble_global, check_framing, moment_map,
                      orbit_dimensions, regular_singular_orbit_dimensions)
-from .polys import kpoly_format
 from .scalars import format_scalar, get_field
 from .series import OneForm, set_default_precision
 from .strata import is_regular, stratum_char_poly
@@ -41,9 +40,12 @@ def _emit(payload, as_json=True):
 def _load_json(path):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError("cannot read %s: %s" % (path, exc))
+    if not isinstance(data, dict):
+        raise ParseError("%s does not hold a JSON object" % path)
+    return data
 
 
 def _parse_nu(spec, field):

@@ -13,22 +13,21 @@ best bound, so the search terminates.
 """
 
 import itertools
-import math
 from fractions import Fraction
 
-from .errors import (FormalConnError, NonsplitField, NotRegular, NotSplit,
+from .errors import (FormalConnError, NotRegular, NotSplit, ParseError,
                      PrecisionError, SingularGauge)
-from .linalg import kidentity, kmatmul, knullspace, ksolve, rref
+from .formal_types import FormalType
+from .linalg import kmatmul, knullspace, rref
 from .matrices import LaurentMatrix
-from .parahoric import (filtration_degree, graded_component, graded_monomials,
-                        monomial_matrix, pattern_to_matrix, standard_chain)
-from .polys import kpoly_deg, kpoly_roots
-from .scalars import as_fraction, get_field, is_rational_value, is_zero, sort_key
+from .parahoric import (filtration_degree, graded_component, pattern_to_matrix,
+                        standard_chain)
+from .scalars import get_field, is_zero, sort_key
 from .series import INF, LaurentScalar, OneForm
 from .strata import (Stratum, infer_field, is_fundamental, is_regular,
-                     reduce_stratum, split_stratum)
+                     pure_leading, reduce_stratum)
 from .torus import (ToralElement, TorusData, graded_ad_image_solve,
-                    tame_corestriction, varpi_eps)
+                    graded_level_solve, tame_corestriction, varpi_eps)
 
 MAX_DESCENT_ROUNDS = 64
 
@@ -91,7 +90,8 @@ class FormalConnection:
 
     @classmethod
     def from_json(cls, data, field=None):
-        from .errors import ParseError
+        if not isinstance(data, dict):
+            raise ParseError("connection file must hold a JSON object")
         for key in ("n", "matrix"):
             if key not in data:
                 raise ParseError("connection file lacks %r" % key)
@@ -320,10 +320,15 @@ def split_connection(conn, ctx, r, slot_lists, digits=8):
             raise PrecisionError("splitting ran out of digits")
         if d is INF or d >= target:
             break
-        x = _solve_split_level(ctx, lead_mat, off, d, r, part_of)
+        # x solves ad(x)(lead) - m x = off on the off-diagonal slots (the
+        # shift -m = -d is the graded derivative at depth zero), so the
+        # gauge 1 - x removes the level.
+        x = graded_level_solve(lead_mat, off, ctx, d, r,
+                               keep=lambda u, v: part_of[u] != part_of[v],
+                               shift=-d if r == 0 else 0)
         if x is None:
             raise NotSplit("resonant obstruction at level %d" % (d + r))
-        g = LaurentMatrix.identity(n) + x
+        g = LaurentMatrix.identity(n) - x
         cur = gauge_transform(g, cur)
         p_total = g * p_total
     else:
@@ -336,39 +341,6 @@ def _off_part(mat, part_of):
     rows = [[mat.rows[u][v] if part_of[u] != part_of[v] else LaurentScalar.zero()
              for v in range(n)] for u in range(n)]
     return LaurentMatrix(rows)
-
-
-def _solve_split_level(ctx, lead_mat, off, level, r, part_of):
-    """Solve ad(X)(lead) (- m X at r = 0) = off on the graded piece at
-    ``level``, X over the off-diagonal slots of P^(level + r)."""
-    m_eff = level + r
-    slots = [(u, v, o) for (u, v, o) in graded_monomials(ctx, m_eff)
-             if part_of[u] != part_of[v]]
-    out_slots = [(u, v, o) for (u, v, o) in graded_monomials(ctx, level)
-                 if part_of[u] != part_of[v]]
-    index_of = {(u, v): k for k, (u, v, _) in enumerate(out_slots)}
-    cols = []
-    for (u, v, o) in slots:
-        e_mat = monomial_matrix(ctx, u, v, o)
-        img = e_mat * lead_mat - lead_mat * e_mat      # ad(E)(lead)
-        if r == 0:
-            img = img - e_mat * Fraction(m_eff)
-        pat = graded_component(img, ctx, level)
-        col = [Fraction(0)] * len(out_slots)
-        for (uu, vv, _) in out_slots:
-            col[index_of[(uu, vv)]] = pat.pattern[uu][vv]
-        cols.append(col)
-    tgt = graded_component(off, ctx, level)
-    rhs = [-tgt.pattern[u][v] for (u, v, _) in out_slots]
-    mat_rows = [[cols[j][i] for j in range(len(slots))] for i in range(len(out_slots))]
-    sol = ksolve(mat_rows, rhs)
-    if sol is None:
-        return None
-    x = LaurentMatrix.zero(ctx.n)
-    for c, (u, v, o) in zip(sol, slots):
-        if not is_zero(c):
-            x = x + monomial_matrix(ctx, u, v, o, c)
-    return x
 
 
 # -- diagonalization ---------------------------------------------------------
@@ -396,7 +368,6 @@ def diagonalize(conn, digits=8):
     Raises NotRegular when no regular stratum is contained and
     NonsplitField when the ground field lacks needed roots.
     """
-    from .formal_types import FormalType
     conn = conn.standardized()
     n = conn.n
     field = infer_field(conn.matrix)
@@ -413,11 +384,11 @@ def diagonalize(conn, digits=8):
     if cur.matrix.precision() is INF or cur.matrix.precision() > work_prec:
         cur = FormalConnection(cur.matrix.truncate(work_prec), cur.nu)
         strat = Stratum(strat.ctx, strat.r, cur.matrix, cur.nu)
-    if r == 0:
-        return _diagonalize_regular_singular(cur, gauge, field, digits)
     report = is_regular(strat, field)
     if not report:
         raise NotRegular("connection is not regular: %s" % report.reason)
+    if r == 0:
+        return _diagonalize_regular_singular(cur, gauge, report.leading, field, digits)
     e = report.e
     if report.m == 1:
         p, q_coeffs = _pure_block_reduce(cur, strat.ctx, r, field, digits)
@@ -427,15 +398,15 @@ def diagonalize(conn, digits=8):
         ft = FormalType(torus, r, [[q_coeffs.get(d, field.zero())
                                     for d in range(-r, 1)]], field)
         return DiagonalizationResult(gauge, a_rep, ft)
-    g_split, parts = split_stratum(strat, field)
-    cur = gauge_transform(g_split.inverse(), cur)
-    gauge = g_split.inverse() * gauge
-    slot_lists = [part.slots for part in parts]
+    g_inv = report.gauge.inverse()
+    cur = gauge_transform(g_inv, cur)
+    gauge = g_inv * gauge
+    slot_lists = [part.slots for part in report.parts]
     p_split, cur = split_connection(cur, strat.ctx, r, slot_lists,
                                     digits=digits + r)
     gauge = p_split * gauge
     blocks = []
-    for part in parts:
+    for part in report.parts:
         sub = _extract_block(cur.matrix, part.slots)
         sub_res = diagonalize(FormalConnection(sub, cur.nu), digits)
         blocks.append((part.slots, sub_res))
@@ -447,7 +418,6 @@ def _extract_block(mat, slots):
 
 
 def _assemble_blocks(cur, gauge, blocks, r, e, field):
-    from .formal_types import FormalType
     n = cur.n
     items = []
     for slots, res in blocks:
@@ -480,26 +450,14 @@ def _assemble_blocks(cur, gauge, blocks, r, e, field):
     return DiagonalizationResult(gauge, a_rep, ft)
 
 
-def _diagonalize_regular_singular(cur, gauge, field, digits):
-    """Depth zero: conjugate the residue to diagonal form (eigenvalues
-    must be distinct modulo Z) and strip the tail order by order."""
-    from .formal_types import FormalType
-    from .linalg import charpoly
+def _diagonalize_regular_singular(cur, gauge, vals, field, digits):
+    """Depth zero: conjugate the residue to the diagonal form of its
+    eigenvalues ``vals`` (simple and distinct modulo Z, in sort order,
+    as the regularity test reports them) and strip the tail order by
+    order."""
     n = cur.n
     ctx = standard_chain((n,))
     pat = graded_component(cur.matrix, ctx, 0).pattern
-    phi = charpoly(pat)
-    roots, nonsplit = kpoly_roots(phi, field)
-    if kpoly_deg(nonsplit) > 0:
-        raise NonsplitField("residue eigenvalues lie outside %s" % field.name)
-    if any(mult > 1 for _, mult in roots):
-        raise NotRegular("repeated residue eigenvalue at depth zero")
-    vals = sorted((root for root, _ in roots), key=sort_key)
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            d = vals[i] - vals[j]
-            if is_rational_value(d) and as_fraction(d).denominator == 1:
-                raise NotRegular("residue eigenvalues congruent modulo Z")
     evecs = []
     for root in vals:
         shifted = [[pat[i][j] - (root if i == j else 0) for j in range(n)]
@@ -537,14 +495,15 @@ def _diagonalize_regular_singular(cur, gauge, field, digits):
 
 
 def _solve_resonant_level(lam, coeff, m, field):
-    """(ad(Lambda) - m) X = -coeff, entrywise: the (i,j) slot reads
-    (lam_i - lam_j - m) x_ij = -c_ij; non-resonance makes each factor
+    """The gauge 1 + X t^m moves the t^m coefficient by
+    [X, Lambda] - m X, whose (i,j) slot is (lam_j - lam_i - m) x_ij;
+    solve for -coeff entrywise.  Non-resonance makes each factor
     invertible."""
     n = len(lam)
     out = [[field.zero() for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            denom = lam[i][i] - lam[j][j] - m
+            denom = lam[j][j] - lam[i][i] - m
             if is_zero(denom):
                 raise NotRegular("resonance at level %d" % m)
             inv = (Fraction(1) / denom) if isinstance(denom, (int, Fraction)) \
@@ -569,27 +528,11 @@ def _pure_block_reduce(conn, ctx, r, field, digits):
     nu = conn.nu
     cur = conn
     p_total = LaurentMatrix.identity(n)
-    pat = graded_component(cur.matrix, ctx, -r).pattern
-    xs = []
-    for u in range(n):
-        vals = [pat[u][v] for v in range(n) if not is_zero(pat[u][v])]
-        if len(vals) != 1:
-            raise NotRegular("pure block leading term is not a varpi multiple")
-        xs.append(pat[u][(u - r) % n])
-    if any(is_zero(x) for x in xs):
-        raise NotRegular("pure block leading term is singular")
-    first = xs[0]
-    if all(x == first for x in xs):
-        alpha = first
-    else:
-        prod = xs[0]
-        for x in xs[1:]:
-            prod = prod * x
-        from .scalars import nth_root_in_field
-        alpha = nth_root_in_field(prod, n, field)
-        if alpha is None:
-            raise NonsplitField("pure leading term needs an %d-th root in %s"
-                                % (n, field.name))
+    head = pure_leading(graded_component(cur.matrix, ctx, -r).pattern, field)
+    if head is None:
+        raise NotRegular("pure block leading term is not a varpi multiple")
+    xs, alpha = head
+    if any(x != alpha for x in xs):
         h = _pure_normalizer(n, r, xs, alpha, field)
         cur = gauge_transform(h, cur)
         p_total = h * p_total
@@ -654,6 +597,3 @@ def _pure_normalizer(n, r, xs, alpha, field):
     rows = [[LaurentScalar.from_scalar(diag[i]) if i == j else LaurentScalar.zero()
              for j in range(n)] for i in range(n)]
     return LaurentMatrix(rows)
-
-
-_ = math

@@ -12,8 +12,8 @@ import warnings
 from fractions import Fraction
 
 from .errors import NonsplitField, NotRegular, ShapeMismatch
-from .scalars import (as_fraction, format_scalar, is_rational_value, is_zero,
-                      parse_scalar, sort_key)
+from .scalars import (as_fraction, congruent_mod_z, format_scalar, is_rational_value,
+                      is_zero, parse_scalar, sort_key)
 from .series import LaurentScalar
 from .matrices import LaurentMatrix
 from .strata import Stratum, is_regular
@@ -179,8 +179,7 @@ def validate_formal_type(a):
         vals = [row[-1] for row in a.coeffs]
         for i in range(len(vals)):
             for j in range(i + 1, len(vals)):
-                d = vals[i] - vals[j]
-                if is_rational_value(d) and as_fraction(d).denominator == 1:
+                if congruent_mod_z(vals[i], vals[j]):
                     diags.append("coefficients %d and %d congruent modulo Z" % (i, j))
     if not diags:
         try:

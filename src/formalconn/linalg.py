@@ -33,29 +33,14 @@ def kmatmul(a, b):
                     oi[j] = oi[j] + c * bk[j]
     return out
 
-def kmatvec(a, v):
-    return [sum_scalars(a[i][j] * v[j] for j in range(len(v))) for i in range(len(a))]
-
 def sum_scalars(items):
     acc = None
     for x in items:
         acc = x if acc is None else acc + x
     return Fraction(0) if acc is None else acc
 
-def kscale(a, c):
-    return [[x * c for x in row] for row in a]
-
-def kadd(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-def ksub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
 def ktranspose(a):
     return [list(col) for col in zip(*a)]
-
-def kis_zero_matrix(a):
-    return all(is_zero(x) for row in a for x in row)
 
 
 def rref(mat):

@@ -33,10 +33,6 @@ class LaurentMatrix:
                      for j in range(n)] for i in range(n)])
 
     @classmethod
-    def from_entries(cls, entries):
-        return cls(entries)
-
-    @classmethod
     def from_scalar_matrix(cls, kmat):
         """Lift a constant ground-field matrix."""
         return cls([[LaurentScalar.from_scalar(v) if v else LaurentScalar.zero()
@@ -110,9 +106,6 @@ class LaurentMatrix:
     def truncate(self, prec):
         return LaurentMatrix([[a.truncate(prec) for a in r] for r in self.rows])
 
-    def transpose(self):
-        return LaurentMatrix([list(col) for col in zip(*self.rows)])
-
     def trace(self):
         acc = LaurentScalar.zero()
         for i in range(self.n):
@@ -136,10 +129,6 @@ class LaurentMatrix:
         return all(a.agrees(b, through)
                    for ra, rb in zip(self.rows, other.rows)
                    for a, b in zip(ra, rb))
-
-    def constant_term(self):
-        """The t^0 coefficient matrix (raises if unknown)."""
-        return [[a.coeff(0) for a in r] for r in self.rows]
 
     def coeff_matrix(self, k):
         return [[a.coeff(k) for a in r] for r in self.rows]
@@ -184,6 +173,9 @@ class LaurentMatrix:
 
     @classmethod
     def from_json(cls, data, field, prec=INF):
+        if not isinstance(data, list) or not data or \
+                not all(isinstance(r, list) for r in data):
+            raise ParseError("matrix must be a nonempty list of rows")
         rows = []
         for r in data:
             rows.append([LaurentScalar.from_json(e, field, prec) for e in r])
@@ -201,14 +193,3 @@ def pairing(a, b, nu):
     if a.n != b.n:
         raise ParseError("pairing of mismatched dimensions")
     return residue((a * b).trace(), nu)
-
-
-def commutator(a, b):
-    return a * b - b * a
-
-
-def series_columns_matrix(cols):
-    """Assemble column vectors (lists of LaurentScalar) into a matrix;
-    the result may be non-square and is returned as a list of rows."""
-    n = len(cols[0])
-    return [[col[i] for col in cols] for i in range(n)]

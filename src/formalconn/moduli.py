@@ -11,15 +11,13 @@ filtration, and reports extended-orbit dimension accounting.
 
 from fractions import Fraction
 
-from .errors import (DuplicatePoints, NotInFiltration, ParseError,
-                     ResidueNonzero, UnsupportedDepth)
+from .errors import DuplicatePoints, ParseError, ResidueNonzero, UnsupportedDepth
 from .linalg import kzeros
 from .matrices import LaurentMatrix
 from .parahoric import filtration_degree, graded_component, in_filtration
 from .scalars import format_scalar, is_zero, parse_scalar
 from .series import INF, LaurentScalar, OneForm
-from .strata import infer_field
-from .torus import ToralElement, tame_corestriction
+from .torus import tame_corestriction
 
 INFINITY = "inf"
 
@@ -430,6 +428,3 @@ def regular_singular_orbit_dimensions(formal_type):
         "dim_M": n * n - n,
         "dim_M_tilde": n * n + n,
     }
-
-
-_ = (NotInFiltration, ToralElement)

@@ -11,10 +11,6 @@ from .errors import PrecisionError
 from .series import INF, LaurentScalar, PRECISION_FLOOR
 
 
-def col_is_zero(col):
-    return all(c.is_zero() for c in col)
-
-
 def col_precision_floor_ok(col):
     for c in col:
         if c.is_zero() and c.prec is not INF and c.prec < PRECISION_FLOOR:
@@ -126,21 +122,6 @@ def column_echelon(columns, track=False):
     if track:
         return ech, out_expr, null_expr
     return ech
-
-
-def lattice_sum_basis(column_groups):
-    """Basis of the o-span of all given columns."""
-    allc = [c for grp in column_groups for c in grp]
-    return column_echelon(allc)
-
-
-def lattices_equal(e1, e2):
-    return all(e2.contains(c) for c in e1.cols) and all(e1.contains(c) for c in e2.cols)
-
-
-def lattice_contains(e1, e2):
-    """Span of e2 contained in span of e1."""
-    return all(e1.contains(c) for c in e2.cols)
 
 
 def kernel_columns(matrix_cols):

@@ -109,11 +109,6 @@ class ParahoricContext:
         e = self.period
         return [-((-(j - p)) // e) for p in self.phases]
 
-    def graded_dim(self, j):
-        """dim L^j / L^(j+1)."""
-        e = self.period
-        return sum(1 for p in self.phases if p % e == j % e)
-
     def translate(self, j):
         """The chain reindexed by L[j]^i = L^(i+j).
 

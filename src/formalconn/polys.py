@@ -11,9 +11,7 @@ Polynomials are dense lists of coefficients in ascending degree.
 
 from fractions import Fraction
 
-from .errors import PrecisionError
-from .linalg import kidentity, kmatmul, sum_scalars
-from .scalars import Ext, GroundField, is_zero
+from .scalars import Ext, is_zero
 from .series import INF, LaurentScalar
 
 # -- ground-field polynomials ------------------------------------------
@@ -120,25 +118,6 @@ def kpoly_derivative(p):
 
 def kpoly_is_squarefree(p):
     return kpoly_deg(kpoly_gcd(p, kpoly_derivative(p))) <= 0
-
-
-def kpoly_eval(p, x):
-    acc = None
-    for c in reversed(p):
-        acc = c if acc is None else acc * x + c
-    return acc
-
-
-def kpoly_eval_kmatrix(p, mat):
-    """Evaluate on a constant square matrix (Horner)."""
-    n = len(mat)
-    acc = kidentity(n)
-    acc = [[p[-1] * v for v in row] for row in acc]
-    for c in reversed(p[:-1]):
-        acc = kmatmul(acc, mat)
-        for i in range(n):
-            acc[i][i] = acc[i][i] + c
-    return acc
 
 
 def kpoly_format(p, var="X"):
@@ -290,15 +269,6 @@ def spoly_coeff_at(p, t_exp):
     return kpoly_trim([c.coeff_or_zero(t_exp) for c in p])
 
 
-def spoly_reduce_mod_t(p):
-    out = []
-    for c in p:
-        if c.prec is not INF and c.prec <= 0:
-            raise PrecisionError("series polynomial unknown mod t")
-        out.append(c.coeff_or_zero(0))
-    return kpoly_trim(out)
-
-
 def hensel_lift(phi, g0, h0, digits):
     """Lift the coprime factorization phi = g0 h0 (mod t) to t^digits.
 
@@ -350,17 +320,3 @@ def spoly_eval_matrix(p, mat):
     for c in reversed(p[:-1]):
         acc = acc * mat + LaurentMatrix.scalar(n, c)
     return acc
-
-
-def kpoly_charpoly_from_kmatrix(mat):
-    from .linalg import charpoly
-    return charpoly(mat)
-
-
-def is_power_of_x(p):
-    """True when p = X^n (the nilpotent characteristic polynomial)."""
-    p = kpoly_trim(p)
-    return all(is_zero(c) for c in p[:-1])
-
-
-_ = (GroundField, sum_scalars)

@@ -10,6 +10,7 @@ Field names accepted throughout: "Q", "Q(i)" (= Q(zeta_4)) and
 "Q(zeta_m)" for small m.
 """
 
+import math
 from fractions import Fraction
 
 from .errors import NonsplitField, ParseError
@@ -117,13 +118,6 @@ class GroundField:
         if self.degree == 1:  # m = 1 only; unreachable
             raise NonsplitField("degenerate field")
         return Ext(self, tuple(coords))
-
-    def coerce(self, x):
-        if isinstance(x, Ext):
-            if x.field is not self and x.field != self:
-                raise ParseError("mixed ground fields: %s vs %s" % (x.field.name, self.name))
-            return x
-        return self.from_rational(x)
 
     # -- roots of unity -------------------------------------------------
 
@@ -293,10 +287,6 @@ class Ext:
 # -- generic helpers (work on Fraction and Ext alike) ------------------
 
 
-def field_of(x):
-    return x.field if isinstance(x, Ext) else _FIELD_CACHE.setdefault(1, GroundField(1))
-
-
 def get_field(name):
     m = _parse_field_name(name)
     if m not in _FIELD_CACHE:
@@ -305,16 +295,17 @@ def get_field(name):
 
 
 def _parse_field_name(name):
+    if not isinstance(name, str):
+        raise ParseError("field name must be a string, got %r" % (name,))
     name = name.strip()
     if name in ("Q", "QQ"):
         return 1
     if name in ("Q(i)", "Qi", "Q(I)"):
         return 4
     if name.startswith("Q(zeta_") and name.endswith(")"):
-        try:
-            return int(name[len("Q(zeta_"):-1])
-        except ValueError:
-            pass
+        digits = name[len("Q(zeta_"):-1]
+        if digits.isdigit() and int(digits) >= 1:
+            return int(digits)
     raise ParseError("unknown field name %r" % name)
 
 
@@ -326,6 +317,12 @@ def is_rational_value(x):
     if isinstance(x, (int, Fraction)):
         return True
     return all(c == 0 for c in x.coords[1:])
+
+
+def congruent_mod_z(a, b):
+    """True iff a - b is a rational integer."""
+    d = a - b
+    return is_rational_value(d) and as_fraction(d).denominator == 1
 
 
 def as_fraction(x):
@@ -393,13 +390,20 @@ def _rational_nth_root(q, n):
 
 
 def _int_nth_root(a, n):
-    if a == 0:
-        return 0
-    r = round(a ** (1.0 / n))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand ** n == a:
-            return cand
-    return None
+    """The integer x >= 0 with x^n = a >= 0, or None; exact for any size."""
+    if a < 2:
+        return a
+    if n == 2:
+        x = math.isqrt(a)
+    else:
+        # Newton's iteration from above converges to floor(a^(1/n)).
+        x = 1 << -(-a.bit_length() // n)
+        while True:
+            y = ((n - 1) * x + a // x ** (n - 1)) // n
+            if y >= x:
+                break
+            x = y
+    return x if x ** n == a else None
 
 
 # -- parsing / printing ------------------------------------------------

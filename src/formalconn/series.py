@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 
 from .errors import ParseError, PrecisionError, ZeroLeading
-from .scalars import format_scalar, get_field, is_zero, parse_scalar
+from .scalars import format_scalar, is_zero, parse_scalar
 
 INF = math.inf
 
@@ -259,6 +259,8 @@ class LaurentScalar:
 
     @classmethod
     def from_json(cls, data, field, prec=INF):
+        if not isinstance(data, list):
+            raise ParseError("series must be a list of [exponent, coefficient] terms")
         pairs = []
         for item in data:
             if not isinstance(item, (list, tuple)) or len(item) != 2:
@@ -327,7 +329,12 @@ class OneForm:
 
     @classmethod
     def from_json(cls, data, field):
-        return cls(LaurentScalar.from_json(data["coeffs"], field))
+        if not isinstance(data, dict) or "coeffs" not in data:
+            raise ParseError("one-form must be an object with \"coeffs\"")
+        f = LaurentScalar.from_json(data["coeffs"], field)
+        if f.is_zero():
+            raise ParseError("one-form must be nonzero")
+        return cls(f)
 
 
 def residue(a, nu):
@@ -340,9 +347,3 @@ def residue(a, nu):
     if prod.prec is not INF and prod.prec <= -1:
         raise PrecisionError("residue coefficient t^-1 unknown", needed=0)
     return prod.coeff_or_zero(-1)
-
-
-def tau_of(nu):
-    """The scaling carried by the vector field tau_nu = (1/f) d/dt: apply
-    as series -> derivative / f.  Returned as the multiplier series 1/f."""
-    return nu.f.inverse()

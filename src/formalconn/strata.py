@@ -8,21 +8,23 @@ fundamental strata by Hensel lifting the coprime factorization of that
 polynomial, and classifies regular strata by recursive splitting.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
-from .errors import (GcdViolation, IrreducibleStratum, NonsplitField, NotRegular,
+from .errors import (GcdViolation, IrreducibleStratum, NonsplitField,
                      PrecisionError)
-from .linalg import minpoly
+from .linalg import charpoly, minpoly, rref
 from .matrices import LaurentMatrix
 from .omodule import (column_echelon, combine, kernel_columns, matrix_columns,
                       preimage_lattice)
 from .parahoric import (LatticeChain, ParahoricContext, filtration_degree,
                         graded_component, in_filtration)
-from .polys import (charpoly_series, is_power_of_x, kpoly_deg, kpoly_factor,
-                    kpoly_format, kpoly_is_squarefree, kpoly_mul, kpoly_trim,
+from .polys import (charpoly_series, kpoly_deg, kpoly_factor, kpoly_format,
+                    kpoly_is_squarefree, kpoly_mul, kpoly_roots, kpoly_trim,
                     hensel_lift, spoly_eval_matrix)
-from .scalars import Ext, get_field, is_zero, nth_root_in_field, sort_key
+from .scalars import (Ext, congruent_mod_z, get_field, is_zero, nth_root_in_field,
+                      sort_key)
 from .series import INF, LaurentScalar, OneForm
 
 HENSEL_GUARD = 8
@@ -114,7 +116,12 @@ class StratumCharPoly:
 
 def stratum_char_poly(s):
     """char poly of y = beta^(e/g) t^(r/g) + P^1 via the Levi
-    identification; g = gcd(r, e).
+    identification; g = gcd(r, e)."""
+    return StratumCharPoly(charpoly(_y_pattern(s)))
+
+
+def _y_pattern(s):
+    """Levi pattern of y = beta^(e/g) t^(r/g) + P^1, g = gcd(r, e).
 
     Multiplying by t^(r/g) only relocates coefficient slots, so y's
     Levi pattern is the (e/g)-th power of the leading pattern of beta
@@ -125,8 +132,7 @@ def stratum_char_poly(s):
     power = pat
     for _ in range(s.e // g - 1):
         power = power.compose(pat)
-    from .linalg import charpoly
-    return StratumCharPoly(charpoly(power.pattern))
+    return power.pattern
 
 
 def is_fundamental(s):
@@ -326,7 +332,6 @@ def _chain_adapted_vectors(ctx, kcols):
             if any(not x.is_zero() for x in residual):
                 raise PrecisionError("chain step is not nested")
             red_rows.append([c.coeff_or_zero(0) for c in coeffs])
-        from .linalg import rref
         _, pivots = rref(red_rows) if red_rows else ([], [])
         free = [j for j in range(cur_ech.rank) if j not in pivots]
         for j in free:
@@ -373,19 +378,24 @@ def off_block_filtration_ok(ctx, mat, slot_lists, r, extra=0):
 
 class RegularityReport:
     """Outcome of the regularity test: torus data and per-block leading
-    coefficients when regular, a reason otherwise."""
+    coefficients when regular, a reason otherwise.
 
-    __slots__ = ("regular", "reason", "e", "m", "leading", "gauge", "slot_lists")
+    A regular stratum of positive depth that splits also carries its
+    top-level split, as :func:`split_stratum` returns it for the
+    gcd-reduced stratum: the basis change ``gauge`` and the ``parts``.
+    Both are None for pure strata, rank one and depth zero."""
+
+    __slots__ = ("regular", "reason", "e", "m", "leading", "gauge", "parts")
 
     def __init__(self, regular, reason=None, e=None, m=None, leading=None,
-                 gauge=None, slot_lists=None):
+                 gauge=None, parts=None):
         self.regular = regular
         self.reason = reason
         self.e = e
         self.m = m
         self.leading = leading
         self.gauge = gauge
-        self.slot_lists = slot_lists
+        self.parts = parts
 
     def __bool__(self):
         return self.regular
@@ -409,126 +419,94 @@ def is_regular(s, field=None):
         return RegularityReport(False, reason="parahoric is not uniform")
     if not is_fundamental(s):
         return RegularityReport(False, reason="stratum is not fundamental")
-    pat = graded_component(s.beta.power(s.e).shift(s.r), s.ctx, 0)
-    if not kpoly_is_squarefree(minpoly(pat.pattern)):
+    if not kpoly_is_squarefree(minpoly(_y_pattern(s))):
         return RegularityReport(False, reason="y is not semisimple")
     e = s.e
-    gauge = LaurentMatrix.identity(s.n)
     try:
-        blocks = _split_recursive(s, field, gauge, list(range(s.n)))
+        gauge, parts, leaves = _split_leaves(s, field)
     except NonsplitField as exc:
         raise NonsplitField("regularity undecidable over %s: %s" % (field.name, exc))
     leading = []
-    slot_lists = []
-    for slots, sub, alpha in blocks:
+    for dim, alpha in leaves:
         if alpha is None:
             return RegularityReport(False, reason="a block of dimension %d is not pure"
-                                    % len(slots))
-        if len(slots) != e:
+                                    % dim)
+        if dim != e:
             return RegularityReport(False, reason="block dimension %d != e = %d"
-                                    % (len(slots), e))
+                                    % (dim, e))
         leading.append(alpha)
-        slot_lists.append(slots)
     zero_count = sum(1 for a in leading if is_zero(a))
     if zero_count > 1 or (zero_count == 1 and e > 1):
         return RegularityReport(False, reason="nilpotent summand not of the allowed shape")
     if len(set(map(sort_key, leading))) != len(leading):
         return RegularityReport(False, reason="leading coefficients are not pairwise distinct")
     return RegularityReport(True, e=e, m=s.n // e, leading=leading,
-                            gauge=gauge, slot_lists=slot_lists)
+                            gauge=gauge, parts=parts)
 
 
 def _regular_depth_zero(s, field):
-    pat = s.graded_rep()
-    from .linalg import charpoly
-    phi = charpoly(pat.pattern)
+    """Depth zero: the residue eigenvalues must lie in the field, be
+    simple and be pairwise incongruent modulo Z; they are reported as
+    the leading data, in sort order."""
+    phi = charpoly(s.graded_rep().pattern)
     roots, nonsplit = kpoly_roots(phi, field)
     if kpoly_deg(nonsplit) > 0:
         raise NonsplitField("residue eigenvalues do not all lie in %s" % field.name)
     if any(mult > 1 for _, mult in roots):
         return RegularityReport(False, reason="repeated residue eigenvalue")
-    vals = [root for root, _ in roots]
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            diff = vals[i] - vals[j]
-            if _is_integer(diff):
-                return RegularityReport(False,
-                                        reason="residue eigenvalues congruent modulo Z")
-    vals.sort(key=sort_key)
-    return RegularityReport(True, e=1, m=s.n, leading=vals,
-                            gauge=LaurentMatrix.identity(s.n),
-                            slot_lists=[[i] for i in range(s.n)])
+    vals = sorted((root for root, _ in roots), key=sort_key)
+    if any(congruent_mod_z(a, b) for a, b in itertools.combinations(vals, 2)):
+        return RegularityReport(False, reason="residue eigenvalues congruent modulo Z")
+    return RegularityReport(True, e=1, m=s.n, leading=vals)
 
 
-def _is_integer(x):
-    from .scalars import is_rational_value, as_fraction
-    if not is_rational_value(x):
-        return False
-    return as_fraction(x).denominator == 1
-
-
-def _split_recursive(s, field, gauge, ambient_slots):
-    """Recursively split; returns [(ambient slots, stratum, alpha)] where
-    alpha is the pure-block leading coefficient (None if the block is
-    neither pure nor one-dimensional)."""
+def _split_leaves(s, field):
+    """Split recursively.  Returns (g, parts, leaves): the top-level
+    split of s (None, None for rank one and pure strata) and, for every
+    leaf block, (dimension, alpha) with alpha the pure-block leading
+    coefficient (None if the block is neither pure nor one-dimensional)."""
     if s.n == 1:
-        lead = s.beta.rows[0][0]
-        return [(ambient_slots, s, lead.coeff_or_zero(-s.r))]
+        return None, None, [(1, s.beta.rows[0][0].coeff_or_zero(-s.r))]
     try:
-        _, parts = split_stratum(s, field)
+        g, parts = split_stratum(s, field)
     except IrreducibleStratum:
-        alpha = _pure_leading(s, field)
-        return [(ambient_slots, s, alpha)]
-    out = []
+        head = None
+        if s.n == s.e and s.ctx.uniform:
+            head = pure_leading(s.graded_rep().pattern, field)
+        return None, None, [(s.n, head[1] if head else None)]
+    leaves = []
     for part in parts:
-        sub_slots = [ambient_slots[i] for i in part.slots]
-        if is_fundamental(part.stratum):
-            out.extend(_split_recursive(part.stratum, field, gauge, sub_slots))
+        sub = part.stratum
+        if sub.n > 1 and not is_fundamental(sub):
+            leaves.append((sub.n, None))
         else:
-            if part.stratum.n == 1:
-                lead = part.stratum.beta.rows[0][0]
-                out.append((sub_slots, part.stratum, lead.coeff_or_zero(-s.r)))
-            else:
-                out.append((sub_slots, part.stratum, None))
-    return out
+            leaves.extend(_split_leaves(sub, field)[2])
+    return g, parts, leaves
 
 
-def _order_or_inf(entry):
-    return entry.order if not entry.is_zero() else INF
+def pure_leading(pat, field):
+    """(xs, alpha) for the graded leading pattern of a pure-candidate
+    block, or None unless every row has exactly one nonzero entry.
 
-
-def _pure_leading(s, field):
-    """Leading coefficient of a pure-candidate block, or None.
-
-    The graded leading term must be alpha * varpi^(-r) for alpha in the
-    field, possibly after a diagonal renormalization whose existence
-    requires an n-th root of the cyclic product.
+    xs lists those entries by row.  The leading term is alpha *
+    varpi^(-r), possibly after a diagonal renormalization whose
+    existence requires an n-th root of the cyclic product of xs: alpha
+    is the common value of xs, or else that root.  Raises NonsplitField
+    when the root is not in the field.
     """
-    if s.n != s.e:
-        return None
-    if not s.ctx.uniform:
-        return None
-    pat = s.graded_rep().pattern
     xs = []
-    for u in range(s.n):
-        row_vals = [pat[u][v] for v in range(s.n) if not is_zero(pat[u][v])]
-        if len(row_vals) != 1:
+    for row in pat:
+        vals = [x for x in row if not is_zero(x)]
+        if len(vals) != 1:
             return None
-        xs.append(row_vals[0])
-    if any(is_zero(x) for x in xs):
-        return None
-    first = xs[0]
-    if all(x == first for x in xs):
-        return first
+        xs.append(vals[0])
+    if all(x == xs[0] for x in xs):
+        return xs, xs[0]
     prod = xs[0]
     for x in xs[1:]:
         prod = prod * x
-    alpha = nth_root_in_field(prod, s.n, field)
+    alpha = nth_root_in_field(prod, len(xs), field)
     if alpha is None:
-        raise NonsplitField("pure block needs an %d-th root of a cyclic product" % s.n)
-    return alpha
-
-
-def kpoly_roots(p, field):
-    from .polys import kpoly_roots as _kr
-    return _kr(p, field)
+        raise NonsplitField("pure block needs an %d-th root of a cyclic product in %s"
+                            % (len(xs), field.name))
+    return xs, alpha

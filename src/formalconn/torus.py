@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import GcdViolation, NotRegular, PrecisionError
 from .linalg import ksolve
-from .matrices import LaurentMatrix, pairing
+from .matrices import LaurentMatrix
 from .parahoric import ParahoricContext, filtration_degree, graded_component, \
     graded_monomials, monomial_matrix
 from .scalars import is_zero, sort_key
@@ -150,16 +150,6 @@ class ToralElement:
         return "ToralElement(e=%d, m=%d, %r)" % (self.torus.e, self.torus.m, self.coeffs)
 
 
-def epsilon_matrix(torus, i):
-    """Idempotent of the i-th block."""
-    n = torus.n
-    rows = [[LaurentScalar.zero() for _ in range(n)] for _ in range(n)]
-    for p in range(torus.e):
-        u = i * torus.e + p
-        rows[u][u] = LaurentScalar.one()
-    return LaurentMatrix(rows)
-
-
 def varpi_eps(torus, s, i, coeff=Fraction(1)):
     """varpi_E^s supported on block i."""
     n = torus.n
@@ -269,13 +259,9 @@ def graded_ad_solve(xi, y, ctx=None, nu=None):
     ell_minus_r = filtration_degree(y, ctx)
     if ell_minus_r is INF:
         return LaurentMatrix.zero(ctx.n)
-    ell = ell_minus_r + r
     pi_y = tame_corestriction(y, torus, nu)
-    target = y - pi_y.realization()
-    tgt_pat = graded_component(target, ctx, ell_minus_r)
-    if tgt_pat.is_zero():
-        return LaurentMatrix.zero(ctx.n)
-    sol = _graded_ad_solve_pattern(xi, tgt_pat, ctx, ell)
+    sol = graded_level_solve(_leading_matrix(xi, r), y - pi_y.realization(), ctx,
+                             ell_minus_r, r)
     if sol is None:
         raise NotRegular("graded ad-equation unsolvable; leading term not regular")
     # strip the toral component of the solution
@@ -289,29 +275,38 @@ def graded_ad_image_solve(xi, target, ctx, level):
     """Low-level: solve ad(X)(xi) = target on the graded piece at
     ``level`` = fildeg(target); X in P^(level + r).  Returns None when
     the target has a toral graded component (the kernel obstruction)."""
-    tgt_pat = graded_component(target, ctx, level)
-    if tgt_pat.is_zero():
-        return LaurentMatrix.zero(ctx.n)
-    return _graded_ad_solve_pattern(xi, tgt_pat, ctx, level + regular_depth(xi))
-
-
-def _graded_ad_solve_pattern(xi, tgt_pat, ctx, ell):
     r = regular_depth(xi)
-    lead = ToralElement(xi.torus, [{-r: a} for a in xi.leading_at(r)])
-    lead_mat = lead.realization()
-    slots = graded_monomials(ctx, ell)
-    out_slots = graded_monomials(ctx, ell - r)
-    index_of = {(u, v): k for k, (u, v, _) in enumerate(out_slots)}
+    return graded_level_solve(_leading_matrix(xi, r), target, ctx, level, r)
+
+
+def _leading_matrix(xi, r):
+    return ToralElement(xi.torus, [{-r: a} for a in xi.leading_at(r)]).realization()
+
+
+def graded_level_solve(lead, target, ctx, level, r, keep=None, shift=0):
+    """Solve ad(X)(lead) + shift * X = target on the graded piece at
+    ``level``, for lead in P^(-r) and X in P^(level + r).
+
+    Unknowns and equations sit on the graded monomial slots (u, v) with
+    keep(u, v) true (every slot when ``keep`` is None).  Returns the
+    monomial representative of X, or None when the level is unsolvable.
+    """
+    tgt = graded_component(target, ctx, level)
+    if tgt.is_zero():
+        return LaurentMatrix.zero(ctx.n)
+    slots = [(u, v, o) for (u, v, o) in graded_monomials(ctx, level + r)
+             if keep is None or keep(u, v)]
+    out_slots = [(u, v) for (u, v, _) in graded_monomials(ctx, level)
+                 if keep is None or keep(u, v)]
     cols = []
     for (u, v, o) in slots:
         basis_elt = monomial_matrix(ctx, u, v, o)
-        img = basis_elt * lead_mat - lead_mat * basis_elt  # ad(E)(xi)
-        col = [Fraction(0)] * len(out_slots)
-        pat = graded_component(img, ctx, ell - r)
-        for (uu, vv, oo) in out_slots:
-            col[index_of[(uu, vv)]] = pat.pattern[uu][vv]
-        cols.append(col)
-    rhs = [tgt_pat.pattern[u][v] for (u, v, _) in out_slots]
+        img = basis_elt * lead - lead * basis_elt  # ad(E)(lead)
+        if shift:
+            img = img + basis_elt * Fraction(shift)
+        pat = graded_component(img, ctx, level).pattern
+        cols.append([pat[uu][vv] for (uu, vv) in out_slots])
+    rhs = [tgt.pattern[u][v] for (u, v) in out_slots]
     mat_rows = [[cols[j][i] for j in range(len(slots))] for i in range(len(out_slots))]
     x = ksolve(mat_rows, rhs)
     if x is None:

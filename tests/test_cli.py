@@ -36,6 +36,23 @@ def test_malformed_json_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("doc", [
+    {"n": 2, "matrix": [[[], 5], [[], []]]},            # entry is not a term list
+    [1, 2],                                             # top level is not an object
+    {"n": 2, "matrix": [[[], []], [[]]]},               # row of the wrong length
+    {"n": 1, "matrix": [[[[0, "abc"]]]]},               # non-numeric coefficient
+    {"n": 1, "nu": {"coeffs": []}, "matrix": [[[[-2, "1/1"]]]]},   # zero one-form
+    {"n": 1, "field": "Q(zeta_0)", "matrix": [[[[-2, "1/1"]]]]},
+    {"n": 1, "field": "Q(zeta_-3)", "matrix": [[[[-2, "1/1"]]]]},
+])
+def test_malformed_connection_exit_2(tmp_path, capsys, doc):
+    bad = tmp_path / "bad.conn.json"
+    bad.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "slope", str(bad))
+    assert code == 2
+    assert json.loads(err)["error"] == "PARSE_ERROR"
+
+
 def test_missing_file_exit_2(capsys):
     code, _, err = run_cli(capsys, "slope", "/nonexistent/file.json")
     assert code == 2

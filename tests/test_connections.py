@@ -203,6 +203,25 @@ def test_diagonalize_regular_singular():
     assert sorted(map(str, ft.leading())) == ["1/2", "1/5"]
 
 
+@pytest.mark.parametrize("residues", [
+    [Fraction(1, 3), Fraction(-1, 2)],
+    [Fraction(1, 3), Fraction(-1, 2), Fraction(5, 4)],
+])
+def test_diagonalize_depth_zero_gauge_reaches_digits(residues):
+    # the returned gauge carries a unit-gauged depth-0 input onto the
+    # Cartan representative beyond the requested digits
+    n = len(residues)
+    ft = FormalType(TorusData(1, n), 0, [[c] for c in residues], get_field("Q"))
+    conn = gauge_transform(random_unit_matrix(seeded(19), n),
+                           FormalConnection(ft.realization()))
+    digits = 4
+    res = diagonalize(conn, digits=digits)
+    assert res.formal_type == ft.sorted_blocks()
+    resid = gauge_transform(res.gauge, conn).matrix - res.A_rep.realization()
+    deg = filtration_degree(resid, standard_chain((n,)), stop_at=digits + 1)
+    assert deg > digits
+
+
 def test_diagonalize_zero_connection():
     res = diagonalize(FormalConnection(LaurentMatrix.zero(1)), digits=4)
     assert res.formal_type.depth == 0

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from formalconn.errors import PrecisionError, ZeroLeading
-from formalconn.scalars import format_scalar, get_field, parse_scalar
+from formalconn.errors import ParseError, PrecisionError, ZeroLeading
+from formalconn.scalars import (format_scalar, get_field, nth_root_in_field,
+                                parse_scalar)
 from formalconn.series import INF, LaurentScalar, OneForm, residue
 
 from helpers import LS, random_series, seeded
@@ -134,3 +135,19 @@ def test_scalar_field_arithmetic():
     z = z5.generator()
     assert z ** 5 == 1 and z ** 4 != 1
     assert z * z.inverse() == 1
+
+
+@pytest.mark.parametrize("name", ["Q(zeta_0)", "Q(zeta_-3)", "Q(zeta_x)"])
+def test_field_name_rejected(name):
+    with pytest.raises(ParseError):
+        get_field(name)
+
+
+def test_nth_root_beyond_float_range():
+    q = get_field("Q")
+    big = 3 ** 40 + 7
+    assert nth_root_in_field(Fraction(big ** 2), 2, q) == big
+    assert nth_root_in_field(Fraction(big ** 2 + 1), 2, q) is None
+    assert nth_root_in_field(Fraction(10 ** 400), 2, q) == 10 ** 200
+    assert nth_root_in_field(Fraction(-big ** 5, 2 ** 35), 5, q) == Fraction(-big, 2 ** 7)
+    assert nth_root_in_field(Fraction(10 ** 399), 3, q) == 10 ** 133

@@ -186,6 +186,18 @@ def test_regularity_examples():
     assert rep5 and rep5.e == 3
 
 
+def test_regularity_report_carries_split():
+    mx = standard_chain((2,))
+    b = lmat([[[(-1, 1)], [(0, 1)]], [[], [(-1, 2)]]])
+    rep = is_regular(Stratum(mx, 1, b))
+    assert rep and rep.m == 2
+    conj = rep.gauge.inverse() * b * rep.gauge
+    assert off_block_filtration_ok(mx, conj, [p.slots for p in rep.parts], 1)
+    iw = standard_chain((1, 1))
+    pure = is_regular(Stratum(iw, 3, iw.varpi_power(-3)))
+    assert pure.gauge is None and pure.parts is None
+
+
 def test_regularity_with_nilpotent_summand():
     mx = standard_chain((2,))
     b = lmat([[[(-2, 3)], [(-1, 1)]], [[], [(-1, 1)]]])
