@@ -439,12 +439,12 @@ def _assemble_blocks(cur, gauge, blocks, r, e, field):
             perm[j * e + p_idx] = u
     pm = LaurentMatrix([[LaurentScalar.one() if perm[i] == j else LaurentScalar.zero()
                          for j in range(n)] for i in range(n)])
-    block_gauge = LaurentMatrix.zero(n)
+    block_rows = [[LaurentScalar.zero() for _ in range(n)] for _ in range(n)]
     for slots, res, _ in items:
-        for a in range(len(slots)):
-            for b in range(len(slots)):
-                block_gauge.rows[slots[a]][slots[b]] = res.gauge.rows[a][b]
-    gauge = pm * block_gauge * gauge
+        for a, u in enumerate(slots):
+            for b, v in enumerate(slots):
+                block_rows[u][v] = res.gauge.rows[a][b]
+    gauge = pm * LaurentMatrix(block_rows) * gauge
     a_rep = ToralElement(torus, [dict(res.A_rep.coeffs[0]) for _, res, _ in items])
     ft = FormalType(torus, r, [coeffs for _, _, coeffs in items], field)
     return DiagonalizationResult(gauge, a_rep, ft)

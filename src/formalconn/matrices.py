@@ -3,12 +3,18 @@
 A :class:`LaurentMatrix` is a square grid of :class:`LaurentScalar`.
 All entries share the matrix's declared precision implicitly via the
 min over entries; operations propagate windows entrywise.
+
+Over Q the product and the Gauss-Jordan row operations use the
+fraction-free kernel of :mod:`formalconn.series`: each output entry is
+one integer convolution sum over a common denominator, normalised once.
 """
 
 from fractions import Fraction
 
 from .errors import ParseError, PrecisionError, SingularGauge
-from .series import INF, LaurentScalar, residue
+from .scalars import Ext
+from .series import (INF, LaurentScalar, convolve, from_int_form, int_form,
+                     mul_prec, residue)
 
 
 class LaurentMatrix:
@@ -62,24 +68,8 @@ class LaurentMatrix:
 
     def __mul__(self, other):
         if isinstance(other, LaurentMatrix):
-            n = self.n
-            out = []
-            for i in range(n):
-                row = []
-                for j in range(n):
-                    acc = LaurentScalar.zero()
-                    for k in range(n):
-                        a = self.rows[i][k]
-                        b = other.rows[k][j]
-                        if not (a.is_zero() and a.is_exact) and not (b.is_zero() and b.is_exact):
-                            acc = acc + a * b
-                        else:
-                            acc = acc + LaurentScalar.zero(_prod_prec(a, b))
-                    row.append(acc)
-                out.append(row)
-            return LaurentMatrix(out)
-        if isinstance(other, LaurentScalar) or isinstance(other, (int, Fraction)) \
-                or type(other).__name__ == "Ext":
+            return LaurentMatrix(_product_rows(self.rows, other.rows))
+        if isinstance(other, (LaurentScalar, int, Fraction, Ext)):
             return LaurentMatrix([[a * other for a in r] for r in self.rows])
         return NotImplemented
 
@@ -140,7 +130,6 @@ class LaurentMatrix:
         work = [[self.rows[i][j] for j in range(n)] +
                 [LaurentScalar.one() if i == j else LaurentScalar.zero() for j in range(n)]
                 for i in range(n)]
-        perm = list(range(n))
         for c in range(n):
             piv, piv_ord = None, None
             for r in range(c, n):
@@ -155,11 +144,10 @@ class LaurentMatrix:
             work[c], work[piv] = work[piv], work[c]
             inv_piv = work[c][c].inverse(digits)
             work[c] = [x * inv_piv for x in work[c]]
+            pivot_form = int_form(work[c])
             for r in range(n):
                 if r != c and not work[r][c].is_zero():
-                    f = work[r][c]
-                    work[r] = [x - f * y for x, y in zip(work[r], work[c])]
-        _ = perm
+                    work[r] = _sub_multiple(work[r], work[r][c], work[c], pivot_form)
         return LaurentMatrix([row[n:] for row in work])
 
     def __repr__(self):
@@ -182,10 +170,57 @@ class LaurentMatrix:
         return cls(rows)
 
 
-def _prod_prec(a, b):
-    if a.prec is INF and b.prec is INF:
-        return INF
-    return min(a.order + b.prec, b.order + a.prec)
+def _product_rows(a_rows, b_rows):
+    """Rows of the product of two square grids of series.  The window of
+    an entry is the least product window over the pairs in its sum that
+    are not exactly zero."""
+    n = len(a_rows)
+    b_cols = list(zip(*b_rows))
+    a_forms = [int_form(r) for r in a_rows]
+    b_forms = [int_form(c) for c in b_cols]
+    rational = None not in a_forms and None not in b_forms
+    out = []
+    for i, a_row in enumerate(a_rows):
+        row = []
+        for j, b_col in enumerate(b_cols):
+            pairs = [k for k in range(n)
+                     if not _exact_zero(a_row[k]) and not _exact_zero(b_col[k])]
+            prec = min((mul_prec(a_row[k], b_col[k]) for k in pairs), default=INF)
+            if rational:
+                (da, a_nums), (db, b_nums) = a_forms[i], b_forms[j]
+                acc = {}
+                for k in pairs:
+                    convolve(acc, a_nums[k], b_nums[k], prec)
+                row.append(from_int_form(acc, da * db, prec))
+            else:
+                acc = LaurentScalar.zero(prec)
+                for k in pairs:
+                    acc = acc + a_row[k] * b_col[k]
+                row.append(acc)
+        out.append(row)
+    return out
+
+
+def _sub_multiple(xs, f, ys, ys_form):
+    """The row [x - f * y for x, y in zip(xs, ys)]; ``ys_form`` is
+    ``int_form(ys)``."""
+    form = int_form([f] + xs)
+    if form is None or ys_form is None:
+        return [x - f * y for x, y in zip(xs, ys)]
+    (dx, (f_nums, *x_nums)), (dy, y_nums) = form, ys_form
+    # x - f y = (x_num dy - f_num y_num) / (dx dy)
+    neg_f = {k: -v for k, v in f_nums.items()}
+    out = []
+    for x, y, xn, yn in zip(xs, ys, x_nums, y_nums):
+        prec = min(x.prec, mul_prec(f, y))
+        acc = {k: v * dy for k, v in xn.items() if k < prec}
+        convolve(acc, neg_f, yn, prec)
+        out.append(from_int_form(acc, dx * dy, prec))
+    return out
+
+
+def _exact_zero(a):
+    return not a.coeffs and a.prec is INF
 
 
 def pairing(a, b, nu):

@@ -11,7 +11,8 @@ filtration, and reports extended-orbit dimension accounting.
 
 from fractions import Fraction
 
-from .errors import DuplicatePoints, ParseError, ResidueNonzero, UnsupportedDepth
+from .errors import (DuplicatePoints, ParseError, PrecisionError, ResidueNonzero,
+                     SingularGauge, UnsupportedDepth)
 from .linalg import kzeros
 from .matrices import LaurentMatrix
 from .parahoric import filtration_degree, graded_component, in_filtration
@@ -300,7 +301,7 @@ def check_framing(g_const, conn, formal_type):
     r = formal_type.depth
     try:
         d = filtration_degree(moved.matrix, ctx, stop_at=-r)
-    except Exception:
+    except PrecisionError:
         return False
     if d is INF:
         return r == 0
@@ -335,14 +336,14 @@ def in_toral_congruence(p, torus, ctx, i, j, nu=None):
                 return False
             try:
                 q = q * s_mat.inverse()
-            except Exception:
+            except (PrecisionError, SingularGauge):
                 return False
             lvl = 1
             continue
         x = q - LaurentMatrix.identity(n)
         try:
             d = filtration_degree(x, ctx, stop_at=j)
-        except Exception:
+        except PrecisionError:
             return False
         if d is INF or d >= j:
             return True

@@ -19,26 +19,37 @@ _FIELD_CACHE = {}
 
 
 def _cyclotomic_poly(m):
-    # x^m - 1 divided by the product of Phi_d over proper divisors d | m.
-    poly = [Fraction(-1)] + [Fraction(0)] * (m - 1) + [Fraction(1)]
-    for d in range(1, m):
-        if m % d == 0:
-            phi_d = _cyclotomic_poly(d)
-            poly = _polydiv_exact(poly, phi_d)
+    """Integer coefficients of Phi_m in ascending degree, as the product
+    of (x^d - 1)^mu(m/d) over the divisors d of m.  Each factor is a
+    binomial, so multiplying or exactly dividing by it is linear."""
+    divisors = [d for d in range(1, m + 1) if m % d == 0]
+    poly = [1]
+    for d in divisors:
+        if _mobius(m // d) == 1:
+            # p * (x^d - 1)
+            poly = [(poly[k - d] if k >= d else 0) - (poly[k] if k < len(poly) else 0)
+                    for k in range(len(poly) + d)]
+    for d in divisors:
+        if _mobius(m // d) == -1:
+            # p / (x^d - 1): p[k] = q[k-d] - q[k]
+            quot = [0] * (len(poly) - d)
+            for k in range(len(quot)):
+                quot[k] = (quot[k - d] if k >= d else 0) - poly[k]
+            poly = quot
     return poly
 
 
-def _polydiv_exact(num, den):
-    num = list(num)
-    dd = len(den) - 1
-    out = [Fraction(0)] * (len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i] / den[dd]
-        out[i - dd] = c
-        for j in range(dd + 1):
-            num[i - dd + j] -= c * den[j]
-    assert all(c == 0 for c in num[:dd]), "nonzero remainder"
-    return out
+def _mobius(n):
+    mu = 1
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if n > 1 else mu
 
 
 class GroundField:
@@ -56,17 +67,17 @@ class GroundField:
             mod = _cyclotomic_poly(m)
             d = len(mod) - 1
             self.degree = d
-            self.modulus = mod
-            # rows: z^(d+k) expressed in the power basis, k = 0..d-2
-            rows = []
-            cur = [-mod[i] / mod[d] for i in range(d)]
-            rows.append(list(cur))
+            self.modulus = [Fraction(c) for c in mod]
+            # rows: z^(d+k) expressed in the power basis, k = 0..d-2;
+            # integers, since Phi_m is monic over Z
+            cur = [-c for c in mod[:d]]
+            rows = [cur]
             for _ in range(d - 2):
                 top = cur[d - 1]
-                cur = [Fraction(0)] + cur[:-1]
-                for i in range(d):
-                    cur[i] += top * rows[0][i]
-                rows.append(list(cur))
+                cur = [0] + cur[:-1]
+                if top:
+                    cur = [c + top * r for c, r in zip(cur, rows[0])]
+                rows.append(cur)
             self._reduction = rows
 
     @property

@@ -11,13 +11,20 @@ silently truncating.
 The session-wide default window for freshly created inexact values
 (series inverses, logarithms, ...) is ``default_precision()`` digits, a
 module-level setting.
+
+Series with rational coefficients are multiplied and inverted
+fraction-free (von zur Gathen-Gerhard, *Modern Computer Algebra*, 8):
+the coefficients are written as integer numerators over one common
+denominator, the integers are convolved, and each output coefficient is
+normalised once into a canonical ``Fraction``.  Coefficients in
+Q(zeta_m) take the coefficient-wise loop.
 """
 
 import math
 from fractions import Fraction
 
 from .errors import ParseError, PrecisionError, ZeroLeading
-from .scalars import format_scalar, is_zero, parse_scalar
+from .scalars import Ext, format_scalar, is_zero, parse_scalar
 
 INF = math.inf
 
@@ -43,12 +50,23 @@ class LaurentScalar:
     __slots__ = ("coeffs", "prec")
 
     def __init__(self, coeffs, prec=INF):
+        if prec == INF:
+            prec = INF
         clean = {}
         for k, v in coeffs.items():
             if k < prec and not is_zero(v):
                 clean[k] = v
         self.coeffs = clean
         self.prec = prec
+
+    @classmethod
+    def _raw(cls, coeffs, prec):
+        """Wrap a dict whose values are nonzero and whose exponents lie
+        below ``prec`` (``INF`` itself when exact), without cleaning."""
+        self = object.__new__(cls)
+        self.coeffs = coeffs
+        self.prec = prec
+        return self
 
     # -- constructors ----------------------------------------------------
 
@@ -108,7 +126,7 @@ class LaurentScalar:
     def truncate(self, prec):
         if prec >= self.prec:
             return self
-        return LaurentScalar(self.coeffs, prec)
+        return LaurentScalar._raw({k: v for k, v in self.coeffs.items() if k < prec}, prec)
 
     def window(self):
         return (self.order, self.prec)
@@ -119,41 +137,43 @@ class LaurentScalar:
         other = _lift(other)
         if other is NotImplemented:
             return NotImplemented
-        prec = min(self.prec, other.prec)
-        d = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            d[k] = d.get(k, 0) + v
-        return LaurentScalar(d, prec)
+        return _add(self, other, False)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentScalar({k: -v for k, v in self.coeffs.items()}, self.prec)
+        return LaurentScalar._raw({k: -v for k, v in self.coeffs.items()}, self.prec)
 
     def __sub__(self, other):
         other = _lift(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return _add(self, other, True)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)) or type(other).__name__ == "Ext":
+        if isinstance(other, (int, Fraction, Ext)):
             if is_zero(other):
                 return LaurentScalar.zero(self.prec)
-            return LaurentScalar({k: v * other for k, v in self.coeffs.items()}, self.prec)
+            return LaurentScalar._raw({k: v * other for k, v in self.coeffs.items()}, self.prec)
         if not isinstance(other, LaurentScalar):
             return NotImplemented
-        prec = _mul_prec(self, other)
-        out = {}
-        for i, a in self.coeffs.items():
-            for j, b in other.coeffs.items():
-                k = i + j
-                if k < prec:
-                    out[k] = out.get(k, 0) + a * b
-        return LaurentScalar(out, prec)
+        prec = mul_prec(self, other)
+        form = int_form([self, other])
+        if form is None:
+            out = {}
+            for i, a in self.coeffs.items():
+                for j, b in other.coeffs.items():
+                    k = i + j
+                    if k < prec:
+                        out[k] = out.get(k, 0) + a * b
+            return LaurentScalar(out, prec)
+        den, (a_nums, b_nums) = form
+        acc = {}
+        convolve(acc, a_nums, b_nums, prec)
+        return from_int_form(acc, den * den, prec)
 
     __rmul__ = __mul__
 
@@ -187,6 +207,9 @@ class LaurentScalar:
         if digits < PRECISION_FLOOR:
             raise PrecisionError("inverse with window %d below floor" % digits,
                                  needed=s + PRECISION_FLOOR)
+        form = int_form([self])
+        if form is not None:
+            return _inverse_rational(form, s, digits)
         inv_lead = Fraction(1) / lead if isinstance(lead, (int, Fraction)) else lead.inverse()
         # u = self / (lead * t^s) = 1 + eps; invert by power series recurrence.
         u = {k - s: v * inv_lead for k, v in self.coeffs.items() if k - s < digits}
@@ -205,11 +228,11 @@ class LaurentScalar:
     def derivative(self):
         """d/dt, exact on the known window."""
         prec = self.prec if self.prec is INF else self.prec - 1
-        return LaurentScalar({k - 1: k * v for k, v in self.coeffs.items() if k != 0}, prec)
+        return LaurentScalar._raw({k - 1: k * v for k, v in self.coeffs.items() if k != 0}, prec)
 
     def tau(self):
         """t * d/dt; preserves exponents so the window survives."""
-        return LaurentScalar({k: k * v for k, v in self.coeffs.items() if k != 0}, self.prec)
+        return LaurentScalar._raw({k: k * v for k, v in self.coeffs.items() if k != 0}, self.prec)
 
     # -- comparisons -------------------------------------------------------
 
@@ -225,7 +248,7 @@ class LaurentScalar:
                    for k in keys if k < bound)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)) or type(other).__name__ == "Ext":
+        if isinstance(other, (int, Fraction, Ext)):
             other = LaurentScalar.from_scalar(other) if not is_zero(other) else LaurentScalar.zero()
         if not isinstance(other, LaurentScalar):
             return NotImplemented
@@ -275,7 +298,7 @@ class LaurentScalar:
 def _lift(x):
     if isinstance(x, LaurentScalar):
         return x
-    if isinstance(x, (int, Fraction)) or type(x).__name__ == "Ext":
+    if isinstance(x, (int, Fraction, Ext)):
         return LaurentScalar.zero() if is_zero(x) else LaurentScalar.from_scalar(x)
     return NotImplemented
 
@@ -284,10 +307,101 @@ def _one_like(c):
     return Fraction(1) if isinstance(c, (int, Fraction)) else c.field.one()
 
 
-def _mul_prec(a, b):
+def mul_prec(a, b):
+    """Precision of the product a * b: exact when both are, otherwise
+    the nearer of the two truncations shifted by the other's order."""
     if a.prec is INF and b.prec is INF:
         return INF
-    return min(a.order + b.prec, b.order + a.prec)
+    prec = min(a.order + b.prec, b.order + a.prec)
+    return INF if prec == INF else prec
+
+
+def _add(a, b, negate):
+    """a + b, or a - b when ``negate``; only exponents present in both
+    can cancel, so nothing else is re-checked."""
+    prec = min(a.prec, b.prec)
+    out = dict(a.coeffs) if a.prec == prec else \
+        {k: v for k, v in a.coeffs.items() if k < prec}
+    for k, v in b.coeffs.items():
+        if k < prec:
+            if negate:
+                v = -v
+            if k in out:
+                v = out[k] + v
+                if not v:
+                    del out[k]
+                    continue
+            out[k] = v
+    return LaurentScalar._raw(out, prec)
+
+
+# -- the fraction-free kernel for rational coefficients ------------------
+
+
+def int_form(series):
+    """Write rational series over one common denominator.
+
+    Returns ``(den, [nums, ...])`` with ``s.coeffs[k] == nums[k] / den``
+    for each series ``s`` in order, or None when a coefficient lies in
+    Q(zeta_m).
+    """
+    den = 1
+    for s in series:
+        for v in s.coeffs.values():
+            if isinstance(v, Ext):
+                return None
+            d = v.denominator
+            if den % d:
+                den = den // math.gcd(den, d) * d
+    return den, [{k: v.numerator * (den // v.denominator) for k, v in s.coeffs.items()}
+                 for s in series]
+
+
+def convolve(acc, a, b, prec):
+    """acc[i + j] += a[i] * b[j] over integer numerator dicts, for
+    exponents i + j < prec."""
+    for i, x in a.items():
+        lim = prec - i
+        for j, y in b.items():
+            if j < lim:
+                k = i + j
+                acc[k] = acc.get(k, 0) + x * y
+
+
+def from_int_form(nums, den, prec):
+    """The series sum nums[k] / den * t^k, one canonical Fraction per
+    nonzero numerator; every exponent must already lie below prec."""
+    return LaurentScalar._raw({k: Fraction(v, den) for k, v in nums.items() if v}, prec)
+
+
+def _inverse_rational(form, s, digits):
+    # With coeffs[k] = A_k / D and u_j = A_(s+j) / A_s, the inverse of
+    # u = 1 + eps has u^-1_k = W_k / A_s^k where
+    # W_k = -sum_(j=1..k) A_(s+j) A_s^(j-1) W_(k-j), W_0 = 1.
+    den, (nums,) = form
+    lead = nums[s]
+    scaled = {}
+    power = 1
+    for j in range(1, digits):
+        a = nums.get(s + j)
+        if a:
+            scaled[j] = a * power
+        power *= lead
+    w = [1]
+    for k in range(1, digits):
+        acc = 0
+        for j, c in scaled.items():
+            if j > k:
+                break
+            acc -= c * w[k - j]
+        w.append(acc)
+    out = {}
+    power = lead
+    for k in range(digits):
+        if w[k]:
+            out[k - s] = Fraction(w[k] * den, power)
+        power *= lead
+    return LaurentScalar._raw(out, digits - s)
 
 
 class OneForm:

@@ -3,14 +3,17 @@
 The oracles here deliberately avoid the library's own code paths: the
 slope oracle measures Katz growth of iterated derivatives, and the
 fundamental-stratum oracle brute-forces the power criterion through raw
-series arithmetic and entry-order membership tests.
+series arithmetic and entry-order membership tests.  The reference
+kernel at the end is the coefficient-wise dict-of-Fraction arithmetic
+that the fraction-free kernel must reproduce exactly.
 """
 
 import random
 from fractions import Fraction
 
+from formalconn.errors import PrecisionError, SingularGauge, ZeroLeading
 from formalconn.matrices import LaurentMatrix
-from formalconn.series import INF, LaurentScalar
+from formalconn.series import INF, PRECISION_FLOOR, LaurentScalar, default_precision
 
 
 def LS(pairs, prec=INF):
@@ -181,3 +184,102 @@ def brute_force_fundamental(blocks, r, beta, max_power=None):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+# -- reference kernel ---------------------------------------------------------
+#
+# Plain loops over dicts of ground-field values, cleaned by the public
+# constructor after every operation.  They share nothing with the
+# library's kernel but the LaurentScalar container.
+
+
+def ref_mul_prec(a, b):
+    if a.prec == INF and b.prec == INF:
+        return INF
+    return min(a.order + b.prec, b.order + a.prec)
+
+
+def ref_mul(a, b):
+    prec = ref_mul_prec(a, b)
+    out = {}
+    for i, x in a.coeffs.items():
+        for j, y in b.coeffs.items():
+            if i + j < prec:
+                out[i + j] = out.get(i + j, 0) + x * y
+    return LaurentScalar(out, prec)
+
+
+def ref_add(a, b):
+    out = dict(a.coeffs)
+    for k, v in b.coeffs.items():
+        out[k] = out.get(k, 0) + v
+    return LaurentScalar(out, min(a.prec, b.prec))
+
+
+def ref_sub(a, b):
+    return ref_add(a, LaurentScalar({k: -v for k, v in b.coeffs.items()}, b.prec))
+
+
+def _ref_scalar_inverse(c):
+    return Fraction(1) / c if isinstance(c, (int, Fraction)) else c.inverse()
+
+
+def ref_inverse(a, digits=None):
+    if not a.coeffs:
+        raise ZeroLeading("inverse of zero(-to-precision) series")
+    s = min(a.coeffs)
+    inv_lead = _ref_scalar_inverse(a.coeffs[s])
+    if len(a.coeffs) == 1 and a.prec == INF:
+        return LaurentScalar({-s: inv_lead})
+    if digits is None:
+        digits = default_precision() if a.prec == INF else int(a.prec - s)
+    if digits < PRECISION_FLOOR:
+        raise PrecisionError("inverse window below floor")
+    u = {k - s: v * inv_lead for k, v in a.coeffs.items() if k - s < digits}
+    out = {0: Fraction(1)}
+    for k in range(1, digits):
+        acc = 0
+        for j, uj in u.items():
+            if 0 < j <= k:
+                acc = acc + uj * out.get(k - j, 0)
+        if acc != 0:
+            out[k] = -acc
+    return LaurentScalar({k - s: v * inv_lead for k, v in out.items()}, digits - s)
+
+
+def ref_matmul(a, b):
+    n = a.n
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = LaurentScalar.zero()
+            for k in range(n):
+                x, y = a.rows[i][k], b.rows[k][j]
+                if (x.coeffs or x.prec != INF) and (y.coeffs or y.prec != INF):
+                    acc = ref_add(acc, ref_mul(x, y))
+            row.append(acc)
+        rows.append(row)
+    return LaurentMatrix(rows)
+
+
+def ref_matinv(m, digits=None):
+    """Gauss-Jordan with valuation pivoting, as LaurentMatrix.inverse."""
+    n = m.n
+    work = [list(m.rows[i]) + [LaurentScalar.one() if i == j else LaurentScalar.zero()
+                               for j in range(n)] for i in range(n)]
+    for c in range(n):
+        candidates = [(work[r][c].order, r) for r in range(c, n) if work[r][c].coeffs]
+        if not candidates:
+            if any(work[r][c].prec != INF for r in range(c, n)):
+                raise PrecisionError("pivot undetectable at available precision")
+            raise SingularGauge("matrix is singular")
+        piv = min(candidates)[1]
+        work[c], work[piv] = work[piv], work[c]
+        inv_piv = ref_inverse(work[c][c], digits)
+        work[c] = [ref_mul(x, inv_piv) for x in work[c]]
+        for r in range(n):
+            f = work[r][c]
+            if r != c and f.coeffs:
+                work[r] = [ref_sub(x, ref_mul(f, y)) for x, y in zip(work[r], work[c])]
+    return LaurentMatrix([row[n:] for row in work])

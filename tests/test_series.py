@@ -1,13 +1,15 @@
 """Laurent scalar arithmetic, precision windows, residues, one-forms."""
 
+import time
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from formalconn.errors import ParseError, PrecisionError, ZeroLeading
-from formalconn.scalars import (format_scalar, get_field, nth_root_in_field,
-                                parse_scalar)
-from formalconn.series import INF, LaurentScalar, OneForm, residue
+from formalconn.scalars import (_cyclotomic_poly, format_scalar, get_field,
+                                nth_root_in_field, parse_scalar)
+from formalconn.series import INF, LaurentScalar, OneForm, default_precision, residue
 
 from helpers import LS, random_series, seeded
 
@@ -64,6 +66,14 @@ def test_mul_associative_commutative_and_inverse_roundtrip():
                 inv = a.inverse()
                 assert (a * inv).agrees(LaurentScalar.one())
                 assert (inv * a).agrees(LaurentScalar.one())
+
+
+def test_infinite_float_precision_is_exact():
+    a = LaurentScalar({0: 1, 1: 2}, float("inf"))
+    assert a.is_exact and a.prec is INF
+    inv = a.inverse()
+    assert inv.prec == default_precision()
+    assert (a * inv).agrees(LaurentScalar.one())
 
 
 def test_coeff_outside_window_raises():
@@ -151,3 +161,17 @@ def test_nth_root_beyond_float_range():
     assert nth_root_in_field(Fraction(10 ** 400), 2, q) == 10 ** 200
     assert nth_root_in_field(Fraction(-big ** 5, 2 ** 35), 5, q) == Fraction(-big, 2 ** 7)
     assert nth_root_in_field(Fraction(10 ** 399), 3, q) == 10 ** 133
+
+
+def test_cyclotomic_modulus_matches_sympy():
+    x = sympy.Symbol("x")
+    for m in range(1, 61):
+        expected = sympy.Poly(sympy.cyclotomic_poly(m, x), x).all_coeffs()[::-1]
+        assert _cyclotomic_poly(m) == [int(c) for c in expected], m
+
+
+def test_large_cyclotomic_field_is_fast():
+    start = time.perf_counter()
+    field = get_field("Q(zeta_2520)")
+    assert time.perf_counter() - start < 5
+    assert field.degree == 576 and field.modulus[-1] == 1
