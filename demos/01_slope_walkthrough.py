@@ -15,7 +15,10 @@ from formalconn.strata import Stratum
 
 
 def series(pairs):
-    return LaurentScalar({k: Fraction(v) for k, v in pairs})
+    """Exact series from (exponent, value) pairs; a value is an integer
+    or a (numerator, denominator) tuple."""
+    return LaurentScalar({k: Fraction(*v) if isinstance(v, tuple) else Fraction(v)
+                          for k, v in pairs})
 
 
 def connection_from_dt(entries):

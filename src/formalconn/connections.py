@@ -1,31 +1,36 @@
 """Formal connections: gauge action, contained strata, slope,
 splitting, and diagonalization to a formal type.
 
-The slope engine keeps the connection matrix in a fixed frame and scans
-standard parahorics over constant permutation gauges (derivative-free);
-any fundamental stratum found certifies the slope.  When every scan
-candidate is non-fundamental it alternates a constant kernel-flag
-triangularization with the slope-decreasing reduction: a twisted
-saturation of the current chain by powers of the matrix, standardized
-by an adapted-basis gauge.  Slopes live in the discrete set
-{p/q : 1 <= q <= n}, and every saturation round strictly lowers the
-best bound, so the search terminates.
+The slope engine looks for a fundamental stratum, which certifies the
+slope (Bremer-Sage).  Each round reads the matrix once into a table of
+entry orders and windows and scans the standard parahorics, one per
+ordered set partition of the basis (the constant permutation gauges,
+all of them for n <= 4): the filtration degree of a candidate and the
+leading pattern of its stratum come from the table, and the stratum is
+fundamental iff that pattern is not nilpotent.  The first fundamental
+(or regular singular) candidate ends the search.
+When there is none, a shear move (Moser 1960) triangularizes the
+nilpotent leading term by a constant kernel-flag gauge and multiplies
+the kernel coordinates by t, and the scan repeats.  The shear rounds
+are not known to terminate: they give up after MAX_DESCENT_ROUNDS, and
+do so for some connections of rank n >= 5 with slope r/e, e > 1.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 from .errors import (FormalConnError, NotRegular, NotSplit, ParseError,
                      PrecisionError, SingularGauge)
 from .formal_types import FormalType
-from .linalg import kmatmul, knullspace, rref
+from .linalg import kinverse, kmatmul, knullspace, rref
 from .matrices import LaurentMatrix
-from .parahoric import (filtration_degree, graded_component, pattern_to_matrix,
-                        standard_chain)
+from .parahoric import (GradedEndo, filtration_degree, graded_component,
+                        pattern_to_matrix, standard_chain)
 from .scalars import get_field, is_zero, sort_key
 from .series import INF, LaurentScalar, OneForm
-from .strata import (Stratum, infer_field, is_fundamental, is_regular,
-                     pure_leading, reduce_stratum)
+from .strata import (Stratum, infer_field, is_regular, pure_leading,
+                     reduce_stratum)
 from .torus import (ToralElement, TorusData, graded_ad_image_solve,
                     graded_level_solve, tame_corestriction, varpi_eps)
 
@@ -147,48 +152,83 @@ def _compositions(n):
     return out
 
 
-def _permutation_matrix(perm, n=None):
-    n = n if n is not None else len(perm)
-    rows = [[LaurentScalar.zero() for _ in range(n)] for _ in range(n)]
-    for j, i in enumerate(perm):
-        rows[i][j] = LaurentScalar.one()
-    return LaurentMatrix(rows)
+def _permutation_rows(perm):
+    """The constant matrix P whose row u is e_perm[u]: P M P^-1 has
+    entry (u, v) equal to M[perm[u]][perm[v]]."""
+    n = len(perm)
+    return LaurentMatrix([[LaurentScalar.one() if v == perm[u] else LaurentScalar.zero()
+                           for v in range(n)] for u in range(n)])
 
 
-_RS = object()  # regular-singular marker
-
-
-def _permuted_entries(matrix, perm):
-    n = matrix.n
-    return LaurentMatrix([[matrix.rows[perm[u]][perm[v]] for v in range(n)]
-                          for u in range(n)])
+def _order_table(matrix):
+    """One read of the matrix: (nonzero, windows, leads) with nonzero the
+    (i, j, order) of every entry with a known nonzero coefficient,
+    windows the (i, j, prec) of every entry known only to a finite
+    precision, and leads the leading coefficients by (i, j)."""
+    nonzero, windows, leads = [], [], {}
+    for i, row in enumerate(matrix.rows):
+        for j, entry in enumerate(row):
+            if entry.coeffs:
+                o = entry.order
+                nonzero.append((i, j, o))
+                leads[i, j] = entry.coeffs[o]
+            if entry.prec is not INF:
+                windows.append((i, j, entry.prec))
+    return nonzero, windows, leads
 
 
 def _scan_standard(matrix, n, perms):
-    """Scan (permutation, composition) candidates.  Returns
-    (fundamental_hit, best_nonfundamental), entries (slope, perm, ctx, r);
-    a regular-singular detection returns (_RS, perm, ctx, 0) as the hit.
-    Any fundamental stratum already certifies the slope, so the scan
-    exits on the first hit."""
-    best_any = None
+    """The first (permutation, composition) candidate, in scan order,
+    whose contained stratum is fundamental or regular singular: (perm,
+    ctx, r), with r = 0 for regular singular; None when there is none.
+
+    Entry (u, v) of the permuted matrix is matrix[perm[u]][perm[v]], so
+    a candidate only gives each original index i a phase, and its
+    filtration degree is min e*ord[i][j] + phase(i) - phase(j) over the
+    order table (undetermined, and skipped, when a window bound lies
+    below it).  Candidates giving every index the same phase -- the
+    same ordered set partition -- agree in degree, precision and
+    verdict, so each is tried once.  The stratum is fundamental iff its
+    leading pattern is not nilpotent; that pattern is read from the same
+    table, and a window ending on one of its slots raises PrecisionError.
+    """
+    nonzero, windows, leads = _order_table(matrix)
+    contexts = [standard_chain(blocks) for blocks in _compositions(n)]
+    tried = set()
     for perm in perms:
-        m_p = _permuted_entries(matrix, perm)
-        for blocks in _compositions(n):
-            ctx = standard_chain(blocks)
-            try:
-                d = filtration_degree(m_p, ctx)
-            except PrecisionError:
+        pos = [0] * n
+        for u, i in enumerate(perm):
+            pos[i] = u
+        for ctx in contexts:
+            e = ctx.period
+            phase = tuple(ctx.phases[pos[i]] for i in range(n))
+            if phase in tried:
                 continue
-            if d is INF or d >= 0:
-                return (_RS, perm, ctx, 0), None
-            r = -d
-            sl = Fraction(r, ctx.period)
-            entry = (sl, perm, ctx, r)
-            if is_fundamental(Stratum(ctx, r, m_p)):
-                return entry, None
-            if best_any is None or sl < best_any[0]:
-                best_any = entry
-    return None, best_any
+            tried.add(phase)
+            best = min((e * o + phase[i] - phase[j] for i, j, o in nonzero), default=INF)
+            bound = min((e * p + phase[i] - phase[j] for i, j, p in windows), default=INF)
+            if bound < best:
+                continue
+            if best == INF or best >= 0:
+                return perm, ctx, 0
+            r = -best
+            if math.gcd(r, e) > 1:
+                # The gcd reduction lands on the chain of the composition
+                # that merges runs of gcd(r, e) blocks, with the same
+                # degree and pattern; that candidate came earlier in the
+                # scan and was not fundamental.
+                continue
+            for i, j, p in windows:
+                if e * p + phase[i] - phase[j] == best:
+                    raise PrecisionError("graded coefficient at t^%d unknown" % p,
+                                         needed=p + 1)
+            pat = [[0] * n for _ in range(n)]
+            for i, j, o in nonzero:
+                if e * o + phase[i] - phase[j] == best:
+                    pat[pos[i]][pos[j]] = leads[i, j]
+            if not GradedEndo(pat, best, ctx).is_nilpotent():
+                return perm, ctx, r
+    return None
 
 
 def fundamental_stratum(conn):
@@ -199,11 +239,15 @@ def fundamental_stratum(conn):
     chain, so its slope certifies the connection slope.  Regular
     singular input yields the depth-zero stratum on the maximal chain.
 
-    Descent: scan standard parahorics over constant permutations; when
-    every candidate is non-fundamental, triangularize the nilpotent
-    leading term by a constant kernel-flag gauge and shear the kernel
-    block by diag(t, .., 1).  Both moves cost at most a constant
-    derivative term.
+    Each round scans the standard parahorics over constant permutations
+    (all of them for n <= 4, the identity above) and stops at the first
+    fundamental or regular singular candidate.  When there is none, a
+    shear move triangularizes the nilpotent leading term by a constant
+    kernel-flag gauge and multiplies the kernel coordinates by t.  Both
+    moves cost at most a constant derivative term.  Nothing guarantees
+    that the rounds find a fundamental stratum: the search gives up with
+    FormalConnError after MAX_DESCENT_ROUNDS, which happens for some
+    n >= 5 connections of slope r/e with e > 1.
     """
     conn = conn.standardized()
     n = conn.n
@@ -211,17 +255,17 @@ def fundamental_stratum(conn):
     cur = conn
     perms = list(itertools.permutations(range(n))) if n <= 4 else [tuple(range(n))]
     for round_no in range(MAX_DESCENT_ROUNDS):
-        found_f, _ = _scan_standard(cur.matrix, n, perms)
-        if found_f is not None:
-            sl, perm, ctx, r = found_f
-            pm = _permutation_matrix(perm)
-            gauge = pm.inverse() * gauge
-            cur = gauge_transform(pm.inverse(), cur)
+        found = _scan_standard(cur.matrix, n, perms)
+        if found is not None:
+            perm, ctx, r = found
+            pm = _permutation_rows(perm)
+            gauge = pm * gauge
+            cur = gauge_transform(pm, cur)
             s = Stratum(ctx, r, cur.matrix, cur.nu)
             return gauge, cur, (s if r == 0 else reduce_stratum(s))
-        h = _moser_move(cur.matrix, 1 + round_no % (n - 1))
+        h, moved = _moser_move(cur.matrix, 1 + round_no % (n - 1))
         gauge = h * gauge
-        cur = gauge_transform(h, cur)
+        cur = FormalConnection(moved, cur.nu)
     raise FormalConnError("slope descent did not terminate")
 
 
@@ -245,13 +289,14 @@ def _kernel_flag_basis(pat, n):
 
 
 def _moser_move(matrix, kernel_power=1):
-    """One shear move on the maximal chain: bring the nilpotent leading
-    coefficient into kernel-flag position by a constant gauge, then
-    rescale the coordinates of ker(pattern^k) by t.
+    """One shear move on the maximal chain of the matrix of nabla_tau
+    against dt/t: bring the nilpotent leading coefficient into
+    kernel-flag position by the constant basis C, then rescale the
+    coordinates of ker(pattern^k) by t.
 
-    The returned gauge g is diag(t on the kernel flag coords) times the
-    constant flag matrix inverse; its derivative term is the constant
-    diag of the shear exponents, harmless to polar depths.
+    Returns (h, moved): the gauge h = S C^-1 with S = diag(t^a), and
+    h . matrix in closed form, S (C^-1 matrix C) S^-1 - diag(a), since
+    C is constant and tau(S) S^-1 = diag(a).
     """
     n = matrix.n
     ctx = standard_chain((n,))
@@ -262,19 +307,24 @@ def _moser_move(matrix, kernel_power=1):
     basis = _kernel_flag_basis(pat, n)
     if basis is None:
         raise FormalConnError("leading coefficient has no kernel flag")
-    h_const = [[basis[j][i] for j in range(n)] for i in range(n)]
-    h = LaurentMatrix.from_scalar_matrix(h_const)
+    c = [[basis[j][i] for j in range(n)] for i in range(n)]
+    c_inv = kinverse(c)
     # kernel of pattern^k in the flag basis occupies the first coordinates
     power = [list(r) for r in pat]
     for _ in range(kernel_power - 1):
         power = kmatmul(power, pat)
     ker_dim = max(1, len(knullspace(power)))
     ker_dim = min(ker_dim, n - 1) if ker_dim == n else ker_dim
-    rows = [[LaurentScalar.zero() for _ in range(n)] for _ in range(n)]
+    a = [1 if u < ker_dim else 0 for u in range(n)]
+    c_inv_mat = LaurentMatrix.from_scalar_matrix(c_inv)
+    h = LaurentMatrix([[x.shift(a[u]) for x in row] for u, row in enumerate(c_inv_mat.rows)])
+    inner = c_inv_mat * matrix * LaurentMatrix.from_scalar_matrix(c)
+    moved = [[x.shift(a[u] - a[v]) for v, x in enumerate(row)]
+             for u, row in enumerate(inner.rows)]
     for u in range(n):
-        rows[u][u] = LaurentScalar.t_power(1 if u < ker_dim else 0)
-    shear = LaurentMatrix(rows)
-    return shear * h.inverse()
+        if a[u]:
+            moved[u][u] = moved[u][u] - LaurentScalar.from_scalar(Fraction(a[u]))
+    return h, LaurentMatrix(moved)
 
 
 def slope(conn):
@@ -437,8 +487,7 @@ def _assemble_blocks(cur, gauge, blocks, r, e, field):
     for j, (slots, _, _) in enumerate(items):
         for p_idx, u in enumerate(slots):
             perm[j * e + p_idx] = u
-    pm = LaurentMatrix([[LaurentScalar.one() if perm[i] == j else LaurentScalar.zero()
-                         for j in range(n)] for i in range(n)])
+    pm = _permutation_rows(perm)
     block_rows = [[LaurentScalar.zero() for _ in range(n)] for _ in range(n)]
     for slots, res, _ in items:
         for a, u in enumerate(slots):

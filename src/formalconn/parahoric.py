@@ -13,6 +13,7 @@ torus-adapted interleaved layout repeats the complete-chain phases
 inside each of the n/e diagonal blocks.
 """
 
+import math
 from fractions import Fraction
 
 from .errors import EmptyComposition, NotInFiltration, PrecisionError
@@ -218,15 +219,17 @@ class GradedEndo:
         self.r = r
         self.ctx = ctx
 
+    def _classes(self):
+        e = self.ctx.period
+        classes = [[] for _ in range(e)]
+        for u, p in enumerate(self.ctx.phases):
+            classes[p % e].append(u)
+        return classes
+
     def maps(self):
         """The e maps Hom(Lbar^i, Lbar^(i+r)) as constant matrices."""
-        e = self.ctx.period
-        out = []
-        for i in range(e):
-            cols = [u for u in range(self.ctx.n) if self.ctx.phases[u] % e == i % e]
-            rows = [u for u in range(self.ctx.n) if self.ctx.phases[u] % e == (i + self.r) % e]
-            out.append([[self.pattern[ru][cu] for cu in cols] for ru in rows])
-        return out
+        classes = self._classes()
+        return [_block(self.pattern, classes, i, self.r) for i in range(self.ctx.period)]
 
     def compose(self, other):
         """(self in degree r) o (other in degree s) -> degree r+s."""
@@ -237,12 +240,50 @@ class GradedEndo:
         return all(is_zero(c) for row in self.pattern for c in row)
 
     def is_nilpotent(self):
-        m = self.pattern
-        for _ in range(self.ctx.n):
-            if all(is_zero(c) for row in m for c in row):
-                return True
-            m = kmatmul(m, self.pattern)
-        return all(is_zero(c) for row in m for c in row)
+        """Nilpotency from one product per cycle of the phase shift.
+
+        The pattern maps phase class c to class c + r (mod e), so its
+        L-th power, L = e / gcd(r, e), is block diagonal with the
+        products of the L blocks around each cycle of c -> c + r; it is
+        nilpotent iff every cycle product is (a product around the
+        cycle from another start is a rotation, nilpotent or not
+        together).  A cycle through an empty class has product zero.
+        A rational pattern is scaled to integers first: a nonzero scalar
+        changes no product's nilpotency.
+        """
+        e = self.ctx.period
+        classes = self._classes()
+        pattern = self.pattern
+        if all(isinstance(c, (int, Fraction)) for row in pattern for c in row):
+            den = math.lcm(*(c.denominator for row in pattern for c in row))
+            pattern = [[c.numerator * (den // c.denominator) for c in row] for row in pattern]
+            mul, zero = _int_matmul, _int_is_zero
+        else:
+            mul, zero = kmatmul, _field_is_zero
+        seen = [False] * e
+        for start in range(e):
+            cycle = []
+            c = start
+            while not seen[c]:
+                seen[c] = True
+                cycle.append(c)
+                c = (c + self.r) % e
+            if not cycle or not all(classes[c] for c in cycle):
+                continue
+            # start from the smallest class: the product is square of that size
+            first = min(range(len(cycle)), key=lambda i: len(classes[cycle[i]]))
+            prod = None
+            for c in cycle[first:] + cycle[:first]:
+                block = _block(pattern, classes, c, self.r)
+                prod = block if prod is None else mul(block, prod)
+            # a k x k matrix is nilpotent iff its k-th power is zero
+            power = 1
+            while power < len(prod) and not zero(prod):
+                prod = mul(prod, prod)
+                power *= 2
+            if not zero(prod):
+                return False
+        return True
 
     def __eq__(self, other):
         if not isinstance(other, GradedEndo):
@@ -252,6 +293,25 @@ class GradedEndo:
 
     def __repr__(self):
         return "GradedEndo(r=%d, pattern=%r)" % (self.r, self.pattern)
+
+
+def _block(pattern, classes, c, r):
+    """The map from phase class c to class c + r as a constant matrix."""
+    rows = classes[(c + r) % len(classes)]
+    return [[pattern[ru][cu] for cu in classes[c]] for ru in rows]
+
+
+def _int_matmul(a, b):
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+
+
+def _int_is_zero(m):
+    return not any(any(row) for row in m)
+
+
+def _field_is_zero(m):
+    return all(is_zero(c) for row in m for c in row)
 
 
 def graded_component(x, ctx, r):

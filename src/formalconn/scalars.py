@@ -7,7 +7,8 @@ basis 1, z, ..., z^(d-1) modulo the m-th cyclotomic polynomial.  The two
 kinds interoperate: Fraction (or int) mixes freely into Ext arithmetic.
 
 Field names accepted throughout: "Q", "Q(i)" (= Q(zeta_4)) and
-"Q(zeta_m)" for small m.
+"Q(zeta_m)" for m <= MAX_CYCLOTOMIC_ORDER of degree phi(m) <=
+MAX_CYCLOTOMIC_DEGREE.
 """
 
 import math
@@ -16,6 +17,13 @@ from fractions import Fraction
 from .errors import NonsplitField, ParseError
 
 _FIELD_CACHE = {}
+
+# Bounds on the cyclotomic fields a name may ask for.  A field of degree
+# d keeps a (d - 1) x d reduction table, so memory grows with the square
+# of the degree (Q(zeta_30030), degree 5760, took 606 MB); m itself is
+# bounded first, so that no name makes the parser factor a huge number.
+MAX_CYCLOTOMIC_ORDER = 10000
+MAX_CYCLOTOMIC_DEGREE = 1024
 
 
 def _cyclotomic_poly(m):
@@ -37,6 +45,18 @@ def _cyclotomic_poly(m):
                 quot[k] = (quot[k - d] if k >= d else 0) - poly[k]
             poly = quot
     return poly
+
+
+def _totient(n):
+    phi = n
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            while n % p == 0:
+                n //= p
+            phi -= phi // p
+        p += 1
+    return phi - phi // n if n > 1 else phi
 
 
 def _mobius(n):
@@ -315,8 +335,18 @@ def _parse_field_name(name):
         return 4
     if name.startswith("Q(zeta_") and name.endswith(")"):
         digits = name[len("Q(zeta_"):-1]
-        if digits.isdigit() and int(digits) >= 1:
-            return int(digits)
+        if digits.isascii() and digits.isdigit():
+            significant = digits.lstrip("0") or "0"
+            if len(significant) > len(str(MAX_CYCLOTOMIC_ORDER)) or \
+                    int(significant) > MAX_CYCLOTOMIC_ORDER:
+                raise ParseError("field %r: m exceeds %d" % (name[:40], MAX_CYCLOTOMIC_ORDER))
+            m = int(significant)
+            if m >= 1:
+                degree = _totient(m)
+                if degree > MAX_CYCLOTOMIC_DEGREE:
+                    raise ParseError("field %r has degree %d > %d"
+                                     % (name, degree, MAX_CYCLOTOMIC_DEGREE))
+                return m
     raise ParseError("unknown field name %r" % name)
 
 

@@ -5,15 +5,25 @@ slope oracle measures Katz growth of iterated derivatives, and the
 fundamental-stratum oracle brute-forces the power criterion through raw
 series arithmetic and entry-order membership tests.  The reference
 kernel at the end is the coefficient-wise dict-of-Fraction arithmetic
-that the fraction-free kernel must reproduce exactly.
+that the fraction-free kernel must reproduce exactly, and the reference
+slope descent tries every (permutation, composition) candidate through
+a permuted matrix, the library's filtration degree and a power test of
+nilpotency.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
-from formalconn.errors import PrecisionError, SingularGauge, ZeroLeading
+from formalconn.connections import (MAX_DESCENT_ROUNDS, _compositions, _kernel_flag_basis,
+                                    gauge_transform)
+from formalconn.errors import FormalConnError, PrecisionError, SingularGauge, ZeroLeading
+from formalconn.linalg import kmatmul, knullspace
 from formalconn.matrices import LaurentMatrix
+from formalconn.parahoric import filtration_degree, graded_component, standard_chain
+from formalconn.scalars import is_zero
 from formalconn.series import INF, PRECISION_FLOOR, LaurentScalar, default_precision
+from formalconn.strata import Stratum, reduce_stratum
 
 
 def LS(pairs, prec=INF):
@@ -283,3 +293,97 @@ def ref_matinv(m, digits=None):
             if r != c and f.coeffs:
                 work[r] = [ref_sub(x, ref_mul(f, y)) for x, y in zip(work[r], work[c])]
     return LaurentMatrix([row[n:] for row in work])
+
+
+# -- reference slope descent ----------------------------------------------------
+
+
+def ref_is_nilpotent(pattern):
+    """pattern^n == 0 for the n x n pattern, by repeated multiplication."""
+    power = pattern
+    for _ in range(len(pattern) - 1):
+        power = kmatmul(power, pattern)
+    return all(is_zero(c) for row in power for c in row)
+
+
+def ref_is_fundamental(s):
+    return not ref_is_nilpotent(reduce_stratum(s).graded_rep().pattern)
+
+
+def _ref_permuted(matrix, perm):
+    n = matrix.n
+    return LaurentMatrix([[matrix.rows[perm[u]][perm[v]] for v in range(n)]
+                          for u in range(n)])
+
+
+def _ref_permutation_matrix(perm):
+    n = len(perm)
+    rows = [[LaurentScalar.zero() for _ in range(n)] for _ in range(n)]
+    for j, i in enumerate(perm):
+        rows[i][j] = LaurentScalar.one()
+    return LaurentMatrix(rows)
+
+
+def ref_scan_standard(matrix, n, perms):
+    """Every (permutation, composition) pair in scan order: (perm, ctx,
+    r) of the first fundamental or regular singular (r = 0) candidate,
+    or None; an undetermined filtration degree skips the candidate."""
+    for perm in perms:
+        m_p = _ref_permuted(matrix, perm)
+        for blocks in _compositions(n):
+            ctx = standard_chain(blocks)
+            try:
+                d = filtration_degree(m_p, ctx)
+            except PrecisionError:
+                continue
+            if d is INF or d >= 0:
+                return perm, ctx, 0
+            if ref_is_fundamental(Stratum(ctx, -d, m_p)):
+                return perm, ctx, -d
+    return None
+
+
+def _ref_moser_gauge(matrix, kernel_power):
+    """The shear gauge diag(t on the kernel coordinates) C^-1, with the
+    constant kernel-flag basis C inverted as a Laurent matrix."""
+    n = matrix.n
+    ctx = standard_chain((n,))
+    d = filtration_degree(matrix, ctx)
+    if d is INF:
+        raise FormalConnError("shear move on the zero matrix")
+    pat = graded_component(matrix, ctx, d).pattern
+    basis = _kernel_flag_basis(pat, n)
+    if basis is None:
+        raise FormalConnError("leading coefficient has no kernel flag")
+    h = LaurentMatrix.from_scalar_matrix([[basis[j][i] for j in range(n)] for i in range(n)])
+    power = [list(r) for r in pat]
+    for _ in range(kernel_power - 1):
+        power = kmatmul(power, pat)
+    ker_dim = max(1, len(knullspace(power)))
+    ker_dim = min(ker_dim, n - 1) if ker_dim == n else ker_dim
+    shear = LaurentMatrix([[LaurentScalar.t_power(1 if u < ker_dim else 0) if u == v
+                            else LaurentScalar.zero() for v in range(n)] for u in range(n)])
+    return shear * h.inverse()
+
+
+def ref_fundamental_stratum(conn):
+    """The slope descent with the reference scan, general gauge actions
+    and Gauss-Jordan inverses of every gauge."""
+    conn = conn.standardized()
+    n = conn.n
+    gauge = LaurentMatrix.identity(n)
+    cur = conn
+    perms = list(itertools.permutations(range(n))) if n <= 4 else [tuple(range(n))]
+    for round_no in range(MAX_DESCENT_ROUNDS):
+        found = ref_scan_standard(cur.matrix, n, perms)
+        if found is not None:
+            perm, ctx, r = found
+            pm = _ref_permutation_matrix(perm)
+            gauge = pm.inverse() * gauge
+            cur = gauge_transform(pm.inverse(), cur)
+            s = Stratum(ctx, r, cur.matrix, cur.nu)
+            return gauge, cur, (s if r == 0 else reduce_stratum(s))
+        h = _ref_moser_gauge(cur.matrix, 1 + round_no % (n - 1))
+        gauge = h * gauge
+        cur = gauge_transform(h, cur)
+    raise FormalConnError("slope descent did not terminate")

@@ -53,6 +53,18 @@ def test_malformed_connection_exit_2(tmp_path, capsys, doc):
     assert json.loads(err)["error"] == "PARSE_ERROR"
 
 
+@pytest.mark.parametrize("field", ["Q(zeta_30030)", "Q(zeta_9240)", "Q(zeta_" + "9" * 6000 + ")"])
+def test_oversized_cyclotomic_field_exit_2(tmp_path, capsys, field):
+    doc = {"n": 1, "field": field, "matrix": [[[[-2, "1/1"]]]]}
+    f = tmp_path / "big.conn.json"
+    f.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "slope", str(f))
+    assert code == 2 and out == "" and "PARSE_ERROR" in err
+    code, _, err = run_cli(capsys, "slope", "--field", field,
+                           os.path.join(DATA, "witten.conn.json"))
+    assert code == 2 and "PARSE_ERROR" in err
+
+
 def test_missing_file_exit_2(capsys):
     code, _, err = run_cli(capsys, "slope", "/nonexistent/file.json")
     assert code == 2

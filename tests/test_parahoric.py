@@ -3,16 +3,21 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from formalconn.errors import EmptyComposition, NotInFiltration, PrecisionError
+from formalconn.linalg import kinverse, kmatmul
 from formalconn.matrices import LaurentMatrix, pairing
-from formalconn.parahoric import (filtration_degree, graded_component,
+from formalconn.parahoric import (GradedEndo, LatticeChain, ParahoricContext,
+                                  filtration_degree, graded_component,
                                   graded_monomials, monomial_matrix,
                                   standard_chain)
 from formalconn.polys import kpoly_trim
+from formalconn.scalars import get_field
 from formalconn.series import INF, LaurentScalar, OneForm
 
-from helpers import LS, lmat, random_matrix, seeded
+from helpers import LS, lmat, random_matrix, ref_is_nilpotent, seeded
 
 
 def test_maximal_parahoric():
@@ -189,3 +194,106 @@ def test_lattice_exponent_pattern():
     assert ctx.lattice_exponents(2) == [1, 1, 1]
     assert ctx.lattice_exponents(3) == [1, 2, 2]
     _ = kpoly_trim
+
+
+# -- nilpotency of graded pieces ----------------------------------------------
+
+QI = get_field("Q(i)")
+small_rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+def _on_support(endo):
+    ctx, e = endo.ctx, endo.ctx.period
+    return all(c == 0 or (endo.r + ctx.phases[v] - ctx.phases[u]) % e == 0
+               for u, row in enumerate(endo.pattern) for v, c in enumerate(row))
+
+
+@st.composite
+def contexts(draw):
+    """Grouped and interleaved contexts, their translates, and contexts
+    whose phases leave some classes empty."""
+    kind = draw(st.sampled_from(["grouped", "interleaved", "sparse"]))
+    if kind == "grouped":
+        blocks = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+        ctx = standard_chain(blocks)
+    elif kind == "interleaved":
+        e = draw(st.integers(1, 3))
+        ctx = ParahoricContext.interleaved(e, draw(st.integers(1, 6 // e)))
+    else:
+        n = draw(st.integers(2, 6))
+        e = draw(st.integers(2, n))
+        blocks = [1] * (e - 1) + [n - e + 1]
+        phases = draw(st.lists(st.integers(0, e - 1), min_size=n, max_size=n))
+        ctx = ParahoricContext(LatticeChain(n, blocks), phases, "grouped")
+    return ctx.translate(draw(st.integers(-4, 4)))
+
+
+@st.composite
+def graded_endos(draw):
+    """A pattern on the graded support of level r; half of them strictly
+    triangular in a random order of the basis (so nilpotent), conjugated
+    by a constant matrix that keeps every phase class (so the support)."""
+    ctx = draw(contexts())
+    n, e = ctx.n, ctx.period
+    r = draw(st.integers(-2 * e, 2 * e))
+    gaussian = draw(st.booleans())
+    nilpotent = draw(st.booleans())
+    rank = draw(st.permutations(range(n)))
+    pattern = [[Fraction(0)] * n for _ in range(n)]
+    for u in range(n):
+        for v in range(n):
+            if (r + ctx.phases[v] - ctx.phases[u]) % e or (nilpotent and rank[u] >= rank[v]):
+                continue
+            c = draw(small_rationals)
+            if gaussian:
+                c = QI.from_coords([c, draw(small_rationals)])
+            pattern[u][v] = c
+    if nilpotent:
+        same_class = [[(ctx.phases[u] - ctx.phases[v]) % e == 0 for v in range(n)]
+                      for u in range(n)]
+        g = [[Fraction(int(u == v)) + (draw(st.integers(-2, 2)) if same_class[u][v] else 0)
+              for v in range(n)] for u in range(n)]
+        g_inv = kinverse(g)
+        if g_inv is not None:
+            pattern = kmatmul(kmatmul(g, pattern), g_inv)
+    return GradedEndo(pattern, r, ctx)
+
+
+@settings(max_examples=300)
+@given(graded_endos())
+def test_is_nilpotent_matches_power_test(endo):
+    assert _on_support(endo)
+    assert endo.is_nilpotent() == ref_is_nilpotent(endo.pattern)
+
+
+def test_nilpotency_cases():
+    # gcd(r, e) = 2 on the Iwahori of rank 4: two cycles {0, 2}, {1, 3},
+    # each with product 1; zeroing one block of a cycle kills its product
+    iw = standard_chain((1, 1, 1, 1))
+    pat = graded_component(iw.varpi_power(2), iw, 2).pattern
+    assert not GradedEndo(pat, 2, iw).is_nilpotent()
+    pat[0][2] = Fraction(0)
+    assert not GradedEndo(pat, 2, iw).is_nilpotent()
+    pat[1][3] = Fraction(0)
+    assert GradedEndo(pat, 2, iw).is_nilpotent()
+    # phase class 2 is empty: at r = 1 the only cycle passes through it,
+    # at r = 3 each class is its own cycle
+    holes = ParahoricContext(LatticeChain(3, (1, 1, 1)), (0, 0, 1), "grouped")
+    shift = [[Fraction(0)] * 3, [Fraction(0)] * 3, [Fraction(1), Fraction(2), Fraction(0)]]
+    assert GradedEndo(shift, 1, holes).is_nilpotent()
+    diag = [[Fraction(int(u == v)) for v in range(3)] for u in range(3)]
+    assert not GradedEndo(diag, 3, holes).is_nilpotent()
+
+
+def test_library_graded_pieces_lie_on_support():
+    rng = seeded(41)
+    for blocks in ((1, 1), (2, 1), (1, 1, 1), (1, 2, 1)):
+        ctx = standard_chain(blocks)
+        for _ in range(6):
+            x = random_matrix(rng, ctx.n, lo=-2, hi=2)
+            y = random_matrix(rng, ctx.n, lo=-2, hi=2)
+            if x.is_zero() or y.is_zero():
+                continue
+            gx = graded_component(x, ctx, filtration_degree(x, ctx))
+            gy = graded_component(y, ctx, filtration_degree(y, ctx))
+            assert _on_support(gx) and _on_support(gy) and _on_support(gx.compose(gy))

@@ -7,7 +7,8 @@ import pytest
 import sympy
 
 from formalconn.errors import ParseError, PrecisionError, ZeroLeading
-from formalconn.scalars import (_cyclotomic_poly, format_scalar, get_field,
+from formalconn.scalars import (MAX_CYCLOTOMIC_DEGREE, MAX_CYCLOTOMIC_ORDER,
+                                _cyclotomic_poly, format_scalar, get_field,
                                 nth_root_in_field, parse_scalar)
 from formalconn.series import INF, LaurentScalar, OneForm, default_precision, residue
 
@@ -151,6 +152,29 @@ def test_scalar_field_arithmetic():
 def test_field_name_rejected(name):
     with pytest.raises(ParseError):
         get_field(name)
+
+
+@pytest.mark.parametrize("name", [
+    "Q(zeta_%d)" % (MAX_CYCLOTOMIC_ORDER + 1),   # m above the bound (prime)
+    "Q(zeta_30030)",                             # degree 5760
+    "Q(zeta_" + "7" * 5000 + ")",                # too long to convert, let alone factor
+])
+def test_cyclotomic_order_bound(name):
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="exceeds"):
+        get_field(name)
+    assert time.perf_counter() - start < 1
+
+
+def test_cyclotomic_degree_bound():
+    # m = 9240 is within the order bound, but phi(9240) = 1920
+    assert 9240 <= MAX_CYCLOTOMIC_ORDER < 30030
+    with pytest.raises(ParseError, match="degree 1920"):
+        get_field("Q(zeta_9240)")
+    assert get_field("Q(zeta_2520)").degree == 576 <= MAX_CYCLOTOMIC_DEGREE
+    # non-ASCII digits are not a number
+    with pytest.raises(ParseError, match="unknown field"):
+        get_field("Q(zeta_\u0661\u0662)")
 
 
 def test_nth_root_beyond_float_range():
