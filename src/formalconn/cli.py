@@ -30,11 +30,8 @@ EXIT_CONSTRAINT = 4
 EXIT_UNSUPPORTED = 5
 
 
-def _emit(payload, as_json=True):
-    if as_json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(payload)
+def _emit(payload):
+    print(json.dumps(payload, sort_keys=True))
 
 
 def _load_json(path):
@@ -181,7 +178,6 @@ def build_parser():
     common.add_argument("--nu", help="one-form (dt, dt/t, dt/t^k); default from file")
     common.add_argument("--digits", type=int, default=8,
                         help="output digits for diagonalization")
-    common.add_argument("--json", action="store_true", help="(default) JSON output")
     ap = argparse.ArgumentParser(
         prog="formalconn",
         description="Exact analysis of formal meromorphic connections")

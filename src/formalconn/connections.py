@@ -27,7 +27,7 @@ from .linalg import kinverse, kmatmul, knullspace, rref
 from .matrices import LaurentMatrix
 from .parahoric import (GradedEndo, filtration_degree, graded_component,
                         pattern_to_matrix, standard_chain)
-from .scalars import get_field, is_zero, sort_key
+from .scalars import get_field, is_zero, scalar_inverse, sort_key
 from .series import INF, LaurentScalar, OneForm
 from .strata import (Stratum, infer_field, is_regular, pure_leading,
                      reduce_stratum)
@@ -84,8 +84,7 @@ class FormalConnection:
         if len(f.coeffs) == 1:
             k = f.order
             c = f.coeffs[k]
-            inv = (Fraction(1) / c) if isinstance(c, (int, Fraction)) else c.inverse()
-            return deriv.shift(-k) * inv
+            return deriv.shift(-k) * scalar_inverse(c)
         return deriv * f.inverse()
 
     def to_json(self, field=None):
@@ -263,7 +262,7 @@ def fundamental_stratum(conn):
             cur = gauge_transform(pm, cur)
             s = Stratum(ctx, r, cur.matrix, cur.nu)
             return gauge, cur, (s if r == 0 else reduce_stratum(s))
-        h, moved = _moser_move(cur.matrix, 1 + round_no % (n - 1))
+        h, moved = _moser_move(cur.matrix, 1 + round_no % max(n - 1, 1))
         gauge = h * gauge
         cur = FormalConnection(moved, cur.nu)
     raise FormalConnError("slope descent did not terminate")
@@ -441,13 +440,10 @@ def diagonalize(conn, digits=8):
         return _diagonalize_regular_singular(cur, gauge, report.leading, field, digits)
     e = report.e
     if report.m == 1:
-        p, q_coeffs = _pure_block_reduce(cur, strat.ctx, r, field, digits)
-        gauge = p * gauge
+        p, q, row = _pure_block_type(cur.matrix, cur.nu, strat.ctx, r, field, digits)
         torus = TorusData(e, 1)
-        a_rep = ToralElement(torus, [dict(q_coeffs)])
-        ft = FormalType(torus, r, [[q_coeffs.get(d, field.zero())
-                                    for d in range(-r, 1)]], field)
-        return DiagonalizationResult(gauge, a_rep, ft)
+        return DiagonalizationResult(p * gauge, ToralElement(torus, [q]),
+                                     FormalType(torus, r, [row], field))
     g_inv = report.gauge.inverse()
     cur = gauge_transform(g_inv, cur)
     gauge = g_inv * gauge
@@ -455,47 +451,43 @@ def diagonalize(conn, digits=8):
     p_split, cur = split_connection(cur, strat.ctx, r, slot_lists,
                                     digits=digits + r)
     gauge = p_split * gauge
+    # a regular report's parts are the pure blocks of size e, each on
+    # its own chain, so each is reduced where the split left it
     blocks = []
     for part in report.parts:
-        sub = _extract_block(cur.matrix, part.slots)
-        sub_res = diagonalize(FormalConnection(sub, cur.nu), digits)
-        blocks.append((part.slots, sub_res))
-    return _assemble_blocks(cur, gauge, blocks, r, e, field)
+        block = LaurentMatrix([[cur.matrix.rows[u][v] for v in part.slots]
+                               for u in part.slots])
+        blocks.append((part.slots,) + _pure_block_type(block, cur.nu, part.stratum.ctx,
+                                                       r, field, digits))
+    return _assemble_blocks(cur.n, gauge, blocks, r, e, field)
 
 
-def _extract_block(mat, slots):
-    return LaurentMatrix([[mat.rows[u][v] for v in slots] for u in slots])
+def _pure_block_type(block, nu, ctx, r, field, digits):
+    """Reduce a pure block, truncated to the working window, to its
+    Cartan form: (gauge, q-coefficients by degree, their row in degrees
+    -r..0)."""
+    work_prec = digits + r + 4
+    if block.precision() is INF or block.precision() > work_prec:
+        block = block.truncate(work_prec)
+    p, q = _pure_block_reduce(FormalConnection(block, nu), ctx, r, field, digits)
+    return p, q, [q.get(d, field.zero()) for d in range(-r, 1)]
 
 
-def _assemble_blocks(cur, gauge, blocks, r, e, field):
-    n = cur.n
-    items = []
-    for slots, res in blocks:
-        ft = res.formal_type
-        if ft.torus.e != e or ft.torus.m != 1:
-            raise NotRegular("block shape (e=%d, m=%d) inside an e=%d type"
-                             % (ft.torus.e, ft.torus.m, e))
-        if ft.depth < r:
-            coeffs = [field.zero()] * (r - ft.depth) + list(ft.coeffs[0])
-        else:
-            coeffs = list(ft.coeffs[0])
-        items.append((slots, res, coeffs))
-    items.sort(key=lambda it: sort_key(it[2][0]))
-    m = len(items)
-    torus = TorusData(e, m)
+def _assemble_blocks(n, gauge, blocks, r, e, field):
+    """Put the reduced blocks (slots, gauge, q, row) in sort order of
+    their leading coefficients."""
+    blocks = sorted(blocks, key=lambda blk: sort_key(blk[3][0]))
+    torus = TorusData(e, len(blocks))
     perm = [None] * n
-    for j, (slots, _, _) in enumerate(items):
-        for p_idx, u in enumerate(slots):
-            perm[j * e + p_idx] = u
-    pm = _permutation_rows(perm)
     block_rows = [[LaurentScalar.zero() for _ in range(n)] for _ in range(n)]
-    for slots, res, _ in items:
+    for j, (slots, p, _, _) in enumerate(blocks):
         for a, u in enumerate(slots):
+            perm[j * e + a] = u
             for b, v in enumerate(slots):
-                block_rows[u][v] = res.gauge.rows[a][b]
-    gauge = pm * LaurentMatrix(block_rows) * gauge
-    a_rep = ToralElement(torus, [dict(res.A_rep.coeffs[0]) for _, res, _ in items])
-    ft = FormalType(torus, r, [coeffs for _, _, coeffs in items], field)
+                block_rows[u][v] = p.rows[a][b]
+    gauge = _permutation_rows(perm) * LaurentMatrix(block_rows) * gauge
+    a_rep = ToralElement(torus, [q for _, _, q, _ in blocks])
+    ft = FormalType(torus, r, [row for _, _, _, row in blocks], field)
     return DiagonalizationResult(gauge, a_rep, ft)
 
 
@@ -555,9 +547,7 @@ def _solve_resonant_level(lam, coeff, m, field):
             denom = lam[j][j] - lam[i][i] - m
             if is_zero(denom):
                 raise NotRegular("resonance at level %d" % m)
-            inv = (Fraction(1) / denom) if isinstance(denom, (int, Fraction)) \
-                else denom.inverse()
-            out[i][j] = -coeff[i][j] * inv
+            out[i][j] = -coeff[i][j] * scalar_inverse(denom)
     return out
 
 
@@ -577,7 +567,10 @@ def _pure_block_reduce(conn, ctx, r, field, digits):
     nu = conn.nu
     cur = conn
     p_total = LaurentMatrix.identity(n)
-    head = pure_leading(graded_component(cur.matrix, ctx, -r).pattern, field)
+    pat = graded_component(cur.matrix, ctx, -r).pattern
+    # rank one is all Cartan: its leading coefficient may vanish (the one
+    # nilpotent summand a regular split torus allows)
+    head = (pat[0], pat[0][0]) if n == 1 else pure_leading(pat, field)
     if head is None:
         raise NotRegular("pure block leading term is not a varpi multiple")
     xs, alpha = head
@@ -585,7 +578,7 @@ def _pure_block_reduce(conn, ctx, r, field, digits):
         h = _pure_normalizer(n, r, xs, alpha, field)
         cur = gauge_transform(h, cur)
         p_total = h * p_total
-    q = {-r: alpha}
+    q = {-r: alpha} if not is_zero(alpha) else {}
     lead = ToralElement(torus, [{-r: alpha}])
     guard = r + digits + 4
     for _ in range(guard):
@@ -639,9 +632,7 @@ def _pure_normalizer(n, r, xs, alpha, field):
     for _ in range(n - 1):
         nxt = (u + r) % n
         val = alpha * diag[u]
-        x = xs[nxt]
-        inv = (Fraction(1) / x) if isinstance(x, (int, Fraction)) else x.inverse()
-        diag[nxt] = val * inv
+        diag[nxt] = val * scalar_inverse(xs[nxt])
         u = nxt
     rows = [[LaurentScalar.from_scalar(diag[i]) if i == j else LaurentScalar.zero()
              for j in range(n)] for i in range(n)]

@@ -4,7 +4,10 @@ A formal type of depth r on torus data (e, m) is the truncated Cartan
 representative A = sum_j sum_{d=-r}^0 a_{j,d} varpi_E^d eps_j; the
 affine Weyl group Sigma_m x (Z/e)^m x Z^m acts by permuting blocks,
 twisting varpi-degrees by roots of unity, and shifting the degree-zero
-coefficients by (1/e) Z.  Orbit equivalence decides formal isomorphism.
+coefficients by (1/e) Z.  Every orbit has a canonical representative
+(degree-zero coefficients translated into [0, 1/e), each block twisted
+to its least form, blocks sorted), so formal isomorphism is equality of
+canonical forms.
 """
 
 import math
@@ -12,8 +15,8 @@ import warnings
 from fractions import Fraction
 
 from .errors import NonsplitField, NotRegular, ShapeMismatch
-from .scalars import (as_fraction, congruent_mod_z, format_scalar, is_rational_value,
-                      is_zero, parse_scalar, sort_key)
+from .scalars import (congruent_mod_z, format_scalar, is_zero, parse_scalar,
+                      scalar_coords, sort_key)
 from .series import LaurentScalar
 from .matrices import LaurentMatrix
 from .strata import Stratum, is_regular
@@ -206,75 +209,70 @@ def weyl_act(w, a):
     inv = _inverse_perm(w.perm)
     new_coeffs = []
     for j in range(m):
-        src = inv[j]
-        row = list(a.coeffs[src])
+        row = list(a.coeffs[inv[j]])
         g = w.galois[j] % e
-        if g and zeta is not None:
-            tw = []
-            for i, c in enumerate(row):
-                d = -r + i
-                tw.append(c * zeta ** ((g * d) % e))
-            row = tw
+        if g:
+            row = _twist_row(row, g, zeta, r, e)
         row[-1] = row[-1] - Fraction(w.transl[j], e)
         new_coeffs.append(row)
     return FormalType(a.torus, r, new_coeffs, a.field)
 
 
+def _twist_row(row, g, zeta, r, e):
+    """The block's coefficient of varpi^d (d = -r..0) times zeta^(g d)."""
+    return [c * zeta ** ((g * (i - r)) % e) for i, c in enumerate(row)]
+
+
+def _canonical(a):
+    """(key, w): weyl_act(w, a) is the canonical representative of the
+    orbit of a and key is its tuple of sort keys.
+
+    Each block is translated so that the rational coordinate of its
+    degree-zero coefficient lies in [0, 1/e), then twisted by the g in
+    Z/e that minimizes it under sort_key (g = 0 when the field lacks the
+    e-th roots of unity), and the blocks are sorted."""
+    e, r, field = a.e, a.depth, a.field
+    twists = range(e) if field.has_root_of_unity(e) else (0,)
+    zeta = field.root_of_unity(e) if len(twists) > 1 else None
+    zero = field.zero()
+    blocks = []
+    for row in a.coeffs:
+        row = [c + zero for c in row]  # one coefficient type, so sort keys compare
+        t = math.floor(e * scalar_coords(row[-1])[0])
+        row[-1] = row[-1] - Fraction(t, e)
+        key, g = min((tuple(map(sort_key, _twist_row(row, g, zeta, r, e) if g else row)), g)
+                     for g in twists)
+        blocks.append((key, g, t))
+    order = sorted(range(a.m), key=lambda j: blocks[j][0])
+    key = tuple(blocks[j][0] for j in order)
+    w = WeylElement(_inverse_perm(order), tuple(blocks[j][1] for j in order),
+                    tuple(blocks[j][2] for j in order))
+    return key, w
+
+
 def orbit_equivalent(a, b):
-    """Search the finite Weyl data for the unique w with
-    weyl_act(w, b) = a; returns None when the types are not in the same
-    orbit (or have different shapes/depths).
+    """The unique w with weyl_act(w, b) = a, or None when the types have
+    different shapes or lie in different orbits.
+
+    Both types are brought to the canonical representative of their
+    orbit (see ``_canonical``); they are equivalent iff the two agree,
+    and w is then read off the two canonicalizing elements.
 
     When the field lacks the e-th roots of unity (e > 2) the Galois
-    twists are skipped with a warning and the search runs over the
-    permutation-translation subgroup only.
+    twists are left out with a warning, so only permutations and
+    translations are considered.
     """
     if not a.same_shape(b):
         return None
-    m, e, r = a.m, a.e, a.depth
-    field = a.field
-    if field.has_root_of_unity(e):
-        galois_range = range(e)
-        zeta = field.root_of_unity(e) if e > 1 else None
-    else:
-        warnings.warn("field %s lacks %d-th roots of unity; orbit search "
+    if not a.field.has_root_of_unity(a.e):
+        warnings.warn("field %s lacks %d-th roots of unity; orbit comparison "
                       "restricted to permutations and translations"
-                      % (field.name, e))
-        galois_range = (0,)
-        zeta = None
-    import itertools
-    for perm in itertools.permutations(range(m)):
-        inv = _inverse_perm(perm)
-        for galois in itertools.product(galois_range, repeat=m):
-            transl = []
-            ok = True
-            for j in range(m):
-                src = inv[j]
-                row = b.coeffs[src]
-                g = galois[j] % e
-                cand = []
-                for i, c in enumerate(row):
-                    d = -r + i
-                    cand.append(c * zeta ** ((g * d) % e) if (g and zeta is not None) else c)
-                for i in range(r):
-                    if cand[i] != a.coeffs[j][i]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-                diff = cand[-1] - a.coeffs[j][-1]
-                scaled = diff * e
-                if not is_rational_value(scaled):
-                    ok = False
-                    break
-                frac = as_fraction(scaled)
-                if frac.denominator != 1:
-                    ok = False
-                    break
-                transl.append(int(frac))
-            if ok:
-                return WeylElement(perm, galois, tuple(transl))
-    return None
+                      % (a.field.name, a.e))
+    key_a, w_a = _canonical(a)
+    key_b, w_b = _canonical(b)
+    if key_a != key_b:
+        return None
+    return w_a.inverse().compose(w_b).normalized(a.e)
 
 
 def weyl_half_sum(torus):

@@ -7,7 +7,7 @@ desk scale; no numerics.
 
 from fractions import Fraction
 
-from .scalars import is_zero
+from .scalars import is_zero, scalar_inverse
 
 
 def kzeros(r, c):
@@ -56,7 +56,7 @@ def rref(mat):
             continue
         m[r], m[piv] = m[piv], m[r]
         pv = m[r][c]
-        inv = Fraction(1) / pv if isinstance(pv, (int, Fraction)) else pv.inverse()
+        inv = scalar_inverse(pv)
         m[r] = [x * inv for x in m[r]]
         for i in range(rows):
             if i != r and not is_zero(m[i][c]):

@@ -11,7 +11,7 @@ Polynomials are dense lists of coefficients in ascending degree.
 
 from fractions import Fraction
 
-from .scalars import Ext, is_zero
+from .scalars import Ext, is_zero, scalar_inverse
 from .series import INF, LaurentScalar
 
 # -- ground-field polynomials ------------------------------------------
@@ -63,7 +63,7 @@ def kpoly_divmod(p, q):
     dq = kpoly_deg(q)
     assert dq >= 0
     lead = q[-1]
-    inv = Fraction(1) / lead if isinstance(lead, (int, Fraction)) else lead.inverse()
+    inv = scalar_inverse(lead)
     rem = list(p)
     quot = [Fraction(0)] * max(len(p) - dq, 1)
     while kpoly_deg(rem) >= dq:
@@ -83,7 +83,7 @@ def kpoly_monic(p):
     lead = p[-1]
     if lead == 1:
         return p
-    inv = Fraction(1) / lead if isinstance(lead, (int, Fraction)) else lead.inverse()
+    inv = scalar_inverse(lead)
     return [c * inv for c in p]
 
 
@@ -108,7 +108,7 @@ def kpoly_gcdext(p, q):
         ua, ub = ub, kpoly_sub(ua, kpoly_mul(quo, ub))
         va, vb = vb, kpoly_sub(va, kpoly_mul(quo, vb))
     lead = a[-1]
-    inv = Fraction(1) / lead if isinstance(lead, (int, Fraction)) else lead.inverse()
+    inv = scalar_inverse(lead)
     return kpoly_scale(a, inv), kpoly_scale(ua, inv), kpoly_scale(va, inv)
 
 
@@ -210,7 +210,7 @@ def kpoly_roots(p, field):
     """Roots lying in the field with multiplicities, plus the product of
     the nonlinear irreducible factors (the part with no roots in k)."""
     roots = []
-    nonsplit = [field.one() if field.m != 1 else Fraction(1)]
+    nonsplit = [field.one()]
     for fac, mult in kpoly_factor(p, field):
         if kpoly_deg(fac) == 1:
             roots.append((-fac[0], mult))

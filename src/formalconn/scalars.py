@@ -354,6 +354,11 @@ def is_zero(x):
     return not x if isinstance(x, Ext) else x == 0
 
 
+def scalar_inverse(x):
+    """1/x for a rational or an Ext."""
+    return Fraction(1) / x if isinstance(x, (int, Fraction)) else x.inverse()
+
+
 def is_rational_value(x):
     if isinstance(x, (int, Fraction)):
         return True

@@ -24,7 +24,7 @@ import math
 from fractions import Fraction
 
 from .errors import ParseError, PrecisionError, ZeroLeading
-from .scalars import Ext, format_scalar, is_zero, parse_scalar
+from .scalars import Ext, format_scalar, is_zero, parse_scalar, scalar_inverse
 
 INF = math.inf
 
@@ -200,7 +200,7 @@ class LaurentScalar:
         s = self.order
         lead = self.coeffs[s]
         if len(self.coeffs) == 1 and self.is_exact:
-            inv_lead = Fraction(1) / lead if isinstance(lead, (int, Fraction)) else lead.inverse()
+            inv_lead = scalar_inverse(lead)
             return LaurentScalar({-s: inv_lead})
         if digits is None:
             digits = default_precision() if self.prec is INF else int(self.prec - s)
@@ -210,7 +210,7 @@ class LaurentScalar:
         form = int_form([self])
         if form is not None:
             return _inverse_rational(form, s, digits)
-        inv_lead = Fraction(1) / lead if isinstance(lead, (int, Fraction)) else lead.inverse()
+        inv_lead = scalar_inverse(lead)
         # u = self / (lead * t^s) = 1 + eps; invert by power series recurrence.
         u = {k - s: v * inv_lead for k, v in self.coeffs.items() if k - s < digits}
         out = {0: _one_like(lead)}

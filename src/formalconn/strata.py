@@ -201,7 +201,7 @@ def split_stratum(s, field=None):
         raise NonsplitField("phi has no root in %s: %s" % (field.name, kpoly_format(phi)))
     groups = []
     for fac, mult in factors:
-        power = [field.one()] if field.m != 1 else [Fraction(1)]
+        power = [field.one()]
         for _ in range(mult):
             power = kpoly_mul(power, fac)
         groups.append((fac, power))
@@ -214,7 +214,7 @@ def split_stratum(s, field=None):
     kernels = []
     rest = groups
     for fac, gpoly in groups[:-1]:
-        hpoly = [field.one() if field.m != 1 else Fraction(1)]
+        hpoly = [field.one()]
         for f2, p2 in rest:
             if f2 is not fac:
                 hpoly = kpoly_mul(hpoly, p2)
@@ -222,7 +222,7 @@ def split_stratum(s, field=None):
         kernels.append(_kernel_of_poly(glift, y_tilde))
     # last part: kernel of the lifted product of all other factors
     fac_last, gpoly_last = groups[-1]
-    hpoly_last = [field.one() if field.m != 1 else Fraction(1)]
+    hpoly_last = [field.one()]
     for f2, p2 in groups[:-1]:
         hpoly_last = kpoly_mul(hpoly_last, p2)
     glift_last, _ = hensel_lift(phi_tilde, gpoly_last, hpoly_last, digits)

@@ -8,7 +8,8 @@ kernel at the end is the coefficient-wise dict-of-Fraction arithmetic
 that the fraction-free kernel must reproduce exactly, and the reference
 slope descent tries every (permutation, composition) candidate through
 a permuted matrix, the library's filtration degree and a power test of
-nilpotency.
+nilpotency.  The reference orbit test searches every permutation and
+Galois twist of the affine Weyl group.
 """
 
 import itertools
@@ -18,10 +19,11 @@ from fractions import Fraction
 from formalconn.connections import (MAX_DESCENT_ROUNDS, _compositions, _kernel_flag_basis,
                                     gauge_transform)
 from formalconn.errors import FormalConnError, PrecisionError, SingularGauge, ZeroLeading
+from formalconn.formal_types import WeylElement
 from formalconn.linalg import kmatmul, knullspace
 from formalconn.matrices import LaurentMatrix
 from formalconn.parahoric import filtration_degree, graded_component, standard_chain
-from formalconn.scalars import is_zero
+from formalconn.scalars import as_fraction, is_rational_value, is_zero
 from formalconn.series import INF, PRECISION_FLOOR, LaurentScalar, default_precision
 from formalconn.strata import Stratum, reduce_stratum
 
@@ -383,7 +385,47 @@ def ref_fundamental_stratum(conn):
             cur = gauge_transform(pm.inverse(), cur)
             s = Stratum(ctx, r, cur.matrix, cur.nu)
             return gauge, cur, (s if r == 0 else reduce_stratum(s))
-        h = _ref_moser_gauge(cur.matrix, 1 + round_no % (n - 1))
+        h = _ref_moser_gauge(cur.matrix, 1 + round_no % max(n - 1, 1))
         gauge = h * gauge
         cur = gauge_transform(h, cur)
     raise FormalConnError("slope descent did not terminate")
+
+
+# -- reference orbit search ---------------------------------------------------
+
+
+def ref_orbit_equivalent(a, b):
+    """The first w, in (permutation, twist) order, with weyl_act(w, b) = a,
+    found by trying all m! e^m permutations and Galois twists and reading
+    each block's translation off its degree-zero coefficient; None when
+    there is none or the shapes differ.  Without the e-th roots of unity
+    in the field only the trivial twist is tried."""
+    if not a.same_shape(b):
+        return None
+    m, e, r = a.m, a.e, a.depth
+    field = a.field
+    if field.has_root_of_unity(e):
+        galois_range = range(e)
+        zeta = field.root_of_unity(e) if e > 1 else None
+    else:
+        galois_range = (0,)
+        zeta = None
+    for perm in itertools.permutations(range(m)):
+        inv = [0] * m
+        for j, p in enumerate(perm):
+            inv[p] = j
+        for galois in itertools.product(galois_range, repeat=m):
+            transl = []
+            for j in range(m):
+                g = galois[j]
+                cand = [c * zeta ** ((g * (i - r)) % e) if g else c
+                        for i, c in enumerate(b.coeffs[inv[j]])]
+                if cand[:-1] != a.coeffs[j][:-1]:
+                    break
+                scaled = (cand[-1] - a.coeffs[j][-1]) * e
+                if not is_rational_value(scaled) or as_fraction(scaled).denominator != 1:
+                    break
+                transl.append(int(as_fraction(scaled)))
+            else:
+                return WeylElement(perm, galois, tuple(transl))
+    return None

@@ -8,7 +8,8 @@ import pytest
 from formalconn.connections import (FormalConnection, contained_stratum,
                                     diagonalize, fundamental_stratum,
                                     gauge_transform, slope, split_connection)
-from formalconn.errors import NotRegular, SingularGauge
+from formalconn import connections
+from formalconn.errors import NotRegular, PrecisionError, SingularGauge
 from formalconn.formal_types import FormalType
 from formalconn.matrices import LaurentMatrix, pairing
 from formalconn.parahoric import filtration_degree, in_filtration, standard_chain
@@ -249,3 +250,72 @@ def test_connection_serialization_roundtrip():
     data = w.to_json()
     back = FormalConnection.from_json(data)
     assert back.standardized().matrix.agrees(w.standardized().matrix)
+
+
+def test_fundamental_stratum_rank_one_zero_window():
+    # zero only to its window: the degree is undetermined, as in rank two
+    for n in (1, 2):
+        zero = LaurentMatrix([[LaurentScalar.zero(prec=0)] * n for _ in range(n)])
+        with pytest.raises(PrecisionError):
+            fundamental_stratum(FormalConnection(zero))
+
+
+def _diagonalizes(conn, res, digits):
+    resid = gauge_transform(res.gauge, conn).matrix - res.A_rep.realization()
+    ctx = res.formal_type.torus.context()
+    return filtration_degree(resid, ctx, stop_at=digits + 1) > digits
+
+
+def test_diagonalize_reduces_split_blocks_without_retesting(monkeypatch):
+    # the regularity test of the whole classifies every split block, so a
+    # split rank-4 input runs the descent and the test once each
+    counts = {"fundamental_stratum": 0, "is_regular": 0}
+    for name in counts:
+        original = getattr(connections, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(connections, name, counted)
+    q = get_field("Q")
+    ft = FormalType(TorusData(2, 2), 1, [[Fraction(1), Fraction(1, 2)],
+                                          [Fraction(2), Fraction(-1, 3)]], q)
+    conn = gauge_transform(random_unit_matrix(seeded(23), 4), FormalConnection(ft.realization()))
+    res = diagonalize(conn, digits=4)
+    assert res.formal_type == ft.sorted_blocks()
+    assert _diagonalizes(conn, res, 4)
+    assert counts == {"fundamental_stratum": 1, "is_regular": 1}
+
+
+def test_diagonalize_block_with_vanishing_leading_coefficient():
+    # e = 1 allows one split block whose degree -r coefficient vanishes;
+    # it keeps its lower-order terms and zero padding
+    q = get_field("Q")
+    ft = FormalType(TorusData(1, 3), 2, [[Fraction(0), Fraction(5), Fraction(1, 2)],
+                                         [Fraction(1), Fraction(0), Fraction(0)],
+                                         [Fraction(2), Fraction(1, 3), Fraction(0)]], q)
+    for seed in (0, 29):
+        conn = FormalConnection(ft.realization())
+        if seed:
+            conn = gauge_transform(random_unit_matrix(seeded(seed), 3), conn)
+        res = diagonalize(conn, digits=4)
+        assert res.formal_type == ft
+        assert _diagonalizes(conn, res, 4)
+
+
+def test_diagonalize_reduces_blocks_over_the_input_field():
+    # over Q(i), a split block with rational entries still needs i for its
+    # pure normalization (leading coefficients i and 2i)
+    qi = get_field("Q(i)")
+    i = qi.generator()
+    zero = LaurentScalar.zero()
+    conn = FormalConnection(LaurentMatrix([
+        [zero, LS([(-1, 1)]), zero, zero],
+        [LS([(0, -1)]), zero, zero, zero],
+        [zero, zero, zero, LaurentScalar({-1: 2 * i})],
+        [zero, zero, LaurentScalar({0: 2 * i}), zero]]))
+    res = diagonalize(conn, digits=4)
+    ft = res.formal_type
+    assert (ft.e, ft.m, ft.depth) == (2, 2, 1)
+    assert ft.leading() == [i, 2 * i]
+    assert _diagonalizes(conn, res, 4)

@@ -1,9 +1,13 @@
 """Formal types, the affine Weyl action, orbit equivalence."""
 
+import math
+import time
 import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from formalconn.connections import FormalConnection, diagonalize, gauge_transform
 from formalconn.errors import NonsplitField, ShapeMismatch
@@ -12,11 +16,11 @@ from formalconn.formal_types import (FormalType, WeylElement, orbit_equivalent,
                                      weyl_half_sum)
 from formalconn.matrices import LaurentMatrix
 from formalconn.parahoric import in_filtration
-from formalconn.scalars import get_field
+from formalconn.scalars import congruent_mod_z, get_field
 from formalconn.series import LaurentScalar, OneForm
 from formalconn.torus import ToralElement, TorusData, tame_corestriction
 
-from helpers import LS, lmat, random_unit_matrix, seeded
+from helpers import LS, lmat, random_unit_matrix, ref_orbit_equivalent, seeded
 
 Q = get_field("Q")
 QI = get_field("Q(i)")
@@ -277,3 +281,104 @@ def test_serialization_roundtrip():
     assert back == a
     w = WeylElement((1, 0), (1, 0), (2, -1))
     assert WeylElement.from_json(w.to_json()) == w
+
+
+# -- the canonical form against the reference search --------------------------
+
+Z3 = get_field("Q(zeta_3)")
+small = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+def field_element(draw, field):
+    return field.from_coords([draw(small) for _ in range(field.degree)])
+
+
+def is_generic(leads, e, r):
+    """Leading data with a trivial stabilizer in the Weyl group: pairwise
+    incongruent modulo Z at depth zero, else nonzero with pairwise
+    distinct e-th powers (gcd(r, e) = 1), so no twist, translation or
+    block swap fixes the type."""
+    if r == 0:
+        return not any(congruent_mod_z(x, y) for i, x in enumerate(leads) for y in leads[i + 1:])
+    powers = [x ** e for x in leads]
+    return all(x != 0 for x in leads) and all(
+        p != q for i, p in enumerate(powers) for q in powers[i + 1:])
+
+
+@st.composite
+def orbit_pair(draw):
+    """(a, b): a generic formal type a over Q, Q(i) or Q(zeta_3), and b
+    either weyl_act(w, a) for a drawn w or that type with one coefficient
+    moved, which may or may not leave the orbit."""
+    field = draw(st.sampled_from([Q, QI, Z3]))
+    e = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 4 if e < 4 else 3))
+    if e == 1:
+        r = draw(st.integers(0, 3))
+    else:
+        r = draw(st.sampled_from([k for k in range(1, 5) if math.gcd(k, e) == 1]))
+    rows = [[field_element(draw, field) for _ in range(r + 1)] for _ in range(m)]
+    leads = [row[0] for row in rows]
+    if not is_generic(leads, e, r):
+        rows = [[field.from_rational(Fraction(j + 1, 3 ** j))] + row[1:]
+                for j, row in enumerate(rows)]
+    a = FormalType(TorusData(e, m), r, rows, field)
+    twists = field.has_root_of_unity(e)
+    w = WeylElement(tuple(draw(st.permutations(range(m)))),
+                    tuple(draw(st.integers(0, e - 1)) if twists else 0 for _ in range(m)),
+                    tuple(draw(st.integers(-3, 3)) for _ in range(m)))
+    b = weyl_act(w, a)
+    if draw(st.booleans()):
+        coeffs = [list(row) for row in b.coeffs]
+        j, i = draw(st.integers(0, m - 1)), draw(st.integers(0, r))
+        coeffs[j][i] = coeffs[j][i] + draw(st.sampled_from(
+            [Fraction(1, 2 * e), Fraction(1, e), Fraction(1), field.one()]))
+        b = FormalType(a.torus, r, coeffs, field)
+    return a, b
+
+
+@settings(max_examples=300)
+@given(orbit_pair())
+def test_orbit_equivalent_matches_reference_search(pair):
+    a, b = pair
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = orbit_equivalent(b, a)
+    want = ref_orbit_equivalent(b, a)
+    assert got == want
+    if got is not None:
+        assert weyl_act(got, a) == b
+
+
+def _distinct_orbit_pair(e, m, field):
+    """A generic type and a copy whose last block's degree-zero
+    coefficient moved by 1/(2e), which no Weyl element can do."""
+    rows = [[field.from_rational(Fraction(j + 1, 3 ** j))] +
+            [field.from_rational(Fraction(k - j, 2)) for k in range(3)] for j in range(m)]
+    a = FormalType(TorusData(e, m), 3, rows, field)
+    moved = [list(row) for row in rows]
+    moved[-1][-1] = moved[-1][-1] + Fraction(1, 2 * e)
+    return a, FormalType(a.torus, 3, moved, field)
+
+
+@pytest.mark.parametrize("e, m, field", [(4, 5, QI), (2, 8, Q)])
+def test_orbit_equivalent_distinct_orbits_fast(e, m, field):
+    a, b = _distinct_orbit_pair(e, m, field)
+    t0 = time.perf_counter()
+    assert orbit_equivalent(a, b) is None
+    assert orbit_equivalent(b, a) is None
+    assert time.perf_counter() - t0 < 1.0
+    # a moved copy at the same size is found, with its witness
+    w = WeylElement(tuple(reversed(range(m))), tuple(j % e for j in range(m)),
+                    tuple(range(m)))
+    assert orbit_equivalent(weyl_act(w, a), a) == w
+
+
+def test_orbit_equivalent_mixed_coefficient_types():
+    # a type over Q(i) may hold its rational coefficients as Fractions
+    i = QI.generator()
+    a = FormalType(TorusData(1, 2), 1, [[QI.from_rational(1), QI.from_rational(3)],
+                                        [i, QI.zero()]], QI)
+    b = FormalType(a.torus, 1, [[Fraction(1), Fraction(3)], [i, Fraction(0)]], QI)
+    assert orbit_equivalent(a, b).is_identity()
+    assert orbit_equivalent(b, a).is_identity()
