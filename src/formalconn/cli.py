@@ -21,7 +21,8 @@ from .matrices import LaurentMatrix
 from .moduli import (GlobalConfig, assemble_global, check_framing, moment_map,
                      orbit_dimensions, regular_singular_orbit_dimensions)
 from .scalars import format_scalar, get_field
-from .series import OneForm, set_default_precision
+from .parahoric import filtration_degree, standard_chain
+from .series import INF, OneForm, set_default_precision
 from .strata import is_regular, stratum_char_poly
 
 EXIT_PARSE = 2
@@ -75,8 +76,6 @@ def cmd_slope(args):
 
 
 def cmd_analyze(args):
-    from formalconn.parahoric import filtration_degree, standard_chain
-    from formalconn.series import INF
     conn, field = _load_connection(args.file, args)
     gauge, cur, strat = fundamental_stratum(conn)
     phi = stratum_char_poly(strat)

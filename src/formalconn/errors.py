@@ -85,5 +85,12 @@ class UnsupportedDepth(FormalConnError):
     code = "UNSUPPORTED_DEPTH"
 
 
+class FactorTooLarge(FormalConnError):
+    """Factoring over Q(zeta_m) would need a norm of degree above
+    ``polys.MAX_NORM_DEGREE``."""
+
+    code = "FACTOR_TOO_LARGE"
+
+
 class ParseError(FormalConnError):
     code = "PARSE_ERROR"

@@ -13,9 +13,11 @@ from fractions import Fraction
 
 from .errors import (DuplicatePoints, ParseError, PrecisionError, ResidueNonzero,
                      SingularGauge, UnsupportedDepth)
+from .connections import contained_stratum, gauge_transform
+from .formal_types import FormalType
 from .linalg import kzeros
 from .matrices import LaurentMatrix
-from .parahoric import filtration_degree, graded_component, in_filtration
+from .parahoric import filtration_degree, graded_component, in_filtration, pattern_to_matrix
 from .scalars import format_scalar, is_zero, parse_scalar
 from .series import INF, LaurentScalar, OneForm
 from .torus import tame_corestriction
@@ -106,7 +108,6 @@ class GlobalConfig:
 
     @classmethod
     def from_json(cls, data, field):
-        from .formal_types import FormalType
         entries = []
         for item in data["entries"]:
             pp = PrincipalPart.from_json(item, field)
@@ -294,7 +295,6 @@ def check_framing(g_const, conn, formal_type):
     """True iff the constant gauge g carries the connection onto the
     stratum induced by the formal type: depth and leading coset must
     agree in P^(-r)/P^(1-r)."""
-    from .connections import gauge_transform, contained_stratum
     g = LaurentMatrix.from_scalar_matrix(g_const)
     moved = gauge_transform(g, conn.standardized())
     ctx = formal_type.torus.context()
@@ -360,7 +360,6 @@ def in_toral_congruence(p, torus, ctx, i, j, nu=None):
 
 
 def _pattern_realization(ctx, graded, level):
-    from .parahoric import pattern_to_matrix
     return pattern_to_matrix(ctx, graded.pattern, level)
 
 

@@ -316,9 +316,8 @@ def _field_is_zero(m):
 
 def graded_component(x, ctx, r):
     """The image of x in P^r / P^(r+1) (requires x in P^r)."""
-    deg = filtration_degree(x, ctx)
-    if deg < r:
-        raise NotInFiltration("matrix has filtration degree %s < %d" % (deg, r))
+    if not in_filtration(x, ctx, r):
+        raise NotInFiltration("matrix does not lie in P^%d" % r)
     e = ctx.period
     n = ctx.n
     pat = kzeros(n, n)

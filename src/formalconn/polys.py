@@ -2,16 +2,24 @@
 
 Provides the characteristic polynomial of series matrices, exact gcd /
 squarefree machinery, factorization into irreducibles over Q or a
-cyclotomic extension (delegated to sympy's exact factorizer), and
+cyclotomic extension (Zassenhaus over Q, Trager's norm method over
+Q(zeta_m)), and
 Hensel lifting of a coprime factorization from the residue field up the
 t-adic filtration.
 
 Polynomials are dense lists of coefficients in ascending degree.
 """
 
+import itertools
+import math
 from fractions import Fraction
 
-from .scalars import Ext, is_zero, scalar_inverse
+from .errors import FactorTooLarge
+from .intpoly import (certify_squarefree, cyclotomic_norm, factor_squarefree, primitive,
+                      trager_factor_candidates)
+from .matrices import LaurentMatrix
+from .scalars import (as_fraction, format_scalar, is_rational_value, is_zero,
+                      scalar_coords, scalar_inverse, sort_key)
 from .series import INF, LaurentScalar
 
 # -- ground-field polynomials ------------------------------------------
@@ -126,7 +134,6 @@ def kpoly_format(p, var="X"):
         c = p[i] if i < len(p) else Fraction(0)
         if is_zero(c):
             continue
-        from .scalars import format_scalar
         cs = format_scalar(c)
         if i == 0:
             parts.append(cs)
@@ -137,72 +144,138 @@ def kpoly_format(p, var="X"):
     return " + ".join(parts) if parts else "0"
 
 
-# -- factorization over the ground field (sympy bridge) ------------------
+# -- factorization over the ground field ----------------------------------
 
-_SYMPY_DOMAIN_CACHE = {}
-
-
-def _sympy_domain(field):
-    if field.m in _SYMPY_DOMAIN_CACHE:
-        return _SYMPY_DOMAIN_CACHE[field.m]
-    from sympy import QQ as SQQ
-    if field.m == 1:
-        dom = SQQ
-    else:
-        import sympy
-        if field.m == 4:
-            gen = sympy.I
-        else:
-            gen = sympy.exp(2 * sympy.pi * sympy.I / field.m)
-        dom = SQQ.algebraic_field(gen)
-    _SYMPY_DOMAIN_CACHE[field.m] = dom
-    return dom
-
-
-def _to_sympy_coeff(c, field, dom):
-    from sympy import QQ as SQQ
-    if field.m == 1:
-        q = Fraction(c)
-        return SQQ(q.numerator, q.denominator)
-    coords = list(c.coords) if isinstance(c, Ext) else [Fraction(c)] + [Fraction(0)] * (field.degree - 1)
-    from sympy.polys.polyclasses import ANP
-    rep = [SQQ(x.numerator, x.denominator) for x in reversed(coords)]
-    mod = [SQQ(x.numerator, x.denominator) for x in reversed(field.modulus)]
-    return ANP(rep, mod, SQQ)
-
-
-def _from_sympy_coeff(c, field):
-    if field.m == 1:
-        return Fraction(int(c.numerator), int(c.denominator))
-    lst = list(c.to_list())  # highest theta power first
-    lst = [Fraction(int(x.numerator), int(x.denominator)) for x in lst]
-    lst = list(reversed(lst))
-    lst += [Fraction(0)] * (field.degree - len(lst))
-    return field.from_coords(lst)
+# Trager's method factors a norm of degree deg(g) * phi(m) for each g it
+# splits over Q(zeta_m).  Above this degree, kpoly_factor raises
+# FactorTooLarge before it factors anything: the Zassenhaus subset search
+# grows exponentially with the number of modular factors of the norm.
+MAX_NORM_DEGREE = 64
 
 
 def kpoly_factor(p, field):
     """Factor a polynomial into monic irreducibles over the field.
 
     Returns a list of (factor, multiplicity) with ascending-coefficient
-    monic factors; the unit content is discarded (inputs are monic in
-    all call sites).
+    monic factors, sorted by degree and then by coefficients; the unit
+    content is discarded.  Coefficients are Fractions over Q and Ext
+    elements over Q(zeta_m).
+
+    Over Q, each square-free part is factored over Z by the Zassenhaus
+    method (:mod:`intpoly`).  Over Q(zeta_m), rational polynomials are
+    first factored over Q, and each part is split further by Trager's
+    norm method.
     """
-    from sympy.polys.factortools import dup_factor_list
     p = kpoly_monic(p)
-    dom = _sympy_domain(field)
-    dup = [_to_sympy_coeff(c, field, dom) for c in reversed(p)]
-    _, factors = dup_factor_list(dup, dom)
+    rational = all(is_rational_value(c) for c in p)
+    if rational:
+        p = [as_fraction(c) for c in p]
+    elif field.m != 1:
+        _check_norm_degree(kpoly_deg(p), field)
     out = []
-    for fac, mult in factors:
-        coeffs = [_from_sympy_coeff(c, field) for c in reversed(fac)]
-        out.append((kpoly_monic(coeffs), mult))
+    for part, mult in _squarefree_parts(p):
+        if rational:
+            facs = [_monic_rational(h) for h in factor_squarefree(_integer_primitive(part))]
+            if field.m != 1:
+                facs = [g for f in facs for g in _trager(f, field)]
+        else:
+            facs = _trager(part, field)
+        out.extend((_in_field(f, field), mult) for f in facs)
     out.sort(key=lambda fm: (kpoly_deg(fm[0]), _factor_sort_key(fm[0])))
     return out
 
 
+def _squarefree_parts(f):
+    """Yun's square-free decomposition of a monic f: monic, square-free,
+    pairwise coprime parts with their multiplicities."""
+    df = kpoly_derivative(f)
+    a = kpoly_gcd(f, df)
+    b = kpoly_divmod(f, a)[0]
+    c = kpoly_divmod(df, a)[0]
+    out, mult = [], 1
+    while kpoly_deg(b) > 0:
+        d = kpoly_sub(c, kpoly_derivative(b))
+        a = kpoly_gcd(b, d)
+        b = kpoly_divmod(b, a)[0]
+        c = kpoly_divmod(d, a)[0]
+        if kpoly_deg(a) > 0:
+            out.append((a, mult))
+        mult += 1
+    return out
+
+
+def _integer_primitive(f):
+    """The primitive integer multiple of a rational polynomial."""
+    den = _common_denominator(f)
+    return primitive([int(c * den) for c in f])
+
+
+def _common_denominator(values):
+    den = 1
+    for c in values:
+        den = den * c.denominator // math.gcd(den, c.denominator)
+    return den
+
+
+def _monic_rational(h):
+    return [Fraction(c, h[-1]) for c in h]
+
+
+def _in_field(f, field):
+    if field.m == 1:
+        return [Fraction(c) for c in f]
+    return [field.from_coords(_padded_coords(c, field)) for c in f]
+
+
+def _padded_coords(c, field):
+    coords = scalar_coords(c)
+    return coords + [Fraction(0)] * (field.degree - len(coords))
+
+
+def _check_norm_degree(d, field):
+    if d * field.degree > MAX_NORM_DEGREE:
+        raise FactorTooLarge("factoring a degree-%d polynomial over %s needs a norm of "
+                             "degree %d > %d" % (d, field.name, d * field.degree,
+                                                 MAX_NORM_DEGREE))
+
+
+def _trager(g, field):
+    """Monic irreducible factors over Q(zeta_m) of a monic square-free g
+    (Trager 1976): for the first shift s whose norm
+    N_s(x) = Res_y(Phi_m(y), g(x - s y)) is square-free, each irreducible
+    factor h of N_s over Q gives the factor gcd(g(x), h(x + s theta))."""
+    d = kpoly_deg(g)
+    if d <= 1:
+        return [g]
+    _check_norm_degree(d, field)
+    coords = [_padded_coords(c, field) for c in g]
+    den = _common_denominator(c for row in coords for c in row)
+    rows = [[int(c * den) for c in row] for row in coords]
+    modulus = [int(c) for c in field.modulus]
+    rational = all(not any(row[1:]) for row in rows)
+    # For a rational g, N_0 = g^phi(m) is never square-free.
+    for s in itertools.count(1 if rational else 0):
+        norm = primitive(cyclotomic_norm(rows, field.m, modulus, s))
+        if not (certify_squarefree(norm) or
+                kpoly_is_squarefree([Fraction(c) for c in norm])):
+            continue
+        hs = factor_squarefree(norm)
+        if len(hs) == 1:
+            return [g]
+        return [_trager_factor(g, rows, modulus, s, h, field) for h in hs]
+
+
+def _trager_factor(g, rows, modulus, s, h, field):
+    """The monic factor gcd(g(x), h(x + s theta)), of degree deg(h) / phi(m),
+    from the first multi-modular candidate that divides g exactly."""
+    k = kpoly_deg(h) // field.degree
+    for cand in trager_factor_candidates(rows, field.m, modulus, s, h, k):
+        fac = [field.from_coords(row) for row in cand]
+        if kpoly_deg(kpoly_divmod(g, fac)[1]) < 0:
+            return fac
+
+
 def _factor_sort_key(p):
-    from .scalars import sort_key
     return tuple(sort_key(c) for c in p)
 
 
@@ -242,7 +315,6 @@ def charpoly_series(mat):
 
 
 def _scalar_diag(n, series):
-    from .matrices import LaurentMatrix
     return LaurentMatrix.scalar(n, series)
 
 
@@ -314,7 +386,6 @@ def _spoly_add_tk(p, kpoly, k):
 
 def spoly_eval_matrix(p, mat):
     """Evaluate a series-coefficient polynomial on a LaurentMatrix."""
-    from .matrices import LaurentMatrix
     n = mat.n
     acc = LaurentMatrix.scalar(n, p[-1])
     for c in reversed(p[:-1]):

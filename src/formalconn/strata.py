@@ -54,9 +54,8 @@ class Stratum:
         self.r = r
         self.beta = beta
         self.nu = nu
-        deg = filtration_degree(beta, ctx)
-        if deg < -r:
-            raise GcdViolation("representative has filtration degree %s < -r = %d" % (deg, -r))
+        if not in_filtration(beta, ctx, -r):
+            raise GcdViolation("representative does not lie in P^(-r) = P^%d" % -r)
 
     @property
     def n(self):

@@ -13,11 +13,11 @@ import math
 from fractions import Fraction
 
 from .errors import GcdViolation, NotRegular, PrecisionError
-from .linalg import ksolve
+from .linalg import knullspace, ksolve
 from .matrices import LaurentMatrix
 from .parahoric import ParahoricContext, filtration_degree, graded_component, \
     graded_monomials, monomial_matrix
-from .scalars import is_zero, sort_key
+from .scalars import format_scalar, is_zero, sort_key
 from .series import INF, LaurentScalar, OneForm
 
 
@@ -141,7 +141,6 @@ class ToralElement:
         return True
 
     def to_json(self):
-        from .scalars import format_scalar
         return {"e": self.torus.e, "m": self.torus.m,
                 "blocks": [sorted(((d, format_scalar(c)) for d, c in blk.items()))
                            for blk in self.coeffs]}
@@ -328,5 +327,4 @@ def delta_kernel_dimension(e, r):
         row[p] += 1
         row[(p - r) % e] -= 1
         rows.append(row)
-    from .linalg import knullspace
     return len(knullspace(rows))
