@@ -14,7 +14,7 @@ import math
 import warnings
 from fractions import Fraction
 
-from .errors import NonsplitField, NotRegular, ShapeMismatch
+from .errors import NonsplitField, NotRegular, ParseError, ShapeMismatch
 from .scalars import (congruent_mod_z, format_scalar, is_zero, parse_scalar,
                       scalar_coords, sort_key)
 from .series import LaurentScalar
@@ -86,9 +86,19 @@ class FormalType:
 
     @classmethod
     def from_json(cls, data, field):
-        torus = TorusData(data["e"], data["m"])
-        coeffs = [[parse_scalar(str(c), field) for c in row] for row in data["coeffs"]]
-        return cls(torus, data["r"], coeffs, field)
+        if not isinstance(data, dict):
+            raise ParseError("formal type must be an object")
+        sizes = [data.get(key) for key in ("e", "m", "r")]
+        if any(isinstance(v, bool) or not isinstance(v, int) for v in sizes) or \
+                min(sizes[0], sizes[1]) < 1 or sizes[2] < 0:
+            raise ParseError("formal type needs integers e >= 1, m >= 1 and r >= 0")
+        e, m, r = sizes
+        coeffs = data.get("coeffs")
+        if not isinstance(coeffs, list) or len(coeffs) != m or \
+                not all(isinstance(row, list) and len(row) == r + 1 for row in coeffs):
+            raise ParseError("formal type coefficients must be %d rows of %d" % (m, r + 1))
+        coeffs = [[parse_scalar(str(c), field) for c in row] for row in coeffs]
+        return cls(TorusData(e, m), r, coeffs, field)
 
     def __repr__(self):
         rows = "; ".join(",".join(format_scalar(c) for c in row) for row in self.coeffs)

@@ -23,6 +23,9 @@ from .series import INF, LaurentScalar, OneForm
 from .torus import tame_corestriction
 
 INFINITY = "inf"
+# The global matrix keeps one coefficient matrix per pole order, so the
+# order a principal part may have is bounded.
+MAX_POLE_ORDER = 1000
 
 
 def _point_key(pt):
@@ -47,6 +50,9 @@ class PrincipalPart:
             for entry in row:
                 if any(k > 0 for k in entry.support()):
                     raise ParseError("principal part carries positive degrees")
+                if any(k < -MAX_POLE_ORDER for k in entry.support()):
+                    raise ParseError("principal part has a pole of order above %d"
+                                     % MAX_POLE_ORDER)
                 # degree 0 is killed by the residue pairing against the
                 # local maximal parahoric; store the canonical polar part
                 out.append(LaurentScalar({k: c for k, c in entry.coeffs.items()
@@ -72,9 +78,20 @@ class PrincipalPart:
 
     @classmethod
     def from_json(cls, data, field):
-        pt = data["point"]
-        pt = INFINITY if pt in ("inf", "oo", "infinity") else Fraction(pt)
-        return cls(pt, LaurentMatrix.from_json(data["part"], field))
+        if not isinstance(data, dict) or "point" not in data or "part" not in data:
+            raise ParseError("an entry must be an object with \"point\" and \"part\"")
+        return cls(_parse_point(data["point"]), LaurentMatrix.from_json(data["part"], field))
+
+
+def _parse_point(pt):
+    if pt in ("inf", "oo", "infinity"):
+        return INFINITY
+    if isinstance(pt, str) or (isinstance(pt, int) and not isinstance(pt, bool)):
+        try:
+            return Fraction(pt)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ParseError("point must be a rational number or \"inf\", got %r" % (pt,))
 
 
 class GlobalConfig:
@@ -108,15 +125,23 @@ class GlobalConfig:
 
     @classmethod
     def from_json(cls, data, field):
+        items = data.get("entries") if isinstance(data, dict) else None
+        if not isinstance(items, list) or not items:
+            raise ParseError("configuration must hold a nonempty \"entries\" list")
         entries = []
-        for item in data["entries"]:
+        for item in items:
             pp = PrincipalPart.from_json(item, field)
-            ft = FormalType.from_json(item["formal_type"], field) \
-                if "formal_type" in item else None
-            fr = None
+            ft = fr = None
+            if "formal_type" in item:
+                ft = FormalType.from_json(item["formal_type"], field)
+                if ft.n != pp.n:
+                    raise ParseError("formal type of rank %d at a rank-%d point" % (ft.n, pp.n))
             if "framing" in item:
-                fr = [[parse_scalar(str(c), field) for c in row]
-                      for row in item["framing"]]
+                fr = item["framing"]
+                if not isinstance(fr, list) or len(fr) != pp.n or \
+                        not all(isinstance(row, list) and len(row) == pp.n for row in fr):
+                    raise ParseError("framing must be a %d x %d matrix" % (pp.n, pp.n))
+                fr = [[parse_scalar(str(c), field) for c in row] for row in fr]
             entries.append((pp, ft, fr))
         return cls(entries)
 

@@ -289,7 +289,7 @@ class LaurentScalar:
             if not isinstance(item, (list, tuple)) or len(item) != 2:
                 raise ParseError("series term must be [exponent, coefficient]")
             k, c = item
-            if not isinstance(k, int):
+            if isinstance(k, bool) or not isinstance(k, int):
                 raise ParseError("exponent must be an integer, got %r" % (k,))
             pairs.append((k, parse_scalar(str(c), field)))
         return cls.from_pairs(pairs, prec)

@@ -319,3 +319,18 @@ def test_diagonalize_reduces_blocks_over_the_input_field():
     assert (ft.e, ft.m, ft.depth) == (2, 2, 1)
     assert ft.leading() == [i, 2 * i]
     assert _diagonalizes(conn, res, 4)
+
+
+def test_diagonalize_ungauged_zero_block_like_gauged_copies():
+    # diag(t^-2, 0): the zero block is zero only to its window, so the
+    # split certifies that it lies in P^(-r) instead of its exact degree
+    zero, one = LaurentScalar.zero(), LaurentScalar.one()
+    conn = FormalConnection(LaurentMatrix([[LaurentScalar.t_power(-2), zero], [zero, zero]]))
+    gauges = [LaurentMatrix([[one, LaurentScalar.t_power(1)], [zero, one]]),
+              random_unit_matrix(seeded(41), 2)]
+    for digits in (4, 8):
+        want = diagonalize(conn, digits=digits).formal_type
+        assert want.to_json() == {"e": 1, "m": 2, "r": 2,
+                                  "coeffs": [["0/1", "0/1", "0/1"], ["1/1", "0/1", "0/1"]]}
+        for g in gauges:
+            assert diagonalize(gauge_transform(g, conn), digits=digits).formal_type == want

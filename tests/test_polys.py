@@ -1,20 +1,34 @@
 """Polynomial machinery: gcd, factorization, Hensel lifting, series
 characteristic polynomials."""
 
+import json
+import math
+import os
+import subprocess
+import sys
+import time
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from formalconn import cli
+from formalconn.errors import FactorTooLarge
 from formalconn.linalg import charpoly, minpoly
-from formalconn.polys import (charpoly_series, hensel_lift, kpoly_deg,
+from formalconn.polys import (MAX_NORM_DEGREE, charpoly_series, hensel_lift, kpoly_deg,
                               kpoly_divmod, kpoly_factor, kpoly_gcd,
-                              kpoly_gcdext, kpoly_is_squarefree, kpoly_mul,
+                              kpoly_gcdext, kpoly_is_squarefree, kpoly_monic, kpoly_mul,
                               kpoly_roots, spoly_eval_matrix, spoly_mul)
-from formalconn.scalars import get_field
+from formalconn.scalars import format_scalar, get_field, scalar_coords, sort_key
 from formalconn.series import LaurentScalar
 
 from helpers import LS, lmat, seeded
 
 Q = get_field("Q")
 QI = get_field("Q(i)")
+DATA = os.path.join(os.path.dirname(__file__), "data")
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def F(*args):
@@ -103,3 +117,155 @@ def test_factor_deterministic_order():
     facs1 = kpoly_factor(p, Q)
     facs2 = kpoly_factor(list(p), Q)
     assert facs1 == facs2
+
+
+# -- the native factorizer against sympy, and its hard cases -------------
+
+Z3 = get_field("Q(zeta_3)")
+
+
+def sympy_factor(p, field):
+    """kpoly_factor's contract computed by sympy's dup_factor_list, the
+    test-only oracle: monic factors with multiplicities, sorted by
+    (degree, coefficients)."""
+    import sympy
+    from sympy.polys.factortools import dup_factor_list
+    from sympy.polys.polyclasses import ANP
+
+    def rational(q):
+        return sympy.QQ(q.numerator, q.denominator)
+
+    if field.m == 1:
+        dom = sympy.QQ
+        to_dom = rational
+    else:
+        gen = sympy.I if field.m == 4 else sympy.exp(2 * sympy.pi * sympy.I / field.m)
+        dom = sympy.QQ.algebraic_field(gen)
+        mod = [rational(c) for c in reversed(field.modulus)]
+
+        def to_dom(c):
+            coords = scalar_coords(c) + [F(0)] * (field.degree - len(scalar_coords(c)))
+            return ANP([rational(x) for x in reversed(coords)], mod, sympy.QQ)
+
+    def from_dom(c):
+        if field.m == 1:
+            return F(int(c.numerator), int(c.denominator))
+        coords = [F(int(x.numerator), int(x.denominator)) for x in reversed(c.to_list())]
+        return field.from_coords(coords + [F(0)] * (field.degree - len(coords)))
+
+    _, factors = dup_factor_list([to_dom(c) for c in reversed(kpoly_monic(p))], dom)
+    out = [(kpoly_monic([from_dom(c) for c in reversed(fac)]), mult) for fac, mult in factors]
+    out.sort(key=lambda fm: (kpoly_deg(fm[0]), tuple(sort_key(c) for c in fm[0])))
+    return out
+
+
+def _typed(facs):
+    """Factors with each coefficient's type, so that a Fraction where an
+    Ext is due counts as a difference."""
+    return [([(type(c).__name__, format_scalar(c)) for c in f], mult) for f, mult in facs]
+
+
+_coeff = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def _factor_products(draw):
+    field = draw(st.sampled_from([Q, QI, Z3]))
+
+    def element():
+        coords = [draw(_coeff)] + [draw(_coeff) if draw(st.booleans()) else F(0)
+                                   for _ in range(field.degree - 1)]
+        return field.from_coords(coords)
+
+    p = [field.one()]
+    for _ in range(draw(st.integers(1, 3))):
+        fac = [element() for _ in range(draw(st.integers(1, 2)))] + [field.one()]
+        for _ in range(draw(st.integers(1, 2))):
+            p = kpoly_mul(p, fac)
+    return field, p
+
+
+@given(_factor_products())
+@settings(max_examples=60)
+def test_factor_matches_sympy(case):
+    field, p = case
+    assert _typed(kpoly_factor(p, field)) == _typed(sympy_factor(p, field))
+
+
+def test_swinnerton_dyer_is_irreducible():
+    # x^4 - 10x^2 + 1 (roots +-sqrt2 +-sqrt3) splits modulo every prime
+    p = [F(1), F(0), F(-10), F(0), F(1)]
+    assert kpoly_factor(p, Q) == [(p, 1)]
+    assert [kpoly_deg(f) for f, _ in kpoly_factor(p, get_field("Q(zeta_24)"))] == [1, 1, 1, 1]
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 8, 12])
+def test_cyclotomic_polynomial_splits_completely(m):
+    field = get_field("Q(zeta_%d)" % m)
+    phi = [F(c) for c in field.modulus]
+    assert kpoly_factor(phi, Q) == [(phi, 1)]
+    facs = kpoly_factor(phi, field)
+    assert [kpoly_deg(f) for f, _ in facs] == [1] * field.degree
+    roots = {format_scalar(-f[0]) for f, _ in facs}
+    z = field.generator()
+    assert roots == {format_scalar(z ** k) for k in range(1, m) if math.gcd(k, m) == 1}
+
+
+def test_factor_non_monic_large_and_small_inputs():
+    # 6x^2 - x - 1 = 6 (x - 1/2)(x + 1/3)
+    assert kpoly_factor([F(-1), F(-1), F(6)], Q) == [([F(-1, 2), F(1)], 1), ([F(1, 3), F(1)], 1)]
+    big = 10 ** 30 + 57
+    p = kpoly_mul([F(-big), F(1)], [F(big, 7), F(0), F(1)])
+    assert kpoly_factor(p, Q) == [([F(-big), F(1)], 1), ([F(big, 7), F(0), F(1)], 1)]
+    assert kpoly_factor([F(7, 3)], Q) == []
+    assert kpoly_factor([F(2), F(4)], Q) == [([F(1, 2), F(1)], 1)]
+    i = QI.generator()
+    assert kpoly_factor([i, QI.from_rational(2)], QI) == [([i / 2, QI.one()], 1)]
+
+
+def test_factor_large_cyclotomic_field_is_quick():
+    z105 = get_field("Q(zeta_105)")
+    start = time.perf_counter()
+    facs = kpoly_factor([z105.from_rational(-1), z105.zero(), z105.one()], z105)
+    assert time.perf_counter() - start < 2
+    assert facs == [([z105.from_rational(-1), z105.one()], 1),
+                    ([z105.one(), z105.one()], 1)]
+    # a non-rational polynomial whose Trager norm would have degree 96
+    with pytest.raises(FactorTooLarge):
+        kpoly_factor([z105.generator(), z105.zero(), z105.one()], z105)
+    assert 2 * z105.degree > MAX_NORM_DEGREE
+
+
+def test_diagonalize_rank_two_over_zeta_105_is_quick(tmp_path, capsys):
+    doc = {"schema_version": 1, "n": 2, "field": "Q(zeta_105)",
+           "matrix": [[[[-1, "1/1"]], []], [[], [[-1, "2/1"]]]]}
+    path = tmp_path / "z105.conn.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert cli.main(["diagonalize", str(path)]) == 5
+    assert time.perf_counter() - start < 2
+    assert json.loads(capsys.readouterr().err)["error"] == "NOT_REGULAR"
+    doc["matrix"][1][1] = [[-1, "1/3+1/1*z"]]
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert cli.main(["diagonalize", str(path)]) == 5
+    assert time.perf_counter() - start < 2
+    assert json.loads(capsys.readouterr().err)["error"] == "FACTOR_TOO_LARGE"
+
+
+def test_cli_never_imports_sympy():
+    script = (
+        "import contextlib, glob, io, os, sys\n"
+        "from formalconn import cli\n"
+        "files = sorted(glob.glob(os.path.join(%r, '*.conn.json')))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for f in files:\n"
+        "        assert cli.main(['analyze', f]) == 0\n"
+        "        assert cli.main(['diagonalize', f]) == 0\n"
+        "    assert cli.main(['isomorphic'] + files[:2]) == 0\n"
+        "print('sympy' in sys.modules)\n" % DATA)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
