@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 
 from .errors import (GcdViolation, IrreducibleStratum, NonsplitField,
-                     PrecisionError)
+                     PrecisionError, UnsupportedDepth)
 from .linalg import charpoly, minpoly, rref
 from .matrices import LaurentMatrix
 from .omodule import (column_echelon, combine, kernel_columns, matrix_columns,
@@ -28,6 +28,10 @@ from .scalars import (Ext, congruent_mod_z, get_field, is_zero, nth_root_in_fiel
 from .series import INF, LaurentScalar, OneForm
 
 HENSEL_GUARD = 8
+# Splitting lifts r n + HENSEL_GUARD t-adic digits and diagonalization
+# reduces every level from -r up, so both grow with the depth r; the
+# regularity test refuses depths above this bound with UnsupportedDepth.
+MAX_DEPTH = 1000
 
 
 def infer_field(*matrices):
@@ -411,6 +415,8 @@ def is_regular(s, field=None):
     the mod-Z condition at depth zero and semisimplicity of y)."""
     if field is None:
         field = infer_field(s.beta)
+    if s.r > MAX_DEPTH:
+        raise UnsupportedDepth("stratum depth %d exceeds %d" % (s.r, MAX_DEPTH))
     s = reduce_stratum(s)
     if s.r == 0:
         return _regular_depth_zero(s, field)

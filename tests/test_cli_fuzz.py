@@ -20,7 +20,7 @@ EXIT_CODES = (0, 2, 3, 4, 5)
 ODD_VALUES = [None, True, 0, -1, 1.5, "x", "", [], {}, [1], {"a": 1}, 10 ** 30, "1/0"]
 ODD_FIELDS = ["Q(zeta_0)", "Q(zeta_1)", "Q(zeta_2)", "R", "", 5, None, "Q(zeta_7)",
               "Q(zeta_105)", "Q(i", "Q(zeta_10001)"]
-ODD_EXPONENTS = [10 ** 9, -10 ** 9, -60, 1.5, "3", True, None, 2 ** 70, -2 ** 70, 40]
+ODD_EXPONENTS = [10 ** 9, -10 ** 9, -1001, -1000, -60, 1.5, "3", True, None, 2 ** 70, -2 ** 70, 40]
 
 
 def _paths(doc, path=()):
@@ -100,3 +100,18 @@ def test_corrupted_file_gets_an_exit_code(tmp_path, capsys, name, text):
         assert code in EXIT_CODES, argv
         if code:
             assert "error" in json.loads(err.splitlines()[-1]), argv
+
+
+@pytest.mark.parametrize("matrix", [
+    [[[[-10 ** 9, "1/2"]], [[0, "1/1"]]], [[], [[-1, "-1/3"]]]],
+    [[[[-1, "1/2"]], [[0, "1/1"]]], [[], [[-10 ** 9, "-1/3"]]]],
+    [[[[-10 ** 9, "1/2"], [-5, "1/1"]]]],
+])
+def test_huge_depth_is_refused(tmp_path, capsys, matrix):
+    # a pole of order 10^9 parses; the regularity test refuses its depth
+    doc = {"schema_version": 1, "n": len(matrix), "field": "Q", "matrix": matrix}
+    f = tmp_path / "deep.conn.json"
+    f.write_text(json.dumps(doc))
+    for cmd in ("analyze", "diagonalize"):
+        assert main([cmd, str(f)]) == 5
+        assert json.loads(capsys.readouterr().err)["error"] == "UNSUPPORTED_DEPTH"
