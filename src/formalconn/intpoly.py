@@ -307,9 +307,11 @@ def factor_squarefree(f):
     n = len(f) - 1
     if n <= 1:
         return [f]
+    # f square-free over Q: only the finitely many primes dividing
+    # lc(f) disc(f) are skipped
+    usable = ((p, fp) for p in _odd_primes() for fp in [squarefree_mod(f, p)] if fp is not None)
     best = None
-    for p in _usable_primes(f):
-        fp = squarefree_mod(f, p)
+    for p, fp in itertools.islice(usable, PRIME_CANDIDATES):
         ddf = _ddf(fp, p)
         count = sum((len(g) - 1) // d for g, d in ddf)
         if count == 1:
@@ -325,13 +327,6 @@ def factor_squarefree(f):
     while big * big <= 4 * bound_sq:
         big = big * big
     return _recombine(f, _lift(f, facs, p, big), big, bound_sq)
-
-
-def _usable_primes(f):
-    """The first PRIME_CANDIDATES odd primes p with p not dividing lc(f)
-    and f mod p square-free; f must be square-free over Q."""
-    return itertools.islice((p for p in _odd_primes() if squarefree_mod(f, p) is not None),
-                            PRIME_CANDIDATES)
 
 
 def _recombine(f, lifted, big, bound_sq):

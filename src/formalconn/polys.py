@@ -1,11 +1,10 @@
 """Polynomials over the ground field and over truncated power series.
 
 Provides the characteristic polynomial of series matrices, exact gcd /
-squarefree machinery, factorization into irreducibles over Q or a
-cyclotomic extension (Zassenhaus over Q, Trager's norm method over
-Q(zeta_m)), and
-Hensel lifting of a coprime factorization from the residue field up the
-t-adic filtration.
+squarefree machinery, factorization into irreducibles over Q (by the
+Zassenhaus method) or a cyclotomic extension (by Trager's norm method),
+and Hensel lifting of a coprime factorization from the residue field up
+the t-adic filtration.
 
 Polynomials are dense lists of coefficients in ascending degree.
 """
@@ -170,7 +169,7 @@ def kpoly_factor(p, field):
     rational = all(is_rational_value(c) for c in p)
     if rational:
         p = [as_fraction(c) for c in p]
-    elif field.m != 1:
+    else:
         _check_norm_degree(kpoly_deg(p), field)
     out = []
     for part, mult in _squarefree_parts(p):
