@@ -265,7 +265,7 @@ def test_cli_never_imports_sympy():
         "    assert cli.main(['isomorphic'] + files[:2]) == 0\n"
         "print('sympy' in sys.modules)\n" % DATA)
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join([SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    env["PYTHONPATH"] = os.pathsep.join([SRC] + [p for p in [env.get("PYTHONPATH")] if p])
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
