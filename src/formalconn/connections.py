@@ -28,7 +28,7 @@ from .matrices import LaurentMatrix
 from .parahoric import (GradedEndo, filtration_degree, graded_component,
                         pattern_to_matrix, standard_chain)
 from .scalars import get_field, is_zero, scalar_inverse, sort_key
-from .series import INF, LaurentScalar, OneForm
+from .series import INF, PRECISION_FLOOR, LaurentScalar, OneForm
 from .strata import (Stratum, infer_field, is_regular, pure_leading,
                      reduce_stratum)
 from .torus import (ToralElement, TorusData, graded_ad_image_solve,
@@ -112,13 +112,54 @@ class FormalConnection:
 
 
 def gauge_transform(g, conn):
-    """g . [nabla_tau] = g [nabla_tau] g^-1 - (tau g) g^-1."""
+    """g . [nabla_tau] = (g [nabla_tau] - tau g) g^-1.
+
+    When [nabla_tau] is known only to finite windows, g^-1 is first
+    inverted only to the digits the product consumes (see
+    :func:`_inverse_digits`).  Should a window of the result then fall
+    below what the full inverse certifies (:func:`_windows_kept`), the
+    product is formed again with the full inverse, so no window is ever
+    smaller than with it."""
+    a = conn.matrix
+    cap = _inverse_digits(a)
     try:
-        g_inv = g.inverse()
+        g_inv = g.inverse(cap=cap)
     except SingularGauge:
         raise SingularGauge("gauge matrix is not invertible")
-    new = g * conn.matrix * g_inv - conn.tau_of_matrix(g) * g_inv
+    s = g * a - conn.tau_of_matrix(g)
+    new = s * g_inv
+    if cap is not None and g_inv.precision() is not INF and not _windows_kept(s, g_inv, new):
+        new = s * g.inverse()
     return FormalConnection(new, conn.nu)
+
+
+def _inverse_digits(a):
+    """Digits of g^-1 that a gauge action on ``a`` consumes: the largest
+    finite entry window of ``a``, less min(0, min_order(a)), plus one,
+    and at least PRECISION_FLOOR; None (the inverse's own default) when
+    ``a`` is exact."""
+    finite = [x.prec for row in a.rows for x in row if x.prec is not INF]
+    if not finite:
+        return None
+    return max(PRECISION_FLOOR, max(finite) - min(0, a.min_order()) + 1)
+
+
+def _windows_kept(s, g_inv, new):
+    """True when every window of new = s g_inv reaches the bound that
+    any inverse of g certifies: entry (i, j) of s g^-1 is known at most
+    to ord(g^-1[k][j]) + prec(s[i][k]) for each k with g^-1[k][j]
+    visibly nonzero, whose order more digits of g^-1 do not change."""
+    n = s.n
+    for i in range(n):
+        for j in range(n):
+            window = new.rows[i][j].prec
+            if window is INF:
+                continue
+            bound = min((g_inv.rows[k][j].order + s.rows[i][k].prec for k in range(n)
+                         if g_inv.rows[k][j].coeffs), default=INF)
+            if window < bound:
+                return False
+    return True
 
 
 def contained_stratum(conn, ctx):
@@ -365,8 +406,8 @@ def split_connection(conn, ctx, r, slot_lists, digits=8):
         off = _off_part(cur.matrix, part_of)
         try:
             d = filtration_degree(off, ctx, stop_at=target)
-        except PrecisionError:
-            raise PrecisionError("splitting ran out of digits")
+        except PrecisionError as exc:
+            raise PrecisionError("splitting ran out of digits", needed=exc.needed)
         if d is INF or d >= target:
             break
         # x solves ad(x)(lead) - m x = off on the off-diagonal slots (the
@@ -580,9 +621,12 @@ def _pure_block_reduce(conn, ctx, r, field, digits):
         p_total = h * p_total
     q = {-r: alpha} if not is_zero(alpha) else {}
     lead = ToralElement(torus, [{-r: alpha}])
+    # the realization of q is rebuilt only when q changes, and each
+    # remainder's tame corestriction gives both c and the target
+    q_real = ToralElement(torus, [q]).realization()
     guard = r + digits + 4
     for _ in range(guard):
-        rem = cur.matrix - ToralElement(torus, [dict(q)]).realization()
+        rem = cur.matrix - q_real
         try:
             d = filtration_degree(rem, ctx, stop_at=digits + 1)
         except PrecisionError:
@@ -590,24 +634,27 @@ def _pure_block_reduce(conn, ctx, r, field, digits):
         if d is INF or d > digits:
             break
         v = d
-        c = tame_corestriction(rem, torus, nu).coeffs[0].get(v, field.zero())
+        pi_rem = tame_corestriction(rem, torus, nu)
+        c = pi_rem.coeffs[0].get(v, field.zero())
         if not is_zero(c):
             if v <= 0:
                 q[v] = q.get(v, field.zero()) + c
+                q_real = ToralElement(torus, [q]).realization()
             else:
                 alpha_c = c * Fraction(e, v)
                 u_gauge = LaurentMatrix.identity(n) + \
                     varpi_eps(torus, v, 0) * alpha_c
                 cur = gauge_transform(u_gauge, cur)
                 p_total = u_gauge * p_total
-            rem = cur.matrix - ToralElement(torus, [dict(q)]).realization()
+            rem = cur.matrix - q_real
             d2 = filtration_degree(rem, ctx, stop_at=digits + 1)
             if d2 is INF or d2 > digits:
                 break
             if d2 > v:
                 continue
             v = d2
-        target = rem - tame_corestriction(rem, torus, nu).realization()
+            pi_rem = tame_corestriction(rem, torus, nu)
+        target = rem - pi_rem.realization()
         try:
             tgt_deg = filtration_degree(target, ctx, stop_at=digits + 1)
         except PrecisionError:

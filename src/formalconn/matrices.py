@@ -4,17 +4,19 @@ A :class:`LaurentMatrix` is a square grid of :class:`LaurentScalar`.
 All entries share the matrix's declared precision implicitly via the
 min over entries; operations propagate windows entrywise.
 
-Over Q the product and the Gauss-Jordan row operations use the
-fraction-free kernel of :mod:`formalconn.series`: each output entry is
-one integer convolution sum over a common denominator, normalised once.
+The product and the Gauss-Jordan row operations use the fraction-free
+kernel of :mod:`formalconn.series` over every ground field: each output
+entry is one sum of integer convolutions of power-basis coordinates over
+a common denominator, folded back by the cyclotomic reduction table and
+normalised once.
 """
 
 from fractions import Fraction
 
 from .errors import ParseError, PrecisionError, SingularGauge
 from .scalars import Ext
-from .series import (INF, LaurentScalar, convolve, from_int_form, int_form,
-                     mul_prec, residue)
+from .series import (INF, LaurentScalar, convolve, coord_product, from_coord_form,
+                     from_int_form, int_form, mul_prec, residue)
 
 
 class LaurentMatrix:
@@ -123,9 +125,15 @@ class LaurentMatrix:
     def coeff_matrix(self, k):
         return [[a.coeff(k) for a in r] for r in self.rows]
 
-    def inverse(self, digits=None):
+    def inverse(self, digits=None, cap=None):
         """Exact truncated inverse by Gauss-Jordan with valuation
-        pivoting.  Raises SingularGauge when no unit pivot exists."""
+        pivoting.  Raises SingularGauge when no unit pivot exists.
+
+        Each pivot that is not an exact monomial is inverted to
+        ``digits`` t-adic digits; by default to its own window, or to the
+        session default when it is exact.  ``cap`` instead inverts an
+        exact pivot to ``cap`` digits and a windowed one to at most
+        ``cap``, for a caller that consumes no more of the inverse."""
         n = self.n
         work = [[self.rows[i][j] for j in range(n)] +
                 [LaurentScalar.one() if i == j else LaurentScalar.zero() for j in range(n)]
@@ -142,7 +150,10 @@ class LaurentMatrix:
                     raise PrecisionError("pivot undetectable at available precision")
                 raise SingularGauge("matrix is singular")
             work[c], work[piv] = work[piv], work[c]
-            inv_piv = work[c][c].inverse(digits)
+            pivot = work[c][c]
+            if cap is not None:
+                digits = cap if pivot.prec is INF else min(cap, pivot.prec - pivot.order)
+            inv_piv = pivot.inverse(digits)
             work[c] = [x * inv_piv for x in work[c]]
             pivot_form = int_form(work[c])
             for r in range(n):
@@ -178,25 +189,22 @@ def _product_rows(a_rows, b_rows):
     b_cols = list(zip(*b_rows))
     a_forms = [int_form(r) for r in a_rows]
     b_forms = [int_form(c) for c in b_cols]
-    rational = None not in a_forms and None not in b_forms
     out = []
-    for i, a_row in enumerate(a_rows):
+    for a_row, (da, fa, a_coords) in zip(a_rows, a_forms):
         row = []
-        for j, b_col in enumerate(b_cols):
+        for b_col, (db, fb, b_coords) in zip(b_cols, b_forms):
             pairs = [k for k in range(n)
                      if not _exact_zero(a_row[k]) and not _exact_zero(b_col[k])]
             prec = min((mul_prec(a_row[k], b_col[k]) for k in pairs), default=INF)
-            if rational:
-                (da, a_nums), (db, b_nums) = a_forms[i], b_forms[j]
+            if fa is None and fb is None:
+                # every coefficient rational: one coordinate, one dict
                 acc = {}
                 for k in pairs:
-                    convolve(acc, a_nums[k], b_nums[k], prec)
+                    convolve(acc, a_coords[k][0], b_coords[k][0], prec)
                 row.append(from_int_form(acc, da * db, prec))
-            else:
-                acc = LaurentScalar.zero(prec)
-                for k in pairs:
-                    acc = acc + a_row[k] * b_col[k]
-                row.append(acc)
+                continue
+            acc = coord_product([(a_coords[k], b_coords[k]) for k in pairs], prec)
+            row.append(from_coord_form(acc, da * db, prec, fa or fb))
         out.append(row)
     return out
 
@@ -204,18 +212,16 @@ def _product_rows(a_rows, b_rows):
 def _sub_multiple(xs, f, ys, ys_form):
     """The row [x - f * y for x, y in zip(xs, ys)]; ``ys_form`` is
     ``int_form(ys)``."""
-    form = int_form([f] + xs)
-    if form is None or ys_form is None:
-        return [x - f * y for x, y in zip(xs, ys)]
-    (dx, (f_nums, *x_nums)), (dy, y_nums) = form, ys_form
-    # x - f y = (x_num dy - f_num y_num) / (dx dy)
-    neg_f = {k: -v for k, v in f_nums.items()}
+    dx, fx, (f_coords, *x_coords) = int_form([f] + xs)
+    dy, fy, y_coords = ys_form
+    # x - f y = (x_num dy - f_num y_num) / (dx dy), coordinate by coordinate
+    neg_f = [{k: -v for k, v in c.items()} for c in f_coords]
     out = []
-    for x, y, xn, yn in zip(xs, ys, x_nums, y_nums):
+    for x, y, xc, yc in zip(xs, ys, x_coords, y_coords):
         prec = min(x.prec, mul_prec(f, y))
-        acc = {k: v * dy for k, v in xn.items() if k < prec}
-        convolve(acc, neg_f, yn, prec)
-        out.append(from_int_form(acc, dx * dy, prec))
+        acc = [{k: v * dy for k, v in c.items() if k < prec} for c in xc]
+        coord_product([(neg_f, yc)], prec, acc)
+        out.append(from_coord_form(acc, dx * dy, prec, fx or fy))
     return out
 
 

@@ -201,10 +201,20 @@ def filtration_degree(x, ctx, stop_at=None):
     if bound < best:
         if stop_at is not None and bound >= stop_at and best is INF:
             return INF
+        target = stop_at if best is INF else best
         raise PrecisionError(
             "filtration degree undetermined: known bound %s < candidate %s" % (bound, best),
-            needed=None)
+            needed=None if target is None else _certifying_window(x, ctx, target))
     return best
+
+
+def _certifying_window(x, ctx, level):
+    """The least window t^w such that every entry known to it certifies
+    membership in P^level: the largest of min_entry_order(u, v, level)
+    over the entries whose own window falls short of theirs."""
+    return max(ctx.min_entry_order(u, v, level)
+               for u, row in enumerate(x.rows) for v, entry in enumerate(row)
+               if entry.prec < ctx.min_entry_order(u, v, level))
 
 
 class GradedEndo:

@@ -325,37 +325,31 @@ def spoly_mul(p, q, prec=INF):
     return out
 
 
-def spoly_sub(p, q):
-    n = max(len(p), len(q))
-    out = []
-    for i in range(n):
-        a = p[i] if i < len(p) else LaurentScalar.zero()
-        b = q[i] if i < len(q) else LaurentScalar.zero()
-        out.append(a - b)
-    return out
-
-
-def spoly_coeff_at(p, t_exp):
-    """Extract the ground-field polynomial of t^t_exp coefficients."""
-    return kpoly_trim([c.coeff_or_zero(t_exp) for c in p])
-
-
 def hensel_lift(phi, g0, h0, digits):
     """Lift the coprime factorization phi = g0 h0 (mod t) to t^digits.
 
     phi: monic, coefficients LaurentScalar with orders >= 0.
     g0, h0: monic coprime ground-field polynomials.
-    Returns (g, h) with series coefficients agreeing with phi to the
-    requested number of t-digits.
+    Returns (g, h) with series coefficients, known to t^digits, agreeing
+    with phi to the requested number of t-digits.
+
+    Linear lifting (von zur Gathen-Gerhard, *Modern Computer Algebra*,
+    15.4) on ground-field polynomials by t-digit: with g = sum g_k t^k
+    and h = sum h_k t^k, the error at digit k is
+    e_k = phi_k - sum_(0<i<k) g_i h_(k-i), and the corrections solve
+    g_k h0 + h_k g0 = e_k with deg g_k < deg g0.
     """
     one, u, v = kpoly_gcdext(g0, h0)
     assert kpoly_deg(one) == 0, "factors are not coprime"
-    g = [LaurentScalar.from_scalar(c) if not is_zero(c) else LaurentScalar.zero() for c in g0]
-    h = [LaurentScalar.from_scalar(c) if not is_zero(c) else LaurentScalar.zero() for c in h0]
+    gs, hs = [g0], [h0]
     for k in range(1, digits):
-        err = spoly_sub(phi, spoly_mul(g, h, prec=k + 1))
-        e_k = spoly_coeff_at(err, k)
+        e_k = kpoly_trim([c.coeff_or_zero(k) for c in phi])
+        for i in range(1, k):
+            if kpoly_deg(gs[i]) >= 0 and kpoly_deg(hs[k - i]) >= 0:
+                e_k = kpoly_sub(e_k, kpoly_mul(gs[i], hs[k - i]))
         if kpoly_deg(e_k) < 0:
+            gs.append(e_k)
+            hs.append(e_k)
             continue
         # Solve A h0 + B g0 = e_k with deg A < deg g0.
         a_raw = kpoly_mul(v, e_k)
@@ -363,23 +357,19 @@ def hensel_lift(phi, g0, h0, digits):
         num = kpoly_sub(e_k, kpoly_mul(a, h0))
         b, rem = kpoly_divmod(num, g0)
         assert kpoly_deg(rem) < 0, "Hensel correction failed to divide"
-        g = _spoly_add_tk(g, a, k)
-        h = _spoly_add_tk(h, b, k)
-    g = [c.truncate(digits) for c in g]
-    h = [c.truncate(digits) for c in h]
-    return g, h
+        gs.append(a)
+        hs.append(b)
+    return _by_power(gs, len(g0), digits), _by_power(hs, len(h0), digits)
 
 
-def _spoly_add_tk(p, kpoly, k):
-    out = list(p)
-    for i, c in enumerate(kpoly):
-        if is_zero(c):
-            continue
-        add = LaurentScalar.t_power(k, c)
-        if i < len(out):
-            out[i] = out[i] + add
-        else:
-            out.append(add)
+def _by_power(digit_polys, length, digits):
+    """The series-coefficient polynomial sum_k digit_polys[k] t^k, with
+    every coefficient known to t^digits."""
+    out = []
+    for i in range(length):
+        out.append(LaurentScalar._raw({k: p[i] for k, p in enumerate(digit_polys)
+                                       if k < digits and i < len(p) and not is_zero(p[i])},
+                                      digits))
     return out
 
 

@@ -272,29 +272,21 @@ class Ext:
         return result
 
     def inverse(self):
-        # Solve (mult-by-self) x = 1 by Gaussian elimination over Q.
-        d = self.field.degree
-        cols = []
-        basis = [Fraction(0)] * d
-        for j in range(d):
-            basis = [Fraction(0)] * d
-            basis[j] = Fraction(1)
-            col = self * Ext(self.field, tuple(basis))
-            cols.append(list(col.coords))
-        aug = [[cols[j][i] for j in range(d)] + [Fraction(1) if i == 0 else Fraction(0)]
-               for i in range(d)]
-        for c in range(d):
-            piv = next((r for r in range(c, d) if aug[r][c] != 0), None)
-            if piv is None:
-                raise ZeroDivisionError("division by zero in %s" % self.field.name)
-            aug[c], aug[piv] = aug[piv], aug[c]
-            pv = aug[c][c]
-            aug[c] = [v / pv for v in aug[c]]
-            for r in range(d):
-                if r != c and aug[r][c]:
-                    f = aug[r][c]
-                    aug[r] = [v - f * w for v, w in zip(aug[r], aug[c])]
-        return Ext(self.field, tuple(aug[i][d] for i in range(d)))
+        """1/self by the extended Euclidean algorithm against Phi_m:
+        the remainders of (Phi_m, self) end in a nonzero constant c,
+        since Phi_m is irreducible, and the cofactor s of self with
+        s * self = c mod Phi_m gives 1/self = s / c."""
+        r0, r1 = list(self.field.modulus), _poly_trim(list(self.coords))
+        if not r1:
+            raise ZeroDivisionError("division by zero in %s" % self.field.name)
+        s0, s1 = [], [Fraction(1)]
+        while len(r1) > 1:
+            quo, rem = _poly_divmod(r0, r1)
+            r0, r1 = r1, rem
+            s0, s1 = s1, _poly_sub_mul(s0, quo, s1)
+        c = r1[0]
+        coords = [x / c for x in s1]
+        return Ext(self.field, tuple(coords + [Fraction(0)] * (self.field.degree - len(coords))))
 
     def __eq__(self, other):
         if isinstance(other, Ext):
@@ -313,6 +305,38 @@ class Ext:
 
     def __repr__(self):
         return "Ext(%s, %s)" % (self.field.name, format_scalar(self))
+
+
+def _poly_trim(p):
+    """Drop trailing zeros; the zero polynomial is []."""
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _poly_divmod(p, q):
+    """Quotient and remainder of rational polynomials (ascending lists,
+    q nonzero)."""
+    rem = list(p)
+    quo = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
+    inv_lead = 1 / Fraction(q[-1])
+    for k in range(len(quo) - 1, -1, -1):
+        c = rem[k + len(q) - 1] * inv_lead
+        if c:
+            quo[k] = c
+            for i, b in enumerate(q):
+                rem[k + i] -= c * b
+    return quo, _poly_trim(rem[:len(q) - 1])
+
+
+def _poly_sub_mul(a, b, c):
+    """a - b * c for rational polynomials."""
+    out = list(a) + [Fraction(0)] * max(len(b) + len(c) - 1 - len(a), 0)
+    for i, x in enumerate(b):
+        if x:
+            for j, y in enumerate(c):
+                out[i + j] -= x * y
+    return _poly_trim(out)
 
 
 # -- generic helpers (work on Fraction and Ext alike) ------------------

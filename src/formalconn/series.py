@@ -12,12 +12,16 @@ The session-wide default window for freshly created inexact values
 (series inverses, logarithms, ...) is ``default_precision()`` digits, a
 module-level setting.
 
-Series with rational coefficients are multiplied and inverted
-fraction-free (von zur Gathen-Gerhard, *Modern Computer Algebra*, 8):
-the coefficients are written as integer numerators over one common
-denominator, the integers are convolved, and each output coefficient is
-normalised once into a canonical ``Fraction``.  Coefficients in
-Q(zeta_m) take the coefficient-wise loop.
+Series are multiplied fraction-free (von zur Gathen-Gerhard, *Modern
+Computer Algebra*, 8) over every ground field: the coefficients are
+written as integer power-basis coordinates over one common denominator
+(one coordinate for a series with rational coefficients, phi(m) of them
+over Q(zeta_m)), the coordinates are convolved pairwise, the
+coordinates of degree >= phi(m) are folded back once by the integer
+cyclotomic reduction table, and each output coordinate is normalised
+once into a canonical ``Fraction``.  Rational series are inverted
+fraction-free as well; series with coefficients in Q(zeta_m) are
+inverted by the coefficient-wise recurrence.
 """
 
 import math
@@ -161,19 +165,8 @@ class LaurentScalar:
         if not isinstance(other, LaurentScalar):
             return NotImplemented
         prec = mul_prec(self, other)
-        form = int_form([self, other])
-        if form is None:
-            out = {}
-            for i, a in self.coeffs.items():
-                for j, b in other.coeffs.items():
-                    k = i + j
-                    if k < prec:
-                        out[k] = out.get(k, 0) + a * b
-            return LaurentScalar(out, prec)
-        den, (a_nums, b_nums) = form
-        acc = {}
-        convolve(acc, a_nums, b_nums, prec)
-        return from_int_form(acc, den * den, prec)
+        den, field, (a, b) = int_form([self, other])
+        return from_coord_form(coord_product([(a, b)], prec), den * den, prec, field)
 
     __rmul__ = __mul__
 
@@ -207,9 +200,9 @@ class LaurentScalar:
         if digits < PRECISION_FLOOR:
             raise PrecisionError("inverse with window %d below floor" % digits,
                                  needed=s + PRECISION_FLOOR)
-        form = int_form([self])
-        if form is not None:
-            return _inverse_rational(form, s, digits)
+        den, _, (coords,) = int_form([self])
+        if len(coords) == 1:
+            return _inverse_rational(den, coords[0], s, digits)
         inv_lead = scalar_inverse(lead)
         # u = self / (lead * t^s) = 1 + eps; invert by power series recurrence.
         u = {k - s: v * inv_lead for k, v in self.coeffs.items() if k - s < digits}
@@ -335,26 +328,49 @@ def _add(a, b, negate):
     return LaurentScalar._raw(out, prec)
 
 
-# -- the fraction-free kernel for rational coefficients ------------------
+# -- the fraction-free kernel ------------------------------------------------
 
 
 def int_form(series):
-    """Write rational series over one common denominator.
+    """Write series over one common denominator, coordinate by coordinate.
 
-    Returns ``(den, [nums, ...])`` with ``s.coeffs[k] == nums[k] / den``
-    for each series ``s`` in order, or None when a coefficient lies in
-    Q(zeta_m).
+    Returns ``(den, field, forms)``.  ``forms[s]`` lists integer
+    numerator dicts, one per power-basis coordinate of series ``s``: a
+    single dict when every coefficient of ``s`` is rational, ``degree``
+    dicts when one lies in Q(zeta_m); coordinate c of ``s.coeffs[k]`` is
+    ``forms[s][c].get(k, 0) / den``.  ``field`` is the cyclotomic field
+    of the Ext coefficients, or None when there are none.
     """
     den = 1
+    field = None
     for s in series:
         for v in s.coeffs.values():
             if isinstance(v, Ext):
-                return None
-            d = v.denominator
-            if den % d:
-                den = den // math.gcd(den, d) * d
-    return den, [{k: v.numerator * (den // v.denominator) for k, v in s.coeffs.items()}
-                 for s in series]
+                field = v.field
+                for c in v.coords:
+                    d = c.denominator
+                    if den % d:
+                        den = den // math.gcd(den, d) * d
+            else:
+                d = v.denominator
+                if den % d:
+                    den = den // math.gcd(den, d) * d
+    forms = []
+    for s in series:
+        if field is None or not any(isinstance(v, Ext) for v in s.coeffs.values()):
+            forms.append([{k: v.numerator * (den // v.denominator)
+                           for k, v in s.coeffs.items()}])
+            continue
+        coords = [{} for _ in range(field.degree)]
+        for k, v in s.coeffs.items():
+            if isinstance(v, Ext):
+                for c, x in enumerate(v.coords):
+                    if x:
+                        coords[c][k] = x.numerator * (den // x.denominator)
+            else:
+                coords[0][k] = v.numerator * (den // v.denominator)
+        forms.append(coords)
+    return den, field, forms
 
 
 def convolve(acc, a, b, prec):
@@ -374,11 +390,50 @@ def from_int_form(nums, den, prec):
     return LaurentScalar._raw({k: Fraction(v, den) for k, v in nums.items() if v}, prec)
 
 
-def _inverse_rational(form, s, digits):
+def coord_product(pairs, prec, acc=None):
+    """Add sum a * b over the (a, b) coordinate lists in ``pairs``, with
+    exponents below prec, into the coordinate dicts ``acc`` (a fresh
+    list when None), which grow to the coordinates they need:
+    coordinate p + q collects coordinate p of a times coordinate q of b."""
+    if acc is None:
+        acc = [{}]
+    for a, b in pairs:
+        acc.extend({} for _ in range(len(a) + len(b) - 1 - len(acc)))
+        for p, x in enumerate(a):
+            for q, y in enumerate(b):
+                convolve(acc[p + q], x, y, prec)
+    return acc
+
+
+def from_coord_form(acc, den, prec, field):
+    """The series with coordinate c of its t^k coefficient equal to
+    acc[c][k] / den, every exponent already below prec.  One coordinate
+    gives rational coefficients; more give Ext coefficients of
+    ``field``, after the coordinates of degree >= phi(m) are folded back
+    by the integer reduction table."""
+    if len(acc) == 1:
+        return from_int_form(acc[0], den, prec)
+    d = field.degree
+    for j in range(d, len(acc)):
+        row = field._reduction[j - d]
+        for k, c in acc[j].items():
+            if c:
+                for i, r in enumerate(row):
+                    if r:
+                        acc[i][k] = acc[i].get(k, 0) + c * r
+    del acc[d:]
+    out = {}
+    for k in set().union(*acc):
+        nums = [a.get(k, 0) for a in acc]
+        if any(nums):
+            out[k] = Ext(field, tuple(Fraction(v, den) for v in nums))
+    return LaurentScalar._raw(out, prec)
+
+
+def _inverse_rational(den, nums, s, digits):
     # With coeffs[k] = A_k / D and u_j = A_(s+j) / A_s, the inverse of
     # u = 1 + eps has u^-1_k = W_k / A_s^k where
     # W_k = -sum_(j=1..k) A_(s+j) A_s^(j-1) W_(k-j), W_0 = 1.
-    den, (nums,) = form
     lead = nums[s]
     scaled = {}
     power = 1

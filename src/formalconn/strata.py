@@ -472,13 +472,20 @@ def _split_leaves(s, field):
     coefficient (None if the block is neither pure nor one-dimensional)."""
     if s.n == 1:
         return None, None, [(1, s.beta.rows[0][0].coeff_or_zero(-s.r))]
+    if s.n == s.e and s.ctx.uniform and math.gcd(s.r, s.e) == 1:
+        # One nonzero entry xs[u] per row of the pattern on the complete
+        # chain: as gcd(r, e) = 1 its e-th power is the scalar prod(xs),
+        # so phi = (X - prod(xs))^n and split_stratum would only raise
+        # IrreducibleStratum after factoring it.  A zero row makes the
+        # stratum non-fundamental, which split_stratum reports.
+        head = pure_leading(s.graded_rep().pattern, field)
+        if head is not None:
+            return None, None, [(s.n, head[1])]
     try:
         g, parts = split_stratum(s, field)
     except IrreducibleStratum:
-        head = None
-        if s.n == s.e and s.ctx.uniform:
-            head = pure_leading(s.graded_rep().pattern, field)
-        return None, None, [(s.n, head[1] if head else None)]
+        # phi is a power of one linear factor, and the stratum not pure
+        return None, None, [(s.n, None)]
     leaves = []
     for part in parts:
         sub = part.stratum

@@ -16,7 +16,7 @@ from .errors import GcdViolation, NotRegular, PrecisionError
 from .linalg import knullspace, ksolve
 from .matrices import LaurentMatrix
 from .parahoric import ParahoricContext, filtration_degree, graded_component, \
-    graded_monomials, monomial_matrix
+    graded_monomials
 from .scalars import format_scalar, is_zero, sort_key
 from .series import INF, LaurentScalar, OneForm
 
@@ -110,22 +110,24 @@ class ToralElement:
                                          for blk in self.coeffs], self.prec)
 
     def realization(self):
+        """The block-diagonal series matrix: coefficient c of varpi^d in
+        block j sits at (p, q) = (q - d mod e, q) of the block as c t^w,
+        w = (d - q + p) / e.  Every entry of a finite-precision element
+        is known to t^(ceil(prec / e) + 1)."""
         e, m = self.torus.e, self.torus.m
         n = e * m
-        rows = [[LaurentScalar.zero() for _ in range(n)] for _ in range(n)]
+        cut = INF if self.prec is INF else -(-self.prec // e) + 1
+        entries = {}
         for j, block in enumerate(self.coeffs):
             base = j * e
-            acc = [[LaurentScalar.zero() for _ in range(e)] for _ in range(e)]
             for d, c in block.items():
-                piece = varpi_block(e, d, c)
-                acc = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(acc, piece)]
-            for p in range(e):
                 for q in range(e):
-                    rows[base + p][base + q] = acc[p][q]
-        if self.prec is not INF:
-            cut = -(-self.prec // e) + 1
-            rows = [[entry.truncate(cut) for entry in row] for row in rows]
-        return LaurentMatrix(rows)
+                    p = (q - d) % e
+                    w = (d - q + p) // e
+                    if w < cut:
+                        entries.setdefault((base + p, base + q), {})[w] = c
+        return LaurentMatrix([[LaurentScalar._raw(entries.get((u, v), {}), cut)
+                               for v in range(n)] for u in range(n)])
 
     def is_zero(self):
         return all(not blk for blk in self.coeffs)
@@ -287,34 +289,44 @@ def graded_level_solve(lead, target, ctx, level, r, keep=None, shift=0):
     ``level``, for lead in P^(-r) and X in P^(level + r).
 
     Unknowns and equations sit on the graded monomial slots (u, v) with
-    keep(u, v) true (every slot when ``keep`` is None).  Returns the
-    monomial representative of X, or None when the level is unsolvable.
+    keep(u, v) true (every slot when ``keep`` is None).  The graded
+    pattern of a product of homogeneous elements is the product of their
+    patterns, so with P the pattern of ``lead`` at level -r the column
+    of the unknown E_uv is the pattern E_uv P - P E_uv: row v of P moved
+    to row u, minus column u of P moved to column v, plus ``shift`` at
+    (u, v) when r = 0 (for r > 0, shift * X lies beyond ``level``).  No
+    series product is formed.  Returns the monomial representative of X,
+    or None when the level is unsolvable.
     """
     tgt = graded_component(target, ctx, level)
     if tgt.is_zero():
         return LaurentMatrix.zero(ctx.n)
+    pat = graded_component(lead, ctx, -r).pattern
     slots = [(u, v, o) for (u, v, o) in graded_monomials(ctx, level + r)
              if keep is None or keep(u, v)]
     out_slots = [(u, v) for (u, v, _) in graded_monomials(ctx, level)
                  if keep is None or keep(u, v)]
-    cols = []
-    for (u, v, o) in slots:
-        basis_elt = monomial_matrix(ctx, u, v, o)
-        img = basis_elt * lead - lead * basis_elt  # ad(E)(lead)
-        if shift:
-            img = img + basis_elt * Fraction(shift)
-        pat = graded_component(img, ctx, level).pattern
-        cols.append([pat[uu][vv] for (uu, vv) in out_slots])
-    rhs = [tgt.pattern[u][v] for (u, v) in out_slots]
-    mat_rows = [[cols[j][i] for j in range(len(slots))] for i in range(len(out_slots))]
-    x = ksolve(mat_rows, rhs)
+    diag = Fraction(shift) if shift and r == 0 else None
+    mat_rows = []
+    for (uu, vv) in out_slots:
+        row = []
+        for (u, v, _) in slots:
+            val = pat[v][vv] if uu == u else 0
+            if vv == v:
+                val = val - pat[uu][u]
+                if uu == u and diag is not None:
+                    val = val + diag
+            row.append(val if not is_zero(val) else Fraction(0))
+        mat_rows.append(row)
+    x = ksolve(mat_rows, [tgt.pattern[u][v] for (u, v) in out_slots])
     if x is None:
         return None
-    sol = LaurentMatrix.zero(ctx.n)
+    n = ctx.n
+    rows = [[LaurentScalar.zero() for _ in range(n)] for _ in range(n)]
     for coeff, (u, v, o) in zip(x, slots):
         if not is_zero(coeff):
-            sol = sol + monomial_matrix(ctx, u, v, o, coeff)
-    return sol
+            rows[u][v] = LaurentScalar.t_power(o, coeff)
+    return LaurentMatrix(rows)
 
 
 def delta_kernel_dimension(e, r):

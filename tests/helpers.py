@@ -9,7 +9,12 @@ that the fraction-free kernel must reproduce exactly, and the reference
 slope descent tries every (permutation, composition) candidate through
 a permuted matrix, the library's filtration degree and a power test of
 nilpotency.  The reference orbit test searches every permutation and
-Galois twist of the affine Weyl group.
+Galois twist of the affine Weyl group.  The reference steps of
+diagonalization build each graded solve from series products of
+monomial matrices, realize toral elements as sums of uniformizer powers,
+lift Hensel factorizations by recomputing the whole product at every
+digit, and gauge with an inverse to the session default; the reference
+cyclotomic inverse is a dense Gauss-Jordan solve.
 """
 
 import itertools
@@ -20,10 +25,13 @@ from formalconn.connections import (MAX_DESCENT_ROUNDS, _compositions, _kernel_f
                                     gauge_transform)
 from formalconn.errors import FormalConnError, PrecisionError, SingularGauge, ZeroLeading
 from formalconn.formal_types import WeylElement
-from formalconn.linalg import kmatmul, knullspace
+from formalconn.linalg import kmatmul, knullspace, ksolve
 from formalconn.matrices import LaurentMatrix
-from formalconn.parahoric import filtration_degree, graded_component, standard_chain
-from formalconn.scalars import as_fraction, is_rational_value, is_zero
+from formalconn.parahoric import (filtration_degree, graded_component, graded_monomials,
+                                  monomial_matrix, standard_chain)
+from formalconn.polys import kpoly_deg, kpoly_divmod, kpoly_gcdext, kpoly_mul, kpoly_sub, \
+    kpoly_trim
+from formalconn.scalars import Ext, as_fraction, is_rational_value, is_zero
 from formalconn.series import INF, PRECISION_FLOOR, LaurentScalar, default_precision
 from formalconn.strata import Stratum, reduce_stratum
 
@@ -233,7 +241,33 @@ def ref_sub(a, b):
 
 
 def _ref_scalar_inverse(c):
-    return Fraction(1) / c if isinstance(c, (int, Fraction)) else c.inverse()
+    return Fraction(1) / c if isinstance(c, (int, Fraction)) else ref_ext_inverse(c)
+
+
+def ref_ext_inverse(x):
+    """1/x in Q(zeta_m) by Gauss-Jordan on the phi x phi matrix of
+    multiplication by x; ZeroDivisionError for zero."""
+    field = x.field
+    d = field.degree
+    cols = []
+    for j in range(d):
+        basis = [Fraction(0)] * d
+        basis[j] = Fraction(1)
+        cols.append(list((x * Ext(field, tuple(basis))).coords))
+    aug = [[cols[j][i] for j in range(d)] + [Fraction(1) if i == 0 else Fraction(0)]
+           for i in range(d)]
+    for c in range(d):
+        piv = next((r for r in range(c, d) if aug[r][c] != 0), None)
+        if piv is None:
+            raise ZeroDivisionError("division by zero in %s" % field.name)
+        aug[c], aug[piv] = aug[piv], aug[c]
+        pv = aug[c][c]
+        aug[c] = [v / pv for v in aug[c]]
+        for r in range(d):
+            if r != c and aug[r][c]:
+                f = aug[r][c]
+                aug[r] = [v - f * w for v, w in zip(aug[r], aug[c])]
+    return Ext(field, tuple(aug[i][d] for i in range(d)))
 
 
 def ref_inverse(a, digits=None):
@@ -429,3 +463,95 @@ def ref_orbit_equivalent(a, b):
             else:
                 return WeylElement(perm, galois, tuple(transl))
     return None
+
+
+# -- reference steps of diagonalization ---------------------------------------
+
+
+def ref_graded_level_solve(lead, target, ctx, level, r, keep=None, shift=0):
+    """Solve ad(X)(lead) + shift * X = target on the graded piece at
+    ``level``: each column is the graded component of the series product
+    E lead - lead E (+ shift E) of a monomial basis matrix E, and the
+    solution is summed one monomial matrix at a time."""
+    tgt = graded_component(target, ctx, level)
+    if tgt.is_zero():
+        return LaurentMatrix.zero(ctx.n)
+    slots = [(u, v, o) for (u, v, o) in graded_monomials(ctx, level + r)
+             if keep is None or keep(u, v)]
+    out_slots = [(u, v) for (u, v, _) in graded_monomials(ctx, level)
+                 if keep is None or keep(u, v)]
+    cols = []
+    for (u, v, o) in slots:
+        basis_elt = monomial_matrix(ctx, u, v, o)
+        img = basis_elt * lead - lead * basis_elt
+        if shift:
+            img = img + basis_elt * Fraction(shift)
+        pat = graded_component(img, ctx, level).pattern
+        cols.append([pat[uu][vv] for (uu, vv) in out_slots])
+    rhs = [tgt.pattern[u][v] for (u, v) in out_slots]
+    x = ksolve([[cols[j][i] for j in range(len(slots))] for i in range(len(out_slots))], rhs)
+    if x is None:
+        return None
+    sol = LaurentMatrix.zero(ctx.n)
+    for coeff, (u, v, o) in zip(x, slots):
+        if not is_zero(coeff):
+            sol = sol + monomial_matrix(ctx, u, v, o, coeff)
+    return sol
+
+
+def _ref_varpi_block(e, d, coeff):
+    rows = [[LaurentScalar.zero() for _ in range(e)] for _ in range(e)]
+    for q in range(e):
+        p = (q - d) % e
+        rows[p][q] = LaurentScalar.t_power((d - q + p) // e, coeff)
+    return rows
+
+
+def ref_realization(x):
+    """The toral element as a sum of scaled uniformizer powers per block,
+    every entry truncated to ceil(prec / e) + 1 when prec is finite."""
+    e, m = x.torus.e, x.torus.m
+    n = e * m
+    rows = [[LaurentScalar.zero() for _ in range(n)] for _ in range(n)]
+    for j, block in enumerate(x.coeffs):
+        acc = [[LaurentScalar.zero() for _ in range(e)] for _ in range(e)]
+        for d, c in block.items():
+            piece = _ref_varpi_block(e, d, c)
+            acc = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(acc, piece)]
+        for p in range(e):
+            for q in range(e):
+                rows[j * e + p][j * e + q] = acc[p][q]
+    if x.prec != INF:
+        cut = -(-x.prec // e) + 1
+        rows = [[entry.truncate(cut) for entry in row] for row in rows]
+    return LaurentMatrix(rows)
+
+
+def ref_hensel_lift(phi, g0, h0, digits):
+    """Linear Hensel lifting that recomputes the whole product g h to
+    t^(k+1) at every digit k."""
+    _, _, v = kpoly_gcdext(g0, h0)
+    g = [LaurentScalar({0: c}) for c in g0]
+    h = [LaurentScalar({0: c}) for c in h0]
+    for k in range(1, digits):
+        prod = [LaurentScalar.zero() for _ in range(len(g) + len(h) - 1)]
+        for i, a in enumerate(g):
+            for j, b in enumerate(h):
+                prod[i + j] = prod[i + j] + (a * b).truncate(k + 1)
+        e_k = kpoly_trim([(phi[i] - prod[i]).coeff_or_zero(k) for i in range(len(phi))])
+        if kpoly_deg(e_k) < 0:
+            continue
+        _, a = kpoly_divmod(kpoly_mul(v, e_k), g0)
+        b, _ = kpoly_divmod(kpoly_sub(e_k, kpoly_mul(a, h0)), g0)
+        for poly, fix in ((g, a), (h, b)):
+            for i, c in enumerate(fix):
+                if not is_zero(c):
+                    poly[i] = poly[i] + LaurentScalar.t_power(k, c)
+    return [c.truncate(digits) for c in g], [c.truncate(digits) for c in h]
+
+
+def ref_gauge_transform(g, conn):
+    """The matrix g [nabla_tau] g^-1 - (tau g) g^-1, with g^-1 to the
+    session default: three products."""
+    g_inv = g.inverse()
+    return g * conn.matrix * g_inv - conn.tau_of_matrix(g) * g_inv

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from formalconn.cli import main
+from formalconn.series import default_precision, set_default_precision
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -177,3 +178,22 @@ def test_field_flag_qi(tmp_path, capsys):
     assert code == 0
     parsed = json.loads(out)
     assert parsed["formal_type"]["e"] == 1 and parsed["formal_type"]["m"] == 2
+
+
+def test_truncated_window_suggests_precision(tmp_path, capsys):
+    """A one-form that is not a monomial leaves the matrix known only to
+    the --prec window; the split then cannot certify its level, and the
+    error names the entry window that would."""
+    doc = {"n": 2, "field": "Q", "nu": {"coeffs": [[-1, "1/1"], [0, "1/1"]]},
+           "matrix": [[[[-2, "1/1"]], [[-1, "1/1"]]], [[[-1, "1/1"]], [[-2, "2/1"]]]]}
+    f = tmp_path / "truncated.conn.json"
+    f.write_text(json.dumps(doc))
+    before = default_precision()
+    try:
+        code, _, err = run_cli(capsys, "diagonalize", str(f), "--prec", "4", "--digits", "6")
+    finally:
+        set_default_precision(before)
+    assert code == 3
+    payload = json.loads(err)
+    assert payload["error"] == "INSUFFICIENT_PRECISION"
+    assert payload["suggested_precision"] == 7

@@ -73,6 +73,26 @@ def test_filtration_degree_zero_matrix_and_precision():
     assert filtration_degree(blurry, iw, stop_at=3) is INF
 
 
+def test_precision_error_names_the_certifying_window():
+    iw = standard_chain((1, 1))
+    # nothing known: certifying "at least 5" needs every entry known to
+    # its least order in P^5
+    with pytest.raises(PrecisionError) as err:
+        filtration_degree(LaurentMatrix.zero(2, prec=1), iw, stop_at=5)
+    assert err.value.needed == max(iw.min_entry_order(u, v, 5)
+                                   for u in range(2) for v in range(2))
+    # t^3 E_00 is known, the other entries only to t^1: certifying degree
+    # 6 needs each short entry known to its least order in P^6
+    x = LaurentMatrix([[LS([(3, 1)]), LS([], 1)], [LS([], 1), LS([], 1)]])
+    with pytest.raises(PrecisionError) as err:
+        filtration_degree(x, iw)
+    assert err.value.needed == max(iw.min_entry_order(u, v, 6)
+                                   for u, v in ((0, 1), (1, 0), (1, 1)))
+    widened = LaurentMatrix([[LS([(3, 1)]), LS([], err.value.needed)],
+                             [LS([], err.value.needed), LS([], err.value.needed)]])
+    assert filtration_degree(widened, iw) == 6
+
+
 def test_varpi_generates():
     rng = seeded(5)
     for blocks in ((1, 1), (1, 1, 1), (2, 2)):

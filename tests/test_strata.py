@@ -10,6 +10,7 @@ from formalconn.matrices import LaurentMatrix
 from formalconn.parahoric import filtration_degree, standard_chain
 from formalconn.polys import kpoly_trim
 from formalconn.scalars import get_field
+from formalconn import strata
 from formalconn.strata import (Stratum, is_fundamental, is_regular,
                                off_block_filtration_ok, reduce_stratum,
                                split_stratum, stratum_char_poly)
@@ -196,6 +197,26 @@ def test_regularity_report_carries_split():
     iw = standard_chain((1, 1))
     pure = is_regular(Stratum(iw, 3, iw.varpi_power(-3)))
     assert pure.gauge is None and pure.parts is None
+
+
+def test_pure_strata_classified_without_splitting(monkeypatch):
+    """A pure stratum on the complete chain (one nonzero pattern entry
+    per row, gcd(r, e) = 1) is a leaf without factoring phi; a pure
+    block that needs a root the field lacks still raises NonsplitField."""
+    def no_split(*args, **kwargs):
+        raise AssertionError("split_stratum called on a pure stratum")
+
+    monkeypatch.setattr(strata, "split_stratum", no_split)
+    iw = standard_chain((1, 1))
+    rep = is_regular(Stratum(iw, 3, iw.varpi_power(-3) * Fraction(5)))
+    assert rep and rep.e == 2 and rep.m == 1 and rep.leading == [5]
+    iw3 = standard_chain((1, 1, 1))
+    # cyclic product 2 * 4 * 1 = 2^3: alpha = 2 after a diagonal renormalization
+    b = lmat([[[], [], [(-1, 2)]], [[(0, 4)], [], []], [[], [(0, 1)], []]])
+    rep = is_regular(Stratum(iw3, 1, b))
+    assert rep and rep.e == 3 and rep.leading == [2]
+    with pytest.raises(NonsplitField):
+        is_regular(Stratum(iw, 1, lmat([[[], [(-1, 1)]], [[(0, 2)], []]])), get_field("Q"))
 
 
 def test_regularity_with_nilpotent_summand():
