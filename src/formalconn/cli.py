@@ -22,7 +22,7 @@ from .moduli import (GlobalConfig, assemble_global, check_framing, moment_map,
                      orbit_dimensions, regular_singular_orbit_dimensions)
 from .scalars import format_scalar, get_field
 from .parahoric import filtration_degree, standard_chain
-from .series import INF, OneForm, set_default_precision
+from .series import INF, OneForm, default_precision, set_default_precision
 from .strata import is_regular, stratum_char_poly
 
 EXIT_PARSE = 2
@@ -218,7 +218,9 @@ def main(argv=None):
         return args.func(args)
     except PrecisionError as exc:
         payload = {"error": exc.code, "message": str(exc)}
-        if exc.needed is not None:
+        if exc.short_by is not None:
+            payload["suggested_precision"] = default_precision() + exc.short_by
+        elif exc.needed is not None:
             payload["suggested_precision"] = exc.needed
         print(json.dumps(payload, sort_keys=True), file=sys.stderr)
         return EXIT_PRECISION

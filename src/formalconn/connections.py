@@ -28,7 +28,7 @@ from .matrices import LaurentMatrix
 from .parahoric import (GradedEndo, filtration_degree, graded_component,
                         pattern_to_matrix, standard_chain)
 from .scalars import get_field, is_zero, scalar_inverse, sort_key
-from .series import INF, PRECISION_FLOOR, LaurentScalar, OneForm
+from .series import INF, LaurentScalar, OneForm
 from .strata import (Stratum, infer_field, is_regular, pure_leading,
                      reduce_stratum)
 from .torus import (ToralElement, TorusData, graded_ad_image_solve,
@@ -112,54 +112,12 @@ class FormalConnection:
 
 
 def gauge_transform(g, conn):
-    """g . [nabla_tau] = (g [nabla_tau] - tau g) g^-1.
-
-    When [nabla_tau] is known only to finite windows, g^-1 is first
-    inverted only to the digits the product consumes (see
-    :func:`_inverse_digits`).  Should a window of the result then fall
-    below what the full inverse certifies (:func:`_windows_kept`), the
-    product is formed again with the full inverse, so no window is ever
-    smaller than with it."""
-    a = conn.matrix
-    cap = _inverse_digits(a)
+    """g . [nabla_tau] = (g [nabla_tau] - tau g) g^-1."""
     try:
-        g_inv = g.inverse(cap=cap)
+        g_inv = g.inverse()
     except SingularGauge:
         raise SingularGauge("gauge matrix is not invertible")
-    s = g * a - conn.tau_of_matrix(g)
-    new = s * g_inv
-    if cap is not None and g_inv.precision() is not INF and not _windows_kept(s, g_inv, new):
-        new = s * g.inverse()
-    return FormalConnection(new, conn.nu)
-
-
-def _inverse_digits(a):
-    """Digits of g^-1 that a gauge action on ``a`` consumes: the largest
-    finite entry window of ``a``, less min(0, min_order(a)), plus one,
-    and at least PRECISION_FLOOR; None (the inverse's own default) when
-    ``a`` is exact."""
-    finite = [x.prec for row in a.rows for x in row if x.prec is not INF]
-    if not finite:
-        return None
-    return max(PRECISION_FLOOR, max(finite) - min(0, a.min_order()) + 1)
-
-
-def _windows_kept(s, g_inv, new):
-    """True when every window of new = s g_inv reaches the bound that
-    any inverse of g certifies: entry (i, j) of s g^-1 is known at most
-    to ord(g^-1[k][j]) + prec(s[i][k]) for each k with g^-1[k][j]
-    visibly nonzero, whose order more digits of g^-1 do not change."""
-    n = s.n
-    for i in range(n):
-        for j in range(n):
-            window = new.rows[i][j].prec
-            if window is INF:
-                continue
-            bound = min((g_inv.rows[k][j].order + s.rows[i][k].prec for k in range(n)
-                         if g_inv.rows[k][j].coeffs), default=INF)
-            if window < bound:
-                return False
-    return True
+    return FormalConnection((g * conn.matrix - conn.tau_of_matrix(g)) * g_inv, conn.nu)
 
 
 def contained_stratum(conn, ctx):
@@ -407,7 +365,8 @@ def split_connection(conn, ctx, r, slot_lists, digits=8):
         try:
             d = filtration_degree(off, ctx, stop_at=target)
         except PrecisionError as exc:
-            raise PrecisionError("splitting ran out of digits", needed=exc.needed)
+            raise PrecisionError("splitting ran out of digits", needed=exc.needed,
+                                 short_by=exc.short_by)
         if d is INF or d >= target:
             break
         # x solves ad(x)(lead) - m x = off on the off-diagonal slots (the

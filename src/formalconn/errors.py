@@ -12,13 +12,19 @@ class FormalConnError(Exception):
 
 
 class PrecisionError(FormalConnError):
-    """A required coefficient lies outside the known precision window."""
+    """A required coefficient lies outside the known precision window.
+
+    ``needed`` is the window the failing step asks of its operand, in
+    that operand's own exponents.  ``short_by``, when known, is how many
+    digits the operand's windows lack; windows that follow the session
+    precision one for one need that much more of it."""
 
     code = "INSUFFICIENT_PRECISION"
 
-    def __init__(self, msg="insufficient precision", needed=None):
+    def __init__(self, msg="insufficient precision", needed=None, short_by=None):
         super().__init__(msg)
         self.needed = needed
+        self.short_by = short_by
 
 
 class ZeroLeading(FormalConnError):

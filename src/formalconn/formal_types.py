@@ -247,7 +247,7 @@ def _canonical(a):
     zero = field.zero()
     blocks = []
     for row in a.coeffs:
-        row = [c + zero for c in row]  # one coefficient type, so sort keys compare
+        row = [c + zero for c in row]  # one coefficient type
         t = math.floor(e * scalar_coords(row[-1])[0])
         row[-1] = row[-1] - Fraction(t, e)
         key, g = min((tuple(map(sort_key, _twist_row(row, g, zeta, r, e) if g else row)), g)

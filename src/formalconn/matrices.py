@@ -15,8 +15,8 @@ from fractions import Fraction
 
 from .errors import ParseError, PrecisionError, SingularGauge
 from .scalars import Ext
-from .series import (INF, LaurentScalar, convolve, coord_product, from_coord_form,
-                     from_int_form, int_form, mul_prec, residue)
+from .series import (INF, LaurentScalar, coord_product, from_coord_form, int_form,
+                     mul_prec, residue)
 
 
 class LaurentMatrix:
@@ -125,15 +125,14 @@ class LaurentMatrix:
     def coeff_matrix(self, k):
         return [[a.coeff(k) for a in r] for r in self.rows]
 
-    def inverse(self, digits=None, cap=None):
+    def inverse(self, digits=None):
         """Exact truncated inverse by Gauss-Jordan with valuation
         pivoting.  Raises SingularGauge when no unit pivot exists.
 
         Each pivot that is not an exact monomial is inverted to
-        ``digits`` t-adic digits; by default to its own window, or to the
-        session default when it is exact.  ``cap`` instead inverts an
-        exact pivot to ``cap`` digits and a windowed one to at most
-        ``cap``, for a caller that consumes no more of the inverse."""
+        ``digits`` t-adic digits, never more than its own window (see
+        :meth:`LaurentScalar.inverse`); by default to that window, or to
+        the session default when the pivot is exact."""
         n = self.n
         work = [[self.rows[i][j] for j in range(n)] +
                 [LaurentScalar.one() if i == j else LaurentScalar.zero() for j in range(n)]
@@ -151,8 +150,6 @@ class LaurentMatrix:
                 raise SingularGauge("matrix is singular")
             work[c], work[piv] = work[piv], work[c]
             pivot = work[c][c]
-            if cap is not None:
-                digits = cap if pivot.prec is INF else min(cap, pivot.prec - pivot.order)
             inv_piv = pivot.inverse(digits)
             work[c] = [x * inv_piv for x in work[c]]
             pivot_form = int_form(work[c])
@@ -196,13 +193,6 @@ def _product_rows(a_rows, b_rows):
             pairs = [k for k in range(n)
                      if not _exact_zero(a_row[k]) and not _exact_zero(b_col[k])]
             prec = min((mul_prec(a_row[k], b_col[k]) for k in pairs), default=INF)
-            if fa is None and fb is None:
-                # every coefficient rational: one coordinate, one dict
-                acc = {}
-                for k in pairs:
-                    convolve(acc, a_coords[k][0], b_coords[k][0], prec)
-                row.append(from_int_form(acc, da * db, prec))
-                continue
             acc = coord_product([(a_coords[k], b_coords[k]) for k in pairs], prec)
             row.append(from_coord_form(acc, da * db, prec, fa or fb))
         out.append(row)

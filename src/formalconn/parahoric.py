@@ -202,19 +202,24 @@ def filtration_degree(x, ctx, stop_at=None):
         if stop_at is not None and bound >= stop_at and best is INF:
             return INF
         target = stop_at if best is INF else best
+        needed, short_by = (None, None) if target is None else \
+            _certifying_window(x, ctx, target)
         raise PrecisionError(
             "filtration degree undetermined: known bound %s < candidate %s" % (bound, best),
-            needed=None if target is None else _certifying_window(x, ctx, target))
+            needed=needed, short_by=short_by)
     return best
 
 
 def _certifying_window(x, ctx, level):
-    """The least window t^w such that every entry known to it certifies
-    membership in P^level: the largest of min_entry_order(u, v, level)
-    over the entries whose own window falls short of theirs."""
-    return max(ctx.min_entry_order(u, v, level)
-               for u, row in enumerate(x.rows) for v, entry in enumerate(row)
-               if entry.prec < ctx.min_entry_order(u, v, level))
+    """(needed, short_by) for certifying membership in P^level: needed
+    is the least window t^w such that every entry known to it certifies
+    it, the largest min_entry_order(u, v, level) over the entries whose
+    own window falls short of theirs; short_by is the largest shortfall
+    of such an entry."""
+    short = [(ctx.min_entry_order(u, v, level), entry.prec)
+             for u, row in enumerate(x.rows) for v, entry in enumerate(row)
+             if entry.prec < ctx.min_entry_order(u, v, level)]
+    return max(w for w, _ in short), max(w - p for w, p in short)
 
 
 class GradedEndo:

@@ -411,12 +411,38 @@ def scalar_coords(x):
 
 def sort_key(x):
     """Deterministic total order on ground-field elements: lexicographic
-    on (numerator, denominator) per power-basis coordinate."""
-    out = []
-    for c in scalar_coords(x):
-        out.append(c.numerator)
-        out.append(c.denominator)
-    return tuple(out)
+    on (numerator, denominator) per power-basis coordinate.  The key
+    depends on the value only: a rational value has the same key as a
+    Fraction and as an Ext."""
+    coords = scalar_coords(x)
+    while len(coords) > 1 and not coords[-1]:
+        coords.pop()
+    return _SortKey(tuple((c.numerator, c.denominator) for c in coords))
+
+
+class _SortKey:
+    """Coordinate pairs with trailing zeros dropped; two keys compare as
+    if the shorter were padded with zero coordinates, so that keys of
+    one field order as their full coordinate vectors do.  Sorting, min
+    and tuple comparison need only == and <."""
+
+    __slots__ = ("pairs",)
+
+    def __init__(self, pairs):
+        self.pairs = pairs
+
+    def __eq__(self, other):
+        return self.pairs == other.pairs
+
+    def __hash__(self):
+        return hash(self.pairs)
+
+    def __lt__(self, other):
+        a, b = self.pairs, other.pairs
+        if len(a) != len(b):
+            pad = ((0, 1),) * abs(len(a) - len(b))
+            a, b = (a + pad, b) if len(a) < len(b) else (a, b + pad)
+        return a < b
 
 
 def nth_root_in_field(x, n, field):

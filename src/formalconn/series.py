@@ -186,8 +186,9 @@ class LaurentScalar:
 
     def inverse(self, digits=None):
         """Multiplicative inverse.  Monomials invert exactly; everything
-        else is computed to the available window (or the session default
-        for exact non-monomial input)."""
+        else is computed to ``digits`` t-adic digits, never more than the
+        series' own window (by default to that window, or to the session
+        default for exact non-monomial input)."""
         if self.is_zero():
             raise ZeroLeading("inverse of zero(-to-precision) series")
         s = self.order
@@ -195,8 +196,10 @@ class LaurentScalar:
         if len(self.coeffs) == 1 and self.is_exact:
             inv_lead = scalar_inverse(lead)
             return LaurentScalar({-s: inv_lead})
-        if digits is None:
-            digits = default_precision() if self.prec is INF else int(self.prec - s)
+        if self.prec is not INF:
+            digits = int(self.prec - s) if digits is None else min(digits, int(self.prec - s))
+        elif digits is None:
+            digits = default_precision()
         if digits < PRECISION_FLOOR:
             raise PrecisionError("inverse with window %d below floor" % digits,
                                  needed=s + PRECISION_FLOOR)
@@ -398,7 +401,9 @@ def coord_product(pairs, prec, acc=None):
     if acc is None:
         acc = [{}]
     for a, b in pairs:
-        acc.extend({} for _ in range(len(a) + len(b) - 1 - len(acc)))
+        top = len(a) + len(b) - 1
+        while len(acc) < top:
+            acc.append({})
         for p, x in enumerate(a):
             for q, y in enumerate(b):
                 convolve(acc[p + q], x, y, prec)

@@ -277,8 +277,10 @@ def ref_inverse(a, digits=None):
     inv_lead = _ref_scalar_inverse(a.coeffs[s])
     if len(a.coeffs) == 1 and a.prec == INF:
         return LaurentScalar({-s: inv_lead})
-    if digits is None:
-        digits = default_precision() if a.prec == INF else int(a.prec - s)
+    if a.prec != INF:
+        digits = int(a.prec - s) if digits is None else min(digits, int(a.prec - s))
+    elif digits is None:
+        digits = default_precision()
     if digits < PRECISION_FLOOR:
         raise PrecisionError("inverse window below floor")
     u = {k - s: v * inv_lead for k, v in a.coeffs.items() if k - s < digits}

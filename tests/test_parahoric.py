@@ -88,6 +88,8 @@ def test_precision_error_names_the_certifying_window():
         filtration_degree(x, iw)
     assert err.value.needed == max(iw.min_entry_order(u, v, 6)
                                    for u, v in ((0, 1), (1, 0), (1, 1)))
+    assert err.value.short_by == max(iw.min_entry_order(u, v, 6) - 1
+                                     for u, v in ((0, 1), (1, 0), (1, 1)))
     widened = LaurentMatrix([[LS([(3, 1)]), LS([], err.value.needed)],
                              [LS([], err.value.needed), LS([], err.value.needed)]])
     assert filtration_degree(widened, iw) == 6

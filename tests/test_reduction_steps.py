@@ -2,10 +2,10 @@
 
 The library solves each graded level on patterns, writes toral
 realizations entry by entry, lifts Hensel factorizations digit by digit,
-gauges with an inverse cut to the digits the product consumes and
-inverts in Q(zeta_m) by extended Euclid.  Each must agree exactly with
-the reference -- the same coefficients and the same windows -- except
-the gauge action, whose windows may only grow.
+gauges with two products instead of three and inverts in Q(zeta_m) by
+extended Euclid.  Each must agree exactly with the reference -- the same
+coefficients and the same windows -- except the gauge action, whose
+windows may only grow.
 """
 
 import random

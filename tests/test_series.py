@@ -43,6 +43,17 @@ def test_inverse_geometric():
         assert inv.coeff(k) == (-1) ** k
 
 
+def test_inverse_digits_never_exceed_the_window():
+    """The t^5 coefficient of (1 + t + O(t^5))^-1 depends on the unknown
+    t^5 coefficient of the input, so more digits are not claimed."""
+    inv = LaurentScalar({0: Fraction(1), 1: Fraction(1)}, 5).inverse(10)
+    assert inv.prec == 5 and inv.coeffs == {k: (-1) ** k for k in range(5)}
+    shifted = LaurentScalar({-1: Fraction(2), 0: Fraction(1)}, 3).inverse(6)
+    assert shifted.prec == 5
+    assert shifted.coeffs == {k: Fraction((-1) ** (k - 1), 2 ** k) for k in range(1, 5)}
+    assert LaurentScalar({0: Fraction(1), 1: Fraction(1)}).inverse(10).prec == 10
+
+
 def test_inverse_scalar_multiple():
     assert LS([(1, 2)]).inverse() == LS([(-1, (1, 2))])
 

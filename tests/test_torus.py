@@ -9,8 +9,9 @@ from formalconn.errors import NotRegular
 from formalconn.matrices import LaurentMatrix, pairing
 from formalconn.parahoric import filtration_degree, in_filtration
 from formalconn.series import LaurentScalar, OneForm
+from formalconn.scalars import get_field, sort_key
 from formalconn.torus import (ToralElement, TorusData, delta_kernel_dimension,
-                              graded_ad_image_solve, graded_ad_solve,
+                              graded_ad_image_solve, graded_ad_solve, regular_depth,
                               tame_corestriction, varpi_eps)
 
 from helpers import LS, lmat, random_matrix, seeded
@@ -204,3 +205,16 @@ def test_toral_serialization():
     data = z.to_json()
     assert data["e"] == 2 and data["m"] == 2
     assert data["blocks"][0] == [(-1, "1/2")]
+
+
+def test_equal_leading_coefficients_of_either_type_are_not_distinct():
+    """A rational value has one sort key, whether it is held as a
+    Fraction or as an element of Q(i)."""
+    qi = get_field("Q(i)")
+    assert sort_key(Fraction(1)) == sort_key(qi.one())
+    assert hash(sort_key(Fraction(1))) == hash(sort_key(qi.one()))
+    # keys of one field order as their full coordinate vectors
+    i = qi.from_coords([0, 1])
+    assert sort_key(1 - i) < sort_key(Fraction(1)) < sort_key(1 + i)
+    with pytest.raises(NotRegular):
+        regular_depth(ToralElement(TorusData(1, 2), [{-1: Fraction(1)}, {-1: qi.one()}]))
