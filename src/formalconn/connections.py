@@ -25,14 +25,15 @@ from .errors import (FormalConnError, NotRegular, NotSplit, ParseError,
 from .formal_types import FormalType
 from .linalg import kinverse, kmatmul, knullspace, rref
 from .matrices import LaurentMatrix
-from .parahoric import (GradedEndo, filtration_degree, graded_component,
-                        pattern_to_matrix, standard_chain)
+from .parahoric import (GradedEndo, _certifying_window, fildeg_certified,
+                        filtration_degree, graded_component, pattern_to_matrix,
+                        standard_chain)
 from .scalars import get_field, is_zero, scalar_inverse, sort_key
 from .series import INF, LaurentScalar, OneForm
 from .strata import (Stratum, infer_field, is_regular, pure_leading,
                      reduce_stratum)
-from .torus import (ToralElement, TorusData, graded_ad_image_solve,
-                    graded_level_solve, tame_corestriction, varpi_eps)
+from .torus import (ToralElement, TorusData, ad_level_solve, block_levels, gauge_levels,
+                    graded_level_solve, levels_matrix, rescale_levels, unipotent_times)
 
 MAX_DESCENT_ROUNDS = 64
 
@@ -463,12 +464,8 @@ def diagonalize(conn, digits=8):
 
 
 def _pure_block_type(block, nu, ctx, r, field, digits):
-    """Reduce a pure block, truncated to the working window, to its
-    Cartan form: (gauge, q-coefficients by degree, their row in degrees
-    -r..0)."""
-    work_prec = digits + r + 4
-    if block.precision() is INF or block.precision() > work_prec:
-        block = block.truncate(work_prec)
+    """Reduce a pure block to its Cartan form: (gauge, q-coefficients by
+    degree, their row in degrees -r..0)."""
     p, q = _pure_block_reduce(FormalConnection(block, nu), ctx, r, field, digits)
     return p, q, [q.get(d, field.zero()) for d in range(-r, 1)]
 
@@ -552,86 +549,81 @@ def _solve_resonant_level(lam, coeff, m, field):
 
 
 def _pure_block_reduce(conn, ctx, r, field, digits):
-    """Two-phase reduction of a pure block to q(varpi^(-1)).
+    """Reduce a pure block on the complete chain to q(varpi^(-1)),
+    working in its level form (see :mod:`formalconn.torus`).
 
-    Phase one (levels up to r) absorbs Cartan components into q and
-    solves the graded ad-equation; phase two additionally cancels the
-    Cartan obstruction with gauges 1 + alpha varpi^v, whose derivative
-    term has Cartan component (v/e) alpha varpi^v.
-    Returns (gauge, dict of q-coefficients in degrees -r..0).
+    The block is read once into levels {d: [c_0..c_(e-1)]}, keeping the
+    levels through ``digits``, all that the reduction reads.  A
+    normalizer, a constant diagonal, rescales the slots so that the
+    leading level is alpha varpi^(-r).  Each level v of the remainder
+    A - q, from the bottom through ``digits``, is then cleared: its mean
+    c is its Cartan part; for v <= 0 it is absorbed into q, for v > 0
+    the gauge 1 + (e c / v) varpi^v cancels it through its derivative
+    term; what is left solves the graded ad-equation, a cyclic
+    difference system, and the gauge 1 + varpi^(v+r) diag(xi) removes
+    it.  Gauges act by the level recurrence of ``torus.gauge_levels``,
+    without an inverse, and the accumulated gauge P <- (1 + X) P stays
+    exact.
+
+    Raises PrecisionError when the block's window ends before level
+    digits + 1, which the reduction consumes.  Returns (gauge, dict of
+    q-coefficients in degrees -r..0).
     """
-    n = conn.n
+    conn = conn.standardized()
+    block = conn.matrix
     e = ctx.period
-    assert e == n
-    torus = TorusData(e, 1)
-    nu = conn.nu
-    cur = conn
-    p_total = LaurentMatrix.identity(n)
-    pat = graded_component(cur.matrix, ctx, -r).pattern
+    assert e == block.n and ctx.phases == tuple(range(e - 1, -1, -1))
+    pat = graded_component(block, ctx, -r).pattern
     # rank one is all Cartan: its leading coefficient may vanish (the one
     # nilpotent summand a regular split torus allows)
-    head = (pat[0], pat[0][0]) if n == 1 else pure_leading(pat, field)
+    head = (pat[0], pat[0][0]) if e == 1 else pure_leading(pat, field)
     if head is None:
         raise NotRegular("pure block leading term is not a varpi multiple")
     xs, alpha = head
+    _, window = fildeg_certified(block, ctx)
+    if window < digits + 1:
+        needed, short_by = _certifying_window(block, ctx, digits + 1)
+        raise PrecisionError("pure block known below level %d, reduction needs %d"
+                             % (window, digits + 1), needed=needed, short_by=short_by)
+    below = digits + 1
+    cur = block_levels(block, below)
+    gauge = {0: [Fraction(1)] * e}
     if any(x != alpha for x in xs):
-        h = _pure_normalizer(n, r, xs, alpha, field)
-        cur = gauge_transform(h, cur)
-        p_total = h * p_total
+        h = _pure_normalizer(e, r, xs, alpha, field)
+        cur = rescale_levels(cur, h)
+        gauge = {0: h}
     q = {-r: alpha} if not is_zero(alpha) else {}
-    lead = ToralElement(torus, [{-r: alpha}])
-    # the realization of q is rebuilt only when q changes, and each
-    # remainder's tame corestriction gives both c and the target
-    q_real = ToralElement(torus, [q]).realization()
-    guard = r + digits + 4
-    for _ in range(guard):
-        rem = cur.matrix - q_real
-        try:
-            d = filtration_degree(rem, ctx, stop_at=digits + 1)
-        except PrecisionError:
-            break
-        if d is INF or d > digits:
-            break
-        v = d
-        pi_rem = tame_corestriction(rem, torus, nu)
-        c = pi_rem.coeffs[0].get(v, field.zero())
+    for v in range(-r, digits + 1):
+        rem = _level_remainder(cur, q, v, e)
+        if not any(rem):
+            continue
+        c = sum(rem) * Fraction(1, e)
         if not is_zero(c):
             if v <= 0:
                 q[v] = q.get(v, field.zero()) + c
-                q_real = ToralElement(torus, [q]).realization()
             else:
-                alpha_c = c * Fraction(e, v)
-                u_gauge = LaurentMatrix.identity(n) + \
-                    varpi_eps(torus, v, 0) * alpha_c
-                cur = gauge_transform(u_gauge, cur)
-                p_total = u_gauge * p_total
-            rem = cur.matrix - q_real
-            d2 = filtration_degree(rem, ctx, stop_at=digits + 1)
-            if d2 is INF or d2 > digits:
-                break
-            if d2 > v:
+                beta = [c * Fraction(e, v)] * e
+                cur = gauge_levels(cur, v, beta, below)
+                gauge = unipotent_times(v, beta, gauge)
+            rem = _level_remainder(cur, q, v, e)
+            if not any(rem):
                 continue
-            v = d2
-            pi_rem = tame_corestriction(rem, torus, nu)
-        target = rem - pi_rem.realization()
-        try:
-            tgt_deg = filtration_degree(target, ctx, stop_at=digits + 1)
-        except PrecisionError:
-            break
-        if tgt_deg is INF or tgt_deg > v:
-            continue
-        x = graded_ad_image_solve(lead, target * Fraction(-1), ctx, tgt_deg)
-        if x is None:
-            raise NotRegular("pure reduction hit an unsolvable level")
-        g = LaurentMatrix.identity(n) + x
-        cur = gauge_transform(g, cur)
-        p_total = g * p_total
-    return p_total, q
+        xi = ad_level_solve(alpha, r, rem, v + r)
+        cur = gauge_levels(cur, v + r, xi, below)
+        gauge = unipotent_times(v + r, xi, gauge)
+    return levels_matrix(gauge, e), q
+
+
+def _level_remainder(levels, q, v, e):
+    """Level v of A - q(varpi), as a vector."""
+    vec = levels.get(v, [Fraction(0)] * e)
+    return [c - q[v] for c in vec] if v in q else vec
 
 
 def _pure_normalizer(n, r, xs, alpha, field):
     """Constant diagonal p with Ad(p)(x varpi^(-r)) = alpha varpi^(-r):
-    solve p_u = alpha p_(u-r) / x_u around the r-cycle (gcd(r,n)=1)."""
+    solve p_u = alpha p_(u-r) / x_u around the r-cycle (gcd(r,n)=1).
+    Returns the diagonal entries."""
     diag = [None] * n
     diag[0] = field.one()
     u = 0
@@ -640,6 +632,4 @@ def _pure_normalizer(n, r, xs, alpha, field):
         val = alpha * diag[u]
         diag[nxt] = val * scalar_inverse(xs[nxt])
         u = nxt
-    rows = [[LaurentScalar.from_scalar(diag[i]) if i == j else LaurentScalar.zero()
-             for j in range(n)] for i in range(n)]
-    return LaurentMatrix(rows)
+    return diag

@@ -7,6 +7,16 @@ sending its uniformizer to the e x e shift matrix, so that the
 associated parahoric is the interleaved standard context.  A toral
 element stores per-block coefficient vectors in powers of the block
 uniformizer and is realized to a series matrix on demand.
+
+A single block (m = 1) on the complete chain (phases e-1, ..., 0) also
+has a *level form* in these varpi-coordinates: every e x e matrix is
+sum_d varpi^d diag(c_d), where slot q of the level vector c_d is the
+coefficient of t^w in entry (p, q) with d = e*w + q - p, and d is the
+entry's filtration level.  The graded piece P^d / P^(d+1) is the vector
+c_d alone, a product of two levels is one level (varpi^a diag(x) varpi^b
+diag(y) = varpi^(a+b) diag(z) with z[q] = x[(q - b) mod e] y[q]), the
+Cartan part of a level is the mean of its vector, and the graded
+ad-equation against alpha varpi^(-r) is a cyclic difference system.
 """
 
 import math
@@ -17,7 +27,7 @@ from .linalg import knullspace, ksolve
 from .matrices import LaurentMatrix
 from .parahoric import ParahoricContext, filtration_degree, graded_component, \
     graded_monomials
-from .scalars import format_scalar, is_zero, sort_key
+from .scalars import format_scalar, is_zero, scalar_inverse, sort_key
 from .series import INF, LaurentScalar, OneForm
 
 
@@ -340,3 +350,110 @@ def delta_kernel_dimension(e, r):
         row[(p - r) % e] -= 1
         rows.append(row)
     return len(knullspace(rows))
+
+
+# -- the level form of one block on the complete chain ----------------------
+
+
+def block_levels(x, below):
+    """The level form {d: [c_0, ..., c_(e-1)]} of an e x e matrix on the
+    complete chain: the coefficient of t^w in entry (p, q) is slot q of
+    level d = e*w + q - p.  Levels from ``below`` on are dropped."""
+    e = x.n
+    out = {}
+    for p, row in enumerate(x.rows):
+        for q, entry in enumerate(row):
+            for w, c in entry.coeffs.items():
+                d = e * w + q - p
+                if d < below:
+                    out.setdefault(d, [Fraction(0)] * e)[q] = c
+    return out
+
+
+def levels_matrix(levels, e):
+    """The exact e x e matrix sum_d varpi^d diag(levels[d]): slot q of
+    level d is entry ((q - d) mod e, q) at t^w, w = (d - q + p) / e."""
+    entries = [[{} for _ in range(e)] for _ in range(e)]
+    for d, vec in levels.items():
+        for q, c in enumerate(vec):
+            if not is_zero(c):
+                p = (q - d) % e
+                entries[p][q][(d - q + p) // e] = c
+    return LaurentMatrix([[LaurentScalar._raw(coeffs, INF) for coeffs in row]
+                          for row in entries])
+
+
+def level_product(x, b, y):
+    """z with varpi^a diag(x) * varpi^b diag(y) = varpi^(a+b) diag(z)."""
+    e = len(x)
+    return [x[(q - b) % e] * y[q] for q in range(e)]
+
+
+def rescale_levels(levels, h):
+    """The level form of H A H^-1 for the constant H = diag(h): entry
+    (p, q) scales by h_p / h_q."""
+    e = len(h)
+    inv = [scalar_inverse(c) for c in h]
+    return {d: [c * h[(q - d) % e] * inv[q] for q, c in enumerate(vec)]
+            for d, vec in levels.items()}
+
+
+def unipotent_times(ell, xi, levels, below=INF):
+    """The level form of (1 + X) A for X = varpi^ell diag(xi), levels
+    from ``below`` on dropped."""
+    e = len(xi)
+    out = {d: list(vec) for d, vec in levels.items()}
+    for d, vec in levels.items():
+        if d + ell < below and any(vec):
+            acc = out.setdefault(d + ell, [Fraction(0)] * e)
+            for q, c in enumerate(level_product(xi, d, vec)):
+                acc[q] = acc[q] + c
+    return out
+
+
+def gauge_levels(levels, ell, xi, below):
+    """The level form of (1 + X) . A against dt/t for X = varpi^ell
+    diag(xi), ell >= 1, with A known below level ``below``.
+
+    From A' (1 + X) = (1 + X) A - tau X, the matrix B = A + XA - tau X
+    is formed once and A' = B - A'X is solved level by level from the
+    bottom: A'X at level d needs A' only at level d - ell.  No inverse
+    is formed, and the window stays ``below``.  tau = t d/dt multiplies
+    slot q of varpi^ell by its t-exponent ceil((ell - q) / e).
+    """
+    e = len(xi)
+    out = unipotent_times(ell, xi, levels, below)
+    if ell < below:
+        acc = out.setdefault(ell, [Fraction(0)] * e)
+        for q in range(e):
+            acc[q] = acc[q] + xi[q] * ((q - ell) // e)
+    for d in range(min(out, default=below) + ell, below):
+        src = out.get(d - ell)
+        if src is not None and any(src):
+            acc = out.setdefault(d, [Fraction(0)] * e)
+            for q, c in enumerate(level_product(src, ell, xi)):
+                acc[q] = acc[q] - c
+    return out
+
+
+def ad_level_solve(alpha, r, target, ell):
+    """xi with ad(varpi^ell diag(xi))(alpha varpi^(-r)) = -target, the
+    graded ad-equation at level ell - r: the cyclic difference system
+    alpha (xi[(s + r) mod e] - xi[s]) = -target[s], gcd(r, e) = 1,
+    solvable when the target has mean zero.
+
+    Of the solutions, which differ by a constant, this is the one with
+    xi[(e - 1 + ell) mod e] = 0, the one ``graded_level_solve`` picks:
+    its unknowns are the slots ordered by row, and the unknown of the
+    last row is the free one."""
+    e = len(target)
+    xi = [Fraction(0)] * e
+    if e == 1:
+        return xi
+    inv = scalar_inverse(alpha)
+    s = (e - 1 + ell) % e
+    for _ in range(e - 1):
+        nxt = (s + r) % e
+        xi[nxt] = xi[s] - target[s] * inv
+        s = nxt
+    return xi

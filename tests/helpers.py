@@ -14,7 +14,9 @@ diagonalization build each graded solve from series products of
 monomial matrices, realize toral elements as sums of uniformizer powers,
 lift Hensel factorizations by recomputing the whole product at every
 digit, and gauge with an inverse to the session default; the reference
-cyclotomic inverse is a dense Gauss-Jordan solve.
+pure-block reduction applies one such gauge per level to the whole
+series matrix.  The reference cyclotomic inverse is a dense
+Gauss-Jordan solve.
 """
 
 import itertools
@@ -23,7 +25,8 @@ from fractions import Fraction
 
 from formalconn.connections import (MAX_DESCENT_ROUNDS, _compositions, _kernel_flag_basis,
                                     gauge_transform)
-from formalconn.errors import FormalConnError, PrecisionError, SingularGauge, ZeroLeading
+from formalconn.errors import (FormalConnError, NotRegular, PrecisionError, SingularGauge,
+                               ZeroLeading)
 from formalconn.formal_types import WeylElement
 from formalconn.linalg import kmatmul, knullspace, ksolve
 from formalconn.matrices import LaurentMatrix
@@ -31,9 +34,11 @@ from formalconn.parahoric import (filtration_degree, graded_component, graded_mo
                                   monomial_matrix, standard_chain)
 from formalconn.polys import kpoly_deg, kpoly_divmod, kpoly_gcdext, kpoly_mul, kpoly_sub, \
     kpoly_trim
-from formalconn.scalars import Ext, as_fraction, is_rational_value, is_zero
+from formalconn.scalars import Ext, as_fraction, is_rational_value, is_zero, scalar_inverse
 from formalconn.series import INF, PRECISION_FLOOR, LaurentScalar, default_precision
-from formalconn.strata import Stratum, reduce_stratum
+from formalconn.strata import Stratum, pure_leading, reduce_stratum
+from formalconn.torus import (ToralElement, TorusData, graded_ad_image_solve,
+                              tame_corestriction, varpi_eps)
 
 
 def LS(pairs, prec=INF):
@@ -557,3 +562,98 @@ def ref_gauge_transform(g, conn):
     session default: three products."""
     g_inv = g.inverse()
     return g * conn.matrix * g_inv - conn.tau_of_matrix(g) * g_inv
+
+
+def ref_pure_block_reduce(conn, ctx, r, field, digits):
+    """Two-phase reduction of a pure block to q(varpi^(-1)), on series
+    matrices: one gauge_transform per level.
+
+    Phase one (levels up to r) absorbs Cartan components into q and
+    solves the graded ad-equation; phase two additionally cancels the
+    Cartan obstruction with gauges 1 + alpha varpi^v, whose derivative
+    term has Cartan component (v/e) alpha varpi^v.
+    Returns (gauge, dict of q-coefficients in degrees -r..0).
+    """
+    n = conn.n
+    e = ctx.period
+    assert e == n
+    torus = TorusData(e, 1)
+    nu = conn.nu
+    cur = conn
+    p_total = LaurentMatrix.identity(n)
+    pat = graded_component(cur.matrix, ctx, -r).pattern
+    # rank one is all Cartan: its leading coefficient may vanish (the one
+    # nilpotent summand a regular split torus allows)
+    head = (pat[0], pat[0][0]) if n == 1 else pure_leading(pat, field)
+    if head is None:
+        raise NotRegular("pure block leading term is not a varpi multiple")
+    xs, alpha = head
+    if any(x != alpha for x in xs):
+        h = _ref_pure_normalizer(n, r, xs, alpha, field)
+        cur = gauge_transform(h, cur)
+        p_total = h * p_total
+    q = {-r: alpha} if not is_zero(alpha) else {}
+    lead = ToralElement(torus, [{-r: alpha}])
+    # the realization of q is rebuilt only when q changes, and each
+    # remainder's tame corestriction gives both c and the target
+    q_real = ToralElement(torus, [q]).realization()
+    guard = r + digits + 4
+    for _ in range(guard):
+        rem = cur.matrix - q_real
+        try:
+            d = filtration_degree(rem, ctx, stop_at=digits + 1)
+        except PrecisionError:
+            break
+        if d is INF or d > digits:
+            break
+        v = d
+        pi_rem = tame_corestriction(rem, torus, nu)
+        c = pi_rem.coeffs[0].get(v, field.zero())
+        if not is_zero(c):
+            if v <= 0:
+                q[v] = q.get(v, field.zero()) + c
+                q_real = ToralElement(torus, [q]).realization()
+            else:
+                alpha_c = c * Fraction(e, v)
+                u_gauge = LaurentMatrix.identity(n) + \
+                    varpi_eps(torus, v, 0) * alpha_c
+                cur = gauge_transform(u_gauge, cur)
+                p_total = u_gauge * p_total
+            rem = cur.matrix - q_real
+            d2 = filtration_degree(rem, ctx, stop_at=digits + 1)
+            if d2 is INF or d2 > digits:
+                break
+            if d2 > v:
+                continue
+            v = d2
+            pi_rem = tame_corestriction(rem, torus, nu)
+        target = rem - pi_rem.realization()
+        try:
+            tgt_deg = filtration_degree(target, ctx, stop_at=digits + 1)
+        except PrecisionError:
+            break
+        if tgt_deg is INF or tgt_deg > v:
+            continue
+        x = graded_ad_image_solve(lead, target * Fraction(-1), ctx, tgt_deg)
+        if x is None:
+            raise NotRegular("pure reduction hit an unsolvable level")
+        g = LaurentMatrix.identity(n) + x
+        cur = gauge_transform(g, cur)
+        p_total = g * p_total
+    return p_total, q
+
+
+def _ref_pure_normalizer(n, r, xs, alpha, field):
+    """Constant diagonal p with Ad(p)(x varpi^(-r)) = alpha varpi^(-r):
+    solve p_u = alpha p_(u-r) / x_u around the r-cycle (gcd(r,n)=1)."""
+    diag = [None] * n
+    diag[0] = field.one()
+    u = 0
+    for _ in range(n - 1):
+        nxt = (u + r) % n
+        val = alpha * diag[u]
+        diag[nxt] = val * scalar_inverse(xs[nxt])
+        u = nxt
+    rows = [[LaurentScalar.from_scalar(diag[i]) if i == j else LaurentScalar.zero()
+             for j in range(n)] for i in range(n)]
+    return LaurentMatrix(rows)

@@ -8,7 +8,12 @@ import sys
 import pytest
 
 from formalconn.cli import main
+from formalconn.connections import FormalConnection, gauge_transform
+from formalconn.matrices import LaurentMatrix
+from formalconn.parahoric import filtration_degree
+from formalconn.scalars import get_field, parse_scalar
 from formalconn.series import default_precision, set_default_precision
+from formalconn.torus import ToralElement, TorusData
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -207,3 +212,41 @@ def test_truncated_window_suggests_precision(tmp_path, capsys):
         set_default_precision(before)
     assert code == 0
     assert suggested == [7, 8]
+
+
+@pytest.mark.parametrize("prec", [4, 5])
+def test_short_window_pure_block_answers_or_suggests_precision(tmp_path, capsys, prec):
+    """A one-form that is not a monomial leaves a pure block known only to
+    the --prec window.  A short window either still certifies the type --
+    the --prec 8 one, by a gauge whose residual against the connection
+    lies beyond --digits -- or asks for more precision; it is never
+    reported as NOT_REGULAR."""
+    doc = {"n": 2, "field": "Q", "nu": {"coeffs": [[-1, "1/1"], [0, "1/1"]]},
+           "matrix": [[[[0, "1/1"], [3, "1/1"]], [[-3, "1/1"]]], [[[-2, "1/1"]], [[1, "1/1"]]]]}
+    f = tmp_path / "short.conn.json"
+    f.write_text(json.dumps(doc))
+    before = default_precision()
+    try:
+        code8, out8, _ = run_cli(capsys, "diagonalize", str(f), "--prec", "8", "--digits", "6")
+        code, out, err = run_cli(capsys, "diagonalize", str(f), "--prec", str(prec),
+                                 "--digits", "6")
+    finally:
+        set_default_precision(before)
+    assert code8 == 0
+    if code == 3:
+        payload = json.loads(err)
+        assert payload["error"] == "INSUFFICIENT_PRECISION"
+        assert payload["suggested_precision"] > prec
+        return
+    assert code == 0
+    got = json.loads(out)
+    assert got["formal_type"] == json.loads(out8)["formal_type"]
+    q = get_field("Q")
+    rep = got["A_rep"]
+    torus = TorusData(rep["e"], rep["m"])
+    a_rep = ToralElement(torus, [{d: parse_scalar(c, q) for d, c in blk}
+                                 for blk in rep["blocks"]])
+    gauge = LaurentMatrix.from_json(got["gauge"], q)
+    conn = FormalConnection.from_json(doc).standardized()
+    resid = gauge_transform(gauge, conn).matrix - a_rep.realization()
+    assert filtration_degree(resid, torus.context(), stop_at=7) > 6

@@ -15,7 +15,7 @@ from formalconn.matrices import LaurentMatrix, pairing
 from formalconn.parahoric import filtration_degree, in_filtration, standard_chain
 from formalconn.scalars import get_field
 from formalconn.series import INF, LaurentScalar, OneForm
-from formalconn.torus import TorusData
+from formalconn.torus import ToralElement, TorusData
 
 from helpers import (LS, katz_slope_oracle, lmat, random_matrix,
                      random_unit_matrix, seeded)
@@ -334,3 +334,18 @@ def test_diagonalize_ungauged_zero_block_like_gauged_copies():
                                   "coeffs": [["0/1", "0/1", "0/1"], ["1/1", "0/1", "0/1"]]}
         for g in gauges:
             assert diagonalize(gauge_transform(g, conn), digits=digits).formal_type == want
+
+
+def test_pure_block_window_short_of_digits_raises_precision_error():
+    """The reduction consumes every level through digits: a block known
+    only below level 1 answers at digits 0, and at digits 3 names the
+    window that certifies level 4 (entry (1, 0) needs t^3, the others
+    t^2; each is known to t^1)."""
+    block = ToralElement(TorusData(2, 1), [{-1: Fraction(1), 0: Fraction(2),
+                                           1: Fraction(3)}]).realization().truncate(1)
+    conn, ctx = FormalConnection(block), standard_chain((1, 1))
+    _, q = connections._pure_block_reduce(conn, ctx, 1, get_field("Q"), 0)
+    assert q == {-1: 1, 0: 2}
+    with pytest.raises(PrecisionError) as info:
+        connections._pure_block_reduce(conn, ctx, 1, get_field("Q"), 3)
+    assert (info.value.needed, info.value.short_by) == (3, 2)

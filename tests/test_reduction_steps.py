@@ -2,31 +2,38 @@
 
 The library solves each graded level on patterns, writes toral
 realizations entry by entry, lifts Hensel factorizations digit by digit,
-gauges with two products instead of three and inverts in Q(zeta_m) by
-extended Euclid.  Each must agree exactly with the reference -- the same
-coefficients and the same windows -- except the gauge action, whose
-windows may only grow.
+gauges with two products instead of three, reduces pure blocks in their
+level form and inverts in Q(zeta_m) by extended Euclid.  Each must agree
+exactly with the reference -- the same coefficients and the same windows
+-- except the gauge action, whose windows may only grow, and the
+pure-block reduction where the reference loses its window (see
+``test_pure_block_reduce_matches_reference``).
 """
 
+import math
 import random
 from fractions import Fraction
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from formalconn.connections import FormalConnection, gauge_transform
+from formalconn.connections import FormalConnection, _pure_block_reduce, gauge_transform
+from formalconn.errors import FormalConnError, NotRegular, PrecisionError
 from formalconn.matrices import LaurentMatrix
-from formalconn.parahoric import ParahoricContext, graded_monomials, standard_chain
+from formalconn.parahoric import (ParahoricContext, fildeg_certified, filtration_degree,
+                                  graded_monomials, standard_chain)
 from formalconn.polys import hensel_lift, kpoly_deg, kpoly_gcd, kpoly_mul
 from formalconn.scalars import get_field
 from formalconn.series import INF, LaurentScalar
-from formalconn.torus import ToralElement, TorusData, graded_level_solve
+from formalconn.torus import (ToralElement, TorusData, block_levels, gauge_levels,
+                              graded_level_solve, level_product, levels_matrix)
 
 from helpers import (ref_ext_inverse, ref_gauge_transform, ref_graded_level_solve,
-                     ref_hensel_lift, ref_realization)
+                     ref_hensel_lift, ref_pure_block_reduce, ref_realization)
 
 Q = get_field("Q")
 QI = get_field("Q(i)")
+QZ3 = get_field("Q(zeta_3)")
 
 rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 nonzero_rationals = rationals.filter(bool)
@@ -36,6 +43,10 @@ def scalars(field):
     if field is Q:
         return rationals
     return st.builds(lambda a, b: field.from_coords([a, b]), rationals, rationals)
+
+
+def nonzero_scalars(field):
+    return scalars(field).filter(bool)
 
 
 def same(x, y):
@@ -164,6 +175,164 @@ def test_gauge_by_unipotent_matches_reference(data):
         for p, q in zip(row_new, row_ref):
             assert p.prec >= q.prec
             assert p.agrees(q)
+
+
+# -- the level form of a pure block -------------------------------------------
+
+
+def complete_chain(e):
+    return ParahoricContext.interleaved(e, 1)
+
+
+@st.composite
+def block_matrices(draw, e, field):
+    return LaurentMatrix([[LaurentScalar(draw(st.dictionaries(st.integers(-3, 3),
+                                                              scalars(field), max_size=3)))
+                           for _ in range(e)] for _ in range(e)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_block_levels_round_trip(data):
+    e = data.draw(st.integers(1, 4))
+    x = data.draw(block_matrices(e, data.draw(st.sampled_from([Q, QI]))))
+    levels = block_levels(x, INF)
+    assert same_matrix(levels_matrix(levels, e), x)
+    nonzero = [d for d, vec in levels.items() if any(vec)]
+    assert min(nonzero, default=INF) == filtration_degree(x, complete_chain(e))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_level_product_is_the_matrix_product(data):
+    """varpi^a diag(x) varpi^b diag(y) is one level, in either order of a
+    single-level X against a level of A."""
+    e = data.draw(st.integers(1, 4))
+    field = data.draw(st.sampled_from([Q, QI]))
+    a, b = data.draw(st.integers(-5, 5)), data.draw(st.integers(-5, 5))
+    x = data.draw(st.lists(scalars(field), min_size=e, max_size=e))
+    y = data.draw(st.lists(scalars(field), min_size=e, max_size=e))
+    prod = levels_matrix({a: x}, e) * levels_matrix({b: y}, e)
+    assert same_matrix(levels_matrix({a + b: level_product(x, b, y)}, e), prod)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_gauge_levels_matches_gauge_transform(data):
+    """The level recurrence A' = B - A'X agrees with gauge_transform(1 +
+    X, A) wherever the latter knows a coefficient, and its window (the
+    certified window of A) is never smaller than that of the result."""
+    e = data.draw(st.integers(1, 4))
+    field = data.draw(st.sampled_from([Q, QI]))
+    ctx = complete_chain(e)
+    a = data.draw(in_level(ctx, -data.draw(st.integers(0, 3)), scalars(field), windows=True))
+    a = a.truncate(data.draw(st.integers(0, 4)))
+    below = fildeg_certified(a, ctx)[1]
+    ell = data.draw(st.integers(1, 4))
+    xi = data.draw(st.lists(scalars(field), min_size=e, max_size=e))
+    g = LaurentMatrix.identity(e) + levels_matrix({ell: xi}, e)
+    ref = gauge_transform(g, FormalConnection(a)).matrix
+    new = levels_matrix(gauge_levels(block_levels(a, below), ell, xi, below), e)
+    assert fildeg_certified(ref, ctx)[1] <= below
+    for p in range(e):
+        for q in range(e):
+            r_entry, n_entry = ref.rows[p][q], new.rows[p][q]
+            for w in set(r_entry.coeffs) | set(n_entry.coeffs):
+                if w < r_entry.prec and e * w + q - p < below:
+                    assert r_entry.coeff_or_zero(w) == n_entry.coeff_or_zero(w)
+
+
+@st.composite
+def pure_blocks(draw):
+    """(block, ctx, r, field, digits): a toral element of E = k((varpi)),
+    varpi^e = t, with leading degree -r, realized on the complete chain,
+    conjugated by a constant diagonal (so that the leading entries differ
+    and the normalizer runs), gauged by a unit 1 + Y, Y in P^1, and cut
+    to finite windows.  The windows reach well past level digits + 1
+    (as diagonalize cuts blocks), or just past it, or one entry falls
+    short of it."""
+    field = draw(st.sampled_from([Q, QI, QZ3]))
+    e = draw(st.integers(1, 4))
+    r = draw(st.sampled_from([k for k in range(1, 6) if math.gcd(k, e) == 1]))
+    digits = draw(st.integers(1, 4))
+    ctx = complete_chain(e)
+    # the normalizer needs an e-th root of the cyclic product of the
+    # leading entries, lead^e, which the library extracts only from a
+    # rational value: blocks it runs on have a rational lead
+    normalize = draw(st.booleans())
+    lead = draw(nonzero_rationals if normalize else
+                scalars(field) if e == 1 else nonzero_scalars(field))
+    coeffs = {d: draw(scalars(field)) for d in range(1 - r, digits + 2)}
+    coeffs[-r] = lead
+    block = ToralElement(TorusData(e, 1), [coeffs]).realization()
+    diag = draw(st.lists(nonzero_scalars(field), min_size=e, max_size=e)) \
+        if normalize else [Fraction(1)] * e
+    unit = LaurentMatrix([[LaurentScalar({0: c}) if p == q else LaurentScalar.zero()
+                           for q, c in enumerate(diag)] for p in range(e)])
+    unit = unit * (LaurentMatrix.identity(e) + draw(in_level(ctx, 1, scalars(field), terms=2)))
+    conn = FormalConnection(block)
+    block = (unit * block - conn.tau_of_matrix(unit)) * unit.inverse(r + digits + 6)
+    mode = draw(st.sampled_from(["long", "tight", "short"]))
+    short = (draw(st.integers(0, e - 1)), draw(st.integers(0, e - 1)))
+    rows = []
+    for p in range(e):
+        row = []
+        for q in range(e):
+            # the least window that certifies level digits + 1
+            need = ctx.min_entry_order(p, q, digits + 1)
+            if mode == "long":
+                slack = r + 4
+            elif mode == "short" and (p, q) == short:
+                slack = -draw(st.integers(1, 2))
+            else:
+                slack = draw(st.integers(0, 3))
+            row.append(block.rows[p][q].truncate(need + slack))
+        rows.append(row)
+    return LaurentMatrix(rows), ctx, r, field, digits
+
+
+def reduction_outcome(fn, block, ctx, r, field, digits):
+    """(gauge JSON, gauge repr with its windows, q), or the exception type."""
+    try:
+        p, q = fn(FormalConnection(block), ctx, r, field, digits)
+    except FormalConnError as exc:
+        return type(exc)
+    return p.to_json(), repr(p), q
+
+
+def residual_beyond_digits(block, ctx, r, field, digits, fn):
+    """gauge . block - realization(q) lies in P^(digits + 1)."""
+    p, q = fn(FormalConnection(block), ctx, r, field, digits)
+    realized = ToralElement(TorusData(ctx.period, 1), [q]).realization()
+    resid = gauge_transform(p, FormalConnection(block)).matrix - realized
+    return filtration_degree(resid, ctx, stop_at=digits + 1) > digits
+
+
+@settings(max_examples=60, deadline=None)
+@given(pure_blocks())
+def test_pure_block_reduce_matches_reference(case):
+    """The level-form reduction gives the reference's gauge (JSON, and
+    windows through the repr) and q, or raises the same exception, with
+    two exemptions.  Where the block's window ends before level digits +
+    1, the reduction raises PrecisionError; the reference stops at its
+    window and may return fewer digits.  Where the reference runs out of
+    its own windows (its gauge inverses are cut to the session precision
+    and its toral realizations one digit past the least entry window)
+    although the block's window suffices, it raises NotRegular or
+    PrecisionError or returns a residual short of digits; the reduction
+    must then answer with a residual beyond digits."""
+    block, ctx, r, field, digits = case
+    new = reduction_outcome(_pure_block_reduce, *case)
+    ref = reduction_outcome(ref_pure_block_reduce, *case)
+    if new == ref:
+        return
+    if fildeg_certified(block, ctx)[1] < digits + 1:
+        assert new is PrecisionError
+        return
+    assert not isinstance(new, type)
+    assert residual_beyond_digits(*case, _pure_block_reduce)
+    assert ref in (NotRegular, PrecisionError) or \
+        not residual_beyond_digits(*case, ref_pure_block_reduce)
 
 
 def test_ext_inverse_matches_gauss_jordan():
