@@ -14,6 +14,14 @@ nilpotent leading term by a constant kernel-flag gauge and multiplies
 the kernel coordinates by t, and the scan repeats.  The shear rounds
 are not known to terminate: they give up after MAX_DESCENT_ROUNDS, and
 do so for some connections of rank n >= 5 with slope r/e, e > 1.
+
+Diagonalization takes one path at every depth, depth zero and rank one
+included.  The regularity report of the fundamental stratum carries its
+split, when there is one (at depth zero, the residue eigenbasis on the
+maximal chain); split_connection clears the levels between the parts;
+and each part, or the whole matrix when there is no split, is a pure
+block, reduced in its level form by _pure_block_reduce.  A window too
+short for the requested digits raises PrecisionError at any depth.
 """
 
 import itertools
@@ -342,11 +350,14 @@ def split_connection(conn, ctx, r, slot_lists, digits=8):
     """Kill the off-diagonal blocks of a connection containing a stratum
     split along the given coordinate slots.
 
-    Iterates the strongly-uniform graded solves; at depth zero the
-    graded derivative contributes the shift -m and an unsolvable level
-    raises NotSplit.  Returns (p, conn') with p a product of unipotent
-    off-block gauges and conn' block diagonal to the requested depth:
-    off-blocks have filtration degree >= 1 - r + digits.
+    Iterates the strongly-uniform graded solves, level by level; at
+    depth zero (the residue eigenlines that diagonalize splits along)
+    the graded derivative contributes the shift -m, and an unsolvable
+    level raises NotSplit.  Returns (p, conn') with p a product of
+    unipotent off-block gauges and conn' block diagonal to the requested
+    depth: off-blocks have filtration degree >= 1 - r + digits.  Raises
+    PrecisionError, with the window needed, when an off-block window
+    ends before that.
     """
     conn = conn.standardized()
     n = conn.n
@@ -413,21 +424,15 @@ class DiagonalizationResult:
 
 def diagonalize(conn, digits=8):
     """Gauge the connection into its Cartan form (Cartan coefficients in
-    degrees -r..0 constitute the formal type).
+    degrees -r..0 constitute the formal type), by the one path that
+    every depth takes (see the module docstring).
 
-    Raises NotRegular when no regular stratum is contained and
-    NonsplitField when the ground field lacks needed roots.
+    Raises NotRegular when no regular stratum is contained,
+    NonsplitField when the ground field lacks needed roots and
+    PrecisionError when a window is too short for the requested digits.
     """
     conn = conn.standardized()
-    n = conn.n
     field = infer_field(conn.matrix)
-    if conn.matrix.is_zero():
-        if n == 1:
-            torus = TorusData(1, 1)
-            return DiagonalizationResult(
-                LaurentMatrix.identity(1), ToralElement(torus, [{}]),
-                FormalType(torus, 0, [[field.zero()]], field))
-        raise NotRegular("the zero connection in rank >= 2 contains no regular stratum")
     gauge, cur, strat = fundamental_stratum(conn)
     r = strat.r
     work_prec = digits + r + 4
@@ -437,37 +442,24 @@ def diagonalize(conn, digits=8):
     report = is_regular(strat, field)
     if not report:
         raise NotRegular("connection is not regular: %s" % report.reason)
-    if r == 0:
-        return _diagonalize_regular_singular(cur, gauge, report.leading, field, digits)
-    e = report.e
-    if report.m == 1:
-        p, q, row = _pure_block_type(cur.matrix, cur.nu, strat.ctx, r, field, digits)
-        torus = TorusData(e, 1)
-        return DiagonalizationResult(p * gauge, ToralElement(torus, [q]),
-                                     FormalType(torus, r, [row], field))
-    g_inv = report.gauge.inverse()
-    cur = gauge_transform(g_inv, cur)
-    gauge = g_inv * gauge
-    slot_lists = [part.slots for part in report.parts]
-    p_split, cur = split_connection(cur, strat.ctx, r, slot_lists,
-                                    digits=digits + r)
-    gauge = p_split * gauge
-    # a regular report's parts are the pure blocks of size e, each on
-    # its own chain, so each is reduced where the split left it
+    parts = [(range(cur.n), strat.ctx)]
+    if report.parts:
+        g_inv = report.gauge.inverse()
+        cur = gauge_transform(g_inv, cur)
+        gauge = g_inv * gauge
+        p_split, cur = split_connection(cur, strat.ctx, r,
+                                        [part.slots for part in report.parts],
+                                        digits=digits + r)
+        gauge = p_split * gauge
+        parts = [(part.slots, part.stratum.ctx) for part in report.parts]
+    # each part is a pure block of size e on its own chain, reduced
+    # where the split left it
     blocks = []
-    for part in report.parts:
-        block = LaurentMatrix([[cur.matrix.rows[u][v] for v in part.slots]
-                               for u in part.slots])
-        blocks.append((part.slots,) + _pure_block_type(block, cur.nu, part.stratum.ctx,
-                                                       r, field, digits))
-    return _assemble_blocks(cur.n, gauge, blocks, r, e, field)
-
-
-def _pure_block_type(block, nu, ctx, r, field, digits):
-    """Reduce a pure block to its Cartan form: (gauge, q-coefficients by
-    degree, their row in degrees -r..0)."""
-    p, q = _pure_block_reduce(FormalConnection(block, nu), ctx, r, field, digits)
-    return p, q, [q.get(d, field.zero()) for d in range(-r, 1)]
+    for slots, ctx in parts:
+        block = LaurentMatrix([[cur.matrix.rows[u][v] for v in slots] for u in slots])
+        p, q = _pure_block_reduce(FormalConnection(block, cur.nu), ctx, r, field, digits)
+        blocks.append((slots, p, q, [q.get(d, field.zero()) for d in range(-r, 1)]))
+    return _assemble_blocks(cur.n, gauge, blocks, r, report.e, field)
 
 
 def _assemble_blocks(n, gauge, blocks, r, e, field):
@@ -482,70 +474,10 @@ def _assemble_blocks(n, gauge, blocks, r, e, field):
             perm[j * e + a] = u
             for b, v in enumerate(slots):
                 block_rows[u][v] = p.rows[a][b]
-    gauge = _permutation_rows(perm) * LaurentMatrix(block_rows) * gauge
+    gauge = LaurentMatrix([block_rows[u] for u in perm]) * gauge
     a_rep = ToralElement(torus, [q for _, _, q, _ in blocks])
     ft = FormalType(torus, r, [row for _, _, _, row in blocks], field)
     return DiagonalizationResult(gauge, a_rep, ft)
-
-
-def _diagonalize_regular_singular(cur, gauge, vals, field, digits):
-    """Depth zero: conjugate the residue to the diagonal form of its
-    eigenvalues ``vals`` (simple and distinct modulo Z, in sort order,
-    as the regularity test reports them) and strip the tail order by
-    order."""
-    n = cur.n
-    ctx = standard_chain((n,))
-    pat = graded_component(cur.matrix, ctx, 0).pattern
-    evecs = []
-    for root in vals:
-        shifted = [[pat[i][j] - (root if i == j else 0) for j in range(n)]
-                   for i in range(n)]
-        null = knullspace(shifted)
-        if len(null) != 1:
-            raise NotRegular("residue eigenspace of unexpected dimension")
-        evecs.append(null[0])
-    h = LaurentMatrix.from_scalar_matrix([[evecs[j][i] for j in range(n)]
-                                          for i in range(n)])
-    cur = gauge_transform(h.inverse(), cur)
-    gauge = h.inverse() * gauge
-    lam = [[cur.matrix.rows[i][j].coeff_or_zero(0) if i == j else field.zero()
-            for j in range(n)] for i in range(n)]
-    lam_mat = LaurentMatrix.from_scalar_matrix(lam)
-    for _ in range(digits + 2):
-        rem = cur.matrix - lam_mat
-        try:
-            d = filtration_degree(rem, ctx, stop_at=digits + 1)
-        except PrecisionError:
-            break
-        if d is INF or d > digits:
-            break
-        coeff = rem.coeff_matrix(d)
-        sol = _solve_resonant_level(lam, coeff, d, field)
-        x = LaurentMatrix.from_scalar_matrix(sol).shift(d)
-        g = LaurentMatrix.identity(n) + x
-        cur = gauge_transform(g, cur)
-        gauge = g * gauge
-    torus = TorusData(1, n)
-    a_rep = ToralElement(torus, [({0: lam[j][j]} if not is_zero(lam[j][j]) else {})
-                                 for j in range(n)])
-    ft = FormalType(torus, 0, [[lam[j][j]] for j in range(n)], field)
-    return DiagonalizationResult(gauge, a_rep, ft)
-
-
-def _solve_resonant_level(lam, coeff, m, field):
-    """The gauge 1 + X t^m moves the t^m coefficient by
-    [X, Lambda] - m X, whose (i,j) slot is (lam_j - lam_i - m) x_ij;
-    solve for -coeff entrywise.  Non-resonance makes each factor
-    invertible."""
-    n = len(lam)
-    out = [[field.zero() for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            denom = lam[j][j] - lam[i][i] - m
-            if is_zero(denom):
-                raise NotRegular("resonance at level %d" % m)
-            out[i][j] = -coeff[i][j] * scalar_inverse(denom)
-    return out
 
 
 def _pure_block_reduce(conn, ctx, r, field, digits):

@@ -13,7 +13,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .errors import FactorTooLarge
+from .errors import FactorTooLarge, NonsplitField
 from .intpoly import (certify_squarefree, cyclotomic_norm, factor_squarefree, primitive,
                       trager_factor_candidates)
 from .matrices import LaurentMatrix
@@ -290,6 +290,57 @@ def kpoly_roots(p, field):
             for _ in range(mult):
                 nonsplit = kpoly_mul(nonsplit, fac)
     return roots, kpoly_trim(nonsplit)
+
+
+def nth_root_in_field(x, n, field):
+    """An exact n-th root of x in the field, or None.
+
+    A rational radicand with a rational root keeps that root: for even n
+    the nonnegative one, and for a negative radicand with even n the
+    primitive 2n-th root of unity times the root of -x.  Otherwise the
+    root is the least root of X^n - x in the field under sort_key.
+    """
+    if is_zero(x):
+        return field.zero()
+    if is_rational_value(x):
+        q = as_fraction(x)
+        root = _rational_nth_root(abs(q), n)
+        if root is not None and q < 0 and n % 2 == 0:
+            # x = (zeta * root)^n needs zeta^n = -1
+            try:
+                return field.root_of_unity(2 * n) * field.from_rational(root)
+            except NonsplitField:
+                pass
+        elif root is not None:
+            return field.from_rational(-root if q < 0 else root)
+    roots, _ = kpoly_roots([-x] + [field.zero()] * (n - 1) + [field.one()], field)
+    return min((root for root, _ in roots), key=sort_key, default=None)
+
+
+def _rational_nth_root(q, n):
+    """The rational n-th root of q >= 0, or None."""
+    num = _int_nth_root(q.numerator, n)
+    den = _int_nth_root(q.denominator, n)
+    if num is None or den is None:
+        return None
+    return Fraction(num, den)
+
+
+def _int_nth_root(a, n):
+    """The integer x >= 0 with x^n = a >= 0, or None; exact for any size."""
+    if a < 2:
+        return a
+    if n == 2:
+        x = math.isqrt(a)
+    else:
+        # Newton's iteration from above converges to floor(a^(1/n)).
+        x = 1 << -(-a.bit_length() // n)
+        while True:
+            y = ((n - 1) * x + a // x ** (n - 1)) // n
+            if y >= x:
+                break
+            x = y
+    return x if x ** n == a else None
 
 
 # -- series-coefficient polynomials --------------------------------------

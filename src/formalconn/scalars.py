@@ -11,7 +11,6 @@ Field names accepted throughout: "Q", "Q(i)" (= Q(zeta_4)) and
 MAX_CYCLOTOMIC_DEGREE.
 """
 
-import math
 from fractions import Fraction
 
 from .errors import NonsplitField, ParseError
@@ -443,63 +442,6 @@ class _SortKey:
             pad = ((0, 1),) * abs(len(a) - len(b))
             a, b = (a + pad, b) if len(a) < len(b) else (a, b + pad)
         return a < b
-
-
-def nth_root_in_field(x, n, field):
-    """An exact n-th root of x in the field, or None.
-
-    Rational radicands are extracted by integer root finding; for even n
-    the nonnegative root is returned.  Non-rational radicands are only
-    matched against rational-times-root-of-unity candidates.
-    """
-    if is_zero(x):
-        return field.zero()
-    if is_rational_value(x):
-        q = as_fraction(x)
-        neg = q < 0
-        if neg and n % 2 == 0:
-            # try a root of unity twist: x = (zeta * r)^n needs zeta^n = -1
-            root = _rational_nth_root(-q, n)
-            if root is None:
-                return None
-            try:
-                zeta = field.root_of_unity(2 * n)
-            except NonsplitField:
-                return None
-            return zeta * field.from_rational(root)
-        root = _rational_nth_root(abs(q), n)
-        if root is None:
-            return None
-        return field.from_rational(-root if neg else root)
-    return None
-
-
-def _rational_nth_root(q, n):
-    if q < 0:
-        r = _rational_nth_root(-q, n)
-        return None if r is None else -r
-    num = _int_nth_root(q.numerator, n)
-    den = _int_nth_root(q.denominator, n)
-    if num is None or den is None:
-        return None
-    return Fraction(num, den)
-
-
-def _int_nth_root(a, n):
-    """The integer x >= 0 with x^n = a >= 0, or None; exact for any size."""
-    if a < 2:
-        return a
-    if n == 2:
-        x = math.isqrt(a)
-    else:
-        # Newton's iteration from above converges to floor(a^(1/n)).
-        x = 1 << -(-a.bit_length() // n)
-        while True:
-            y = ((n - 1) * x + a // x ** (n - 1)) // n
-            if y >= x:
-                break
-            x = y
-    return x if x ** n == a else None
 
 
 # -- parsing / printing ------------------------------------------------

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import (GcdViolation, IrreducibleStratum, NonsplitField,
                      PrecisionError, UnsupportedDepth)
-from .linalg import charpoly, minpoly, rref
+from .linalg import charpoly, knullspace, minpoly, rref
 from .matrices import LaurentMatrix
 from .omodule import (column_echelon, combine, kernel_columns, matrix_columns,
                       preimage_lattice)
@@ -22,9 +22,8 @@ from .parahoric import (LatticeChain, ParahoricContext, filtration_degree,
                         graded_component, in_filtration)
 from .polys import (charpoly_series, kpoly_deg, kpoly_factor, kpoly_format,
                     kpoly_is_squarefree, kpoly_mul, kpoly_roots, kpoly_trim,
-                    hensel_lift, spoly_eval_matrix)
-from .scalars import (Ext, congruent_mod_z, get_field, is_zero, nth_root_in_field,
-                      sort_key)
+                    hensel_lift, nth_root_in_field, spoly_eval_matrix)
+from .scalars import Ext, congruent_mod_z, get_field, is_zero, sort_key
 from .series import INF, LaurentScalar, OneForm
 
 HENSEL_GUARD = 8
@@ -239,11 +238,17 @@ def split_stratum(s, field=None):
     beta_conj = g.inverse() * s.beta * g
     if not off_block_filtration_ok(s.ctx, beta_conj, slot_lists, s.r):
         raise PrecisionError("conjugated representative is not split at level r")
+    return g, _split_parts(s, beta_conj, slot_lists)
+
+
+def _split_parts(s, beta_conj, slot_lists):
+    """One SplitPart per slot list, holding the stratum that the
+    conjugated representative induces on those slots."""
     parts = []
     for slots in slot_lists:
         sub_ctx, sub_beta, picked = _restrict_to_slots(s.ctx, beta_conj, slots, s.r)
         parts.append(SplitPart(picked, Stratum(sub_ctx, s.r, sub_beta, s.nu)))
-    return g, parts
+    return parts
 
 
 def _power_truncated(mat, k, digits):
@@ -383,10 +388,12 @@ class RegularityReport:
     """Outcome of the regularity test: torus data and per-block leading
     coefficients when regular, a reason otherwise.
 
-    A regular stratum of positive depth that splits also carries its
-    top-level split, as :func:`split_stratum` returns it for the
-    gcd-reduced stratum: the basis change ``gauge`` and the ``parts``.
-    Both are None for pure strata, rank one and depth zero."""
+    A regular stratum that splits also carries its top-level split of
+    the gcd-reduced stratum: the basis change ``gauge`` and the
+    ``parts``.  At positive depth they are what :func:`split_stratum`
+    returns; at depth zero and rank n >= 2 the gauge is the constant
+    residue eigenbasis and each part is one eigenvector's slot, in the
+    order of ``leading``.  Both are None for pure strata and rank one."""
 
     __slots__ = ("regular", "reason", "e", "m", "leading", "gauge", "parts")
 
@@ -412,7 +419,9 @@ class RegularityReport:
 def is_regular(s, field=None):
     """Classify the stratum: regular iff the recursive splitting yields
     n/e blocks of dimension e with pairwise distinct leading data (plus
-    the mod-Z condition at depth zero and semisimplicity of y)."""
+    the mod-Z condition at depth zero and semisimplicity of y).  A
+    regular report carries the top-level split whenever there is one,
+    depth zero included (see :class:`RegularityReport`)."""
     if field is None:
         field = infer_field(s.beta)
     if s.r > MAX_DEPTH:
@@ -452,9 +461,11 @@ def is_regular(s, field=None):
 def _regular_depth_zero(s, field):
     """Depth zero: the residue eigenvalues must lie in the field, be
     simple and be pairwise incongruent modulo Z; they are reported as
-    the leading data, in sort order."""
-    phi = charpoly(s.graded_rep().pattern)
-    roots, nonsplit = kpoly_roots(phi, field)
+    the leading data, in sort order.  From rank two on, the split is
+    the constant eigenbasis in that order, one singleton part each."""
+    n = s.n
+    pat = s.graded_rep().pattern
+    roots, nonsplit = kpoly_roots(charpoly(pat), field)
     if kpoly_deg(nonsplit) > 0:
         raise NonsplitField("residue eigenvalues do not all lie in %s" % field.name)
     if any(mult > 1 for _, mult in roots):
@@ -462,7 +473,15 @@ def _regular_depth_zero(s, field):
     vals = sorted((root for root, _ in roots), key=sort_key)
     if any(congruent_mod_z(a, b) for a, b in itertools.combinations(vals, 2)):
         return RegularityReport(False, reason="residue eigenvalues congruent modulo Z")
-    return RegularityReport(True, e=1, m=s.n, leading=vals)
+    if n == 1:
+        return RegularityReport(True, e=1, m=1, leading=vals)
+    # each eigenvalue is a simple root, so its eigenspace is a line
+    evecs = [knullspace([[pat[i][j] - (root if i == j else 0) for j in range(n)]
+                         for i in range(n)])[0] for root in vals]
+    g = LaurentMatrix.from_scalar_matrix([[evecs[j][i] for j in range(n)]
+                                          for i in range(n)])
+    parts = _split_parts(s, g.inverse() * s.beta * g, [[j] for j in range(n)])
+    return RegularityReport(True, e=1, m=n, leading=vals, gauge=g, parts=parts)
 
 
 def _split_leaves(s, field):

@@ -223,6 +223,25 @@ def test_diagonalize_depth_zero_gauge_reaches_digits(residues):
     assert deg > digits
 
 
+def test_diagonalize_depth_zero_short_window_raises():
+    # depth zero takes the split path, so a window that ends before
+    # level digits + 1 raises instead of returning fewer digits
+    ft = FormalType(TorusData(1, 2), 0, [[Fraction(1, 3)], [Fraction(-1, 2)]],
+                    get_field("Q"))
+    conn = gauge_transform(random_unit_matrix(seeded(19), 2),
+                           FormalConnection(ft.realization()))
+    with pytest.raises(PrecisionError) as exc:
+        diagonalize(FormalConnection(conn.matrix.truncate(2)), digits=4)
+    assert exc.value.needed is not None and exc.value.needed > 2
+    rank_one = LaurentMatrix([[LaurentScalar({0: Fraction(1, 2)}, 1)]])
+    with pytest.raises(PrecisionError) as exc:
+        diagonalize(FormalConnection(rank_one), digits=4)
+    assert exc.value.needed is not None and exc.value.needed > 1
+    with pytest.raises(PrecisionError):
+        diagonalize(FormalConnection(LaurentMatrix([[LaurentScalar.zero(prec=0)]])),
+                    digits=4)
+
+
 def test_diagonalize_zero_connection():
     res = diagonalize(FormalConnection(LaurentMatrix.zero(1)), digits=4)
     assert res.formal_type.depth == 0

@@ -1,0 +1,69 @@
+"""Static checks on the library source, standing in for a linter: every
+module-level import is used, and every top-level private function is
+referenced somewhere in the library."""
+
+import ast
+import os
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "formalconn")
+
+
+def _modules():
+    out = {}
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, name)) as fh:
+                out[name] = ast.parse(fh.read(), filename=name)
+    return out
+
+
+def _names_used(nodes):
+    """Identifiers read in the given nodes: names, attribute names and
+    the names a from-import brings in."""
+    used = set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                used.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                used.add(sub.attr)
+            elif isinstance(sub, ast.ImportFrom):
+                used.update(alias.name for alias in sub.names)
+    return used
+
+
+def _exported(tree):
+    """The strings listed in a module-level __all__."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets):
+            return {elt.value for elt in stmt.value.elts}
+    return set()
+
+
+def test_no_unused_module_imports():
+    unused = []
+    for name, tree in _modules().items():
+        imports = [stmt for stmt in tree.body if isinstance(stmt, (ast.Import, ast.ImportFrom))]
+        rest = [stmt for stmt in tree.body if stmt not in imports]
+        used = _names_used(rest) | _exported(tree)
+        for stmt in imports:
+            for alias in stmt.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in used:
+                    unused.append("%s: %s" % (name, bound))
+    assert not unused, "unused imports: %s" % ", ".join(unused)
+
+
+def test_private_functions_are_referenced():
+    # the identifiers read by each top-level statement of the library
+    reads = [(name, stmt, _names_used([stmt]))
+             for name, tree in _modules().items() for stmt in tree.body]
+    unreferenced = []
+    for name, stmt, _ in reads:
+        if isinstance(stmt, ast.FunctionDef) and stmt.name.startswith("_") \
+                and not stmt.name.startswith("__"):
+            # a reference from the function's own body (recursion) does not count
+            if not any(stmt.name in used for _, other, used in reads if other is not stmt):
+                unreferenced.append("%s: %s" % (name, stmt.name))
+    assert not unreferenced, "unreferenced private functions: %s" % ", ".join(unreferenced)

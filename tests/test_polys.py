@@ -19,9 +19,11 @@ from formalconn.linalg import charpoly, minpoly
 from formalconn.polys import (MAX_NORM_DEGREE, charpoly_series, hensel_lift, kpoly_deg,
                               kpoly_divmod, kpoly_factor, kpoly_gcd,
                               kpoly_gcdext, kpoly_is_squarefree, kpoly_monic, kpoly_mul,
-                              kpoly_roots, spoly_eval_matrix, spoly_mul)
+                              kpoly_roots, nth_root_in_field, spoly_eval_matrix,
+                              spoly_mul)
 from formalconn.scalars import format_scalar, get_field, scalar_coords, sort_key
 from formalconn.series import LaurentScalar
+from formalconn.strata import pure_leading
 
 from helpers import LS, lmat, seeded
 
@@ -68,6 +70,24 @@ def test_factor_over_qi():
     roots, nonsplit = kpoly_roots(p, QI)
     assert kpoly_deg(nonsplit) == 0
     assert sorted(str(r) for r, _ in roots) == sorted([str(i), str(-i)])
+
+
+def test_nth_root_in_field_non_rational():
+    i = QI.generator()
+    # x^2 = 2i has the roots +-(1 + i); the least under sort_key is taken
+    root = nth_root_in_field(2 * i, 2, QI)
+    assert root == min([1 + i, -1 - i], key=sort_key) and root * root == 2 * i
+    assert nth_root_in_field(-i, 3, QI) == i
+    # 8 zeta_3 = (2 zeta_9)^3, and zeta_9 is not in Q(zeta_3)
+    z3 = get_field("Q(zeta_3)")
+    assert nth_root_in_field(8 * z3.generator(), 3, z3) is None
+    # rational radicands keep their rational choice
+    assert nth_root_in_field(F(-4), 2, QI) == 2 * i
+    assert nth_root_in_field(F(9), 2, QI) == 3
+    # so a pure block whose cyclic product is (2 + 2i)(1/2 + i/2) = 2i
+    # is normalized over Q(i)
+    _, alpha = pure_leading([[0, 2 + 2 * i], [(1 + i) / 2, 0]], QI)
+    assert alpha == root
 
 
 def test_squarefree():

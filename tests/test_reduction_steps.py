@@ -18,7 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from formalconn.connections import FormalConnection, _pure_block_reduce, gauge_transform
-from formalconn.errors import FormalConnError, NotRegular, PrecisionError
+from formalconn.errors import FormalConnError, NonsplitField, NotRegular, PrecisionError
 from formalconn.matrices import LaurentMatrix
 from formalconn.parahoric import (ParahoricContext, fildeg_certified, filtration_degree,
                                   graded_monomials, standard_chain)
@@ -256,12 +256,10 @@ def pure_blocks(draw):
     r = draw(st.sampled_from([k for k in range(1, 6) if math.gcd(k, e) == 1]))
     digits = draw(st.integers(1, 4))
     ctx = complete_chain(e)
-    # the normalizer needs an e-th root of the cyclic product of the
-    # leading entries, lead^e, which the library extracts only from a
-    # rational value: blocks it runs on have a rational lead
+    # the normalizer takes an e-th root of the cyclic product of the
+    # leading entries, lead^e, which lies in the field whatever the lead
     normalize = draw(st.booleans())
-    lead = draw(nonzero_rationals if normalize else
-                scalars(field) if e == 1 else nonzero_scalars(field))
+    lead = draw(scalars(field) if e == 1 and not normalize else nonzero_scalars(field))
     coeffs = {d: draw(scalars(field)) for d in range(1 - r, digits + 2)}
     coeffs[-r] = lead
     block = ToralElement(TorusData(e, 1), [coeffs]).realization()
@@ -323,6 +321,8 @@ def test_pure_block_reduce_matches_reference(case):
     must then answer with a residual beyond digits."""
     block, ctx, r, field, digits = case
     new = reduction_outcome(_pure_block_reduce, *case)
+    # the cyclic product is lead^e, so the normalizer's root is in the field
+    assert new is not NonsplitField
     ref = reduction_outcome(ref_pure_block_reduce, *case)
     if new == ref:
         return

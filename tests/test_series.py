@@ -7,9 +7,10 @@ import pytest
 import sympy
 
 from formalconn.errors import ParseError, PrecisionError, ZeroLeading
+from formalconn.polys import nth_root_in_field
 from formalconn.scalars import (MAX_CYCLOTOMIC_DEGREE, MAX_CYCLOTOMIC_ORDER,
                                 _cyclotomic_poly, format_scalar, get_field,
-                                nth_root_in_field, parse_scalar)
+                                parse_scalar)
 from formalconn.series import INF, LaurentScalar, OneForm, default_precision, residue
 
 from helpers import LS, random_series, seeded

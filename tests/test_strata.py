@@ -197,6 +197,17 @@ def test_regularity_report_carries_split():
     iw = standard_chain((1, 1))
     pure = is_regular(Stratum(iw, 3, iw.varpi_power(-3)))
     assert pure.gauge is None and pure.parts is None
+    # depth zero: the residue eigenbasis, in the order of the leading
+    # data, with one singleton part per eigenvalue
+    res = lmat([[[(0, 1), (1, 2)], [(0, 1)]], [[(2, 3)], [(0, (1, 2))]]])
+    rep = is_regular(Stratum(mx, 0, res))
+    assert rep and rep.e == 1 and rep.leading == [1, Fraction(1, 2)]
+    assert all(set(x.coeffs) <= {0} for row in rep.gauge.rows for x in row)
+    assert [p.slots for p in rep.parts] == [[0], [1]]
+    conj = rep.gauge.inverse() * res * rep.gauge
+    assert conj.coeff_matrix(0) == [[1, 0], [0, Fraction(1, 2)]]
+    assert off_block_filtration_ok(mx, conj, [p.slots for p in rep.parts], 0)
+    assert [p.stratum.beta.rows[0][0].coeff_or_zero(0) for p in rep.parts] == rep.leading
 
 
 def test_pure_strata_classified_without_splitting(monkeypatch):
