@@ -1,8 +1,10 @@
 """Slope computation walkthrough.
 
-Builds a handful of connections, shows the standard-parahoric scan data
-(filtration depth per chain), and compares the resulting slopes with
-the naive polar order.  Run:  python demos/01_slope_walkthrough.py
+Builds a handful of connections, shows the filtration depth on the
+maximal and the Iwahori chain of the given frame, and compares the
+slope, which the descent certifies by a fundamental stratum (after
+shears and basis changes where the frame has none), with the naive
+polar order.  Run:  python demos/01_slope_walkthrough.py
 """
 
 from fractions import Fraction
@@ -46,8 +48,8 @@ def show(name, conn):
         print(line)
     print("  slope =", slope(conn))
     gauge, cur, strat = fundamental_stratum(conn)
-    print("  certifying stratum: blocks %r, r = %d (slope %s)"
-          % (strat.ctx.chain.blocks, strat.r, strat.slope))
+    print("  certifying stratum: blocks %r, r = %d (slope %s), gauge %s"
+          % (strat.ctx.chain.blocks, strat.r, strat.slope, gauge.to_json()))
 
 
 # The nilpotent-leading-term example: the naive polar order says 3 but
@@ -61,7 +63,8 @@ show("split diagonal", FormalConnection(LaurentMatrix([
     [LaurentScalar.zero(), series([(-5, 3)])]])))
 
 # The shear case: every standard chain in the given frame is
-# non-fundamental and the engine must move the lattice first.
+# non-fundamental; the descent shears the lattice by diag(1, t^-1) and
+# finds the slope 1 on the maximal chain.
 show("kernel shear needed", FormalConnection(LaurentMatrix([
     [LaurentScalar.zero(), series([(-2, 1)])],
     [series([(0, 1)]), LaurentScalar.zero()]])))

@@ -1,19 +1,18 @@
 """Formal connections: gauge action, contained strata, slope,
 splitting, and diagonalization to a formal type.
 
-The slope engine looks for a fundamental stratum, which certifies the
-slope (Bremer-Sage).  Each round reads the matrix once into a table of
-entry orders and windows and scans the standard parahorics, one per
-ordered set partition of the basis (the constant permutation gauges,
-all of them for n <= 4): the filtration degree of a candidate and the
-leading pattern of its stratum come from the table, and the stratum is
-fundamental iff that pattern is not nilpotent.  The first fundamental
-(or regular singular) candidate ends the search.
-When there is none, a shear move (Moser 1960) triangularizes the
-nilpotent leading term by a constant kernel-flag gauge and multiplies
-the kernel coordinates by t, and the scan repeats.  The shear rounds
-are not known to terminate: they give up after MAX_DESCENT_ROUNDS, and
-do so for some connections of rank n >= 5 with slope r/e, e > 1.
+The slope engine follows the proof of Bremer-Sage that every connection
+contains a fundamental stratum, whose r/e is the slope.  Each round
+reads the matrix once into a table of entry orders and windows and
+moves to the best lattice chain of its frame: the least cycle mean
+a/b of the entry orders (Karp) is the largest filtration degree -r/e
+that a chain of monomial lattices in the current basis gives the
+matrix, and a shear and a relabelling of the basis put the chain that
+reaches it in standard form, with period b <= n and gcd(a, b) = 1.  The stratum there is fundamental iff its leading term
+is not nilpotent on gr.  Otherwise a constant basis change inside the
+phase classes, adapted to the kernel flag of the leading term, lowers
+r/e strictly in the next round; r/e lies in a finite set of fractions
+with denominator at most n, so the descent terminates.
 
 Diagonalization takes one path at every depth, depth zero and rank one
 included.  The regularity report of the fundamental stratum carries its
@@ -25,25 +24,19 @@ short for the requested digits raises PrecisionError at any depth.
 """
 
 import itertools
-import math
 from fractions import Fraction
 
-from .errors import (FormalConnError, NotRegular, NotSplit, ParseError,
-                     PrecisionError, SingularGauge)
+from .errors import NotRegular, NotSplit, ParseError, PrecisionError, SingularGauge
 from .formal_types import FormalType
 from .linalg import kinverse, kmatmul, knullspace, rref
 from .matrices import LaurentMatrix
-from .parahoric import (GradedEndo, _certifying_window, fildeg_certified,
-                        filtration_degree, graded_component, pattern_to_matrix,
-                        standard_chain)
+from .parahoric import (_certifying_window, fildeg_certified, filtration_degree,
+                        graded_component, pattern_to_matrix, standard_chain)
 from .scalars import get_field, is_zero, scalar_inverse, sort_key
 from .series import INF, LaurentScalar, OneForm
-from .strata import (Stratum, infer_field, is_regular, pure_leading,
-                     reduce_stratum)
+from .strata import Stratum, infer_field, is_regular, pure_leading
 from .torus import (ToralElement, TorusData, ad_level_solve, block_levels, gauge_levels,
                     graded_level_solve, levels_matrix, rescale_levels, unipotent_times)
-
-MAX_DESCENT_ROUNDS = 64
 
 
 class FormalConnection:
@@ -142,138 +135,154 @@ def contained_stratum(conn, ctx):
 # -- slope -----------------------------------------------------------------
 
 
-def _compositions(n):
-    out = []
-    for cuts in range(1 << (n - 1)):
-        blocks = []
-        size = 1
-        for pos in range(n - 1):
-            if cuts & (1 << pos):
-                blocks.append(size)
-                size = 1
-            else:
-                size += 1
-        blocks.append(size)
-        out.append(tuple(blocks))
-    out.sort(key=lambda b: (len(b), b))
-    return out
-
-
-def _permutation_rows(perm):
-    """The constant matrix P whose row u is e_perm[u]: P M P^-1 has
-    entry (u, v) equal to M[perm[u]][perm[v]]."""
-    n = len(perm)
-    return LaurentMatrix([[LaurentScalar.one() if v == perm[u] else LaurentScalar.zero()
-                           for v in range(n)] for u in range(n)])
-
-
 def _order_table(matrix):
-    """One read of the matrix: (nonzero, windows, leads) with nonzero the
-    (i, j, order) of every entry with a known nonzero coefficient,
-    windows the (i, j, prec) of every entry known only to a finite
-    precision, and leads the leading coefficients by (i, j)."""
-    nonzero, windows, leads = [], [], {}
-    for i, row in enumerate(matrix.rows):
-        for j, entry in enumerate(row):
-            if entry.coeffs:
-                o = entry.order
-                nonzero.append((i, j, o))
-                leads[i, j] = entry.coeffs[o]
-            if entry.prec is not INF:
-                windows.append((i, j, entry.prec))
-    return nonzero, windows, leads
+    """(u, v, cost, known) for every entry that is not exactly zero: a
+    known entry costs the order of its first coefficient, an entry zero
+    to its window costs the window, the first order where a coefficient
+    could hide."""
+    return [(u, v, x.order, True) if x.coeffs else (u, v, x.prec, False)
+            for u, row in enumerate(matrix.rows) for v, x in enumerate(row)
+            if x.coeffs or x.prec is not INF]
 
 
-def _scan_standard(matrix, n, perms):
-    """The first (permutation, composition) candidate, in scan order,
-    whose contained stratum is fundamental or regular singular: (perm,
-    ctx, r), with r = 0 for regular singular; None when there is none.
+def _min_cycle_mean(n, edges):
+    """The least mean cost of a cycle of the order graph (Karp 1978), or
+    None without a cycle.  By LP duality it is the largest value, over
+    real points x, of min ord(A_uv) + x_u - x_v: the filtration degree
+    over e of the chain whose phases are e x mod e."""
+    walks = [[0] * n]
+    for _ in range(n):
+        prev, cur = walks[-1], [None] * n
+        for u, v, cost, _ in edges:
+            if prev[u] is not None and (cur[v] is None or prev[u] + cost < cur[v]):
+                cur[v] = prev[u] + cost
+        walks.append(cur)
+    return min((max(Fraction(walks[n][v] - walks[k][v], n - k)
+                    for k in range(n) if walks[k][v] is not None)
+                for v in range(n) if walks[n][v] is not None), default=None)
 
-    Entry (u, v) of the permuted matrix is matrix[perm[u]][perm[v]], so
-    a candidate only gives each original index i a phase, and its
-    filtration degree is min e*ord[i][j] + phase(i) - phase(j) over the
-    order table (undetermined, and skipped, when a window bound lies
-    below it).  Candidates giving every index the same phase -- the
-    same ordered set partition -- agree in degree, precision and
-    verdict, so each is tried once.  The stratum is fundamental iff its
-    leading pattern is not nilpotent; that pattern is read from the same
-    table, and a window ending on one of its slots raises PrecisionError.
-    """
-    nonzero, windows, leads = _order_table(matrix)
-    contexts = [standard_chain(blocks) for blocks in _compositions(n)]
-    tried = set()
-    for perm in perms:
-        pos = [0] * n
-        for u, i in enumerate(perm):
-            pos[i] = u
-        for ctx in contexts:
-            e = ctx.period
-            phase = tuple(ctx.phases[pos[i]] for i in range(n))
-            if phase in tried:
-                continue
-            tried.add(phase)
-            best = min((e * o + phase[i] - phase[j] for i, j, o in nonzero), default=INF)
-            bound = min((e * p + phase[i] - phase[j] for i, j, p in windows), default=INF)
-            if bound < best:
-                continue
-            if best == INF or best >= 0:
-                return perm, ctx, 0
-            r = -best
-            if math.gcd(r, e) > 1:
-                # The gcd reduction lands on the chain of the composition
-                # that merges runs of gcd(r, e) blocks, with the same
-                # degree and pattern; that candidate came earlier in the
-                # scan and was not fundamental.
-                continue
-            for i, j, p in windows:
-                if e * p + phase[i] - phase[j] == best:
-                    raise PrecisionError("graded coefficient at t^%d unknown" % p,
-                                         needed=p + 1)
-            pat = [[0] * n for _ in range(n)]
-            for i, j, o in nonzero:
-                if e * o + phase[i] - phase[j] == best:
-                    pat[pos[i]][pos[j]] = leads[i, j]
-            if not GradedEndo(pat, best, ctx).is_nilpotent():
-                return perm, ctx, r
+
+def _chain_potentials(n, edges, a, b, strict=True):
+    """The largest integer potentials x <= b - 1 with b cost + x_u - x_v
+    >= a on every known edge and > a on every window edge (>= a unless
+    strict): at the point x/b the matrix has filtration degree a/b over
+    e = b and a known leading term.  None when there are none
+    (Bellman-Ford on the difference constraints)."""
+    cons = [(u, v, b * cost - a - (0 if known else strict)) for u, v, cost, known in edges]
+    x = [b - 1] * n
+    for _ in range(n + 1):
+        changed = False
+        for u, v, w in cons:
+            if x[u] + w < x[v]:
+                x[v] = x[u] + w
+                changed = True
+        if not changed:
+            return x
     return None
+
+
+def _reframe(matrix, gauge, perm, shift):
+    """Gauge by the shear S = diag(t^shift), then relabel the basis u ->
+    perm: entry (i, j) becomes t^(s_u - s_v) M[u][v] - s_u [u = v] with
+    (u, v) = (perm[i], perm[j]), as tau(S) S^-1 = diag(shift).  Returns
+    the moved matrix and gauge."""
+    rows = []
+    for i, u in enumerate(perm):
+        row = [matrix.rows[u][v].shift(shift[u] - shift[v]) for v in perm]
+        if shift[u]:
+            row[i] = row[i] - LaurentScalar.from_scalar(Fraction(shift[u]))
+        rows.append(row)
+    return (LaurentMatrix(rows),
+            LaurentMatrix([[x.shift(shift[u]) for x in gauge.rows[u]] for u in perm]))
+
+
+def _flag_levi(pat, blocks):
+    """(g, g^-1) for the constant g whose columns are a basis adapted to
+    the kernel flag of the nilpotent graded pattern, each vector at a
+    slot of its own phase class: g stabilizes the chain, and g^-1 pat g
+    has a support without cycles."""
+    n = len(pat)
+    starts = list(itertools.accumulate(blocks, initial=0))
+    free = [iter(range(starts[k], starts[k + 1])) for k in range(len(blocks))]
+    cols = [None] * n
+    for vec in _kernel_flag_basis(pat, n):
+        u = next(i for i, c in enumerate(vec) if not is_zero(c))
+        cols[next(free[next(k for k in range(len(blocks)) if u < starts[k + 1])])] = vec
+    g = [[cols[j][i] for j in range(n)] for i in range(n)]
+    return LaurentMatrix.from_scalar_matrix(g), LaurentMatrix.from_scalar_matrix(kinverse(g))
 
 
 def fundamental_stratum(conn):
     """A fundamental stratum contained in the connection.
 
-    Returns (gauge, gauged_connection, stratum): the (gcd-reduced)
-    stratum is contained in gauge . conn with respect to a standard
-    chain, so its slope certifies the connection slope.  Regular
-    singular input yields the depth-zero stratum on the maximal chain.
+    Returns (gauge, gauged_connection, stratum): the stratum, with
+    gcd(r, e) = 1 on a grouped standard chain, is contained in
+    gauge . conn, so its slope r/e certifies the connection slope;
+    regular singular input yields the depth-zero stratum on the maximal
+    chain.
 
-    Each round scans the standard parahorics over constant permutations
-    (all of them for n <= 4, the identity above) and stops at the first
-    fundamental or regular singular candidate.  When there is none, a
-    shear move triangularizes the nilpotent leading term by a constant
-    kernel-flag gauge and multiplies the kernel coordinates by t.  Both
-    moves cost at most a constant derivative term.  Nothing guarantees
-    that the rounds find a fundamental stratum: the search gives up with
-    FormalConnError after MAX_DESCENT_ROUNDS, which happens for some
-    n >= 5 connections of slope r/e with e > 1.
+    This is the descent of Bremer-Sage's proof that a fundamental
+    stratum exists.  Each round moves to the chain of monomial lattices in the
+    current basis with the least r/e: -r/e is the least cycle mean a/b
+    of the entry orders, the difference constraints of degree a/b give
+    the chain (phases mod b, a shear t^s for the rest), and a critical
+    cycle, tight there, meets every phase class mod b, so e = b <= n.
+    A shear and a relabelling of the basis make the chain standard.  If
+    the leading term beta is not nilpotent on gr, or mu >= 0, the
+    descent stops.  Otherwise a constant gauge inside the phase classes,
+    adapted to the kernel flag of beta, leaves beta with an acyclic
+    support.
+
+    Termination: that gauge keeps every entry's degree at the chain, and
+    only beta lies at degree a; every cycle now has an edge at degree
+    a + 1 or more, so the next least cycle mean is strictly larger.  All
+    of them lie in {a/b : mu_0 <= a/b < 0, b <= n}, so at most
+    sum_(b <= n) floor(-mu_0 b) rounds precede the last; the loop
+    asserts that bound.
+
+    Precision: an entry zero to its window counts as a coefficient at
+    the window, and the chain keeps every window above the leading term;
+    PrecisionError when there is none.  At depth zero a window may reach
+    the residue if a known entry still certifies the filtration degree.
     """
     conn = conn.standardized()
     n = conn.n
-    gauge = LaurentMatrix.identity(n)
-    cur = conn
-    perms = list(itertools.permutations(range(n))) if n <= 4 else [tuple(range(n))]
-    for round_no in range(MAX_DESCENT_ROUNDS):
-        found = _scan_standard(cur.matrix, n, perms)
-        if found is not None:
-            perm, ctx, r = found
-            pm = _permutation_rows(perm)
-            gauge = pm * gauge
-            cur = gauge_transform(pm, cur)
-            s = Stratum(ctx, r, cur.matrix, cur.nu)
-            return gauge, cur, (s if r == 0 else reduce_stratum(s))
-        h, moved = _moser_move(cur.matrix, 1 + round_no % max(n - 1, 1))
-        gauge = h * gauge
-        cur = FormalConnection(moved, cur.nu)
-    raise FormalConnError("slope descent did not terminate")
+    matrix, gauge = conn.matrix, LaurentMatrix.identity(n)
+    depths = []
+    while True:
+        edges = _order_table(matrix)
+        mu = _min_cycle_mean(n, edges)
+        a, b = (mu.numerator, mu.denominator) if mu is not None and mu < 0 else (0, 1)
+        if not depths:
+            bound = 1 + sum(-a * k // b for k in range(1, n + 1))
+        assert not depths or depths[-1] < Fraction(a, b), "descent round did not raise r/e"
+        depths.append(Fraction(a, b))
+        assert len(depths) <= bound, "descent exceeded its round bound %d" % bound
+        x = _chain_potentials(n, edges, a, b)
+        loose = x is None and a == 0
+        if loose:
+            x = _chain_potentials(n, edges, 0, 1, strict=False)
+        if x is None:
+            raise PrecisionError("a window reaches the leading term at degree %d/%d" % (a, b))
+        phases = [xu % b for xu in x]
+        shift = [xu // b for xu in x]
+        perm = sorted(range(n), key=lambda u: (-phases[u], u))
+        if any(shift) or perm != list(range(n)):
+            matrix, gauge = _reframe(matrix, gauge, perm, shift)
+        blocks = [phases.count(p) for p in range(b - 1, -1, -1)]
+        ctx = standard_chain(blocks)
+        cur = FormalConnection(matrix, conn.nu)
+        if a == 0:
+            if loose:
+                # in gl_n(o) with a window on the residue: raises unless a
+                # known entry certifies the filtration degree
+                filtration_degree(matrix, ctx)
+            return gauge, cur, Stratum(ctx, 0, matrix, conn.nu)
+        beta = graded_component(matrix, ctx, a)
+        if not beta.is_nilpotent():
+            return gauge, cur, Stratum(ctx, -a, matrix, conn.nu)
+        g, g_inv = _flag_levi(beta.pattern, blocks)
+        matrix, gauge = g_inv * matrix * g, g_inv * gauge
 
 
 def _kernel_flag_basis(pat, n):
@@ -295,50 +304,9 @@ def _kernel_flag_basis(pat, n):
     return None
 
 
-def _moser_move(matrix, kernel_power=1):
-    """One shear move on the maximal chain of the matrix of nabla_tau
-    against dt/t: bring the nilpotent leading coefficient into
-    kernel-flag position by the constant basis C, then rescale the
-    coordinates of ker(pattern^k) by t.
-
-    Returns (h, moved): the gauge h = S C^-1 with S = diag(t^a), and
-    h . matrix in closed form, S (C^-1 matrix C) S^-1 - diag(a), since
-    C is constant and tau(S) S^-1 = diag(a).
-    """
-    n = matrix.n
-    ctx = standard_chain((n,))
-    d = filtration_degree(matrix, ctx)
-    if d is INF:
-        raise FormalConnError("shear move on the zero matrix")
-    pat = graded_component(matrix, ctx, d).pattern
-    basis = _kernel_flag_basis(pat, n)
-    if basis is None:
-        raise FormalConnError("leading coefficient has no kernel flag")
-    c = [[basis[j][i] for j in range(n)] for i in range(n)]
-    c_inv = kinverse(c)
-    # kernel of pattern^k in the flag basis occupies the first coordinates
-    power = [list(r) for r in pat]
-    for _ in range(kernel_power - 1):
-        power = kmatmul(power, pat)
-    ker_dim = max(1, len(knullspace(power)))
-    ker_dim = min(ker_dim, n - 1) if ker_dim == n else ker_dim
-    a = [1 if u < ker_dim else 0 for u in range(n)]
-    c_inv_mat = LaurentMatrix.from_scalar_matrix(c_inv)
-    h = LaurentMatrix([[x.shift(a[u]) for x in row] for u, row in enumerate(c_inv_mat.rows)])
-    inner = c_inv_mat * matrix * LaurentMatrix.from_scalar_matrix(c)
-    moved = [[x.shift(a[u] - a[v]) for v, x in enumerate(row)]
-             for u, row in enumerate(inner.rows)]
-    for u in range(n):
-        if a[u]:
-            moved[u][u] = moved[u][u] - LaurentScalar.from_scalar(Fraction(a[u]))
-    return h, LaurentMatrix(moved)
-
-
 def slope(conn):
-    """Katz slope: r/e_P of any contained fundamental stratum; zero for
-    regular singular connections."""
-    if conn.standardized().matrix.is_zero():
-        return Fraction(0)
+    """Katz slope: r/e_P of the contained fundamental stratum that
+    fundamental_stratum finds; zero for regular singular connections."""
     _, _, s = fundamental_stratum(conn)
     return s.slope
 

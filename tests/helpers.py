@@ -23,18 +23,19 @@ import itertools
 import random
 from fractions import Fraction
 
-from formalconn.connections import (MAX_DESCENT_ROUNDS, _compositions, _kernel_flag_basis,
-                                    gauge_transform)
+from formalconn import connections
+from formalconn.connections import FormalConnection, _kernel_flag_basis, gauge_transform
 from formalconn.errors import (FormalConnError, NotRegular, PrecisionError, SingularGauge,
                                ZeroLeading)
-from formalconn.formal_types import WeylElement
-from formalconn.linalg import kmatmul, knullspace, ksolve
+from formalconn.formal_types import FormalType, WeylElement
+from formalconn.linalg import kinverse, kmatmul, knullspace, ksolve
 from formalconn.matrices import LaurentMatrix
 from formalconn.parahoric import (filtration_degree, graded_component, graded_monomials,
                                   monomial_matrix, standard_chain)
 from formalconn.polys import kpoly_deg, kpoly_divmod, kpoly_gcdext, kpoly_mul, kpoly_sub, \
     kpoly_trim
-from formalconn.scalars import Ext, as_fraction, is_rational_value, is_zero, scalar_inverse
+from formalconn.scalars import (Ext, as_fraction, get_field, is_rational_value, is_zero,
+                                scalar_inverse, sort_key)
 from formalconn.series import INF, PRECISION_FLOOR, LaurentScalar, default_precision
 from formalconn.strata import Stratum, pure_leading, reduce_stratum
 from formalconn.torus import (ToralElement, TorusData, graded_ad_image_solve,
@@ -81,6 +82,75 @@ def random_unit_matrix(rng, n, depth=3):
             row.append(LaurentScalar(coeffs))
         rows.append(row)
     return LaurentMatrix(rows)
+
+
+def random_regular_type(rng, n, e, r):
+    """A regular formal type over Q of shape (n, e, r), coefficients
+    drawn from rng: gcd(r, e) = 1 and nonzero leading coefficients with
+    pairwise distinct e-th powers (at depth zero, e = 1 and leading
+    coefficients pairwise distinct modulo Z).  Rows are sorted by their
+    leading coefficient."""
+    leads = []
+    while len(leads) < n // e:
+        lead = Fraction(rng.randint(-6, 6), rng.randint(1, 3 if r else max(3, n + 1)))
+        if r == 0:
+            fine = all((lead - o).denominator != 1 for o in leads)
+        else:
+            fine = lead != 0 and all(lead ** e != o ** e for o in leads)
+        if fine:
+            leads.append(lead)
+    rows = sorted(([lead] + [Fraction(rng.randint(-4, 4), rng.randint(1, 2)) for _ in range(r)]
+                   for lead in leads), key=lambda row: sort_key(row[0]))
+    return FormalType(TorusData(e, n // e), r, rows, get_field("Q"))
+
+
+def shear_gauged(rng, conn, spread=2):
+    """The connection (against dt/t) gauged by g = C1 diag(t^a) C2 with
+    constant invertible C1, C2 drawn from rng and a in [-spread,
+    spread]; g^-1 and tau(g) are written in closed form."""
+    n = conn.n
+
+    def invertible():
+        while True:
+            rows = [[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
+            inv = kinverse(rows)
+            if inv is not None:
+                return LaurentMatrix.from_scalar_matrix(rows), LaurentMatrix.from_scalar_matrix(inv)
+
+    def diagonal(items):
+        return LaurentMatrix([[items[i] if i == j else LaurentScalar.zero() for j in range(n)]
+                              for i in range(n)])
+
+    c1, c1_inv = invertible()
+    a = [rng.randint(-spread, spread) for _ in range(n)]
+    c2, c2_inv = invertible()
+    g = c1 * diagonal([LaurentScalar.t_power(k) for k in a]) * c2
+    g_inv = c2_inv * diagonal([LaurentScalar.t_power(-k) for k in a]) * c1_inv
+    tau_g = c1 * diagonal([LaurentScalar.t_power(k, Fraction(k)) for k in a]) * c2
+    return FormalConnection(g * conn.matrix * g_inv - tau_g * g_inv, conn.nu)
+
+
+def record_descent_depths(monkeypatch):
+    """A list that receives the depth mu (None: no cycle) of each round
+    of the slope descent, one per round."""
+    depths = []
+    original = connections._min_cycle_mean
+
+    def recording(n, edges):
+        mu = original(n, edges)
+        depths.append(mu)
+        return mu
+
+    monkeypatch.setattr(connections, "_min_cycle_mean", recording)
+    return depths
+
+
+def descent_round_bound(n, first):
+    """The descent's bound on its rounds from the first depth: one more
+    than the number of fractions a/b with first <= a/b < 0 and b <= n."""
+    if first is None or first >= 0:
+        return 1
+    return 1 + sum(int(-first * b) for b in range(1, n + 1))
 
 
 # -- the Katz growth oracle ---------------------------------------------------
@@ -339,6 +409,29 @@ def ref_matinv(m, digits=None):
 
 
 # -- reference slope descent ----------------------------------------------------
+
+
+# The shear rounds of the reference descent give up after this many.
+MAX_DESCENT_ROUNDS = 64
+
+
+def _compositions(n):
+    """Every composition of n (the block sizes of a standard chain),
+    fewest blocks first."""
+    out = []
+    for cuts in range(1 << (n - 1)):
+        blocks = []
+        size = 1
+        for pos in range(n - 1):
+            if cuts & (1 << pos):
+                blocks.append(size)
+                size = 1
+            else:
+                size += 1
+        blocks.append(size)
+        out.append(tuple(blocks))
+    out.sort(key=lambda b: (len(b), b))
+    return out
 
 
 def ref_is_nilpotent(pattern):

@@ -279,6 +279,16 @@ def test_fundamental_stratum_rank_one_zero_window():
             fundamental_stratum(FormalConnection(zero))
 
 
+def test_slope_of_zero_to_window_raises():
+    # a matrix zero only to its window certifies no slope; an exact zero
+    # matrix is regular singular
+    for z, n in ((LaurentScalar.zero(prec=-3), 2), (LaurentScalar.zero(prec=0), 1)):
+        with pytest.raises(PrecisionError):
+            slope(FormalConnection(LaurentMatrix([[z] * n for _ in range(n)])))
+    for n in (1, 3):
+        assert slope(FormalConnection(LaurentMatrix.zero(n))) == 0
+
+
 def _diagonalizes(conn, res, digits):
     resid = gauge_transform(res.gauge, conn).matrix - res.A_rep.realization()
     ctx = res.formal_type.torus.context()

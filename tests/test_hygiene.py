@@ -1,6 +1,7 @@
 """Static checks on the library source, standing in for a linter: every
-module-level import is used, and every top-level private function is
-referenced somewhere in the library."""
+module-level import is used, no function imports inside its body, and
+every top-level private function is referenced somewhere in the
+library."""
 
 import ast
 import os
@@ -53,6 +54,18 @@ def test_no_unused_module_imports():
                 if bound not in used:
                     unused.append("%s: %s" % (name, bound))
     assert not unused, "unused imports: %s" % ", ".join(unused)
+
+
+def test_no_function_local_imports():
+    local = []
+    for name, tree in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                for sub in ast.walk(node):
+                    if isinstance(sub, (ast.Import, ast.ImportFrom)):
+                        local.append("%s:%d in %s" % (name, sub.lineno,
+                                                      getattr(node, "name", "lambda")))
+    assert not local, "imports inside functions: %s" % ", ".join(local)
 
 
 def test_private_functions_are_referenced():

@@ -1,19 +1,22 @@
-"""Algebraic laws as properties: the gauge action composes, and JSON
-round trips return what was written, over Q and Q(i)."""
+"""Algebraic laws as properties: the gauge action composes, the slope
+is gauge invariant, and JSON round trips return what was written, over
+Q and Q(i)."""
 
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from formalconn.connections import FormalConnection, gauge_transform
+from formalconn.connections import FormalConnection, gauge_transform, slope
 from formalconn.formal_types import FormalType
 from formalconn.matrices import LaurentMatrix
 from formalconn.scalars import get_field
 from formalconn.series import LaurentScalar, OneForm
 from formalconn.torus import TorusData
 
-from helpers import random_matrix, random_unit_matrix, seeded
+from helpers import (random_matrix, random_regular_type, random_unit_matrix, seeded,
+                     shear_gauged)
 
 Q = get_field("Q")
 QI = get_field("Q(i)")
@@ -64,6 +67,32 @@ def test_gauge_action_composes(n, seed, constant_first):
     twice = gauge_transform(h, gauge_transform(g, conn)).matrix
     assert once.agrees(twice)
     assert gauge_transform(LaurentMatrix.identity(n), conn).matrix.agrees(conn.matrix)
+
+
+@st.composite
+def _slope_inputs(draw):
+    """A seed and a connection of rank <= 6: a shear-gauged regular
+    formal type (slope r/e, e | n, gcd(r, e) = 1) or a random matrix."""
+    seed = draw(st.integers(0, 10 ** 6))
+    rng = seeded(seed)
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        return seed, FormalConnection(random_matrix(rng, n, lo=-3, hi=2, density=0.4))
+    e = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+    r = draw(st.sampled_from([r for r in range(0 if e == 1 else 1, 4)
+                              if math.gcd(r, e) == 1]))
+    conn = FormalConnection(random_regular_type(rng, n, e, r).realization())
+    return seed, shear_gauged(rng, conn, spread=1)
+
+
+@given(_slope_inputs())
+@settings(max_examples=25, deadline=None)
+def test_slope_is_gauge_invariant(case):
+    # slope(g . A) = slope(A) for a unit gauge g = 1 + O(t), whose
+    # inverse leaves windows in g . A
+    seed, conn = case
+    g = random_unit_matrix(seeded(seed + 1), conn.n)
+    assert slope(gauge_transform(g, conn)) == slope(conn)
 
 
 @given(_fields.flatmap(lambda f: _series(f)))
