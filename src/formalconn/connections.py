@@ -17,10 +17,13 @@ with denominator at most n, so the descent terminates.
 Diagonalization takes one path at every depth, depth zero and rank one
 included.  The regularity report of the fundamental stratum carries its
 split, when there is one (at depth zero, the residue eigenbasis on the
-maximal chain); split_connection clears the levels between the parts;
-and each part, or the whole matrix when there is no split, is a pure
-block, reduced in its level form by _pure_block_reduce.  A window too
-short for the requested digits raises PrecisionError at any depth.
+maximal chain), with the inverse basis change and the conjugated
+matrix, so the split basis is applied with no further inverse;
+split_connection clears the off-block levels between the parts in the
+level form of the chain; and each part, or the whole matrix when there
+is no split, is a pure block, reduced in its level form by
+_pure_block_reduce.  A window too short for the requested digits raises
+PrecisionError at any depth.
 """
 
 import itertools
@@ -31,12 +34,13 @@ from .formal_types import FormalType
 from .linalg import kinverse, kmatmul, knullspace, rref
 from .matrices import LaurentMatrix
 from .parahoric import (_certifying_window, fildeg_certified, filtration_degree,
-                        graded_component, pattern_to_matrix, standard_chain)
+                        graded_component, standard_chain)
 from .scalars import get_field, is_zero, scalar_inverse, sort_key
-from .series import INF, LaurentScalar, OneForm
+from .series import INF, LaurentScalar, OneForm, default_precision
 from .strata import Stratum, infer_field, is_regular, pure_leading
 from .torus import (ToralElement, TorusData, ad_level_solve, block_levels, gauge_levels,
-                    graded_level_solve, levels_matrix, rescale_levels, unipotent_times)
+                    graded_pattern_solve, level_pattern, levels_matrix, pattern_level,
+                    rescale_levels, unipotent_times)
 
 
 class FormalConnection:
@@ -316,16 +320,26 @@ def slope(conn):
 
 def split_connection(conn, ctx, r, slot_lists, digits=8):
     """Kill the off-diagonal blocks of a connection containing a stratum
-    split along the given coordinate slots.
+    split along the given coordinate slots of a uniform chain.
 
-    Iterates the strongly-uniform graded solves, level by level; at
-    depth zero (the residue eigenlines that diagonalize splits along)
-    the graded derivative contributes the shift -m, and an unsolvable
-    level raises NotSplit.  Returns (p, conn') with p a product of
-    unipotent off-block gauges and conn' block diagonal to the requested
-    depth: off-blocks have filtration degree >= 1 - r + digits.  Raises
-    PrecisionError, with the window needed, when an off-block window
-    ends before that.
+    The matrix is read once into its level form on the chain (see
+    :mod:`formalconn.torus`), as far as it is known; an exact matrix to
+    the session precision (default_precision() t-digits).  The off-block
+    part of each level d below the target 1 - r + digits, from 1 - r
+    up, is cleared by the gauge 1 - X with X at level d + r solving
+    ad(X)(lead) - m X = off-block part (torus.graded_pattern_solve, the
+    solver of graded_level_solve; the shift -m = -d is the graded
+    derivative at depth zero), and an unsolvable level raises NotSplit.
+    The gauge acts by the level recurrence B = A - XA + tau X,
+    A' = B + A'X of ``torus.gauge_levels``, with no inverse; it moves
+    only the levels from d on, so one pass in order clears them all.
+
+    Returns (p, conn') with p the exact product of the gauges 1 - X and
+    conn' block diagonal to the requested depth: off-blocks have
+    filtration degree >= 1 - r + digits, and conn' is known as far as
+    its level form was read.  Raises PrecisionError, with the window
+    needed, when the input is not known below the target level, and
+    NotSplit when its leading term is not block diagonal.
     """
     conn = conn.standardized()
     n = conn.n
@@ -333,43 +347,37 @@ def split_connection(conn, ctx, r, slot_lists, digits=8):
     for idx, slots in enumerate(slot_lists):
         for u in slots:
             part_of[u] = idx
-    lead_pat = [[graded_component(conn.matrix, ctx, -r).pattern[u][v]
-                 if part_of[u] == part_of[v] else Fraction(0)
-                 for v in range(n)] for u in range(n)]
-    lead_mat = pattern_to_matrix(ctx, lead_pat, -r)
-    p_total = LaurentMatrix.identity(n)
-    cur = conn
     target = 1 - r + digits
-    for _ in range(digits + 2 * r + 4):
-        off = _off_part(cur.matrix, part_of)
-        try:
-            d = filtration_degree(off, ctx, stop_at=target)
-        except PrecisionError as exc:
-            raise PrecisionError("splitting ran out of digits", needed=exc.needed,
-                                 short_by=exc.short_by)
-        if d is INF or d >= target:
-            break
-        # x solves ad(x)(lead) - m x = off on the off-diagonal slots (the
-        # shift -m = -d is the graded derivative at depth zero), so the
-        # gauge 1 - x removes the level.
-        x = graded_level_solve(lead_mat, off, ctx, d, r,
-                               keep=lambda u, v: part_of[u] != part_of[v],
-                               shift=-d if r == 0 else 0)
+    _, window = fildeg_certified(conn.matrix, ctx)
+    if window < target:
+        needed, short_by = _certifying_window(conn.matrix, ctx, target)
+        raise PrecisionError("splitting needs the matrix below level %d, known below %d"
+                             % (target, window), needed=needed, short_by=short_by)
+    below = min(window, max(target, ctx.period * default_precision()))
+    lead = graded_component(conn.matrix, ctx, -r).pattern
+    if any(not is_zero(c) for u, row in enumerate(lead) for v, c in enumerate(row)
+           if part_of[u] != part_of[v]):
+        raise NotSplit("the leading term is not block diagonal along the slots")
+    cur = block_levels(conn.matrix, below, ctx)
+    gauge = {0: pattern_level([[Fraction(int(u == v)) for v in range(n)] for u in range(n)],
+                              0, ctx)}
+    for d in range(min(cur, default=target), target):
+        if d not in cur:
+            continue
+        off = [[c if part_of[u] != part_of[v] else Fraction(0) for v, c in enumerate(row)]
+               for u, row in enumerate(level_pattern(cur[d], d, ctx))]
+        if all(is_zero(c) for row in off for c in row):
+            continue
+        x = graded_pattern_solve(lead, off, ctx, d, r,
+                                 keep=lambda u, v: part_of[u] != part_of[v],
+                                 shift=-d if r == 0 else 0)
         if x is None:
             raise NotSplit("resonant obstruction at level %d" % (d + r))
-        g = LaurentMatrix.identity(n) - x
-        cur = gauge_transform(g, cur)
-        p_total = g * p_total
-    else:
-        raise PrecisionError("splitting did not reach the requested depth")
-    return p_total, cur
-
-
-def _off_part(mat, part_of):
-    n = mat.n
-    rows = [[mat.rows[u][v] if part_of[u] != part_of[v] else LaurentScalar.zero()
-             for v in range(n)] for u in range(n)]
-    return LaurentMatrix(rows)
+        neg_x = [-c for c in pattern_level(x, d + r, ctx)]
+        cur = gauge_levels(cur, d + r, neg_x, below, ctx)
+        gauge = unipotent_times(d + r, neg_x, gauge, ctx=ctx)
+    return (levels_matrix(gauge, n, ctx),
+            FormalConnection(levels_matrix(cur, n, ctx, below), conn.nu))
 
 
 # -- diagonalization ---------------------------------------------------------
@@ -412,9 +420,13 @@ def diagonalize(conn, digits=8):
         raise NotRegular("connection is not regular: %s" % report.reason)
     parts = [(range(cur.n), strat.ctx)]
     if report.parts:
-        g_inv = report.gauge.inverse()
-        cur = gauge_transform(g_inv, cur)
-        gauge = g_inv * gauge
+        # g^-1 . nabla = g^-1 A g + g^-1 tau(g), the first term from the
+        # report, cut to the t-window that certifies level digits + 1,
+        # all that the split and the pure blocks read
+        e = strat.ctx.period
+        cur = FormalConnection((report.conjugate + report.gauge_inverse * report.gauge.tau())
+                               .truncate(-(-(digits + e) // e)), cur.nu)
+        gauge = report.gauge_inverse * gauge
         p_split, cur = split_connection(cur, strat.ctx, r,
                                         [part.slots for part in report.parts],
                                         digits=digits + r)

@@ -69,12 +69,6 @@ def rref(mat):
     return m, pivots
 
 
-def krank(mat):
-    if not mat or not mat[0]:
-        return 0
-    return len(rref(mat)[1])
-
-
 def knullspace(mat):
     """Basis of the right kernel, as a list of column vectors."""
     rows = len(mat)

@@ -135,17 +135,6 @@ def matrix_columns(mat):
     return [[mat.rows[i][j] for i in range(mat.n)] for j in range(mat.n)]
 
 
-def monomial_lattice_columns(exps):
-    """Columns of the diagonal lattice sum t^(e_u) o e_u."""
-    n = len(exps)
-    cols = []
-    for u in range(n):
-        col = [LaurentScalar.zero() for _ in range(n)]
-        col[u] = LaurentScalar.t_power(exps[u])
-        cols.append(col)
-    return cols
-
-
 def preimage_lattice(kcols, exps):
     """Basis of {x in F^d : sum x_k K_k lies in the monomial lattice
     with exponents exps}, as d-dimensional columns.

@@ -51,13 +51,14 @@ class ParahoricContext:
     """A standard parahoric: chain data plus the phase vector and, for
     uniform chains, the shift generator of P^1."""
 
-    __slots__ = ("chain", "phases", "layout", "_varpi")
+    __slots__ = ("chain", "phases", "layout", "_varpi", "_classes")
 
     def __init__(self, chain, phases, layout):
         self.chain = chain
         self.phases = tuple(phases)
         self.layout = layout
         self._varpi = None
+        self._classes = None
 
     # -- constructors ---------------------------------------------------
 
@@ -122,6 +123,18 @@ class ParahoricContext:
 
     def same_filtration(self, other):
         return self.period == other.period and self.phases == other.phases
+
+    @property
+    def phase_classes(self):
+        """For each residue c = 0, ..., e-1, the basis slots whose phase
+        is c modulo e, in ascending order."""
+        if self._classes is None:
+            e = self.period
+            classes = [[] for _ in range(e)]
+            for u, p in enumerate(self.phases):
+                classes[p % e].append(u)
+            self._classes = tuple(tuple(c) for c in classes)
+        return self._classes
 
     # -- the shift generator -----------------------------------------------
 
@@ -234,16 +247,9 @@ class GradedEndo:
         self.r = r
         self.ctx = ctx
 
-    def _classes(self):
-        e = self.ctx.period
-        classes = [[] for _ in range(e)]
-        for u, p in enumerate(self.ctx.phases):
-            classes[p % e].append(u)
-        return classes
-
     def maps(self):
         """The e maps Hom(Lbar^i, Lbar^(i+r)) as constant matrices."""
-        classes = self._classes()
+        classes = self.ctx.phase_classes
         return [_block(self.pattern, classes, i, self.r) for i in range(self.ctx.period)]
 
     def compose(self, other):
@@ -267,7 +273,7 @@ class GradedEndo:
         changes no product's nilpotency.
         """
         e = self.ctx.period
-        classes = self._classes()
+        classes = self.ctx.phase_classes
         pattern = self.pattern
         if all(isinstance(c, (int, Fraction)) for row in pattern for c in row):
             den = math.lcm(*(c.denominator for row in pattern for c in row))

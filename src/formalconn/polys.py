@@ -376,25 +376,61 @@ def spoly_mul(p, q, prec=INF):
     return out
 
 
-def hensel_lift(phi, g0, h0, digits):
-    """Lift the coprime factorization phi = g0 h0 (mod t) to t^digits.
+def hensel_lift(phi, factors, digits):
+    """Lift the coprime factorization phi = prod(factors) (mod t) to
+    t^digits, all factors at once.
 
     phi: monic, coefficients LaurentScalar with orders >= 0.
-    g0, h0: monic coprime ground-field polynomials.
-    Returns (g, h) with series coefficients, known to t^digits, agreeing
-    with phi to the requested number of t-digits.
+    factors: monic, pairwise coprime ground-field polynomials whose
+    product is phi mod t.
+    Returns the lifted factors, in order: monic series-coefficient
+    polynomials known to t^digits whose product agrees with phi through
+    t^digits.
 
-    Linear lifting (von zur Gathen-Gerhard, *Modern Computer Algebra*,
-    15.4) on ground-field polynomials by t-digit: with g = sum g_k t^k
-    and h = sum h_k t^k, the error at digit k is
-    e_k = phi_k - sum_(0<i<k) g_i h_(k-i), and the corrections solve
-    g_k h0 + h_k g0 = e_k with deg g_k < deg g0.
+    Multifactor lifting along a balanced factor tree (von zur
+    Gathen-Gerhard, *Modern Computer Algebra*, 15.5): the root lifts phi
+    into the products of the two halves of the factor list, and each
+    half is then split by its own subtree, so k factors take k - 1
+    two-factor lifts, each smaller than phi below the root.
     """
-    one, u, v = kpoly_gcdext(g0, h0)
+    digs = [kpoly_trim([c.coeff_or_zero(k) for c in phi]) for k in range(digits)]
+    return [_by_power(lift, len(fac), digits)
+            for lift, fac in zip(_lift_tree(digs, factors, digits), factors)]
+
+
+def _lift_tree(digs, factors, digits):
+    """The t-digit lists of the monic lifts of the factors whose
+    product is the digit list ``digs`` mod t."""
+    if len(factors) == 1:
+        return [digs]
+    k = len(factors) // 2
+    g0, h0 = factors[0], factors[k]
+    for f in factors[1:k]:
+        g0 = kpoly_mul(g0, f)
+    for f in factors[k + 1:]:
+        h0 = kpoly_mul(h0, f)
+    g, h = _lift_pair(digs, g0, h0, digits)
+    return _lift_tree(g, factors[:k], digits) + _lift_tree(h, factors[k:], digits)
+
+
+def _lift_pair(digs, g0, h0, digits):
+    """The t-digit lists (g, h) of the monic lifts of the coprime g0, h0
+    with g h = digs through t^digits.
+
+    Linear lifting (von zur Gathen-Gerhard, 15.4) on ground-field
+    polynomials by t-digit: with g = sum g_k t^k and h = sum h_k t^k,
+    the error at digit k is e_k = digs_k - sum_(0<i<k) g_i h_(k-i), and
+    the corrections solve g_k h0 + h_k g0 = e_k with deg g_k < deg g0.
+    Quadratic (Newton) steps, which also lift the Bezout cofactors, were
+    measured about twice as slow here: with schoolbook products of digit
+    polynomials a doubling step costs more digit products than the
+    digits it adds.
+    """
+    one, _, v = kpoly_gcdext(g0, h0)
     assert kpoly_deg(one) == 0, "factors are not coprime"
     gs, hs = [g0], [h0]
     for k in range(1, digits):
-        e_k = kpoly_trim([c.coeff_or_zero(k) for c in phi])
+        e_k = digs[k]
         for i in range(1, k):
             if kpoly_deg(gs[i]) >= 0 and kpoly_deg(hs[k - i]) >= 0:
                 e_k = kpoly_sub(e_k, kpoly_mul(gs[i], hs[k - i]))
@@ -403,14 +439,12 @@ def hensel_lift(phi, g0, h0, digits):
             hs.append(e_k)
             continue
         # Solve A h0 + B g0 = e_k with deg A < deg g0.
-        a_raw = kpoly_mul(v, e_k)
-        _, a = kpoly_divmod(a_raw, g0)
-        num = kpoly_sub(e_k, kpoly_mul(a, h0))
-        b, rem = kpoly_divmod(num, g0)
+        _, a = kpoly_divmod(kpoly_mul(v, e_k), g0)
+        b, rem = kpoly_divmod(kpoly_sub(e_k, kpoly_mul(a, h0)), g0)
         assert kpoly_deg(rem) < 0, "Hensel correction failed to divide"
         gs.append(a)
         hs.append(b)
-    return _by_power(gs, len(g0), digits), _by_power(hs, len(h0), digits)
+    return gs, hs
 
 
 def _by_power(digit_polys, length, digits):
@@ -425,9 +459,13 @@ def _by_power(digit_polys, length, digits):
 
 
 def spoly_eval_matrix(p, mat):
-    """Evaluate a series-coefficient polynomial on a LaurentMatrix."""
+    """Evaluate a series-coefficient polynomial on a LaurentMatrix by
+    Horner's rule, whose first step scales the matrix entrywise: a
+    polynomial of degree d takes d - 1 matrix products."""
     n = mat.n
-    acc = LaurentMatrix.scalar(n, p[-1])
-    for c in reversed(p[:-1]):
+    if len(p) == 1:
+        return LaurentMatrix.scalar(n, p[0])
+    acc = mat * p[-1] + LaurentMatrix.scalar(n, p[-2])
+    for c in reversed(p[:-2]):
         acc = acc * mat + LaurentMatrix.scalar(n, c)
     return acc

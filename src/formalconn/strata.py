@@ -183,13 +183,24 @@ def split_stratum(s, field=None):
     Returns (g, parts): a basis change g in GL_n(o) stabilizing the
     chain, such that Ad(g^-1)(beta) is block diagonal modulo P^(1-r)
     with respect to the parts' coordinate slots; parts are sorted by
-    the total order on their phi-roots.
+    the total order on their phi-roots.  The regularity test keeps
+    g^-1 and Ad(g^-1)(beta) as well (see :class:`RegularityReport`).
 
     Raises IrreducibleStratum for pure strata (single linear factor
     power) and NonsplitField when phi does not factor over the field.
     """
-    if field is None:
-        field = infer_field(s.beta)
+    g, _, _, parts = _split_stratum(s, infer_field(s.beta) if field is None else field)
+    return g, parts
+
+
+def _split_stratum(s, field):
+    """(g, g^-1, Ad(g^-1)(beta), parts) for :func:`split_stratum`: the
+    split's one Gauss-Jordan inverse, and the conjugated representative
+    that the parts are read from.
+
+    All factors of phi are lifted together, by one multifactor Hensel
+    lift, to r n + HENSEL_GUARD digits; the kernel of each lifted factor
+    at y gives a part."""
     if s.r > 0 and math.gcd(s.r, s.e) != 1:
         raise GcdViolation("split requires gcd(r, e) = 1; reduce first")
     if not is_fundamental(s):
@@ -213,32 +224,19 @@ def split_stratum(s, field=None):
     y_tilde = _power_truncated(s.beta, s.e, digits).shift(s.r).truncate(digits)
     phi_tilde = [c.truncate(digits) for c in charpoly_series(y_tilde)]
 
-    kernels = []
-    rest = groups
-    for fac, gpoly in groups[:-1]:
-        hpoly = [field.one()]
-        for f2, p2 in rest:
-            if f2 is not fac:
-                hpoly = kpoly_mul(hpoly, p2)
-        glift, _ = hensel_lift(phi_tilde, gpoly, hpoly, digits)
-        kernels.append(_kernel_of_poly(glift, y_tilde))
-    # last part: kernel of the lifted product of all other factors
-    fac_last, gpoly_last = groups[-1]
-    hpoly_last = [field.one()]
-    for f2, p2 in groups[:-1]:
-        hpoly_last = kpoly_mul(hpoly_last, p2)
-    glift_last, _ = hensel_lift(phi_tilde, gpoly_last, hpoly_last, digits)
-    kernels.append(_kernel_of_poly(glift_last, y_tilde))
+    lifted = hensel_lift(phi_tilde, [gpoly for _, gpoly in groups], digits)
+    kernels = [_kernel_of_poly(glift, y_tilde) for glift in lifted]
 
     dims = [len(k) for k in kernels]
     if sum(dims) != s.n:
         raise PrecisionError("Hensel kernels have total dimension %d != %d; "
                              "increase the guard" % (sum(dims), s.n))
     g, slot_lists = _adapted_basis_change(s.ctx, kernels)
-    beta_conj = g.inverse() * s.beta * g
+    g_inv = g.inverse()
+    beta_conj = g_inv * s.beta * g
     if not off_block_filtration_ok(s.ctx, beta_conj, slot_lists, s.r):
         raise PrecisionError("conjugated representative is not split at level r")
-    return g, _split_parts(s, beta_conj, slot_lists)
+    return g, g_inv, beta_conj, _split_parts(s, beta_conj, slot_lists)
 
 
 def _split_parts(s, beta_conj, slot_lists):
@@ -389,22 +387,30 @@ class RegularityReport:
     coefficients when regular, a reason otherwise.
 
     A regular stratum that splits also carries its top-level split of
-    the gcd-reduced stratum: the basis change ``gauge`` and the
-    ``parts``.  At positive depth they are what :func:`split_stratum`
-    returns; at depth zero and rank n >= 2 the gauge is the constant
-    residue eigenbasis and each part is one eigenvector's slot, in the
-    order of ``leading``.  Both are None for pure strata and rank one."""
+    the gcd-reduced stratum: the basis change ``gauge`` g, its inverse
+    ``gauge_inverse``, the representative conjugated by it,
+    ``conjugate`` = g^-1 beta g, which is block diagonal modulo P^(1-r),
+    and the ``parts``.  At positive depth g and the parts are what
+    :func:`split_stratum` returns; at depth zero and rank n >= 2 the
+    gauge is the constant residue eigenbasis and each part is one
+    eigenvector's slot, in the order of ``leading``.  For a stratum
+    built from a connection's matrix, g^-1 . nabla is ``conjugate`` +
+    g^-1 tau(g), with no further inverse.  All four are None for pure
+    strata and rank one."""
 
-    __slots__ = ("regular", "reason", "e", "m", "leading", "gauge", "parts")
+    __slots__ = ("regular", "reason", "e", "m", "leading", "gauge", "gauge_inverse",
+                 "conjugate", "parts")
 
     def __init__(self, regular, reason=None, e=None, m=None, leading=None,
-                 gauge=None, parts=None):
+                 gauge=None, gauge_inverse=None, conjugate=None, parts=None):
         self.regular = regular
         self.reason = reason
         self.e = e
         self.m = m
         self.leading = leading
         self.gauge = gauge
+        self.gauge_inverse = gauge_inverse
+        self.conjugate = conjugate
         self.parts = parts
 
     def __bool__(self):
@@ -437,7 +443,7 @@ def is_regular(s, field=None):
         return RegularityReport(False, reason="y is not semisimple")
     e = s.e
     try:
-        gauge, parts, leaves = _split_leaves(s, field)
+        split, leaves = _split_leaves(s, field)
     except NonsplitField as exc:
         raise NonsplitField("regularity undecidable over %s: %s" % (field.name, exc))
     leading = []
@@ -454,8 +460,9 @@ def is_regular(s, field=None):
         return RegularityReport(False, reason="nilpotent summand not of the allowed shape")
     if len(set(map(sort_key, leading))) != len(leading):
         return RegularityReport(False, reason="leading coefficients are not pairwise distinct")
-    return RegularityReport(True, e=e, m=s.n // e, leading=leading,
-                            gauge=gauge, parts=parts)
+    gauge, gauge_inverse, conjugate, parts = split or (None,) * 4
+    return RegularityReport(True, e=e, m=s.n // e, leading=leading, gauge=gauge,
+                            gauge_inverse=gauge_inverse, conjugate=conjugate, parts=parts)
 
 
 def _regular_depth_zero(s, field):
@@ -480,17 +487,21 @@ def _regular_depth_zero(s, field):
                          for i in range(n)])[0] for root in vals]
     g = LaurentMatrix.from_scalar_matrix([[evecs[j][i] for j in range(n)]
                                           for i in range(n)])
-    parts = _split_parts(s, g.inverse() * s.beta * g, [[j] for j in range(n)])
-    return RegularityReport(True, e=1, m=n, leading=vals, gauge=g, parts=parts)
+    g_inv = g.inverse()
+    conj = g_inv * s.beta * g
+    parts = _split_parts(s, conj, [[j] for j in range(n)])
+    return RegularityReport(True, e=1, m=n, leading=vals, gauge=g, gauge_inverse=g_inv,
+                            conjugate=conj, parts=parts)
 
 
 def _split_leaves(s, field):
-    """Split recursively.  Returns (g, parts, leaves): the top-level
-    split of s (None, None for rank one and pure strata) and, for every
-    leaf block, (dimension, alpha) with alpha the pure-block leading
-    coefficient (None if the block is neither pure nor one-dimensional)."""
+    """Split recursively.  Returns (split, leaves): the top-level split
+    (g, g^-1, Ad(g^-1)(beta), parts) of s (None for rank one and pure
+    strata) and, for every leaf block, (dimension, alpha) with alpha the
+    pure-block leading coefficient (None if the block is neither pure
+    nor one-dimensional)."""
     if s.n == 1:
-        return None, None, [(1, s.beta.rows[0][0].coeff_or_zero(-s.r))]
+        return None, [(1, s.beta.rows[0][0].coeff_or_zero(-s.r))]
     if s.n == s.e and s.ctx.uniform and math.gcd(s.r, s.e) == 1:
         # One nonzero entry xs[u] per row of the pattern on the complete
         # chain: as gcd(r, e) = 1 its e-th power is the scalar prod(xs),
@@ -499,20 +510,20 @@ def _split_leaves(s, field):
         # stratum non-fundamental, which split_stratum reports.
         head = pure_leading(s.graded_rep().pattern, field)
         if head is not None:
-            return None, None, [(s.n, head[1])]
+            return None, [(s.n, head[1])]
     try:
-        g, parts = split_stratum(s, field)
+        split = _split_stratum(s, field)
     except IrreducibleStratum:
         # phi is a power of one linear factor, and the stratum not pure
-        return None, None, [(s.n, None)]
+        return None, [(s.n, None)]
     leaves = []
-    for part in parts:
+    for part in split[3]:
         sub = part.stratum
         if sub.n > 1 and not is_fundamental(sub):
             leaves.append((sub.n, None))
         else:
-            leaves.extend(_split_leaves(sub, field)[2])
-    return g, parts, leaves
+            leaves.extend(_split_leaves(sub, field)[1])
+    return split, leaves
 
 
 def pure_leading(pat, field):

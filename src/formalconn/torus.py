@@ -17,6 +17,14 @@ c_d alone, a product of two levels is one level (varpi^a diag(x) varpi^b
 diag(y) = varpi^(a+b) diag(z) with z[q] = x[(q - b) mod e] y[q]), the
 Cartan part of a level is the mean of its vector, and the graded
 ad-equation against alpha varpi^(-r) is a cyclic difference system.
+
+The level form extends to any uniform standard chain, m slots in each
+of the e phase classes: slot v*m + j of level d holds the coefficient of
+t^w in entry (u, v), where u is the j-th slot of the phase class of
+phase(v) + d and d = e*w + phase(u) - phase(v).  The vector of level d
+is the graded piece P^d / P^(d+1), a product of two levels is again one
+level, and a gauge 1 + X, X one level, acts by the same recurrence as on
+a single block.  On the complete chain (m = 1) this is the form above.
 """
 
 import math
@@ -25,8 +33,8 @@ from fractions import Fraction
 from .errors import GcdViolation, NotRegular, PrecisionError
 from .linalg import knullspace, ksolve
 from .matrices import LaurentMatrix
-from .parahoric import ParahoricContext, filtration_degree, graded_component, \
-    graded_monomials
+from .parahoric import (ParahoricContext, filtration_degree, graded_component,
+                        graded_monomials, pattern_to_matrix)
 from .scalars import format_scalar, is_zero, scalar_inverse, sort_key
 from .series import INF, LaurentScalar, OneForm
 
@@ -296,23 +304,32 @@ def _leading_matrix(xi, r):
 
 def graded_level_solve(lead, target, ctx, level, r, keep=None, shift=0):
     """Solve ad(X)(lead) + shift * X = target on the graded piece at
-    ``level``, for lead in P^(-r) and X in P^(level + r).
+    ``level``, for lead in P^(-r) and X in P^(level + r), by
+    :func:`graded_pattern_solve` on their graded patterns.  Returns the
+    monomial representative of X, or None when the level is
+    unsolvable."""
+    tgt = graded_component(target, ctx, level)
+    if tgt.is_zero():
+        return LaurentMatrix.zero(ctx.n)
+    x = graded_pattern_solve(graded_component(lead, ctx, -r).pattern, tgt.pattern, ctx,
+                             level, r, keep, shift)
+    return None if x is None else pattern_to_matrix(ctx, x, level + r)
+
+
+def graded_pattern_solve(pat, tgt, ctx, level, r, keep=None, shift=0):
+    """The graded pattern of X at level + r with ad(X)(lead) + shift * X
+    = target at ``level``, for lead with pattern ``pat`` at -r and the
+    target's pattern ``tgt``; None when the level is unsolvable.
 
     Unknowns and equations sit on the graded monomial slots (u, v) with
     keep(u, v) true (every slot when ``keep`` is None).  The graded
     pattern of a product of homogeneous elements is the product of their
-    patterns, so with P the pattern of ``lead`` at level -r the column
-    of the unknown E_uv is the pattern E_uv P - P E_uv: row v of P moved
-    to row u, minus column u of P moved to column v, plus ``shift`` at
-    (u, v) when r = 0 (for r > 0, shift * X lies beyond ``level``).  No
-    series product is formed.  Returns the monomial representative of X,
-    or None when the level is unsolvable.
+    patterns, so with P = ``pat`` the column of the unknown E_uv is the
+    pattern E_uv P - P E_uv: row v of P moved to row u, minus column u of P
+    moved to column v, plus ``shift`` at (u, v) when r = 0 (for r > 0,
+    shift * X lies beyond ``level``).  No series product is formed.
     """
-    tgt = graded_component(target, ctx, level)
-    if tgt.is_zero():
-        return LaurentMatrix.zero(ctx.n)
-    pat = graded_component(lead, ctx, -r).pattern
-    slots = [(u, v, o) for (u, v, o) in graded_monomials(ctx, level + r)
+    slots = [(u, v) for (u, v, _) in graded_monomials(ctx, level + r)
              if keep is None or keep(u, v)]
     out_slots = [(u, v) for (u, v, _) in graded_monomials(ctx, level)
                  if keep is None or keep(u, v)]
@@ -320,7 +337,7 @@ def graded_level_solve(lead, target, ctx, level, r, keep=None, shift=0):
     mat_rows = []
     for (uu, vv) in out_slots:
         row = []
-        for (u, v, _) in slots:
+        for (u, v) in slots:
             val = pat[v][vv] if uu == u else 0
             if vv == v:
                 val = val - pat[uu][u]
@@ -328,15 +345,13 @@ def graded_level_solve(lead, target, ctx, level, r, keep=None, shift=0):
                     val = val + diag
             row.append(val if not is_zero(val) else Fraction(0))
         mat_rows.append(row)
-    x = ksolve(mat_rows, [tgt.pattern[u][v] for (u, v) in out_slots])
+    x = ksolve(mat_rows, [tgt[u][v] for (u, v) in out_slots])
     if x is None:
         return None
-    n = ctx.n
-    rows = [[LaurentScalar.zero() for _ in range(n)] for _ in range(n)]
-    for coeff, (u, v, o) in zip(x, slots):
-        if not is_zero(coeff):
-            rows[u][v] = LaurentScalar.t_power(o, coeff)
-    return LaurentMatrix(rows)
+    out = [[Fraction(0)] * ctx.n for _ in range(ctx.n)]
+    for coeff, (u, v) in zip(x, slots):
+        out[u][v] = coeff
+    return out
 
 
 def delta_kernel_dimension(e, r):
@@ -352,41 +367,101 @@ def delta_kernel_dimension(e, r):
     return len(knullspace(rows))
 
 
-# -- the level form of one block on the complete chain ----------------------
+# -- level forms on a uniform chain ------------------------------------------
 
 
-def block_levels(x, below):
-    """The level form {d: [c_0, ..., c_(e-1)]} of an e x e matrix on the
-    complete chain: the coefficient of t^w in entry (p, q) is slot q of
-    level d = e*w + q - p.  Levels from ``below`` on are dropped."""
-    e = x.n
+def _layout(n, ctx):
+    """(e, m, phases, classes) of a uniform chain with m slots per phase
+    class; the complete chain of an n x n block when ``ctx`` is None."""
+    if ctx is None:
+        return n, 1, range(n - 1, -1, -1), tuple((n - 1 - c,) for c in range(n))
+    return ctx.period, ctx.n // ctx.period, ctx.phases, ctx.phase_classes
+
+
+def block_levels(x, below, ctx=None):
+    """The level form {d: level} of a matrix on a uniform chain (the
+    complete chain when ``ctx`` is None): the coefficient of t^w in
+    entry (u, v) is slot v*m + j of level d = e*w + phase(u) - phase(v),
+    where u is the j-th slot of its phase class.  Levels from ``below``
+    on are dropped."""
+    n = x.n
+    e, m, phases, classes = _layout(n, ctx)
+    pos = [0] * n
+    for cls in classes:
+        for j, u in enumerate(cls):
+            pos[u] = j
+    size = n * m
     out = {}
-    for p, row in enumerate(x.rows):
-        for q, entry in enumerate(row):
+    for u, row in enumerate(x.rows):
+        for v, entry in enumerate(row):
+            off = phases[u] - phases[v]
+            slot = v * m + pos[u]
             for w, c in entry.coeffs.items():
-                d = e * w + q - p
+                d = e * w + off
                 if d < below:
-                    out.setdefault(d, [Fraction(0)] * e)[q] = c
+                    out.setdefault(d, [Fraction(0)] * size)[slot] = c
     return out
 
 
-def levels_matrix(levels, e):
-    """The exact e x e matrix sum_d varpi^d diag(levels[d]): slot q of
-    level d is entry ((q - d) mod e, q) at t^w, w = (d - q + p) / e."""
-    entries = [[{} for _ in range(e)] for _ in range(e)]
+def levels_matrix(levels, n, ctx=None, below=INF):
+    """The n x n matrix of a level form (see :func:`block_levels`):
+    exact, or, when ``below`` is finite, with each entry known to the
+    order that level ``below`` starts at.  On the complete chain slot q
+    of level d is entry ((q - d) mod e, q) at t^w, w = (d - q + p) / e."""
+    e, m, phases, classes = _layout(n, ctx)
+    entries = [[{} for _ in range(n)] for _ in range(n)]
     for d, vec in levels.items():
-        for q, c in enumerate(vec):
-            if not is_zero(c):
-                p = (q - d) % e
-                entries[p][q][(d - q + p) // e] = c
-    return LaurentMatrix([[LaurentScalar._raw(coeffs, INF) for coeffs in row]
-                          for row in entries])
+        if d >= below:
+            continue
+        for v in range(n):
+            for j, u in enumerate(classes[(phases[v] + d) % e]):
+                c = vec[v * m + j]
+                if not is_zero(c):
+                    entries[u][v][(d - phases[u] + phases[v]) // e] = c
+    return LaurentMatrix([[LaurentScalar._raw(
+        entries[u][v], INF if below is INF else -((phases[u] - phases[v] - below) // e))
+        for v in range(n)] for u in range(n)])
 
 
-def level_product(x, b, y):
-    """z with varpi^a diag(x) * varpi^b diag(y) = varpi^(a+b) diag(z)."""
-    e = len(x)
-    return [x[(q - b) % e] * y[q] for q in range(e)]
+def level_pattern(vec, d, ctx):
+    """The graded pattern (as in :func:`parahoric.graded_component`) of
+    level d of a level form on ``ctx``."""
+    e, m, phases, classes = _layout(ctx.n, ctx)
+    pat = [[Fraction(0)] * ctx.n for _ in range(ctx.n)]
+    for v in range(ctx.n):
+        for j, u in enumerate(classes[(phases[v] + d) % e]):
+            pat[u][v] = vec[v * m + j]
+    return pat
+
+
+def pattern_level(pat, d, ctx):
+    """Level d of a level form on ``ctx`` from its graded pattern."""
+    e, m, phases, classes = _layout(ctx.n, ctx)
+    return [pat[u][v] for v in range(ctx.n) for u in classes[(phases[v] + d) % e]]
+
+
+def level_product(x, b, y, ctx=None):
+    """The level z of XY for X, Y levels x at a, y at b (z is at a + b).
+
+    On the complete chain, varpi^a diag(x) * varpi^b diag(y) =
+    varpi^(a+b) diag(z) with z[q] = x[(q - b) mod e] y[q].  On a uniform
+    chain, slot (v, j) of z sums slot (k, j) of x times slot (v, i) of y
+    over the rows k of column v at level b, i the slot of k in its
+    class."""
+    if ctx is None:
+        e = len(x)
+        return [x[(q - b) % e] * y[q] for q in range(e)]
+    e, m, phases, classes = _layout(ctx.n, ctx)
+    z = []
+    for v in range(ctx.n):
+        col = [(k * m, c) for k, c in zip(classes[(phases[v] + b) % e],
+                                          y[v * m:(v + 1) * m]) if c]
+        for j in range(m):
+            acc = Fraction(0)
+            for k, c in col:
+                acc = acc + x[k + j] * c
+            z.append(acc)
+    return z
 
 
 def rescale_levels(levels, h):
@@ -398,40 +473,46 @@ def rescale_levels(levels, h):
             for d, vec in levels.items()}
 
 
-def unipotent_times(ell, xi, levels, below=INF):
-    """The level form of (1 + X) A for X = varpi^ell diag(xi), levels
+def unipotent_times(ell, xi, levels, below=INF, ctx=None):
+    """The level form of (1 + X) A for X the level xi at ell, levels
     from ``below`` on dropped."""
-    e = len(xi)
+    size = len(xi)
     out = {d: list(vec) for d, vec in levels.items()}
     for d, vec in levels.items():
         if d + ell < below and any(vec):
-            acc = out.setdefault(d + ell, [Fraction(0)] * e)
-            for q, c in enumerate(level_product(xi, d, vec)):
+            acc = out.setdefault(d + ell, [Fraction(0)] * size)
+            for q, c in enumerate(level_product(xi, d, vec, ctx)):
                 acc[q] = acc[q] + c
     return out
 
 
-def gauge_levels(levels, ell, xi, below):
-    """The level form of (1 + X) . A against dt/t for X = varpi^ell
-    diag(xi), ell >= 1, with A known below level ``below``.
+def gauge_levels(levels, ell, xi, below, ctx=None):
+    """The level form of (1 + X) . A against dt/t for X the level xi at
+    ell >= 1 (varpi^ell diag(xi) on the complete chain), with A known
+    below level ``below``.
 
     From A' (1 + X) = (1 + X) A - tau X, the matrix B = A + XA - tau X
     is formed once and A' = B - A'X is solved level by level from the
     bottom: A'X at level d needs A' only at level d - ell.  No inverse
     is formed, and the window stays ``below``.  tau = t d/dt multiplies
-    slot q of varpi^ell by its t-exponent ceil((ell - q) / e).
+    each slot of X by its t-exponent w = (ell - phase(u) + phase(v)) / e
+    (ceil((ell - q) / e) for slot q on the complete chain).
     """
-    e = len(xi)
-    out = unipotent_times(ell, xi, levels, below)
+    size = len(xi)
+    out = unipotent_times(ell, xi, levels, below, ctx)
     if ell < below:
-        acc = out.setdefault(ell, [Fraction(0)] * e)
-        for q in range(e):
-            acc[q] = acc[q] + xi[q] * ((q - ell) // e)
+        n = size if ctx is None else ctx.n
+        e, m, phases, classes = _layout(n, ctx)
+        acc = out.setdefault(ell, [Fraction(0)] * size)
+        for v in range(n):
+            for j, u in enumerate(classes[(phases[v] + ell) % e]):
+                s = v * m + j
+                acc[s] = acc[s] - xi[s] * ((ell - phases[u] + phases[v]) // e)
     for d in range(min(out, default=below) + ell, below):
         src = out.get(d - ell)
         if src is not None and any(src):
-            acc = out.setdefault(d, [Fraction(0)] * e)
-            for q, c in enumerate(level_product(src, ell, xi)):
+            acc = out.setdefault(d, [Fraction(0)] * size)
+            for q, c in enumerate(level_product(src, ell, xi, ctx)):
                 acc[q] = acc[q] - c
     return out
 

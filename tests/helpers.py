@@ -15,7 +15,8 @@ monomial matrices, realize toral elements as sums of uniformizer powers,
 lift Hensel factorizations by recomputing the whole product at every
 digit, and gauge with an inverse to the session default; the reference
 pure-block reduction applies one such gauge per level to the whole
-series matrix.  The reference cyclotomic inverse is a dense
+series matrix, and the reference split clears the off-blocks round by
+round with such gauges.  The reference cyclotomic inverse is a dense
 Gauss-Jordan solve.
 """
 
@@ -25,13 +26,13 @@ from fractions import Fraction
 
 from formalconn import connections
 from formalconn.connections import FormalConnection, _kernel_flag_basis, gauge_transform
-from formalconn.errors import (FormalConnError, NotRegular, PrecisionError, SingularGauge,
-                               ZeroLeading)
+from formalconn.errors import (FormalConnError, NotRegular, NotSplit, PrecisionError,
+                               SingularGauge, ZeroLeading)
 from formalconn.formal_types import FormalType, WeylElement
-from formalconn.linalg import kinverse, kmatmul, knullspace, ksolve
+from formalconn.linalg import kinverse, kmatmul, knullspace, ksolve, rref
 from formalconn.matrices import LaurentMatrix
 from formalconn.parahoric import (filtration_degree, graded_component, graded_monomials,
-                                  monomial_matrix, standard_chain)
+                                  monomial_matrix, pattern_to_matrix, standard_chain)
 from formalconn.polys import kpoly_deg, kpoly_divmod, kpoly_gcdext, kpoly_mul, kpoly_sub, \
     kpoly_trim
 from formalconn.scalars import (Ext, as_fraction, get_field, is_rational_value, is_zero,
@@ -39,7 +40,7 @@ from formalconn.scalars import (Ext, as_fraction, get_field, is_rational_value, 
 from formalconn.series import INF, PRECISION_FLOOR, LaurentScalar, default_precision
 from formalconn.strata import Stratum, pure_leading, reduce_stratum
 from formalconn.torus import (ToralElement, TorusData, graded_ad_image_solve,
-                              tame_corestriction, varpi_eps)
+                              graded_level_solve, tame_corestriction, varpi_eps)
 
 
 def LS(pairs, prec=INF):
@@ -156,9 +157,9 @@ def descent_round_bound(n, first):
 # -- the Katz growth oracle ---------------------------------------------------
 
 
-def katz_slope_oracle(conn, imax=40, bound=Fraction(2)):
+def katz_slope_oracle(conn, imax=40):
     """Slope via boundedness of v(nabla_tau^i e) + sigma i over the
-    (1/n!)-grid of candidate slopes.
+    candidate slopes a/b with b <= n.
 
     Entirely independent of the strata machinery: iterated application
     of M + tau to the standard basis, valuations read off entry orders.
@@ -167,6 +168,12 @@ def katz_slope_oracle(conn, imax=40, bound=Fraction(2)):
     run with a doubled window, and a vector that stays indistinguishable
     from zero at the widest window ends the iteration with the
     valuations collected so far.
+
+    The answer is the candidate whose sequence v_i + sigma i has the
+    least spread.  The valuations are integers, so a spread is blurred
+    by the rounding of sigma i, less than one: the answer must beat
+    every other candidate by at least one, or the iterations do not
+    separate the candidates and the oracle raises.
     """
     conn = conn.standardized()
     n = conn.n
@@ -197,21 +204,20 @@ def katz_slope_oracle(conn, imax=40, bound=Fraction(2)):
             break
     if not vals or all(v is None for v in vals):
         return Fraction(0)
-    fact = 1
-    for k in range(2, n + 1):
-        fact *= k
     max_slope = max(-Fraction(v, i + 1) for i, v in enumerate(vals) if v is not None)
     if max_slope <= 0:
         return Fraction(0)
-    candidates = [Fraction(p, fact) for p in range(0, int(max_slope * fact) + fact + 1)]
-    best = None
+    candidates = sorted({Fraction(a, b) for b in range(1, n + 1)
+                         for a in range(0, int((max_slope + 1) * b) + 1)})
+    spreads = []
     for sigma in candidates:
         ds = [Fraction(v) + sigma * (i + 1) for i, v in enumerate(vals) if v is not None]
-        spread = max(ds) - min(ds)
-        if best is None or spread < best[0]:
-            best = (spread, sigma)
-    spread, sigma = best
-    assert spread <= bound, "oracle found no bounded candidate (spread %s)" % spread
+        spreads.append((max(ds) - min(ds), sigma))
+    spreads.sort()
+    (spread, sigma), (runner_up, other) = spreads[0], spreads[1]
+    assert runner_up - spread >= 1, \
+        "oracle cannot separate %s (spread %s) from %s (spread %s)" % (sigma, spread, other,
+                                                                       runner_up)
     return sigma
 
 
@@ -275,6 +281,23 @@ def brute_force_fundamental(blocks, r, beta, max_power=None):
         if inside:
             return False
     return True
+
+
+def krank(mat):
+    if not mat or not mat[0]:
+        return 0
+    return len(rref(mat)[1])
+
+
+def monomial_lattice_columns(exps):
+    """Columns of the diagonal lattice sum t^(e_u) o e_u."""
+    n = len(exps)
+    cols = []
+    for u in range(n):
+        col = [LaurentScalar.zero() for _ in range(n)]
+        col[u] = LaurentScalar.t_power(exps[u])
+        cols.append(col)
+    return cols
 
 
 def seeded(seed):
@@ -648,6 +671,41 @@ def ref_hensel_lift(phi, g0, h0, digits):
                 if not is_zero(c):
                     poly[i] = poly[i] + LaurentScalar.t_power(k, c)
     return [c.truncate(digits) for c in g], [c.truncate(digits) for c in h]
+
+
+def ref_split_connection(conn, ctx, r, slot_lists, digits=8):
+    """The off-block loop on series matrices: each round reads the
+    filtration degree d of the off-blocks, solves the graded level and
+    applies 1 - x by gauge_transform (an inverse to the session
+    precision per round), until d reaches 1 - r + digits or the rounds
+    (digits + 2r + 4) run out."""
+    conn = conn.standardized()
+    n = conn.n
+    part_of = {u: idx for idx, slots in enumerate(slot_lists) for u in slots}
+    lead_pat = [[graded_component(conn.matrix, ctx, -r).pattern[u][v]
+                 if part_of[u] == part_of[v] else Fraction(0)
+                 for v in range(n)] for u in range(n)]
+    lead_mat = pattern_to_matrix(ctx, lead_pat, -r)
+    p_total = LaurentMatrix.identity(n)
+    cur = conn
+    target = 1 - r + digits
+    for _ in range(digits + 2 * r + 4):
+        off = LaurentMatrix([[cur.matrix.rows[u][v] if part_of[u] != part_of[v]
+                              else LaurentScalar.zero() for v in range(n)] for u in range(n)])
+        d = filtration_degree(off, ctx, stop_at=target)
+        if d is INF or d >= target:
+            break
+        x = graded_level_solve(lead_mat, off, ctx, d, r,
+                               keep=lambda u, v: part_of[u] != part_of[v],
+                               shift=-d if r == 0 else 0)
+        if x is None:
+            raise NotSplit("resonant obstruction at level %d" % (d + r))
+        g = LaurentMatrix.identity(n) - x
+        cur = gauge_transform(g, cur)
+        p_total = g * p_total
+    else:
+        raise PrecisionError("splitting did not reach the requested depth")
+    return p_total, cur
 
 
 def ref_gauge_transform(g, conn):

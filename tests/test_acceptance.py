@@ -15,12 +15,10 @@ from formalconn.connections import (FormalConnection, contained_stratum,
                                     gauge_transform, slope, split_connection)
 from formalconn.formal_types import (FormalType, WeylElement, orbit_equivalent,
                                      validate_formal_type, weyl_act)
-from formalconn.linalg import krank
 from formalconn.matrices import LaurentMatrix, pairing
 from formalconn.moduli import (GlobalConfig, PrincipalPart, assemble_global,
                                coadjoint_fixes, in_toral_congruence,
                                moment_map, orbit_dimensions)
-from formalconn.omodule import monomial_lattice_columns
 from formalconn.parahoric import (filtration_degree, graded_monomials,
                                   in_filtration, monomial_matrix,
                                   standard_chain)
@@ -31,8 +29,9 @@ from formalconn.torus import (ToralElement, TorusData, delta_kernel_dimension,
                               graded_ad_image_solve, graded_ad_solve,
                               tame_corestriction, varpi_eps)
 
-from helpers import (LS, brute_force_fundamental, katz_slope_oracle, lmat,
-                     random_matrix, random_series, random_unit_matrix, seeded)
+from helpers import (LS, brute_force_fundamental, katz_slope_oracle, krank, lmat,
+                     monomial_lattice_columns, random_matrix, random_series,
+                     random_unit_matrix, seeded)
 
 Q = get_field("Q")
 QI = get_field("Q(i)")

@@ -188,8 +188,9 @@ def test_field_flag_qi(tmp_path, capsys):
 def test_truncated_window_suggests_precision(tmp_path, capsys):
     """A one-form that is not a monomial leaves the matrix known only to
     the --prec window; the split then cannot certify its level, and the
-    error suggests a --prec that gives the split the digits it lacks.  A
-    later step may lack more, but following the suggestions succeeds."""
+    error suggests a --prec that gives the split the digits it lacks.
+    The split checks the window of every level it reads before it clears
+    any, so here one suggestion suffices."""
     doc = {"n": 2, "field": "Q", "nu": {"coeffs": [[-1, "1/1"], [0, "1/1"]]},
            "matrix": [[[[-2, "1/1"]], [[-1, "1/1"]]], [[[-1, "1/1"]], [[-2, "2/1"]]]]}
     f = tmp_path / "truncated.conn.json"
@@ -211,7 +212,41 @@ def test_truncated_window_suggests_precision(tmp_path, capsys):
     finally:
         set_default_precision(before)
     assert code == 0
-    assert suggested == [7, 8]
+    assert suggested == [8]
+
+
+def test_short_off_block_window_suggests_precision(tmp_path, capsys):
+    """A rank-3 split at depth 2 whose leading term is known but whose
+    off-blocks are known only to the --prec window: the split raises
+    before it clears a level, with a suggested --prec above the one
+    given, and following the suggestions gives the type that a long
+    window gives."""
+    doc = {"n": 3, "field": "Q", "nu": {"coeffs": [[-1, "1/1"], [1, "1/2"]]},
+           "matrix": [[[[-3, "1/1"]], [[-2, "1/1"]], [[-1, "3/1"]]],
+                      [[[-2, "2/1"]], [[-3, "2/1"], [-1, "1/1"]], [[-2, "-1/1"]]],
+                      [[[0, "1/1"]], [[-2, "1/2"]], [[-3, "-1/1"]]]]}
+    f = tmp_path / "short_off_block.conn.json"
+    f.write_text(json.dumps(doc))
+    before = default_precision()
+    prec, messages = 4, []
+    try:
+        code, out, _ = run_cli(capsys, "diagonalize", str(f), "--prec", "12", "--digits", "5")
+        assert code == 0
+        want = json.loads(out)["formal_type"]
+        for _ in range(5):
+            code, out, err = run_cli(capsys, "diagonalize", str(f), "--prec", str(prec),
+                                     "--digits", "5")
+            if code == 0:
+                break
+            assert code == 3
+            payload = json.loads(err)
+            assert payload["suggested_precision"] > prec
+            prec = payload["suggested_precision"]
+            messages.append(payload["message"])
+    finally:
+        set_default_precision(before)
+    assert code == 0 and json.loads(out)["formal_type"] == want
+    assert messages and messages[0].startswith("splitting needs the matrix below level")
 
 
 @pytest.mark.parametrize("prec", [4, 5])

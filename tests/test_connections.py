@@ -1,6 +1,8 @@
 """Connections: gauge action, containment, slope against the Katz
 oracle, splitting, diagonalization."""
 
+import importlib
+import os
 from fractions import Fraction
 
 import pytest
@@ -9,16 +11,18 @@ from formalconn.connections import (FormalConnection, contained_stratum,
                                     diagonalize, fundamental_stratum,
                                     gauge_transform, slope, split_connection)
 from formalconn import connections
-from formalconn.errors import NotRegular, PrecisionError, SingularGauge
+from formalconn.errors import NotRegular, NotSplit, PrecisionError, SingularGauge
 from formalconn.formal_types import FormalType
 from formalconn.matrices import LaurentMatrix, pairing
-from formalconn.parahoric import filtration_degree, in_filtration, standard_chain
+from formalconn.parahoric import fildeg_certified, filtration_degree, in_filtration, standard_chain
 from formalconn.scalars import get_field
 from formalconn.series import INF, LaurentScalar, OneForm
 from formalconn.torus import ToralElement, TorusData
 
-from helpers import (LS, katz_slope_oracle, lmat, random_matrix,
-                     random_unit_matrix, seeded)
+from helpers import (LS, katz_slope_oracle, lmat, random_matrix, random_unit_matrix,
+                     ref_split_connection, seeded)
+
+BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
 
 def witten():
@@ -157,12 +161,48 @@ def test_split_connection_contract():
     assert in_filtration(off, ctx, 1 - 1 + digits)
 
 
+def test_split_connection_refuses_leading_term_across_parts():
+    # the leading term (t^-1 level on the maximal chain, r = 1) couples
+    # the two parts, so the input contains no stratum split along them
+    conn = FormalConnection(lmat([[[(-1, 1)], [(-1, 1)]], [[], [(-1, 2)]]]))
+    with pytest.raises(NotSplit):
+        split_connection(conn, standard_chain((2,)), 1, [[0], [1]], digits=4)
+
+
 def test_split_connection_depth_zero_resonance_free():
     base = lmat([[[(0, 0)], [(1, 1)]], [[], [(0, (1, 2))]]])
     conn = FormalConnection(base)
     ctx = standard_chain((2,))
     p, out = split_connection(conn, ctx, 0, [[0], [1]], digits=6)
     assert out.matrix.rows[0][1].is_zero() or out.matrix.rows[0][1].order > 6
+
+
+def test_split_connection_matches_reference_on_corpora(monkeypatch):
+    """Every split of the seed-40404, 7 and 101 diagonalize corpora of
+    the benchmark, against the reference loop: the same exact gauge p,
+    and a split connection known below the target level that agrees with
+    the reference's wherever both know a coefficient."""
+    monkeypatch.syspath_prepend(BENCH_DIR)
+    wl_diagonalize = importlib.import_module("wl_diagonalize")
+    calls = []
+    real = connections.split_connection
+
+    def recorded(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.append((args, kwargs, out))
+        return out
+
+    monkeypatch.setattr(connections, "split_connection", recorded)
+    for seed in (40404, 7, 101):
+        workload = wl_diagonalize.Workload(seed, None)
+        for item in workload.items:
+            workload.run(item)
+    assert len(calls) >= 60
+    for (conn, ctx, r, slots), kwargs, (p, out) in calls:
+        ref_p, ref_out = ref_split_connection(conn, ctx, r, slots, **kwargs)
+        assert p.to_json() == ref_p.to_json() and repr(p) == repr(ref_p)
+        assert fildeg_certified(out.matrix, ctx)[1] >= 1 - r + kwargs["digits"]
+        assert out.matrix.agrees(ref_out.matrix)
 
 
 def test_diagonalize_toral_input_unchanged():

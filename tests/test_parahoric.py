@@ -17,7 +17,7 @@ from formalconn.polys import kpoly_trim
 from formalconn.scalars import get_field
 from formalconn.series import INF, LaurentScalar, OneForm
 
-from helpers import LS, lmat, random_matrix, ref_is_nilpotent, seeded
+from helpers import LS, krank, lmat, random_matrix, ref_is_nilpotent, seeded
 
 
 def test_maximal_parahoric():
@@ -162,7 +162,6 @@ def test_duality_orthogonality_and_nondegeneracy():
                                    monomial_matrix(ctx, *b), nu) == 0
             gram = [[pairing(monomial_matrix(ctx, *a), monomial_matrix(ctx, *b), nu)
                      for b in dual] for a in left]
-            from formalconn.linalg import krank
             assert len(left) == len(dual)
             assert krank(gram) == len(left)
 

@@ -121,7 +121,7 @@ def test_hensel_lift_splits_char_poly():
     digits = 10
     phi = [c.truncate(digits) for c in charpoly_series(mat)]
     g0, h0 = [F(-1), F(1)], [F(-2), F(1)]
-    g, h = hensel_lift(phi, g0, h0, digits)
+    g, h = hensel_lift(phi, [g0, h0], digits)
     prod = spoly_mul(g, h, prec=digits)
     for a, b in zip(prod, phi):
         assert a.agrees(b, through=digits)

@@ -22,7 +22,7 @@ from formalconn.errors import FormalConnError, NonsplitField, NotRegular, Precis
 from formalconn.matrices import LaurentMatrix
 from formalconn.parahoric import (ParahoricContext, fildeg_certified, filtration_degree,
                                   graded_monomials, standard_chain)
-from formalconn.polys import hensel_lift, kpoly_deg, kpoly_gcd, kpoly_mul
+from formalconn.polys import hensel_lift, kpoly_deg, kpoly_gcd, kpoly_mul, spoly_mul
 from formalconn.scalars import get_field
 from formalconn.series import INF, LaurentScalar
 from formalconn.torus import (ToralElement, TorusData, block_levels, gauge_levels,
@@ -150,7 +150,7 @@ def test_hensel_lift_matches_reference(data):
         tail = {} if i == len(base) - 1 else \
             data.draw(st.dictionaries(st.integers(1, digits + 2), nonzero_rationals, max_size=3))
         phi.append(LaurentScalar({**tail, 0: c}, digits))
-    new_g, new_h = hensel_lift(phi, g0, h0, digits)
+    new_g, new_h = hensel_lift(phi, [g0, h0], digits)
     ref_g, ref_h = ref_hensel_lift(phi, g0, h0, digits)
     assert len(new_g) == len(ref_g) and len(new_h) == len(ref_h)
     assert all(same(a, b) for a, b in zip(new_g + new_h, ref_g + ref_h))
@@ -175,6 +175,43 @@ def test_gauge_by_unipotent_matches_reference(data):
         for p, q in zip(row_new, row_ref):
             assert p.prec >= q.prec
             assert p.agrees(q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_multifactor_hensel_lift(data):
+    """Two to four coprime monic factors (X - a)^k lifted together: the
+    product of the lifts agrees with phi through digits, each lift is
+    monic with its factor as its reduction mod t, and two factors lift
+    as the reference's two-factor lift does."""
+    roots = data.draw(st.lists(rationals, min_size=2, max_size=4, unique=True))
+    factors = []
+    for a in roots:
+        f = [Fraction(1)]
+        for _ in range(data.draw(st.integers(1, 2))):
+            f = kpoly_mul(f, [-a, Fraction(1)])
+        factors.append(f)
+    digits = data.draw(st.integers(1, 8))
+    base = factors[0]
+    for f in factors[1:]:
+        base = kpoly_mul(base, f)
+    phi = []
+    for i, c in enumerate(base):
+        tail = {} if i == len(base) - 1 else \
+            data.draw(st.dictionaries(st.integers(1, digits + 2), rationals, max_size=3))
+        phi.append(LaurentScalar({**tail, 0: c}, digits))
+    lifts = hensel_lift(phi, factors, digits)
+    prod = lifts[0]
+    for lift in lifts[1:]:
+        prod = spoly_mul(prod, lift, prec=digits)
+    assert len(prod) == len(phi)
+    assert all(a.agrees(b, through=digits) for a, b in zip(prod, phi))
+    for lift, f in zip(lifts, factors):
+        assert len(lift) == len(f) and lift[-1].coeffs == {0: 1}
+        assert all(c.prec == digits and c.coeff_or_zero(0) == f[i] for i, c in enumerate(lift))
+    if len(factors) == 2:
+        ref = ref_hensel_lift(phi, factors[0], factors[1], digits)
+        assert all(same(a, b) for a, b in zip(lifts[0] + lifts[1], ref[0] + ref[1]))
 
 
 # -- the level form of a pure block -------------------------------------------
@@ -240,6 +277,79 @@ def test_gauge_levels_matches_gauge_transform(data):
             for w in set(r_entry.coeffs) | set(n_entry.coeffs):
                 if w < r_entry.prec and e * w + q - p < below:
                     assert r_entry.coeff_or_zero(w) == n_entry.coeff_or_zero(w)
+
+
+# -- the level form on a uniform chain ----------------------------------------
+
+
+@st.composite
+def uniform_contexts(draw):
+    """A uniform standard chain of rank n = e m <= 6: grouped or a torus
+    chain."""
+    e = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 6 // e))
+    if draw(st.booleans()):
+        return ParahoricContext.interleaved(e, m)
+    return standard_chain((m,) * e)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_level_form_on_uniform_chain(data):
+    """The level form of a matrix reads back to it, its least level is
+    the filtration degree, and the level product is the matrix product
+    of two levels."""
+    ctx = data.draw(uniform_contexts())
+    n = ctx.n
+    field = data.draw(st.sampled_from([Q, QI]))
+    x = data.draw(in_level(ctx, data.draw(st.integers(-3, 2)), scalars(field)))
+    levels = block_levels(x, INF, ctx)
+    assert same_matrix(levels_matrix(levels, n, ctx), x)
+    nonzero = [d for d, vec in levels.items() if any(vec)]
+    assert min(nonzero, default=INF) == filtration_degree(x, ctx)
+    size = n * n // ctx.period
+    a, b = data.draw(st.integers(-4, 4)), data.draw(st.integers(-4, 4))
+    u = data.draw(st.lists(scalars(field), min_size=size, max_size=size))
+    v = data.draw(st.lists(scalars(field), min_size=size, max_size=size))
+    prod = levels_matrix({a: u}, n, ctx) * levels_matrix({b: v}, n, ctx)
+    assert same_matrix(levels_matrix({a + b: level_product(u, b, v, ctx)}, n, ctx), prod)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_gauge_levels_on_uniform_chain_matches_gauge_transform(data):
+    """A random pattern X at level ell >= 1 of a uniform chain, applied
+    by the level recurrence, agrees with gauge_transform(1 + X, A) read
+    into levels wherever the latter knows a coefficient below the
+    window; the window is the certified window of A, never smaller than
+    that of gauge_transform's result."""
+    ctx = data.draw(uniform_contexts())
+    n = ctx.n
+    field = data.draw(st.sampled_from([Q, QI]))
+    a = data.draw(in_level(ctx, -data.draw(st.integers(0, 3)), scalars(field), windows=True))
+    a = a.truncate(data.draw(st.integers(0, 4)))
+    below = fildeg_certified(a, ctx)[1]
+    ell = data.draw(st.integers(1, 4))
+    size = n * n // ctx.period
+    x = data.draw(st.lists(scalars(field), min_size=size, max_size=size))
+    g = LaurentMatrix.identity(n) + levels_matrix({ell: x}, n, ctx)
+    ref = gauge_transform(g, FormalConnection(a)).matrix
+    new = levels_matrix(gauge_levels(block_levels(a, below, ctx), ell, x, below, ctx), n, ctx,
+                        below)
+    assert fildeg_certified(ref, ctx)[1] <= below
+    assert fildeg_certified(new, ctx)[1] >= below
+    for d, vec in block_levels(ref, below, ctx).items():
+        ref_level = levels_matrix({d: vec}, n, ctx)
+        for u in range(n):
+            for v in range(n):
+                for w, c in ref_level.rows[u][v].coeffs.items():
+                    if w < ref.rows[u][v].prec:
+                        assert new.rows[u][v].coeff_or_zero(w) == c
+    for u in range(n):
+        for v in range(n):
+            for w, c in new.rows[u][v].coeffs.items():
+                if w < ref.rows[u][v].prec:
+                    assert ref.rows[u][v].coeff_or_zero(w) == c
 
 
 @st.composite

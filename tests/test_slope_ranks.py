@@ -7,6 +7,8 @@ import random
 import time
 from fractions import Fraction
 
+import pytest
+
 from formalconn.connections import FormalConnection, fundamental_stratum, slope
 from formalconn.matrices import LaurentMatrix
 from formalconn.series import LaurentScalar
@@ -43,6 +45,24 @@ def test_slope_matches_oracle_rank_5_6():
     ]
     for conn, want, imax in cases:
         assert slope(conn) == katz_slope_oracle(conn, imax=imax) == want
+
+
+def test_oracle_answers_only_slopes_rank_6():
+    # seed-777 rank-6 matrices on which the former oracle, which searched
+    # the 1/n! grid, answered 21/40 and 41/60, and failed its own bound
+    cases = [
+        (_triangular_random(777, 6, -2, 1), Fraction(1, 2)),
+        (_triangular_random(777, 6, -2, 1, density=0.6), Fraction(2, 3)),
+        (_triangular_random(777, 6, -3, 0, density=0.6), Fraction(12, 5)),
+    ]
+    for conn, want in cases:
+        assert slope(conn) == katz_slope_oracle(conn) == want
+
+
+def test_oracle_raises_when_iterations_cannot_separate():
+    # after twelve iterations 3/5 leads the slope 1/2 by a tenth of a unit
+    with pytest.raises(AssertionError, match="cannot separate"):
+        katz_slope_oracle(_triangular_random(777, 6, -2, 1), imax=12)
 
 
 def test_slope_of_built_types_rank_5_to_8(monkeypatch):

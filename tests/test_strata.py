@@ -194,9 +194,14 @@ def test_regularity_report_carries_split():
     assert rep and rep.m == 2
     conj = rep.gauge.inverse() * b * rep.gauge
     assert off_block_filtration_ok(mx, conj, [p.slots for p in rep.parts], 1)
+    # the report's inverse and conjugate are those of its gauge
+    assert (rep.gauge_inverse * rep.gauge).agrees(LaurentMatrix.identity(2))
+    assert rep.gauge_inverse.to_json() == rep.gauge.inverse().to_json()
+    assert rep.conjugate.agrees(conj)
     iw = standard_chain((1, 1))
     pure = is_regular(Stratum(iw, 3, iw.varpi_power(-3)))
     assert pure.gauge is None and pure.parts is None
+    assert pure.gauge_inverse is None and pure.conjugate is None
     # depth zero: the residue eigenbasis, in the order of the leading
     # data, with one singleton part per eigenvalue
     res = lmat([[[(0, 1), (1, 2)], [(0, 1)]], [[(2, 3)], [(0, (1, 2))]]])
@@ -205,6 +210,7 @@ def test_regularity_report_carries_split():
     assert all(set(x.coeffs) <= {0} for row in rep.gauge.rows for x in row)
     assert [p.slots for p in rep.parts] == [[0], [1]]
     conj = rep.gauge.inverse() * res * rep.gauge
+    assert rep.conjugate.to_json() == conj.to_json()
     assert conj.coeff_matrix(0) == [[1, 0], [0, Fraction(1, 2)]]
     assert off_block_filtration_ok(mx, conj, [p.slots for p in rep.parts], 0)
     assert [p.stratum.beta.rows[0][0].coeff_or_zero(0) for p in rep.parts] == rep.leading
@@ -217,7 +223,7 @@ def test_pure_strata_classified_without_splitting(monkeypatch):
     def no_split(*args, **kwargs):
         raise AssertionError("split_stratum called on a pure stratum")
 
-    monkeypatch.setattr(strata, "split_stratum", no_split)
+    monkeypatch.setattr(strata, "_split_stratum", no_split)
     iw = standard_chain((1, 1))
     rep = is_regular(Stratum(iw, 3, iw.varpi_power(-3) * Fraction(5)))
     assert rep and rep.e == 2 and rep.m == 1 and rep.leading == [5]
