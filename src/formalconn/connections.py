@@ -31,8 +31,8 @@ from fractions import Fraction
 
 from .errors import NotRegular, NotSplit, ParseError, PrecisionError, SingularGauge
 from .formal_types import FormalType
-from .linalg import kinverse, kmatmul, knullspace, rref
-from .matrices import LaurentMatrix
+from .linalg import kernel_flag_basis, kinverse
+from .matrices import LaurentMatrix, constant_product
 from .parahoric import (_certifying_window, fildeg_certified, filtration_degree,
                         graded_component, standard_chain)
 from .scalars import get_field, is_zero, scalar_inverse, sort_key
@@ -185,6 +185,34 @@ def _chain_potentials(n, edges, a, b, strict=True):
     return None
 
 
+def _round_chain(n, edges):
+    """(a, b, x, loose) for a round on the order table: -r/e = a/b, the
+    least cycle mean when it is negative (else 0/1), and the chain
+    potentials x there, None when a window reaches the leading term.
+    loose marks a depth-zero chain found only with non-strict window
+    constraints."""
+    mu = _min_cycle_mean(n, edges)
+    a, b = (mu.numerator, mu.denominator) if mu is not None and mu < 0 else (0, 1)
+    x = _chain_potentials(n, edges, a, b)
+    loose = x is None and a == 0
+    if loose:
+        x = _chain_potentials(n, edges, 0, 1, strict=False)
+    return a, b, x, loose
+
+
+def _window_shortfall(n, edges):
+    """The least s >= 1 such that the round finds a chain once every
+    window of the order table is s larger.  A cycle of length L through
+    a window edge then has b times its cost sum at least b (L c + s),
+    with c the least cost, so s = n (max(0, -c) + 1) always suffices."""
+    top = n * (max(0, -min(cost for _, _, cost, _ in edges)) + 1)
+    for s in range(1, top + 1):
+        moved = [(u, v, cost if known else cost + s, known) for u, v, cost, known in edges]
+        if _round_chain(n, moved)[2] is not None:
+            return s
+    raise AssertionError("no window increase up to %d finds a chain" % top)
+
+
 def _reframe(matrix, gauge, perm, shift):
     """Gauge by the shear S = diag(t^shift), then relabel the basis u ->
     perm: entry (i, j) becomes t^(s_u - s_v) M[u][v] - s_u [u = v] with
@@ -204,16 +232,16 @@ def _flag_levi(pat, blocks):
     """(g, g^-1) for the constant g whose columns are a basis adapted to
     the kernel flag of the nilpotent graded pattern, each vector at a
     slot of its own phase class: g stabilizes the chain, and g^-1 pat g
-    has a support without cycles."""
+    has a support without cycles.  Both are ground-field matrices."""
     n = len(pat)
     starts = list(itertools.accumulate(blocks, initial=0))
     free = [iter(range(starts[k], starts[k + 1])) for k in range(len(blocks))]
     cols = [None] * n
-    for vec in _kernel_flag_basis(pat, n):
+    for vec in kernel_flag_basis(pat):
         u = next(i for i, c in enumerate(vec) if not is_zero(c))
         cols[next(free[next(k for k in range(len(blocks)) if u < starts[k + 1])])] = vec
     g = [[cols[j][i] for j in range(n)] for i in range(n)]
-    return LaurentMatrix.from_scalar_matrix(g), LaurentMatrix.from_scalar_matrix(kinverse(g))
+    return g, kinverse(g)
 
 
 def fundamental_stratum(conn):
@@ -246,8 +274,11 @@ def fundamental_stratum(conn):
 
     Precision: an entry zero to its window counts as a coefficient at
     the window, and the chain keeps every window above the leading term;
-    PrecisionError when there is none.  At depth zero a window may reach
-    the residue if a known entry still certifies the filtration degree.
+    PrecisionError when there is none, whose ``short_by`` is the least
+    increase of every window that gives the round a chain (windows move
+    with the input's one for one, as gauges shift them uniformly).  At
+    depth zero a window may reach the residue if a known entry still
+    certifies the filtration degree.
     """
     conn = conn.standardized()
     n = conn.n
@@ -255,19 +286,15 @@ def fundamental_stratum(conn):
     depths = []
     while True:
         edges = _order_table(matrix)
-        mu = _min_cycle_mean(n, edges)
-        a, b = (mu.numerator, mu.denominator) if mu is not None and mu < 0 else (0, 1)
+        a, b, x, loose = _round_chain(n, edges)
         if not depths:
             bound = 1 + sum(-a * k // b for k in range(1, n + 1))
         assert not depths or depths[-1] < Fraction(a, b), "descent round did not raise r/e"
         depths.append(Fraction(a, b))
         assert len(depths) <= bound, "descent exceeded its round bound %d" % bound
-        x = _chain_potentials(n, edges, a, b)
-        loose = x is None and a == 0
-        if loose:
-            x = _chain_potentials(n, edges, 0, 1, strict=False)
         if x is None:
-            raise PrecisionError("a window reaches the leading term at degree %d/%d" % (a, b))
+            raise PrecisionError("a window reaches the leading term at degree %d/%d" % (a, b),
+                                 short_by=_window_shortfall(n, edges))
         phases = [xu % b for xu in x]
         shift = [xu // b for xu in x]
         perm = sorted(range(n), key=lambda u: (-phases[u], u))
@@ -286,26 +313,7 @@ def fundamental_stratum(conn):
         if not beta.is_nilpotent():
             return gauge, cur, Stratum(ctx, -a, matrix, conn.nu)
         g, g_inv = _flag_levi(beta.pattern, blocks)
-        matrix, gauge = g_inv * matrix * g, g_inv * gauge
-
-
-def _kernel_flag_basis(pat, n):
-    """Basis adapted to ker(pat) <= ker(pat^2) <= ... (pat nilpotent);
-    pat becomes block strictly upper triangular in this basis."""
-    basis = []
-    power = [list(r) for r in pat]
-    for _ in range(n):
-        ker = knullspace(power)
-        cand = basis + ker
-        if not cand:
-            return None
-        mat_rows = [[cand[j][i] for j in range(len(cand))] for i in range(n)]
-        _, pivots = rref(mat_rows)
-        basis = [cand[p] for p in pivots]
-        if len(basis) == n:
-            return basis
-        power = kmatmul(power, pat)
-    return None
+        matrix, gauge = constant_product(g_inv, matrix, g), constant_product(g_inv, gauge)
 
 
 def slope(conn):

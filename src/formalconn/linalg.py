@@ -1,145 +1,418 @@
 """Exact linear algebra over the ground field.
 
-Matrices here are plain lists of lists of field scalars (Fraction or
-Ext).  Everything is fraction-free-in-spirit Gaussian elimination at
-desk scale; no numerics.
+Matrices here are plain lists of lists of field scalars (Fraction, or
+Ext over Q(zeta_m); ints are accepted as input).  Every routine reads
+its matrices once into integer coordinate rows, each row multiplied
+through by the common denominator of its entries: over Q an entry is
+one integer, over Q(zeta_m) an element of Z[zeta_m] given by its phi(m)
+power-basis coordinates, multiplied through the field's integer
+reduction table.
+
+Elimination is fraction-free (after Bareiss, "Sylvester's identity and
+multistep integer-preserving Gaussian elimination", Math. Comp. 22,
+1968), in one routine, :func:`_echelon`: with p the pivot of row r in
+column c and f the entry of row i there, row_i <- p row_i - f row_r,
+and the row is divided by the gcd of its coordinates, where Bareiss
+divides by the previous pivot.  No Fraction is built until each pivot
+row is divided by its pivot, once, at the end.
+A reduced echelon form is unique, so every routine returns the values
+that Gauss-Jordan elimination over the field gives.
 """
 
+import math
 from fractions import Fraction
 
-from .scalars import is_zero, scalar_inverse
+from .scalars import Ext
+
+_ZERO = Fraction(0)
+
+
+class _Integers:
+    """Z, for matrices with rational entries: an element is an int."""
+
+    one = 1
+
+    @staticmethod
+    def read(row):
+        """(den, elements): the row times the common denominator den of
+        its entries."""
+        den = math.lcm(*(x.denominator for x in row))
+        return den, [x.numerator * (den // x.denominator) for x in row]
+
+    @staticmethod
+    def const(k):
+        return k
+
+    @staticmethod
+    def add(a, b):
+        return a + b
+
+    @staticmethod
+    def mul(a, b):
+        return a * b
+
+    @staticmethod
+    def neg(a):
+        return -a
+
+    @staticmethod
+    def dot(xs, ys):
+        return sum(x * y for x, y in zip(xs, ys) if x)
+
+    @staticmethod
+    def exact_div(a, k):
+        return a // k
+
+    @staticmethod
+    def primitive(xs):
+        """xs divided by the gcd of its coordinates."""
+        g = math.gcd(*xs)
+        return [x // g for x in xs] if g > 1 else xs
+
+    @staticmethod
+    def combine(p, xs, f, ys):
+        """p xs - f ys, divided by its content."""
+        return _Integers.primitive([p * x - f * y for x, y in zip(xs, ys)])
+
+    @staticmethod
+    def scalar(a, den):
+        """The field value a / den for an element a and an int den."""
+        return Fraction(a, den) if a else _ZERO
+
+    @staticmethod
+    def quotients(xs, p):
+        """The field values x / p for elements xs and a nonzero element p."""
+        return [Fraction(x, p) if x else _ZERO for x in xs]
+
+
+class _CyclotomicIntegers:
+    """Z[zeta_m], for matrices with an Ext entry: an element is the tuple
+    of its integer power-basis coordinates with trailing zeros dropped,
+    so that zero is () and tests false, as the int 0 does over Q."""
+
+    one = (1,)
+
+    def __init__(self, field):
+        self.field = field
+        self.degree = field.degree
+
+    def read(self, row):
+        coords = [x.coords if isinstance(x, Ext) else (x,) for x in row]
+        den = math.lcm(*(c.denominator for cs in coords for c in cs))
+        return den, [_trim([c.numerator * (den // c.denominator) for c in cs])
+                     for cs in coords]
+
+    @staticmethod
+    def const(k):
+        return (k,) if k else ()
+
+    @staticmethod
+    def add(a, b):
+        if len(a) < len(b):
+            a, b = b, a
+        return _trim([x + y for x, y in zip(a, b)] + list(a[len(b):]))
+
+    def mul(self, a, b):
+        return self.dot([a], [b])
+
+    @staticmethod
+    def neg(a):
+        return tuple(-c for c in a)
+
+    def dot(self, xs, ys):
+        acc = []
+        for a, b in zip(xs, ys):
+            if a and b:
+                top = len(a) + len(b) - 1
+                if len(acc) < top:
+                    acc.extend([0] * (top - len(acc)))
+                for i, x in enumerate(a):
+                    if x:
+                        for j, y in enumerate(b):
+                            acc[i + j] += x * y
+        # coordinates of degree >= phi(m), folded back by the reduction table
+        d = self.degree
+        red = self.field._reduction
+        for k in range(len(acc) - 1, d - 1, -1):
+            c = acc[k]
+            if c:
+                for i, r in enumerate(red[k - d]):
+                    if r:
+                        acc[i] += c * r
+        return _trim(acc[:d])
+
+    @staticmethod
+    def exact_div(a, k):
+        return tuple(c // k for c in a)
+
+    @staticmethod
+    def primitive(xs):
+        g = math.gcd(*(c for a in xs for c in a))
+        return [tuple(c // g for c in a) for a in xs] if g > 1 else xs
+
+    def combine(self, p, xs, f, ys):
+        return self.primitive([self.add(self.mul(p, x), self.neg(self.mul(f, y)))
+                               for x, y in zip(xs, ys)])
+
+    def scalar(self, a, den):
+        coords = [Fraction(c, den) if c else _ZERO for c in a]
+        return Ext(self.field, tuple(coords + [_ZERO] * (self.degree - len(coords))))
+
+    def quotients(self, xs, p):
+        den, (inv,) = self.read([self.scalar(p, 1).inverse()])
+        return [self.scalar(self.mul(x, inv), den) for x in xs]
+
+
+def _trim(coords):
+    while coords and not coords[-1]:
+        coords.pop()
+    return tuple(coords)
+
+
+_CYCLOTOMIC = {}
+
+
+def _ring(*mats):
+    """The integer ring of the given matrices' entries."""
+    for mat in mats:
+        for row in mat:
+            for x in row:
+                if isinstance(x, Ext):
+                    if x.field not in _CYCLOTOMIC:
+                        _CYCLOTOMIC[x.field] = _CyclotomicIntegers(x.field)
+                    return _CYCLOTOMIC[x.field]
+    return _Integers
+
+
+def _read_matrix(ring, mat):
+    """(den, rows): the matrix times the common denominator of its
+    entries, as integer rows."""
+    rows = [ring.read(row) for row in mat]
+    den = math.lcm(*(d for d, _ in rows))
+    return den, [r if d == den else [ring.mul(ring.const(den // d), x) for x in r]
+                 for d, r in rows]
+
+
+def _echelon(ring, rows, width):
+    """Fraction-free Gauss-Jordan elimination of integer rows over their
+    first ``width`` columns.  Returns (rows, pivots): row k <
+    len(pivots) has a nonzero pivot in column pivots[k] and zeros in
+    every other pivot column; the rows after them are zero in the first
+    ``width`` columns.  Each row is a multiple of the corresponding row
+    of the reduced echelon form over the field."""
+    rows = list(rows)
+    pivots = []
+    for c in range(width):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        top = rows[r]
+        p = top[c]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                rows[i] = ring.combine(p, row, row[c], top)
+        pivots.append(c)
+    return rows, pivots
+
+
+def _kernel(ring, rows, width):
+    """Integer vectors spanning the right kernel of the integer rows, one
+    per free column fc of their echelon form: a multiple of the vector
+    that is 1 at fc, 0 at the other free columns and -x/p at the pivot
+    column of each row with pivot p and entry x at fc.  fc is the
+    vector's last nonzero coordinate, since a row vanishes before its
+    pivot."""
+    red, pivots = _echelon(ring, rows, width)
+    taken = set(pivots)
+    zero = ring.const(0)
+    out = []
+    for fc in range(width):
+        if fc in taken:
+            continue
+        hits = [(pc, row[pc], row[fc]) for row, pc in zip(red, pivots) if row[fc]]
+        vec = [zero] * width
+        vec[fc] = _product(ring, ring.one, [p for _, p, _ in hits])
+        for pc, _, x in hits:
+            vec[pc] = ring.neg(_product(ring, x, [p for c, p, _ in hits if c != pc]))
+        out.append(ring.primitive(vec))
+    return out
+
+
+def _product(ring, x, factors):
+    for f in factors:
+        x = ring.mul(x, f)
+    return x
+
+
+def _matmul(ring, a, b):
+    """The product of two integer matrices."""
+    cols = list(zip(*b))
+    return [[ring.dot(row, col) for col in cols] for row in a]
+
+
+def _normalized(ring, vec):
+    """The field vector vec / (its last nonzero coordinate)."""
+    return ring.quotients(vec, next(x for x in reversed(vec) if x))
+
+
+def kernel_flag_basis(pat):
+    """Basis adapted to ker(pat) <= ker(pat^2) <= ... for a nilpotent
+    pattern, in which pat is block strictly upper triangular; None when
+    pat is not nilpotent.
+
+    Round k adds, in order, the vectors of knullspace(pat^k) that are
+    independent of the basis so far.  The pattern is read into integer
+    rows once; its powers, their kernels and the echelon form of the
+    basis stay integral, and only the chosen vectors are normalised
+    (1 at their last nonzero coordinate, as knullspace gives them)."""
+    n = len(pat)
+    ring = _ring(pat)
+    _, base = _read_matrix(ring, pat)
+    power = base
+    chosen = []
+    echelon = []  # (pivot column, row), rows vanishing before their pivot, by column
+    for _ in range(n):
+        for vec in _kernel(ring, power, n):
+            rem = vec
+            for c, row in echelon:
+                if rem[c]:
+                    rem = ring.combine(row[c], rem, rem[c], row)
+            lead = next((c for c, x in enumerate(rem) if x), None)
+            if lead is not None:
+                echelon.append((lead, rem))
+                echelon.sort(key=lambda cr: cr[0])
+                chosen.append(vec)
+        if len(chosen) == n:
+            return [_normalized(ring, vec) for vec in chosen]
+        power = _matmul(ring, power, base)
+    return None
+
+
+def product_is_nilpotent(mats):
+    """True iff the product mats[-1] ... mats[0] of constant matrices, a
+    square matrix of size k, is nilpotent, that is its k-th power is
+    zero.  Each factor is scaled to integers first: a nonzero scalar
+    changes no product's nilpotency."""
+    ring = _ring(*mats)
+    prod = None
+    for mat in mats:
+        block = _read_matrix(ring, mat)[1]
+        prod = block if prod is None else _matmul(ring, block, prod)
+    power = 1
+    while power < len(prod) and any(any(row) for row in prod):
+        prod = _matmul(ring, prod, prod)
+        power *= 2
+    return not any(any(row) for row in prod)
 
 
 def kzeros(r, c):
     return [[Fraction(0)] * c for _ in range(r)]
 
-def kidentity(n):
-    m = kzeros(n, n)
-    for i in range(n):
-        m[i][i] = Fraction(1)
-    return m
 
 def kmatmul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0])
-    out = kzeros(rows, cols)
-    for i in range(rows):
-        ai = a[i]
-        for k in range(inner):
-            c = ai[k]
-            if not is_zero(c):
-                bk = b[k]
-                oi = out[i]
-                for j in range(cols):
-                    oi[j] = oi[j] + c * bk[j]
-    return out
-
-def sum_scalars(items):
-    acc = None
-    for x in items:
-        acc = x if acc is None else acc + x
-    return Fraction(0) if acc is None else acc
-
-def ktranspose(a):
-    return [list(col) for col in zip(*a)]
+    """The product a b: the rows of a and the columns of b are read over
+    their own denominators, and each entry is normalised once."""
+    if not a:
+        return []
+    ring = _ring(a, b)
+    a_rows = [ring.read(row) for row in a]
+    b_cols = [ring.read(col) for col in zip(*b)]
+    return [[ring.scalar(ring.dot(ra, cb), da * db) for db, cb in b_cols]
+            for da, ra in a_rows]
 
 
 def rref(mat):
     """Reduced row echelon form; returns (rref_matrix, pivot_columns)."""
-    m = [list(row) for row in mat]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if not is_zero(m[i][c])), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        pv = m[r][c]
-        inv = scalar_inverse(pv)
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and not is_zero(m[i][c]):
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
+    cols = len(mat[0]) if mat else 0
+    ring = _ring(mat)
+    red, pivots = _echelon(ring, [ring.read(row)[1] for row in mat], cols)
+    zero = ring.scalar(ring.const(0), 1)
+    return ([ring.quotients(row, row[c]) for row, c in zip(red, pivots)] +
+            [[zero] * cols for _ in red[len(pivots):]]), pivots
 
 
 def knullspace(mat):
-    """Basis of the right kernel, as a list of column vectors."""
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    red, pivots = rref(mat)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(v)
-    return basis
+    """Basis of the right kernel, as a list of column vectors: one per
+    free column of the echelon form, 1 there and 0 at the other free
+    columns."""
+    cols = len(mat[0]) if mat else 0
+    ring = _ring(mat)
+    return [_normalized(ring, vec)
+            for vec in _kernel(ring, [ring.read(row)[1] for row in mat], cols)]
 
 
 def ksolve(mat, rhs):
-    """One solution of mat @ x = rhs, or None if inconsistent."""
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    aug = [list(mat[i]) + [rhs[i]] for i in range(rows)]
-    red, pivots = rref(aug)
-    for r in range(len(pivots), rows):
-        if not is_zero(red[r][cols]):
-            return None
-    if pivots and pivots[-1] == cols:
+    """One solution of mat @ x = rhs, or None if inconsistent: the one
+    that is zero at every free column."""
+    cols = len(mat[0]) if mat else 0
+    ring = _ring(mat, [rhs])
+    red, pivots = _echelon(ring, [ring.read(list(row) + [b])[1] for row, b in zip(mat, rhs)],
+                           cols)
+    if any(row[cols] for row in red[len(pivots):]):
         return None
-    x = [Fraction(0)] * cols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][cols]
+    x = [ring.scalar(ring.const(0), 1)] * cols
+    for row, pc in zip(red, pivots):
+        x[pc] = ring.quotients([row[cols]], row[pc])[0]
     return x
 
 
 def kinverse(mat):
+    """The inverse matrix, or None if mat is singular."""
     n = len(mat)
-    aug = [list(mat[i]) + kidentity(n)[i] for i in range(n)]
-    red, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
+    ring = _ring(mat)
+    red, pivots = _echelon(ring, [ring.read(list(row) + [int(i == j) for j in range(n)])[1]
+                                  for i, row in enumerate(mat)], n)
+    if len(pivots) < n:
         return None
-    return [row[n:] for row in red]
+    return [ring.quotients(row[n:], row[c]) for row, c in zip(red, pivots)]
 
 
 def charpoly(mat):
-    """Monic characteristic polynomial (ascending coefficients) via the
-    Faddeev-LeVerrier recurrence; exact in characteristic zero."""
+    """Monic characteristic polynomial (ascending coefficients) by the
+    Faddeev-LeVerrier recurrence on B = D mat, D the common denominator
+    of the entries: B is integral, so is every coefficient c_k of its
+    characteristic polynomial, and the recurrence divides by k exactly;
+    mat's coefficient of x^(n-k) is c_k / D^k."""
     n = len(mat)
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    m = kidentity(n)
-    prev = None
+    ring = _ring(mat)
+    den, b = _read_matrix(ring, mat)
+    coeffs = [None] * n + [ring.scalar(ring.one, 1)]
+    m = b
     for k in range(1, n + 1):
-        prev = kmatmul(mat, m) if k > 1 else [list(r) for r in mat]
-        tr = sum_scalars(prev[i][i] for i in range(n))
-        c = tr * Fraction(-1, k)
-        coeffs[n - k] = c
-        m = [list(r) for r in prev]
+        prev = b if k == 1 else _matmul(ring, b, m)
+        trace = ring.const(0)
         for i in range(n):
-            m[i][i] = m[i][i] + c
+            trace = ring.add(trace, prev[i][i])
+        c = ring.exact_div(ring.neg(trace), k)
+        coeffs[n - k] = ring.scalar(c, den ** k)
+        m = [[ring.add(x, c) if i == j else x for j, x in enumerate(row)]
+             for i, row in enumerate(prev)]
     return coeffs
 
 
 def minpoly(mat):
-    """Monic minimal polynomial (ascending coefficients) by finding the
-    first linear dependence among vectorized powers."""
+    """Monic minimal polynomial (ascending coefficients): the first
+    linear dependence B^k = sum_j d_j B^j among the powers of B = D mat,
+    D the common denominator of the entries, rescaled to mat's
+    coefficients -d_j / D^(k-j)."""
     n = len(mat)
-    powers = [kidentity(n)]
-    while True:
-        powers.append(kmatmul(powers[-1], mat))
-        vecs = [[p[i][j] for i in range(n) for j in range(n)] for p in powers]
-        dep = ksolve(ktranspose(vecs[:-1]), vecs[-1])
-        if dep is not None:
-            return [-c for c in dep] + [Fraction(1)]
-        if len(powers) > n + 1:
-            raise AssertionError("minimal polynomial search exceeded degree bound")
+    ring = _ring(mat)
+    den, b = _read_matrix(ring, mat)
+    zero = ring.const(0)
+    vecs = [[ring.one if i == j else zero for i in range(n) for j in range(n)]]
+    power = b
+    for k in range(1, n + 1):
+        vecs.append([x for row in power for x in row])
+        red, pivots = _echelon(ring, [list(col) for col in zip(*vecs)], k)
+        if not any(row[k] for row in red[len(pivots):]):
+            coeffs = [ring.scalar(zero, 1)] * k
+            for row, pc in zip(red, pivots):
+                coeffs[pc] = ring.quotients([ring.neg(row[k])],
+                                            ring.mul(row[pc], ring.const(den ** (k - pc))))[0]
+            return coeffs + [ring.scalar(ring.one, 1)]
+        power = _matmul(ring, power, b)
+    raise AssertionError("minimal polynomial search exceeded degree bound")

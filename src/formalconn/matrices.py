@@ -8,15 +8,17 @@ The product and the Gauss-Jordan row operations use the fraction-free
 kernel of :mod:`formalconn.series` over every ground field: each output
 entry is one sum of integer convolutions of power-basis coordinates over
 a common denominator, folded back by the cyclotomic reduction table and
-normalised once.
+normalised once.  A product p M q with constant p and q
+(:func:`constant_product`) keeps p M in integer coordinates, so each of
+its entries is normalised once as well.
 """
 
 from fractions import Fraction
 
 from .errors import ParseError, PrecisionError, SingularGauge
 from .scalars import Ext
-from .series import (INF, LaurentScalar, coord_product, from_coord_form, int_form,
-                     mul_prec, residue)
+from .series import (INF, LaurentScalar, coord_product, fold_coords, from_coord_form,
+                     int_form, mul_prec, residue)
 
 
 class LaurentMatrix:
@@ -197,6 +199,53 @@ def _product_rows(a_rows, b_rows):
             row.append(from_coord_form(acc, da * db, prec, fa or fb))
         out.append(row)
     return out
+
+
+def constant_product(p, m, q=None):
+    """The series matrix p m q for constant ground-field matrices p and q
+    (lists of rows; q None for the identity), with the values and
+    windows of the products LaurentMatrix.from_scalar_matrix(p) * m *
+    from_scalar_matrix(q): the window of entry (i, j) is the least
+    window of m[k][l] over the pairs with p[i][k] and q[l][j] nonzero.
+
+    The constants' numerators are written over one denominator and m in
+    series.int_form, so p m stays in integer coordinates and each output
+    entry is normalised once, through from_coord_form."""
+    n = m.n
+    entries = [x for row in m.rows for x in row]
+    consts = [LaurentScalar._raw({0: c} if c else {}, INF)
+              for rows in (p, q or ()) for row in rows for c in row]
+    den_c, field_c, c_forms = int_form(consts)
+    den_m, field_m, m_forms = int_form(entries)
+    field = field_c or field_m
+    den = den_c * den_m
+    nz_p = [[k for k in range(n) if p[i][k]] for i in range(n)]
+    pm = []
+    for i in range(n):
+        row = []
+        for l in range(n):
+            prec = min((entries[k * n + l].prec for k in nz_p[i]), default=INF)
+            row.append((prec, coord_product([(c_forms[i * n + k], m_forms[k * n + l])
+                                             for k in nz_p[i]], prec)))
+        pm.append(row)
+    if q is None:
+        return LaurentMatrix([[from_coord_form(acc, den, prec, field) for prec, acc in row]
+                              for row in pm])
+    for row in pm:
+        for _, acc in row:
+            if len(acc) > 1:
+                fold_coords(acc, field)
+    q_forms = c_forms[n * n:]
+    nz_q = [[l for l in range(n) if q[l][j]] for j in range(n)]
+    out = []
+    for row in pm:
+        out_row = []
+        for j in range(n):
+            prec = min((row[l][0] for l in nz_q[j]), default=INF)
+            acc = coord_product([(row[l][1], q_forms[l * n + j]) for l in nz_q[j]], prec)
+            out_row.append(from_coord_form(acc, den * den_c, prec, field))
+        out.append(out_row)
+    return LaurentMatrix(out)
 
 
 def _sub_multiple(xs, f, ys, ys_form):

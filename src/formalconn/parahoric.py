@@ -13,11 +13,10 @@ torus-adapted interleaved layout repeats the complete-chain phases
 inside each of the n/e diagonal blocks.
 """
 
-import math
 from fractions import Fraction
 
 from .errors import EmptyComposition, NotInFiltration, PrecisionError
-from .linalg import kmatmul, kzeros
+from .linalg import kmatmul, kzeros, product_is_nilpotent
 from .matrices import LaurentMatrix
 from .scalars import is_zero
 from .series import INF, LaurentScalar
@@ -269,18 +268,9 @@ class GradedEndo:
         nilpotent iff every cycle product is (a product around the
         cycle from another start is a rotation, nilpotent or not
         together).  A cycle through an empty class has product zero.
-        A rational pattern is scaled to integers first: a nonzero scalar
-        changes no product's nilpotency.
         """
         e = self.ctx.period
         classes = self.ctx.phase_classes
-        pattern = self.pattern
-        if all(isinstance(c, (int, Fraction)) for row in pattern for c in row):
-            den = math.lcm(*(c.denominator for row in pattern for c in row))
-            pattern = [[c.numerator * (den // c.denominator) for c in row] for row in pattern]
-            mul, zero = _int_matmul, _int_is_zero
-        else:
-            mul, zero = kmatmul, _field_is_zero
         seen = [False] * e
         for start in range(e):
             cycle = []
@@ -293,16 +283,8 @@ class GradedEndo:
                 continue
             # start from the smallest class: the product is square of that size
             first = min(range(len(cycle)), key=lambda i: len(classes[cycle[i]]))
-            prod = None
-            for c in cycle[first:] + cycle[:first]:
-                block = _block(pattern, classes, c, self.r)
-                prod = block if prod is None else mul(block, prod)
-            # a k x k matrix is nilpotent iff its k-th power is zero
-            power = 1
-            while power < len(prod) and not zero(prod):
-                prod = mul(prod, prod)
-                power *= 2
-            if not zero(prod):
+            if not product_is_nilpotent([_block(self.pattern, classes, c, self.r)
+                                         for c in cycle[first:] + cycle[:first]]):
                 return False
         return True
 
@@ -320,19 +302,6 @@ def _block(pattern, classes, c, r):
     """The map from phase class c to class c + r as a constant matrix."""
     rows = classes[(c + r) % len(classes)]
     return [[pattern[ru][cu] for cu in classes[c]] for ru in rows]
-
-
-def _int_matmul(a, b):
-    cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
-
-
-def _int_is_zero(m):
-    return not any(any(row) for row in m)
-
-
-def _field_is_zero(m):
-    return all(is_zero(c) for row in m for c in row)
 
 
 def graded_component(x, ctx, r):

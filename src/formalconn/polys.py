@@ -19,7 +19,7 @@ from .intpoly import (certify_squarefree, cyclotomic_norm, factor_squarefree, pr
 from .matrices import LaurentMatrix
 from .scalars import (as_fraction, format_scalar, is_rational_value, is_zero,
                       scalar_coords, scalar_inverse, sort_key)
-from .series import INF, LaurentScalar
+from .series import LaurentScalar
 
 # -- ground-field polynomials ------------------------------------------
 
@@ -366,14 +366,6 @@ def charpoly_series(mat):
 
 def _scalar_diag(n, series):
     return LaurentMatrix.scalar(n, series)
-
-
-def spoly_mul(p, q, prec=INF):
-    out = [LaurentScalar.zero() for _ in range(len(p) + len(q) - 1)]
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] = out[i + j] + (a * b).truncate(prec)
-    return out
 
 
 def hensel_lift(phi, factors, digits):

@@ -418,6 +418,19 @@ def from_coord_form(acc, den, prec, field):
     by the integer reduction table."""
     if len(acc) == 1:
         return from_int_form(acc[0], den, prec)
+    fold_coords(acc, field)
+    out = {}
+    for k in set().union(*acc):
+        nums = [a.get(k, 0) for a in acc]
+        if any(nums):
+            out[k] = Ext(field, tuple(Fraction(v, den) for v in nums))
+    return LaurentScalar._raw(out, prec)
+
+
+def fold_coords(acc, field):
+    """Fold the coordinate dicts of degree >= phi(m) (at most 2 phi(m) -
+    2) back onto the power basis by the integer reduction table, in
+    place."""
     d = field.degree
     for j in range(d, len(acc)):
         row = field._reduction[j - d]
@@ -427,12 +440,6 @@ def from_coord_form(acc, den, prec, field):
                     if r:
                         acc[i][k] = acc[i].get(k, 0) + c * r
     del acc[d:]
-    out = {}
-    for k in set().union(*acc):
-        nums = [a.get(k, 0) for a in acc]
-        if any(nums):
-            out[k] = Ext(field, tuple(Fraction(v, den) for v in nums))
-    return LaurentScalar._raw(out, prec)
 
 
 def _inverse_rational(den, nums, s, digits):

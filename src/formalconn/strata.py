@@ -14,8 +14,8 @@ from fractions import Fraction
 
 from .errors import (GcdViolation, IrreducibleStratum, NonsplitField,
                      PrecisionError, UnsupportedDepth)
-from .linalg import charpoly, knullspace, minpoly, rref
-from .matrices import LaurentMatrix
+from .linalg import charpoly, kinverse, knullspace, minpoly, rref
+from .matrices import LaurentMatrix, constant_product
 from .omodule import (column_echelon, combine, kernel_columns, matrix_columns,
                       preimage_lattice)
 from .parahoric import (LatticeChain, ParahoricContext, filtration_degree,
@@ -27,7 +27,7 @@ from .scalars import Ext, congruent_mod_z, get_field, is_zero, sort_key
 from .series import INF, LaurentScalar, OneForm
 
 HENSEL_GUARD = 8
-# Splitting lifts r n + HENSEL_GUARD t-adic digits and diagonalization
+# Splitting lifts up to r n + HENSEL_GUARD t-adic digits and diagonalization
 # reduces every level from -r up, so both grow with the depth r; the
 # regularity test refuses depths above this bound with UnsupportedDepth.
 MAX_DEPTH = 1000
@@ -199,7 +199,8 @@ def _split_stratum(s, field):
     that the parts are read from.
 
     All factors of phi are lifted together, by one multifactor Hensel
-    lift, to r n + HENSEL_GUARD digits; the kernel of each lifted factor
+    lift, to r n + HENSEL_GUARD digits, or to the least window of phi's
+    coefficients when that is shorter; the kernel of each lifted factor
     at y gives a part."""
     if s.r > 0 and math.gcd(s.r, s.e) != 1:
         raise GcdViolation("split requires gcd(r, e) = 1; reduce first")
@@ -222,7 +223,10 @@ def _split_stratum(s, field):
 
     digits = s.r * s.n + HENSEL_GUARD
     y_tilde = _power_truncated(s.beta, s.e, digits).shift(s.r).truncate(digits)
-    phi_tilde = [c.truncate(digits) for c in charpoly_series(y_tilde)]
+    phi_tilde = charpoly_series(y_tilde)
+    # no lifted digit beyond what phi determines
+    digits = min([digits] + [c.prec for c in phi_tilde])
+    phi_tilde = [c.truncate(digits) for c in phi_tilde]
 
     lifted = hensel_lift(phi_tilde, [gpoly for _, gpoly in groups], digits)
     kernels = [_kernel_of_poly(glift, y_tilde) for glift in lifted]
@@ -485,12 +489,13 @@ def _regular_depth_zero(s, field):
     # each eigenvalue is a simple root, so its eigenspace is a line
     evecs = [knullspace([[pat[i][j] - (root if i == j else 0) for j in range(n)]
                          for i in range(n)])[0] for root in vals]
-    g = LaurentMatrix.from_scalar_matrix([[evecs[j][i] for j in range(n)]
-                                          for i in range(n)])
-    g_inv = g.inverse()
-    conj = g_inv * s.beta * g
+    g = [[evecs[j][i] for j in range(n)] for i in range(n)]
+    g_inv = kinverse(g)
+    conj = constant_product(g_inv, s.beta, g)
     parts = _split_parts(s, conj, [[j] for j in range(n)])
-    return RegularityReport(True, e=1, m=n, leading=vals, gauge=g, gauge_inverse=g_inv,
+    return RegularityReport(True, e=1, m=n, leading=vals,
+                            gauge=LaurentMatrix.from_scalar_matrix(g),
+                            gauge_inverse=LaurentMatrix.from_scalar_matrix(g_inv),
                             conjugate=conj, parts=parts)
 
 

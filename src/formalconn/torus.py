@@ -169,18 +169,6 @@ class ToralElement:
         return "ToralElement(e=%d, m=%d, %r)" % (self.torus.e, self.torus.m, self.coeffs)
 
 
-def varpi_eps(torus, s, i, coeff=Fraction(1)):
-    """varpi_E^s supported on block i."""
-    n = torus.n
-    rows = [[LaurentScalar.zero() for _ in range(n)] for _ in range(n)]
-    block = varpi_block(torus.e, s, coeff)
-    base = i * torus.e
-    for p in range(torus.e):
-        for q in range(torus.e):
-            rows[base + p][base + q] = block[p][q]
-    return LaurentMatrix(rows)
-
-
 def tame_corestriction(x, torus, nu):
     """The t-bimodule projection onto the Cartan algebra:
     pi(X) = sum_{s,i} psi_s^i(X) varpi^s eps_i with

@@ -17,7 +17,8 @@ digit, and gauge with an inverse to the session default; the reference
 pure-block reduction applies one such gauge per level to the whole
 series matrix, and the reference split clears the off-blocks round by
 round with such gauges.  The reference cyclotomic inverse is a dense
-Gauss-Jordan solve.
+Gauss-Jordan solve, and the reference echelon form is Gauss-Jordan
+elimination in field scalars.
 """
 
 import itertools
@@ -25,11 +26,11 @@ import random
 from fractions import Fraction
 
 from formalconn import connections
-from formalconn.connections import FormalConnection, _kernel_flag_basis, gauge_transform
+from formalconn.connections import FormalConnection, gauge_transform
 from formalconn.errors import (FormalConnError, NotRegular, NotSplit, PrecisionError,
                                SingularGauge, ZeroLeading)
 from formalconn.formal_types import FormalType, WeylElement
-from formalconn.linalg import kinverse, kmatmul, knullspace, ksolve, rref
+from formalconn.linalg import kernel_flag_basis, kinverse, kmatmul, knullspace, ksolve, rref
 from formalconn.matrices import LaurentMatrix
 from formalconn.parahoric import (filtration_degree, graded_component, graded_monomials,
                                   monomial_matrix, pattern_to_matrix, standard_chain)
@@ -40,7 +41,7 @@ from formalconn.scalars import (Ext, as_fraction, get_field, is_rational_value, 
 from formalconn.series import INF, PRECISION_FLOOR, LaurentScalar, default_precision
 from formalconn.strata import Stratum, pure_leading, reduce_stratum
 from formalconn.torus import (ToralElement, TorusData, graded_ad_image_solve,
-                              graded_level_solve, tame_corestriction, varpi_eps)
+                              graded_level_solve, tame_corestriction, varpi_block)
 
 
 def LS(pairs, prec=INF):
@@ -511,7 +512,7 @@ def _ref_moser_gauge(matrix, kernel_power):
     if d is INF:
         raise FormalConnError("shear move on the zero matrix")
     pat = graded_component(matrix, ctx, d).pattern
-    basis = _kernel_flag_basis(pat, n)
+    basis = kernel_flag_basis(pat)
     if basis is None:
         raise FormalConnError("leading coefficient has no kernel flag")
     h = LaurentMatrix.from_scalar_matrix([[basis[j][i] for j in range(n)] for i in range(n)])
@@ -808,3 +809,52 @@ def _ref_pure_normalizer(n, r, xs, alpha, field):
     rows = [[LaurentScalar.from_scalar(diag[i]) if i == j else LaurentScalar.zero()
              for j in range(n)] for i in range(n)]
     return LaurentMatrix(rows)
+
+
+def varpi_eps(torus, s, i, coeff=Fraction(1)):
+    """varpi_E^s supported on block i."""
+    n = torus.n
+    rows = [[LaurentScalar.zero() for _ in range(n)] for _ in range(n)]
+    block = varpi_block(torus.e, s, coeff)
+    base = i * torus.e
+    for p in range(torus.e):
+        for q in range(torus.e):
+            rows[base + p][base + q] = block[p][q]
+    return LaurentMatrix(rows)
+
+
+def spoly_mul(p, q, prec=INF):
+    """The product of two polynomials with series coefficients, each
+    coefficient product truncated at prec."""
+    out = [LaurentScalar.zero() for _ in range(len(p) + len(q) - 1)]
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] = out[i + j] + (a * b).truncate(prec)
+    return out
+
+
+def ref_rref(mat):
+    """Reduced row echelon form by Gauss-Jordan elimination in field
+    scalars, the pivot row divided by its pivot at every step; returns
+    (rref_matrix, pivot_columns)."""
+    m = [list(row) for row in mat]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if not is_zero(m[i][c])), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = scalar_inverse(m[r][c])
+        m[r] = [x * inv for x in m[r]]
+        for i in range(rows):
+            if i != r and not is_zero(m[i][c]):
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots

@@ -27,11 +27,11 @@ from formalconn.series import INF, LaurentScalar, OneForm
 from formalconn.strata import Stratum, is_fundamental
 from formalconn.torus import (ToralElement, TorusData, delta_kernel_dimension,
                               graded_ad_image_solve, graded_ad_solve,
-                              tame_corestriction, varpi_eps)
+                              tame_corestriction)
 
 from helpers import (LS, brute_force_fundamental, katz_slope_oracle, krank, lmat,
                      monomial_lattice_columns, random_matrix, random_series,
-                     random_unit_matrix, seeded)
+                     random_unit_matrix, seeded, varpi_eps)
 
 Q = get_field("Q")
 QI = get_field("Q(i)")

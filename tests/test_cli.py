@@ -215,6 +215,41 @@ def test_truncated_window_suggests_precision(tmp_path, capsys):
     assert suggested == [8]
 
 
+def test_short_window_slope_suggests_precision(tmp_path, capsys):
+    """A nilpotent leading term whose kernel-flag gauge cancels an entry
+    down to its window: at --prec 4 and 5 the descent finds no chain
+    that keeps every window above the leading term, and the error
+    suggests a --prec that gives the round one; following the
+    suggestions reaches the slope that a long window gives."""
+    doc = {"n": 2, "field": "Q", "nu": {"coeffs": [[-1, "1/1"], [0, "1/1"]]},
+           "matrix": [[[[-4, "1/1"], [-3, "1/2"], [0, "-3/2"], [1, "-2/1"]],
+                       [[-4, "1/1"], [-3, "1/2"], [0, "-1/2"]]],
+                      [[[-4, "-1/1"], [-3, "-1/2"], [0, "-1/2"], [1, "2/1"]],
+                       [[-4, "-1/1"], [-3, "-1/2"], [0, "-3/2"]]]]}
+    f = tmp_path / "short_slope.conn.json"
+    f.write_text(json.dumps(doc))
+    before = default_precision()
+    try:
+        code, want, _ = run_cli(capsys, "slope", str(f), "--prec", "24")
+        assert code == 0
+        for start in (4, 5):
+            prec, suggested = start, []
+            for _ in range(5):
+                code, out, err = run_cli(capsys, "slope", str(f), "--prec", str(prec))
+                if code == 0:
+                    break
+                assert code == 3
+                payload = json.loads(err)
+                assert payload["error"] == "INSUFFICIENT_PRECISION"
+                assert payload["suggested_precision"] > prec
+                prec = payload["suggested_precision"]
+                suggested.append(prec)
+            assert code == 0 and out == want
+            assert suggested == [6]
+    finally:
+        set_default_precision(before)
+
+
 def test_short_off_block_window_suggests_precision(tmp_path, capsys):
     """A rank-3 split at depth 2 whose leading term is known but whose
     off-blocks are known only to the --prec window: the split raises

@@ -16,8 +16,9 @@ from formalconn.parahoric import (GradedEndo, LatticeChain, ParahoricContext,
 from formalconn.polys import kpoly_trim
 from formalconn.scalars import get_field
 from formalconn.series import INF, LaurentScalar, OneForm
+from formalconn.torus import TorusData
 
-from helpers import LS, krank, lmat, random_matrix, ref_is_nilpotent, seeded
+from helpers import LS, krank, lmat, random_matrix, ref_is_nilpotent, seeded, varpi_eps
 
 
 def test_maximal_parahoric():
@@ -193,7 +194,6 @@ def test_pairing_symmetry_and_block_formula():
     b = random_matrix(rng, 3)
     assert pairing(a, b, nu) == pairing(b, a, nu)
     # <varpi_E^s eps_i, varpi_E^(-s) eps_j> = e delta_ij
-    from formalconn.torus import TorusData, varpi_eps
     T = TorusData(2, 2)
     for s in (-3, -1, 0, 2):
         for i in range(2):

@@ -19,13 +19,12 @@ from formalconn.linalg import charpoly, minpoly
 from formalconn.polys import (MAX_NORM_DEGREE, charpoly_series, hensel_lift, kpoly_deg,
                               kpoly_divmod, kpoly_factor, kpoly_gcd,
                               kpoly_gcdext, kpoly_is_squarefree, kpoly_monic, kpoly_mul,
-                              kpoly_roots, nth_root_in_field, spoly_eval_matrix,
-                              spoly_mul)
+                              kpoly_roots, nth_root_in_field, spoly_eval_matrix)
 from formalconn.scalars import format_scalar, get_field, scalar_coords, sort_key
 from formalconn.series import LaurentScalar
 from formalconn.strata import pure_leading
 
-from helpers import LS, lmat, seeded
+from helpers import LS, lmat, seeded, spoly_mul
 
 Q = get_field("Q")
 QI = get_field("Q(i)")

@@ -11,25 +11,32 @@ pure-block reduction where the reference loses its window (see
 """
 
 import math
+import os
 import random
+import sys
 from fractions import Fraction
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from formalconn import strata
 from formalconn.connections import FormalConnection, _pure_block_reduce, gauge_transform
 from formalconn.errors import FormalConnError, NonsplitField, NotRegular, PrecisionError
 from formalconn.matrices import LaurentMatrix
 from formalconn.parahoric import (ParahoricContext, fildeg_certified, filtration_degree,
                                   graded_monomials, standard_chain)
-from formalconn.polys import hensel_lift, kpoly_deg, kpoly_gcd, kpoly_mul, spoly_mul
+from formalconn.polys import hensel_lift, kpoly_deg, kpoly_gcd, kpoly_mul
 from formalconn.scalars import get_field
 from formalconn.series import INF, LaurentScalar
 from formalconn.torus import (ToralElement, TorusData, block_levels, gauge_levels,
                               graded_level_solve, level_product, levels_matrix)
 
 from helpers import (ref_ext_inverse, ref_gauge_transform, ref_graded_level_solve,
-                     ref_hensel_lift, ref_pure_block_reduce, ref_realization)
+                     ref_hensel_lift, ref_pure_block_reduce, ref_realization, spoly_mul)
+
+# the benchmark's diagonalize corpus (bench/wl_diagonalize.py), read only
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "bench"))
+import wl_diagonalize  # noqa: E402
 
 Q = get_field("Q")
 QI = get_field("Q(i)")
@@ -154,6 +161,35 @@ def test_hensel_lift_matches_reference(data):
     ref_g, ref_h = ref_hensel_lift(phi, g0, h0, digits)
     assert len(new_g) == len(ref_g) and len(new_h) == len(ref_h)
     assert all(same(a, b) for a, b in zip(new_g + new_h, ref_g + ref_h))
+
+
+def test_hensel_lifts_of_a_diagonalize_pass_stay_in_phi_window(monkeypatch):
+    """Every Hensel lift of a diagonalize pass over the benchmark's
+    seed-40404 corpus stops at the least window of phi's coefficients
+    (phi is often known to fewer than r n + HENSEL_GUARD digits), and
+    each lifted factor is the reference's two-factor lift of phi into
+    that factor and the product of the others."""
+    calls = []
+
+    def recording(phi, factors, digits):
+        lifted = hensel_lift(phi, factors, digits)
+        calls.append((phi, factors, digits, lifted))
+        return lifted
+
+    monkeypatch.setattr(strata, "hensel_lift", recording)
+    workload = wl_diagonalize.Workload(40404, None)
+    for item in workload.items:
+        workload.run(item)
+    assert len(calls) == 24
+    for phi, factors, digits, lifted in calls:
+        assert all(c.prec == digits for c in phi), "lift beyond phi's window"
+        for i, fac in enumerate(factors):
+            rest = [Fraction(1)]
+            for other in factors[:i] + factors[i + 1:]:
+                rest = kpoly_mul(rest, other)
+            ref, _ = ref_hensel_lift(phi, fac, rest, digits)
+            assert len(ref) == len(lifted[i])
+            assert all(same(a, b) for a, b in zip(lifted[i], ref))
 
 
 @settings(max_examples=50, deadline=None)

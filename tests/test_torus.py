@@ -12,9 +12,9 @@ from formalconn.series import LaurentScalar, OneForm
 from formalconn.scalars import get_field, sort_key
 from formalconn.torus import (ToralElement, TorusData, delta_kernel_dimension,
                               graded_ad_image_solve, graded_ad_solve, regular_depth,
-                              tame_corestriction, varpi_eps)
+                              tame_corestriction)
 
-from helpers import LS, lmat, random_matrix, seeded
+from helpers import LS, lmat, random_matrix, seeded, varpi_eps
 
 NU = OneForm.dt_over_t()
 
