@@ -176,7 +176,7 @@ def build_parser():
                         help="default precision window (t-adic digits)")
     common.add_argument("--nu", help="one-form (dt, dt/t, dt/t^k); default from file")
     common.add_argument("--digits", type=int, default=8,
-                        help="output digits for diagonalization")
+                        help="output digits for diagonalization (>= 0)")
     ap = argparse.ArgumentParser(
         prog="formalconn",
         description="Exact analysis of formal meromorphic connections")
@@ -215,6 +215,8 @@ def main(argv=None):
             print("error[%s]: %s" % (exc.code, exc), file=sys.stderr)
             return EXIT_PRECISION
     try:
+        if args.digits < 0:
+            raise ParseError("--digits must be >= 0, got %d" % args.digits)
         return args.func(args)
     except PrecisionError as exc:
         payload = {"error": exc.code, "message": str(exc)}

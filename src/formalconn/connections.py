@@ -16,14 +16,15 @@ with denominator at most n, so the descent terminates.
 
 Diagonalization takes one path at every depth, depth zero and rank one
 included.  The regularity report of the fundamental stratum carries its
-split, when there is one (at depth zero, the residue eigenbasis on the
-maximal chain), with the inverse basis change and the conjugated
-matrix, so the split basis is applied with no further inverse;
-split_connection clears the off-block levels between the parts in the
-level form of the chain; and each part, or the whole matrix when there
-is no split, is a pure block, reduced in its level form by
-_pure_block_reduce.  A window too short for the requested digits raises
-PrecisionError at any depth.
+split, when there is one: a constant basis change in the Levi of the
+parahoric, read off the leading term (at depth zero, the residue
+eigenbasis on the maximal chain), with its inverse and the conjugated
+matrix, so the split basis is applied with no further inverse and no
+tau(g) term; split_connection clears the off-block levels between the
+parts above the leading one in the level form of the chain; and each
+part, or the whole matrix when there is no split, is a pure block,
+reduced in its level form by _pure_block_reduce.  A window too short
+for the requested digits raises PrecisionError at any depth.
 """
 
 import itertools
@@ -427,18 +428,17 @@ def diagonalize(conn, digits=8):
     if not report:
         raise NotRegular("connection is not regular: %s" % report.reason)
     parts = [(range(cur.n), strat.ctx)]
+    p_split = LaurentMatrix.identity(cur.n)
     if report.parts:
-        # g^-1 . nabla = g^-1 A g + g^-1 tau(g), the first term from the
-        # report, cut to the t-window that certifies level digits + 1,
+        # the split's g is constant, so g^-1 . nabla is the report's
+        # g^-1 A g, cut to the t-window that certifies level digits + 1,
         # all that the split and the pure blocks read
         e = strat.ctx.period
-        cur = FormalConnection((report.conjugate + report.gauge_inverse * report.gauge.tau())
-                               .truncate(-(-(digits + e) // e)), cur.nu)
+        cur = FormalConnection(report.conjugate.truncate(-(-(digits + e) // e)), cur.nu)
         gauge = report.gauge_inverse * gauge
         p_split, cur = split_connection(cur, strat.ctx, r,
                                         [part.slots for part in report.parts],
                                         digits=digits + r)
-        gauge = p_split * gauge
         parts = [(part.slots, part.stratum.ctx) for part in report.parts]
     # each part is a pure block of size e on its own chain, reduced
     # where the split left it
@@ -447,12 +447,16 @@ def diagonalize(conn, digits=8):
         block = LaurentMatrix([[cur.matrix.rows[u][v] for v in slots] for u in slots])
         p, q = _pure_block_reduce(FormalConnection(block, cur.nu), ctx, r, field, digits)
         blocks.append((slots, p, q, [q.get(d, field.zero()) for d in range(-r, 1)]))
-    return _assemble_blocks(cur.n, gauge, blocks, r, report.e, field)
+    return _assemble_blocks(cur.n, gauge, p_split, blocks, r, report.e, field, digits)
 
 
-def _assemble_blocks(n, gauge, blocks, r, e, field):
+def _assemble_blocks(n, gauge, p_split, blocks, r, e, field, digits):
     """Put the reduced blocks (slots, gauge, q, row) in sort order of
-    their leading coefficients."""
+    their leading coefficients; the total gauge is the blocks' gauges
+    times p_split times ``gauge``.  The first two are exact products of
+    one unipotent per level, a unit of P whose levels from digits + 1 + r
+    on move the result only beyond level digits: it is kept below
+    t^ceil((digits + r + e) / e), exactly."""
     blocks = sorted(blocks, key=lambda blk: sort_key(blk[3][0]))
     torus = TorusData(e, len(blocks))
     perm = [None] * n
@@ -462,7 +466,10 @@ def _assemble_blocks(n, gauge, blocks, r, e, field):
             perm[j * e + a] = u
             for b, v in enumerate(slots):
                 block_rows[u][v] = p.rows[a][b]
-    gauge = LaurentMatrix([block_rows[u] for u in perm]) * gauge
+    work = LaurentMatrix([block_rows[u] for u in perm]) * p_split
+    w = -(-(digits + r + e) // e)
+    gauge = LaurentMatrix([[LaurentScalar(x.truncate(w).coeffs) for x in row]
+                           for row in work.rows]) * gauge
     a_rep = ToralElement(torus, [q for _, _, q, _ in blocks])
     ft = FormalType(torus, r, [row for _, _, _, row in blocks], field)
     return DiagonalizationResult(gauge, a_rep, ft)

@@ -5,6 +5,9 @@ form over the valuation ring o = k[[t]]: column operations are
 unimodular over o (swaps, unit scalings, adding o-multiples), so the
 o-span of the columns is preserved.  Pivots are chosen by global
 minimal valuation, which keeps every quotient inside o.
+
+No library path calls it; it stays, loaded by the package, while the
+benchmark's span recorder wraps it by name (ROADMAP item 5).
 """
 
 from .errors import PrecisionError
@@ -33,30 +36,6 @@ class Echelon:
     @property
     def rank(self):
         return len(self.cols)
-
-    def reduce_vector(self, vec):
-        """Reduce vec modulo the column span; returns (coeffs, residual)."""
-        v = list(vec)
-        coeffs = []
-        for col, (row, order) in zip(self.cols, self.pivots):
-            c = v[row].shift(-order)
-            coeffs.append(c)
-            if not c.is_zero():
-                v = [a - c * b for a, b in zip(v, col)]
-        return coeffs, v
-
-    def contains(self, vec):
-        """o-membership of vec in the span (PrecisionError if blurry)."""
-        coeffs, residual = self.reduce_vector(vec)
-        for c in coeffs:
-            if not c.is_zero() and c.order < 0:
-                return False
-        for x in residual:
-            if not x.is_zero():
-                return False
-            if x.prec is not INF and x.prec < PRECISION_FLOOR:
-                raise PrecisionError("membership residual below precision floor")
-        return True
 
 
 def column_echelon(columns, track=False):
@@ -122,44 +101,3 @@ def column_echelon(columns, track=False):
     if track:
         return ech, out_expr, null_expr
     return ech
-
-
-def kernel_columns(matrix_cols):
-    """Right-kernel basis of the matrix with the given columns, as
-    coefficient vectors over the original column index set."""
-    _, _, null = column_echelon(matrix_cols, track=True)
-    return null
-
-
-def matrix_columns(mat):
-    return [[mat.rows[i][j] for i in range(mat.n)] for j in range(mat.n)]
-
-
-def preimage_lattice(kcols, exps):
-    """Basis of {x in F^d : sum x_k K_k lies in the monomial lattice
-    with exponents exps}, as d-dimensional columns.
-
-    Requires the K columns to be F-independent.
-    """
-    d = len(kcols)
-    scaled = []
-    for col in kcols:
-        scaled.append([entry.shift(-exps[row]) for row, entry in enumerate(col)])
-    ech, expr, null = column_echelon(scaled, track=True)
-    if null:
-        raise PrecisionError("preimage of dependent columns")
-    out = []
-    for coeff_col, (_, order) in zip(expr, ech.pivots):
-        out.append([c.shift(-order) for c in coeff_col])
-    assert len(out) == d
-    return out
-
-
-def combine(kcols, coeff_col):
-    """sum_k coeff_col[k] * kcols[k] as an ambient column."""
-    n = len(kcols[0])
-    out = [LaurentScalar.zero() for _ in range(n)]
-    for c, col in zip(coeff_col, kcols):
-        if not c.is_zero():
-            out = [a + c * b for a, b in zip(out, col)]
-    return out

@@ -4,7 +4,9 @@ Provides the characteristic polynomial of series matrices, exact gcd /
 squarefree machinery, factorization into irreducibles over Q (by the
 Zassenhaus method) or a cyclotomic extension (by Trager's norm method),
 and Hensel lifting of a coprime factorization from the residue field up
-the t-adic filtration.
+the t-adic filtration.  No library path calls the series routines
+charpoly_series and hensel_lift; they stay while the benchmark's span
+recorder wraps them by name (ROADMAP item 5).
 
 Polynomials are dense lists of coefficients in ascending degree.
 """
@@ -448,16 +450,3 @@ def _by_power(digit_polys, length, digits):
                                        if k < digits and i < len(p) and not is_zero(p[i])},
                                       digits))
     return out
-
-
-def spoly_eval_matrix(p, mat):
-    """Evaluate a series-coefficient polynomial on a LaurentMatrix by
-    Horner's rule, whose first step scales the matrix entrywise: a
-    polynomial of degree d takes d - 1 matrix products."""
-    n = mat.n
-    if len(p) == 1:
-        return LaurentMatrix.scalar(n, p[0])
-    acc = mat * p[-1] + LaurentMatrix.scalar(n, p[-2])
-    for c in reversed(p[:-2]):
-        acc = acc * mat + LaurentMatrix.scalar(n, c)
-    return acc

@@ -4,8 +4,16 @@ A stratum is (P, r, beta) with beta in P^(-r)/P^(1-r) stored through a
 representative matrix under a fixed one-form of order -1.  This module
 decides fundamentality through the stratum characteristic polynomial,
 produces the gcd reduction along the sub-chain L'^j = L^(jg), splits
-fundamental strata by Hensel lifting the coprime factorization of that
-polynomial, and classifies regular strata by recursive splitting.
+fundamental strata along the coprime factorization of that polynomial,
+and classifies regular strata by recursive splitting.
+
+A split reads only the leading term (after Bremer-Sage): the graded
+pattern of y = beta^e t^r is constant and block diagonal by phase
+class, and the kernels of the coprime factor powers at it give a
+constant basis change in the Levi of P that makes Ad(g^-1)(beta) block
+diagonal modulo P^(1-r).  The depth-zero split, the residue eigenbasis,
+is built the same way.  Nothing is lifted over k[[t]]: the levels above
+-r are left to :func:`formalconn.connections.split_connection`.
 """
 
 import itertools
@@ -14,22 +22,18 @@ from fractions import Fraction
 
 from .errors import (GcdViolation, IrreducibleStratum, NonsplitField,
                      PrecisionError, UnsupportedDepth)
-from .linalg import charpoly, kinverse, knullspace, minpoly, rref
+from .linalg import charpoly, kinverse, kmatmul, knullspace, kzeros, minpoly
 from .matrices import LaurentMatrix, constant_product
-from .omodule import (column_echelon, combine, kernel_columns, matrix_columns,
-                      preimage_lattice)
-from .parahoric import (LatticeChain, ParahoricContext, filtration_degree,
-                        graded_component, in_filtration)
-from .polys import (charpoly_series, kpoly_deg, kpoly_factor, kpoly_format,
-                    kpoly_is_squarefree, kpoly_mul, kpoly_roots, kpoly_trim,
-                    hensel_lift, nth_root_in_field, spoly_eval_matrix)
+from .parahoric import (LatticeChain, ParahoricContext, graded_component,
+                        in_filtration)
+from .polys import (kpoly_deg, kpoly_factor, kpoly_format, kpoly_is_squarefree,
+                    kpoly_mul, kpoly_roots, kpoly_trim, nth_root_in_field)
 from .scalars import Ext, congruent_mod_z, get_field, is_zero, sort_key
-from .series import INF, LaurentScalar, OneForm
+from .series import LaurentScalar, OneForm
 
-HENSEL_GUARD = 8
-# Splitting lifts up to r n + HENSEL_GUARD t-adic digits and diagonalization
-# reduces every level from -r up, so both grow with the depth r; the
-# regularity test refuses depths above this bound with UnsupportedDepth.
+# Diagonalization reduces every level from -r up, so its work grows with
+# the depth r; the regularity test refuses depths above this bound with
+# UnsupportedDepth.
 MAX_DEPTH = 1000
 
 
@@ -180,11 +184,12 @@ def split_stratum(s, field=None):
     """Split a fundamental stratum along the coprime factorization of
     its characteristic polynomial.
 
-    Returns (g, parts): a basis change g in GL_n(o) stabilizing the
-    chain, such that Ad(g^-1)(beta) is block diagonal modulo P^(1-r)
-    with respect to the parts' coordinate slots; parts are sorted by
-    the total order on their phi-roots.  The regularity test keeps
-    g^-1 and Ad(g^-1)(beta) as well (see :class:`RegularityReport`).
+    Returns (g, parts): a constant basis change g in the Levi of P
+    (entries only inside the phase classes), such that Ad(g^-1)(beta)
+    is block diagonal modulo P^(1-r) with respect to the parts'
+    coordinate slots; parts are sorted by the total order on their
+    phi-roots.  The regularity test keeps g^-1 and Ad(g^-1)(beta) as
+    well (see :class:`RegularityReport`).
 
     Raises IrreducibleStratum for pure strata (single linear factor
     power) and NonsplitField when phi does not factor over the field.
@@ -195,52 +200,71 @@ def split_stratum(s, field=None):
 
 def _split_stratum(s, field):
     """(g, g^-1, Ad(g^-1)(beta), parts) for :func:`split_stratum`: the
-    split's one Gauss-Jordan inverse, and the conjugated representative
-    that the parts are read from.
-
-    All factors of phi are lifted together, by one multifactor Hensel
-    lift, to r n + HENSEL_GUARD digits, or to the least window of phi's
-    coefficients when that is shorter; the kernel of each lifted factor
-    at y gives a part."""
+    constant split of :func:`_constant_split` at y's pattern, along the
+    coprime factor powers of phi."""
     if s.r > 0 and math.gcd(s.r, s.e) != 1:
         raise GcdViolation("split requires gcd(r, e) = 1; reduce first")
     if not is_fundamental(s):
         raise GcdViolation("split requires a fundamental stratum")
-    phi = stratum_char_poly(s).poly
+    y = _y_pattern(s)
+    phi = charpoly(y)
     factors = kpoly_factor(phi, field)
     if len(factors) == 1:
         fac, _ = factors[0]
         if kpoly_deg(fac) == 1:
             raise IrreducibleStratum("pure stratum: phi = %s" % kpoly_format(phi))
         raise NonsplitField("phi has no root in %s: %s" % (field.name, kpoly_format(phi)))
-    groups = []
-    for fac, mult in factors:
+    powers = []
+    for fac, mult in sorted(factors, key=_group_sort_key):
         power = [field.one()]
         for _ in range(mult):
             power = kpoly_mul(power, fac)
-        groups.append((fac, power))
-    groups.sort(key=_group_sort_key)
-
-    digits = s.r * s.n + HENSEL_GUARD
-    y_tilde = _power_truncated(s.beta, s.e, digits).shift(s.r).truncate(digits)
-    phi_tilde = charpoly_series(y_tilde)
-    # no lifted digit beyond what phi determines
-    digits = min([digits] + [c.prec for c in phi_tilde])
-    phi_tilde = [c.truncate(digits) for c in phi_tilde]
-
-    lifted = hensel_lift(phi_tilde, [gpoly for _, gpoly in groups], digits)
-    kernels = [_kernel_of_poly(glift, y_tilde) for glift in lifted]
-
-    dims = [len(k) for k in kernels]
-    if sum(dims) != s.n:
-        raise PrecisionError("Hensel kernels have total dimension %d != %d; "
-                             "increase the guard" % (sum(dims), s.n))
-    g, slot_lists = _adapted_basis_change(s.ctx, kernels)
-    g_inv = g.inverse()
-    beta_conj = g_inv * s.beta * g
-    if not off_block_filtration_ok(s.ctx, beta_conj, slot_lists, s.r):
+        powers.append(power)
+    split = _constant_split(s, y, powers)
+    if not off_block_filtration_ok(s.ctx, split[2], [part.slots for part in split[3]], s.r):
         raise PrecisionError("conjugated representative is not split at level r")
-    return g, g_inv, beta_conj, _split_parts(s, beta_conj, slot_lists)
+    return split
+
+
+def _constant_split(s, pat, powers):
+    """(g, g^-1, Ad(g^-1)(beta), parts) for a constant Levi basis change
+    g built from a degree-0 graded pattern that commutes with the
+    leading term of beta (y's pattern, or the residue at depth zero)
+    and pairwise coprime polynomials whose product annihilates it.
+
+    The pattern is block diagonal by phase class.  In each class, the
+    kernels of the polynomials at the class's block (in the order
+    given) fill the class's slots in ascending order, and the slots of
+    the i-th kernel form part i.  The leading term of beta maps each
+    kernel into the same kernel of its target class, so Ad(g^-1)(beta)
+    is block diagonal modulo P^(1-r); g is constant inside the phase
+    classes, so it lies in the Levi of P and tau(g) = 0."""
+    g = kzeros(s.n, s.n)
+    slot_lists = [[] for _ in powers]
+    for cls in s.ctx.phase_classes:
+        block = [[pat[u][v] for v in cls] for u in cls]
+        slots = iter(cls)
+        for slot_list, power in zip(slot_lists, powers):
+            for vec in knullspace(_poly_at(power, block)):
+                u = next(slots)
+                slot_list.append(u)
+                for w, x in zip(cls, vec):
+                    g[w][u] = x
+    g_inv = kinverse(g)
+    conj = constant_product(g_inv, s.beta, g)
+    parts = _split_parts(s, conj, [sorted(sl) for sl in slot_lists])
+    return (LaurentMatrix.from_scalar_matrix(g), LaurentMatrix.from_scalar_matrix(g_inv),
+            conj, parts)
+
+
+def _poly_at(poly, mat):
+    """The constant matrix poly(mat), by Horner's rule."""
+    acc = [[poly[-1] if i == j else 0 for j in range(len(mat))] for i in range(len(mat))]
+    for c in reversed(poly[:-1]):
+        acc = kmatmul(acc, mat)
+        for i, row in enumerate(acc):
+            row[i] = row[i] + c
+    return acc
 
 
 def _split_parts(s, beta_conj, slot_lists):
@@ -253,104 +277,11 @@ def _split_parts(s, beta_conj, slot_lists):
     return parts
 
 
-def _power_truncated(mat, k, digits):
-    """mat^k known modulo t^(digits+1): intermediate products are
-    truncated with headroom for the remaining factors' polar depth."""
-    cutoff = digits + 1
-    depth = max(0, -_min_order(mat))
-    out = LaurentMatrix.identity(mat.n)
-    for i in range(k):
-        remaining = k - 1 - i
-        out = (out * mat).truncate(cutoff + remaining * depth)
-    return out
-
-
-def _min_order(mat):
-    mo = mat.min_order()
-    return 0 if mo is INF else int(mo)
-
-
 def _group_sort_key(group):
     fac, _ = group
     if kpoly_deg(fac) == 1:
         return (0, sort_key(-fac[0]))
     return (1, tuple(sort_key(c) for c in fac))
-
-
-def _kernel_of_poly(spoly, mat):
-    evaluated = spoly_eval_matrix(spoly, mat)
-    cols = matrix_columns(evaluated)
-    null = kernel_columns(cols)
-    basis_cols = matrix_columns(LaurentMatrix.identity(mat.n))
-    out = []
-    for coeffs in null:
-        vec = combine(basis_cols, coeffs)
-        lead = min((c.order for c in vec if not c.is_zero()), default=0)
-        out.append([c.shift(-lead) for c in vec])
-    return out
-
-
-def _adapted_basis_change(ctx, kernels):
-    """Build g in P whose columns are chain-adapted bases of the kernel
-    subspaces; returns (g, slot lists per part)."""
-    e = ctx.period
-    n = ctx.n
-    chosen = {p: [] for p in range(e)}  # phase -> list of (part, column)
-    for part_idx, kcols in enumerate(kernels):
-        graded = _chain_adapted_vectors(ctx, kcols)
-        for phase, vec in graded:
-            chosen[phase].append((part_idx, vec))
-    slots_by_phase = {}
-    for u, p in enumerate(ctx.phases):
-        slots_by_phase.setdefault(p, []).append(u)
-    cols = [None] * n
-    slot_lists = [[] for _ in kernels]
-    for p in range(e):
-        picks = chosen.get(p, [])
-        slots = slots_by_phase.get(p, [])
-        if len(picks) != len(slots):
-            raise PrecisionError("adapted basis phase count mismatch at phase %d" % p)
-        picks.sort(key=lambda pv: pv[0])
-        for slot, (part_idx, vec) in zip(slots, picks):
-            cols[slot] = vec
-            slot_lists[part_idx].append(slot)
-    g = LaurentMatrix([[cols[j][i] for j in range(n)] for i in range(n)])
-    if filtration_degree(g, ctx) < 0:
-        raise PrecisionError("adapted basis change left the parahoric")
-    return g, [sorted(sl) for sl in slot_lists]
-
-
-def _chain_adapted_vectors(ctx, kcols):
-    """For the subspace spanned by kcols, vectors of V cap L^i spanning
-    each graded step, tagged by phase = i for i in [0, e)."""
-    e = ctx.period
-    d = len(kcols)
-    coords = []  # per level i: columns in V-coordinates of V cap L^i
-    for i in range(e + 1):
-        exps = ctx.lattice_exponents(i)
-        coords.append(preimage_lattice(kcols, exps))
-    out = []
-    taken = 0
-    for i in range(e):
-        cur = coords[i]
-        nxt = coords[i + 1]
-        cur_ech = column_echelon(cur)
-        # express next-level lattice in current coordinates, mod t
-        red_rows = []
-        for col in nxt:
-            coeffs, residual = cur_ech.reduce_vector(col)
-            if any(not x.is_zero() for x in residual):
-                raise PrecisionError("chain step is not nested")
-            red_rows.append([c.coeff_or_zero(0) for c in coeffs])
-        _, pivots = rref(red_rows) if red_rows else ([], [])
-        free = [j for j in range(cur_ech.rank) if j not in pivots]
-        for j in free:
-            vec = combine(kcols, cur_ech.cols[j])
-            out.append((i % e, vec))
-            taken += 1
-    if taken != d:
-        raise PrecisionError("adapted vector count %d != dim %d" % (taken, d))
-    return out
 
 
 def _restrict_to_slots(ctx, mat, slots, r):
@@ -397,10 +328,10 @@ class RegularityReport:
     and the ``parts``.  At positive depth g and the parts are what
     :func:`split_stratum` returns; at depth zero and rank n >= 2 the
     gauge is the constant residue eigenbasis and each part is one
-    eigenvector's slot, in the order of ``leading``.  For a stratum
-    built from a connection's matrix, g^-1 . nabla is ``conjugate`` +
-    g^-1 tau(g), with no further inverse.  All four are None for pure
-    strata and rank one."""
+    eigenvector's slot, in the order of ``leading``.  Both come from the
+    one constant split (see the module docstring), so for a stratum
+    built from a connection's matrix, g^-1 . nabla is ``conjugate``
+    itself.  All four are None for pure strata and rank one."""
 
     __slots__ = ("regular", "reason", "e", "m", "leading", "gauge", "gauge_inverse",
                  "conjugate", "parts")
@@ -487,16 +418,10 @@ def _regular_depth_zero(s, field):
     if n == 1:
         return RegularityReport(True, e=1, m=1, leading=vals)
     # each eigenvalue is a simple root, so its eigenspace is a line
-    evecs = [knullspace([[pat[i][j] - (root if i == j else 0) for j in range(n)]
-                         for i in range(n)])[0] for root in vals]
-    g = [[evecs[j][i] for j in range(n)] for i in range(n)]
-    g_inv = kinverse(g)
-    conj = constant_product(g_inv, s.beta, g)
-    parts = _split_parts(s, conj, [[j] for j in range(n)])
-    return RegularityReport(True, e=1, m=n, leading=vals,
-                            gauge=LaurentMatrix.from_scalar_matrix(g),
-                            gauge_inverse=LaurentMatrix.from_scalar_matrix(g_inv),
-                            conjugate=conj, parts=parts)
+    gauge, gauge_inverse, conjugate, parts = _constant_split(
+        s, pat, [[-root, field.one()] for root in vals])
+    return RegularityReport(True, e=1, m=n, leading=vals, gauge=gauge,
+                            gauge_inverse=gauge_inverse, conjugate=conjugate, parts=parts)
 
 
 def _split_leaves(s, field):

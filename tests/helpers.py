@@ -16,7 +16,9 @@ lift Hensel factorizations by recomputing the whole product at every
 digit, and gauge with an inverse to the session default; the reference
 pure-block reduction applies one such gauge per level to the whole
 series matrix, and the reference split clears the off-blocks round by
-round with such gauges.  The reference cyclotomic inverse is a dense
+round with such gauges.  The reference stratum split is the Hensel
+split over k[[t]] that the constant split replaced: series kernels of
+the lifted factors of phi and a chain-adapted echelon basis.  The reference cyclotomic inverse is a dense
 Gauss-Jordan solve, and the reference echelon form is Gauss-Jordan
 elimination in field scalars.
 """
@@ -25,17 +27,19 @@ import itertools
 import random
 from fractions import Fraction
 
-from formalconn import connections
+from formalconn import connections, strata
 from formalconn.connections import FormalConnection, gauge_transform
-from formalconn.errors import (FormalConnError, NotRegular, NotSplit, PrecisionError,
-                               SingularGauge, ZeroLeading)
+from formalconn.errors import (FormalConnError, IrreducibleStratum, NonsplitField, NotRegular,
+                               NotSplit, PrecisionError, SingularGauge, ZeroLeading)
 from formalconn.formal_types import FormalType, WeylElement
-from formalconn.linalg import kernel_flag_basis, kinverse, kmatmul, knullspace, ksolve, rref
+from formalconn.linalg import (charpoly, kernel_flag_basis, kinverse, kmatmul, knullspace,
+                               ksolve, rref)
 from formalconn.matrices import LaurentMatrix
+from formalconn.omodule import column_echelon
 from formalconn.parahoric import (filtration_degree, graded_component, graded_monomials,
                                   monomial_matrix, pattern_to_matrix, standard_chain)
-from formalconn.polys import kpoly_deg, kpoly_divmod, kpoly_gcdext, kpoly_mul, kpoly_sub, \
-    kpoly_trim
+from formalconn.polys import (charpoly_series, hensel_lift, kpoly_deg, kpoly_divmod,
+                              kpoly_factor, kpoly_gcdext, kpoly_mul, kpoly_sub, kpoly_trim)
 from formalconn.scalars import (Ext, as_fraction, get_field, is_rational_value, is_zero,
                                 scalar_inverse, sort_key)
 from formalconn.series import INF, PRECISION_FLOOR, LaurentScalar, default_precision
@@ -858,3 +862,145 @@ def ref_rref(mat):
         if r == rows:
             break
     return m, pivots
+
+
+# -- the Hensel split -----------------------------------------------------------
+
+HENSEL_GUARD = 8
+
+
+def ref_split_stratum(s, field):
+    """The split over k[[t]], as (g, g^-1, Ad(g^-1)(beta), parts) like
+    ``strata._split_stratum``: phi = charpoly of the series y = beta^e
+    t^r, known to r n + HENSEL_GUARD digits or to phi's least window,
+    its coprime factorization lifted together by ``hensel_lift``, the
+    o-kernel of each lifted factor at y, and a chain-adapted basis of
+    each kernel as the columns of a series basis change g in P."""
+    phi0 = charpoly(strata._y_pattern(s))
+    factors = kpoly_factor(phi0, field)
+    if len(factors) == 1:
+        if kpoly_deg(factors[0][0]) == 1:
+            raise IrreducibleStratum("pure stratum")
+        raise NonsplitField("phi has no root in %s" % field.name)
+    groups = []
+    for fac, mult in factors:
+        power = [field.one()]
+        for _ in range(mult):
+            power = kpoly_mul(power, fac)
+        groups.append((fac, power))
+    groups.sort(key=strata._group_sort_key)
+    digits = s.r * s.n + HENSEL_GUARD
+    y = _ref_power_truncated(s.beta, s.e, digits).shift(s.r).truncate(digits)
+    phi = charpoly_series(y)
+    digits = min([digits] + [c.prec for c in phi])
+    phi = [c.truncate(digits) for c in phi]
+    lifted = hensel_lift(phi, [power for _, power in groups], digits)
+    g, slot_lists = _ref_adapted_basis_change(s.ctx, [_ref_series_kernel(f, y) for f in lifted])
+    g_inv = g.inverse()
+    conj = g_inv * s.beta * g
+    return g, g_inv, conj, strata._split_parts(s, conj, slot_lists)
+
+
+def ref_split_diagonalize(conn, digits):
+    """``diagonalize`` with every positive-depth split taken by
+    :func:`ref_split_stratum`; its series g is not constant, so the
+    split connection g^-1 . nabla gets the term g^-1 tau(g) added.
+    (``unittest.mock`` would do the swap, but it imports asyncio, and
+    the benchmark imports this module.)"""
+    def split(s, field):
+        g, g_inv, conj, parts = ref_split_stratum(s, field)
+        return g, g_inv, conj + g_inv * g.tau(), parts
+
+    library_split = strata._split_stratum
+    strata._split_stratum = split
+    try:
+        return connections.diagonalize(conn, digits)
+    finally:
+        strata._split_stratum = library_split
+
+
+def _ref_power_truncated(mat, k, digits):
+    """mat^k known modulo t^(digits+1): intermediate products are
+    truncated with headroom for the remaining factors' polar depth."""
+    order = mat.min_order()
+    depth = 0 if order is INF else max(0, -int(order))
+    out = LaurentMatrix.identity(mat.n)
+    for i in range(k):
+        out = (out * mat).truncate(digits + 1 + (k - 1 - i) * depth)
+    return out
+
+
+def _ref_series_kernel(spoly, mat):
+    """o-basis columns of the kernel of spoly(mat), each shifted to
+    order 0."""
+    n = mat.n
+    acc = LaurentMatrix.scalar(n, spoly[-1])
+    for c in reversed(spoly[:-1]):
+        acc = acc * mat + LaurentMatrix.scalar(n, c)
+    _, _, null = column_echelon([[acc.rows[i][j] for i in range(n)] for j in range(n)],
+                                track=True)
+    out = []
+    for vec in null:
+        lead = min((c.order for c in vec if not c.is_zero()), default=0)
+        out.append([c.shift(-lead) for c in vec])
+    return out
+
+
+def _ref_combine(cols, coeffs):
+    out = [LaurentScalar.zero() for _ in cols[0]]
+    for c, col in zip(coeffs, cols):
+        if not c.is_zero():
+            out = [a + c * b for a, b in zip(out, col)]
+    return out
+
+
+def _ref_reduce(ech, vec):
+    """(coefficients, residual) of vec modulo an o-column echelon."""
+    v = list(vec)
+    coeffs = []
+    for col, (row, order) in zip(ech.cols, ech.pivots):
+        c = v[row].shift(-order)
+        coeffs.append(c)
+        if not c.is_zero():
+            v = [a - c * b for a, b in zip(v, col)]
+    return coeffs, v
+
+
+def _ref_preimage_lattice(kcols, exps):
+    """Basis of {x : sum x_k K_k lies in the monomial lattice with
+    exponents exps}, for F-independent columns K."""
+    scaled = [[entry.shift(-exps[row]) for row, entry in enumerate(col)] for col in kcols]
+    ech, expr, null = column_echelon(scaled, track=True)
+    assert not null
+    return [[c.shift(-order) for c in col] for col, (_, order) in zip(expr, ech.pivots)]
+
+
+def _ref_adapted_basis_change(ctx, kernels):
+    """g in P whose columns are chain-adapted bases of the kernels, and
+    the sorted slot list of each kernel: in each graded step L^i/L^(i+1),
+    the kernels' vectors fill the slots of phase i in kernel order."""
+    e, n = ctx.period, ctx.n
+    chosen = {p: [] for p in range(e)}
+    for part, kcols in enumerate(kernels):
+        coords = [_ref_preimage_lattice(kcols, ctx.lattice_exponents(i)) for i in range(e + 1)]
+        for i in range(e):
+            ech = column_echelon(coords[i])
+            rows = []
+            for col in coords[i + 1]:
+                coeffs, residual = _ref_reduce(ech, col)
+                assert all(x.is_zero() for x in residual)
+                rows.append([c.coeff_or_zero(0) for c in coeffs])
+            pivots = rref(rows)[1] if rows else []
+            chosen[i].extend((part, _ref_combine(kcols, ech.cols[j]))
+                             for j in range(ech.rank) if j not in pivots)
+    cols = [None] * n
+    slot_lists = [[] for _ in kernels]
+    for p in range(e):
+        slots = [u for u, q in enumerate(ctx.phases) if q == p]
+        picks = sorted(chosen[p], key=lambda pv: pv[0])
+        assert len(picks) == len(slots)
+        for slot, (part, vec) in zip(slots, picks):
+            cols[slot] = vec
+            slot_lists[part].append(slot)
+    g = LaurentMatrix([[cols[j][i] for j in range(n)] for i in range(n)])
+    return g, [sorted(sl) for sl in slot_lists]

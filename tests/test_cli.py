@@ -76,6 +76,27 @@ def test_missing_file_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["diagonalize", "witten.conn.json", "--digits", "-3"],
+    ["isomorphic", "witten.conn.json", "witten.conn.json", "--digits", "-1"],
+    ["moduli", "two_points.moduli.json", "--digits", "-5"],
+])
+def test_negative_digits_exit_2(capsys, argv):
+    argv = [os.path.join(DATA, a) if a.endswith(".json") else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "PARSE_ERROR"
+
+
+def test_matrix_read_against_dt_without_nu(tmp_path, capsys):
+    """With no nu in the file, nabla = d + M dt (nu = dt/t is only the
+    form it is expressed against): t^-3 dt is t^-2 dt/t, of slope 2."""
+    f = tmp_path / "no_nu.conn.json"
+    f.write_text(json.dumps({"n": 1, "field": "Q", "matrix": [[[[-3, "1/1"]]]]}))
+    code, out, _ = run_cli(capsys, "slope", str(f))
+    assert code == 0 and out.strip() == "2"
+
+
 def test_analyze_witten(capsys):
     code, out, _ = run_cli(capsys, "analyze", os.path.join(DATA, "witten.conn.json"))
     assert code == 0

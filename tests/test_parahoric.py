@@ -13,7 +13,7 @@ from formalconn.parahoric import (GradedEndo, LatticeChain, ParahoricContext,
                                   filtration_degree, graded_component,
                                   graded_monomials, monomial_matrix,
                                   standard_chain)
-from formalconn.polys import kpoly_trim
+from formalconn.polys import charpoly_series, kpoly_trim
 from formalconn.scalars import get_field
 from formalconn.series import INF, LaurentScalar, OneForm
 from formalconn.torus import TorusData
@@ -29,7 +29,6 @@ def test_maximal_parahoric():
 
 def test_iwahori_varpi_char_poly():
     # char poly of varpi_I is lambda^n - t
-    from formalconn.polys import charpoly_series
     for n in (2, 3, 4):
         ctx = standard_chain((1,) * n)
         phi = charpoly_series(ctx.varpi)

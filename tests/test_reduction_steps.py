@@ -3,40 +3,41 @@
 The library solves each graded level on patterns, writes toral
 realizations entry by entry, lifts Hensel factorizations digit by digit,
 gauges with two products instead of three, reduces pure blocks in their
-level form and inverts in Q(zeta_m) by extended Euclid.  Each must agree
-exactly with the reference -- the same coefficients and the same windows
--- except the gauge action, whose windows may only grow, and the
-pure-block reduction where the reference loses its window (see
-``test_pure_block_reduce_matches_reference``).
+level form, splits strata by a constant basis change and inverts in
+Q(zeta_m) by extended Euclid.  Each must agree exactly with the
+reference -- the same coefficients and the same windows -- except the
+gauge action, whose windows may only grow, the pure-block reduction
+where the reference loses its window (see
+``test_pure_block_reduce_matches_reference``), and the split, whose
+gauge differs from the Hensel split's, so that only the formal type and
+the toral representative must agree.
 """
 
 import math
-import os
 import random
-import sys
 from fractions import Fraction
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from formalconn import strata
-from formalconn.connections import FormalConnection, _pure_block_reduce, gauge_transform
+from formalconn.connections import (FormalConnection, _pure_block_reduce, diagonalize,
+                                    fundamental_stratum, gauge_transform)
 from formalconn.errors import FormalConnError, NonsplitField, NotRegular, PrecisionError
+from formalconn.formal_types import FormalType
+from formalconn.linalg import kinverse
 from formalconn.matrices import LaurentMatrix
 from formalconn.parahoric import (ParahoricContext, fildeg_certified, filtration_degree,
                                   graded_monomials, standard_chain)
 from formalconn.polys import hensel_lift, kpoly_deg, kpoly_gcd, kpoly_mul
-from formalconn.scalars import get_field
+from formalconn.scalars import congruent_mod_z, get_field, sort_key
 from formalconn.series import INF, LaurentScalar
+from formalconn.strata import off_block_filtration_ok, reduce_stratum, split_stratum
 from formalconn.torus import (ToralElement, TorusData, block_levels, gauge_levels,
                               graded_level_solve, level_product, levels_matrix)
 
 from helpers import (ref_ext_inverse, ref_gauge_transform, ref_graded_level_solve,
-                     ref_hensel_lift, ref_pure_block_reduce, ref_realization, spoly_mul)
-
-# the benchmark's diagonalize corpus (bench/wl_diagonalize.py), read only
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "bench"))
-import wl_diagonalize  # noqa: E402
+                     ref_hensel_lift, ref_pure_block_reduce, ref_realization,
+                     ref_split_diagonalize, spoly_mul)
 
 Q = get_field("Q")
 QI = get_field("Q(i)")
@@ -161,35 +162,6 @@ def test_hensel_lift_matches_reference(data):
     ref_g, ref_h = ref_hensel_lift(phi, g0, h0, digits)
     assert len(new_g) == len(ref_g) and len(new_h) == len(ref_h)
     assert all(same(a, b) for a, b in zip(new_g + new_h, ref_g + ref_h))
-
-
-def test_hensel_lifts_of_a_diagonalize_pass_stay_in_phi_window(monkeypatch):
-    """Every Hensel lift of a diagonalize pass over the benchmark's
-    seed-40404 corpus stops at the least window of phi's coefficients
-    (phi is often known to fewer than r n + HENSEL_GUARD digits), and
-    each lifted factor is the reference's two-factor lift of phi into
-    that factor and the product of the others."""
-    calls = []
-
-    def recording(phi, factors, digits):
-        lifted = hensel_lift(phi, factors, digits)
-        calls.append((phi, factors, digits, lifted))
-        return lifted
-
-    monkeypatch.setattr(strata, "hensel_lift", recording)
-    workload = wl_diagonalize.Workload(40404, None)
-    for item in workload.items:
-        workload.run(item)
-    assert len(calls) == 24
-    for phi, factors, digits, lifted in calls:
-        assert all(c.prec == digits for c in phi), "lift beyond phi's window"
-        for i, fac in enumerate(factors):
-            rest = [Fraction(1)]
-            for other in factors[:i] + factors[i + 1:]:
-                rest = kpoly_mul(rest, other)
-            ref, _ = ref_hensel_lift(phi, fac, rest, digits)
-            assert len(ref) == len(lifted[i])
-            assert all(same(a, b) for a, b in zip(lifted[i], ref))
 
 
 @settings(max_examples=50, deadline=None)
@@ -504,3 +476,72 @@ def test_ext_inverse_of_zero_raises():
         except ZeroDivisionError:
             continue
         raise AssertionError("inverse of zero in %s did not raise" % field.name)
+
+
+# -- the constant split against the Hensel split ------------------------------
+
+
+def unipotent_pair(rng, n, lower):
+    """(1 + N, (1 + N)^-1) for N strictly lower (or upper) triangular
+    with entries in t Q[t] of degree <= 2; the inverse is the finite sum
+    of the powers of -N."""
+    nil = LaurentMatrix([[LaurentScalar({k: Fraction(rng.randint(-2, 2)) for k in (1, 2)})
+                          if (j < i if lower else j > i) else LaurentScalar.zero()
+                          for j in range(n)] for i in range(n)])
+    one = LaurentMatrix.identity(n)
+    inv = power = one
+    for _ in range(n - 1):
+        power = power * -nil
+        inv = inv + power
+    return one + nil, inv
+
+
+# (e, m, r) with e in {1, 2, 3}, n = e m <= 6, m >= 2 blocks (so that
+# there is a split) and depth r <= 3 with gcd(r, e) = 1
+SPLIT_SHAPES = [(e, m, r) for e in (1, 2, 3) for m in range(2, 6 // e + 1)
+                for r in range(4) if math.gcd(r, e) == 1 and (r or e == 1)]
+
+
+@st.composite
+def regular_connections(draw):
+    """(formal type, connection): a regular formal type over Q or Q(i)
+    of a shape in SPLIT_SHAPES, realized as d + A dt/t and gauged by a
+    unit g = L U of GL_n(Q[t]), L and U unipotent, g = 1 mod t, drawn
+    from a seed."""
+    field = draw(st.sampled_from([Q, QI]))
+    e, m, r = draw(st.sampled_from(SPLIT_SHAPES))
+    leads = draw(st.lists(nonzero_scalars(field) if r else scalars(field),
+                          min_size=m, max_size=m))
+    for i, a in enumerate(leads):
+        for b in leads[:i]:
+            assume(not congruent_mod_z(a, b) if r == 0 else a ** e != b ** e)
+    rows = sorted(([a] + [draw(scalars(field)) for _ in range(r)] for a in leads),
+                  key=lambda row: sort_key(row[0]))
+    ft = FormalType(TorusData(e, m), r, rows, field)
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    lower, lower_inv = unipotent_pair(rng, e * m, True)
+    upper, upper_inv = unipotent_pair(rng, e * m, False)
+    g, g_inv = lower * upper, upper_inv * lower_inv
+    a = ft.realization()
+    return ft, FormalConnection(g * a * g_inv - g.tau() * g_inv)
+
+
+@settings(max_examples=25, deadline=None)
+@given(regular_connections())
+def test_constant_split_matches_hensel_split(case):
+    """On random regular connections, the split of the reduced
+    fundamental stratum is a constant g (order-0 entries, exact) that
+    makes Ad(g^-1)(beta) block diagonal modulo P^(1-r), and
+    diagonalize gives the formal type and toral representative that it
+    gives with the Hensel split of ``helpers.ref_split_stratum``."""
+    ft, conn = case
+    digits = ft.depth + 2
+    new = diagonalize(conn, digits)
+    ref = ref_split_diagonalize(conn, digits)
+    assert new.formal_type.to_json() == ref.formal_type.to_json()
+    assert new.A_rep.to_json() == ref.A_rep.to_json()
+    s = reduce_stratum(fundamental_stratum(conn)[2])
+    g, parts = split_stratum(s, ft.field)
+    assert all(x.prec is INF and set(x.coeffs) <= {0} for row in g.rows for x in row)
+    conj = LaurentMatrix.from_scalar_matrix(kinverse(g.coeff_matrix(0))) * s.beta * g
+    assert off_block_filtration_ok(s.ctx, conj, [part.slots for part in parts], s.r)
