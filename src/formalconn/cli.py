@@ -208,13 +208,9 @@ def build_parser():
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.prec:
-        try:
-            set_default_precision(args.prec)
-        except PrecisionError as exc:
-            print("error[%s]: %s" % (exc.code, exc), file=sys.stderr)
-            return EXIT_PRECISION
     try:
+        if args.prec is not None:
+            set_default_precision(args.prec)
         if args.digits < 0:
             raise ParseError("--digits must be >= 0, got %d" % args.digits)
         return args.func(args)

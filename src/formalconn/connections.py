@@ -2,13 +2,15 @@
 splitting, and diagonalization to a formal type.
 
 The slope engine follows the proof of Bremer-Sage that every connection
-contains a fundamental stratum, whose r/e is the slope.  Each round
-reads the matrix once into a table of entry orders and windows and
-moves to the best lattice chain of its frame: the least cycle mean
-a/b of the entry orders (Karp) is the largest filtration degree -r/e
-that a chain of monomial lattices in the current basis gives the
-matrix, and a shear and a relabelling of the basis put the chain that
-reaches it in standard form, with period b <= n and gcd(a, b) = 1.  The stratum there is fundamental iff its leading term
+contains a fundamental stratum, whose r/e is the slope.  The descent
+reads the matrix once into integer coordinate form and writes it back
+once; each round reads a table of entry orders and windows off the
+integer numerators and moves to the best lattice chain of its frame:
+the least cycle mean a/b of the entry orders (Karp) is the largest
+filtration degree -r/e that a chain of monomial lattices in the current
+basis gives the matrix, and a shear and a relabelling of the basis put
+the chain that reaches it in standard form, with period b <= n and
+gcd(a, b) = 1.  The stratum there is fundamental iff its leading term
 is not nilpotent on gr.  Otherwise a constant basis change inside the
 phase classes, adapted to the kernel flag of the leading term, lowers
 r/e strictly in the next round; r/e lies in a finite set of fractions
@@ -28,13 +30,15 @@ for the requested digits raises PrecisionError at any depth.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
-from .errors import NotRegular, NotSplit, ParseError, PrecisionError, SingularGauge
+from .errors import (NotInFiltration, NotRegular, NotSplit, ParseError, PrecisionError,
+                     SingularGauge)
 from .formal_types import FormalType
-from .linalg import kernel_flag_basis, kinverse
-from .matrices import LaurentMatrix, constant_product
-from .parahoric import (_certifying_window, fildeg_certified, filtration_degree,
+from .linalg import kernel_flag_basis, kinverse, kzeros
+from .matrices import IntMatrix, LaurentMatrix
+from .parahoric import (GradedEndo, _certifying_window, fildeg_certified, filtration_degree,
                         graded_component, standard_chain)
 from .scalars import get_field, is_zero, scalar_inverse, sort_key
 from .series import INF, LaurentScalar, OneForm, default_precision
@@ -140,21 +144,28 @@ def contained_stratum(conn, ctx):
 # -- slope -----------------------------------------------------------------
 
 
-def _order_table(matrix):
-    """(u, v, cost, known) for every entry that is not exactly zero: a
-    known entry costs the order of its first coefficient, an entry zero
-    to its window costs the window, the first order where a coefficient
-    could hide."""
-    return [(u, v, x.order, True) if x.coeffs else (u, v, x.prec, False)
-            for u, row in enumerate(matrix.rows) for v, x in enumerate(row)
-            if x.coeffs or x.prec is not INF]
+def _order_table(mat):
+    """(u, v, cost, known) for every entry of the integer form that is
+    not exactly zero: a known entry costs the order of its first
+    coefficient, an entry zero to its window costs the window, the first
+    order where a coefficient could hide."""
+    n = mat.n
+    out = []
+    for idx, (coords, prec) in enumerate(zip(mat.forms, mat.precs)):
+        orders = [min(c) for c in coords if c]
+        if orders:
+            out.append((idx // n, idx % n, min(orders), True))
+        elif prec is not INF:
+            out.append((idx // n, idx % n, prec, False))
+    return out
 
 
 def _min_cycle_mean(n, edges):
     """The least mean cost of a cycle of the order graph (Karp 1978), or
     None without a cycle.  By LP duality it is the largest value, over
     real points x, of min ord(A_uv) + x_u - x_v: the filtration degree
-    over e of the chain whose phases are e x mod e."""
+    over e of the chain whose phases are e x mod e.  The candidate means
+    (W_n - W_k) / (n - k) are compared as multiples of 1 / lcm(1..n)."""
     walks = [[0] * n]
     for _ in range(n):
         prev, cur = walks[-1], [None] * n
@@ -162,9 +173,11 @@ def _min_cycle_mean(n, edges):
             if prev[u] is not None and (cur[v] is None or prev[u] + cost < cur[v]):
                 cur[v] = prev[u] + cost
         walks.append(cur)
-    return min((max(Fraction(walks[n][v] - walks[k][v], n - k)
-                    for k in range(n) if walks[k][v] is not None)
-                for v in range(n) if walks[n][v] is not None), default=None)
+    scale = math.lcm(*range(1, n + 1))
+    mu = min((max((walks[n][v] - walks[k][v]) * (scale // (n - k))
+                  for k in range(n) if walks[k][v] is not None)
+              for v in range(n) if walks[n][v] is not None), default=None)
+    return None if mu is None else Fraction(mu, scale)
 
 
 def _chain_potentials(n, edges, a, b, strict=True):
@@ -214,19 +227,68 @@ def _window_shortfall(n, edges):
     raise AssertionError("no window increase up to %d finds a chain" % top)
 
 
-def _reframe(matrix, gauge, perm, shift):
-    """Gauge by the shear S = diag(t^shift), then relabel the basis u ->
-    perm: entry (i, j) becomes t^(s_u - s_v) M[u][v] - s_u [u = v] with
-    (u, v) = (perm[i], perm[j]), as tau(S) S^-1 = diag(shift).  Returns
-    the moved matrix and gauge."""
-    rows = []
-    for i, u in enumerate(perm):
-        row = [matrix.rows[u][v].shift(shift[u] - shift[v]) for v in perm]
-        if shift[u]:
-            row[i] = row[i] - LaurentScalar.from_scalar(Fraction(shift[u]))
-        rows.append(row)
-    return (LaurentMatrix(rows),
-            LaurentMatrix([[x.shift(shift[u]) for x in gauge.rows[u]] for u in perm]))
+def _sheared(mat, gauge, perm, shift):
+    """Gauge the integer forms by the shear S = diag(t^shift), then
+    relabel the basis u -> perm: entry (i, j) becomes t^(s_u - s_v)
+    M[u][v] - s_u [u = v] with (u, v) = (perm[i], perm[j]), as tau(S)
+    S^-1 = diag(shift), and row i of the gauge becomes t^(s_u) times its
+    row u.  Shifts move exponents and windows; the s_u term enters
+    coordinate 0 only where the entry's window lies above t^0."""
+    n, den = mat.n, mat.den
+    forms, precs = [], []
+    for u in perm:
+        for v in perm:
+            coords, prec = mat.forms[u * n + v], mat.precs[u * n + v]
+            if u == v and shift[u] and prec > 0:
+                lead = dict(coords[0])
+                lead[0] = lead.get(0, 0) - shift[u] * den
+                if not lead[0]:
+                    del lead[0]
+                coords = [lead] + coords[1:]
+                if len(coords) > 1 and not any(coords):
+                    coords = [{}]
+            elif shift[u] != shift[v]:
+                coords, prec = _shifted(coords, prec, shift[u] - shift[v])
+            forms.append(coords)
+            precs.append(prec)
+    g_forms, g_precs = [], []
+    for u in perm:
+        for v in range(n):
+            coords, prec = gauge.forms[u * n + v], gauge.precs[u * n + v]
+            if shift[u]:
+                coords, prec = _shifted(coords, prec, shift[u])
+            g_forms.append(coords)
+            g_precs.append(prec)
+    return (IntMatrix(n, den, mat.field, forms, precs),
+            IntMatrix(n, gauge.den, gauge.field, g_forms, g_precs))
+
+
+def _shifted(coords, prec, d):
+    """An entry's coordinate dicts and window times t^d."""
+    return ([{k + d: x for k, x in c.items()} for c in coords],
+            prec if prec is INF else prec + d)
+
+
+def _graded_pattern(mat, ctx, a):
+    """The graded pattern of the integer form at degree a on the chain
+    ctx, as graded_component gives it: NotInFiltration when a known
+    coefficient lies below P^a, PrecisionError when a pattern slot t^o
+    lies beyond its entry's window."""
+    n, e, phases = mat.n, ctx.period, ctx.phases
+    for idx, coords in enumerate(mat.forms):
+        for c in coords:
+            if c and e * min(c) + phases[idx // n] - phases[idx % n] < a:
+                raise NotInFiltration("matrix does not lie in P^%d" % a)
+    pat = kzeros(n, n)
+    for u in range(n):
+        for v in range(n):
+            level = a + phases[v] - phases[u]
+            if level % e == 0:
+                o = level // e
+                if o >= mat.precs[u * n + v]:
+                    raise PrecisionError("graded coefficient at t^%d unknown" % o, needed=o + 1)
+                pat[u][v] = mat.coeff(u * n + v, o)
+    return pat
 
 
 def _flag_levi(pat, blocks):
@@ -280,13 +342,24 @@ def fundamental_stratum(conn):
     with the input's one for one, as gauges shift them uniformly).  At
     depth zero a window may reach the residue if a known entry still
     certifies the filtration degree.
+
+    Arithmetic: the matrix is read once into integer coordinate form
+    (matrices.IntMatrix: one denominator, integer numerators per
+    power-basis coordinate, one window per entry) and the gauge starts
+    there at the identity.  Every round works on these integers: the
+    order table comes from the numerators, the shear and the relabelling
+    move exponents and windows, the graded pattern at degree a holds the
+    only Fractions the round builds, and g^-1 M g and g^-1 G go through
+    the integer product kernel, reduced by their content.  The matrix
+    and the gauge become LaurentMatrix values once, on return.
     """
     conn = conn.standardized()
     n = conn.n
-    matrix, gauge = conn.matrix, LaurentMatrix.identity(n)
+    mat, gauge = IntMatrix.read(conn.matrix), IntMatrix.identity(n)
+    moved = False
     depths = []
     while True:
-        edges = _order_table(matrix)
+        edges = _order_table(mat)
         a, b, x, loose = _round_chain(n, edges)
         if not depths:
             bound = 1 + sum(-a * k // b for k in range(1, n + 1))
@@ -300,21 +373,22 @@ def fundamental_stratum(conn):
         shift = [xu // b for xu in x]
         perm = sorted(range(n), key=lambda u: (-phases[u], u))
         if any(shift) or perm != list(range(n)):
-            matrix, gauge = _reframe(matrix, gauge, perm, shift)
+            mat, gauge = _sheared(mat, gauge, perm, shift)
+            moved = True
         blocks = [phases.count(p) for p in range(b - 1, -1, -1)]
         ctx = standard_chain(blocks)
-        cur = FormalConnection(matrix, conn.nu)
-        if a == 0:
+        beta = GradedEndo(_graded_pattern(mat, ctx, a), a, ctx) if a else None
+        if beta is None or not beta.is_nilpotent():
+            matrix = mat.write() if moved else conn.matrix
             if loose:
                 # in gl_n(o) with a window on the residue: raises unless a
                 # known entry certifies the filtration degree
                 filtration_degree(matrix, ctx)
-            return gauge, cur, Stratum(ctx, 0, matrix, conn.nu)
-        beta = graded_component(matrix, ctx, a)
-        if not beta.is_nilpotent():
-            return gauge, cur, Stratum(ctx, -a, matrix, conn.nu)
+            return gauge.write(), FormalConnection(matrix, conn.nu), \
+                Stratum(ctx, -a, matrix, conn.nu)
         g, g_inv = _flag_levi(beta.pattern, blocks)
-        matrix, gauge = constant_product(g_inv, matrix, g), constant_product(g_inv, gauge)
+        mat, gauge = mat.times_constants(g_inv, g), gauge.times_constants(g_inv)
+        moved = True
 
 
 def slope(conn):

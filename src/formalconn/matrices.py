@@ -9,10 +9,13 @@ kernel of :mod:`formalconn.series` over every ground field: each output
 entry is one sum of integer convolutions of power-basis coordinates over
 a common denominator, folded back by the cyclotomic reduction table and
 normalised once.  A product p M q with constant p and q
-(:func:`constant_product`) keeps p M in integer coordinates, so each of
-its entries is normalised once as well.
+(:func:`constant_product`) reads M once into an :class:`IntMatrix`
+(integer coordinate form), multiplies there and writes each entry once;
+the slope descent keeps its matrix and gauge in that form across its
+rounds and runs the same kernel, :meth:`IntMatrix.times_constants`.
 """
 
+import math
 from fractions import Fraction
 
 from .errors import ParseError, PrecisionError, SingularGauge
@@ -208,44 +211,147 @@ def constant_product(p, m, q=None):
     from_scalar_matrix(q): the window of entry (i, j) is the least
     window of m[k][l] over the pairs with p[i][k] and q[l][j] nonzero.
 
-    The constants' numerators are written over one denominator and m in
-    series.int_form, so p m stays in integer coordinates and each output
-    entry is normalised once, through from_coord_form."""
-    n = m.n
-    entries = [x for row in m.rows for x in row]
-    consts = [LaurentScalar._raw({0: c} if c else {}, INF)
-              for rows in (p, q or ()) for row in rows for c in row]
-    den_c, field_c, c_forms = int_form(consts)
-    den_m, field_m, m_forms = int_form(entries)
-    field = field_c or field_m
-    den = den_c * den_m
-    nz_p = [[k for k in range(n) if p[i][k]] for i in range(n)]
-    pm = []
-    for i in range(n):
-        row = []
-        for l in range(n):
-            prec = min((entries[k * n + l].prec for k in nz_p[i]), default=INF)
-            row.append((prec, coord_product([(c_forms[i * n + k], m_forms[k * n + l])
-                                             for k in nz_p[i]], prec)))
-        pm.append(row)
-    if q is None:
-        return LaurentMatrix([[from_coord_form(acc, den, prec, field) for prec, acc in row]
-                              for row in pm])
-    for row in pm:
-        for _, acc in row:
-            if len(acc) > 1:
-                fold_coords(acc, field)
-    q_forms = c_forms[n * n:]
-    nz_q = [[l for l in range(n) if q[l][j]] for j in range(n)]
-    out = []
-    for row in pm:
-        out_row = []
-        for j in range(n):
-            prec = min((row[l][0] for l in nz_q[j]), default=INF)
-            acc = coord_product([(row[l][1], q_forms[l * n + j]) for l in nz_q[j]], prec)
-            out_row.append(from_coord_form(acc, den * den_c, prec, field))
-        out.append(out_row)
-    return LaurentMatrix(out)
+    m is read once into integer coordinate form, multiplied there by
+    :meth:`IntMatrix.times_constants` (the kernel that the slope descent
+    runs on every round) and written once, one canonical Fraction per
+    output coordinate."""
+    return IntMatrix.read(m).times_constants(p, q).write()
+
+
+_ZERO = Fraction(0)
+
+
+class IntMatrix:
+    """A series matrix in integer coordinate form: one denominator
+    ``den``, and per entry, in row-major order, the integer numerator
+    dicts of its power-basis coordinates (as :func:`series.int_form`
+    writes them: one dict for rational entries, phi(m) dicts for entries
+    in Q(zeta_m)) and its window.  No numerator dict holds a zero, so
+    an entry is zero to its window exactly when every dict is empty;
+    such an entry has the one dict of a rational entry."""
+
+    __slots__ = ("n", "den", "field", "forms", "precs")
+
+    def __init__(self, n, den, field, forms, precs):
+        self.n = n
+        self.den = den
+        self.field = field
+        self.forms = forms
+        self.precs = precs
+
+    @classmethod
+    def read(cls, m):
+        entries = [x for row in m.rows for x in row]
+        den, field, forms = int_form(entries)
+        return cls(m.n, den, field, forms, [x.prec for x in entries])
+
+    @classmethod
+    def identity(cls, n):
+        return cls(n, 1, None, [[{0: 1}] if i == j else [{}] for i in range(n) for j in range(n)],
+                   [INF] * (n * n))
+
+    def write(self):
+        """The LaurentMatrix, one canonical Fraction per coordinate."""
+        n, den, field = self.n, self.den, self.field
+        return LaurentMatrix([[from_coord_form(self.forms[i * n + j], den, self.precs[i * n + j],
+                                               field) for j in range(n)] for i in range(n)])
+
+    def coeff(self, idx, k):
+        """The t^k coefficient of entry ``idx`` (row-major), typed as
+        :meth:`write` types it."""
+        nums = [c.get(k, 0) for c in self.forms[idx]]
+        if not any(nums):
+            return _ZERO
+        if len(nums) == 1:
+            return Fraction(nums[0], self.den)
+        return Ext(self.field, tuple(Fraction(v, self.den) for v in nums))
+
+    def times_constants(self, p, q=None):
+        """p self q for constant ground-field matrices p and q (lists of
+        rows; q None for the identity), with the windows of
+        :func:`constant_product`.  The constants' numerators are written
+        over one denominator, so p self stays in integer coordinates, and
+        (p self) q is taken as the transpose of q^T (p self)^T; the result
+        is divided by the content of its numerators and denominator, so
+        the numbers do not grow with repeated products."""
+        n = self.n
+        den_c, field_c, c_forms = int_form([LaurentScalar._raw({0: c} if c else {}, INF)
+                                            for rows in (p, q or ()) for row in rows
+                                            for c in row])
+        field = field_c or self.field
+        p_rows = [[(k, c_forms[i * n + k]) for k in range(n) if p[i][k]] for i in range(n)]
+        forms, precs = _left_product(n, p_rows, self.forms, self.precs, field)
+        den = den_c * self.den
+        if q is not None:
+            q_forms = c_forms[n * n:]
+            qt_rows = [[(l, q_forms[l * n + j]) for l in range(n) if q[l][j]] for j in range(n)]
+            forms, precs = _left_product(n, qt_rows, _transposed(n, forms),
+                                         _transposed(n, precs), field)
+            forms, precs = _transposed(n, forms), _transposed(n, precs)
+            den *= den_c
+        return IntMatrix._primitive(n, den, field, forms, precs)
+
+    @staticmethod
+    def _primitive(n, den, field, accs, precs):
+        """The form of the folded coordinate sums ``accs`` over ``den``:
+        zeros dropped, an entry with no coefficient left as one empty
+        dict, and every numerator and the denominator divided by their
+        gcd."""
+        forms = []
+        content = den
+        for acc in accs:
+            acc = [c if all(c.values()) else {k: v for k, v in c.items() if v} for c in acc]
+            if len(acc) > 1 and not any(acc):
+                acc = [{}]
+            if content > 1:
+                for c in acc:
+                    content = math.gcd(content, *c.values())
+            forms.append(acc)
+        if content > 1:
+            forms = [[{k: v // content for k, v in c.items()} for c in acc] for acc in forms]
+            den //= content
+        return IntMatrix(n, den, field, forms, precs)
+
+
+def _left_product(n, const_rows, forms, precs, field):
+    """(forms, windows) of the product c y of a constant matrix c and a
+    series matrix y in integer coordinates, coordinates of degree >=
+    phi(m) folded back: ``const_rows[i]`` lists (k, coordinate dicts)
+    for the nonzero c[i][k], each dict holding exponent 0 alone; entry
+    (i, l) keeps the least window of y[k][l] over those k, and its
+    exponents below it.  Over Q every entry has one coordinate, and each
+    constant scales a dict in a plain loop."""
+    exact = all(w is INF for w in precs)
+    out, out_precs = [], []
+    for terms in const_rows:
+        row_precs = [INF] * n if exact else \
+            [min((precs[k * n + l] for k, _ in terms), default=INF) for l in range(n)]
+        if field is None:
+            row = [{} for _ in range(n)]
+            for k, (x,) in terms:
+                x = x[0]
+                for l, (y,) in enumerate(forms[k * n:k * n + n]):
+                    dst, prec = row[l], row_precs[l]
+                    if not dst:
+                        row[l] = {e: x * v for e, v in y.items() if e < prec}
+                        continue
+                    for e, v in y.items():
+                        if e < prec:
+                            dst[e] = dst.get(e, 0) + x * v
+            out.extend([d] for d in row)
+        else:
+            for l in range(n):
+                acc = coord_product([(x, forms[k * n + l]) for k, x in terms], row_precs[l])
+                if len(acc) > 1:
+                    fold_coords(acc, field)
+                out.append(acc)
+        out_precs.extend(row_precs)
+    return out, out_precs
+
+
+def _transposed(n, flat):
+    """The transpose of a row-major n x n list."""
+    return [flat[j * n + i] for i in range(n) for j in range(n)]
 
 
 def _sub_multiple(xs, f, ys, ys_form):

@@ -6,10 +6,14 @@ fundamental-stratum oracle brute-forces the power criterion through raw
 series arithmetic and entry-order membership tests.  The reference
 kernel at the end is the coefficient-wise dict-of-Fraction arithmetic
 that the fraction-free kernel must reproduce exactly, and the reference
-slope descent tries every (permutation, composition) candidate through
+scan descent tries every (permutation, composition) candidate through
 a permuted matrix, the library's filtration degree and a power test of
-nilpotency.  The reference orbit test searches every permutation and
-Galois twist of the affine Weyl group.  The reference steps of
+nilpotency.  The reference series descent runs the library's
+lattice-chain rounds on LaurentMatrix values, shearing entry by entry
+and writing the matrix out and reading it back at every basis change,
+which the integer rounds must reproduce byte for byte.  The reference
+orbit test searches every permutation and Galois twist of the affine
+Weyl group.  The reference steps of
 diagonalization build each graded solve from series products of
 monomial matrices, realize toral elements as sums of uniformizer powers,
 lift Hensel factorizations by recomputing the whole product at every
@@ -34,7 +38,7 @@ from formalconn.errors import (FormalConnError, IrreducibleStratum, NonsplitFiel
 from formalconn.formal_types import FormalType, WeylElement
 from formalconn.linalg import (charpoly, kernel_flag_basis, kinverse, kmatmul, knullspace,
                                ksolve, rref)
-from formalconn.matrices import LaurentMatrix
+from formalconn.matrices import LaurentMatrix, constant_product
 from formalconn.omodule import column_echelon
 from formalconn.parahoric import (filtration_degree, graded_component, graded_monomials,
                                   monomial_matrix, pattern_to_matrix, standard_chain)
@@ -530,7 +534,7 @@ def _ref_moser_gauge(matrix, kernel_power):
     return shear * h.inverse()
 
 
-def ref_fundamental_stratum(conn):
+def ref_scan_fundamental_stratum(conn):
     """The slope descent with the reference scan, general gauge actions
     and Gauss-Jordan inverses of every gauge."""
     conn = conn.standardized()
@@ -551,6 +555,62 @@ def ref_fundamental_stratum(conn):
         gauge = h * gauge
         cur = gauge_transform(h, cur)
     raise FormalConnError("slope descent did not terminate")
+
+
+def _ref_order_table(matrix):
+    """connections._order_table read off a LaurentMatrix."""
+    return [(u, v, x.order, True) if x.coeffs else (u, v, x.prec, False)
+            for u, row in enumerate(matrix.rows) for v, x in enumerate(row)
+            if x.coeffs or x.prec is not INF]
+
+
+def _ref_reframe(matrix, gauge, perm, shift):
+    """The shear S = diag(t^shift) and the relabelling u -> perm applied
+    to series matrices: entry (i, j) becomes t^(s_u - s_v) M[u][v] - s_u
+    [u = v] with (u, v) = (perm[i], perm[j]), and row i of the gauge
+    t^(s_u) times its row u."""
+    rows = []
+    for i, u in enumerate(perm):
+        row = [matrix.rows[u][v].shift(shift[u] - shift[v]) for v in perm]
+        if shift[u]:
+            row[i] = row[i] - LaurentScalar.from_scalar(Fraction(shift[u]))
+        rows.append(row)
+    return (LaurentMatrix(rows),
+            LaurentMatrix([[x.shift(shift[u]) for x in gauge.rows[u]] for u in perm]))
+
+
+def ref_fundamental_stratum(conn):
+    """The lattice-chain descent of connections.fundamental_stratum on
+    series matrices: every round reads the order table and the graded
+    component off a LaurentMatrix, shears and relabels it entry by entry
+    and applies the kernel-flag basis change by constant_product, which
+    writes the matrix and the gauge out and reads them back."""
+    conn = conn.standardized()
+    n = conn.n
+    matrix, gauge = conn.matrix, LaurentMatrix.identity(n)
+    while True:
+        edges = _ref_order_table(matrix)
+        a, b, x, loose = connections._round_chain(n, edges)
+        if x is None:
+            raise PrecisionError("a window reaches the leading term at degree %d/%d" % (a, b),
+                                 short_by=connections._window_shortfall(n, edges))
+        phases = [xu % b for xu in x]
+        shift = [xu // b for xu in x]
+        perm = sorted(range(n), key=lambda u: (-phases[u], u))
+        if any(shift) or perm != list(range(n)):
+            matrix, gauge = _ref_reframe(matrix, gauge, perm, shift)
+        blocks = [phases.count(p) for p in range(b - 1, -1, -1)]
+        ctx = standard_chain(blocks)
+        cur = FormalConnection(matrix, conn.nu)
+        if a == 0:
+            if loose:
+                filtration_degree(matrix, ctx)
+            return gauge, cur, Stratum(ctx, 0, matrix, conn.nu)
+        beta = graded_component(matrix, ctx, a)
+        if not beta.is_nilpotent():
+            return gauge, cur, Stratum(ctx, -a, matrix, conn.nu)
+        g, g_inv = connections._flag_levi(beta.pattern, blocks)
+        matrix, gauge = constant_product(g_inv, matrix, g), constant_product(g_inv, gauge)
 
 
 # -- reference orbit search ---------------------------------------------------

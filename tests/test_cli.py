@@ -35,6 +35,19 @@ def test_slope_regular_singular(capsys):
     assert code == 0 and out.strip() == "0"
 
 
+@pytest.mark.parametrize("prec", ["0", "3"])
+def test_prec_below_floor_suggests_floor(capsys, prec):
+    # --prec 0 is a window like any other, not a missing option
+    before = default_precision()
+    code, out, err = run_cli(capsys, "slope", os.path.join(DATA, "witten.conn.json"),
+                             "--prec", prec)
+    assert default_precision() == before
+    assert code == 3 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "INSUFFICIENT_PRECISION"
+    assert payload["suggested_precision"] == 4
+
+
 def test_malformed_json_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.conn.json"
     bad.write_text("{not json")

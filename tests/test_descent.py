@@ -1,9 +1,9 @@
-"""The slope descent against the reference descent of ``helpers``.
+"""The slope descent against the reference descents of ``helpers``.
 
 The library moves, round by round, to the best lattice chain of the
 current frame (the least cycle mean of the entry orders) and changes
-the basis by the kernel flag of a nilpotent leading term; the reference
-tries every (permutation, composition) pair through a permuted matrix
+the basis by the kernel flag of a nilpotent leading term; the scan
+reference tries every (permutation, composition) pair through a permuted matrix
 and moves by shear rounds.  The two may certify the slope with
 different gauges and chains, so the descent is checked for what it
 promises: the stratum is contained in gauge . conn, it is fundamental
@@ -12,9 +12,14 @@ its slope is the reference's.  Where the reference raises, the descent
 raises the same exception type -- unless the reference ran out of
 precision and the descent certifies a stratum, whose slope must then
 hold for an exact completion of the windows.
+
+The series reference runs the same rounds as the library on
+LaurentMatrix values; the library's rounds on integer numerators must
+give the same gauge, matrix, windows and stratum, or the same error.
 """
 
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -24,39 +29,46 @@ from hypothesis import strategies as st
 
 from formalconn.connections import FormalConnection, fundamental_stratum, gauge_transform
 from formalconn.errors import PrecisionError
-from formalconn.matrices import LaurentMatrix
+from formalconn.linalg import kinverse
+from formalconn.matrices import LaurentMatrix, constant_product
 from formalconn.parahoric import GradedEndo, filtration_degree, standard_chain
+from formalconn.scalars import get_field
 from formalconn.series import INF, LaurentScalar
 
-from helpers import (descent_round_bound, record_descent_depths, ref_fundamental_stratum,
-                     ref_is_fundamental, shear_gauged)
+from helpers import (descent_round_bound, random_regular_type, record_descent_depths,
+                     ref_fundamental_stratum, ref_is_fundamental, ref_scan_fundamental_stratum,
+                     shear_gauged)
 
 rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+QI = get_field("Q(i)")
+# a + b i, an Ext even when b = 0
+gaussians = st.builds(lambda a, b: QI.from_coords([a, b]), rationals,
+                      st.one_of(st.just(Fraction(0)), rationals))
 
 
 @st.composite
-def window_entry(draw, lowest):
+def window_entry(draw, lowest, scalars=rationals):
     """A series with exponents in [lowest, 1], exact or known to a window
     that may swallow every coefficient (zero only to its window)."""
     exps = draw(st.lists(st.integers(lowest, 1), max_size=3, unique=True))
-    coeffs = {k: draw(rationals) for k in exps}
+    coeffs = {k: draw(scalars) for k in exps}
     prec = draw(st.one_of(st.just(INF), st.just(INF), st.integers(lowest, 3)))
     return LaurentScalar(coeffs, prec)
 
 
 @st.composite
-def descent_matrix(draw):
+def descent_matrix(draw, max_n=4, scalars=rationals):
     """Entries above the diagonal reach t^-4; on and below it they start
     at a drawn order, so the leading term on the maximal chain is often
     strictly upper triangular and finer chains or shears are needed.  A
     drawn relabelling of the basis moves the certifying chain off the
-    grouped layout."""
-    n = draw(st.integers(1, 4))
+    grouped layout.  Rank 1 to max_n, coefficients from ``scalars``."""
+    n = draw(st.integers(1, max_n))
     lowest = draw(st.integers(-4, 0))
     rows = []
     for u in range(n):
         rows.append([draw(st.one_of(st.just(LaurentScalar.zero()),
-                                    window_entry(-4 if v > u else lowest)))
+                                    window_entry(-4 if v > u else lowest, scalars)))
                      for v in range(n)])
     perm = draw(st.permutations(range(n)))
     return LaurentMatrix([[rows[perm[u]][perm[v]] for v in range(n)] for u in range(n)])
@@ -102,7 +114,7 @@ def _assert_certified(conn, result):
 
 def _assert_same_descent(conn):
     got = _outcome(fundamental_stratum, conn)
-    want = _outcome(ref_fundamental_stratum, conn)
+    want = _outcome(ref_scan_fundamental_stratum, conn)
     if isinstance(want, type):
         if isinstance(got, type) or want is not PrecisionError:
             assert got is want
@@ -112,7 +124,7 @@ def _assert_same_descent(conn):
         _assert_certified(conn, got)
         full = FormalConnection(_completed(conn.matrix, random.Random(0)))
         assert fundamental_stratum(full)[2].slope == got[2].slope
-        ref = _outcome(ref_fundamental_stratum, full)
+        ref = _outcome(ref_scan_fundamental_stratum, full)
         assert isinstance(ref, type) or ref[2].slope == got[2].slope
         return got
     assert not isinstance(got, type), "descent raised %s, reference certified" % got
@@ -205,4 +217,64 @@ def test_window_on_the_leading_term_raises():
     mat = LaurentMatrix([[zero, LaurentScalar.t_power(-3)], [LaurentScalar.zero(prec=-1), zero]])
     conn = FormalConnection(mat)
     assert _outcome(fundamental_stratum, conn) is PrecisionError
-    assert _outcome(ref_fundamental_stratum, conn) is PrecisionError
+    assert _outcome(ref_scan_fundamental_stratum, conn) is PrecisionError
+
+
+# -- the integer rounds against the same descent on series matrices ---------
+
+
+@st.composite
+def windowed_gauged_type(draw):
+    """A shear-gauged regular formal type, which takes kernel-flag rounds,
+    conjugated over Q(i) by a constant matrix or not, with some entries
+    cut to a window."""
+    n = draw(st.integers(2, 6))
+    e = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    mat = shear_gauged(rng, FormalConnection(random_regular_type(rng, n, e, draw(
+        st.integers(1, 3))).realization()), spread=draw(st.integers(1, 2))).matrix
+    if draw(st.booleans()):
+        while True:
+            c = [[QI.from_coords([rng.randint(-1, 1), rng.randint(-1, 1)]) for _ in range(n)]
+                 for _ in range(n)]
+            c_inv = kinverse(c)
+            if c_inv is not None:
+                break
+        mat = constant_product(c, mat, c_inv)
+    cut = draw(st.lists(st.one_of(st.none(), st.none(), st.none(), st.integers(-3, 4)),
+                        min_size=n * n, max_size=n * n))
+    return LaurentMatrix([[x if cut[u * n + v] is None else x.truncate(cut[u * n + v])
+                           for v, x in enumerate(row)] for u, row in enumerate(mat.rows)])
+
+
+def _descent_record(fn, conn):
+    """Gauge JSON and repr, matrix JSON and repr and (r, e, blocks); or
+    the exception type with its needed and short_by."""
+    try:
+        gauge, cur, s = fn(conn)
+    except Exception as exc:  # the exception is part of the outcome
+        return type(exc), getattr(exc, "needed", None), getattr(exc, "short_by", None)
+    return (json.dumps(gauge.to_json()), repr(gauge), json.dumps(cur.matrix.to_json()),
+            repr(cur.matrix), (s.r, s.e, s.ctx.chain.blocks))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(descent_matrix(6), descent_matrix(6, gaussians), windowed_gauged_type()))
+def test_integer_descent_matches_series_descent(mat):
+    conn = FormalConnection(mat)
+    assert _descent_record(fundamental_stratum, conn) == \
+        _descent_record(ref_fundamental_stratum, conn)
+
+
+def test_shear_term_enters_only_above_the_window():
+    # x = (0, -1): the shear t^-1 on basis vector 1 adds 1 = -s_1 to the
+    # diagonal entry (1, 1), which holds it only when its window lies
+    # above t^0
+    for prec, want in ((0, "0 + O(t^0)"), (1, "1/1 + O(t^1)"), (-1, "0 + O(t^-1)")):
+        mat = LaurentMatrix([[LaurentScalar.zero(), LaurentScalar.t_power(-3)],
+                             [LaurentScalar.t_power(-1), LaurentScalar.zero(prec=prec)]])
+        conn = FormalConnection(mat)
+        _, cur, s = fundamental_stratum(conn)
+        assert (s.r, s.e, repr(cur.matrix.rows[1][1])) == (2, 1, want)
+        assert _descent_record(fundamental_stratum, conn) == \
+            _descent_record(ref_fundamental_stratum, conn)

@@ -1,7 +1,8 @@
 """The slope at ranks above four: against the Katz growth oracle at
 n = 5, 6 (ramified slopes r/e, e > 1), against the built formal type at
-n = 7, 8 (where the oracle takes a minute), on the two inputs that the
-former shear rounds gave up on, and on a rank-32 cyclic input."""
+n = 5 to 8, 12 and 16 (where the oracle takes a minute or more), on the
+two inputs that the former shear rounds gave up on, and on a rank-32
+cyclic input."""
 
 import random
 import time
@@ -65,10 +66,11 @@ def test_oracle_raises_when_iterations_cannot_separate():
         katz_slope_oracle(_triangular_random(777, 6, -2, 1), imax=12)
 
 
-def test_slope_of_built_types_rank_5_to_8(monkeypatch):
+def test_slope_of_built_types_rank_5_to_16(monkeypatch):
     depths = record_descent_depths(monkeypatch)
     for seed, (n, e, r) in enumerate([(5, 5, 3), (6, 2, 1), (6, 6, 1), (6, 2, 3), (7, 7, 2),
-                                      (7, 1, 2), (8, 4, 3), (8, 2, 1), (8, 8, 3)]):
+                                      (7, 1, 2), (8, 4, 3), (8, 2, 1), (8, 8, 3), (12, 4, 2),
+                                      (16, 8, 1)]):
         depths.clear()
         assert slope(_gauged_type(100 + seed, n, e, r)) == Fraction(r, e)
         assert len(depths) <= descent_round_bound(n, depths[0])
