@@ -32,7 +32,7 @@ from .moduli import (GlobalConfig, GlobalRationalMatrix, PrincipalPart,
                      orbit_dimensions, regular_singular_orbit_dimensions)
 # No library path uses omodule.  bench/tracing.py wraps its column_echelon
 # by name after importing formalconn.cli, so the package loads it until
-# the benchmark change of ROADMAP item 5 drops that target and this line.
+# the benchmark change of ROADMAP item 1 drops that target and this line.
 from . import omodule
 
 __version__ = "0.1.0"

@@ -13,9 +13,8 @@ import sys
 from fractions import Fraction
 
 from .connections import FormalConnection, diagonalize, fundamental_stratum, slope
-from .errors import (DuplicatePoints, FormalConnError, IrreducibleStratum,
-                     NonsplitField, NotRegular, NotSplit, ParseError,
-                     PrecisionError, ResidueNonzero, UnsupportedDepth)
+from .errors import (DuplicatePoints, FormalConnError, NonsplitField, NotSplit, ParseError,
+                     PrecisionError, ResidueNonzero)
 from .formal_types import orbit_equivalent, validate_formal_type
 from .matrices import LaurentMatrix
 from .moduli import (GlobalConfig, assemble_global, check_framing, moment_map,
@@ -29,6 +28,14 @@ EXIT_PARSE = 2
 EXIT_PRECISION = 3
 EXIT_CONSTRAINT = 4
 EXIT_UNSUPPORTED = 5
+# The exit code of a library error: the first class in this table that
+# it is an instance of.
+EXIT_CODES = (
+    (PrecisionError, EXIT_PRECISION),
+    ((ResidueNonzero, DuplicatePoints, NotSplit), EXIT_CONSTRAINT),
+    (ParseError, EXIT_PARSE),
+    (FormalConnError, EXIT_UNSUPPORTED),
+)
 
 
 def _emit(payload):
@@ -214,31 +221,15 @@ def main(argv=None):
         if args.digits < 0:
             raise ParseError("--digits must be >= 0, got %d" % args.digits)
         return args.func(args)
-    except PrecisionError as exc:
-        payload = {"error": exc.code, "message": str(exc)}
-        if exc.short_by is not None:
-            payload["suggested_precision"] = default_precision() + exc.short_by
-        elif exc.needed is not None:
-            payload["suggested_precision"] = exc.needed
-        print(json.dumps(payload, sort_keys=True), file=sys.stderr)
-        return EXIT_PRECISION
-    except (ResidueNonzero, DuplicatePoints, NotSplit) as exc:
-        print(json.dumps({"error": exc.code, "message": str(exc)}, sort_keys=True),
-              file=sys.stderr)
-        return EXIT_CONSTRAINT
-    except (NotRegular, NonsplitField, UnsupportedDepth, IrreducibleStratum) as exc:
-        print(json.dumps({"error": exc.code, "message": str(exc)}, sort_keys=True),
-              file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except ParseError as exc:
-        print(json.dumps({"error": exc.code, "message": str(exc)}, sort_keys=True),
-              file=sys.stderr)
-        return EXIT_PARSE
     except FormalConnError as exc:
-        print(json.dumps({"error": exc.code, "message": str(exc)}, sort_keys=True),
-              file=sys.stderr)
-        return EXIT_UNSUPPORTED
-
+        payload = {"error": exc.code, "message": str(exc)}
+        if isinstance(exc, PrecisionError):
+            if exc.short_by is not None:
+                payload["suggested_precision"] = default_precision() + exc.short_by
+            elif exc.needed is not None:
+                payload["suggested_precision"] = exc.needed
+        print(json.dumps(payload, sort_keys=True), file=sys.stderr)
+        return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))
 
 if __name__ == "__main__":
     sys.exit(main())

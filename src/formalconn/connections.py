@@ -38,14 +38,14 @@ from .errors import (NotInFiltration, NotRegular, NotSplit, ParseError, Precisio
 from .formal_types import FormalType
 from .linalg import kernel_flag_basis, kinverse, kzeros
 from .matrices import IntMatrix, LaurentMatrix
-from .parahoric import (GradedEndo, _certifying_window, fildeg_certified, filtration_degree,
+from .parahoric import (GradedEndo, certifying_window, fildeg_certified, filtration_degree,
                         graded_component, standard_chain)
 from .scalars import get_field, is_zero, scalar_inverse, sort_key
 from .series import INF, LaurentScalar, OneForm, default_precision
 from .strata import Stratum, infer_field, is_regular, pure_leading
-from .torus import (ToralElement, TorusData, ad_level_solve, block_levels, gauge_levels,
-                    graded_pattern_solve, level_pattern, levels_matrix, pattern_level,
-                    rescale_levels, unipotent_times)
+from .torus import (ToralElement, TorusData, block_levels, gauge_levels, graded_pattern_solve,
+                    level_pattern, levels_matrix, pattern_level, rescale_levels,
+                    unipotent_times)
 
 
 class FormalConnection:
@@ -410,9 +410,10 @@ def split_connection(conn, ctx, r, slot_lists, digits=8):
     the session precision (default_precision() t-digits).  The off-block
     part of each level d below the target 1 - r + digits, from 1 - r
     up, is cleared by the gauge 1 - X with X at level d + r solving
-    ad(X)(lead) - m X = off-block part (torus.graded_pattern_solve, the
-    solver of graded_level_solve; the shift -m = -d is the graded
-    derivative at depth zero), and an unsolvable level raises NotSplit.
+    ad(X)(lead) - d X = off-block part (torus.graded_pattern_solve, the
+    one graded solver, which _pure_block_reduce uses too; the shift -d,
+    the graded derivative, enters only at depth zero), and an
+    unsolvable level raises NotSplit.
     The gauge acts by the level recurrence B = A - XA + tau X,
     A' = B + A'X of ``torus.gauge_levels``, with no inverse; it moves
     only the levels from d on, so one pass in order clears them all.
@@ -433,7 +434,7 @@ def split_connection(conn, ctx, r, slot_lists, digits=8):
     target = 1 - r + digits
     _, window = fildeg_certified(conn.matrix, ctx)
     if window < target:
-        needed, short_by = _certifying_window(conn.matrix, ctx, target)
+        needed, short_by = certifying_window(conn.matrix, ctx, target)
         raise PrecisionError("splitting needs the matrix below level %d, known below %d"
                              % (target, window), needed=needed, short_by=short_by)
     below = min(window, max(target, ctx.period * default_precision()))
@@ -452,8 +453,7 @@ def split_connection(conn, ctx, r, slot_lists, digits=8):
         if all(is_zero(c) for row in off for c in row):
             continue
         x = graded_pattern_solve(lead, off, ctx, d, r,
-                                 keep=lambda u, v: part_of[u] != part_of[v],
-                                 shift=-d if r == 0 else 0)
+                                 keep=lambda u, v: part_of[u] != part_of[v], shift=-d)
         if x is None:
             raise NotSplit("resonant obstruction at level %d" % (d + r))
         neg_x = [-c for c in pattern_level(x, d + r, ctx)]
@@ -484,7 +484,10 @@ class DiagonalizationResult:
 def diagonalize(conn, digits=8):
     """Gauge the connection into its Cartan form (Cartan coefficients in
     degrees -r..0 constitute the formal type), by the one path that
-    every depth takes (see the module docstring).
+    every depth takes (see the module docstring).  The fundamental
+    stratum's matrix is cut once, to the t-window ceil((digits + e) / e),
+    which certifies level digits + 1: all that the split and the pure
+    blocks read.
 
     Raises NotRegular when no regular stratum is contained,
     NonsplitField when the ground field lacks needed roots and
@@ -493,22 +496,17 @@ def diagonalize(conn, digits=8):
     conn = conn.standardized()
     field = infer_field(conn.matrix)
     gauge, cur, strat = fundamental_stratum(conn)
-    r = strat.r
-    work_prec = digits + r + 4
-    if cur.matrix.precision() is INF or cur.matrix.precision() > work_prec:
-        cur = FormalConnection(cur.matrix.truncate(work_prec), cur.nu)
-        strat = Stratum(strat.ctx, strat.r, cur.matrix, cur.nu)
-    report = is_regular(strat, field)
+    r, e = strat.r, strat.ctx.period
+    cur = FormalConnection(cur.matrix.truncate(-(-(digits + e) // e)), cur.nu)
+    report = is_regular(Stratum(strat.ctx, r, cur.matrix, cur.nu), field)
     if not report:
         raise NotRegular("connection is not regular: %s" % report.reason)
     parts = [(range(cur.n), strat.ctx)]
     p_split = LaurentMatrix.identity(cur.n)
     if report.parts:
         # the split's g is constant, so g^-1 . nabla is the report's
-        # g^-1 A g, cut to the t-window that certifies level digits + 1,
-        # all that the split and the pure blocks read
-        e = strat.ctx.period
-        cur = FormalConnection(report.conjugate.truncate(-(-(digits + e) // e)), cur.nu)
+        # g^-1 A g, which keeps the windows of A
+        cur = FormalConnection(report.conjugate, cur.nu)
         gauge = report.gauge_inverse * gauge
         p_split, cur = split_connection(cur, strat.ctx, r,
                                         [part.slots for part in report.parts],
@@ -560,9 +558,11 @@ def _pure_block_reduce(conn, ctx, r, field, digits):
     A - q, from the bottom through ``digits``, is then cleared: its mean
     c is its Cartan part; for v <= 0 it is absorbed into q, for v > 0
     the gauge 1 + (e c / v) varpi^v cancels it through its derivative
-    term; what is left solves the graded ad-equation, a cyclic
-    difference system, and the gauge 1 + varpi^(v+r) diag(xi) removes
-    it.  Gauges act by the level recurrence of ``torus.gauge_levels``,
+    term; what is left is the target of the graded ad-equation against
+    alpha varpi^(-r), which torus.graded_pattern_solve, the solver of
+    split_connection, solves on the block's chain (a cyclic difference
+    system), and the gauge 1 + varpi^(v+r) diag(xi) removes it.
+    Gauges act by the level recurrence of ``torus.gauge_levels``,
     without an inverse, and the accumulated gauge P <- (1 + X) P stays
     exact.
 
@@ -583,7 +583,7 @@ def _pure_block_reduce(conn, ctx, r, field, digits):
     xs, alpha = head
     _, window = fildeg_certified(block, ctx)
     if window < digits + 1:
-        needed, short_by = _certifying_window(block, ctx, digits + 1)
+        needed, short_by = certifying_window(block, ctx, digits + 1)
         raise PrecisionError("pure block known below level %d, reduction needs %d"
                              % (window, digits + 1), needed=needed, short_by=short_by)
     below = digits + 1
@@ -593,6 +593,7 @@ def _pure_block_reduce(conn, ctx, r, field, digits):
         h = _pure_normalizer(e, r, xs, alpha, field)
         cur = rescale_levels(cur, h)
         gauge = {0: h}
+    lead = level_pattern([alpha] * e, -r, ctx)
     q = {-r: alpha} if not is_zero(alpha) else {}
     for v in range(-r, digits + 1):
         rem = _level_remainder(cur, q, v, e)
@@ -609,7 +610,8 @@ def _pure_block_reduce(conn, ctx, r, field, digits):
             rem = _level_remainder(cur, q, v, e)
             if not any(rem):
                 continue
-        xi = ad_level_solve(alpha, r, rem, v + r)
+        x = graded_pattern_solve(lead, level_pattern(rem, v, ctx), ctx, v, r)
+        xi = [-c for c in pattern_level(x, v + r, ctx)]
         cur = gauge_levels(cur, v + r, xi, below)
         gauge = unipotent_times(v + r, xi, gauge)
     return levels_matrix(gauge, e), q

@@ -174,49 +174,31 @@ class GlobalRationalMatrix:
         n = self.n
         acc = [[LaurentScalar.zero(prec) for _ in range(n)] for _ in range(n)]
 
-        def add(i, j, series):
-            acc[i][j] = acc[i][j] + series
+        def add(series, mat):
+            for i in range(n):
+                for j in range(n):
+                    if not is_zero(mat[i][j]):
+                        acc[i][j] = acc[i][j] + series * mat[i][j]
 
         if point != INFINITY:
             x = Fraction(point)
             for y, coeffs in self.finite.items():
-                if y == x:
-                    for d, mat in enumerate(coeffs, start=1):
-                        for i in range(n):
-                            for j in range(n):
-                                if not is_zero(mat[i][j]):
-                                    add(i, j, LaurentScalar.t_power(-d, mat[i][j]))
-                else:
+                for d, mat in enumerate(coeffs, start=1):
                     # 1/(z-y)^d = 1/((x-y) + t)^d expanded at t = 0
-                    for d, mat in enumerate(coeffs, start=1):
-                        exp = _geometric_expansion(x - y, d, prec)
-                        for i in range(n):
-                            for j in range(n):
-                                if not is_zero(mat[i][j]):
-                                    add(i, j, exp * mat[i][j])
+                    add(LaurentScalar.t_power(-d) if y == x
+                        else _geometric_expansion(x - y, d, prec), mat)
             for k, mat in enumerate(self.poly):
                 # z^k = (x + t)^k
-                series = _binomial_expansion(x, k, prec)
-                for i in range(n):
-                    for j in range(n):
-                        if not is_zero(mat[i][j]):
-                            add(i, j, series * mat[i][j])
+                add(_binomial_expansion(x, k, prec), mat)
             return LaurentMatrix(acc)
         # infinity: z = 1/w, dz = -w^-2 dw
         for y, coeffs in self.finite.items():
             for d, mat in enumerate(coeffs, start=1):
                 # (z-y)^-d dz = -w^(d-2) (1-yw)^-d dw
-                series = _geometric_expansion_inf(y, d, prec)
-                for i in range(n):
-                    for j in range(n):
-                        if not is_zero(mat[i][j]):
-                            add(i, j, series * mat[i][j])
+                add(_geometric_expansion_inf(y, d, prec), mat)
         for k, mat in enumerate(self.poly):
             # z^k dz = -w^(-k-2) dw
-            for i in range(n):
-                for j in range(n):
-                    if not is_zero(mat[i][j]):
-                        add(i, j, LaurentScalar.t_power(-k - 2, -mat[i][j]))
+            add(LaurentScalar.t_power(-k - 2, Fraction(-1)), mat)
         return LaurentMatrix(acc)
 
     def principal_part_at(self, point):

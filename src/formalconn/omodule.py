@@ -7,7 +7,7 @@ o-span of the columns is preserved.  Pivots are chosen by global
 minimal valuation, which keeps every quotient inside o.
 
 No library path calls it; it stays, loaded by the package, while the
-benchmark's span recorder wraps it by name (ROADMAP item 5).
+benchmark's span recorder wraps it by name (ROADMAP item 1).
 """
 
 from .errors import PrecisionError

@@ -215,14 +215,14 @@ def filtration_degree(x, ctx, stop_at=None):
             return INF
         target = stop_at if best is INF else best
         needed, short_by = (None, None) if target is None else \
-            _certifying_window(x, ctx, target)
+            certifying_window(x, ctx, target)
         raise PrecisionError(
             "filtration degree undetermined: known bound %s < candidate %s" % (bound, best),
             needed=needed, short_by=short_by)
     return best
 
 
-def _certifying_window(x, ctx, level):
+def certifying_window(x, ctx, level):
     """(needed, short_by) for certifying membership in P^level: needed
     is the least window t^w such that every entry known to it certifies
     it, the largest min_entry_order(u, v, level) over the entries whose

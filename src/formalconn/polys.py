@@ -6,7 +6,7 @@ Zassenhaus method) or a cyclotomic extension (by Trager's norm method),
 and Hensel lifting of a coprime factorization from the residue field up
 the t-adic filtration.  No library path calls the series routines
 charpoly_series and hensel_lift; they stay while the benchmark's span
-recorder wraps them by name (ROADMAP item 5).
+recorder wraps them by name (ROADMAP item 1).
 
 Polynomials are dense lists of coefficients in ascending degree.
 """

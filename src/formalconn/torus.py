@@ -504,25 +504,3 @@ def gauge_levels(levels, ell, xi, below, ctx=None):
                 acc[q] = acc[q] - c
     return out
 
-
-def ad_level_solve(alpha, r, target, ell):
-    """xi with ad(varpi^ell diag(xi))(alpha varpi^(-r)) = -target, the
-    graded ad-equation at level ell - r: the cyclic difference system
-    alpha (xi[(s + r) mod e] - xi[s]) = -target[s], gcd(r, e) = 1,
-    solvable when the target has mean zero.
-
-    Of the solutions, which differ by a constant, this is the one with
-    xi[(e - 1 + ell) mod e] = 0, the one ``graded_level_solve`` picks:
-    its unknowns are the slots ordered by row, and the unknown of the
-    last row is the free one."""
-    e = len(target)
-    xi = [Fraction(0)] * e
-    if e == 1:
-        return xi
-    inv = scalar_inverse(alpha)
-    s = (e - 1 + ell) % e
-    for _ in range(e - 1):
-        nxt = (s + r) % e
-        xi[nxt] = xi[s] - target[s] * inv
-        s = nxt
-    return xi

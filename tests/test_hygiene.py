@@ -1,7 +1,7 @@
 """Static checks on the library source, standing in for a linter: every
-module-level import is used, no function imports inside its body, and
+module-level import is used, no function imports inside its body,
 every top-level private function is referenced somewhere in the
-library."""
+library, and no module imports another's private names."""
 
 import ast
 import os
@@ -80,3 +80,16 @@ def test_private_functions_are_referenced():
             if not any(stmt.name in used for _, other, used in reads if other is not stmt):
                 unreferenced.append("%s: %s" % (name, stmt.name))
     assert not unreferenced, "unreferenced private functions: %s" % ", ".join(unreferenced)
+
+
+def test_no_private_imports_across_modules():
+    # a name another module imports is part of its module's interface
+    private = []
+    for name, tree in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and \
+                    (node.level or (node.module or "").startswith("formalconn")):
+                private.extend("%s:%d %s" % (name, node.lineno, alias.name)
+                               for alias in node.names
+                               if alias.name.startswith("_") and not alias.name.startswith("__"))
+    assert not private, "private names imported across modules: %s" % ", ".join(private)

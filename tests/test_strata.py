@@ -1,6 +1,7 @@
 """Strata: characteristic polynomials, the fundamental test against the
 brute-force oracle, reductions, Hensel splitting, regularity."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -169,6 +170,41 @@ def test_split_direct_sum_graded_agreement():
     assert filtration_degree(g, mx) >= 0
     assert filtration_degree(g.inverse(), mx) >= 0
     _ = rng
+
+
+def test_split_at_minimal_windows():
+    # every entry is its graded leading coefficient at -r, known only to
+    # min_entry_order(u, v, 1 - r): the least windows a stratum admits;
+    # the off-block entries of g^-1 beta g keep them, so the split holds
+    # at level 1 - r with no longer window
+    rng = seeded(53)
+    q = get_field("Q")
+    chains = [(2,), (1, 1), (3,), (1, 2), (2, 1), (1, 1, 1), (4,), (2, 2), (1, 3), (1, 1, 2)]
+    split = 0
+    for _ in range(300):
+        ctx = standard_chain(rng.choice(chains))
+        e, n = ctx.period, ctx.n
+        r = rng.choice([x for x in range(5) if math.gcd(x, e) == 1])
+        rows = []
+        for u in range(n):
+            row = []
+            for v in range(n):
+                lo, cut = ctx.min_entry_order(u, v, -r), ctx.min_entry_order(u, v, 1 - r)
+                c = rng.choice([0, 0, 1, -1, 2, 3]) if cut > lo else 0
+                row.append(LS([(lo, c)] if c else [], cut))
+            rows.append(row)
+        s = Stratum(ctx, r, LaurentMatrix(rows))
+        if not is_fundamental(s):
+            continue
+        try:
+            _, _, conj, parts = strata._split_stratum(s, q)
+        except (IrreducibleStratum, NonsplitField):
+            continue
+        split += 1
+        assert off_block_filtration_ok(ctx, conj, [p.slots for p in parts], r)
+        assert all(conj.rows[u][v].prec == ctx.min_entry_order(u, v, 1 - r)
+                   for u in range(n) for v in range(n))
+    assert split >= 100
 
 
 def test_regularity_examples():
