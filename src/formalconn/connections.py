@@ -22,11 +22,14 @@ split, when there is one: a constant basis change in the Levi of the
 parahoric, read off the leading term (at depth zero, the residue
 eigenbasis on the maximal chain), with its inverse and the conjugated
 matrix, so the split basis is applied with no further inverse and no
-tau(g) term; split_connection clears the off-block levels between the
-parts above the leading one in the level form of the chain; and each
-part, or the whole matrix when there is no split, is a pure block,
-reduced in its level form by _pure_block_reduce.  A window too short
-for the requested digits raises PrecisionError at any depth.
+tau(g) term.  One level loop, _pure_block_reduce, then works in the
+level form of the chain: each level above the leading one loses the
+Cartan part of every part, into q or by a derivative gauge, and the
+rest, between the parts and inside them, by one graded solve.  The
+parts are the split's, or the whole matrix when there is no split.
+split_connection, which clears only the off-block levels, stays for
+callers that want a split connection.  A window too short for the
+requested digits raises PrecisionError at any depth.
 """
 
 import itertools
@@ -458,7 +461,7 @@ def split_connection(conn, ctx, r, slot_lists, digits=8):
             raise NotSplit("resonant obstruction at level %d" % (d + r))
         neg_x = [-c for c in pattern_level(x, d + r, ctx)]
         cur = gauge_levels(cur, d + r, neg_x, below, ctx)
-        gauge = unipotent_times(d + r, neg_x, gauge, ctx=ctx)
+        gauge = unipotent_times(d + r, neg_x, gauge, INF, ctx)
     return (levels_matrix(gauge, n, ctx),
             FormalConnection(levels_matrix(cur, n, ctx, below), conn.nu))
 
@@ -486,8 +489,7 @@ def diagonalize(conn, digits=8):
     degrees -r..0 constitute the formal type), by the one path that
     every depth takes (see the module docstring).  The fundamental
     stratum's matrix is cut once, to the t-window ceil((digits + e) / e),
-    which certifies level digits + 1: all that the split and the pure
-    blocks read.
+    which certifies level digits + 1: all that the level loop reads.
 
     Raises NotRegular when no regular stratum is contained,
     NonsplitField when the ground field lacks needed roots and
@@ -496,131 +498,119 @@ def diagonalize(conn, digits=8):
     conn = conn.standardized()
     field = infer_field(conn.matrix)
     gauge, cur, strat = fundamental_stratum(conn)
-    r, e = strat.r, strat.ctx.period
-    cur = FormalConnection(cur.matrix.truncate(-(-(digits + e) // e)), cur.nu)
-    report = is_regular(Stratum(strat.ctx, r, cur.matrix, cur.nu), field)
+    r, ctx = strat.r, strat.ctx
+    e = ctx.period
+    mat = cur.matrix.truncate(-(-(digits + e) // e))
+    report = is_regular(Stratum(ctx, r, mat, cur.nu), field)
     if not report:
         raise NotRegular("connection is not regular: %s" % report.reason)
-    parts = [(range(cur.n), strat.ctx)]
-    p_split = LaurentMatrix.identity(cur.n)
+    parts = [range(ctx.n)]
     if report.parts:
         # the split's g is constant, so g^-1 . nabla is the report's
         # g^-1 A g, which keeps the windows of A
-        cur = FormalConnection(report.conjugate, cur.nu)
+        mat = report.conjugate
         gauge = report.gauge_inverse * gauge
-        p_split, cur = split_connection(cur, strat.ctx, r,
-                                        [part.slots for part in report.parts],
-                                        digits=digits + r)
-        parts = [(part.slots, part.stratum.ctx) for part in report.parts]
-    # each part is a pure block of size e on its own chain, reduced
-    # where the split left it
-    blocks = []
-    for slots, ctx in parts:
-        block = LaurentMatrix([[cur.matrix.rows[u][v] for v in slots] for u in slots])
-        p, q = _pure_block_reduce(FormalConnection(block, cur.nu), ctx, r, field, digits)
-        blocks.append((slots, p, q, [q.get(d, field.zero()) for d in range(-r, 1)]))
-    return _assemble_blocks(cur.n, gauge, p_split, blocks, r, report.e, field, digits)
-
-
-def _assemble_blocks(n, gauge, p_split, blocks, r, e, field, digits):
-    """Put the reduced blocks (slots, gauge, q, row) in sort order of
-    their leading coefficients; the total gauge is the blocks' gauges
-    times p_split times ``gauge``.  The first two are exact products of
-    one unipotent per level, a unit of P whose levels from digits + 1 + r
-    on move the result only beyond level digits: it is kept below
-    t^ceil((digits + r + e) / e), exactly."""
-    blocks = sorted(blocks, key=lambda blk: sort_key(blk[3][0]))
-    torus = TorusData(e, len(blocks))
-    perm = [None] * n
-    block_rows = [[LaurentScalar.zero() for _ in range(n)] for _ in range(n)]
-    for j, (slots, p, _, _) in enumerate(blocks):
-        for a, u in enumerate(slots):
-            perm[j * e + a] = u
-            for b, v in enumerate(slots):
-                block_rows[u][v] = p.rows[a][b]
-    work = LaurentMatrix([block_rows[u] for u in perm]) * p_split
-    w = -(-(digits + r + e) // e)
-    gauge = LaurentMatrix([[LaurentScalar(x.truncate(w).coeffs) for x in row]
-                           for row in work.rows]) * gauge
-    a_rep = ToralElement(torus, [q for _, _, q, _ in blocks])
-    ft = FormalType(torus, r, [row for _, _, _, row in blocks], field)
+        parts = [part.slots for part in report.parts]
+    p, qs = _pure_block_reduce(mat, ctx, r, parts, field, digits)
+    rows = [[q.get(d, field.zero()) for d in range(-r, 1)] for q in qs]
+    order = sorted(range(len(parts)), key=lambda k: sort_key(rows[k][0]))
+    gauge = LaurentMatrix([p.rows[u] for k in order for u in parts[k]]) * gauge
+    torus = TorusData(e, len(parts))
+    a_rep = ToralElement(torus, [qs[k] for k in order])
+    ft = FormalType(torus, r, [rows[k] for k in order], field)
     return DiagonalizationResult(gauge, a_rep, ft)
 
 
-def _pure_block_reduce(conn, ctx, r, field, digits):
-    """Reduce a pure block on the complete chain to q(varpi^(-1)),
-    working in its level form (see :mod:`formalconn.torus`).
+def _pure_block_reduce(mat, ctx, r, parts, field, digits):
+    """Reduce a matrix on a uniform chain whose leading level -r is block
+    diagonal along ``parts`` (lists of slots, one slot per phase class,
+    in descending phase) to q(varpi^(-1)) in every part, working in its
+    level form (see :mod:`formalconn.torus`).
 
-    The block is read once into levels {d: [c_0..c_(e-1)]}, keeping the
-    levels through ``digits``, all that the reduction reads.  A
-    normalizer, a constant diagonal, rescales the slots so that the
-    leading level is alpha varpi^(-r).  Each level v of the remainder
-    A - q, from the bottom through ``digits``, is then cleared: its mean
-    c is its Cartan part; for v <= 0 it is absorbed into q, for v > 0
-    the gauge 1 + (e c / v) varpi^v cancels it through its derivative
-    term; what is left is the target of the graded ad-equation against
-    alpha varpi^(-r), which torus.graded_pattern_solve, the solver of
-    split_connection, solves on the block's chain (a cyclic difference
-    system), and the gauge 1 + varpi^(v+r) diag(xi) removes it.
-    Gauges act by the level recurrence of ``torus.gauge_levels``,
-    without an inverse, and the accumulated gauge P <- (1 + X) P stays
-    exact.
+    The matrix is read once into levels, keeping the levels through
+    ``digits``, all that the reduction reads.  A normalizer, a constant
+    diagonal, rescales each part's slots so that its leading level is
+    alpha varpi^(-r).  Each level v from 1 - r through ``digits`` is
+    then cleared.  The mean c of a part's slots is its Cartan part: for
+    v <= 0 it is absorbed into that part's q, for v > 0 the gauge
+    1 + (e c / v) varpi^v cancels it through its derivative term.  The
+    rest of the level, off the parts and inside them, is the target of
+    the graded ad-equation against the leading level, with the graded
+    derivative -v X at depth zero, which torus.graded_pattern_solve
+    solves in one system, and the gauge 1 - X removes it.  Gauges act
+    by the level recurrence of ``torus.gauge_levels``, without an
+    inverse.  Their product P <- (1 + X) P is kept below level e w, with
+    w = ceil((digits + r + e) / e), and cut to t^w: the levels above
+    move the result only beyond level digits.
 
-    Raises PrecisionError when the block's window ends before level
-    digits + 1, which the reduction consumes.  Returns (gauge, dict of
-    q-coefficients in degrees -r..0).
+    Raises PrecisionError when the window ends before level digits + 1,
+    which the reduction consumes.  Returns (gauge, [dict of
+    q-coefficients in degrees -r..0 per part]).
     """
-    conn = conn.standardized()
-    block = conn.matrix
-    e = ctx.period
-    assert e == block.n and ctx.phases == tuple(range(e - 1, -1, -1))
-    pat = graded_component(block, ctx, -r).pattern
-    # rank one is all Cartan: its leading coefficient may vanish (the one
-    # nilpotent summand a regular split torus allows)
-    head = (pat[0], pat[0][0]) if e == 1 else pure_leading(pat, field)
-    if head is None:
-        raise NotRegular("pure block leading term is not a varpi multiple")
-    xs, alpha = head
-    _, window = fildeg_certified(block, ctx)
-    if window < digits + 1:
-        needed, short_by = certifying_window(block, ctx, digits + 1)
-        raise PrecisionError("pure block known below level %d, reduction needs %d"
-                             % (window, digits + 1), needed=needed, short_by=short_by)
-    below = digits + 1
-    cur = block_levels(block, below)
-    gauge = {0: [Fraction(1)] * e}
-    if any(x != alpha for x in xs):
-        h = _pure_normalizer(e, r, xs, alpha, field)
-        cur = rescale_levels(cur, h)
-        gauge = {0: h}
-    lead = level_pattern([alpha] * e, -r, ctx)
-    q = {-r: alpha} if not is_zero(alpha) else {}
-    for v in range(-r, digits + 1):
-        rem = _level_remainder(cur, q, v, e)
-        if not any(rem):
+    e, n = ctx.period, ctx.n
+    m, below, w = n // e, digits + 1, -(-(digits + r + e) // e)
+    _, window = fildeg_certified(mat, ctx)
+    if window < below:
+        needed, short_by = certifying_window(mat, ctx, below)
+        raise PrecisionError("diagonalization needs the matrix below level %d, known below %d"
+                             % (below, window), needed=needed, short_by=short_by)
+    cur = block_levels(mat, below, ctx)
+    zero = [Fraction(0)] * (n * m)
+    raw = level_pattern(cur.get(-r, zero), -r, ctx)
+    h = [Fraction(1)] * n
+    qs = []
+    for slots in parts:
+        pat = [[raw[u][v] for v in slots] for u in slots]
+        # rank one is all Cartan: its leading coefficient may vanish (the
+        # one nilpotent summand a regular split torus allows)
+        head = (pat[0], pat[0][0]) if e == 1 else pure_leading(pat, field)
+        if head is None:
+            raise NotRegular("pure block leading term is not a varpi multiple")
+        xs, alpha = head
+        if any(x != alpha for x in xs):
+            for u, c in zip(slots, _pure_normalizer(e, r, xs, alpha, field)):
+                h[u] = c
+        qs.append({-r: alpha} if not is_zero(alpha) else {})
+    gauge = {0: pattern_level([[h[u] if u == v else Fraction(0) for v in range(n)]
+                               for u in range(n)], 0, ctx)}
+    if any(c != 1 for c in h):
+        cur = rescale_levels(cur, h, ctx)
+    lead = level_pattern(cur.get(-r, zero), -r, ctx)
+    # the level slots of each part's own entries, by level mod e
+    pos = {u: j for cls in ctx.phase_classes for j, u in enumerate(cls)}
+    inner = []
+    for slots in parts:
+        of_class = {ctx.phases[u] % e: u for u in slots}
+        inner.append([[v * m + pos[of_class[(ctx.phases[v] + d) % e]] for v in slots]
+                      for d in range(e)])
+    for v in range(1 - r, below):
+        vec = cur.get(v)
+        if vec is None or not any(vec):
             continue
-        c = sum(rem) * Fraction(1, e)
-        if not is_zero(c):
-            if v <= 0:
-                q[v] = q.get(v, field.zero()) + c
-            else:
-                beta = [c * Fraction(e, v)] * e
-                cur = gauge_levels(cur, v, beta, below)
-                gauge = unipotent_times(v, beta, gauge)
-            rem = _level_remainder(cur, q, v, e)
-            if not any(rem):
-                continue
-        x = graded_pattern_solve(lead, level_pattern(rem, v, ctx), ctx, v, r)
+        means = [sum(vec[s] for s in idx[v % e]) * Fraction(1, e) for idx in inner]
+        if v > 0 and any(not is_zero(c) for c in means):
+            beta = list(zero)
+            for idx, c in zip(inner, means):
+                for s in idx[v % e]:
+                    beta[s] = c * Fraction(e, v)
+            cur = gauge_levels(cur, v, beta, below, ctx)
+            gauge = unipotent_times(v, beta, gauge, e * w, ctx)
+            vec = cur[v]
+        rest = list(vec)
+        if v <= 0:
+            for q, idx, c in zip(qs, inner, means):
+                if not is_zero(c):
+                    q[v] = c
+                    for s in idx[v % e]:
+                        rest[s] = rest[s] - c
+        if not any(rest):
+            continue
+        x = graded_pattern_solve(lead, level_pattern(rest, v, ctx), ctx, v, r, shift=-v)
         xi = [-c for c in pattern_level(x, v + r, ctx)]
-        cur = gauge_levels(cur, v + r, xi, below)
-        gauge = unipotent_times(v + r, xi, gauge)
-    return levels_matrix(gauge, e), q
-
-
-def _level_remainder(levels, q, v, e):
-    """Level v of A - q(varpi), as a vector."""
-    vec = levels.get(v, [Fraction(0)] * e)
-    return [c - q[v] for c in vec] if v in q else vec
+        cur = gauge_levels(cur, v + r, xi, below, ctx)
+        gauge = unipotent_times(v + r, xi, gauge, e * w, ctx)
+    return LaurentMatrix([[LaurentScalar(entry.truncate(w).coeffs) for entry in row]
+                          for row in levels_matrix(gauge, n, ctx).rows]), qs
 
 
 def _pure_normalizer(n, r, xs, alpha, field):

@@ -82,10 +82,6 @@ class LaurentMatrix:
 
     __rmul__ = __mul__
 
-    def matvec(self, vec):
-        return [sum((self.rows[i][j] * vec[j] for j in range(self.n)),
-                    LaurentScalar.zero()) for i in range(self.n)]
-
     def power(self, k):
         assert k >= 0
         out = LaurentMatrix.identity(self.n)

@@ -18,7 +18,7 @@ from .formal_types import FormalType
 from .linalg import kzeros
 from .matrices import LaurentMatrix
 from .parahoric import filtration_degree, graded_component, in_filtration, pattern_to_matrix
-from .scalars import format_scalar, is_zero, parse_scalar
+from .scalars import format_scalar, is_zero, parse_scalar, sort_key
 from .series import INF, LaurentScalar, OneForm
 from .torus import tame_corestriction
 
@@ -428,7 +428,7 @@ def regular_singular_orbit_dimensions(formal_type):
         raise UnsupportedDepth("this branch handles depth zero only")
     n = formal_type.n
     vals = [row[-1] for row in formal_type.coeffs]
-    if len(set(map(str, vals))) != len(vals):
+    if len(set(map(sort_key, vals))) != len(vals):
         raise UnsupportedDepth("repeated residue eigenvalue")
     return {
         "dim_O": n * n - n,

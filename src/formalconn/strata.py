@@ -13,7 +13,7 @@ class, and the kernels of the coprime factor powers at it give a
 constant basis change in the Levi of P that makes Ad(g^-1)(beta) block
 diagonal modulo P^(1-r).  The depth-zero split, the residue eigenbasis,
 is built the same way.  Nothing is lifted over k[[t]]: the levels above
--r are left to :func:`formalconn.connections.split_connection`.
+-r are left to the level loop of :func:`formalconn.connections.diagonalize`.
 """
 
 import itertools

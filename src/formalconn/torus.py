@@ -8,23 +8,18 @@ associated parahoric is the interleaved standard context.  A toral
 element stores per-block coefficient vectors in powers of the block
 uniformizer and is realized to a series matrix on demand.
 
-A single block (m = 1) on the complete chain (phases e-1, ..., 0) also
-has a *level form* in these varpi-coordinates: every e x e matrix is
-sum_d varpi^d diag(c_d), where slot q of the level vector c_d is the
-coefficient of t^w in entry (p, q) with d = e*w + q - p, and d is the
-entry's filtration level.  The graded piece P^d / P^(d+1) is the vector
-c_d alone, a product of two levels is one level (varpi^a diag(x) varpi^b
-diag(y) = varpi^(a+b) diag(z) with z[q] = x[(q - b) mod e] y[q]), the
-Cartan part of a level is the mean of its vector, and the graded
-ad-equation against alpha varpi^(-r) is a cyclic difference system.
-
-The level form extends to any uniform standard chain, m slots in each
-of the e phase classes: slot v*m + j of level d holds the coefficient of
-t^w in entry (u, v), where u is the j-th slot of the phase class of
+Every matrix on a uniform standard chain, m slots in each of the e
+phase classes, also has a *level form*: the dict {d: level} of its
+filtration levels, where slot v*m + j of level d holds the coefficient
+of t^w in entry (u, v), u is the j-th slot of the phase class of
 phase(v) + d and d = e*w + phase(u) - phase(v).  The vector of level d
 is the graded piece P^d / P^(d+1), a product of two levels is again one
-level, and a gauge 1 + X, X one level, acts by the same recurrence as on
-a single block.  On the complete chain (m = 1) this is the form above.
+level, and a gauge 1 + X, X one level, acts by a level recurrence with
+no inverse (:func:`gauge_levels`).  The complete chain of one e x e
+block is the case m = 1: there level d is varpi^d diag(c_d), slot q
+holding entry ((q - d) mod e, q), the Cartan part of a level is the
+mean of its vector, and the graded ad-equation against alpha
+varpi^(-r) is a cyclic difference system.
 """
 
 import math
@@ -61,16 +56,6 @@ class TorusData:
 
     def __repr__(self):
         return "TorusData(e=%d, m=%d)" % (self.e, self.m)
-
-
-def varpi_block(e, d, coeff=Fraction(1)):
-    """The d-th power of the e x e uniformizer block, scaled."""
-    rows = [[LaurentScalar.zero() for _ in range(e)] for _ in range(e)]
-    for q in range(e):
-        p = (q - d) % e
-        wraps = (d - q + p) // e
-        rows[p][q] = LaurentScalar.t_power(wraps, coeff)
-    return rows
 
 
 class ToralElement:
@@ -358,22 +343,19 @@ def delta_kernel_dimension(e, r):
 # -- level forms on a uniform chain ------------------------------------------
 
 
-def _layout(n, ctx):
+def _layout(ctx):
     """(e, m, phases, classes) of a uniform chain with m slots per phase
-    class; the complete chain of an n x n block when ``ctx`` is None."""
-    if ctx is None:
-        return n, 1, range(n - 1, -1, -1), tuple((n - 1 - c,) for c in range(n))
+    class."""
     return ctx.period, ctx.n // ctx.period, ctx.phases, ctx.phase_classes
 
 
-def block_levels(x, below, ctx=None):
-    """The level form {d: level} of a matrix on a uniform chain (the
-    complete chain when ``ctx`` is None): the coefficient of t^w in
-    entry (u, v) is slot v*m + j of level d = e*w + phase(u) - phase(v),
-    where u is the j-th slot of its phase class.  Levels from ``below``
-    on are dropped."""
+def block_levels(x, below, ctx):
+    """The level form {d: level} of a matrix on a uniform chain: the
+    coefficient of t^w in entry (u, v) is slot v*m + j of level d =
+    e*w + phase(u) - phase(v), where u is the j-th slot of its phase
+    class.  Levels from ``below`` on are dropped."""
     n = x.n
-    e, m, phases, classes = _layout(n, ctx)
+    e, m, phases, classes = _layout(ctx)
     pos = [0] * n
     for cls in classes:
         for j, u in enumerate(cls):
@@ -391,12 +373,11 @@ def block_levels(x, below, ctx=None):
     return out
 
 
-def levels_matrix(levels, n, ctx=None, below=INF):
+def levels_matrix(levels, n, ctx, below=INF):
     """The n x n matrix of a level form (see :func:`block_levels`):
     exact, or, when ``below`` is finite, with each entry known to the
-    order that level ``below`` starts at.  On the complete chain slot q
-    of level d is entry ((q - d) mod e, q) at t^w, w = (d - q + p) / e."""
-    e, m, phases, classes = _layout(n, ctx)
+    order that level ``below`` starts at."""
+    e, m, phases, classes = _layout(ctx)
     entries = [[{} for _ in range(n)] for _ in range(n)]
     for d, vec in levels.items():
         if d >= below:
@@ -414,7 +395,7 @@ def levels_matrix(levels, n, ctx=None, below=INF):
 def level_pattern(vec, d, ctx):
     """The graded pattern (as in :func:`parahoric.graded_component`) of
     level d of a level form on ``ctx``."""
-    e, m, phases, classes = _layout(ctx.n, ctx)
+    e, m, phases, classes = _layout(ctx)
     pat = [[Fraction(0)] * ctx.n for _ in range(ctx.n)]
     for v in range(ctx.n):
         for j, u in enumerate(classes[(phases[v] + d) % e]):
@@ -424,44 +405,44 @@ def level_pattern(vec, d, ctx):
 
 def pattern_level(pat, d, ctx):
     """Level d of a level form on ``ctx`` from its graded pattern."""
-    e, m, phases, classes = _layout(ctx.n, ctx)
+    e, m, phases, classes = _layout(ctx)
     return [pat[u][v] for v in range(ctx.n) for u in classes[(phases[v] + d) % e]]
 
 
-def level_product(x, b, y, ctx=None):
-    """The level z of XY for X, Y levels x at a, y at b (z is at a + b).
-
-    On the complete chain, varpi^a diag(x) * varpi^b diag(y) =
-    varpi^(a+b) diag(z) with z[q] = x[(q - b) mod e] y[q].  On a uniform
-    chain, slot (v, j) of z sums slot (k, j) of x times slot (v, i) of y
-    over the rows k of column v at level b, i the slot of k in its
-    class."""
-    if ctx is None:
-        e = len(x)
-        return [x[(q - b) % e] * y[q] for q in range(e)]
-    e, m, phases, classes = _layout(ctx.n, ctx)
+def level_product(x, b, y, ctx):
+    """The level z of XY for X, Y levels x at a, y at b (z is at a + b):
+    slot (v, j) of z sums slot (k, j) of x times slot (v, i) of y over
+    the rows k of column v at level b, i the slot of k in its class.  On
+    the complete chain (m = 1) this is varpi^a diag(x) * varpi^b diag(y)
+    = varpi^(a+b) diag(z) with z[q] = x[(q - b) mod e] y[q]."""
+    e, m, phases, classes = _layout(ctx)
     z = []
     for v in range(ctx.n):
         col = [(k * m, c) for k, c in zip(classes[(phases[v] + b) % e],
                                           y[v * m:(v + 1) * m]) if c]
+        if not col:
+            z.extend([Fraction(0)] * m)
+            continue
+        (k0, c0), rest = col[0], col[1:]
         for j in range(m):
-            acc = Fraction(0)
-            for k, c in col:
+            acc = x[k0 + j] * c0
+            for k, c in rest:
                 acc = acc + x[k + j] * c
             z.append(acc)
     return z
 
 
-def rescale_levels(levels, h):
+def rescale_levels(levels, h, ctx):
     """The level form of H A H^-1 for the constant H = diag(h): entry
-    (p, q) scales by h_p / h_q."""
-    e = len(h)
+    (u, v) scales by h_u / h_v."""
+    e, m, phases, classes = _layout(ctx)
     inv = [scalar_inverse(c) for c in h]
-    return {d: [c * h[(q - d) % e] * inv[q] for q, c in enumerate(vec)]
+    return {d: [vec[v * m + j] * h[u] * inv[v] for v in range(ctx.n)
+                for j, u in enumerate(classes[(phases[v] + d) % e])]
             for d, vec in levels.items()}
 
 
-def unipotent_times(ell, xi, levels, below=INF, ctx=None):
+def unipotent_times(ell, xi, levels, below, ctx):
     """The level form of (1 + X) A for X the level xi at ell, levels
     from ``below`` on dropped."""
     size = len(xi)
@@ -474,25 +455,22 @@ def unipotent_times(ell, xi, levels, below=INF, ctx=None):
     return out
 
 
-def gauge_levels(levels, ell, xi, below, ctx=None):
+def gauge_levels(levels, ell, xi, below, ctx):
     """The level form of (1 + X) . A against dt/t for X the level xi at
-    ell >= 1 (varpi^ell diag(xi) on the complete chain), with A known
-    below level ``below``.
+    ell >= 1, with A known below level ``below``.
 
     From A' (1 + X) = (1 + X) A - tau X, the matrix B = A + XA - tau X
     is formed once and A' = B - A'X is solved level by level from the
     bottom: A'X at level d needs A' only at level d - ell.  No inverse
     is formed, and the window stays ``below``.  tau = t d/dt multiplies
-    each slot of X by its t-exponent w = (ell - phase(u) + phase(v)) / e
-    (ceil((ell - q) / e) for slot q on the complete chain).
+    each slot of X by its t-exponent w = (ell - phase(u) + phase(v)) / e.
     """
     size = len(xi)
     out = unipotent_times(ell, xi, levels, below, ctx)
     if ell < below:
-        n = size if ctx is None else ctx.n
-        e, m, phases, classes = _layout(n, ctx)
+        e, m, phases, classes = _layout(ctx)
         acc = out.setdefault(ell, [Fraction(0)] * size)
-        for v in range(n):
+        for v in range(ctx.n):
             for j, u in enumerate(classes[(phases[v] + ell) % e]):
                 s = v * m + j
                 acc[s] = acc[s] - xi[s] * ((ell - phases[u] + phases[v]) // e)
@@ -503,4 +481,3 @@ def gauge_levels(levels, ell, xi, below, ctx=None):
             for q, c in enumerate(level_product(src, ell, xi, ctx)):
                 acc[q] = acc[q] - c
     return out
-

@@ -49,7 +49,7 @@ from formalconn.scalars import (Ext, as_fraction, get_field, is_rational_value, 
 from formalconn.series import INF, PRECISION_FLOOR, LaurentScalar, default_precision
 from formalconn.strata import Stratum, pure_leading, reduce_stratum
 from formalconn.torus import (ToralElement, TorusData, graded_ad_image_solve,
-                              graded_level_solve, tame_corestriction, varpi_block)
+                              graded_level_solve, tame_corestriction)
 
 
 def LS(pairs, prec=INF):
@@ -231,7 +231,7 @@ def katz_slope_oracle(conn, imax=40):
 
 
 def _apply_nabla(m, vec):
-    out = m.matvec(vec)
+    out = [sum((a * b for a, b in zip(row, vec)), LaurentScalar.zero()) for row in m.rows]
     return [a + b.tau() for a, b in zip(out, vec)]
 
 
@@ -687,7 +687,8 @@ def ref_graded_level_solve(lead, target, ctx, level, r, keep=None, shift=0):
     return sol
 
 
-def _ref_varpi_block(e, d, coeff):
+def varpi_block(e, d, coeff=Fraction(1)):
+    """The d-th power of the e x e uniformizer block, scaled."""
     rows = [[LaurentScalar.zero() for _ in range(e)] for _ in range(e)]
     for q in range(e):
         p = (q - d) % e
@@ -704,7 +705,7 @@ def ref_realization(x):
     for j, block in enumerate(x.coeffs):
         acc = [[LaurentScalar.zero() for _ in range(e)] for _ in range(e)]
         for d, c in block.items():
-            piece = _ref_varpi_block(e, d, c)
+            piece = varpi_block(e, d, c)
             acc = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(acc, piece)]
         for p in range(e):
             for q in range(e):

@@ -286,8 +286,8 @@ def test_short_window_slope_suggests_precision(tmp_path, capsys):
 
 def test_short_off_block_window_suggests_precision(tmp_path, capsys):
     """A rank-3 split at depth 2 whose leading term is known but whose
-    off-blocks are known only to the --prec window: the split raises
-    before it clears a level, with a suggested --prec above the one
+    off-blocks are known only to the --prec window: the level loop
+    raises before it clears a level, with a suggested --prec above the one
     given, and following the suggestions gives the type that a long
     window gives."""
     doc = {"n": 3, "field": "Q", "nu": {"coeffs": [[-1, "1/1"], [1, "1/2"]]},
@@ -315,7 +315,7 @@ def test_short_off_block_window_suggests_precision(tmp_path, capsys):
     finally:
         set_default_precision(before)
     assert code == 0 and json.loads(out)["formal_type"] == want
-    assert messages and messages[0].startswith("splitting needs the matrix below level")
+    assert messages and messages[0].startswith("diagonalization needs the matrix below level")
 
 
 @pytest.mark.parametrize("prec", [4, 5])

@@ -2,10 +2,13 @@
 oracle, splitting, diagonalization."""
 
 import importlib
+import math
 import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from formalconn.connections import (FormalConnection, contained_stratum,
                                     diagonalize, fundamental_stratum,
@@ -15,8 +18,9 @@ from formalconn.errors import NotRegular, NotSplit, PrecisionError, SingularGaug
 from formalconn.formal_types import FormalType
 from formalconn.matrices import LaurentMatrix, pairing
 from formalconn.parahoric import fildeg_certified, filtration_degree, in_filtration, standard_chain
-from formalconn.scalars import get_field
+from formalconn.scalars import get_field, sort_key
 from formalconn.series import INF, LaurentScalar, OneForm
+from formalconn.strata import Stratum, infer_field, is_regular
 from formalconn.torus import ToralElement, TorusData
 
 from helpers import (LS, katz_slope_oracle, lmat, random_matrix, random_unit_matrix,
@@ -179,30 +183,35 @@ def test_split_connection_depth_zero_resonance_free():
 
 def test_split_connection_matches_reference_on_corpora(monkeypatch):
     """Every split of the seed-40404, 7 and 101 diagonalize corpora of
-    the benchmark, against the reference loop: the same exact gauge p,
-    and a split connection known below the target level that agrees with
-    the reference's wherever both know a coefficient."""
+    the benchmark, against the reference loop: each item's regularity
+    report is built as diagonalize builds it, and split_connection takes
+    the report's conjugate and part slots, clearing through level
+    digits + 1.  It gives the same exact gauge p as the reference, and a
+    split connection known below the target level that agrees with the
+    reference's wherever both know a coefficient."""
     monkeypatch.syspath_prepend(BENCH_DIR)
     wl_diagonalize = importlib.import_module("wl_diagonalize")
-    calls = []
-    real = connections.split_connection
-
-    def recorded(*args, **kwargs):
-        out = real(*args, **kwargs)
-        calls.append((args, kwargs, out))
-        return out
-
-    monkeypatch.setattr(connections, "split_connection", recorded)
+    calls = 0
     for seed in (40404, 7, 101):
         workload = wl_diagonalize.Workload(seed, None)
         for item in workload.items:
-            workload.run(item)
-    assert len(calls) >= 60
-    for (conn, ctx, r, slots), kwargs, (p, out) in calls:
-        ref_p, ref_out = ref_split_connection(conn, ctx, r, slots, **kwargs)
-        assert p.to_json() == ref_p.to_json() and repr(p) == repr(ref_p)
-        assert fildeg_certified(out.matrix, ctx)[1] >= 1 - r + kwargs["digits"]
-        assert out.matrix.agrees(ref_out.matrix)
+            ft, conn = item.payload
+            digits = ft.depth + 3
+            _, cur, strat = fundamental_stratum(conn.standardized())
+            r, ctx = strat.r, strat.ctx
+            mat = cur.matrix.truncate(-(-(digits + ctx.period) // ctx.period))
+            report = is_regular(Stratum(ctx, r, mat, cur.nu), infer_field(mat))
+            if not report.parts:
+                continue
+            split = FormalConnection(report.conjugate, cur.nu)
+            slots = [part.slots for part in report.parts]
+            p, out = split_connection(split, ctx, r, slots, digits=digits + r)
+            ref_p, ref_out = ref_split_connection(split, ctx, r, slots, digits=digits + r)
+            assert p.to_json() == ref_p.to_json() and repr(p) == repr(ref_p)
+            assert fildeg_certified(out.matrix, ctx)[1] >= 1 + digits
+            assert out.matrix.agrees(ref_out.matrix)
+            calls += 1
+    assert calls >= 60
 
 
 def test_diagonalize_toral_input_unchanged():
@@ -412,9 +421,44 @@ def test_pure_block_window_short_of_digits_raises_precision_error():
     t^2; each is known to t^1)."""
     block = ToralElement(TorusData(2, 1), [{-1: Fraction(1), 0: Fraction(2),
                                            1: Fraction(3)}]).realization().truncate(1)
-    conn, ctx = FormalConnection(block), standard_chain((1, 1))
-    _, q = connections._pure_block_reduce(conn, ctx, 1, get_field("Q"), 0)
-    assert q == {-1: 1, 0: 2}
+    ctx = standard_chain((1, 1))
+    _, qs = connections._pure_block_reduce(block, ctx, 1, [range(2)], get_field("Q"), 0)
+    assert qs == [{-1: 1, 0: 2}]
     with pytest.raises(PrecisionError) as info:
-        connections._pure_block_reduce(conn, ctx, 1, get_field("Q"), 3)
+        connections._pure_block_reduce(block, ctx, 1, [range(2)], get_field("Q"), 3)
     assert (info.value.needed, info.value.short_by) == (3, 2)
+
+
+@st.composite
+def split_pure_types(draw):
+    """(type, unit-gauged connection, digits): a regular formal type
+    whose stratum splits into m >= 2 pure blocks of size e in {2, 3},
+    n <= 6, r <= 3, over Q or Q(i), gauged by a unit 1 + O(t).  The
+    leading coefficients are nonzero with pairwise distinct e-th powers,
+    the eigenvalues of y = beta^e t^r that separate the blocks."""
+    field = draw(st.sampled_from([get_field("Q"), get_field("Q(i)")]))
+    rationals = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    coeffs = rationals if field.name == "Q" else \
+        st.builds(lambda a, b: field.from_coords([a, b]), rationals, rationals)
+    e = draw(st.sampled_from([2, 3]))
+    m = draw(st.integers(2, 6 // e))
+    r = draw(st.sampled_from([k for k in (1, 2, 3) if math.gcd(k, e) == 1]))
+    leads = draw(st.lists(coeffs.filter(bool), min_size=m, max_size=m,
+                          unique_by=lambda x: sort_key(x ** e)))
+    rows = sorted(([lead] + [draw(coeffs) for _ in range(r)] for lead in leads),
+                  key=lambda row: sort_key(row[0]))
+    ft = FormalType(TorusData(e, m), r, rows, field)
+    g = random_unit_matrix(draw(st.randoms(use_true_random=False)), ft.n, depth=2)
+    return ft, gauge_transform(g, FormalConnection(ft.realization())), draw(st.integers(1, 4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(split_pure_types())
+def test_diagonalize_split_into_pure_blocks(case):
+    """Pure blocks of size e >= 2 split apart and reduced in one level
+    loop: the built type comes back, with a gauge residual beyond
+    digits."""
+    ft, conn, digits = case
+    res = diagonalize(conn, digits=digits)
+    assert res.formal_type == ft
+    assert _diagonalizes(conn, res, digits)

@@ -1,7 +1,8 @@
 """Static checks on the library source, standing in for a linter: every
 module-level import is used, no function imports inside its body,
-every top-level private function is referenced somewhere in the
-library, and no module imports another's private names."""
+every top-level private name (function, class or assignment) is
+referenced somewhere in the library, and no module imports another's
+private names."""
 
 import ast
 import os
@@ -68,18 +69,44 @@ def test_no_function_local_imports():
     assert not local, "imports inside functions: %s" % ", ".join(local)
 
 
-def test_private_functions_are_referenced():
-    # the identifiers read by each top-level statement of the library
+def _defined_names(stmt):
+    """The names a top-level statement defines: a def, a class or the
+    plain names an assignment binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else \
+        [stmt.target] if isinstance(stmt, ast.AnnAssign) else []
+    return [sub.id for target in targets for sub in ast.walk(target)
+            if isinstance(sub, ast.Name)]
+
+
+def _unreferenced_private(kinds):
+    """module: name for every private name that a top-level statement of
+    one of ``kinds`` defines and no other top-level statement of the
+    library reads; a reference from the statement's own body (recursion)
+    does not count."""
     reads = [(name, stmt, _names_used([stmt]))
              for name, tree in _modules().items() for stmt in tree.body]
-    unreferenced = []
+    out = []
     for name, stmt, _ in reads:
-        if isinstance(stmt, ast.FunctionDef) and stmt.name.startswith("_") \
-                and not stmt.name.startswith("__"):
-            # a reference from the function's own body (recursion) does not count
-            if not any(stmt.name in used for _, other, used in reads if other is not stmt):
-                unreferenced.append("%s: %s" % (name, stmt.name))
+        if not isinstance(stmt, kinds):
+            continue
+        for defined in _defined_names(stmt):
+            if defined.startswith("_") and not defined.startswith("__") and \
+                    not any(defined in used for _, other, used in reads if other is not stmt):
+                out.append("%s: %s" % (name, defined))
+    return out
+
+
+def test_private_functions_are_referenced():
+    unreferenced = _unreferenced_private(ast.FunctionDef)
     assert not unreferenced, "unreferenced private functions: %s" % ", ".join(unreferenced)
+
+
+def test_no_unreferenced_private_names():
+    unreferenced = _unreferenced_private((ast.FunctionDef, ast.ClassDef, ast.Assign,
+                                          ast.AnnAssign))
+    assert not unreferenced, "unreferenced private names: %s" % ", ".join(unreferenced)
 
 
 def test_no_private_imports_across_modules():

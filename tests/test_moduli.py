@@ -180,6 +180,15 @@ def test_orbit_dimensions_depth_zero_branch():
     assert dims["dim_M_tilde"] - dims["dim_M"] == 2 * 2
 
 
+def test_orbit_dimensions_depth_zero_repeated_value_across_types():
+    # the same residue eigenvalue held once as a Fraction and once as an
+    # element of Q(i) is a repeated eigenvalue
+    qi = get_field("Q(i)")
+    ft = FormalType(TorusData(1, 2), 0, [[Fraction(1)], [qi.one()]], qi)
+    with pytest.raises(UnsupportedDepth, match="repeated residue eigenvalue"):
+        regular_singular_orbit_dimensions(ft)
+
+
 def test_isotropy_equivalence_samples():
     rng = seeded(71)
     nu = OneForm.dt_over_t()

@@ -2,12 +2,14 @@
 
 The library solves each graded level on patterns, writes toral
 realizations entry by entry, lifts Hensel factorizations digit by digit,
-gauges with two products instead of three, reduces pure blocks in their
-level form, splits strata by a constant basis change and inverts in
+gauges with two products instead of three, reduces pure blocks in the
+level form of their chain (the complete chain, one slot per phase
+class), splits strata by a constant basis change and inverts in
 Q(zeta_m) by extended Euclid.  Each must agree exactly with the
 reference -- the same coefficients and the same windows -- except the
-gauge action, whose windows may only grow, the pure-block reduction
-where the reference loses its window (see
+gauge action, whose windows may only grow, the pure-block reduction,
+whose gauge is compared cut to the t-window it keeps and which may
+answer where the reference loses its window (see
 ``test_pure_block_reduce_matches_reference``), and the split, whose
 gauge differs from the Hensel split's, so that only the formal type and
 the toral representative must agree.
@@ -241,10 +243,11 @@ def block_matrices(draw, e, field):
 def test_block_levels_round_trip(data):
     e = data.draw(st.integers(1, 4))
     x = data.draw(block_matrices(e, data.draw(st.sampled_from([Q, QI]))))
-    levels = block_levels(x, INF)
-    assert same_matrix(levels_matrix(levels, e), x)
+    ctx = complete_chain(e)
+    levels = block_levels(x, INF, ctx)
+    assert same_matrix(levels_matrix(levels, e, ctx), x)
     nonzero = [d for d, vec in levels.items() if any(vec)]
-    assert min(nonzero, default=INF) == filtration_degree(x, complete_chain(e))
+    assert min(nonzero, default=INF) == filtration_degree(x, ctx)
 
 
 @settings(max_examples=100, deadline=None)
@@ -257,8 +260,9 @@ def test_level_product_is_the_matrix_product(data):
     a, b = data.draw(st.integers(-5, 5)), data.draw(st.integers(-5, 5))
     x = data.draw(st.lists(scalars(field), min_size=e, max_size=e))
     y = data.draw(st.lists(scalars(field), min_size=e, max_size=e))
-    prod = levels_matrix({a: x}, e) * levels_matrix({b: y}, e)
-    assert same_matrix(levels_matrix({a + b: level_product(x, b, y)}, e), prod)
+    ctx = complete_chain(e)
+    prod = levels_matrix({a: x}, e, ctx) * levels_matrix({b: y}, e, ctx)
+    assert same_matrix(levels_matrix({a + b: level_product(x, b, y, ctx)}, e, ctx), prod)
 
 
 @settings(max_examples=100, deadline=None)
@@ -275,9 +279,9 @@ def test_gauge_levels_matches_gauge_transform(data):
     below = fildeg_certified(a, ctx)[1]
     ell = data.draw(st.integers(1, 4))
     xi = data.draw(st.lists(scalars(field), min_size=e, max_size=e))
-    g = LaurentMatrix.identity(e) + levels_matrix({ell: xi}, e)
+    g = LaurentMatrix.identity(e) + levels_matrix({ell: xi}, e, ctx)
     ref = gauge_transform(g, FormalConnection(a)).matrix
-    new = levels_matrix(gauge_levels(block_levels(a, below), ell, xi, below), e)
+    new = levels_matrix(gauge_levels(block_levels(a, below, ctx), ell, xi, below, ctx), e, ctx)
     assert fildeg_certified(ref, ctx)[1] <= below
     for p in range(e):
         for q in range(e):
@@ -407,18 +411,32 @@ def pure_blocks(draw):
     return LaurentMatrix(rows), ctx, r, field, digits
 
 
+def reduce_one_part(block, ctx, r, field, digits):
+    """The level loop on a pure block as its one part."""
+    p, (q,) = _pure_block_reduce(block, ctx, r, [range(ctx.n)], field, digits)
+    return p, q
+
+
+def reduce_reference(block, ctx, r, field, digits):
+    return ref_pure_block_reduce(FormalConnection(block), ctx, r, field, digits)
+
+
 def reduction_outcome(fn, block, ctx, r, field, digits):
-    """(gauge JSON, gauge repr with its windows, q), or the exception type."""
+    """(gauge JSON, gauge repr with its windows, q), the gauge cut to
+    t^w, w = ceil((digits + r + e) / e), as the reduction keeps it; or
+    the exception type."""
     try:
-        p, q = fn(FormalConnection(block), ctx, r, field, digits)
+        p, q = fn(block, ctx, r, field, digits)
     except FormalConnError as exc:
         return type(exc)
+    w = -(-(digits + r + ctx.period) // ctx.period)
+    p = LaurentMatrix([[LaurentScalar(x.truncate(w).coeffs) for x in row] for row in p.rows])
     return p.to_json(), repr(p), q
 
 
 def residual_beyond_digits(block, ctx, r, field, digits, fn):
     """gauge . block - realization(q) lies in P^(digits + 1)."""
-    p, q = fn(FormalConnection(block), ctx, r, field, digits)
+    p, q = fn(block, ctx, r, field, digits)
     realized = ToralElement(TorusData(ctx.period, 1), [q]).realization()
     resid = gauge_transform(p, FormalConnection(block)).matrix - realized
     return filtration_degree(resid, ctx, stop_at=digits + 1) > digits
@@ -427,8 +445,9 @@ def residual_beyond_digits(block, ctx, r, field, digits, fn):
 @settings(max_examples=60, deadline=None)
 @given(pure_blocks())
 def test_pure_block_reduce_matches_reference(case):
-    """The level-form reduction gives the reference's gauge (JSON, and
-    windows through the repr) and q, or raises the same exception, with
+    """The level loop on a pure block as its one part gives the
+    reference's gauge (JSON, and windows through the repr), both cut to
+    t^w as the loop keeps it, and q, or raises the same exception, with
     two exemptions.  Where the block's window ends before level digits +
     1, the reduction raises PrecisionError; the reference stops at its
     window and may return fewer digits.  Where the reference runs out of
@@ -438,19 +457,19 @@ def test_pure_block_reduce_matches_reference(case):
     PrecisionError or returns a residual short of digits; the reduction
     must then answer with a residual beyond digits."""
     block, ctx, r, field, digits = case
-    new = reduction_outcome(_pure_block_reduce, *case)
+    new = reduction_outcome(reduce_one_part, *case)
     # the cyclic product is lead^e, so the normalizer's root is in the field
     assert new is not NonsplitField
-    ref = reduction_outcome(ref_pure_block_reduce, *case)
+    ref = reduction_outcome(reduce_reference, *case)
     if new == ref:
         return
     if fildeg_certified(block, ctx)[1] < digits + 1:
         assert new is PrecisionError
         return
     assert not isinstance(new, type)
-    assert residual_beyond_digits(*case, _pure_block_reduce)
+    assert residual_beyond_digits(*case, reduce_one_part)
     assert ref in (NotRegular, PrecisionError) or \
-        not residual_beyond_digits(*case, ref_pure_block_reduce)
+        not residual_beyond_digits(*case, reduce_reference)
 
 
 def test_ext_inverse_matches_gauss_jordan():
