@@ -5,8 +5,8 @@ Ext over Q(zeta_m); ints are accepted as input).  Every routine reads
 its matrices once into integer coordinate rows, each row multiplied
 through by the common denominator of its entries: over Q an entry is
 one integer, over Q(zeta_m) an element of Z[zeta_m] given by its phi(m)
-power-basis coordinates, multiplied through the field's integer
-reduction table.
+power-basis coordinates, whose products ``GroundField.fold`` reduces and
+whose quotients ``GroundField.element`` writes.
 
 Elimination is fraction-free (after Bareiss, "Sylvester's identity and
 multistep integer-preserving Gaussian elimination", Math. Comp. 22,
@@ -94,7 +94,6 @@ class _CyclotomicIntegers:
 
     def __init__(self, field):
         self.field = field
-        self.degree = field.degree
 
     def read(self, row):
         coords = [x.coords if isinstance(x, Ext) else (x,) for x in row]
@@ -130,16 +129,7 @@ class _CyclotomicIntegers:
                     if x:
                         for j, y in enumerate(b):
                             acc[i + j] += x * y
-        # coordinates of degree >= phi(m), folded back by the reduction table
-        d = self.degree
-        red = self.field._reduction
-        for k in range(len(acc) - 1, d - 1, -1):
-            c = acc[k]
-            if c:
-                for i, r in enumerate(red[k - d]):
-                    if r:
-                        acc[i] += c * r
-        return _trim(acc[:d])
+        return _trim(self.field.fold(acc))
 
     @staticmethod
     def exact_div(a, k):
@@ -155,8 +145,7 @@ class _CyclotomicIntegers:
                                for x, y in zip(xs, ys)])
 
     def scalar(self, a, den):
-        coords = [Fraction(c, den) if c else _ZERO for c in a]
-        return Ext(self.field, tuple(coords + [_ZERO] * (self.degree - len(coords))))
+        return self.field.element(a, den)
 
     def quotients(self, xs, p):
         den, (inv,) = self.read([self.scalar(p, 1).inverse()])

@@ -7,12 +7,13 @@ min over entries; operations propagate windows entrywise.
 The product and the Gauss-Jordan row operations use the fraction-free
 kernel of :mod:`formalconn.series` over every ground field: each output
 entry is one sum of integer convolutions of power-basis coordinates over
-a common denominator, folded back by the cyclotomic reduction table and
-normalised once.  A product p M q with constant p and q
-(:func:`constant_product`) reads M once into an :class:`IntMatrix`
-(integer coordinate form), multiplies there and writes each entry once;
-the slope descent keeps its matrix and gauge in that form across its
-rounds and runs the same kernel, :meth:`IntMatrix.times_constants`.
+a common denominator, folded back and written once by the ground field
+(``GroundField.fold_dicts`` and ``GroundField.element``).  A product
+p M q with constant p and q (:func:`constant_product`) reads M once
+into an :class:`IntMatrix` (integer coordinate form), multiplies there
+and writes each entry once; the slope descent keeps its matrix and
+gauge in that form across its rounds and runs the same kernel,
+:meth:`IntMatrix.times_constants`.
 """
 
 import math
@@ -20,8 +21,8 @@ from fractions import Fraction
 
 from .errors import ParseError, PrecisionError, SingularGauge
 from .scalars import Ext
-from .series import (INF, LaurentScalar, coord_product, fold_coords, from_coord_form,
-                     int_form, mul_prec, residue)
+from .series import (INF, LaurentScalar, coord_product, from_coord_form, int_form, mul_prec,
+                     residue)
 
 
 class LaurentMatrix:
@@ -81,17 +82,6 @@ class LaurentMatrix:
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def power(self, k):
-        assert k >= 0
-        out = LaurentMatrix.identity(self.n)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
 
     def shift(self, k):
         return LaurentMatrix([[a.shift(k) for a in r] for r in self.rows])
@@ -260,7 +250,7 @@ class IntMatrix:
             return _ZERO
         if len(nums) == 1:
             return Fraction(nums[0], self.den)
-        return Ext(self.field, tuple(Fraction(v, self.den) for v in nums))
+        return self.field.element(nums, self.den)
 
     def times_constants(self, p, q=None):
         """p self q for constant ground-field matrices p and q (lists of
@@ -338,8 +328,7 @@ def _left_product(n, const_rows, forms, precs, field):
         else:
             for l in range(n):
                 acc = coord_product([(x, forms[k * n + l]) for k, x in terms], row_precs[l])
-                if len(acc) > 1:
-                    fold_coords(acc, field)
+                field.fold_dicts(acc)
                 out.append(acc)
         out_precs.extend(row_precs)
     return out, out_precs

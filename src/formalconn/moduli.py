@@ -9,6 +9,7 @@ types, decides coadjoint stabilizer membership for the congruence
 filtration, and reports extended-orbit dimension accounting.
 """
 
+import math
 from fractions import Fraction
 
 from .errors import (DuplicatePoints, ParseError, PrecisionError, ResidueNonzero,
@@ -228,36 +229,24 @@ class GlobalRationalMatrix:
 
 
 def _geometric_expansion(c, d, prec):
-    """(c + t)^(-d) as a series in t, c nonzero, to precision prec."""
-    base = LaurentScalar({0: c, 1: Fraction(1)})
-    inv = base.inverse(digits=max(prec + d + 1, 4))
-    out = inv
-    for _ in range(d - 1):
-        out = out * inv
-    return out.truncate(prec)
+    """(c + t)^(-d) as a series in t, c nonzero, to precision prec: the
+    t^k coefficient is C(d+k-1, k) (-1)^k c^(-d-k)."""
+    return LaurentScalar({k: (-1) ** k * math.comb(d + k - 1, k) / c ** (d + k)
+                          for k in range(max(prec, 0))}, prec)
 
 
 def _binomial_expansion(x, k, prec):
-    """(x + t)^k (polynomial)."""
-    out = LaurentScalar.one()
-    base = LaurentScalar({0: x, 1: Fraction(1)}) if not is_zero(x) \
-        else LaurentScalar.t_power(1)
-    for _ in range(k):
-        out = out * base
-    return out.truncate(prec)
+    """(x + t)^k to precision prec: the t^j coefficient is C(k, j) x^(k-j)."""
+    return LaurentScalar({j: math.comb(k, j) * x ** (k - j) for j in range(min(k + 1, prec))},
+                         prec)
 
 
 def _geometric_expansion_inf(y, d, prec):
-    """(z - y)^(-d) dz in the w = 1/z chart as a dw-coefficient:
-    -w^(d-2) (1 - y w)^(-d)."""
-    if is_zero(y):
-        return LaurentScalar.t_power(d - 2, Fraction(-1)).truncate(prec)
-    base = LaurentScalar({0: Fraction(1), 1: -y})
-    inv = base.inverse(digits=max(prec + d + 2, 4))
-    out = inv
-    for _ in range(d - 1):
-        out = out * inv
-    return (out.shift(d - 2) * Fraction(-1)).truncate(prec)
+    """(z - y)^(-d) dz in the w = 1/z chart as a dw-coefficient,
+    -w^(d-2) (1 - y w)^(-d), to precision prec: the w^(d-2+k)
+    coefficient is -C(d+k-1, k) y^k."""
+    return LaurentScalar({d - 2 + k: -math.comb(d + k - 1, k) * y ** k
+                          for k in range(max(prec - d + 2, 0))}, prec)
 
 
 def assemble_global(cfg):

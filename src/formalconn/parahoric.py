@@ -213,13 +213,20 @@ def filtration_degree(x, ctx, stop_at=None):
     if bound < best:
         if stop_at is not None and bound >= stop_at and best is INF:
             return INF
-        target = stop_at if best is INF else best
-        needed, short_by = (None, None) if target is None else \
-            certifying_window(x, ctx, target)
-        raise PrecisionError(
-            "filtration degree undetermined: known bound %s < candidate %s" % (bound, best),
-            needed=needed, short_by=short_by)
+        raise _undetermined(x, ctx, best, bound, stop_at)
     return best
+
+
+def _undetermined(x, ctx, best, bound, stop_at=None):
+    """The PrecisionError for a filtration degree that the windows leave
+    undetermined (``fildeg_certified`` gave ``best`` and ``bound``), with
+    the window that certifies the candidate degree, or P^stop_at when
+    no entry is known to be nonzero."""
+    target = stop_at if best is INF else best
+    needed, short_by = (None, None) if target is None else certifying_window(x, ctx, target)
+    return PrecisionError(
+        "filtration degree undetermined: known bound %s < candidate %s" % (bound, best),
+        needed=needed, short_by=short_by)
 
 
 def certifying_window(x, ctx, level):
@@ -357,19 +364,11 @@ def pattern_to_matrix(ctx, pattern, r):
 
 
 def in_filtration(x, ctx, r):
-    """x in P^r, decided exactly (PrecisionError when undecidable)."""
-    try:
-        return filtration_degree(x, ctx) >= r
-    except PrecisionError:
-        # the undetermined bound might still decide membership
-        e = ctx.period
-        for u in range(ctx.n):
-            for v in range(ctx.n):
-                entry = x.rows[u][v]
-                need = ctx.min_entry_order(u, v, r)
-                for k in entry.support():
-                    if k < need:
-                        return False
-                if entry.prec is not INF and entry.prec < need:
-                    raise
-        return True
+    """x in P^r, decided exactly (PrecisionError when undecidable): a
+    known coefficient below P^r decides it whatever the windows say."""
+    best, bound = fildeg_certified(x, ctx)
+    if best < r:
+        return False
+    if bound < r:
+        raise _undetermined(x, ctx, best, bound)
+    return True

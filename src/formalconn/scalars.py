@@ -3,8 +3,18 @@
 The library computes over Q or over a cyclotomic extension Q(zeta_m).
 Rational values are plain ``fractions.Fraction`` objects; extension
 elements are ``Ext`` instances holding a coordinate vector in the power
-basis 1, z, ..., z^(d-1) modulo the m-th cyclotomic polynomial.  The two
+basis 1, z, ..., z^(d-1) modulo the m-th cyclotomic polynomial (Cohen,
+*A Course in Computational Algebraic Number Theory*, 4.2).  The two
 kinds interoperate: Fraction (or int) mixes freely into Ext arithmetic.
+
+:class:`GroundField` is the one place that knows this format: its
+:meth:`~GroundField.fold` and :meth:`~GroundField.fold_dicts` reduce
+coordinates of degree >= phi(m) by the integer reduction table, and
+:meth:`~GroundField.element` writes integer coordinates over one
+denominator as the canonical Fraction or Ext.  ``Ext`` products, the
+fraction-free kernels of :mod:`formalconn.series` and
+:mod:`formalconn.matrices`, and :mod:`formalconn.linalg` all go through
+them.
 
 Field names accepted throughout: "Q", "Q(i)" (= Q(zeta_4)) and
 "Q(zeta_m)" for m <= MAX_CYCLOTOMIC_ORDER of degree phi(m) <=
@@ -16,6 +26,7 @@ from fractions import Fraction
 from .errors import NonsplitField, ParseError
 
 _FIELD_CACHE = {}
+_ZERO = Fraction(0)
 
 # Bounds on the cyclotomic fields a name may ask for.  A field of degree
 # d keeps a (d - 1) x d reduction table, so memory grows with the square
@@ -144,49 +155,73 @@ class GroundField:
         if self.m == 1:
             raise NonsplitField("Q has no nontrivial root of unity")
         coords = [Fraction(0)] * self.degree
-        coords[1 if self.degree > 1 else 0] = Fraction(1)
-        if self.degree == 1:  # m = 1 only; unreachable
-            raise NonsplitField("degenerate field")
+        coords[1] = Fraction(1)
         return Ext(self, tuple(coords))
+
+    def element(self, nums, den):
+        """The element with power-basis coordinates nums[i] / den (at
+        most phi(m) of them, integers or rationals over one denominator):
+        a Fraction over Q, and over Q(zeta_m) an Ext whose missing
+        coordinates are zero."""
+        coords = [Fraction(v, den) if v else _ZERO for v in nums]
+        if self.m == 1:
+            return coords[0]
+        coords.extend([_ZERO] * (self.degree - len(coords)))
+        return Ext(self, tuple(coords))
+
+    # -- reduction modulo Phi_m -------------------------------------------
+
+    def fold(self, coords):
+        """Fold the coordinates of degree >= phi(m) (at most 2 phi(m) - 2)
+        of the number list ``coords`` back onto the power basis by the
+        integer reduction table, in place; returns the list, cut to at
+        most phi(m) coordinates."""
+        d = self.degree
+        red = self._reduction
+        for k in range(d, len(coords)):
+            c = coords[k]
+            if c:
+                for i, r in enumerate(red[k - d]):
+                    if r:
+                        coords[i] += c * r
+        del coords[d:]
+        return coords
+
+    def fold_dicts(self, acc):
+        """:meth:`fold` for the series kernel, whose coordinate ``acc[j]``
+        is a dict from exponents to integer numerators, in place."""
+        d = self.degree
+        red = self._reduction
+        for j in range(d, len(acc)):
+            row = red[j - d]
+            for k, c in acc[j].items():
+                if c:
+                    for i, r in enumerate(row):
+                        if r:
+                            acc[i][k] = acc[i].get(k, 0) + c * r
+        del acc[d:]
 
     # -- roots of unity -------------------------------------------------
 
     def root_of_unity(self, e):
-        """A primitive e-th root of unity, or raise NonsplitField."""
+        """A primitive e-th root of unity, or raise NonsplitField:
+        zeta_m^(m/e) when e divides m, and (-zeta_m)^(2m/e) when m is odd
+        and e divides 2m, as -zeta_m is then a primitive 2m-th root."""
+        if not self.has_root_of_unity(e):
+            raise NonsplitField("no primitive %d-th root of unity in %s" % (e, self.name))
         if e == 1:
             return self.one()
         if e == 2:
             return self.from_rational(-1)
-        if self.m == 1:
-            raise NonsplitField("no primitive %d-th root of unity in Q" % e)
         if self.m % e == 0:
             return self.generator() ** (self.m // e)
-        # Q(zeta_m) contains the 2m-th roots when m is odd.
-        if self.m % 2 == 1 and (2 * self.m) % e == 0:
-            cand = -(self.generator() ** (((2 * self.m) // e + 1) // 2 % self.m))
-            if _order_of_root(cand, e):
-                return cand
-            for k in range(self.m):
-                cand = -(self.generator() ** k)
-                if _order_of_root(cand, e):
-                    return cand
-        raise NonsplitField("no primitive %d-th root of unity in %s" % (e, self.name))
+        return (-self.generator()) ** (2 * self.m // e)
 
     def has_root_of_unity(self, e):
-        try:
-            self.root_of_unity(e)
-            return True
-        except NonsplitField:
-            return False
-
-
-def _order_of_root(x, e):
-    p = x
-    for k in range(1, e):
-        if p == 1:
-            return False
-        p = p * x
-    return p == 1
+        """Whether Q(zeta_m) holds a primitive e-th root of unity: the
+        roots of unity in it are the m-th ones, and the 2m-th ones when m
+        is odd."""
+        return e in (1, 2) or self.m % e == 0 or (self.m % 2 == 1 and 2 * self.m % e == 0)
 
 
 class Ext:
@@ -237,15 +272,7 @@ class Ext:
                 for j, b in enumerate(other.coords):
                     if b:
                         prod[i + j] += a * b
-        out = prod[:d]
-        red = self.field._reduction
-        for k in range(d, 2 * d - 1):
-            c = prod[k]
-            if c:
-                row = red[k - d]
-                for i in range(d):
-                    out[i] += c * row[i]
-        return Ext(self.field, tuple(out))
+        return Ext(self.field, tuple(self.field.fold(prod)))
 
     __rmul__ = __mul__
 
@@ -284,8 +311,7 @@ class Ext:
             r0, r1 = r1, rem
             s0, s1 = s1, _poly_sub_mul(s0, quo, s1)
         c = r1[0]
-        coords = [x / c for x in s1]
-        return Ext(self.field, tuple(coords + [Fraction(0)] * (self.field.degree - len(coords))))
+        return self.field.element(s1, c)
 
     def __eq__(self, other):
         if isinstance(other, Ext):

@@ -17,11 +17,12 @@ Computer Algebra*, 8) over every ground field: the coefficients are
 written as integer power-basis coordinates over one common denominator
 (one coordinate for a series with rational coefficients, phi(m) of them
 over Q(zeta_m)), the coordinates are convolved pairwise, the
-coordinates of degree >= phi(m) are folded back once by the integer
-cyclotomic reduction table, and each output coordinate is normalised
-once into a canonical ``Fraction``.  Rational series are inverted
-fraction-free as well; series with coefficients in Q(zeta_m) are
-inverted by the coefficient-wise recurrence.
+coordinates of degree >= phi(m) are folded back once by
+``GroundField.fold_dicts``, and each output coefficient is written once
+by ``GroundField.element``, one canonical ``Fraction`` per coordinate.
+Rational series are inverted fraction-free as well; series with
+coefficients in Q(zeta_m) are inverted by the coefficient-wise
+recurrence.
 """
 
 import math
@@ -203,13 +204,13 @@ class LaurentScalar:
         if digits < PRECISION_FLOOR:
             raise PrecisionError("inverse with window %d below floor" % digits,
                                  needed=s + PRECISION_FLOOR)
-        den, _, (coords,) = int_form([self])
+        den, field, (coords,) = int_form([self])
         if len(coords) == 1:
             return _inverse_rational(den, coords[0], s, digits)
         inv_lead = scalar_inverse(lead)
         # u = self / (lead * t^s) = 1 + eps; invert by power series recurrence.
         u = {k - s: v * inv_lead for k, v in self.coeffs.items() if k - s < digits}
-        out = {0: _one_like(lead)}
+        out = {0: field.one()}
         for k in range(1, digits):
             acc = None
             for j, uj in u.items():
@@ -297,10 +298,6 @@ def _lift(x):
     if isinstance(x, (int, Fraction, Ext)):
         return LaurentScalar.zero() if is_zero(x) else LaurentScalar.from_scalar(x)
     return NotImplemented
-
-
-def _one_like(c):
-    return Fraction(1) if isinstance(c, (int, Fraction)) else c.field.one()
 
 
 def mul_prec(a, b):
@@ -415,31 +412,16 @@ def from_coord_form(acc, den, prec, field):
     acc[c][k] / den, every exponent already below prec.  One coordinate
     gives rational coefficients; more give Ext coefficients of
     ``field``, after the coordinates of degree >= phi(m) are folded back
-    by the integer reduction table."""
+    by :meth:`GroundField.fold_dicts`."""
     if len(acc) == 1:
         return from_int_form(acc[0], den, prec)
-    fold_coords(acc, field)
+    field.fold_dicts(acc)
     out = {}
     for k in set().union(*acc):
         nums = [a.get(k, 0) for a in acc]
         if any(nums):
-            out[k] = Ext(field, tuple(Fraction(v, den) for v in nums))
+            out[k] = field.element(nums, den)
     return LaurentScalar._raw(out, prec)
-
-
-def fold_coords(acc, field):
-    """Fold the coordinate dicts of degree >= phi(m) (at most 2 phi(m) -
-    2) back onto the power basis by the integer reduction table, in
-    place."""
-    d = field.degree
-    for j in range(d, len(acc)):
-        row = field._reduction[j - d]
-        for k, c in acc[j].items():
-            if c:
-                for i, r in enumerate(row):
-                    if r:
-                        acc[i][k] = acc[i].get(k, 0) + c * r
-    del acc[d:]
 
 
 def _inverse_rational(den, nums, s, digits):
@@ -498,9 +480,6 @@ class OneForm:
     @property
     def order(self):
         return self.f.order
-
-    def scale(self, series):
-        return OneForm(self.f * series)
 
     def __repr__(self):
         return "(%r) dt" % self.f

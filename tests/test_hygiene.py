@@ -120,3 +120,12 @@ def test_no_private_imports_across_modules():
                                for alias in node.names
                                if alias.name.startswith("_") and not alias.name.startswith("__"))
     assert not private, "private names imported across modules: %s" % ", ".join(private)
+
+
+def test_reduction_table_private_to_scalars():
+    # GroundField folds power-basis coordinates itself (fold, fold_dicts)
+    readers = ["%s:%d" % (name, node.lineno)
+               for name, tree in _modules().items() if name != "scalars.py"
+               for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and node.attr == "_reduction"]
+    assert not readers, "reduction table read outside scalars.py: %s" % ", ".join(readers)

@@ -10,7 +10,8 @@ from formalconn.errors import (DuplicatePoints, ParseError, ResidueNonzero,
 from formalconn.formal_types import FormalType
 from formalconn.matrices import LaurentMatrix
 from formalconn.moduli import (INFINITY, GlobalConfig, PrincipalPart,
-                               assemble_global, check_framing,
+                               _binomial_expansion, _geometric_expansion,
+                               _geometric_expansion_inf, assemble_global, check_framing,
                                coadjoint_fixes, in_toral_congruence,
                                moment_map, orbit_dimensions,
                                regular_singular_orbit_dimensions)
@@ -80,6 +81,33 @@ def test_infinity_chart():
     assert len(g.poly) == 2
     assert all(c == 0 for row in g.poly[0] for c in row)
     assert g.poly[1][0][0] == -2
+
+
+def test_local_expansions_in_closed_form():
+    # each closed form times (or, for z^k, against) the power of its base
+    # gives the expected series on the whole window prec
+    def power(base, k):
+        out = LaurentScalar.one()
+        for _ in range(k):
+            out = out * base
+        return out
+
+    for c in (Fraction(0), Fraction(1), Fraction(-2), Fraction(3, 5), Fraction(-7, 2)):
+        base = LaurentScalar({0: c, 1: Fraction(1)})
+        inf_base = LaurentScalar({0: Fraction(1), 1: -c})
+        for d in range(5):
+            for prec in range(-2, 9):
+                assert _binomial_expansion(c, d, prec) == power(base, d).truncate(prec)
+                if d == 0:
+                    continue
+                inf = _geometric_expansion_inf(c, d, prec)
+                assert inf.prec == prec
+                assert inf * power(inf_base, d) == \
+                    LaurentScalar.t_power(d - 2, Fraction(-1)).truncate(prec)
+                if c:
+                    geo = _geometric_expansion(c, d, prec)
+                    assert geo.prec == prec
+                    assert geo * power(base, d) == LaurentScalar.one().truncate(prec)
 
 
 def test_moment_map_values():

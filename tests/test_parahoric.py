@@ -6,16 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from formalconn.errors import EmptyComposition, NotInFiltration, PrecisionError
+from formalconn.errors import EmptyComposition, GcdViolation, NotInFiltration, PrecisionError
 from formalconn.linalg import kinverse, kmatmul
 from formalconn.matrices import LaurentMatrix, pairing
 from formalconn.parahoric import (GradedEndo, LatticeChain, ParahoricContext,
                                   filtration_degree, graded_component,
-                                  graded_monomials, monomial_matrix,
+                                  graded_monomials, in_filtration, monomial_matrix,
                                   standard_chain)
 from formalconn.polys import charpoly_series, kpoly_trim
 from formalconn.scalars import get_field
 from formalconn.series import INF, LaurentScalar, OneForm
+from formalconn.strata import Stratum
 from formalconn.torus import TorusData
 
 from helpers import LS, krank, lmat, random_matrix, ref_is_nilpotent, seeded, varpi_eps
@@ -93,6 +94,28 @@ def test_precision_error_names_the_certifying_window():
     widened = LaurentMatrix([[LS([(3, 1)]), LS([], err.value.needed)],
                              [LS([], err.value.needed), LS([], err.value.needed)]])
     assert filtration_degree(widened, iw) == 6
+
+
+def test_in_filtration_decided_by_a_known_coefficient_in_any_entry():
+    mx = standard_chain((2,))
+    blurry, known, zero = LS([], -3), LS([(-2, 1)]), LS([])
+    for row in ([blurry, known], [known, blurry]):
+        # the known t^-2 puts x outside P^0 and P^-1, whatever the t^-3 window
+        x = LaurentMatrix([row, [zero, zero]])
+        assert in_filtration(x, mx, 0) is False
+        with pytest.raises(GcdViolation, match="does not lie in P"):
+            Stratum(mx, 1, x)
+    # no coefficient decides P^0 and a window stops short of it: the error
+    # is the one filtration_degree raises
+    x = LaurentMatrix([[blurry, LS([(0, 1)])], [zero, zero]])
+    with pytest.raises(PrecisionError) as expected:
+        filtration_degree(x, mx)
+    with pytest.raises(PrecisionError) as err:
+        in_filtration(x, mx, 0)
+    assert str(err.value) == str(expected.value) == \
+        "filtration degree undetermined: known bound -3 < candidate 0"
+    assert (err.value.needed, err.value.short_by) == (expected.value.needed,
+                                                       expected.value.short_by) == (0, 3)
 
 
 def test_varpi_generates():

@@ -1,16 +1,17 @@
 """Laurent scalar arithmetic, precision windows, residues, one-forms."""
 
+import math
 import time
 from fractions import Fraction
 
 import pytest
 import sympy
 
-from formalconn.errors import ParseError, PrecisionError, ZeroLeading
+from formalconn.errors import NonsplitField, ParseError, PrecisionError, ZeroLeading
 from formalconn.polys import nth_root_in_field
 from formalconn.scalars import (MAX_CYCLOTOMIC_DEGREE, MAX_CYCLOTOMIC_ORDER,
                                 _cyclotomic_poly, format_scalar, get_field,
-                                parse_scalar)
+                                parse_scalar, scalar_coords)
 from formalconn.series import INF, LaurentScalar, OneForm, default_precision, residue
 
 from helpers import LS, random_series, seeded
@@ -158,6 +159,58 @@ def test_scalar_field_arithmetic():
     z = z5.generator()
     assert z ** 5 == 1 and z ** 4 != 1
     assert z * z.inverse() == 1
+
+
+def _root_group(field):
+    """(M, powers): the roots of unity of the field form a cyclic group
+    of order M, generated by w = zeta_m for even m and w = -zeta_m for
+    odd m; powers maps the integer power-basis coordinates of w^j to j.
+    Each power is the last times w, multiplied by zeta by a shift and
+    one fold of z^d = -(Phi_m(z) - z^d)."""
+    m = field.m
+    if m == 1:
+        return 2, {(1,): 0, (-1,): 1}
+    big = m if m % 2 == 0 else 2 * m
+    sign = 1 if m % 2 == 0 else -1
+    modulus = [int(c) for c in field.modulus]
+    cur = [1] + [0] * (field.degree - 1)
+    powers = {}
+    for j in range(big):
+        powers[tuple(cur)] = j
+        top = cur[-1]
+        cur = [sign * ((cur[i - 1] if i else 0) - top * modulus[i]) for i in range(field.degree)]
+    return big, powers
+
+
+def test_roots_of_unity_in_closed_form():
+    # Q(zeta_m) holds the m-th roots of unity, and the 2m-th ones for odd
+    # m; the root returned for order e is zeta_m^(m/e) when e | m, else
+    # (-zeta_m)^(2m/e).  Its exponent in the generator w of _root_group:
+    # zeta_m = w for even m and zeta_m = -w = w^(m+1) for odd m.
+    seen = set()
+    for m in range(1, 121):
+        field = get_field("Q(zeta_%d)" % m)
+        if field.m in seen:
+            continue
+        seen.add(field.m)
+        m = field.m
+        big, powers = _root_group(field)
+        for e in range(1, 2 * m + 3):
+            holds = e <= 2 or m % e == 0 or (m % 2 == 1 and (2 * m) % e == 0)
+            assert field.has_root_of_unity(e) == holds, (m, e)
+            if not holds:
+                with pytest.raises(NonsplitField):
+                    field.root_of_unity(e)
+                continue
+            coords = scalar_coords(field.root_of_unity(e))
+            assert all(c.denominator == 1 for c in coords), (m, e)
+            j = powers[tuple(int(c) for c in coords)]
+            assert big // math.gcd(j, big) == e, (m, e)
+            if m % e == 0:
+                expected = (m // e) * (1 if m % 2 == 0 else m + 1) % big
+            else:
+                expected = (2 * m) // e
+            assert j == expected, (m, e)
 
 
 @pytest.mark.parametrize("name", ["Q(zeta_0)", "Q(zeta_-3)", "Q(zeta_x)"])
