@@ -23,7 +23,8 @@ parahoric, read off the leading term (at depth zero, the residue
 eigenbasis on the maximal chain), with its inverse and the conjugated
 matrix, so the split basis is applied with no further inverse and no
 tau(g) term.  One level loop, _pure_block_reduce, then works in the
-level form of the chain: each level above the leading one loses the
+level form of the chain, on integer numerators over one denominator
+per level: each level above the leading one loses the
 Cartan part of every part, into q or by a derivative gauge, and the
 rest, between the parts and inside them, by one graded solve.  The
 parts are the split's, or the whole matrix when there is no split.
@@ -35,20 +36,21 @@ requested digits raises PrecisionError at any depth.
 import itertools
 import math
 from fractions import Fraction
+from functools import reduce
 
 from .errors import (NotInFiltration, NotRegular, NotSplit, ParseError, PrecisionError,
                      SingularGauge)
 from .formal_types import FormalType
-from .linalg import kernel_flag_basis, kinverse, kzeros
-from .matrices import IntMatrix, LaurentMatrix
+from .linalg import integer_ring, kernel_flag_basis, kinverse, kzeros
+from .matrices import IntMatrix, LaurentMatrix, constant_product
 from .parahoric import (GradedEndo, certifying_window, fildeg_certified, filtration_degree,
                         graded_component, standard_chain)
 from .scalars import get_field, is_zero, scalar_inverse, sort_key
 from .series import INF, LaurentScalar, OneForm, default_precision
 from .strata import Stratum, infer_field, is_regular, pure_leading
 from .torus import (ToralElement, TorusData, block_levels, gauge_levels, graded_pattern_solve,
-                    level_pattern, levels_matrix, pattern_level, rescale_levels,
-                    unipotent_times)
+                    level_entries, level_pattern, level_sum, levels_matrix, negated,
+                    pattern_level, unipotent_times)
 
 
 class FormalConnection:
@@ -408,18 +410,18 @@ def split_connection(conn, ctx, r, slot_lists, digits=8):
     """Kill the off-diagonal blocks of a connection containing a stratum
     split along the given coordinate slots of a uniform chain.
 
-    The matrix is read once into its level form on the chain (see
-    :mod:`formalconn.torus`), as far as it is known; an exact matrix to
-    the session precision (default_precision() t-digits).  The off-block
-    part of each level d below the target 1 - r + digits, from 1 - r
-    up, is cleared by the gauge 1 - X with X at level d + r solving
+    The matrix is read once into its integer level form on the chain
+    (see :mod:`formalconn.torus`), as far as it is known; an exact
+    matrix to the session precision (default_precision() t-digits).
+    Each level d from 1 - r up to the target 1 - r + digits loses its
+    off-block part by the gauge 1 - X, X at level d + r solving
     ad(X)(lead) - d X = off-block part (torus.graded_pattern_solve, the
-    one graded solver, which _pure_block_reduce uses too; the shift -d,
-    the graded derivative, enters only at depth zero), and an
-    unsolvable level raises NotSplit.
-    The gauge acts by the level recurrence B = A - XA + tau X,
-    A' = B + A'X of ``torus.gauge_levels``, with no inverse; it moves
-    only the levels from d on, so one pass in order clears them all.
+    shift -d entering only at depth zero); an unsolvable level raises
+    NotSplit.  The gauge acts by the level recurrence of
+    ``torus.gauge_levels``, with no inverse, and moves only the levels
+    from d on, so one pass in order clears them all.  Both the matrix
+    and the gauge, seeded at the identity, stay integer levels until
+    they are written out once.
 
     Returns (p, conn') with p the exact product of the gauges 1 - X and
     conn' block diagonal to the requested depth: off-blocks have
@@ -430,10 +432,7 @@ def split_connection(conn, ctx, r, slot_lists, digits=8):
     """
     conn = conn.standardized()
     n = conn.n
-    part_of = {}
-    for idx, slots in enumerate(slot_lists):
-        for u in slots:
-            part_of[u] = idx
+    part_of = {u: idx for idx, slots in enumerate(slot_lists) for u in slots}
     target = 1 - r + digits
     _, window = fildeg_certified(conn.matrix, ctx)
     if window < target:
@@ -445,25 +444,25 @@ def split_connection(conn, ctx, r, slot_lists, digits=8):
     if any(not is_zero(c) for u, row in enumerate(lead) for v, c in enumerate(row)
            if part_of[u] != part_of[v]):
         raise NotSplit("the leading term is not block diagonal along the slots")
-    cur = block_levels(conn.matrix, below, ctx)
-    gauge = {0: pattern_level([[Fraction(int(u == v)) for v in range(n)] for u in range(n)],
-                              0, ctx)}
+    ring = integer_ring(infer_field(conn.matrix))
+    cur = block_levels(conn.matrix, below, ctx, ring)
+    gauge = {0: pattern_level([[int(u == v) for v in range(n)] for u in range(n)], 0, ctx, ring)}
+    zero = ring.const(0)
     for d in range(min(cur, default=target), target):
-        if d not in cur:
+        den, nums = cur.get(d, (1, []))
+        off = [c if part_of[u] != part_of[v] else zero
+               for c, (u, v) in zip(nums, level_entries(d, ctx))]
+        if not any(off):
             continue
-        off = [[c if part_of[u] != part_of[v] else Fraction(0) for v, c in enumerate(row)]
-               for u, row in enumerate(level_pattern(cur[d], d, ctx))]
-        if all(is_zero(c) for row in off for c in row):
-            continue
-        x = graded_pattern_solve(lead, off, ctx, d, r,
+        x = graded_pattern_solve(lead, level_pattern((den, off), d, ctx, ring), ctx, d, r,
                                  keep=lambda u, v: part_of[u] != part_of[v], shift=-d)
         if x is None:
             raise NotSplit("resonant obstruction at level %d" % (d + r))
-        neg_x = [-c for c in pattern_level(x, d + r, ctx)]
-        cur = gauge_levels(cur, d + r, neg_x, below, ctx)
-        gauge = unipotent_times(d + r, neg_x, gauge, INF, ctx)
-    return (levels_matrix(gauge, n, ctx),
-            FormalConnection(levels_matrix(cur, n, ctx, below), conn.nu))
+        neg_x = negated(pattern_level(x, d + r, ctx, ring), ring)
+        cur = gauge_levels(cur, d + r, neg_x, below, ctx, ring)
+        gauge = unipotent_times(d + r, neg_x, gauge, INF, ctx, ring)
+    return (levels_matrix(gauge, n, ctx, ring),
+            FormalConnection(levels_matrix(cur, n, ctx, ring, below), conn.nu))
 
 
 # -- diagonalization ---------------------------------------------------------
@@ -525,23 +524,23 @@ def _pure_block_reduce(mat, ctx, r, parts, field, digits):
     """Reduce a matrix on a uniform chain whose leading level -r is block
     diagonal along ``parts`` (lists of slots, one slot per phase class,
     in descending phase) to q(varpi^(-1)) in every part, working in its
-    level form (see :mod:`formalconn.torus`).
+    integer level form (see :mod:`formalconn.torus`).
 
     The matrix is read once into levels, keeping the levels through
-    ``digits``, all that the reduction reads.  A normalizer, a constant
-    diagonal, rescales each part's slots so that its leading level is
-    alpha varpi^(-r).  Each level v from 1 - r through ``digits`` is
-    then cleared.  The mean c of a part's slots is its Cartan part: for
-    v <= 0 it is absorbed into that part's q, for v > 0 the gauge
-    1 + (e c / v) varpi^v cancels it through its derivative term.  The
-    rest of the level, off the parts and inside them, is the target of
-    the graded ad-equation against the leading level, with the graded
-    derivative -v X at depth zero, which torus.graded_pattern_solve
-    solves in one system, and the gauge 1 - X removes it.  Gauges act
-    by the level recurrence of ``torus.gauge_levels``, without an
-    inverse.  Their product P <- (1 + X) P is kept below level e w, with
-    w = ceil((digits + r + e) / e), and cut to t^w: the levels above
-    move the result only beyond level digits.
+    ``digits``, all that the reduction reads, after a normalizer, a
+    constant diagonal that also seeds the gauge, rescales each part's
+    slots so that its leading level is alpha varpi^(-r).  Each level v
+    from 1 - r through ``digits`` is then cleared.  The mean c of a
+    part's slots is its Cartan part: for v <= 0 it goes into that part's
+    q, for v > 0 the gauge 1 + (e c / v) varpi^v cancels it through its
+    derivative term.  The rest of the level is the target of the graded ad-equation
+    against the leading level, with the graded derivative -v X at depth
+    zero (torus.graded_pattern_solve, the one crossing to field values
+    per level), and the gauge 1 - X removes it.  Gauges act by the
+    level recurrence of ``torus.gauge_levels``, without an inverse;
+    their product P <- (1 + X) P is kept below level e w, with w =
+    ceil((digits + r + e) / e), and cut to t^w: the levels above move
+    the result only beyond level digits.
 
     Raises PrecisionError when the window ends before level digits + 1,
     which the reduction consumes.  Returns (gauge, [dict of
@@ -554,13 +553,11 @@ def _pure_block_reduce(mat, ctx, r, parts, field, digits):
         needed, short_by = certifying_window(mat, ctx, below)
         raise PrecisionError("diagonalization needs the matrix below level %d, known below %d"
                              % (below, window), needed=needed, short_by=short_by)
-    cur = block_levels(mat, below, ctx)
-    zero = [Fraction(0)] * (n * m)
-    raw = level_pattern(cur.get(-r, zero), -r, ctx)
+    lead = graded_component(mat, ctx, -r).pattern
     h = [Fraction(1)] * n
     qs = []
     for slots in parts:
-        pat = [[raw[u][v] for v in slots] for u in slots]
+        pat = [[lead[u][v] for v in slots] for u in slots]
         # rank one is all Cartan: its leading coefficient may vanish (the
         # one nilpotent summand a regular split torus allows)
         head = (pat[0], pat[0][0]) if e == 1 else pure_leading(pat, field)
@@ -571,58 +568,57 @@ def _pure_block_reduce(mat, ctx, r, parts, field, digits):
             for u, c in zip(slots, _pure_normalizer(e, r, xs, alpha, field)):
                 h[u] = c
         qs.append({-r: alpha} if not is_zero(alpha) else {})
-    gauge = {0: pattern_level([[h[u] if u == v else Fraction(0) for v in range(n)]
-                               for u in range(n)], 0, ctx)}
+    diag = [[h[u] if u == v else 0 for v in range(n)] for u in range(n)]
     if any(c != 1 for c in h):
-        cur = rescale_levels(cur, h, ctx)
-    lead = level_pattern(cur.get(-r, zero), -r, ctx)
+        inv = [[scalar_inverse(h[u]) if u == v else 0 for v in range(n)] for u in range(n)]
+        mat = constant_product(diag, mat, inv)
+        lead = graded_component(mat, ctx, -r).pattern
+    ring = integer_ring(field)
+    cur = block_levels(mat, below, ctx, ring)
+    gauge = {0: pattern_level(diag, 0, ctx, ring)}
+    zero = ring.const(0)
     # the level slots of each part's own entries, by level mod e
-    pos = {u: j for cls in ctx.phase_classes for j, u in enumerate(cls)}
-    inner = []
-    for slots in parts:
-        of_class = {ctx.phases[u] % e: u for u in slots}
-        inner.append([[v * m + pos[of_class[(ctx.phases[v] + d) % e]] for v in slots]
-                      for d in range(e)])
+    part_of = {u: k for k, slots in enumerate(parts) for u in slots}
+    inner = [[[s for s, (u, v) in enumerate(level_entries(d, ctx))
+               if part_of[u] == k == part_of[v]] for d in range(e)] for k in range(len(parts))]
     for v in range(1 - r, below):
-        vec = cur.get(v)
-        if vec is None or not any(vec):
+        level = cur.get(v)
+        if level is None or not any(level[1]):
             continue
-        means = [sum(vec[s] for s in idx[v % e]) * Fraction(1, e) for idx in inner]
-        if v > 0 and any(not is_zero(c) for c in means):
-            beta = list(zero)
-            for idx, c in zip(inner, means):
+        # the Cartan part of each part: its slots' mean, sum / (e den)
+        den, nums = level
+        sums = [reduce(ring.add, [nums[s] for s in idx[v % e]], zero) for idx in inner]
+        if any(sums):
+            cartan = [zero] * (n * m)
+            for idx, c in zip(inner, sums):
                 for s in idx[v % e]:
-                    beta[s] = c * Fraction(e, v)
-            cur = gauge_levels(cur, v, beta, below, ctx)
-            gauge = unipotent_times(v, beta, gauge, e * w, ctx)
-            vec = cur[v]
-        rest = list(vec)
-        if v <= 0:
-            for q, idx, c in zip(qs, inner, means):
-                if not is_zero(c):
-                    q[v] = c
-                    for s in idx[v % e]:
-                        rest[s] = rest[s] - c
-        if not any(rest):
+                    cartan[s] = c
+            if v > 0:
+                # the gauge 1 + (e mean / v) varpi^v
+                cur = gauge_levels(cur, v, (den * v, cartan), below, ctx, ring)
+                gauge = unipotent_times(v, (den * v, cartan), gauge, e * w, ctx, ring)
+                level = cur[v]
+            else:
+                for q, c in zip(qs, sums):
+                    if c:
+                        q[v] = ring.scalar(c, den * e)
+                level = level_sum(level, negated((den * e, cartan), ring), ring)
+        if not any(level[1]):
             continue
-        x = graded_pattern_solve(lead, level_pattern(rest, v, ctx), ctx, v, r, shift=-v)
-        xi = [-c for c in pattern_level(x, v + r, ctx)]
-        cur = gauge_levels(cur, v + r, xi, below, ctx)
-        gauge = unipotent_times(v + r, xi, gauge, e * w, ctx)
+        x = graded_pattern_solve(lead, level_pattern(level, v, ctx, ring), ctx, v, r, shift=-v)
+        xi = negated(pattern_level(x, v + r, ctx, ring), ring)
+        cur = gauge_levels(cur, v + r, xi, below, ctx, ring)
+        gauge = unipotent_times(v + r, xi, gauge, e * w, ctx, ring)
     return LaurentMatrix([[LaurentScalar(entry.truncate(w).coeffs) for entry in row]
-                          for row in levels_matrix(gauge, n, ctx).rows]), qs
+                          for row in levels_matrix(gauge, n, ctx, ring).rows]), qs
 
 
 def _pure_normalizer(n, r, xs, alpha, field):
     """Constant diagonal p with Ad(p)(x varpi^(-r)) = alpha varpi^(-r):
     solve p_u = alpha p_(u-r) / x_u around the r-cycle (gcd(r,n)=1).
     Returns the diagonal entries."""
-    diag = [None] * n
-    diag[0] = field.one()
-    u = 0
-    for _ in range(n - 1):
-        nxt = (u + r) % n
-        val = alpha * diag[u]
-        diag[nxt] = val * scalar_inverse(xs[nxt])
-        u = nxt
+    diag = [field.one()] * n
+    for k in range(1, n):
+        u = k * r % n
+        diag[u] = alpha * diag[(u - r) % n] * scalar_inverse(xs[u])
     return diag

@@ -19,6 +19,7 @@ A reduced echelon form is unique, so every routine returns the values
 that Gauss-Jordan elimination over the field gives.
 """
 
+import functools
 import math
 from fractions import Fraction
 
@@ -51,6 +52,8 @@ class _Integers:
     def mul(a, b):
         return a * b
 
+    scale = mul
+
     @staticmethod
     def neg(a):
         return -a
@@ -64,8 +67,13 @@ class _Integers:
         return a // k
 
     @staticmethod
+    def content(xs):
+        """The gcd of the coordinates of the elements xs."""
+        return math.gcd(*xs)
+
+    @staticmethod
     def primitive(xs):
-        """xs divided by the gcd of its coordinates."""
+        """xs divided by its content."""
         g = math.gcd(*xs)
         return [x // g for x in xs] if g > 1 else xs
 
@@ -132,13 +140,21 @@ class _CyclotomicIntegers:
         return _trim(self.field.fold(acc))
 
     @staticmethod
+    def scale(k, a):
+        """The element a times the int k."""
+        return tuple(k * c for c in a) if k else ()
+
+    @staticmethod
     def exact_div(a, k):
         return tuple(c // k for c in a)
 
     @staticmethod
-    def primitive(xs):
-        g = math.gcd(*(c for a in xs for c in a))
-        return [tuple(c // g for c in a) for a in xs] if g > 1 else xs
+    def content(xs):
+        return math.gcd(*(c for a in xs for c in a))
+
+    def primitive(self, xs):
+        g = self.content(xs)
+        return [self.exact_div(a, g) for a in xs] if g > 1 else xs
 
     def combine(self, p, xs, f, ys):
         return self.primitive([self.add(self.mul(p, x), self.neg(self.mul(f, y)))
@@ -158,19 +174,17 @@ def _trim(coords):
     return tuple(coords)
 
 
-_CYCLOTOMIC = {}
+@functools.cache
+def integer_ring(field):
+    """The ring whose elements stand for values of ``field`` times a
+    denominator: Z over Q, Z[zeta_m] over Q(zeta_m)."""
+    return _Integers if field.degree == 1 else _CyclotomicIntegers(field)
 
 
 def _ring(*mats):
     """The integer ring of the given matrices' entries."""
-    for mat in mats:
-        for row in mat:
-            for x in row:
-                if isinstance(x, Ext):
-                    if x.field not in _CYCLOTOMIC:
-                        _CYCLOTOMIC[x.field] = _CyclotomicIntegers(x.field)
-                    return _CYCLOTOMIC[x.field]
-    return _Integers
+    field = next((x.field for mat in mats for row in mat for x in row if isinstance(x, Ext)), None)
+    return _Integers if field is None else integer_ring(field)
 
 
 def _read_matrix(ring, mat):
@@ -178,8 +192,7 @@ def _read_matrix(ring, mat):
     entries, as integer rows."""
     rows = [ring.read(row) for row in mat]
     den = math.lcm(*(d for d, _ in rows))
-    return den, [r if d == den else [ring.mul(ring.const(den // d), x) for x in r]
-                 for d, r in rows]
+    return den, [r if d == den else [ring.scale(den // d, x) for x in r] for d, r in rows]
 
 
 def _echelon(ring, rows, width):

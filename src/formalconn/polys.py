@@ -18,8 +18,9 @@ from fractions import Fraction
 from .errors import FactorTooLarge, NonsplitField
 from .intpoly import (certify_squarefree, cyclotomic_norm, factor_squarefree, primitive,
                       trager_factor_candidates)
+from .linalg import integer_ring
 from .matrices import LaurentMatrix
-from .scalars import (as_fraction, format_scalar, is_rational_value, is_zero,
+from .scalars import (as_fraction, format_scalar, get_field, is_rational_value, is_zero,
                       scalar_coords, scalar_inverse, sort_key)
 from .series import LaurentScalar
 
@@ -176,7 +177,8 @@ def kpoly_factor(p, field):
     out = []
     for part, mult in _squarefree_parts(p):
         if rational:
-            facs = [_monic_rational(h) for h in factor_squarefree(_integer_primitive(part))]
+            ints = integer_ring(get_field("Q")).read(part)[1]
+            facs = [_monic_rational(h) for h in factor_squarefree(primitive(ints))]
             if field.m != 1:
                 facs = [g for f in facs for g in _trager(f, field)]
         else:
@@ -203,19 +205,6 @@ def _squarefree_parts(f):
             out.append((a, mult))
         mult += 1
     return out
-
-
-def _integer_primitive(f):
-    """The primitive integer multiple of a rational polynomial."""
-    den = _common_denominator(f)
-    return primitive([int(c * den) for c in f])
-
-
-def _common_denominator(values):
-    den = 1
-    for c in values:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    return den
 
 
 def _monic_rational(h):
@@ -250,7 +239,7 @@ def _trager(g, field):
         return [g]
     _check_norm_degree(d, field)
     coords = [_padded_coords(c, field) for c in g]
-    den = _common_denominator(c for row in coords for c in row)
+    den = math.lcm(*(c.denominator for row in coords for c in row))
     rows = [[int(c * den) for c in row] for row in coords]
     modulus = [int(c) for c in field.modulus]
     rational = all(not any(row[1:]) for row in rows)

@@ -20,6 +20,13 @@ block is the case m = 1: there level d is varpi^d diag(c_d), slot q
 holding entry ((q - d) mod e, q), the Cartan part of a level is the
 mean of its vector, and the graded ad-equation against alpha
 varpi^(-r) is a cyclic difference system.
+
+A level is stored as ``(den, nums)``, integer numerators over one
+positive denominator, divided by their content after every update: an
+int per slot over Q, and over Q(zeta_m) the power-basis coordinates of
+an element of Z[zeta_m] (:func:`formalconn.linalg.integer_ring`).  Only
+reading a matrix in, writing it out and the graded solve
+(:func:`level_pattern`, :func:`pattern_level`) build field values.
 """
 
 import math
@@ -30,7 +37,7 @@ from .linalg import knullspace, ksolve
 from .matrices import LaurentMatrix
 from .parahoric import (ParahoricContext, filtration_degree, graded_component,
                         graded_monomials, pattern_to_matrix)
-from .scalars import format_scalar, is_zero, scalar_inverse, sort_key
+from .scalars import format_scalar, is_zero, sort_key
 from .series import INF, LaurentScalar, OneForm
 
 
@@ -82,7 +89,7 @@ class ToralElement:
 
     def coeff(self, j, d):
         if d >= self.prec:
-            raise PrecisionError("toral coefficient at degree %d unknown" % d)
+            raise PrecisionError("toral coefficient at degree %d unknown" % d, needed=d + 1)
         return self.coeffs[j].get(d, Fraction(0))
 
     def leading_at(self, depth):
@@ -343,119 +350,118 @@ def delta_kernel_dimension(e, r):
 # -- level forms on a uniform chain ------------------------------------------
 
 
-def _layout(ctx):
-    """(e, m, phases, classes) of a uniform chain with m slots per phase
-    class."""
-    return ctx.period, ctx.n // ctx.period, ctx.phases, ctx.phase_classes
+def level_entries(d, ctx):
+    """The entry (u, v) behind each slot of level d, in slot order: slot
+    v*m + j holds u, the j-th slot of the phase class of phase(v) + d."""
+    e, phases, classes = ctx.period, ctx.phases, ctx.phase_classes
+    return [(u, v) for v in range(ctx.n) for u in classes[(phases[v] + d) % e]]
 
 
-def block_levels(x, below, ctx):
-    """The level form {d: level} of a matrix on a uniform chain: the
-    coefficient of t^w in entry (u, v) is slot v*m + j of level d =
-    e*w + phase(u) - phase(v), where u is the j-th slot of its phase
-    class.  Levels from ``below`` on are dropped."""
-    n = x.n
-    e, m, phases, classes = _layout(ctx)
-    pos = [0] * n
-    for cls in classes:
-        for j, u in enumerate(cls):
-            pos[u] = j
-    size = n * m
+def level_sum(a, b, ring):
+    """The level a + b (a None is zero) over the least common
+    denominator, divided by its content."""
+    den, nums = b
+    if a is not None:
+        g = math.gcd(a[0], den)
+        xs = a[1] if den == g else [ring.scale(den // g, x) for x in a[1]]
+        ys = nums if a[0] == g else [ring.scale(a[0] // g, y) for y in nums]
+        den, nums = a[0] // g * den, [ring.add(x, y) for x, y in zip(xs, ys)]
+    g = math.gcd(den, ring.content(nums))
+    return (den, nums) if g == 1 else (den // g, [ring.exact_div(x, g) for x in nums])
+
+
+def negated(level, ring):
+    return level[0], [ring.neg(c) for c in level[1]]
+
+
+def block_levels(x, below, ctx, ring):
+    """The level form {d: level} of a matrix on a uniform chain, levels
+    from ``below`` on dropped: the coefficient of t^w in entry (u, v) is
+    slot v*m + j of level d = e*w + phase(u) - phase(v), u the j-th slot
+    of its phase class.  Each level is read into integers once, by
+    ``ring`` (:func:`formalconn.linalg.integer_ring`)."""
+    e, m, phases = ctx.period, x.n // ctx.period, ctx.phases
+    pos = {u: j for cls in ctx.phase_classes for j, u in enumerate(cls)}
     out = {}
     for u, row in enumerate(x.rows):
         for v, entry in enumerate(row):
-            off = phases[u] - phases[v]
-            slot = v * m + pos[u]
             for w, c in entry.coeffs.items():
-                d = e * w + off
+                d = e * w + phases[u] - phases[v]
                 if d < below:
-                    out.setdefault(d, [Fraction(0)] * size)[slot] = c
-    return out
+                    out.setdefault(d, [0] * (x.n * m))[v * m + pos[u]] = c
+    return {d: ring.read(vec) for d, vec in out.items()}
 
 
-def levels_matrix(levels, n, ctx, below=INF):
-    """The n x n matrix of a level form (see :func:`block_levels`):
-    exact, or, when ``below`` is finite, with each entry known to the
-    order that level ``below`` starts at."""
-    e, m, phases, classes = _layout(ctx)
+def levels_matrix(levels, n, ctx, ring, below=INF):
+    """The n x n matrix of a level form (see :func:`block_levels`), one
+    canonical Fraction or Ext per coefficient: exact, or, when ``below``
+    is finite, with each entry known to the order that level ``below``
+    starts at."""
+    e, phases = ctx.period, ctx.phases
     entries = [[{} for _ in range(n)] for _ in range(n)]
-    for d, vec in levels.items():
-        if d >= below:
-            continue
-        for v in range(n):
-            for j, u in enumerate(classes[(phases[v] + d) % e]):
-                c = vec[v * m + j]
-                if not is_zero(c):
-                    entries[u][v][(d - phases[u] + phases[v]) // e] = c
+    for d, (den, nums) in levels.items():
+        if d < below:
+            for c, (u, v) in zip(nums, level_entries(d, ctx)):
+                if c:
+                    entries[u][v][(d - phases[u] + phases[v]) // e] = ring.scalar(c, den)
     return LaurentMatrix([[LaurentScalar._raw(
         entries[u][v], INF if below is INF else -((phases[u] - phases[v] - below) // e))
         for v in range(n)] for u in range(n)])
 
 
-def level_pattern(vec, d, ctx):
+def level_pattern(level, d, ctx, ring):
     """The graded pattern (as in :func:`parahoric.graded_component`) of
-    level d of a level form on ``ctx``."""
-    e, m, phases, classes = _layout(ctx)
-    pat = [[Fraction(0)] * ctx.n for _ in range(ctx.n)]
-    for v in range(ctx.n):
-        for j, u in enumerate(classes[(phases[v] + d) % e]):
-            pat[u][v] = vec[v * m + j]
+    level d of a level form on ``ctx``, in field values."""
+    den, nums = level
+    zero = ring.scalar(ring.const(0), 1)
+    pat = [[zero] * ctx.n for _ in range(ctx.n)]
+    for c, (u, v) in zip(nums, level_entries(d, ctx)):
+        if c:
+            pat[u][v] = ring.scalar(c, den)
     return pat
 
 
-def pattern_level(pat, d, ctx):
+def pattern_level(pat, d, ctx, ring):
     """Level d of a level form on ``ctx`` from its graded pattern."""
-    e, m, phases, classes = _layout(ctx)
-    return [pat[u][v] for v in range(ctx.n) for u in classes[(phases[v] + d) % e]]
+    return ring.read([pat[u][v] for u, v in level_entries(d, ctx)])
 
 
-def level_product(x, b, y, ctx):
-    """The level z of XY for X, Y levels x at a, y at b (z is at a + b):
-    slot (v, j) of z sums slot (k, j) of x times slot (v, i) of y over
-    the rows k of column v at level b, i the slot of k in its class.  On
-    the complete chain (m = 1) this is varpi^a diag(x) * varpi^b diag(y)
-    = varpi^(a+b) diag(z) with z[q] = x[(q - b) mod e] y[q]."""
-    e, m, phases, classes = _layout(ctx)
+def level_product(x, b, y, ctx, ring):
+    """The level z of XY for X, Y levels x at a, y at b (z is at a + b),
+    over the product of their denominators: slot (v, j) of z sums slot
+    (k, j) of x times slot (v, i) of y over the rows k of column v at
+    level b, i the slot of k in its class.  On the complete chain (m =
+    1) this is varpi^a diag(x) * varpi^b diag(y) = varpi^(a+b) diag(z)
+    with z[q] = x[(q - b) mod e] y[q]."""
+    e, m, phases, classes = ctx.period, ctx.n // ctx.period, ctx.phases, ctx.phase_classes
+    (dx, xs), (dy, ys) = x, y
+    zero = ring.const(0)
     z = []
     for v in range(ctx.n):
-        col = [(k * m, c) for k, c in zip(classes[(phases[v] + b) % e],
-                                          y[v * m:(v + 1) * m]) if c]
-        if not col:
-            z.extend([Fraction(0)] * m)
-            continue
-        (k0, c0), rest = col[0], col[1:]
-        for j in range(m):
-            acc = x[k0 + j] * c0
-            for k, c in rest:
-                acc = acc + x[k + j] * c
-            z.append(acc)
-    return z
+        col = [(k * m, c) for k, c in zip(classes[(phases[v] + b) % e], ys[v * m:(v + 1) * m])
+               if c]
+        if len(col) == 1:
+            (k, c), = col
+            z.extend([ring.mul(a, c) if a else zero for a in xs[k:k + m]])
+        elif col:
+            ks, cs = zip(*col)
+            z.extend([ring.dot([xs[k + j] for k in ks], cs) for j in range(m)])
+        else:
+            z.extend([zero] * m)
+    return dx * dy, z
 
 
-def rescale_levels(levels, h, ctx):
-    """The level form of H A H^-1 for the constant H = diag(h): entry
-    (u, v) scales by h_u / h_v."""
-    e, m, phases, classes = _layout(ctx)
-    inv = [scalar_inverse(c) for c in h]
-    return {d: [vec[v * m + j] * h[u] * inv[v] for v in range(ctx.n)
-                for j, u in enumerate(classes[(phases[v] + d) % e])]
-            for d, vec in levels.items()}
-
-
-def unipotent_times(ell, xi, levels, below, ctx):
+def unipotent_times(ell, xi, levels, below, ctx, ring):
     """The level form of (1 + X) A for X the level xi at ell, levels
     from ``below`` on dropped."""
-    size = len(xi)
-    out = {d: list(vec) for d, vec in levels.items()}
+    out = dict(levels)
     for d, vec in levels.items():
-        if d + ell < below and any(vec):
-            acc = out.setdefault(d + ell, [Fraction(0)] * size)
-            for q, c in enumerate(level_product(xi, d, vec, ctx)):
-                acc[q] = acc[q] + c
+        if d + ell < below and any(vec[1]):
+            out[d + ell] = level_sum(out.get(d + ell), level_product(xi, d, vec, ctx, ring), ring)
     return out
 
 
-def gauge_levels(levels, ell, xi, below, ctx):
+def gauge_levels(levels, ell, xi, below, ctx, ring):
     """The level form of (1 + X) . A against dt/t for X the level xi at
     ell >= 1, with A known below level ``below``.
 
@@ -465,19 +471,15 @@ def gauge_levels(levels, ell, xi, below, ctx):
     is formed, and the window stays ``below``.  tau = t d/dt multiplies
     each slot of X by its t-exponent w = (ell - phase(u) + phase(v)) / e.
     """
-    size = len(xi)
-    out = unipotent_times(ell, xi, levels, below, ctx)
+    out = unipotent_times(ell, xi, levels, below, ctx, ring)
     if ell < below:
-        e, m, phases, classes = _layout(ctx)
-        acc = out.setdefault(ell, [Fraction(0)] * size)
-        for v in range(ctx.n):
-            for j, u in enumerate(classes[(phases[v] + ell) % e]):
-                s = v * m + j
-                acc[s] = acc[s] - xi[s] * ((ell - phases[u] + phases[v]) // e)
+        e, phases = ctx.period, ctx.phases
+        tau = [ring.scale((phases[u] - phases[v] - ell) // e, c)
+               for c, (u, v) in zip(xi[1], level_entries(ell, ctx))]
+        out[ell] = level_sum(out.get(ell), (xi[0], tau), ring)
+    neg = negated(xi, ring)
     for d in range(min(out, default=below) + ell, below):
         src = out.get(d - ell)
-        if src is not None and any(src):
-            acc = out.setdefault(d, [Fraction(0)] * size)
-            for q, c in enumerate(level_product(src, ell, xi, ctx)):
-                acc[q] = acc[q] - c
+        if src is not None and any(src[1]):
+            out[d] = level_sum(out.get(d), level_product(src, ell, neg, ctx, ring), ring)
     return out

@@ -1,13 +1,15 @@
 """Static checks on the library source, standing in for a linter: every
 module-level import is used, no function imports inside its body,
 every top-level private name (function, class or assignment) is
-referenced somewhere in the library, and no module imports another's
-private names."""
+referenced somewhere in the library, no module imports another's
+private names, and no library or test statement keeps a name alive by
+assigning it to ``_``."""
 
 import ast
 import os
 
-SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "formalconn")
+TESTS = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(TESTS, os.pardir, "src", "formalconn")
 
 
 def _modules():
@@ -129,3 +131,18 @@ def test_reduction_table_private_to_scalars():
                for node in ast.walk(tree)
                if isinstance(node, ast.Attribute) and node.attr == "_reduction"]
     assert not readers, "reduction table read outside scalars.py: %s" % ", ".join(readers)
+
+
+def test_no_keep_alive_assignments():
+    # `_ = name` only silences an unused-name warning: drop the name instead
+    found = []
+    for folder in (SRC, TESTS):
+        for name in sorted(os.listdir(folder)):
+            if not name.endswith(".py"):
+                continue
+            with open(os.path.join(folder, name)) as fh:
+                tree = ast.parse(fh.read(), filename=name)
+            found.extend("%s:%d" % (name, node.lineno) for node in ast.walk(tree)
+                         if isinstance(node, ast.Assign) and isinstance(node.value, ast.Name)
+                         and [getattr(t, "id", None) for t in node.targets] == ["_"])
+    assert not found, "keep-alive assignments to _: %s" % ", ".join(found)

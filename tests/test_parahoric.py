@@ -13,7 +13,7 @@ from formalconn.parahoric import (GradedEndo, LatticeChain, ParahoricContext,
                                   filtration_degree, graded_component,
                                   graded_monomials, in_filtration, monomial_matrix,
                                   standard_chain)
-from formalconn.polys import charpoly_series, kpoly_trim
+from formalconn.polys import charpoly_series
 from formalconn.scalars import get_field
 from formalconn.series import INF, LaurentScalar, OneForm
 from formalconn.strata import Stratum
@@ -236,7 +236,6 @@ def test_lattice_exponent_pattern():
     assert ctx.lattice_exponents(1) == [0, 1, 1]
     assert ctx.lattice_exponents(2) == [1, 1, 1]
     assert ctx.lattice_exponents(3) == [1, 2, 2]
-    _ = kpoly_trim
 
 
 # -- nilpotency of graded pieces ----------------------------------------------

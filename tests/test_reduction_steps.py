@@ -3,13 +3,14 @@
 The library solves each graded level on patterns, writes toral
 realizations entry by entry, lifts Hensel factorizations digit by digit,
 gauges with two products instead of three, reduces pure blocks in the
-level form of their chain (the complete chain, one slot per phase
-class), splits strata by a constant basis change and inverts in
-Q(zeta_m) by extended Euclid.  Each must agree exactly with the
-reference -- the same coefficients and the same windows -- except the
-gauge action, whose windows may only grow, the pure-block reduction,
-whose gauge is compared cut to the t-window it keeps and which may
-answer where the reference loses its window (see
+integer level form of their chain (the complete chain, one slot per
+phase class; the level-form properties run over Q, Q(i), Q(zeta_3) and
+Q(zeta_5), where products fold), splits strata by a constant basis
+change and inverts in Q(zeta_m) by extended Euclid.  Each must agree
+exactly with the reference -- the same coefficients and the same
+windows -- except the gauge action, whose windows may only grow, the
+pure-block reduction, whose gauge is compared cut to the t-window it
+keeps and which may answer where the reference loses its window (see
 ``test_pure_block_reduce_matches_reference``), and the split, whose
 gauge differs from the Hensel split's, so that only the formal type and
 the toral representative must agree.
@@ -26,7 +27,7 @@ from formalconn.connections import (FormalConnection, _pure_block_reduce, diagon
                                     fundamental_stratum, gauge_transform)
 from formalconn.errors import FormalConnError, NonsplitField, NotRegular, PrecisionError
 from formalconn.formal_types import FormalType
-from formalconn.linalg import kinverse
+from formalconn.linalg import integer_ring, kinverse
 from formalconn.matrices import LaurentMatrix
 from formalconn.parahoric import (ParahoricContext, fildeg_certified, filtration_degree,
                                   graded_monomials, standard_chain)
@@ -44,6 +45,9 @@ from helpers import (ref_ext_inverse, ref_gauge_transform, ref_graded_level_solv
 Q = get_field("Q")
 QI = get_field("Q(i)")
 QZ3 = get_field("Q(zeta_3)")
+QZ5 = get_field("Q(zeta_5)")
+# the level-form tests also run where products fold: Q(zeta_5) has degree 4
+LEVEL_FIELDS = [Q, QI, QZ3, QZ5]
 
 rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 nonzero_rationals = rationals.filter(bool)
@@ -52,7 +56,7 @@ nonzero_rationals = rationals.filter(bool)
 def scalars(field):
     if field is Q:
         return rationals
-    return st.builds(lambda a, b: field.from_coords([a, b]), rationals, rationals)
+    return st.builds(lambda *cs: field.from_coords(cs), *[rationals] * field.degree)
 
 
 def nonzero_scalars(field):
@@ -242,12 +246,16 @@ def block_matrices(draw, e, field):
 @given(st.data())
 def test_block_levels_round_trip(data):
     e = data.draw(st.integers(1, 4))
-    x = data.draw(block_matrices(e, data.draw(st.sampled_from([Q, QI]))))
+    field = data.draw(st.sampled_from(LEVEL_FIELDS))
+    ring = integer_ring(field)
+    x = data.draw(block_matrices(e, field))
     ctx = complete_chain(e)
-    levels = block_levels(x, INF, ctx)
-    assert same_matrix(levels_matrix(levels, e, ctx), x)
-    nonzero = [d for d, vec in levels.items() if any(vec)]
+    levels = block_levels(x, INF, ctx, ring)
+    assert same_matrix(levels_matrix(levels, e, ctx, ring), x)
+    nonzero = [d for d, (_, nums) in levels.items() if any(nums)]
     assert min(nonzero, default=INF) == filtration_degree(x, ctx)
+    assert all(den > 0 and math.gcd(den, ring.content(nums)) == 1
+               for den, nums in levels.values())
 
 
 @settings(max_examples=100, deadline=None)
@@ -256,13 +264,15 @@ def test_level_product_is_the_matrix_product(data):
     """varpi^a diag(x) varpi^b diag(y) is one level, in either order of a
     single-level X against a level of A."""
     e = data.draw(st.integers(1, 4))
-    field = data.draw(st.sampled_from([Q, QI]))
+    field = data.draw(st.sampled_from(LEVEL_FIELDS))
+    ring = integer_ring(field)
     a, b = data.draw(st.integers(-5, 5)), data.draw(st.integers(-5, 5))
-    x = data.draw(st.lists(scalars(field), min_size=e, max_size=e))
-    y = data.draw(st.lists(scalars(field), min_size=e, max_size=e))
+    x = ring.read(data.draw(st.lists(scalars(field), min_size=e, max_size=e)))
+    y = ring.read(data.draw(st.lists(scalars(field), min_size=e, max_size=e)))
     ctx = complete_chain(e)
-    prod = levels_matrix({a: x}, e, ctx) * levels_matrix({b: y}, e, ctx)
-    assert same_matrix(levels_matrix({a + b: level_product(x, b, y, ctx)}, e, ctx), prod)
+    prod = levels_matrix({a: x}, e, ctx, ring) * levels_matrix({b: y}, e, ctx, ring)
+    assert same_matrix(levels_matrix({a + b: level_product(x, b, y, ctx, ring)}, e, ctx, ring),
+                       prod)
 
 
 @settings(max_examples=100, deadline=None)
@@ -272,16 +282,18 @@ def test_gauge_levels_matches_gauge_transform(data):
     X, A) wherever the latter knows a coefficient, and its window (the
     certified window of A) is never smaller than that of the result."""
     e = data.draw(st.integers(1, 4))
-    field = data.draw(st.sampled_from([Q, QI]))
+    field = data.draw(st.sampled_from(LEVEL_FIELDS))
+    ring = integer_ring(field)
     ctx = complete_chain(e)
     a = data.draw(in_level(ctx, -data.draw(st.integers(0, 3)), scalars(field), windows=True))
     a = a.truncate(data.draw(st.integers(0, 4)))
     below = fildeg_certified(a, ctx)[1]
     ell = data.draw(st.integers(1, 4))
-    xi = data.draw(st.lists(scalars(field), min_size=e, max_size=e))
-    g = LaurentMatrix.identity(e) + levels_matrix({ell: xi}, e, ctx)
+    xi = ring.read(data.draw(st.lists(scalars(field), min_size=e, max_size=e)))
+    g = LaurentMatrix.identity(e) + levels_matrix({ell: xi}, e, ctx, ring)
     ref = gauge_transform(g, FormalConnection(a)).matrix
-    new = levels_matrix(gauge_levels(block_levels(a, below, ctx), ell, xi, below, ctx), e, ctx)
+    new = levels_matrix(gauge_levels(block_levels(a, below, ctx, ring), ell, xi, below, ctx, ring),
+                        e, ctx, ring)
     assert fildeg_certified(ref, ctx)[1] <= below
     for p in range(e):
         for q in range(e):
@@ -313,18 +325,20 @@ def test_level_form_on_uniform_chain(data):
     of two levels."""
     ctx = data.draw(uniform_contexts())
     n = ctx.n
-    field = data.draw(st.sampled_from([Q, QI]))
+    field = data.draw(st.sampled_from(LEVEL_FIELDS))
+    ring = integer_ring(field)
     x = data.draw(in_level(ctx, data.draw(st.integers(-3, 2)), scalars(field)))
-    levels = block_levels(x, INF, ctx)
-    assert same_matrix(levels_matrix(levels, n, ctx), x)
-    nonzero = [d for d, vec in levels.items() if any(vec)]
+    levels = block_levels(x, INF, ctx, ring)
+    assert same_matrix(levels_matrix(levels, n, ctx, ring), x)
+    nonzero = [d for d, (_, nums) in levels.items() if any(nums)]
     assert min(nonzero, default=INF) == filtration_degree(x, ctx)
     size = n * n // ctx.period
     a, b = data.draw(st.integers(-4, 4)), data.draw(st.integers(-4, 4))
-    u = data.draw(st.lists(scalars(field), min_size=size, max_size=size))
-    v = data.draw(st.lists(scalars(field), min_size=size, max_size=size))
-    prod = levels_matrix({a: u}, n, ctx) * levels_matrix({b: v}, n, ctx)
-    assert same_matrix(levels_matrix({a + b: level_product(u, b, v, ctx)}, n, ctx), prod)
+    u = ring.read(data.draw(st.lists(scalars(field), min_size=size, max_size=size)))
+    v = ring.read(data.draw(st.lists(scalars(field), min_size=size, max_size=size)))
+    prod = levels_matrix({a: u}, n, ctx, ring) * levels_matrix({b: v}, n, ctx, ring)
+    assert same_matrix(levels_matrix({a + b: level_product(u, b, v, ctx, ring)}, n, ctx, ring),
+                       prod)
 
 
 @settings(max_examples=100, deadline=None)
@@ -337,21 +351,25 @@ def test_gauge_levels_on_uniform_chain_matches_gauge_transform(data):
     that of gauge_transform's result."""
     ctx = data.draw(uniform_contexts())
     n = ctx.n
-    field = data.draw(st.sampled_from([Q, QI]))
+    field = data.draw(st.sampled_from(LEVEL_FIELDS))
+    ring = integer_ring(field)
     a = data.draw(in_level(ctx, -data.draw(st.integers(0, 3)), scalars(field), windows=True))
     a = a.truncate(data.draw(st.integers(0, 4)))
     below = fildeg_certified(a, ctx)[1]
     ell = data.draw(st.integers(1, 4))
     size = n * n // ctx.period
-    x = data.draw(st.lists(scalars(field), min_size=size, max_size=size))
-    g = LaurentMatrix.identity(n) + levels_matrix({ell: x}, n, ctx)
+    x = ring.read(data.draw(st.lists(scalars(field), min_size=size, max_size=size)))
+    g = LaurentMatrix.identity(n) + levels_matrix({ell: x}, n, ctx, ring)
     ref = gauge_transform(g, FormalConnection(a)).matrix
-    new = levels_matrix(gauge_levels(block_levels(a, below, ctx), ell, x, below, ctx), n, ctx,
-                        below)
+    levels = gauge_levels(block_levels(a, below, ctx, ring), ell, x, below, ctx, ring)
+    # every level stays over one positive denominator, divided by its content
+    assert all(den > 0 and math.gcd(den, ring.content(nums)) == 1
+               for den, nums in levels.values())
+    new = levels_matrix(levels, n, ctx, ring, below)
     assert fildeg_certified(ref, ctx)[1] <= below
     assert fildeg_certified(new, ctx)[1] >= below
-    for d, vec in block_levels(ref, below, ctx).items():
-        ref_level = levels_matrix({d: vec}, n, ctx)
+    for d, vec in block_levels(ref, below, ctx, ring).items():
+        ref_level = levels_matrix({d: vec}, n, ctx, ring)
         for u in range(n):
             for v in range(n):
                 for w, c in ref_level.rows[u][v].coeffs.items():

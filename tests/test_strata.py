@@ -158,7 +158,6 @@ def test_split_nilpotent_part():
 
 
 def test_split_direct_sum_graded_agreement():
-    rng = seeded(47)
     mx = standard_chain((3,))
     b = lmat([[[(-1, 1)], [(0, 2)], [(0, 1)]],
               [[], [(-1, 2)], [(0, (1, 2))]],
@@ -169,7 +168,6 @@ def test_split_direct_sum_graded_agreement():
     assert off_block_filtration_ok(mx, conj, [p.slots for p in parts], 1)
     assert filtration_degree(g, mx) >= 0
     assert filtration_degree(g.inverse(), mx) >= 0
-    _ = rng
 
 
 def test_split_at_minimal_windows():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from formalconn.errors import NotRegular
+from formalconn.errors import NotRegular, PrecisionError
 from formalconn.matrices import LaurentMatrix, pairing
 from formalconn.parahoric import filtration_degree, in_filtration
 from formalconn.series import LaurentScalar, OneForm
@@ -29,6 +29,16 @@ def random_toral(rng, torus, lo=-2, hi=3):
                 blk[d] = Fraction(c, rng.randint(1, 2))
         blocks.append(blk)
     return ToralElement(torus, blocks)
+
+
+def test_toral_coeff_beyond_its_window_reports_the_window_needed():
+    x = ToralElement(TorusData(2, 2), [{-1: Fraction(1), 2: Fraction(3)}, {}], prec=3)
+    assert x.coeff(0, 2) == 3 and x.coeff(1, 2) == 0
+    with pytest.raises(PrecisionError) as info:
+        x.coeff(1, 4)
+    assert info.value.needed == 5
+    # the window that suffices: a copy known below degree 5 answers
+    assert ToralElement(x.torus, x.coeffs, prec=5).coeff(1, 4) == 0
 
 
 def test_identity_on_cartan():
@@ -150,7 +160,6 @@ def test_graded_ad_solve_roundtrip_random():
             continue
         torus = TorusData(e, m)
         ctx = torus.context()
-        lead = {}
         vals = []
         while len(vals) < m:
             c = Fraction(rng.randint(1, 9), rng.randint(1, 3))
@@ -168,7 +177,6 @@ def test_graded_ad_solve_roundtrip_random():
             assert in_filtration(resid, ctx, d + 1)
             if not x.is_zero():
                 assert filtration_degree(x, ctx) >= d + r
-        _ = lead
 
 
 def test_graded_ad_image_solve_obstruction():
