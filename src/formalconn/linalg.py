@@ -181,8 +181,8 @@ def integer_ring(field):
     return _Integers if field.degree == 1 else _CyclotomicIntegers(field)
 
 
-def _ring(*mats):
-    """The integer ring of the given matrices' entries."""
+def ring_of(*mats):
+    """The integer ring of the given matrices' entries, rows of values."""
     field = next((x.field for mat in mats for row in mat for x in row if isinstance(x, Ext)), None)
     return _Integers if field is None else integer_ring(field)
 
@@ -272,7 +272,7 @@ def kernel_flag_basis(pat):
     basis stay integral, and only the chosen vectors are normalised
     (1 at their last nonzero coordinate, as knullspace gives them)."""
     n = len(pat)
-    ring = _ring(pat)
+    ring = ring_of(pat)
     _, base = _read_matrix(ring, pat)
     power = base
     chosen = []
@@ -299,7 +299,7 @@ def product_is_nilpotent(mats):
     square matrix of size k, is nilpotent, that is its k-th power is
     zero.  Each factor is scaled to integers first: a nonzero scalar
     changes no product's nilpotency."""
-    ring = _ring(*mats)
+    ring = ring_of(*mats)
     prod = None
     for mat in mats:
         block = _read_matrix(ring, mat)[1]
@@ -320,7 +320,7 @@ def kmatmul(a, b):
     their own denominators, and each entry is normalised once."""
     if not a:
         return []
-    ring = _ring(a, b)
+    ring = ring_of(a, b)
     a_rows = [ring.read(row) for row in a]
     b_cols = [ring.read(col) for col in zip(*b)]
     return [[ring.scalar(ring.dot(ra, cb), da * db) for db, cb in b_cols]
@@ -330,7 +330,7 @@ def kmatmul(a, b):
 def rref(mat):
     """Reduced row echelon form; returns (rref_matrix, pivot_columns)."""
     cols = len(mat[0]) if mat else 0
-    ring = _ring(mat)
+    ring = ring_of(mat)
     red, pivots = _echelon(ring, [ring.read(row)[1] for row in mat], cols)
     zero = ring.scalar(ring.const(0), 1)
     return ([ring.quotients(row, row[c]) for row, c in zip(red, pivots)] +
@@ -342,7 +342,7 @@ def knullspace(mat):
     free column of the echelon form, 1 there and 0 at the other free
     columns."""
     cols = len(mat[0]) if mat else 0
-    ring = _ring(mat)
+    ring = ring_of(mat)
     return [_normalized(ring, vec)
             for vec in _kernel(ring, [ring.read(row)[1] for row in mat], cols)]
 
@@ -351,7 +351,7 @@ def ksolve(mat, rhs):
     """One solution of mat @ x = rhs, or None if inconsistent: the one
     that is zero at every free column."""
     cols = len(mat[0]) if mat else 0
-    ring = _ring(mat, [rhs])
+    ring = ring_of(mat, [rhs])
     red, pivots = _echelon(ring, [ring.read(list(row) + [b])[1] for row, b in zip(mat, rhs)],
                            cols)
     if any(row[cols] for row in red[len(pivots):]):
@@ -365,7 +365,7 @@ def ksolve(mat, rhs):
 def kinverse(mat):
     """The inverse matrix, or None if mat is singular."""
     n = len(mat)
-    ring = _ring(mat)
+    ring = ring_of(mat)
     red, pivots = _echelon(ring, [ring.read(list(row) + [int(i == j) for j in range(n)])[1]
                                   for i, row in enumerate(mat)], n)
     if len(pivots) < n:
@@ -380,7 +380,7 @@ def charpoly(mat):
     characteristic polynomial, and the recurrence divides by k exactly;
     mat's coefficient of x^(n-k) is c_k / D^k."""
     n = len(mat)
-    ring = _ring(mat)
+    ring = ring_of(mat)
     den, b = _read_matrix(ring, mat)
     coeffs = [None] * n + [ring.scalar(ring.one, 1)]
     m = b
@@ -402,7 +402,7 @@ def minpoly(mat):
     D the common denominator of the entries, rescaled to mat's
     coefficients -d_j / D^(k-j)."""
     n = len(mat)
-    ring = _ring(mat)
+    ring = ring_of(mat)
     den, b = _read_matrix(ring, mat)
     zero = ring.const(0)
     vecs = [[ring.one if i == j else zero for i in range(n) for j in range(n)]]

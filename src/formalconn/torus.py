@@ -6,7 +6,10 @@ e; inside each block the degree-e ramified extension E is realized by
 sending its uniformizer to the e x e shift matrix, so that the
 associated parahoric is the interleaved standard context.  A toral
 element stores per-block coefficient vectors in powers of the block
-uniformizer and is realized to a series matrix on demand.
+uniformizer: they are the Cartan slots of the level form below
+(:func:`cartan_slots`), so its realization is written by
+:func:`levels_matrix` and the tame corestriction is read by
+:func:`block_levels`.
 
 Every matrix on a uniform standard chain, m slots in each of the e
 phase classes, also has a *level form*: the dict {d: level} of its
@@ -29,11 +32,12 @@ reading a matrix in, writing it out and the graded solve
 (:func:`level_pattern`, :func:`pattern_level`) build field values.
 """
 
+import functools
 import math
 from fractions import Fraction
 
 from .errors import GcdViolation, NotRegular, PrecisionError
-from .linalg import knullspace, ksolve
+from .linalg import knullspace, ksolve, ring_of
 from .matrices import LaurentMatrix
 from .parahoric import (ParahoricContext, filtration_degree, graded_component,
                         graded_monomials, pattern_to_matrix)
@@ -120,24 +124,21 @@ class ToralElement:
                                          for blk in self.coeffs], self.prec)
 
     def realization(self):
-        """The block-diagonal series matrix: coefficient c of varpi^d in
-        block j sits at (p, q) = (q - d mod e, q) of the block as c t^w,
-        w = (d - q + p) / e.  Every entry of a finite-precision element
-        is known to t^(ceil(prec / e) + 1)."""
-        e, m = self.torus.e, self.torus.m
-        n = e * m
-        cut = INF if self.prec is INF else -(-self.prec // e) + 1
-        entries = {}
+        """The block-diagonal series matrix, written as the level form on
+        the interleaved chain whose level d holds the coefficient of
+        varpi^d of block j in every Cartan slot of block j
+        (:func:`cartan_slots`).  Levels from ``prec`` on are unknown, so
+        each entry is known to the order at which level ``prec`` starts."""
+        torus = self.torus
+        vecs = {}
         for j, block in enumerate(self.coeffs):
-            base = j * e
             for d, c in block.items():
-                for q in range(e):
-                    p = (q - d) % e
-                    w = (d - q + p) // e
-                    if w < cut:
-                        entries.setdefault((base + p, base + q), {})[w] = c
-        return LaurentMatrix([[LaurentScalar._raw(entries.get((u, v), {}), cut)
-                               for v in range(n)] for u in range(n)])
+                vec = vecs.setdefault(d, [0] * (torus.n * torus.m))
+                for k in cartan_slots(torus, j):
+                    vec[k] = c
+        ring = ring_of(vecs.values())
+        return levels_matrix({d: ring.read(vec) for d, vec in vecs.items()}, torus.n,
+                             torus.context(), ring, self.prec)
 
     def is_zero(self):
         return all(not blk for blk in self.coeffs)
@@ -168,60 +169,32 @@ def tame_corestriction(x, torus, nu):
 
     Requires nu of order -1.  The projection itself is independent of
     the chosen form (F-linearity moves the unit scalar through pi), so
-    it is evaluated by the dt/t coefficient extraction: averaging the e
-    matrix coefficients on the varpi^s slots of each diagonal block.
+    it is evaluated by the dt/t coefficient extraction on the level form
+    of X on the interleaved chain: psi_s^i(X) is the mean of the Cartan
+    slots of block i at level s (:func:`cartan_slots`).  Every slot is
+    known below level e * x.precision() - (e - 1).
     """
     if nu.order != -1:
         raise GcdViolation("tame corestriction requires a one-form of order -1")
-    e = torus.e
-    lo = x.min_order()
-    if lo is INF:
-        return ToralElement.zero(torus, _toral_prec_from_matrix(x, e))
-    s_lo = e * lo - e
-    prec = _toral_prec_from_matrix(x, e)
-    hi_known = e * _max_known_exp(x) + e
-    blocks = []
-    for i in range(torus.m):
-        blk = {}
-        base = i * e
-        s = s_lo
-        while s < prec and s <= hi_known:
-            acc = None
-            ok = True
-            for q in range(e):
-                p = (q - s) % e
-                o = (s - q + p) // e
-                entry = x.rows[base + p][base + q]
-                if o >= entry.prec:
-                    prec = min(prec, s)
-                    ok = False
-                    break
-                c = entry.coeff_or_zero(o)
-                acc = c if acc is None else acc + c
-            if not ok:
-                break
-            val = acc * Fraction(1, e)
-            if not is_zero(val):
-                blk[s] = val
-            s += 1
-        blocks.append(blk)
+    e, known = torus.e, x.precision()
+    prec = INF if known is INF else e * known - (e - 1)
+    ring = ring_of([entry.coeffs.values() for row in x.rows for entry in row])
+    levels = block_levels(x, prec, torus.context(), ring)
+    blocks = [{} for _ in range(torus.m)]
+    for s in sorted(levels):
+        den, nums = levels[s]
+        for j, blk in enumerate(blocks):
+            total = functools.reduce(ring.add, [nums[k] for k in cartan_slots(torus, j)])
+            if total:
+                blk[s] = ring.scalar(total, e * den)
     return ToralElement(torus, blocks, prec)
 
 
-def _toral_prec_from_matrix(x, e):
-    p = x.precision()
-    if p is INF:
-        return INF
-    return e * p - (e - 1)
-
-
-def _max_known_exp(x):
-    best = 0
-    for row in x.rows:
-        for entry in row:
-            if entry.coeffs:
-                best = max(best, max(entry.coeffs))
-    return best
+def cartan_slots(torus, j):
+    """The slots of block j's Cartan part in a level d of the level form
+    on ``torus.context()``: slot (j*e + q)*m + j is entry ((q - d) mod e,
+    q) of block j, for q < e."""
+    return [(j * torus.e + q) * torus.m + j for q in range(torus.e)]
 
 
 def regular_depth(xi):

@@ -16,6 +16,7 @@ orbit test searches every permutation and Galois twist of the affine
 Weyl group.  The reference steps of
 diagonalization build each graded solve from series products of
 monomial matrices, realize toral elements as sums of uniformizer powers,
+read tame corestrictions entry by entry from the series matrix,
 lift Hensel factorizations by recomputing the whole product at every
 digit, and gauge with an inverse to the session default; the reference
 pure-block reduction applies one such gauge per level to the whole
@@ -33,8 +34,8 @@ from fractions import Fraction
 
 from formalconn import connections, strata
 from formalconn.connections import FormalConnection, gauge_transform
-from formalconn.errors import (FormalConnError, IrreducibleStratum, NonsplitField, NotRegular,
-                               NotSplit, PrecisionError, SingularGauge, ZeroLeading)
+from formalconn.errors import (FormalConnError, GcdViolation, IrreducibleStratum, NonsplitField,
+                               NotRegular, NotSplit, PrecisionError, SingularGauge, ZeroLeading)
 from formalconn.formal_types import FormalType, WeylElement
 from formalconn.linalg import (charpoly, kernel_flag_basis, kinverse, kmatmul, knullspace,
                                ksolve, rref)
@@ -698,7 +699,9 @@ def varpi_block(e, d, coeff=Fraction(1)):
 
 def ref_realization(x):
     """The toral element as a sum of scaled uniformizer powers per block,
-    every entry truncated to ceil(prec / e) + 1 when prec is finite."""
+    when prec is finite every entry (u, v) truncated to ceil((prec - q +
+    p) / e), p = u mod e and q = v mod e: the order of its first
+    coefficient at a degree >= prec."""
     e, m = x.torus.e, x.torus.m
     n = e * m
     rows = [[LaurentScalar.zero() for _ in range(n)] for _ in range(n)]
@@ -711,9 +714,66 @@ def ref_realization(x):
             for q in range(e):
                 rows[j * e + p][j * e + q] = acc[p][q]
     if x.prec != INF:
-        cut = -(-x.prec // e) + 1
-        rows = [[entry.truncate(cut) for entry in row] for row in rows]
+        rows = [[entry.truncate(-((v % e - u % e - x.prec) // e)) for v, entry in enumerate(row)]
+                for u, row in enumerate(rows)]
     return LaurentMatrix(rows)
+
+
+def ref_tame_corestriction(x, torus, nu):
+    """The tame corestriction read entry by entry from the series matrix:
+    psi_s^i(X) is the mean of the coefficients of t^w at the e entries
+    (p, q) = ((q - s) mod e, q) of block i, w = (s - q + p) / e."""
+    if nu.order != -1:
+        raise GcdViolation("tame corestriction requires a one-form of order -1")
+    e = torus.e
+    lo = x.min_order()
+    if lo is INF:
+        return ToralElement.zero(torus, _toral_prec_from_matrix(x, e))
+    s_lo = e * lo - e
+    prec = _toral_prec_from_matrix(x, e)
+    hi_known = e * _max_known_exp(x) + e
+    blocks = []
+    for i in range(torus.m):
+        blk = {}
+        base = i * e
+        s = s_lo
+        while s < prec and s <= hi_known:
+            acc = None
+            ok = True
+            for q in range(e):
+                p = (q - s) % e
+                o = (s - q + p) // e
+                entry = x.rows[base + p][base + q]
+                if o >= entry.prec:
+                    prec = min(prec, s)
+                    ok = False
+                    break
+                c = entry.coeff_or_zero(o)
+                acc = c if acc is None else acc + c
+            if not ok:
+                break
+            val = acc * Fraction(1, e)
+            if not is_zero(val):
+                blk[s] = val
+            s += 1
+        blocks.append(blk)
+    return ToralElement(torus, blocks, prec)
+
+
+def _toral_prec_from_matrix(x, e):
+    p = x.precision()
+    if p is INF:
+        return INF
+    return e * p - (e - 1)
+
+
+def _max_known_exp(x):
+    best = 0
+    for row in x.rows:
+        for entry in row:
+            if entry.coeffs:
+                best = max(best, max(entry.coeffs))
+    return best
 
 
 def ref_hensel_lift(phi, g0, h0, digits):

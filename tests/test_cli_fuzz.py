@@ -12,7 +12,10 @@ import pytest
 from formalconn.cli import main
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
-NAMES = sorted(os.listdir(DATA))
+# Pinned rather than listed from DATA, so that the case ids and their
+# draws stay fixed: a data file added later gets its own seeded cases
+# instead of reshuffling these.
+NAMES = ["regular_singular.conn.json", "two_points.moduli.json", "witten.conn.json"]
 SEED = 20261018
 CASES = 150
 EXIT_CODES = (0, 2, 3, 4, 5)

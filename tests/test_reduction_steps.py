@@ -1,7 +1,8 @@
 """The steps of diagonalization against the reference steps of ``helpers``.
 
 The library solves each graded level on patterns, writes toral
-realizations entry by entry, lifts Hensel factorizations digit by digit,
+realizations and reads tame corestrictions through the level form,
+lifts Hensel factorizations digit by digit,
 gauges with two products instead of three, reduces pure blocks in the
 integer level form of their chain (the complete chain, one slot per
 phase class; the level-form properties run over Q, Q(i), Q(zeta_3) and
@@ -33,14 +34,15 @@ from formalconn.parahoric import (ParahoricContext, fildeg_certified, filtration
                                   graded_monomials, standard_chain)
 from formalconn.polys import hensel_lift, kpoly_deg, kpoly_gcd, kpoly_mul
 from formalconn.scalars import congruent_mod_z, get_field, sort_key
-from formalconn.series import INF, LaurentScalar
+from formalconn.series import INF, LaurentScalar, OneForm
 from formalconn.strata import off_block_filtration_ok, reduce_stratum, split_stratum
 from formalconn.torus import (ToralElement, TorusData, block_levels, gauge_levels,
-                              graded_level_solve, level_product, levels_matrix)
+                              graded_level_solve, level_product, levels_matrix,
+                              tame_corestriction)
 
 from helpers import (ref_ext_inverse, ref_gauge_transform, ref_graded_level_solve,
                      ref_hensel_lift, ref_pure_block_reduce, ref_realization,
-                     ref_split_diagonalize, spoly_mul)
+                     ref_split_diagonalize, ref_tame_corestriction, spoly_mul)
 
 Q = get_field("Q")
 QI = get_field("Q(i)")
@@ -48,6 +50,7 @@ QZ3 = get_field("Q(zeta_3)")
 QZ5 = get_field("Q(zeta_5)")
 # the level-form tests also run where products fold: Q(zeta_5) has degree 4
 LEVEL_FIELDS = [Q, QI, QZ3, QZ5]
+NU = OneForm.dt_over_t()
 
 rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 nonzero_rationals = rationals.filter(bool)
@@ -144,6 +147,70 @@ def test_realization_matches_reference(data):
     prec = data.draw(st.one_of(st.just(INF), st.integers(-6, 8)))
     x = ToralElement(torus, blocks, prec)
     assert same_matrix(x.realization(), ref_realization(x))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_realization_knows_exactly_the_degrees_below_prec(data):
+    """Changing a coefficient at a degree >= prec leaves every known
+    coefficient of the realization as it is, and each entry's window is
+    tight: its first unknown coefficient moves with such a change."""
+    e, m = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
+    torus = TorusData(e, m)
+    field = data.draw(st.sampled_from([Q, QI, QZ3]))
+    prec = data.draw(st.integers(-4, 6))
+    full = [data.draw(st.dictionaries(st.integers(-6, prec + 2 * e), scalars(field),
+                                      max_size=6)) for _ in range(m)]
+    real = ToralElement(torus, full, prec).realization()
+    moved = [dict(blk) for blk in full]
+    for blk in moved:
+        for d in data.draw(st.lists(st.integers(prec, prec + 2 * e), max_size=3)):
+            blk[d] = blk.get(d, 0) + 1
+    assert real.agrees(ToralElement(torus, moved).realization())
+    exact = ToralElement(torus, full).realization()
+    for j in range(m):
+        for p in range(e):
+            for q in range(e):
+                u, v = j * e + p, j * e + q
+                w = real.rows[u][v].prec
+                s = e * w + q - p
+                assert s - e < prec <= s
+                bumped = [dict(blk) for blk in full]
+                bumped[j][s] = bumped[j].get(s, 0) + 1
+                entry = ToralElement(torus, bumped).realization().rows[u][v]
+                assert entry.coeff_or_zero(w) != exact.rows[u][v].coeff_or_zero(w)
+
+
+@st.composite
+def windowed_matrices(draw, n, field):
+    """An n x n matrix whose entries may be known only to a window, which
+    may lie below their support, and may be zero to it; or the zero
+    matrix."""
+    if draw(st.integers(0, 9)) == 0:
+        return LaurentMatrix.zero(n)
+    rows = []
+    for _ in range(n):
+        row = []
+        for _ in range(n):
+            coeffs = draw(st.dictionaries(st.integers(-3, 3), st.one_of(scalars(field), rationals),
+                                          max_size=3))
+            prec = draw(st.one_of(st.just(INF), st.integers(-4, 5)))
+            row.append(LaurentScalar(coeffs, prec))
+        rows.append(row)
+    return LaurentMatrix(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_tame_corestriction_matches_reference(data):
+    torus = TorusData(data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3)))
+    field = data.draw(st.sampled_from([Q, QI, QZ3]))
+    x = data.draw(windowed_matrices(torus.n, field))
+    got = tame_corestriction(x, torus, NU)
+    ref = ref_tame_corestriction(x, torus, NU)
+    assert got.to_json() == ref.to_json()
+    assert got.prec == ref.prec
+    assert got.coeffs == ref.coeffs
 
 
 @st.composite
