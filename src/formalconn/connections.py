@@ -3,7 +3,7 @@ splitting, and diagonalization to a formal type.
 
 The slope engine follows the proof of Bremer-Sage that every connection
 contains a fundamental stratum, whose r/e is the slope.  The descent
-reads the matrix once into integer coordinate form and writes it back
+reads the matrix once into integer form and writes it back
 once; each round reads a table of entry orders and windows off the
 integer numerators and moves to the best lattice chain of its frame:
 the least cycle mean a/b of the entry orders (Karp) is the largest
@@ -156,10 +156,9 @@ def _order_table(mat):
     order where a coefficient could hide."""
     n = mat.n
     out = []
-    for idx, (coords, prec) in enumerate(zip(mat.forms, mat.precs)):
-        orders = [min(c) for c in coords if c]
-        if orders:
-            out.append((idx // n, idx % n, min(orders), True))
+    for idx, (nums, prec) in enumerate(zip(mat.forms, mat.precs)):
+        if nums:
+            out.append((idx // n, idx % n, min(nums), True))
         elif prec is not INF:
             out.append((idx // n, idx % n, prec, False))
     return out
@@ -237,41 +236,37 @@ def _sheared(mat, gauge, perm, shift):
     relabel the basis u -> perm: entry (i, j) becomes t^(s_u - s_v)
     M[u][v] - s_u [u = v] with (u, v) = (perm[i], perm[j]), as tau(S)
     S^-1 = diag(shift), and row i of the gauge becomes t^(s_u) times its
-    row u.  Shifts move exponents and windows; the s_u term enters
-    coordinate 0 only where the entry's window lies above t^0."""
-    n, den = mat.n, mat.den
+    row u.  Shifts move exponents and windows; the s_u term enters the
+    t^0 coefficient only where the entry's window lies above t^0."""
+    n, den, ring = mat.n, mat.den, mat.ring
     forms, precs = [], []
     for u in perm:
         for v in perm:
-            coords, prec = mat.forms[u * n + v], mat.precs[u * n + v]
+            nums, prec = mat.forms[u * n + v], mat.precs[u * n + v]
             if u == v and shift[u] and prec > 0:
-                lead = dict(coords[0])
-                lead[0] = lead.get(0, 0) - shift[u] * den
-                if not lead[0]:
-                    del lead[0]
-                coords = [lead] + coords[1:]
-                if len(coords) > 1 and not any(coords):
-                    coords = [{}]
+                nums = dict(nums)
+                c = ring.add(nums.pop(0, ring.const(0)), ring.const(-shift[u] * den))
+                if c:
+                    nums[0] = c
             elif shift[u] != shift[v]:
-                coords, prec = _shifted(coords, prec, shift[u] - shift[v])
-            forms.append(coords)
+                nums, prec = _shifted(nums, prec, shift[u] - shift[v])
+            forms.append(nums)
             precs.append(prec)
     g_forms, g_precs = [], []
     for u in perm:
         for v in range(n):
-            coords, prec = gauge.forms[u * n + v], gauge.precs[u * n + v]
+            nums, prec = gauge.forms[u * n + v], gauge.precs[u * n + v]
             if shift[u]:
-                coords, prec = _shifted(coords, prec, shift[u])
-            g_forms.append(coords)
+                nums, prec = _shifted(nums, prec, shift[u])
+            g_forms.append(nums)
             g_precs.append(prec)
-    return (IntMatrix(n, den, mat.field, forms, precs),
-            IntMatrix(n, gauge.den, gauge.field, g_forms, g_precs))
+    return (IntMatrix(n, den, ring, forms, precs),
+            IntMatrix(n, gauge.den, gauge.ring, g_forms, g_precs))
 
 
-def _shifted(coords, prec, d):
-    """An entry's coordinate dicts and window times t^d."""
-    return ([{k + d: x for k, x in c.items()} for c in coords],
-            prec if prec is INF else prec + d)
+def _shifted(nums, prec, d):
+    """An entry's numerators and window times t^d."""
+    return {k + d: x for k, x in nums.items()}, prec if prec is INF else prec + d
 
 
 def _graded_pattern(mat, ctx, a):
@@ -280,10 +275,9 @@ def _graded_pattern(mat, ctx, a):
     coefficient lies below P^a, PrecisionError when a pattern slot t^o
     lies beyond its entry's window."""
     n, e, phases = mat.n, ctx.period, ctx.phases
-    for idx, coords in enumerate(mat.forms):
-        for c in coords:
-            if c and e * min(c) + phases[idx // n] - phases[idx % n] < a:
-                raise NotInFiltration("matrix does not lie in P^%d" % a)
+    for idx, nums in enumerate(mat.forms):
+        if nums and e * min(nums) + phases[idx // n] - phases[idx % n] < a:
+            raise NotInFiltration("matrix does not lie in P^%d" % a)
     pat = kzeros(n, n)
     for u in range(n):
         for v in range(n):
@@ -348,19 +342,21 @@ def fundamental_stratum(conn):
     depth zero a window may reach the residue if a known entry still
     certifies the filtration degree.
 
-    Arithmetic: the matrix is read once into integer coordinate form
-    (matrices.IntMatrix: one denominator, integer numerators per
-    power-basis coordinate, one window per entry) and the gauge starts
-    there at the identity.  Every round works on these integers: the
-    order table comes from the numerators, the shear and the relabelling
-    move exponents and windows, the graded pattern at degree a holds the
-    only Fractions the round builds, and g^-1 M g and g^-1 G go through
-    the integer product kernel, reduced by their content.  The matrix
-    and the gauge become LaurentMatrix values once, on return.
+    Arithmetic: the matrix is read once into integer form
+    (matrices.IntMatrix: one denominator, per entry a dict from
+    exponents to elements of the integer ring of linalg, one window per
+    entry) and the gauge starts there at the identity.  Every round
+    works on these integers: the order table comes from the numerator
+    dicts, the shear and the relabelling move exponents and windows, the
+    graded pattern at degree a holds the only field values the round
+    builds, and g^-1 M g and g^-1 G go through the integer product
+    kernel, reduced by their content.  The matrix and the gauge become
+    LaurentMatrix values once, on return.
     """
     conn = conn.standardized()
     n = conn.n
-    mat, gauge = IntMatrix.read(conn.matrix), IntMatrix.identity(n)
+    mat = IntMatrix.read(conn.matrix)
+    gauge = IntMatrix.identity(n, mat.ring)
     moved = False
     depths = []
     while True:

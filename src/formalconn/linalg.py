@@ -2,11 +2,15 @@
 
 Matrices here are plain lists of lists of field scalars (Fraction, or
 Ext over Q(zeta_m); ints are accepted as input).  Every routine reads
-its matrices once into integer coordinate rows, each row multiplied
-through by the common denominator of its entries: over Q an entry is
-one integer, over Q(zeta_m) an element of Z[zeta_m] given by its phi(m)
-power-basis coordinates, whose products ``GroundField.fold`` reduces and
-whose quotients ``GroundField.element`` writes.
+its matrices once into integer rows, each row multiplied through by the
+common denominator of its entries: over Q an entry is one integer, over
+Q(zeta_m) an element of Z[zeta_m] given by its phi(m) power-basis
+coordinates, whose products ``GroundField.fold`` reduces and whose
+quotients ``GroundField.element`` writes.  These two rings
+(:func:`integer_ring`) are the library's one integer encoding of field
+values: the series kernel, ``matrices.IntMatrix`` and the level forms
+of :mod:`formalconn.torus` compute on them too, series through
+``convolve``.
 
 Elimination is fraction-free (after Bareiss, "Sylvester's identity and
 multistep integer-preserving Gaussian elimination", Math. Comp. 22,
@@ -61,6 +65,17 @@ class _Integers:
     @staticmethod
     def dot(xs, ys):
         return sum(x * y for x, y in zip(xs, ys) if x)
+
+    @staticmethod
+    def convolve(acc, a, b, prec):
+        """acc[i + j] += a[i] b[j] for exponents i + j < prec, over dicts
+        from exponents to elements."""
+        for i, x in a.items():
+            lim = prec - i
+            for j, y in b.items():
+                if j < lim:
+                    k = i + j
+                    acc[k] = acc.get(k, 0) + x * y
 
     @staticmethod
     def exact_div(a, k):
@@ -139,6 +154,21 @@ class _CyclotomicIntegers:
                             acc[i + j] += x * y
         return _trim(self.field.fold(acc))
 
+    def convolve(self, acc, a, b, prec):
+        # one dot, so one fold, per output exponent
+        terms = {}
+        for i, x in a.items():
+            lim = prec - i
+            for j, y in b.items():
+                if j < lim:
+                    k = i + j
+                    if k not in terms:
+                        terms[k] = ([acc[k]], [self.one]) if k in acc else ([], [])
+                    terms[k][0].append(x)
+                    terms[k][1].append(y)
+        for k, (xs, ys) in terms.items():
+            acc[k] = self.dot(xs, ys)
+
     @staticmethod
     def scale(k, a):
         """The element a times the int k."""
@@ -181,10 +211,11 @@ def integer_ring(field):
     return _Integers if field.degree == 1 else _CyclotomicIntegers(field)
 
 
-def ring_of(*mats):
-    """The integer ring of the given matrices' entries, rows of values."""
+def ring_of(*mats, base=_Integers):
+    """The integer ring of the given matrices' entries, rows of values;
+    ``base`` when every entry is rational."""
     field = next((x.field for mat in mats for row in mat for x in row if isinstance(x, Ext)), None)
-    return _Integers if field is None else integer_ring(field)
+    return base if field is None else integer_ring(field)
 
 
 def _read_matrix(ring, mat):

@@ -5,24 +5,24 @@ All entries share the matrix's declared precision implicitly via the
 min over entries; operations propagate windows entrywise.
 
 The product and the Gauss-Jordan row operations use the fraction-free
-kernel of :mod:`formalconn.series` over every ground field: each output
-entry is one sum of integer convolutions of power-basis coordinates over
-a common denominator, folded back and written once by the ground field
-(``GroundField.fold_dicts`` and ``GroundField.element``).  A product
-p M q with constant p and q (:func:`constant_product`) reads M once
-into an :class:`IntMatrix` (integer coordinate form), multiplies there
-and writes each entry once; the slope descent keeps its matrix and
-gauge in that form across its rounds and runs the same kernel,
-:meth:`IntMatrix.times_constants`.
+kernel of :mod:`formalconn.series` over every ground field, on one
+integer ring of :mod:`formalconn.linalg` for all the entries: each
+output entry is one sum of ``ring.convolve`` over a common denominator,
+written once by ``ring.scalar``.  A product p M q with constant p and q
+(:func:`constant_product`) reads M once into an :class:`IntMatrix`
+(integer form), multiplies there and writes each entry once; the slope
+descent keeps its matrix and gauge in that form across its rounds and
+runs the same kernel, :meth:`IntMatrix.times_constants`.
 """
 
 import math
 from fractions import Fraction
 
 from .errors import ParseError, PrecisionError, SingularGauge
+from .linalg import ring_of
 from .scalars import Ext
-from .series import (INF, LaurentScalar, coord_product, from_coord_form, int_form, mul_prec,
-                     residue)
+from .series import (INF, LaurentScalar, from_ring_form, mul_prec, residue, ring_form,
+                     ring_of_series)
 
 
 class LaurentMatrix:
@@ -125,6 +125,7 @@ class LaurentMatrix:
         :meth:`LaurentScalar.inverse`); by default to that window, or to
         the session default when the pivot is exact."""
         n = self.n
+        ring = ring_of_series([x for row in self.rows for x in row])
         work = [[self.rows[i][j] for j in range(n)] +
                 [LaurentScalar.one() if i == j else LaurentScalar.zero() for j in range(n)]
                 for i in range(n)]
@@ -143,10 +144,10 @@ class LaurentMatrix:
             pivot = work[c][c]
             inv_piv = pivot.inverse(digits)
             work[c] = [x * inv_piv for x in work[c]]
-            pivot_form = int_form(work[c])
+            pivot_form = ring_form(ring, work[c])
             for r in range(n):
                 if r != c and not work[r][c].is_zero():
-                    work[r] = _sub_multiple(work[r], work[r][c], work[c], pivot_form)
+                    work[r] = _sub_multiple(ring, work[r], work[r][c], work[c], pivot_form)
         return LaurentMatrix([row[n:] for row in work])
 
     def __repr__(self):
@@ -170,22 +171,25 @@ class LaurentMatrix:
 
 
 def _product_rows(a_rows, b_rows):
-    """Rows of the product of two square grids of series.  The window of
-    an entry is the least product window over the pairs in its sum that
-    are not exactly zero."""
+    """Rows of the product of two square grids of series, over one ring.
+    The window of an entry is the least product window over the pairs in
+    its sum that are not exactly zero."""
     n = len(a_rows)
     b_cols = list(zip(*b_rows))
-    a_forms = [int_form(r) for r in a_rows]
-    b_forms = [int_form(c) for c in b_cols]
+    ring = ring_of_series([x for rows in (a_rows, b_rows) for row in rows for x in row])
+    a_forms = [ring_form(ring, r) for r in a_rows]
+    b_forms = [ring_form(ring, c) for c in b_cols]
     out = []
-    for a_row, (da, fa, a_coords) in zip(a_rows, a_forms):
+    for a_row, (da, a_nums) in zip(a_rows, a_forms):
         row = []
-        for b_col, (db, fb, b_coords) in zip(b_cols, b_forms):
+        for b_col, (db, b_nums) in zip(b_cols, b_forms):
             pairs = [k for k in range(n)
                      if not _exact_zero(a_row[k]) and not _exact_zero(b_col[k])]
             prec = min((mul_prec(a_row[k], b_col[k]) for k in pairs), default=INF)
-            acc = coord_product([(a_coords[k], b_coords[k]) for k in pairs], prec)
-            row.append(from_coord_form(acc, da * db, prec, fa or fb))
+            acc = {}
+            for k in pairs:
+                ring.convolve(acc, a_nums[k], b_nums[k], prec)
+            row.append(from_ring_form(ring, acc, da * db, prec))
         out.append(row)
     return out
 
@@ -197,10 +201,10 @@ def constant_product(p, m, q=None):
     from_scalar_matrix(q): the window of entry (i, j) is the least
     window of m[k][l] over the pairs with p[i][k] and q[l][j] nonzero.
 
-    m is read once into integer coordinate form, multiplied there by
+    m is read once into integer form, multiplied there by
     :meth:`IntMatrix.times_constants` (the kernel that the slope descent
-    runs on every round) and written once, one canonical Fraction per
-    output coordinate."""
+    runs on every round) and written once, one canonical value per
+    coefficient."""
     return IntMatrix.read(m).times_constants(p, q).write()
 
 
@@ -208,128 +212,109 @@ _ZERO = Fraction(0)
 
 
 class IntMatrix:
-    """A series matrix in integer coordinate form: one denominator
-    ``den``, and per entry, in row-major order, the integer numerator
-    dicts of its power-basis coordinates (as :func:`series.int_form`
-    writes them: one dict for rational entries, phi(m) dicts for entries
-    in Q(zeta_m)) and its window.  No numerator dict holds a zero, so
-    an entry is zero to its window exactly when every dict is empty;
-    such an entry has the one dict of a rational entry."""
+    """A series matrix in integer form: one denominator ``den``, the
+    integer ring ``ring`` of :mod:`formalconn.linalg`, and per entry, in
+    row-major order, the dict from its exponents to ring elements (its
+    coefficients times den) and its window.  No dict holds a zero, so an
+    entry is zero to its window exactly when its dict is empty."""
 
-    __slots__ = ("n", "den", "field", "forms", "precs")
+    __slots__ = ("n", "den", "ring", "forms", "precs")
 
-    def __init__(self, n, den, field, forms, precs):
+    def __init__(self, n, den, ring, forms, precs):
         self.n = n
         self.den = den
-        self.field = field
+        self.ring = ring
         self.forms = forms
         self.precs = precs
 
     @classmethod
     def read(cls, m):
         entries = [x for row in m.rows for x in row]
-        den, field, forms = int_form(entries)
-        return cls(m.n, den, field, forms, [x.prec for x in entries])
+        ring = ring_of_series(entries)
+        den, forms = ring_form(ring, entries)
+        return cls(m.n, den, ring, forms, [x.prec for x in entries])
 
     @classmethod
-    def identity(cls, n):
-        return cls(n, 1, None, [[{0: 1}] if i == j else [{}] for i in range(n) for j in range(n)],
-                   [INF] * (n * n))
+    def identity(cls, n, ring):
+        return cls(n, 1, ring, [{0: ring.one} if i == j else {} for i in range(n)
+                                for j in range(n)], [INF] * (n * n))
 
     def write(self):
-        """The LaurentMatrix, one canonical Fraction per coordinate."""
-        n, den, field = self.n, self.den, self.field
-        return LaurentMatrix([[from_coord_form(self.forms[i * n + j], den, self.precs[i * n + j],
-                                               field) for j in range(n)] for i in range(n)])
+        """The LaurentMatrix, one canonical value per coefficient."""
+        n, den, ring = self.n, self.den, self.ring
+        return LaurentMatrix([[from_ring_form(ring, self.forms[i * n + j], den,
+                                              self.precs[i * n + j]) for j in range(n)]
+                              for i in range(n)])
 
     def coeff(self, idx, k):
         """The t^k coefficient of entry ``idx`` (row-major), typed as
         :meth:`write` types it."""
-        nums = [c.get(k, 0) for c in self.forms[idx]]
-        if not any(nums):
-            return _ZERO
-        if len(nums) == 1:
-            return Fraction(nums[0], self.den)
-        return self.field.element(nums, self.den)
+        v = self.forms[idx].get(k)
+        return self.ring.scalar(v, self.den) if v else _ZERO
 
     def times_constants(self, p, q=None):
         """p self q for constant ground-field matrices p and q (lists of
         rows; q None for the identity), with the windows of
-        :func:`constant_product`.  The constants' numerators are written
-        over one denominator, so p self stays in integer coordinates, and
-        (p self) q is taken as the transpose of q^T (p self)^T; the result
-        is divided by the content of its numerators and denominator, so
-        the numbers do not grow with repeated products."""
+        :func:`constant_product`.  The constants are read over one
+        denominator into the ring of self, or into theirs, to which
+        self's numerators are then lifted, so p self stays in integers,
+        and (p self) q is taken as the transpose of q^T (p self)^T; the
+        result is divided by the content of its numerators and
+        denominator, so the numbers do not grow with repeated
+        products."""
         n = self.n
-        den_c, field_c, c_forms = int_form([LaurentScalar._raw({0: c} if c else {}, INF)
-                                            for rows in (p, q or ()) for row in rows
-                                            for c in row])
-        field = field_c or self.field
-        p_rows = [[(k, c_forms[i * n + k]) for k in range(n) if p[i][k]] for i in range(n)]
-        forms, precs = _left_product(n, p_rows, self.forms, self.precs, field)
+        ring = ring_of(p, q or (), base=self.ring)
+        forms = self.forms if ring is self.ring else \
+            [{k: ring.const(v) for k, v in f.items()} for f in self.forms]
+        den_c, nums = ring.read([c for rows in (p, q or ()) for row in rows for c in row])
+        p_rows = [[(k, {0: nums[i * n + k]}) for k in range(n) if nums[i * n + k]]
+                  for i in range(n)]
+        forms, precs = _left_product(n, ring, p_rows, forms, self.precs)
         den = den_c * self.den
         if q is not None:
-            q_forms = c_forms[n * n:]
-            qt_rows = [[(l, q_forms[l * n + j]) for l in range(n) if q[l][j]] for j in range(n)]
-            forms, precs = _left_product(n, qt_rows, _transposed(n, forms),
-                                         _transposed(n, precs), field)
+            q_nums = nums[n * n:]
+            qt_rows = [[(l, {0: q_nums[l * n + j]}) for l in range(n) if q_nums[l * n + j]]
+                       for j in range(n)]
+            forms, precs = _left_product(n, ring, qt_rows, _transposed(n, forms),
+                                         _transposed(n, precs))
             forms, precs = _transposed(n, forms), _transposed(n, precs)
             den *= den_c
-        return IntMatrix._primitive(n, den, field, forms, precs)
+        return IntMatrix._primitive(n, den, ring, forms, precs)
 
     @staticmethod
-    def _primitive(n, den, field, accs, precs):
-        """The form of the folded coordinate sums ``accs`` over ``den``:
-        zeros dropped, an entry with no coefficient left as one empty
-        dict, and every numerator and the denominator divided by their
-        gcd."""
+    def _primitive(n, den, ring, accs, precs):
+        """The form of the sums ``accs`` over ``den``: zeros dropped, and
+        every numerator and the denominator divided by their gcd."""
         forms = []
         content = den
         for acc in accs:
-            acc = [c if all(c.values()) else {k: v for k, v in c.items() if v} for c in acc]
-            if len(acc) > 1 and not any(acc):
-                acc = [{}]
+            if not all(acc.values()):
+                acc = {k: v for k, v in acc.items() if v}
             if content > 1:
-                for c in acc:
-                    content = math.gcd(content, *c.values())
+                content = math.gcd(content, ring.content(acc.values()))
             forms.append(acc)
         if content > 1:
-            forms = [[{k: v // content for k, v in c.items()} for c in acc] for acc in forms]
+            forms = [{k: ring.exact_div(v, content) for k, v in f.items()} for f in forms]
             den //= content
-        return IntMatrix(n, den, field, forms, precs)
+        return IntMatrix(n, den, ring, forms, precs)
 
 
-def _left_product(n, const_rows, forms, precs, field):
+def _left_product(n, ring, const_rows, forms, precs):
     """(forms, windows) of the product c y of a constant matrix c and a
-    series matrix y in integer coordinates, coordinates of degree >=
-    phi(m) folded back: ``const_rows[i]`` lists (k, coordinate dicts)
+    series matrix y in integer form: ``const_rows[i]`` lists (k, dict)
     for the nonzero c[i][k], each dict holding exponent 0 alone; entry
     (i, l) keeps the least window of y[k][l] over those k, and its
-    exponents below it.  Over Q every entry has one coordinate, and each
-    constant scales a dict in a plain loop."""
+    exponents below it."""
     exact = all(w is INF for w in precs)
     out, out_precs = [], []
     for terms in const_rows:
         row_precs = [INF] * n if exact else \
             [min((precs[k * n + l] for k, _ in terms), default=INF) for l in range(n)]
-        if field is None:
-            row = [{} for _ in range(n)]
-            for k, (x,) in terms:
-                x = x[0]
-                for l, (y,) in enumerate(forms[k * n:k * n + n]):
-                    dst, prec = row[l], row_precs[l]
-                    if not dst:
-                        row[l] = {e: x * v for e, v in y.items() if e < prec}
-                        continue
-                    for e, v in y.items():
-                        if e < prec:
-                            dst[e] = dst.get(e, 0) + x * v
-            out.extend([d] for d in row)
-        else:
-            for l in range(n):
-                acc = coord_product([(x, forms[k * n + l]) for k, x in terms], row_precs[l])
-                field.fold_dicts(acc)
-                out.append(acc)
+        for l in range(n):
+            acc = {}
+            for k, x in terms:
+                ring.convolve(acc, x, forms[k * n + l], row_precs[l])
+            out.append(acc)
         out_precs.extend(row_precs)
     return out, out_precs
 
@@ -339,19 +324,19 @@ def _transposed(n, flat):
     return [flat[j * n + i] for i in range(n) for j in range(n)]
 
 
-def _sub_multiple(xs, f, ys, ys_form):
+def _sub_multiple(ring, xs, f, ys, ys_form):
     """The row [x - f * y for x, y in zip(xs, ys)]; ``ys_form`` is
-    ``int_form(ys)``."""
-    dx, fx, (f_coords, *x_coords) = int_form([f] + xs)
-    dy, fy, y_coords = ys_form
-    # x - f y = (x_num dy - f_num y_num) / (dx dy), coordinate by coordinate
-    neg_f = [{k: -v for k, v in c.items()} for c in f_coords]
+    ``ring_form(ring, ys)``."""
+    dx, (f_nums, *x_nums) = ring_form(ring, [f] + xs)
+    dy, y_nums = ys_form
+    # x - f y = (x_num dy - f_num y_num) / (dx dy)
+    neg_f = {k: ring.neg(v) for k, v in f_nums.items()}
     out = []
-    for x, y, xc, yc in zip(xs, ys, x_coords, y_coords):
+    for x, y, xn, yn in zip(xs, ys, x_nums, y_nums):
         prec = min(x.prec, mul_prec(f, y))
-        acc = [{k: v * dy for k, v in c.items() if k < prec} for c in xc]
-        coord_product([(neg_f, yc)], prec, acc)
-        out.append(from_coord_form(acc, dx * dy, prec, fx or fy))
+        acc = {k: ring.scale(dy, v) for k, v in xn.items() if k < prec}
+        ring.convolve(acc, neg_f, yn, prec)
+        out.append(from_ring_form(ring, acc, dx * dy, prec))
     return out
 
 

@@ -8,13 +8,11 @@ basis 1, z, ..., z^(d-1) modulo the m-th cyclotomic polynomial (Cohen,
 kinds interoperate: Fraction (or int) mixes freely into Ext arithmetic.
 
 :class:`GroundField` is the one place that knows this format: its
-:meth:`~GroundField.fold` and :meth:`~GroundField.fold_dicts` reduce
-coordinates of degree >= phi(m) by the integer reduction table, and
-:meth:`~GroundField.element` writes integer coordinates over one
-denominator as the canonical Fraction or Ext.  ``Ext`` products, the
-fraction-free kernels of :mod:`formalconn.series` and
-:mod:`formalconn.matrices`, and :mod:`formalconn.linalg` all go through
-them.
+:meth:`~GroundField.fold` reduces coordinates of degree >= phi(m) by
+the integer reduction table, and :meth:`~GroundField.element` writes
+integer coordinates over one denominator as the canonical Fraction or
+Ext.  ``Ext`` products and the integer rings of :mod:`formalconn.linalg`
+call them; every other module computes through those rings.
 
 Field names accepted throughout: "Q", "Q(i)" (= Q(zeta_4)) and
 "Q(zeta_m)" for m <= MAX_CYCLOTOMIC_ORDER of degree phi(m) <=
@@ -186,20 +184,6 @@ class GroundField:
                         coords[i] += c * r
         del coords[d:]
         return coords
-
-    def fold_dicts(self, acc):
-        """:meth:`fold` for the series kernel, whose coordinate ``acc[j]``
-        is a dict from exponents to integer numerators, in place."""
-        d = self.degree
-        red = self._reduction
-        for j in range(d, len(acc)):
-            row = red[j - d]
-            for k, c in acc[j].items():
-                if c:
-                    for i, r in enumerate(row):
-                        if r:
-                            acc[i][k] = acc[i].get(k, 0) + c * r
-        del acc[d:]
 
     # -- roots of unity -------------------------------------------------
 

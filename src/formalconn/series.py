@@ -12,23 +12,22 @@ The session-wide default window for freshly created inexact values
 (series inverses, logarithms, ...) is ``default_precision()`` digits, a
 module-level setting.
 
-Series are multiplied fraction-free (von zur Gathen-Gerhard, *Modern
-Computer Algebra*, 8) over every ground field: the coefficients are
-written as integer power-basis coordinates over one common denominator
-(one coordinate for a series with rational coefficients, phi(m) of them
-over Q(zeta_m)), the coordinates are convolved pairwise, the
-coordinates of degree >= phi(m) are folded back once by
-``GroundField.fold_dicts``, and each output coefficient is written once
-by ``GroundField.element``, one canonical ``Fraction`` per coordinate.
-Rational series are inverted fraction-free as well; series with
-coefficients in Q(zeta_m) are inverted by the coefficient-wise
-recurrence.
+Series are multiplied and inverted fraction-free (von zur Gathen-Gerhard,
+*Modern Computer Algebra*, 8) over every ground field, on the integer
+rings of :mod:`formalconn.linalg`: a series is read by
+:func:`ring_form` as a dict from exponents to ring elements (an int
+over Q, an element of Z[zeta_m] over Q(zeta_m)) over one common
+denominator, products are sums of ``ring.convolve``, and each output
+coefficient is written once by ``ring.scalar``.  One ring serves all
+the operands of a product, so over Q(zeta_m) every coefficient is
+written as an ``Ext``, a rational one included.
 """
 
 import math
 from fractions import Fraction
 
 from .errors import ParseError, PrecisionError, ZeroLeading
+from .linalg import ring_of
 from .scalars import Ext, format_scalar, is_zero, parse_scalar, scalar_inverse
 
 INF = math.inf
@@ -161,13 +160,16 @@ class LaurentScalar:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Ext)):
             if is_zero(other):
-                return LaurentScalar.zero(self.prec)
+                return LaurentScalar.zero()
             return LaurentScalar._raw({k: v * other for k, v in self.coeffs.items()}, self.prec)
         if not isinstance(other, LaurentScalar):
             return NotImplemented
         prec = mul_prec(self, other)
-        den, field, (a, b) = int_form([self, other])
-        return from_coord_form(coord_product([(a, b)], prec), den * den, prec, field)
+        ring = ring_of_series([self, other])
+        den, (a, b) = ring_form(ring, [self, other])
+        acc = {}
+        ring.convolve(acc, a, b, prec)
+        return from_ring_form(ring, acc, den * den, prec)
 
     __rmul__ = __mul__
 
@@ -193,10 +195,8 @@ class LaurentScalar:
         if self.is_zero():
             raise ZeroLeading("inverse of zero(-to-precision) series")
         s = self.order
-        lead = self.coeffs[s]
         if len(self.coeffs) == 1 and self.is_exact:
-            inv_lead = scalar_inverse(lead)
-            return LaurentScalar({-s: inv_lead})
+            return LaurentScalar({-s: scalar_inverse(self.coeffs[s])})
         if self.prec is not INF:
             digits = int(self.prec - s) if digits is None else min(digits, int(self.prec - s))
         elif digits is None:
@@ -204,23 +204,35 @@ class LaurentScalar:
         if digits < PRECISION_FLOOR:
             raise PrecisionError("inverse with window %d below floor" % digits,
                                  needed=s + PRECISION_FLOOR)
-        den, field, (coords,) = int_form([self])
-        if len(coords) == 1:
-            return _inverse_rational(den, coords[0], s, digits)
-        inv_lead = scalar_inverse(lead)
-        # u = self / (lead * t^s) = 1 + eps; invert by power series recurrence.
-        u = {k - s: v * inv_lead for k, v in self.coeffs.items() if k - s < digits}
-        out = {0: field.one()}
+        # With coeffs[s + j] = c_j / den, the inverse has t^(k - s)
+        # coefficient den W_k / c_0^(k+1), where W_0 = 1 and
+        # W_k = -sum_(j=1..k) c_j c_0^(j-1) W_(k-j).  With 1/c_0 =
+        # inv / dinv, read once, that is den W_k inv^(k+1) / dinv^(k+1).
+        ring = ring_of_series([self])
+        den, (nums,) = ring_form(ring, [self])
+        lead = nums[s]
+        js, cs = [], []  # the j < digits with c_j != 0, and c_j c_0^(j-1)
+        power = ring.one
+        for j in range(1, digits):
+            c = nums.get(s + j)
+            if c:
+                js.append(j)
+                cs.append(ring.mul(c, power))
+            power = ring.mul(power, lead)
+        w = [ring.one]
+        m = 0  # the number of js up to k
         for k in range(1, digits):
-            acc = None
-            for j, uj in u.items():
-                if 0 < j <= k:
-                    term = uj * out.get(k - j, 0)
-                    acc = term if acc is None else acc + term
-            if acc is not None and not is_zero(acc):
-                out[k] = -acc
-        res = {k - s: v * inv_lead for k, v in out.items()}
-        return LaurentScalar(res, -s + digits)
+            if m < len(js) and js[m] == k:
+                m += 1
+            w.append(ring.neg(ring.dot(cs[:m], [w[k - j] for j in js[:m]])))
+        dinv, (inv,) = ring.read([scalar_inverse(ring.scalar(lead, 1))])
+        out = {}
+        num, div = ring.scale(den, inv), dinv
+        for k in range(digits):
+            if w[k]:
+                out[k - s] = ring.scalar(ring.mul(w[k], num), div)
+            num, div = ring.mul(num, inv), div * dinv
+        return LaurentScalar._raw(out, digits - s)
 
     def derivative(self):
         """d/dt, exact on the known window."""
@@ -331,126 +343,25 @@ def _add(a, b, negate):
 # -- the fraction-free kernel ------------------------------------------------
 
 
-def int_form(series):
-    """Write series over one common denominator, coordinate by coordinate.
-
-    Returns ``(den, field, forms)``.  ``forms[s]`` lists integer
-    numerator dicts, one per power-basis coordinate of series ``s``: a
-    single dict when every coefficient of ``s`` is rational, ``degree``
-    dicts when one lies in Q(zeta_m); coordinate c of ``s.coeffs[k]`` is
-    ``forms[s][c].get(k, 0) / den``.  ``field`` is the cyclotomic field
-    of the Ext coefficients, or None when there are none.
-    """
-    den = 1
-    field = None
-    for s in series:
-        for v in s.coeffs.values():
-            if isinstance(v, Ext):
-                field = v.field
-                for c in v.coords:
-                    d = c.denominator
-                    if den % d:
-                        den = den // math.gcd(den, d) * d
-            else:
-                d = v.denominator
-                if den % d:
-                    den = den // math.gcd(den, d) * d
-    forms = []
-    for s in series:
-        if field is None or not any(isinstance(v, Ext) for v in s.coeffs.values()):
-            forms.append([{k: v.numerator * (den // v.denominator)
-                           for k, v in s.coeffs.items()}])
-            continue
-        coords = [{} for _ in range(field.degree)]
-        for k, v in s.coeffs.items():
-            if isinstance(v, Ext):
-                for c, x in enumerate(v.coords):
-                    if x:
-                        coords[c][k] = x.numerator * (den // x.denominator)
-            else:
-                coords[0][k] = v.numerator * (den // v.denominator)
-        forms.append(coords)
-    return den, field, forms
+def ring_of_series(series):
+    """The integer ring of the coefficients of the given series."""
+    return ring_of([s.coeffs.values() for s in series])
 
 
-def convolve(acc, a, b, prec):
-    """acc[i + j] += a[i] * b[j] over integer numerator dicts, for
-    exponents i + j < prec."""
-    for i, x in a.items():
-        lim = prec - i
-        for j, y in b.items():
-            if j < lim:
-                k = i + j
-                acc[k] = acc.get(k, 0) + x * y
+def ring_form(ring, series):
+    """Write series over one common denominator: ``(den, forms)``, with
+    ``forms[s]`` the dict from each exponent of series ``s`` to the
+    element of ``ring`` that is its coefficient times den."""
+    den, nums = ring.read([v for s in series for v in s.coeffs.values()])
+    nums = iter(nums)
+    return den, [dict(zip(s.coeffs, nums)) for s in series]
 
 
-def from_int_form(nums, den, prec):
-    """The series sum nums[k] / den * t^k, one canonical Fraction per
-    nonzero numerator; every exponent must already lie below prec."""
-    return LaurentScalar._raw({k: Fraction(v, den) for k, v in nums.items() if v}, prec)
-
-
-def coord_product(pairs, prec, acc=None):
-    """Add sum a * b over the (a, b) coordinate lists in ``pairs``, with
-    exponents below prec, into the coordinate dicts ``acc`` (a fresh
-    list when None), which grow to the coordinates they need:
-    coordinate p + q collects coordinate p of a times coordinate q of b."""
-    if acc is None:
-        acc = [{}]
-    for a, b in pairs:
-        top = len(a) + len(b) - 1
-        while len(acc) < top:
-            acc.append({})
-        for p, x in enumerate(a):
-            for q, y in enumerate(b):
-                convolve(acc[p + q], x, y, prec)
-    return acc
-
-
-def from_coord_form(acc, den, prec, field):
-    """The series with coordinate c of its t^k coefficient equal to
-    acc[c][k] / den, every exponent already below prec.  One coordinate
-    gives rational coefficients; more give Ext coefficients of
-    ``field``, after the coordinates of degree >= phi(m) are folded back
-    by :meth:`GroundField.fold_dicts`."""
-    if len(acc) == 1:
-        return from_int_form(acc[0], den, prec)
-    field.fold_dicts(acc)
-    out = {}
-    for k in set().union(*acc):
-        nums = [a.get(k, 0) for a in acc]
-        if any(nums):
-            out[k] = field.element(nums, den)
-    return LaurentScalar._raw(out, prec)
-
-
-def _inverse_rational(den, nums, s, digits):
-    # With coeffs[k] = A_k / D and u_j = A_(s+j) / A_s, the inverse of
-    # u = 1 + eps has u^-1_k = W_k / A_s^k where
-    # W_k = -sum_(j=1..k) A_(s+j) A_s^(j-1) W_(k-j), W_0 = 1.
-    lead = nums[s]
-    scaled = {}
-    power = 1
-    for j in range(1, digits):
-        a = nums.get(s + j)
-        if a:
-            scaled[j] = a * power
-        power *= lead
-    w = [1]
-    for k in range(1, digits):
-        acc = 0
-        for j, c in scaled.items():
-            if j > k:
-                break
-            acc -= c * w[k - j]
-        w.append(acc)
-    out = {}
-    power = lead
-    for k in range(digits):
-        if w[k]:
-            out[k - s] = Fraction(w[k] * den, power)
-        power *= lead
-    return LaurentScalar._raw(out, digits - s)
+def from_ring_form(ring, nums, den, prec):
+    """The series sum nums[k] / den * t^k, written by ``ring.scalar``,
+    zero numerators dropped; every exponent must already lie below
+    prec."""
+    return LaurentScalar._raw({k: ring.scalar(v, den) for k, v in nums.items() if v}, prec)
 
 
 class OneForm:

@@ -44,6 +44,11 @@ QI = get_field("Q(i)")
 # a + b i, an Ext even when b = 0
 gaussians = st.builds(lambda a, b: QI.from_coords([a, b]), rationals,
                       st.one_of(st.just(Fraction(0)), rationals))
+QZ5 = get_field("Q(zeta_5)")
+# elements of degree-4 Q(zeta_5), often with zero coordinates: a product
+# folds z^4..z^6 into every coordinate
+quintic = st.lists(st.one_of(st.just(Fraction(0)), rationals), min_size=4,
+                   max_size=4).map(QZ5.from_coords)
 
 
 @st.composite
@@ -259,7 +264,8 @@ def _descent_record(fn, conn):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.one_of(descent_matrix(6), descent_matrix(6, gaussians), windowed_gauged_type()))
+@given(st.one_of(descent_matrix(6), descent_matrix(6, gaussians), windowed_gauged_type(),
+                 descent_matrix(5, quintic)))
 def test_integer_descent_matches_series_descent(mat):
     conn = FormalConnection(mat)
     assert _descent_record(fundamental_stratum, conn) == \

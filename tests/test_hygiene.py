@@ -2,7 +2,8 @@
 module-level import is used, no function imports inside its body,
 every top-level private name (function, class or assignment) is
 referenced somewhere in the library, no module imports another's
-private names, and no library or test statement keeps a name alive by
+private names, only ``scalars`` and ``linalg`` fold or write power-basis
+coordinates, and no library or test statement keeps a name alive by
 assigning it to ``_``."""
 
 import ast
@@ -125,12 +126,24 @@ def test_no_private_imports_across_modules():
 
 
 def test_reduction_table_private_to_scalars():
-    # GroundField folds power-basis coordinates itself (fold, fold_dicts)
+    # GroundField folds power-basis coordinates itself (fold)
     readers = ["%s:%d" % (name, node.lineno)
                for name, tree in _modules().items() if name != "scalars.py"
                for node in ast.walk(tree)
                if isinstance(node, ast.Attribute) and node.attr == "_reduction"]
     assert not readers, "reduction table read outside scalars.py: %s" % ", ".join(readers)
+
+
+def test_power_basis_encoding_private_to_scalars_and_linalg():
+    # the integer encoding of field values lives in GroundField and the
+    # rings of linalg; every other module computes through those rings
+    callers = ["%s:%d %s" % (name, node.lineno, node.func.attr)
+               for name, tree in _modules().items() if name not in ("scalars.py", "linalg.py")
+               for node in ast.walk(tree)
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+               and node.func.attr in ("fold", "fold_dicts", "element")]
+    assert not callers, "power-basis folds or writes outside scalars.py and linalg.py: %s" \
+        % ", ".join(callers)
 
 
 def test_no_keep_alive_assignments():

@@ -4,9 +4,9 @@ Over Q every routine is compared with sympy's exact matrices; over Q(i)
 and Q(zeta_5) with the Gauss-Jordan elimination in field scalars of
 ``helpers.ref_rref``.  Matrices are drawn with zero rows and columns,
 as products of thinner factors (so often rank-deficient), empty, or all
-zero.  The constant conjugation is compared with the two
-``LaurentMatrix`` products it replaces: the same JSON and the same
-window on every entry.
+zero.  The constant conjugation is compared with the coefficient-wise
+matrix products of ``helpers.ref_matmul``: the same JSON, the same
+window on every entry and the same exactness.
 """
 
 from fractions import Fraction
@@ -23,7 +23,7 @@ from formalconn.parahoric import GradedEndo, standard_chain
 from formalconn.scalars import get_field, is_zero
 from formalconn.series import INF, LaurentScalar
 
-from helpers import ref_rref
+from helpers import ref_matmul, ref_rref
 
 QI = get_field("Q(i)")
 QZ5 = get_field("Q(zeta_5)")
@@ -250,8 +250,9 @@ def test_constant_product_matches_series_products(data):
     m = LaurentMatrix([[data.draw(windowed_series(series_scalars)) for _ in range(n)]
                        for _ in range(n)])
     lp, lq = LaurentMatrix.from_scalar_matrix(p), LaurentMatrix.from_scalar_matrix(q)
-    for got, want in ((constant_product(p, m, q), lp * m * lq),
-                      (constant_product(p, m), lp * m)):
+    lpm = ref_matmul(lp, m)
+    for got, want in ((constant_product(p, m, q), ref_matmul(lpm, lq)),
+                      (constant_product(p, m), lpm)):
         assert got.to_json() == want.to_json()
         assert _windows(got) == _windows(want)
         assert all((x.prec is INF) == (y.prec is INF)

@@ -8,6 +8,7 @@ import pytest
 import sympy
 
 from formalconn.errors import NonsplitField, ParseError, PrecisionError, ZeroLeading
+from formalconn.matrices import LaurentMatrix
 from formalconn.polys import nth_root_in_field
 from formalconn.scalars import (MAX_CYCLOTOMIC_DEGREE, MAX_CYCLOTOMIC_ORDER,
                                 _cyclotomic_poly, format_scalar, get_field,
@@ -32,6 +33,17 @@ def test_mul_precision_window():
     prod = a * b
     assert prod.coeff(-3) == 1 and prod.coeff(-1) == 1
     assert prod.window() == (-3, 0)
+
+
+def test_zero_scalar_times_series_is_exact_zero():
+    # 0 * x is exactly zero whatever the window of x, on either side, as
+    # the product of series with an exact zero is (mul_prec)
+    x = LaurentScalar({0: 1, 1: 2}, 3)
+    for prod in (x * 0, 0 * x, x * Fraction(0), x * get_field("Q(i)").zero(),
+                 LaurentScalar.zero() * x):
+        assert prod.is_exact and prod.is_zero() and repr(prod) == "0"
+    m = LaurentMatrix([[x, LaurentScalar.one()], [LaurentScalar.zero(5), x]]) * 0
+    assert all(e.is_exact and e.is_zero() for row in m.rows for e in row)
 
 
 def test_inverse_monomial_exact():
