@@ -3,9 +3,9 @@ splitting, and diagonalization to a formal type.
 
 The slope engine follows the proof of Bremer-Sage that every connection
 contains a fundamental stratum, whose r/e is the slope.  The descent
-reads the matrix once into integer form and writes it back
-once; each round reads a table of entry orders and windows off the
-integer numerators and moves to the best lattice chain of its frame:
+reads the matrix once into integer form; each round reads a table of
+entry orders and windows off the integer numerators and moves to the
+best lattice chain of its frame:
 the least cycle mean a/b of the entry orders (Karp) is the largest
 filtration degree -r/e that a chain of monomial lattices in the current
 basis gives the matrix, and a shear and a relabelling of the basis put
@@ -41,9 +41,9 @@ from functools import reduce
 from .errors import (NotInFiltration, NotRegular, NotSplit, ParseError, PrecisionError,
                      SingularGauge)
 from .formal_types import FormalType
-from .linalg import integer_ring, kernel_flag_basis, kinverse, kzeros
+from .linalg import integer_ring, inverse_form, kernel_flag_basis, over_one_den
 from .matrices import IntMatrix, LaurentMatrix, constant_product
-from .parahoric import (GradedEndo, certifying_window, fildeg_certified, filtration_degree,
+from .parahoric import (certifying_window, fildeg_certified, filtration_degree,
                         graded_component, standard_chain)
 from .scalars import get_field, is_zero, scalar_inverse, sort_key
 from .series import INF, LaurentScalar, OneForm, default_precision
@@ -231,13 +231,13 @@ def _window_shortfall(n, edges):
     raise AssertionError("no window increase up to %d finds a chain" % top)
 
 
-def _sheared(mat, gauge, perm, shift):
-    """Gauge the integer forms by the shear S = diag(t^shift), then
+def _sheared(mat, perm, shift):
+    """Gauge the integer form by the shear S = diag(t^shift), then
     relabel the basis u -> perm: entry (i, j) becomes t^(s_u - s_v)
     M[u][v] - s_u [u = v] with (u, v) = (perm[i], perm[j]), as tau(S)
-    S^-1 = diag(shift), and row i of the gauge becomes t^(s_u) times its
-    row u.  Shifts move exponents and windows; the s_u term enters the
-    t^0 coefficient only where the entry's window lies above t^0."""
+    S^-1 = diag(shift).  Shifts move exponents and windows; the s_u term
+    enters the t^0 coefficient only where the entry's window lies above
+    t^0."""
     n, den, ring = mat.n, mat.den, mat.ring
     forms, precs = [], []
     for u in perm:
@@ -252,16 +252,22 @@ def _sheared(mat, gauge, perm, shift):
                 nums, prec = _shifted(nums, prec, shift[u] - shift[v])
             forms.append(nums)
             precs.append(prec)
-    g_forms, g_precs = [], []
+    return IntMatrix(n, den, ring, forms, precs)
+
+
+def _sheared_gauge(gauge, perm, shift):
+    """The gauge S G relabelled as _sheared relabels the matrix: row i
+    becomes t^(s_u) times row u = perm[i]."""
+    n = gauge.n
+    forms, precs = [], []
     for u in perm:
         for v in range(n):
             nums, prec = gauge.forms[u * n + v], gauge.precs[u * n + v]
             if shift[u]:
                 nums, prec = _shifted(nums, prec, shift[u])
-            g_forms.append(nums)
-            g_precs.append(prec)
-    return (IntMatrix(n, den, ring, forms, precs),
-            IntMatrix(n, gauge.den, gauge.ring, g_forms, g_precs))
+            forms.append(nums)
+            precs.append(prec)
+    return IntMatrix(n, gauge.den, gauge.ring, forms, precs)
 
 
 def _shifted(nums, prec, d):
@@ -271,14 +277,16 @@ def _shifted(nums, prec, d):
 
 def _graded_pattern(mat, ctx, a):
     """The graded pattern of the integer form at degree a on the chain
-    ctx, as graded_component gives it: NotInFiltration when a known
-    coefficient lies below P^a, PrecisionError when a pattern slot t^o
-    lies beyond its entry's window."""
+    ctx, as numerators over mat.den of what graded_component gives:
+    NotInFiltration when a known coefficient lies below P^a,
+    PrecisionError when a pattern slot t^o lies beyond its entry's
+    window."""
     n, e, phases = mat.n, ctx.period, ctx.phases
     for idx, nums in enumerate(mat.forms):
         if nums and e * min(nums) + phases[idx // n] - phases[idx % n] < a:
             raise NotInFiltration("matrix does not lie in P^%d" % a)
-    pat = kzeros(n, n)
+    zero = mat.ring.const(0)
+    pat = [[zero] * n for _ in range(n)]
     for u in range(n):
         for v in range(n):
             level = a + phases[v] - phases[u]
@@ -286,24 +294,84 @@ def _graded_pattern(mat, ctx, a):
                 o = level // e
                 if o >= mat.precs[u * n + v]:
                     raise PrecisionError("graded coefficient at t^%d unknown" % o, needed=o + 1)
-                pat[u][v] = mat.coeff(u * n + v, o)
+                pat[u][v] = mat.forms[u * n + v].get(o, zero)
     return pat
 
 
-def _flag_levi(pat, blocks):
-    """(g, g^-1) for the constant g whose columns are a basis adapted to
-    the kernel flag of the nilpotent graded pattern, each vector at a
-    slot of its own phase class: g stabilizes the chain, and g^-1 pat g
-    has a support without cycles.  Both are ground-field matrices."""
+def _flag_levi(ring, pat, blocks):
+    """(g^-1, g), each as (den, integer rows), for the constant g whose
+    columns are a basis adapted to the kernel flag of the graded
+    pattern, each vector 1 at its last nonzero coordinate and at a slot
+    of its own phase class: g stabilizes the chain, and g^-1 pat g has a
+    support without cycles.  None when the pattern is not nilpotent."""
+    basis = kernel_flag_basis(ring, pat)
+    if basis is None:
+        return None
     n = len(pat)
     starts = list(itertools.accumulate(blocks, initial=0))
     free = [iter(range(starts[k], starts[k + 1])) for k in range(len(blocks))]
     cols = [None] * n
-    for vec in kernel_flag_basis(pat):
-        u = next(i for i, c in enumerate(vec) if not is_zero(c))
+    for vec in basis:
+        u = next(i for i, c in enumerate(vec) if c)
         cols[next(free[next(k for k in range(len(blocks)) if u < starts[k + 1])])] = vec
-    g = [[cols[j][i] for j in range(n)] for i in range(n)]
-    return g, kinverse(g)
+    den, g_t = over_one_den(ring, [(vec, next(x for x in reversed(vec) if x)) for vec in cols])
+    g = [list(row) for row in zip(*g_t)]
+    # g^-1 = den (den g)^-1
+    den_inv, g_inv = inverse_form(ring, g)
+    return (den_inv, [[ring.scale(den, x) for x in row] for row in g_inv]), (den, g)
+
+
+def _in_filtration(mat, ctx, a):
+    """Whether the integer form is certified to lie in P^a on ctx, by the
+    rule of fildeg_certified: each least exponent, or else window."""
+    n, e, phases = mat.n, ctx.period, ctx.phases
+    return all(e * min(nums, default=prec) + phases[i // n] - phases[i % n] >= a
+               for i, (nums, prec) in enumerate(zip(mat.forms, mat.precs)))
+
+
+def _descent(conn):
+    """The rounds of fundamental_stratum: (mat, moves, a, ctx, loose) of
+    the last, with the moves in order, each a function and the arguments
+    that apply it to a gauge."""
+    n = conn.n
+    mat = IntMatrix.read(conn.matrix)
+    moves = []
+    depths = []
+    while True:
+        edges = _order_table(mat)
+        a, b, x, loose = _round_chain(n, edges)
+        if not depths:
+            bound = 1 + sum(-a * k // b for k in range(1, n + 1))
+        assert not depths or depths[-1][0] * b < a * depths[-1][1], \
+            "descent round did not raise r/e"
+        depths.append((a, b))
+        assert len(depths) <= bound, "descent exceeded its round bound %d" % bound
+        if x is None:
+            raise PrecisionError("a window reaches the leading term at degree %d/%d" % (a, b),
+                                 short_by=_window_shortfall(n, edges))
+        phases = [xu % b for xu in x]
+        shift = [xu // b for xu in x]
+        perm = sorted(range(n), key=lambda u: (-phases[u], u))
+        if any(shift) or perm != list(range(n)):
+            mat = _sheared(mat, perm, shift)
+            moves.append((_sheared_gauge, perm, shift))
+        blocks = [phases.count(p) for p in range(b - 1, -1, -1)]
+        ctx = standard_chain(blocks)
+        levi = _flag_levi(mat.ring, _graded_pattern(mat, ctx, a), blocks) if a else None
+        if levi is None:
+            return mat, moves, a, ctx, loose
+        mat = mat.times_constants(*levi)
+        moves.append((IntMatrix.times_constants, levi[0]))
+
+
+def _stratum(conn, mat, moves, a, ctx, loose):
+    """The written matrix of the descent's last round and its stratum."""
+    matrix = mat.write() if moves else conn.matrix
+    if loose:
+        # in gl_n(o) with a window on the residue: raises unless a
+        # known entry certifies the filtration degree
+        filtration_degree(matrix, ctx)
+    return matrix, Stratum(ctx, -a, matrix, conn.nu)
 
 
 def fundamental_stratum(conn):
@@ -342,61 +410,35 @@ def fundamental_stratum(conn):
     depth zero a window may reach the residue if a known entry still
     certifies the filtration degree.
 
-    Arithmetic: the matrix is read once into integer form
-    (matrices.IntMatrix: one denominator, per entry a dict from
-    exponents to elements of the integer ring of linalg, one window per
-    entry) and the gauge starts there at the identity.  Every round
-    works on these integers: the order table comes from the numerator
-    dicts, the shear and the relabelling move exponents and windows, the
-    graded pattern at degree a holds the only field values the round
-    builds, and g^-1 M g and g^-1 G go through the integer product
-    kernel, reduced by their content.  The matrix and the gauge become
-    LaurentMatrix values once, on return.
+    Arithmetic: every round works on the integer form of the matrix
+    (matrices.IntMatrix): the order table and the graded pattern are
+    read off its numerators, shears move exponents and windows, the
+    kernel flag (linalg.kernel_flag_basis, which decides nilpotency) has
+    integer columns, and g^-1 M g runs the integer product kernel with
+    g and g^-1 over one int denominator each.  The gauge replays the
+    recorded moves on the identity, in the same order; the matrix and
+    the gauge are written once, on return.
     """
     conn = conn.standardized()
-    n = conn.n
-    mat = IntMatrix.read(conn.matrix)
-    gauge = IntMatrix.identity(n, mat.ring)
-    moved = False
-    depths = []
-    while True:
-        edges = _order_table(mat)
-        a, b, x, loose = _round_chain(n, edges)
-        if not depths:
-            bound = 1 + sum(-a * k // b for k in range(1, n + 1))
-        assert not depths or depths[-1] < Fraction(a, b), "descent round did not raise r/e"
-        depths.append(Fraction(a, b))
-        assert len(depths) <= bound, "descent exceeded its round bound %d" % bound
-        if x is None:
-            raise PrecisionError("a window reaches the leading term at degree %d/%d" % (a, b),
-                                 short_by=_window_shortfall(n, edges))
-        phases = [xu % b for xu in x]
-        shift = [xu // b for xu in x]
-        perm = sorted(range(n), key=lambda u: (-phases[u], u))
-        if any(shift) or perm != list(range(n)):
-            mat, gauge = _sheared(mat, gauge, perm, shift)
-            moved = True
-        blocks = [phases.count(p) for p in range(b - 1, -1, -1)]
-        ctx = standard_chain(blocks)
-        beta = GradedEndo(_graded_pattern(mat, ctx, a), a, ctx) if a else None
-        if beta is None or not beta.is_nilpotent():
-            matrix = mat.write() if moved else conn.matrix
-            if loose:
-                # in gl_n(o) with a window on the residue: raises unless a
-                # known entry certifies the filtration degree
-                filtration_degree(matrix, ctx)
-            return gauge.write(), FormalConnection(matrix, conn.nu), \
-                Stratum(ctx, -a, matrix, conn.nu)
-        g, g_inv = _flag_levi(beta.pattern, blocks)
-        mat, gauge = mat.times_constants(g_inv, g), gauge.times_constants(g_inv)
-        moved = True
+    mat, moves, a, ctx, loose = _descent(conn)
+    matrix, stratum = _stratum(conn, mat, moves, a, ctx, loose)
+    gauge = IntMatrix.identity(conn.n, mat.ring)
+    for move, *args in moves:
+        gauge = move(gauge, *args)
+    return gauge.write(), FormalConnection(matrix, conn.nu), stratum
 
 
 def slope(conn):
-    """Katz slope: r/e_P of the contained fundamental stratum that
-    fundamental_stratum finds; zero for regular singular connections."""
-    _, _, s = fundamental_stratum(conn)
-    return s.slope
+    """Katz slope: r/e of the fundamental stratum that the descent of
+    fundamental_stratum finds; zero for regular singular connections.
+    No gauge is built; the matrix is written only to raise the errors
+    of fundamental_stratum, when membership in P^-r is not certified on
+    the integer form or a depth-zero window reaches the residue."""
+    conn = conn.standardized()
+    mat, moves, a, ctx, loose = _descent(conn)
+    if loose or not _in_filtration(mat, ctx, a):
+        _stratum(conn, mat, moves, a, ctx, loose)
+    return Fraction(-a, ctx.period)
 
 
 # -- splitting ---------------------------------------------------------------

@@ -18,9 +18,12 @@ multistep integer-preserving Gaussian elimination", Math. Comp. 22,
 column c and f the entry of row i there, row_i <- p row_i - f row_r,
 and the row is divided by the gcd of its coordinates, where Bareiss
 divides by the previous pivot.  No Fraction is built until each pivot
-row is divided by its pivot, once, at the end.
-A reduced echelon form is unique, so every routine returns the values
-that Gauss-Jordan elimination over the field gives.
+row is divided by its pivot, once, at the end, as x / p = x w / den
+with (den, w) = ``ring.reciprocal(p)``, den an int (over Z[zeta_m], the
+norm of p), or is kept as integers over one int denominator
+(:func:`over_one_den`), as the slope descent does.  A reduced echelon
+form is unique, so every routine returns the values that Gauss-Jordan
+elimination over the field gives.
 """
 
 import functools
@@ -103,9 +106,10 @@ class _Integers:
         return Fraction(a, den) if a else _ZERO
 
     @staticmethod
-    def quotients(xs, p):
-        """The field values x / p for elements xs and a nonzero element p."""
-        return [Fraction(x, p) if x else _ZERO for x in xs]
+    def reciprocal(p):
+        """(den, w) with 1/p = w/den for a nonzero element p and a
+        positive int den: |p| and the sign of p."""
+        return (p, 1) if p > 0 else (-p, -1)
 
 
 class _CyclotomicIntegers:
@@ -117,6 +121,11 @@ class _CyclotomicIntegers:
 
     def __init__(self, field):
         self.field = field
+        # zeta_m^k in the power basis, k = 0..m-1, for the conjugates
+        powers = [[1]]
+        for _ in range(field.m - 1):
+            powers.append(field.fold([0] + powers[-1]))
+        self._powers = powers
 
     def read(self, row):
         coords = [x.coords if isinstance(x, Ext) else (x,) for x in row]
@@ -193,9 +202,22 @@ class _CyclotomicIntegers:
     def scalar(self, a, den):
         return self.field.element(a, den)
 
-    def quotients(self, xs, p):
-        den, (inv,) = self.read([self.scalar(p, 1).inverse()])
-        return [self.scalar(self.mul(x, inv), den) for x in xs]
+    def reciprocal(self, p):
+        """(den, w) with 1/p = w/den: w is the product of the Galois
+        conjugates zeta -> zeta^k (k > 1 prime to m) of p, and den the
+        norm p w, a positive int, as Q(zeta_m) has no real embedding."""
+        m, d = self.field.m, self.field.degree
+        w = self.one
+        for k in range(2, m):
+            if math.gcd(k, m) == 1:
+                conj = [0] * d
+                for j, c in enumerate(p):
+                    if c:
+                        for i, z in enumerate(self._powers[j * k % m]):
+                            conj[i] += c * z
+                w = self.mul(w, _trim(conj))
+        (den,) = self.mul(p, w)
+        return den, w
 
 
 def _trim(coords):
@@ -218,7 +240,7 @@ def ring_of(*mats, base=_Integers):
     return base if field is None else integer_ring(field)
 
 
-def _read_matrix(ring, mat):
+def read_matrix(ring, mat):
     """(den, rows): the matrix times the common denominator of its
     entries, as integer rows."""
     rows = [ring.read(row) for row in mat]
@@ -287,28 +309,19 @@ def _matmul(ring, a, b):
     return [[ring.dot(row, col) for col in cols] for row in a]
 
 
-def _normalized(ring, vec):
-    """The field vector vec / (its last nonzero coordinate)."""
-    return ring.quotients(vec, next(x for x in reversed(vec) if x))
-
-
-def kernel_flag_basis(pat):
-    """Basis adapted to ker(pat) <= ker(pat^2) <= ... for a nilpotent
-    pattern, in which pat is block strictly upper triangular; None when
-    pat is not nilpotent.
-
-    Round k adds, in order, the vectors of knullspace(pat^k) that are
-    independent of the basis so far.  The pattern is read into integer
-    rows once; its powers, their kernels and the echelon form of the
-    basis stay integral, and only the chosen vectors are normalised
-    (1 at their last nonzero coordinate, as knullspace gives them)."""
+def kernel_flag_basis(ring, pat):
+    """Integer columns of a basis adapted to ker(pat) <= ker(pat^2) <=
+    ... for a square matrix pat of elements of ``ring``, in which pat is
+    block strictly upper triangular; None as soon as a kernel stops
+    growing short of the whole space, that is when pat is not nilpotent.
+    Round k adds, in order, the vectors of the kernel of pat^k that are
+    independent of the basis so far, each a multiple of knullspace's."""
     n = len(pat)
-    ring = ring_of(pat)
-    _, base = _read_matrix(ring, pat)
-    power = base
+    power = pat
     chosen = []
     echelon = []  # (pivot column, row), rows vanishing before their pivot, by column
-    for _ in range(n):
+    while True:
+        found = len(chosen)
         for vec in _kernel(ring, power, n):
             rem = vec
             for c, row in echelon:
@@ -320,26 +333,38 @@ def kernel_flag_basis(pat):
                 echelon.sort(key=lambda cr: cr[0])
                 chosen.append(vec)
         if len(chosen) == n:
-            return [_normalized(ring, vec) for vec in chosen]
-        power = _matmul(ring, power, base)
-    return None
+            return chosen
+        if len(chosen) == found:
+            return None
+        power = _matmul(ring, power, pat)
 
 
-def product_is_nilpotent(mats):
-    """True iff the product mats[-1] ... mats[0] of constant matrices, a
-    square matrix of size k, is nilpotent, that is its k-th power is
-    zero.  Each factor is scaled to integers first: a nonzero scalar
-    changes no product's nilpotency."""
-    ring = ring_of(*mats)
-    prod = None
-    for mat in mats:
-        block = _read_matrix(ring, mat)[1]
-        prod = block if prod is None else _matmul(ring, block, prod)
-    power = 1
-    while power < len(prod) and any(any(row) for row in prod):
-        prod = _matmul(ring, prod, prod)
-        power *= 2
-    return not any(any(row) for row in prod)
+def _quotients(ring, xs, p):
+    """The field values x / p for elements xs and a nonzero element p."""
+    den, w = ring.reciprocal(p)
+    return [ring.scalar(ring.mul(x, w), den) for x in xs]
+
+
+def over_one_den(ring, pairs):
+    """(den, rows): the vectors xs / p, for pairs (xs, p) of an integer
+    vector and a nonzero element, as integer rows over one positive int
+    den, each quotient taken through ``ring.reciprocal``."""
+    recips = [ring.reciprocal(p) for _, p in pairs]
+    den = math.lcm(*(d for d, _ in recips))
+    return den, [[ring.mul(x, w) for x in xs] for (xs, _), w in
+                 zip(pairs, (ring.scale(den // d, w) for d, w in recips))]
+
+
+def inverse_form(ring, rows):
+    """(den, rows') with rows' / den the inverse of the square matrix
+    ``rows`` of elements of ``ring``; None when it is singular."""
+    n = len(rows)
+    zero = ring.const(0)
+    red, pivots = _echelon(ring, [list(row) + [ring.one if i == j else zero for j in range(n)]
+                                  for i, row in enumerate(rows)], n)
+    if len(pivots) < n:
+        return None
+    return over_one_den(ring, [(row[n:], row[c]) for row, c in zip(red, pivots)])
 
 
 def kzeros(r, c):
@@ -364,7 +389,7 @@ def rref(mat):
     ring = ring_of(mat)
     red, pivots = _echelon(ring, [ring.read(row)[1] for row in mat], cols)
     zero = ring.scalar(ring.const(0), 1)
-    return ([ring.quotients(row, row[c]) for row, c in zip(red, pivots)] +
+    return ([_quotients(ring, row, row[c]) for row, c in zip(red, pivots)] +
             [[zero] * cols for _ in red[len(pivots):]]), pivots
 
 
@@ -374,7 +399,7 @@ def knullspace(mat):
     columns."""
     cols = len(mat[0]) if mat else 0
     ring = ring_of(mat)
-    return [_normalized(ring, vec)
+    return [_quotients(ring, vec, next(x for x in reversed(vec) if x))
             for vec in _kernel(ring, [ring.read(row)[1] for row in mat], cols)]
 
 
@@ -389,19 +414,17 @@ def ksolve(mat, rhs):
         return None
     x = [ring.scalar(ring.const(0), 1)] * cols
     for row, pc in zip(red, pivots):
-        x[pc] = ring.quotients([row[cols]], row[pc])[0]
+        x[pc] = _quotients(ring, [row[cols]], row[pc])[0]
     return x
 
 
 def kinverse(mat):
     """The inverse matrix, or None if mat is singular."""
-    n = len(mat)
     ring = ring_of(mat)
-    red, pivots = _echelon(ring, [ring.read(list(row) + [int(i == j) for j in range(n)])[1]
-                                  for i, row in enumerate(mat)], n)
-    if len(pivots) < n:
-        return None
-    return [ring.quotients(row[n:], row[c]) for row, c in zip(red, pivots)]
+    den, rows = read_matrix(ring, mat)
+    inv = inverse_form(ring, rows)
+    return None if inv is None else \
+        [[ring.scalar(ring.scale(den, x), inv[0]) for x in row] for row in inv[1]]
 
 
 def charpoly(mat):
@@ -412,7 +435,7 @@ def charpoly(mat):
     mat's coefficient of x^(n-k) is c_k / D^k."""
     n = len(mat)
     ring = ring_of(mat)
-    den, b = _read_matrix(ring, mat)
+    den, b = read_matrix(ring, mat)
     coeffs = [None] * n + [ring.scalar(ring.one, 1)]
     m = b
     for k in range(1, n + 1):
@@ -434,7 +457,7 @@ def minpoly(mat):
     coefficients -d_j / D^(k-j)."""
     n = len(mat)
     ring = ring_of(mat)
-    den, b = _read_matrix(ring, mat)
+    den, b = read_matrix(ring, mat)
     zero = ring.const(0)
     vecs = [[ring.one if i == j else zero for i in range(n) for j in range(n)]]
     power = b
@@ -444,8 +467,8 @@ def minpoly(mat):
         if not any(row[k] for row in red[len(pivots):]):
             coeffs = [ring.scalar(zero, 1)] * k
             for row, pc in zip(red, pivots):
-                coeffs[pc] = ring.quotients([ring.neg(row[k])],
-                                            ring.mul(row[pc], ring.const(den ** (k - pc))))[0]
+                coeffs[pc] = _quotients(ring, [ring.neg(row[k])],
+                                        ring.mul(row[pc], ring.const(den ** (k - pc))))[0]
             return coeffs + [ring.scalar(ring.one, 1)]
         power = _matmul(ring, power, b)
     raise AssertionError("minimal polynomial search exceeded degree bound")

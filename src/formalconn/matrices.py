@@ -11,15 +11,16 @@ output entry is one sum of ``ring.convolve`` over a common denominator,
 written once by ``ring.scalar``.  A product p M q with constant p and q
 (:func:`constant_product`) reads M once into an :class:`IntMatrix`
 (integer form), multiplies there and writes each entry once; the slope
-descent keeps its matrix and gauge in that form across its rounds and
-runs the same kernel, :meth:`IntMatrix.times_constants`.
+descent keeps its matrix in that form across its rounds and runs the
+same kernel, :meth:`IntMatrix.times_constants`, on constants that are
+integer rows over one denominator.
 """
 
 import math
 from fractions import Fraction
 
 from .errors import ParseError, PrecisionError, SingularGauge
-from .linalg import ring_of
+from .linalg import read_matrix, ring_of
 from .scalars import Ext
 from .series import (INF, LaurentScalar, from_ring_form, mul_prec, residue, ring_form,
                      ring_of_series)
@@ -201,14 +202,17 @@ def constant_product(p, m, q=None):
     from_scalar_matrix(q): the window of entry (i, j) is the least
     window of m[k][l] over the pairs with p[i][k] and q[l][j] nonzero.
 
-    m is read once into integer form, multiplied there by
-    :meth:`IntMatrix.times_constants` (the kernel that the slope descent
-    runs on every round) and written once, one canonical value per
-    coefficient."""
-    return IntMatrix.read(m).times_constants(p, q).write()
-
-
-_ZERO = Fraction(0)
+    m is read once into integer form, in the ring of its entries or of
+    the constants', multiplied there by :meth:`IntMatrix.times_constants`
+    (the kernel that the slope descent runs on every round) and written
+    once, one canonical value per coefficient."""
+    mat = IntMatrix.read(m)
+    ring = ring_of(p, q or (), base=mat.ring)
+    if ring is not mat.ring:
+        mat = IntMatrix(mat.n, mat.den, ring, [{k: ring.const(v) for k, v in f.items()}
+                                               for f in mat.forms], mat.precs)
+    return mat.times_constants(read_matrix(ring, p),
+                               None if q is None else read_matrix(ring, q)).write()
 
 
 class IntMatrix:
@@ -246,39 +250,24 @@ class IntMatrix:
                                               self.precs[i * n + j]) for j in range(n)]
                               for i in range(n)])
 
-    def coeff(self, idx, k):
-        """The t^k coefficient of entry ``idx`` (row-major), typed as
-        :meth:`write` types it."""
-        v = self.forms[idx].get(k)
-        return self.ring.scalar(v, self.den) if v else _ZERO
-
     def times_constants(self, p, q=None):
-        """p self q for constant ground-field matrices p and q (lists of
-        rows; q None for the identity), with the windows of
-        :func:`constant_product`.  The constants are read over one
-        denominator into the ring of self, or into theirs, to which
-        self's numerators are then lifted, so p self stays in integers,
-        and (p self) q is taken as the transpose of q^T (p self)^T; the
-        result is divided by the content of its numerators and
-        denominator, so the numbers do not grow with repeated
-        products."""
-        n = self.n
-        ring = ring_of(p, q or (), base=self.ring)
-        forms = self.forms if ring is self.ring else \
-            [{k: ring.const(v) for k, v in f.items()} for f in self.forms]
-        den_c, nums = ring.read([c for rows in (p, q or ()) for row in rows for c in row])
-        p_rows = [[(k, {0: nums[i * n + k]}) for k in range(n) if nums[i * n + k]]
-                  for i in range(n)]
-        forms, precs = _left_product(n, ring, p_rows, forms, self.precs)
-        den = den_c * self.den
+        """p self q for constant matrices p and q, each given as (den,
+        rows) with rows of elements of self's ring (q None for the
+        identity), with the windows of :func:`constant_product`.  p self
+        stays in integers, and (p self) q is taken as the transpose of
+        q^T (p self)^T; the result is divided by the content of its
+        numerators and denominator, so the numbers do not grow with
+        repeated products."""
+        n, ring = self.n, self.ring
+        den_p, p_rows = p
+        forms, precs = _left_product(n, ring, p_rows, self.forms, self.precs)
+        den = den_p * self.den
         if q is not None:
-            q_nums = nums[n * n:]
-            qt_rows = [[(l, {0: q_nums[l * n + j]}) for l in range(n) if q_nums[l * n + j]]
-                       for j in range(n)]
-            forms, precs = _left_product(n, ring, qt_rows, _transposed(n, forms),
+            den_q, q_rows = q
+            forms, precs = _left_product(n, ring, list(zip(*q_rows)), _transposed(n, forms),
                                          _transposed(n, precs))
             forms, precs = _transposed(n, forms), _transposed(n, precs)
-            den *= den_c
+            den *= den_q
         return IntMatrix._primitive(n, den, ring, forms, precs)
 
     @staticmethod
@@ -300,14 +289,14 @@ class IntMatrix:
 
 
 def _left_product(n, ring, const_rows, forms, precs):
-    """(forms, windows) of the product c y of a constant matrix c and a
-    series matrix y in integer form: ``const_rows[i]`` lists (k, dict)
-    for the nonzero c[i][k], each dict holding exponent 0 alone; entry
-    (i, l) keeps the least window of y[k][l] over those k, and its
-    exponents below it."""
+    """(forms, windows) of the product c y of a constant matrix c, given
+    by its rows of ring elements, and a series matrix y in integer form:
+    entry (i, l) keeps the least window of y[k][l] over the k with
+    c[i][k] nonzero, and its exponents below it."""
     exact = all(w is INF for w in precs)
     out, out_precs = [], []
-    for terms in const_rows:
+    for row in const_rows:
+        terms = [(k, {0: x}) for k, x in enumerate(row) if x]
         row_precs = [INF] * n if exact else \
             [min((precs[k * n + l] for k, _ in terms), default=INF) for l in range(n)]
         for l in range(n):

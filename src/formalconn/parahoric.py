@@ -13,10 +13,11 @@ torus-adapted interleaved layout repeats the complete-chain phases
 inside each of the n/e diagonal blocks.
 """
 
+import functools
 from fractions import Fraction
 
 from .errors import EmptyComposition, NotInFiltration, PrecisionError
-from .linalg import kmatmul, kzeros, product_is_nilpotent
+from .linalg import kernel_flag_basis, kmatmul, kzeros, read_matrix, ring_of
 from .matrices import LaurentMatrix
 from .scalars import is_zero
 from .series import INF, LaurentScalar
@@ -73,9 +74,10 @@ class ParahoricContext:
         return cls(chain, phases, "grouped")
 
     @classmethod
+    @functools.cache
     def interleaved(cls, e, m):
         """Torus-adapted context: m diagonal blocks of size e, each
-        carrying the complete-chain phases."""
+        carrying the complete-chain phases; built once per shape."""
         n = e * m
         chain = LatticeChain(n, (m,) * e)
         phases = []
@@ -256,7 +258,8 @@ class GradedEndo:
     def maps(self):
         """The e maps Hom(Lbar^i, Lbar^(i+r)) as constant matrices."""
         classes = self.ctx.phase_classes
-        return [_block(self.pattern, classes, i, self.r) for i in range(self.ctx.period)]
+        return [[[self.pattern[ru][cu] for cu in src]
+                 for ru in classes[(c + self.r) % len(classes)]] for c, src in enumerate(classes)]
 
     def compose(self, other):
         """(self in degree r) o (other in degree s) -> degree r+s."""
@@ -267,33 +270,11 @@ class GradedEndo:
         return all(is_zero(c) for row in self.pattern for c in row)
 
     def is_nilpotent(self):
-        """Nilpotency from one product per cycle of the phase shift.
-
-        The pattern maps phase class c to class c + r (mod e), so its
-        L-th power, L = e / gcd(r, e), is block diagonal with the
-        products of the L blocks around each cycle of c -> c + r; it is
-        nilpotent iff every cycle product is (a product around the
-        cycle from another start is a rotation, nilpotent or not
-        together).  A cycle through an empty class has product zero.
-        """
-        e = self.ctx.period
-        classes = self.ctx.phase_classes
-        seen = [False] * e
-        for start in range(e):
-            cycle = []
-            c = start
-            while not seen[c]:
-                seen[c] = True
-                cycle.append(c)
-                c = (c + self.r) % e
-            if not cycle or not all(classes[c] for c in cycle):
-                continue
-            # start from the smallest class: the product is square of that size
-            first = min(range(len(cycle)), key=lambda i: len(classes[cycle[i]]))
-            if not product_is_nilpotent([_block(self.pattern, classes, c, self.r)
-                                         for c in cycle[first:] + cycle[:first]]):
-                return False
-        return True
+        """Whether the pattern is nilpotent, decided as the slope descent
+        decides it: by its kernel flag (linalg.kernel_flag_basis) on its
+        integer numerators."""
+        ring = ring_of(self.pattern)
+        return kernel_flag_basis(ring, read_matrix(ring, self.pattern)[1]) is not None
 
     def __eq__(self, other):
         if not isinstance(other, GradedEndo):
@@ -303,12 +284,6 @@ class GradedEndo:
 
     def __repr__(self):
         return "GradedEndo(r=%d, pattern=%r)" % (self.r, self.pattern)
-
-
-def _block(pattern, classes, c, r):
-    """The map from phase class c to class c + r as a constant matrix."""
-    rows = classes[(c + r) % len(classes)]
-    return [[pattern[ru][cu] for cu in classes[c]] for ru in rows]
 
 
 def graded_component(x, ctx, r):

@@ -37,8 +37,7 @@ from formalconn.connections import FormalConnection, gauge_transform
 from formalconn.errors import (FormalConnError, GcdViolation, IrreducibleStratum, NonsplitField,
                                NotRegular, NotSplit, PrecisionError, SingularGauge, ZeroLeading)
 from formalconn.formal_types import FormalType, WeylElement
-from formalconn.linalg import (charpoly, kernel_flag_basis, kinverse, kmatmul, knullspace,
-                               ksolve, rref)
+from formalconn.linalg import charpoly, kinverse, kmatmul, knullspace, ksolve, rref
 from formalconn.matrices import LaurentMatrix, constant_product
 from formalconn.omodule import column_echelon
 from formalconn.parahoric import (filtration_degree, graded_component, graded_monomials,
@@ -521,7 +520,7 @@ def _ref_moser_gauge(matrix, kernel_power):
     if d is INF:
         raise FormalConnError("shear move on the zero matrix")
     pat = graded_component(matrix, ctx, d).pattern
-    basis = kernel_flag_basis(pat)
+    basis = ref_kernel_flag_basis(pat)
     if basis is None:
         raise FormalConnError("leading coefficient has no kernel flag")
     h = LaurentMatrix.from_scalar_matrix([[basis[j][i] for j in range(n)] for i in range(n)])
@@ -583,9 +582,11 @@ def _ref_reframe(matrix, gauge, perm, shift):
 def ref_fundamental_stratum(conn):
     """The lattice-chain descent of connections.fundamental_stratum on
     series matrices: every round reads the order table and the graded
-    component off a LaurentMatrix, shears and relabels it entry by entry
-    and applies the kernel-flag basis change by constant_product, which
-    writes the matrix and the gauge out and reads them back."""
+    component off a LaurentMatrix, shears and relabels it entry by entry,
+    decides nilpotency by ref_is_nilpotent, and applies its own
+    Fraction-level kernel-flag basis change (knullspace of the powers,
+    then kinverse) by constant_product, which writes the matrix and the
+    gauge out and reads them back."""
     conn = conn.standardized()
     n = conn.n
     matrix, gauge = conn.matrix, LaurentMatrix.identity(n)
@@ -608,10 +609,43 @@ def ref_fundamental_stratum(conn):
                 filtration_degree(matrix, ctx)
             return gauge, cur, Stratum(ctx, 0, matrix, conn.nu)
         beta = graded_component(matrix, ctx, a)
-        if not beta.is_nilpotent():
+        if not ref_is_nilpotent(beta.pattern):
             return gauge, cur, Stratum(ctx, -a, matrix, conn.nu)
-        g, g_inv = connections._flag_levi(beta.pattern, blocks)
+        g, g_inv = _ref_flag_levi(beta.pattern, blocks)
         matrix, gauge = constant_product(g_inv, matrix, g), constant_product(g_inv, gauge)
+
+
+def ref_kernel_flag_basis(pat):
+    """The basis of linalg.kernel_flag_basis on field values, each vector
+    1 at its last nonzero coordinate: round k keeps the knullspace
+    vectors of pat^k that are independent of the basis so far (the
+    pivot columns of rref); None when a round adds none short of n."""
+    n = len(pat)
+    basis, power = [], pat
+    while True:
+        cand = basis + knullspace(power)
+        _, pivots = rref([[v[i] for v in cand] for i in range(n)])
+        if len(pivots) == len(basis):
+            return None
+        basis = [cand[p] for p in pivots]
+        if len(basis) == n:
+            return basis
+        power = kmatmul(power, pat)
+
+
+def _ref_flag_levi(pat, blocks):
+    """(g, g^-1) of connections._flag_levi as field matrices: the
+    columns of g are ref_kernel_flag_basis(pat), each at a slot of the
+    phase class of its first nonzero coordinate."""
+    n = len(pat)
+    starts = list(itertools.accumulate(blocks, initial=0))
+    free = [iter(range(starts[k], starts[k + 1])) for k in range(len(blocks))]
+    cols = [None] * n
+    for vec in ref_kernel_flag_basis(pat):
+        u = next(i for i, c in enumerate(vec) if not is_zero(c))
+        cols[next(free[next(k for k in range(len(blocks)) if u < starts[k + 1])])] = vec
+    g = [[cols[j][i] for j in range(n)] for i in range(n)]
+    return g, kinverse(g)
 
 
 # -- reference orbit search ---------------------------------------------------

@@ -27,7 +27,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from formalconn.connections import FormalConnection, fundamental_stratum, gauge_transform
+from formalconn.connections import FormalConnection, fundamental_stratum, gauge_transform, slope
 from formalconn.errors import PrecisionError
 from formalconn.linalg import kinverse
 from formalconn.matrices import LaurentMatrix, constant_product
@@ -270,6 +270,40 @@ def test_integer_descent_matches_series_descent(mat):
     conn = FormalConnection(mat)
     assert _descent_record(fundamental_stratum, conn) == \
         _descent_record(ref_fundamental_stratum, conn)
+
+
+def _slope_record(fn, conn):
+    """The slope, or the exception type with its needed and short_by."""
+    try:
+        return fn(conn)
+    except Exception as exc:  # the exception is part of the outcome
+        return type(exc), getattr(exc, "needed", None), getattr(exc, "short_by", None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(descent_matrix(6), descent_matrix(6, gaussians), windowed_gauged_type(),
+                 descent_matrix(5, quintic)))
+def test_slope_matches_fundamental_stratum(mat):
+    # slope runs the descent with no gauge and certifies the last round
+    # on the integer form; fundamental_stratum writes both and builds the
+    # stratum, so the two take different paths to the same answer
+    conn = FormalConnection(mat)
+    assert _slope_record(slope, conn) == \
+        _slope_record(lambda c: fundamental_stratum(c)[2].slope, conn)
+
+
+def test_slope_at_a_window_on_the_residue():
+    # a depth-zero chain found only with windows on the residue: slope
+    # writes the matrix as fundamental_stratum does, and raises its error
+    # with the same needed and short_by unless a known entry certifies
+    # the filtration degree
+    zero, t = LaurentScalar.zero, LaurentScalar.t_power
+    for rows, want in (([[zero(0), t(-3)], [zero(), zero()]], Fraction(0)),
+                       ([[zero(0)]], (PrecisionError, None, None)),
+                       ([[zero(0), zero()], [zero(), t(1)]], (PrecisionError, 1, 1))):
+        conn = FormalConnection(LaurentMatrix(rows))
+        assert _slope_record(slope, conn) == want
+        assert _slope_record(lambda c: fundamental_stratum(c)[2].slope, conn) == want
 
 
 def test_shear_term_enters_only_above_the_window():

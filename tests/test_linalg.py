@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from formalconn.connections import _flag_levi
 from formalconn.linalg import (charpoly, kernel_flag_basis, kinverse, kmatmul, knullspace,
-                               ksolve, minpoly, rref)
+                               ksolve, minpoly, read_matrix, ring_of, rref)
 from formalconn.matrices import LaurentMatrix, constant_product
 from formalconn.parahoric import GradedEndo, standard_chain
 from formalconn.scalars import get_field, is_zero
@@ -196,9 +196,10 @@ def test_edge_cases():
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_kernel_flag_basis_matches_reference(data):
-    """The integer kernel flag equals the knullspace/rref construction
-    on field scalars, and its Levi change makes the pattern strictly
-    block upper triangular."""
+    """The integer kernel flag is proportional, column by column, to the
+    knullspace/rref construction on field scalars, and its Levi change,
+    normalised to 1 at each column's last nonzero coordinate, makes the
+    pattern strictly block upper triangular."""
     scalars, _ = data.draw(fields)
     n = data.draw(st.integers(1, 5))
     upper = [[data.draw(scalars) if j > i else Fraction(0) for j in range(n)]
@@ -214,10 +215,30 @@ def test_kernel_flag_basis_matches_reference(data):
         if len(basis) == n:
             break
         power = kmatmul(power, pat)
-    assert kernel_flag_basis(pat) == basis
-    g, g_inv = _flag_levi(pat, [n])
+    ring = ring_of(pat)
+    rows = read_matrix(ring, pat)[1]
+    got = [[ring.scalar(x, 1) for x in vec] for vec in kernel_flag_basis(ring, rows)]
+    assert [[x / next(y for y in reversed(vec) if not is_zero(y)) for x in vec]
+            for vec in got] == basis
+    (den_inv, inv_rows), (den, g_rows) = _flag_levi(ring, rows, [n])
+    g = [[ring.scalar(x, den) for x in row] for row in g_rows]
+    g_inv = [[ring.scalar(x, den_inv) for x in row] for row in inv_rows]
+    assert [list(col) for col in zip(*g)] == basis
     assert kmatmul(g, g_inv) == [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    assert GradedEndo(kmatmul(kmatmul(g_inv, pat), g), 0, standard_chain((n,))).is_nilpotent()
+    conj = kmatmul(kmatmul(g_inv, pat), g)
+    assert GradedEndo(conj, 0, standard_chain((n,))).is_nilpotent()
+    assert all(is_zero(conj[i][j]) for i in range(n) for j in range(i + 1))
+
+
+def test_kernel_flag_basis_of_a_pattern_that_is_not_nilpotent():
+    # ker(pat) = ker(pat^2) is the first coordinate, short of the whole space
+    for pat in ([[0, 1, 0], [0, 0, 0], [0, 0, 1]],
+                [[QI.from_coords([0, 0]), QI.from_coords([1, 1])],
+                 [QI.from_coords([0, 0]), QI.from_coords([0, 2])]]):
+        ring = ring_of(pat)
+        rows = read_matrix(ring, pat)[1]
+        assert kernel_flag_basis(ring, rows) is None
+        assert _flag_levi(ring, rows, [len(pat)]) is None
 
 
 @st.composite
