@@ -41,16 +41,16 @@ from functools import reduce
 from .errors import (NotInFiltration, NotRegular, NotSplit, ParseError, PrecisionError,
                      SingularGauge)
 from .formal_types import FormalType
-from .linalg import integer_ring, inverse_form, kernel_flag_basis, over_one_den
+from .linalg import integer_ring, kernel_flag_basis, over_one_den, solve_form
 from .matrices import IntMatrix, LaurentMatrix, constant_product
 from .parahoric import (certifying_window, fildeg_certified, filtration_degree,
                         graded_component, standard_chain)
 from .scalars import get_field, is_zero, scalar_inverse, sort_key
 from .series import INF, LaurentScalar, OneForm, default_precision
 from .strata import Stratum, infer_field, is_regular, pure_leading
-from .torus import (ToralElement, TorusData, block_levels, gauge_levels, graded_pattern_solve,
-                    level_entries, level_pattern, level_sum, levels_matrix, negated,
-                    pattern_level, unipotent_times)
+from .torus import (ToralElement, TorusData, block_levels, gauge_levels, graded_solver,
+                    level_entries, level_sum, levels_matrix, negated, pattern_level,
+                    unipotent_times)
 
 
 class FormalConnection:
@@ -317,7 +317,7 @@ def _flag_levi(ring, pat, blocks):
     den, g_t = over_one_den(ring, [(vec, next(x for x in reversed(vec) if x)) for vec in cols])
     g = [list(row) for row in zip(*g_t)]
     # g^-1 = den (den g)^-1
-    den_inv, g_inv = inverse_form(ring, g)
+    _, den_inv, g_inv, _ = solve_form(ring, g, n)
     return (den_inv, [[ring.scale(den, x) for x in row] for row in g_inv]), (den, g)
 
 
@@ -453,9 +453,10 @@ def split_connection(conn, ctx, r, slot_lists, digits=8):
     matrix to the session precision (default_precision() t-digits).
     Each level d from 1 - r up to the target 1 - r + digits loses its
     off-block part by the gauge 1 - X, X at level d + r solving
-    ad(X)(lead) - d X = off-block part (torus.graded_pattern_solve, the
-    shift -d entering only at depth zero); an unsolvable level raises
-    NotSplit.  The gauge acts by the level recurrence of
+    ad(X)(lead) - d X = off-block part in integers (torus.graded_solver,
+    which eliminates each level class once: d mod e, and d itself at
+    depth zero, where alone the shift -d enters); an unsolvable level
+    raises NotSplit.  The gauge acts by the level recurrence of
     ``torus.gauge_levels``, with no inverse, and moves only the levels
     from d on, so one pass in order clears them all.  Both the matrix
     and the gauge, seeded at the identity, stay integer levels until
@@ -485,18 +486,17 @@ def split_connection(conn, ctx, r, slot_lists, digits=8):
     ring = integer_ring(infer_field(conn.matrix))
     cur = block_levels(conn.matrix, below, ctx, ring)
     gauge = {0: pattern_level([[int(u == v) for v in range(n)] for u in range(n)], 0, ctx, ring)}
-    zero = ring.const(0)
+    solve = graded_solver(pattern_level(lead, -r, ctx, ring), ctx, r, ring,
+                          keep=lambda u, v: part_of[u] != part_of[v])
     for d in range(min(cur, default=target), target):
-        den, nums = cur.get(d, (1, []))
-        off = [c if part_of[u] != part_of[v] else zero
-               for c, (u, v) in zip(nums, level_entries(d, ctx))]
-        if not any(off):
+        level = cur.get(d)
+        if level is None or not any(c for c, (u, v) in zip(level[1], level_entries(d, ctx))
+                                    if part_of[u] != part_of[v]):
             continue
-        x = graded_pattern_solve(lead, level_pattern((den, off), d, ctx, ring), ctx, d, r,
-                                 keep=lambda u, v: part_of[u] != part_of[v], shift=-d)
+        x = solve(d, level, -d)
         if x is None:
             raise NotSplit("resonant obstruction at level %d" % (d + r))
-        neg_x = negated(pattern_level(x, d + r, ctx, ring), ring)
+        neg_x = negated(x, ring)
         cur = gauge_levels(cur, d + r, neg_x, below, ctx, ring)
         gauge = unipotent_times(d + r, neg_x, gauge, INF, ctx, ring)
     return (levels_matrix(gauge, n, ctx, ring),
@@ -571,14 +571,16 @@ def _pure_block_reduce(mat, ctx, r, parts, field, digits):
     from 1 - r through ``digits`` is then cleared.  The mean c of a
     part's slots is its Cartan part: for v <= 0 it goes into that part's
     q, for v > 0 the gauge 1 + (e c / v) varpi^v cancels it through its
-    derivative term.  The rest of the level is the target of the graded ad-equation
-    against the leading level, with the graded derivative -v X at depth
-    zero (torus.graded_pattern_solve, the one crossing to field values
-    per level), and the gauge 1 - X removes it.  Gauges act by the
-    level recurrence of ``torus.gauge_levels``, without an inverse;
-    their product P <- (1 + X) P is kept below level e w, with w =
-    ceil((digits + r + e) / e), and cut to t^w: the levels above move
-    the result only beyond level digits.
+    derivative term.  The rest of the level is the target of the graded
+    ad-equation against the leading level, with the graded derivative -v
+    X at depth zero, solved in integers by torus.graded_solver, which
+    eliminates each level class once (v mod e, and v itself at depth
+    zero, where alone the shift enters); the gauge 1 - X removes it, and
+    an unsolvable level raises NotRegular.  Gauges act by the level
+    recurrence of ``torus.gauge_levels``, without an inverse; their
+    product P <- (1 + X) P is kept below level e w, with w = ceil((digits
+    + r + e) / e), and cut to t^w: the levels above move the result only
+    beyond level digits.
 
     Raises PrecisionError when the window ends before level digits + 1,
     which the reduction consumes.  Returns (gauge, [dict of
@@ -610,11 +612,11 @@ def _pure_block_reduce(mat, ctx, r, parts, field, digits):
     if any(c != 1 for c in h):
         inv = [[scalar_inverse(h[u]) if u == v else 0 for v in range(n)] for u in range(n)]
         mat = constant_product(diag, mat, inv)
-        lead = graded_component(mat, ctx, -r).pattern
     ring = integer_ring(field)
     cur = block_levels(mat, below, ctx, ring)
     gauge = {0: pattern_level(diag, 0, ctx, ring)}
     zero = ring.const(0)
+    solve = graded_solver(cur.get(-r, (1, [zero] * (n * m))), ctx, r, ring)
     # the level slots of each part's own entries, by level mod e
     part_of = {u: k for k, slots in enumerate(parts) for u in slots}
     inner = [[[s for s, (u, v) in enumerate(level_entries(d, ctx))
@@ -643,8 +645,10 @@ def _pure_block_reduce(mat, ctx, r, parts, field, digits):
                 level = level_sum(level, negated((den * e, cartan), ring), ring)
         if not any(level[1]):
             continue
-        x = graded_pattern_solve(lead, level_pattern(level, v, ctx, ring), ctx, v, r, shift=-v)
-        xi = negated(pattern_level(x, v + r, ctx, ring), ring)
+        x = solve(v, level, -v)
+        if x is None:
+            raise NotRegular("graded ad-equation unsolvable at level %d" % v)
+        xi = negated(x, ring)
         cur = gauge_levels(cur, v + r, xi, below, ctx, ring)
         gauge = unipotent_times(v + r, xi, gauge, e * w, ctx, ring)
     return LaurentMatrix([[LaurentScalar(entry.truncate(w).coeffs) for entry in row]

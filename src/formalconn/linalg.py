@@ -355,16 +355,21 @@ def over_one_den(ring, pairs):
                  zip(pairs, (ring.scale(den // d, w) for d, w in recips))]
 
 
-def inverse_form(ring, rows):
-    """(den, rows') with rows' / den the inverse of the square matrix
-    ``rows`` of elements of ``ring``; None when it is singular."""
-    n = len(rows)
+def solve_form(ring, rows, width):
+    """The system rows x = b, ``rows`` integer rows over their first
+    ``width`` columns, eliminated once for every right-hand side:
+    (pivots, den, right, checks).  For an integer vector b the solution
+    that ksolve gives, zero at every free column, is right[k] . b / den
+    at column pivots[k]; b is consistent iff c . b = 0 for every row c
+    of ``checks``, the left kernel.  One fraction-free elimination of
+    [rows | 1] keeps the row transform; when every column is a pivot,
+    right / den is the inverse."""
     zero = ring.const(0)
-    red, pivots = _echelon(ring, [list(row) + [ring.one if i == j else zero for j in range(n)]
-                                  for i, row in enumerate(rows)], n)
-    if len(pivots) < n:
-        return None
-    return over_one_den(ring, [(row[n:], row[c]) for row, c in zip(red, pivots)])
+    red, pivots = _echelon(ring, [list(row) + [ring.one if i == j else zero
+                                               for j in range(len(rows))]
+                                  for i, row in enumerate(rows)], width)
+    den, right = over_one_den(ring, [(row[width:], row[c]) for row, c in zip(red, pivots)])
+    return pivots, den, right, [row[width:] for row in red[len(pivots):]]
 
 
 def kzeros(r, c):
@@ -422,9 +427,9 @@ def kinverse(mat):
     """The inverse matrix, or None if mat is singular."""
     ring = ring_of(mat)
     den, rows = read_matrix(ring, mat)
-    inv = inverse_form(ring, rows)
-    return None if inv is None else \
-        [[ring.scalar(ring.scale(den, x), inv[0]) for x in row] for row in inv[1]]
+    pivots, inv_den, inv, _ = solve_form(ring, rows, len(rows))
+    return None if len(pivots) < len(rows) else \
+        [[ring.scalar(ring.scale(den, x), inv_den) for x in row] for row in inv]
 
 
 def charpoly(mat):

@@ -51,7 +51,7 @@ class ParahoricContext:
     """A standard parahoric: chain data plus the phase vector and, for
     uniform chains, the shift generator of P^1."""
 
-    __slots__ = ("chain", "phases", "layout", "_varpi", "_classes")
+    __slots__ = ("chain", "phases", "layout", "_varpi", "_classes", "_memo")
 
     def __init__(self, chain, phases, layout):
         self.chain = chain
@@ -59,6 +59,7 @@ class ParahoricContext:
         self.layout = layout
         self._varpi = None
         self._classes = None
+        self._memo = {}
 
     # -- constructors ---------------------------------------------------
 
@@ -136,6 +137,15 @@ class ParahoricContext:
                 classes[p % e].append(u)
             self._classes = tuple(tuple(c) for c in classes)
         return self._classes
+
+    def memo(self, build, key):
+        """build(self, key), built once per context and kept with it, as
+        phase_classes is: index data that depends on the chain alone,
+        such as the gather plans of torus.level_product."""
+        value = self._memo.get((build, key))
+        if value is None:
+            value = self._memo[build, key] = build(self, key)
+        return value
 
     # -- the shift generator -----------------------------------------------
 

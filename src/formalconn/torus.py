@@ -27,9 +27,11 @@ varpi^(-r) is a cyclic difference system.
 A level is stored as ``(den, nums)``, integer numerators over one
 positive denominator, divided by their content after every update: an
 int per slot over Q, and over Q(zeta_m) the power-basis coordinates of
-an element of Z[zeta_m] (:func:`formalconn.linalg.integer_ring`).  Only
-reading a matrix in, writing it out and the graded solve
-(:func:`level_pattern`, :func:`pattern_level`) build field values.
+an element of Z[zeta_m] (:func:`formalconn.linalg.integer_ring`).  The
+graded ad-equation is eliminated on the integer lead once per level
+class and applied to each target level in integers
+(:func:`graded_solver`), so only reading a matrix in and writing it out
+build field values.
 """
 
 import functools
@@ -37,7 +39,7 @@ import math
 from fractions import Fraction
 
 from .errors import GcdViolation, NotRegular, PrecisionError
-from .linalg import knullspace, ksolve, ring_of
+from .linalg import knullspace, ring_of, solve_form
 from .matrices import LaurentMatrix
 from .parahoric import (ParahoricContext, filtration_degree, graded_component,
                         graded_monomials, pattern_to_matrix)
@@ -272,39 +274,80 @@ def graded_level_solve(lead, target, ctx, level, r, keep=None, shift=0):
 def graded_pattern_solve(pat, tgt, ctx, level, r, keep=None, shift=0):
     """The graded pattern of X at level + r with ad(X)(lead) + shift * X
     = target at ``level``, for lead with pattern ``pat`` at -r and the
-    target's pattern ``tgt``; None when the level is unsolvable.
+    target's pattern ``tgt``; None when the level is unsolvable.  The
+    patterns are read into levels (:func:`pattern_level`) and solved by
+    :func:`graded_solver`, one build and one apply."""
+    ring = ring_of(pat, tgt)
+    x = graded_solver(pattern_level(pat, -r, ctx, ring), ctx, r, ring, keep)(
+        level, pattern_level(tgt, level, ctx, ring), shift)
+    return None if x is None else level_pattern(x, level + r, ctx, ring)
+
+
+def graded_solver(lead, ctx, r, ring, keep=None):
+    """solve(level, target, shift=0): X's level at level + r with
+    ad(X)(lead) + shift * X = target at ``level``, for ``lead`` the level
+    -r of a level form on ``ctx``, or None when the target is
+    inconsistent.  X is the solution that ksolve gives, zero at every
+    free column.  The system depends on ``level`` only mod e and on
+    ``shift`` only at r = 0, so solve eliminates it once per such class
+    (:func:`_graded_system`) and solves each target by integer dot
+    products."""
+    systems = {}
+
+    def solve(level, target, shift=0):
+        key = level % ctx.period, shift if r == 0 else 0
+        if key not in systems:
+            systems[key] = _graded_system(lead, ctx, level, r, ring, keep, shift)
+        equations, size, plan, den, checks = systems[key]
+        b = [target[1][s] for s in equations]
+        if any(ring.dot(row, b) for row in checks):
+            return None
+        x = [ring.const(0)] * size
+        for s, row in plan:
+            x[s] = ring.dot(row, b)
+        return reduced(den * target[0], x, ring)
+
+    return solve
+
+
+def _graded_system(lead, ctx, level, r, ring, keep, shift):
+    """The graded ad-equation at ``level`` eliminated by solve_form:
+    (equation slots, size of X's level, (slot, row) per pivot, den, left
+    kernel rows); X's slot is row . b / (den * target den).
 
     Unknowns and equations sit on the graded monomial slots (u, v) with
-    keep(u, v) true (every slot when ``keep`` is None).  The graded
-    pattern of a product of homogeneous elements is the product of their
-    patterns, so with P = ``pat`` the column of the unknown E_uv is the
-    pattern E_uv P - P E_uv: row v of P moved to row u, minus column u of P
-    moved to column v, plus ``shift`` at (u, v) when r = 0 (for r > 0,
-    shift * X lies beyond ``level``).  No series product is formed.
-    """
-    slots = [(u, v) for (u, v, _) in graded_monomials(ctx, level + r)
-             if keep is None or keep(u, v)]
-    out_slots = [(u, v) for (u, v, _) in graded_monomials(ctx, level)
-                 if keep is None or keep(u, v)]
-    diag = Fraction(shift) if shift and r == 0 else None
-    mat_rows = []
-    for (uu, vv) in out_slots:
+    keep(u, v) true (every slot when ``keep`` is None), the unknowns in
+    the order of graded_monomials, on which the free columns depend.
+    With P the lead's pattern, the column of the unknown E_uv is the
+    pattern E_uv P - P E_uv: row v of P moved to row u, minus column u of
+    P moved to column v, plus ``shift`` at (u, v) when r = 0 (for r > 0,
+    shift * X lies beyond ``level``).  The equations carry the lead's
+    denominator, which moves into X's."""
+    den, nums = lead
+    zero = ring.const(0)
+    pat = {uv: c for c, uv in zip(nums, level_entries(-r, ctx)) if c}
+    slots = level_entries(level + r, ctx)
+    where = {uv: s for s, uv in enumerate(slots)}
+    unknowns = [(u, v) for (u, v, _) in graded_monomials(ctx, level + r)
+                if keep is None or keep(u, v)]
+    equations = [(s, uu, vv) for s, (uu, vv) in enumerate(level_entries(level, ctx))
+                 if keep is None or keep(uu, vv)]
+    diag = ring.const(shift * den) if r == 0 else zero
+    rows = []
+    for _, uu, vv in equations:
         row = []
-        for (u, v) in slots:
-            val = pat[v][vv] if uu == u else 0
+        for u, v in unknowns:
+            val = pat.get((v, vv), zero) if uu == u else zero
             if vv == v:
-                val = val - pat[uu][u]
-                if uu == u and diag is not None:
-                    val = val + diag
-            row.append(val if not is_zero(val) else Fraction(0))
-        mat_rows.append(row)
-    x = ksolve(mat_rows, [tgt[u][v] for (u, v) in out_slots])
-    if x is None:
-        return None
-    out = [[Fraction(0)] * ctx.n for _ in range(ctx.n)]
-    for coeff, (u, v) in zip(x, slots):
-        out[u][v] = coeff
-    return out
+                val = ring.add(val, ring.neg(pat.get((uu, u), zero)))
+                if uu == u and diag:
+                    val = ring.add(val, diag)
+            row.append(val)
+        rows.append(row)
+    pivots, sden, right, checks = solve_form(ring, rows, len(unknowns))
+    return ([s for s, _, _ in equations], len(slots),
+            [(where[unknowns[c]], [ring.scale(den, x) for x in row])
+             for c, row in zip(pivots, right)], sden, checks)
 
 
 def delta_kernel_dimension(e, r):
@@ -339,6 +382,12 @@ def level_sum(a, b, ring):
         xs = a[1] if den == g else [ring.scale(den // g, x) for x in a[1]]
         ys = nums if a[0] == g else [ring.scale(a[0] // g, y) for y in nums]
         den, nums = a[0] // g * den, [ring.add(x, y) for x, y in zip(xs, ys)]
+    return reduced(den, nums, ring)
+
+
+def reduced(den, nums, ring):
+    """The level nums / den, den > 0, divided by the gcd of den and the
+    content of nums."""
     g = math.gcd(den, ring.content(nums))
     return (den, nums) if g == 1 else (den // g, [ring.exact_div(x, g) for x in nums])
 
@@ -405,23 +454,34 @@ def level_product(x, b, y, ctx, ring):
     (k, j) of x times slot (v, i) of y over the rows k of column v at
     level b, i the slot of k in its class.  On the complete chain (m =
     1) this is varpi^a diag(x) * varpi^b diag(y) = varpi^(a+b) diag(z)
-    with z[q] = x[(q - b) mod e] y[q]."""
-    e, m, phases, classes = ctx.period, ctx.n // ctx.period, ctx.phases, ctx.phase_classes
+    with z[q] = x[(q - b) mod e] y[q].  The offsets k m come from the
+    context's gather plan for b mod e (:func:`_gather_plan`)."""
+    m = ctx.n // ctx.period
     (dx, xs), (dy, ys) = x, y
-    zero = ring.const(0)
+    plan = ctx.memo(_gather_plan, b % ctx.period)
+    mul, zero = ring.mul, ring.const(0)
+    if m == 1:
+        return dx * dy, [mul(xs[k], c) if c else zero for (k,), c in zip(plan, ys)]
     z = []
-    for v in range(ctx.n):
-        col = [(k * m, c) for k, c in zip(classes[(phases[v] + b) % e], ys[v * m:(v + 1) * m])
-               if c]
-        if len(col) == 1:
-            (k, c), = col
-            z.extend([ring.mul(a, c) if a else zero for a in xs[k:k + m]])
-        elif col:
-            ks, cs = zip(*col)
+    for v, ks in enumerate(plan):
+        cs = ys[v * m:(v + 1) * m]
+        hits = m - cs.count(zero)
+        if hits == 1:
+            i = next(i for i, c in enumerate(cs) if c)
+            c, k = cs[i], ks[i]
+            z.extend([mul(a, c) if a else zero for a in xs[k:k + m]])
+        elif hits:
             z.extend([ring.dot([xs[k + j] for k in ks], cs) for j in range(m)])
         else:
             z.extend([zero] * m)
     return dx * dy, z
+
+
+def _gather_plan(ctx, b):
+    """For each column v, the offsets k m of the rows k of column v at
+    level b mod e, the phase class of phase(v) + b."""
+    e, m, phases, classes = ctx.period, ctx.n // ctx.period, ctx.phases, ctx.phase_classes
+    return tuple(tuple(k * m for k in classes[(phases[v] + b) % e]) for v in range(ctx.n))
 
 
 def unipotent_times(ell, xi, levels, below, ctx, ring):

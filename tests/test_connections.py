@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from formalconn.connections import (FormalConnection, contained_stratum,
                                     diagonalize, fundamental_stratum,
                                     gauge_transform, slope, split_connection)
-from formalconn import connections
+from formalconn import connections, torus
 from formalconn.errors import NotRegular, NotSplit, PrecisionError, SingularGauge
 from formalconn.formal_types import FormalType
 from formalconn.matrices import LaurentMatrix, pairing
@@ -23,8 +23,8 @@ from formalconn.series import INF, LaurentScalar, OneForm
 from formalconn.strata import Stratum, infer_field, is_regular
 from formalconn.torus import ToralElement, TorusData
 
-from helpers import (LS, katz_slope_oracle, lmat, random_matrix, random_unit_matrix,
-                     ref_split_connection, seeded)
+from helpers import (LS, katz_slope_oracle, lmat, random_matrix, random_regular_type,
+                     random_unit_matrix, ref_split_connection, seeded)
 
 BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
@@ -302,6 +302,39 @@ def test_diagonalize_resonant_rejected():
     base = lmat([[[(0, 1)], [(1, 1)]], [[], [(0, 0)]]])
     with pytest.raises(NotRegular):
         diagonalize(FormalConnection(base), digits=4)
+
+
+def test_pure_block_reduce_names_an_unsolvable_level():
+    """At depth zero, against the residue diag(0, 1), the graded equation
+    for X_01 at level 1 is (1 - 0 - 1) x = 1: resonant.  The level loop
+    raises NotRegular naming the level, not a TypeError from the
+    solver's None."""
+    mat = lmat([[[], [(1, 1)]], [[], [(0, 1)]]])
+    with pytest.raises(NotRegular, match="at level 1$"):
+        connections._pure_block_reduce(mat, standard_chain([2]), 0, [[0], [1]],
+                                       get_field("Q"), 2)
+
+
+@pytest.mark.parametrize("seed, n, e, r", [(40, 4, 4, 5), (41, 4, 1, 1)])
+def test_diagonalize_eliminates_once_per_level_class(monkeypatch, seed, n, e, r):
+    """The level loop eliminates each level class once (its keep is None
+    and r > 0, so the class is v mod e) and solves every level of the
+    class with it: at most e eliminations per diagonalize, counted at
+    linalg.solve_form as torus calls it."""
+    calls = []
+    build = torus.solve_form
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(torus, "solve_form", counted)
+    rng = seeded(seed)
+    ft = random_regular_type(rng, n, e, r)
+    conn = gauge_transform(random_unit_matrix(rng, n, depth=2), FormalConnection(ft.realization()))
+    res = diagonalize(conn, digits=r + 3)
+    assert res.formal_type.coeffs == ft.coeffs
+    assert 0 < len(calls) <= e
 
 
 def test_one_form_rescaling():

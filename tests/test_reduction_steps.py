@@ -37,8 +37,8 @@ from formalconn.scalars import congruent_mod_z, get_field, sort_key
 from formalconn.series import INF, LaurentScalar, OneForm
 from formalconn.strata import off_block_filtration_ok, reduce_stratum, split_stratum
 from formalconn.torus import (ToralElement, TorusData, block_levels, gauge_levels,
-                              graded_level_solve, level_product, levels_matrix,
-                              tame_corestriction)
+                              graded_level_solve, graded_solver, level_entries, level_product,
+                              levels_matrix, tame_corestriction)
 
 from helpers import (ref_ext_inverse, ref_gauge_transform, ref_graded_level_solve,
                      ref_hensel_lift, ref_pure_block_reduce, ref_realization,
@@ -135,6 +135,79 @@ def test_graded_level_solve_matches_reference(data):
     new = graded_level_solve(lead, target, ctx, level, r, keep=keep, shift=shift)
     ref = ref_graded_level_solve(lead, target, ctx, level, r, keep=keep, shift=shift)
     assert same_matrix(new, ref)
+
+
+@st.composite
+def solver_chains(draw):
+    """A uniform chain with e in 1..4 and m in 1..2: a torus chain or
+    the grouped standard chain."""
+    e, m = draw(st.integers(1, 4)), draw(st.integers(1, 2))
+    return ParahoricContext.interleaved(e, m) if draw(st.booleans()) else standard_chain((m,) * e)
+
+
+def draw_level(data, ctx, ring, field):
+    """A random level of the level form on ctx, read into ``ring``."""
+    size = ctx.n * ctx.n // ctx.period
+    return ring.read(data.draw(st.lists(scalars(field), min_size=size, max_size=size)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_graded_solver_matches_ksolve(data):
+    """The graded solver, applied to a target level and to a target e
+    levels higher, gives at each the solution that ksolve gives on the
+    system of series products (ref_graded_level_solve), or None with
+    it; with keep None and with the keep of a block split (the parts are
+    the j-th slots of the phase classes), at every depth, over Q and
+    Q(i).  A target is random (mostly inconsistent where the
+    system has a kernel) or the image of a random kept X, so that the
+    choice of free columns shows.  The two levels share one elimination,
+    so a second target checks that the system moves with the level only
+    mod e."""
+    ctx = data.draw(solver_chains())
+    n = ctx.n
+    field = data.draw(st.sampled_from([Q, QI]))
+    ring = integer_ring(field)
+    r = data.draw(st.integers(0, 3))
+    level = data.draw(st.integers(-2, 3))
+    shift = data.draw(st.integers(-3, 3))
+    part = {u: j for cls in ctx.phase_classes for j, u in enumerate(cls)}
+    keep = data.draw(st.sampled_from([None, lambda u, v: part[u] != part[v]]))
+    lead = draw_level(data, ctx, ring, field)
+    lead_mat = levels_matrix({-r: lead}, n, ctx, ring)
+    solve = graded_solver(lead, ctx, r, ring, keep)
+    for d in (level, level + ctx.period):
+        if data.draw(st.booleans()):
+            target = draw_level(data, ctx, ring, field)
+        else:
+            den, nums = draw_level(data, ctx, ring, field)
+            kept = [c if keep is None or keep(u, v) else ring.const(0)
+                    for c, (u, v) in zip(nums, level_entries(d + r, ctx))]
+            xm = levels_matrix({d + r: (den, kept)}, n, ctx, ring)
+            image = xm * lead_mat - lead_mat * xm
+            if r == 0:
+                image = image + xm * Fraction(shift)
+            target = block_levels(image, d + 1, ctx, ring).get(d, (1, [ring.const(0)] * len(nums)))
+        x = solve(d, target, shift)
+        ref = ref_graded_level_solve(lead_mat, levels_matrix({d: target}, n, ctx, ring), ctx, d, r,
+                                     keep=keep, shift=shift)
+        assert same_matrix(None if x is None else levels_matrix({d + r: x}, n, ctx, ring), ref)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_graded_solver_refuses_an_inconsistent_target(data):
+    """At depth r > 0 every ad(X)(lead) is trace free, so a scalar target
+    c at a level of the Cartan slots (level = 0 mod e) is inconsistent,
+    whatever the lead: the solver returns None."""
+    ctx = data.draw(solver_chains())
+    field = data.draw(st.sampled_from([Q, QI]))
+    ring = integer_ring(field)
+    r = data.draw(st.integers(1, 3))
+    level = ctx.period * data.draw(st.integers(-1, 2))
+    c = data.draw(nonzero_scalars(field))
+    target = ring.read([c if u == v else 0 for u, v in level_entries(level, ctx)])
+    assert graded_solver(draw_level(data, ctx, ring, field), ctx, r, ring)(level, target) is None
 
 
 @settings(max_examples=150, deadline=None)
@@ -325,20 +398,34 @@ def test_block_levels_round_trip(data):
                for den, nums in levels.values())
 
 
-@settings(max_examples=100, deadline=None)
+@st.composite
+def product_chains(draw):
+    """A uniform chain of one of three shapes: the complete chain (m = 1,
+    e <= 4, every e = n item of diagonalize), the maximal chain (e = 1,
+    m <= 4) or a mixed one (e, m >= 2); a torus chain or grouped."""
+    e, m = draw(st.sampled_from([(e, 1) for e in range(1, 5)] + [(1, m) for m in range(2, 5)] +
+                                [(2, 2), (2, 3), (3, 2)]))
+    return ParahoricContext.interleaved(e, m) if draw(st.booleans()) else standard_chain((m,) * e)
+
+
+@settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_level_product_is_the_matrix_product(data):
-    """varpi^a diag(x) varpi^b diag(y) is one level, in either order of a
-    single-level X against a level of A."""
-    e = data.draw(st.integers(1, 4))
+    """The level product of x at a and y at b is the series product of
+    the two levels, over Q, Q(i), Q(zeta_3) and Q(zeta_5).  Zero slots
+    are frequent, so columns of y with no, one and several nonzero
+    entries all occur."""
+    ctx = data.draw(product_chains())
+    n = ctx.n
     field = data.draw(st.sampled_from(LEVEL_FIELDS))
     ring = integer_ring(field)
     a, b = data.draw(st.integers(-5, 5)), data.draw(st.integers(-5, 5))
-    x = ring.read(data.draw(st.lists(scalars(field), min_size=e, max_size=e)))
-    y = ring.read(data.draw(st.lists(scalars(field), min_size=e, max_size=e)))
-    ctx = complete_chain(e)
-    prod = levels_matrix({a: x}, e, ctx, ring) * levels_matrix({b: y}, e, ctx, ring)
-    assert same_matrix(levels_matrix({a + b: level_product(x, b, y, ctx, ring)}, e, ctx, ring),
+    size = n * n // ctx.period
+    entries = st.one_of(st.just(Fraction(0)), scalars(field))
+    x = ring.read(data.draw(st.lists(entries, min_size=size, max_size=size)))
+    y = ring.read(data.draw(st.lists(entries, min_size=size, max_size=size)))
+    prod = levels_matrix({a: x}, n, ctx, ring) * levels_matrix({b: y}, n, ctx, ring)
+    assert same_matrix(levels_matrix({a + b: level_product(x, b, y, ctx, ring)}, n, ctx, ring),
                        prod)
 
 
@@ -387,9 +474,8 @@ def uniform_contexts(draw):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_level_form_on_uniform_chain(data):
-    """The level form of a matrix reads back to it, its least level is
-    the filtration degree, and the level product is the matrix product
-    of two levels."""
+    """The level form of a matrix reads back to it, and its least level
+    is the filtration degree."""
     ctx = data.draw(uniform_contexts())
     n = ctx.n
     field = data.draw(st.sampled_from(LEVEL_FIELDS))
@@ -399,13 +485,6 @@ def test_level_form_on_uniform_chain(data):
     assert same_matrix(levels_matrix(levels, n, ctx, ring), x)
     nonzero = [d for d, (_, nums) in levels.items() if any(nums)]
     assert min(nonzero, default=INF) == filtration_degree(x, ctx)
-    size = n * n // ctx.period
-    a, b = data.draw(st.integers(-4, 4)), data.draw(st.integers(-4, 4))
-    u = ring.read(data.draw(st.lists(scalars(field), min_size=size, max_size=size)))
-    v = ring.read(data.draw(st.lists(scalars(field), min_size=size, max_size=size)))
-    prod = levels_matrix({a: u}, n, ctx, ring) * levels_matrix({b: v}, n, ctx, ring)
-    assert same_matrix(levels_matrix({a + b: level_product(u, b, v, ctx, ring)}, n, ctx, ring),
-                       prod)
 
 
 @settings(max_examples=100, deadline=None)
