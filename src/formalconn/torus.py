@@ -31,7 +31,9 @@ an element of Z[zeta_m] (:func:`formalconn.linalg.integer_ring`).  The
 graded ad-equation is eliminated on the integer lead once per level
 class and applied to each target level in integers
 (:func:`graded_solver`), so only reading a matrix in and writing it out
-build field values.
+build field values.  :func:`graded_ad_solve` is one such solve against a
+toral lead, written straight into the Cartan slots, with the Cartan
+parts of the target and of the solution taken out in integers.
 """
 
 import functools
@@ -41,10 +43,9 @@ from fractions import Fraction
 from .errors import GcdViolation, NotRegular, PrecisionError
 from .linalg import knullspace, ring_of, solve_form
 from .matrices import LaurentMatrix
-from .parahoric import (ParahoricContext, filtration_degree, graded_component,
-                        graded_monomials, pattern_to_matrix)
+from .parahoric import ParahoricContext, filtration_degree, graded_component, graded_monomials
 from .scalars import format_scalar, is_zero, sort_key
-from .series import INF, LaurentScalar, OneForm
+from .series import INF, LaurentScalar
 
 
 class TorusData:
@@ -132,12 +133,7 @@ class ToralElement:
         (:func:`cartan_slots`).  Levels from ``prec`` on are unknown, so
         each entry is known to the order at which level ``prec`` starts."""
         torus = self.torus
-        vecs = {}
-        for j, block in enumerate(self.coeffs):
-            for d, c in block.items():
-                vec = vecs.setdefault(d, [0] * (torus.n * torus.m))
-                for k in cartan_slots(torus, j):
-                    vec[k] = c
+        vecs = _cartan_vectors(torus, self.coeffs)
         ring = ring_of(vecs.values())
         return levels_matrix({d: ring.read(vec) for d, vec in vecs.items()}, torus.n,
                              torus.context(), ring, self.prec)
@@ -185,8 +181,7 @@ def tame_corestriction(x, torus, nu):
     blocks = [{} for _ in range(torus.m)]
     for s in sorted(levels):
         den, nums = levels[s]
-        for j, blk in enumerate(blocks):
-            total = functools.reduce(ring.add, [nums[k] for k in cartan_slots(torus, j)])
+        for blk, total in zip(blocks, _cartan_sums(nums, torus, ring)):
             if total:
                 blk[s] = ring.scalar(total, e * den)
     return ToralElement(torus, blocks, prec)
@@ -197,6 +192,25 @@ def cartan_slots(torus, j):
     on ``torus.context()``: slot (j*e + q)*m + j is entry ((q - d) mod e,
     q) of block j, for q < e."""
     return [(j * torus.e + q) * torus.m + j for q in range(torus.e)]
+
+
+def _cartan_vectors(torus, blocks):
+    """{d: vector of level d} with block j's coefficient of varpi^d in
+    each Cartan slot of block j, for the per-block dicts ``blocks``."""
+    vecs = {}
+    for j, block in enumerate(blocks):
+        for d, c in block.items():
+            vec = vecs.setdefault(d, [0] * (torus.n * torus.m))
+            for k in cartan_slots(torus, j):
+                vec[k] = c
+    return vecs
+
+
+def _cartan_sums(nums, torus, ring):
+    """Per block j, the sum of the Cartan slots of block j in the level
+    numerators ``nums``: e times the level's Cartan part."""
+    return [functools.reduce(ring.add, [nums[k] for k in cartan_slots(torus, j)])
+            for j in range(torus.m)]
 
 
 def regular_depth(xi):
@@ -217,70 +231,63 @@ def regular_depth(xi):
     return r
 
 
-def graded_ad_solve(xi, y, ctx=None, nu=None):
+def graded_ad_solve(xi, y):
     """Solve ad(X)(xi) + pi_t(Y) = Y modulo P^(l-r+1) for X in P^l,
-    where l = fildeg(Y) + r and xi has regular leading term at depth -r.
+    where l = fildeg(Y) + r and xi has regular leading term at depth -r,
+    on the chain of ``xi.torus``.
 
-    The kernel ambiguity is fixed by requiring the solution's toral
-    component to vanish.  Returns the monomial representative of X.
+    The graded level of Y loses its Cartan part and is solved by
+    :func:`graded_solver`; the kernel ambiguity is fixed by removing the
+    Cartan part of the solution too.  Returns the monomial representative
+    of X.
     """
-    if nu is None:
-        nu = OneForm.dt_over_t()
     torus = xi.torus
-    if ctx is None:
-        ctx = torus.context()
+    ctx = torus.context()
     r = regular_depth(xi)
-    ell_minus_r = filtration_degree(y, ctx)
-    if ell_minus_r is INF:
+    level = filtration_degree(y, ctx)
+    if level is INF:
         return LaurentMatrix.zero(ctx.n)
-    pi_y = tame_corestriction(y, torus, nu)
-    sol = graded_level_solve(_leading_matrix(xi, r), y - pi_y.realization(), ctx,
-                             ell_minus_r, r)
-    if sol is None:
+    needed = -(-level // torus.e) + 1  # least window where tame_corestriction knows level
+    if needed > y.precision():
+        raise PrecisionError("Cartan part of level %d unknown" % level, needed=needed)
+    tgt = graded_component(y, ctx, level).pattern
+    ring = ring_of([xi.leading_at(r)], tgt)
+    x = graded_solver(_lead_level(xi, r, ring), ctx, r, ring)(
+        level, _without_cartan(pattern_level(tgt, level, ctx, ring), torus, ring))
+    if x is None:
         raise NotRegular("graded ad-equation unsolvable; leading term not regular")
-    # strip the toral component of the solution
-    pi_sol = tame_corestriction(sol, torus, nu)
-    if not pi_sol.is_zero():
-        sol = sol - pi_sol.realization()
-    return sol
+    return levels_matrix({level + r: _without_cartan(x, torus, ring)}, ctx.n, ctx, ring)
 
 
 def graded_ad_image_solve(xi, target, ctx, level):
     """Low-level: solve ad(X)(xi) = target on the graded piece at
-    ``level`` = fildeg(target); X in P^(level + r).  Returns None when
-    the target has a toral graded component (the kernel obstruction)."""
+    ``level`` = fildeg(target), on ``ctx`` = ``xi.torus.context()``; X in
+    P^(level + r).  Returns None when the target has a toral graded
+    component (the kernel obstruction)."""
     r = regular_depth(xi)
-    return graded_level_solve(_leading_matrix(xi, r), target, ctx, level, r)
-
-
-def _leading_matrix(xi, r):
-    return ToralElement(xi.torus, [{-r: a} for a in xi.leading_at(r)]).realization()
-
-
-def graded_level_solve(lead, target, ctx, level, r, keep=None, shift=0):
-    """Solve ad(X)(lead) + shift * X = target on the graded piece at
-    ``level``, for lead in P^(-r) and X in P^(level + r), by
-    :func:`graded_pattern_solve` on their graded patterns.  Returns the
-    monomial representative of X, or None when the level is
-    unsolvable."""
     tgt = graded_component(target, ctx, level)
     if tgt.is_zero():
         return LaurentMatrix.zero(ctx.n)
-    x = graded_pattern_solve(graded_component(lead, ctx, -r).pattern, tgt.pattern, ctx,
-                             level, r, keep, shift)
-    return None if x is None else pattern_to_matrix(ctx, x, level + r)
+    ring = ring_of([xi.leading_at(r)], tgt.pattern)
+    x = graded_solver(_lead_level(xi, r, ring), ctx, r, ring)(
+        level, pattern_level(tgt.pattern, level, ctx, ring))
+    return None if x is None else levels_matrix({level + r: x}, ctx.n, ctx, ring)
 
 
-def graded_pattern_solve(pat, tgt, ctx, level, r, keep=None, shift=0):
-    """The graded pattern of X at level + r with ad(X)(lead) + shift * X
-    = target at ``level``, for lead with pattern ``pat`` at -r and the
-    target's pattern ``tgt``; None when the level is unsolvable.  The
-    patterns are read into levels (:func:`pattern_level`) and solved by
-    :func:`graded_solver`, one build and one apply."""
-    ring = ring_of(pat, tgt)
-    x = graded_solver(pattern_level(pat, -r, ctx, ring), ctx, r, ring, keep)(
-        level, pattern_level(tgt, level, ctx, ring), shift)
-    return None if x is None else level_pattern(x, level + r, ctx, ring)
+def _lead_level(xi, r, ring):
+    """Level -r of xi's realization."""
+    return ring.read(_cartan_vectors(xi.torus, [{-r: c} for c in xi.leading_at(r)])[-r])
+
+
+def _without_cartan(level, torus, ring):
+    """The level less its Cartan part: each Cartan slot of block j less
+    the mean of them (:func:`_cartan_sums`)."""
+    den, nums = level
+    out = [ring.scale(torus.e, c) for c in nums]
+    for j, total in enumerate(_cartan_sums(nums, torus, ring)):
+        for k in cartan_slots(torus, j):
+            out[k] = ring.add(out[k], ring.neg(total))
+    return reduced(torus.e * den, out, ring)
 
 
 def graded_solver(lead, ctx, r, ring, keep=None):
@@ -429,18 +436,6 @@ def levels_matrix(levels, n, ctx, ring, below=INF):
     return LaurentMatrix([[LaurentScalar._raw(
         entries[u][v], INF if below is INF else -((phases[u] - phases[v] - below) // e))
         for v in range(n)] for u in range(n)])
-
-
-def level_pattern(level, d, ctx, ring):
-    """The graded pattern (as in :func:`parahoric.graded_component`) of
-    level d of a level form on ``ctx``, in field values."""
-    den, nums = level
-    zero = ring.scalar(ring.const(0), 1)
-    pat = [[zero] * ctx.n for _ in range(ctx.n)]
-    for c, (u, v) in zip(nums, level_entries(d, ctx)):
-        if c:
-            pat[u][v] = ring.scalar(c, den)
-    return pat
 
 
 def pattern_level(pat, d, ctx, ring):

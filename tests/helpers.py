@@ -48,8 +48,7 @@ from formalconn.scalars import (Ext, as_fraction, get_field, is_rational_value, 
                                 scalar_inverse, sort_key)
 from formalconn.series import INF, PRECISION_FLOOR, LaurentScalar, default_precision
 from formalconn.strata import Stratum, pure_leading, reduce_stratum
-from formalconn.torus import (ToralElement, TorusData, graded_ad_image_solve,
-                              graded_level_solve, tame_corestriction)
+from formalconn.torus import ToralElement, TorusData
 
 
 def LS(pairs, prec=INF):
@@ -855,9 +854,9 @@ def ref_split_connection(conn, ctx, r, slot_lists, digits=8):
         d = filtration_degree(off, ctx, stop_at=target)
         if d is INF or d >= target:
             break
-        x = graded_level_solve(lead_mat, off, ctx, d, r,
-                               keep=lambda u, v: part_of[u] != part_of[v],
-                               shift=-d if r == 0 else 0)
+        x = ref_graded_level_solve(lead_mat, off, ctx, d, r,
+                                   keep=lambda u, v: part_of[u] != part_of[v],
+                                   shift=-d if r == 0 else 0)
         if x is None:
             raise NotSplit("resonant obstruction at level %d" % (d + r))
         g = LaurentMatrix.identity(n) - x
@@ -904,7 +903,7 @@ def ref_pure_block_reduce(conn, ctx, r, field, digits):
         cur = gauge_transform(h, cur)
         p_total = h * p_total
     q = {-r: alpha} if not is_zero(alpha) else {}
-    lead = ToralElement(torus, [{-r: alpha}])
+    lead_mat = ref_realization(ToralElement(torus, [{-r: alpha}]))
     # the realization of q is rebuilt only when q changes, and each
     # remainder's tame corestriction gives both c and the target
     q_real = ToralElement(torus, [q]).realization()
@@ -918,7 +917,7 @@ def ref_pure_block_reduce(conn, ctx, r, field, digits):
         if d is INF or d > digits:
             break
         v = d
-        pi_rem = tame_corestriction(rem, torus, nu)
+        pi_rem = ref_tame_corestriction(rem, torus, nu)
         c = pi_rem.coeffs[0].get(v, field.zero())
         if not is_zero(c):
             if v <= 0:
@@ -937,7 +936,7 @@ def ref_pure_block_reduce(conn, ctx, r, field, digits):
             if d2 > v:
                 continue
             v = d2
-            pi_rem = tame_corestriction(rem, torus, nu)
+            pi_rem = ref_tame_corestriction(rem, torus, nu)
         target = rem - pi_rem.realization()
         try:
             tgt_deg = filtration_degree(target, ctx, stop_at=digits + 1)
@@ -945,7 +944,7 @@ def ref_pure_block_reduce(conn, ctx, r, field, digits):
             break
         if tgt_deg is INF or tgt_deg > v:
             continue
-        x = graded_ad_image_solve(lead, target * Fraction(-1), ctx, tgt_deg)
+        x = ref_graded_level_solve(lead_mat, target * Fraction(-1), ctx, tgt_deg, r)
         if x is None:
             raise NotRegular("pure reduction hit an unsolvable level")
         g = LaurentMatrix.identity(n) + x

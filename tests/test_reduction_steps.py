@@ -1,6 +1,6 @@
 """The steps of diagonalization against the reference steps of ``helpers``.
 
-The library solves each graded level on patterns, writes toral
+The library solves each graded level on integer levels, writes toral
 realizations and reads tame corestrictions through the level form,
 lifts Hensel factorizations digit by digit,
 gauges with two products instead of three, reduces pure blocks in the
@@ -28,17 +28,17 @@ from formalconn.connections import (FormalConnection, _pure_block_reduce, diagon
                                     fundamental_stratum, gauge_transform)
 from formalconn.errors import FormalConnError, NonsplitField, NotRegular, PrecisionError
 from formalconn.formal_types import FormalType
-from formalconn.linalg import integer_ring, kinverse
+from formalconn.linalg import integer_ring, kinverse, ring_of
 from formalconn.matrices import LaurentMatrix
 from formalconn.parahoric import (ParahoricContext, fildeg_certified, filtration_degree,
-                                  graded_monomials, standard_chain)
+                                  graded_component, graded_monomials, standard_chain)
 from formalconn.polys import hensel_lift, kpoly_deg, kpoly_gcd, kpoly_mul
 from formalconn.scalars import congruent_mod_z, get_field, sort_key
 from formalconn.series import INF, LaurentScalar, OneForm
 from formalconn.strata import off_block_filtration_ok, reduce_stratum, split_stratum
 from formalconn.torus import (ToralElement, TorusData, block_levels, gauge_levels,
-                              graded_level_solve, graded_solver, level_entries, level_product,
-                              levels_matrix, tame_corestriction)
+                              graded_solver, level_entries, level_product, levels_matrix,
+                              pattern_level, tame_corestriction)
 
 from helpers import (ref_ext_inverse, ref_gauge_transform, ref_graded_level_solve,
                      ref_hensel_lift, ref_pure_block_reduce, ref_realization,
@@ -115,7 +115,12 @@ def in_level(draw, ctx, level, coefficients, terms=3, windows=False):
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
-def test_graded_level_solve_matches_reference(data):
+def test_graded_solver_on_any_chain_matches_reference(data):
+    """The graded solver on patterns read into levels (pattern_level) and
+    its solution written back (levels_matrix) gives ksolve's solution on
+    the system of series products (ref_graded_level_solve), or None with
+    it, on grouped standard chains of any composition and torus chains,
+    for windowed targets, both keeps and shifts -3..3."""
     ctx = data.draw(contexts())
     field = data.draw(st.sampled_from([Q, QI]))
     r = data.draw(st.integers(0, 3))
@@ -132,8 +137,13 @@ def test_graded_level_solve_matches_reference(data):
     parts = data.draw(st.lists(st.integers(0, 2), min_size=ctx.n, max_size=ctx.n))
     keep = data.draw(st.sampled_from([None, lambda u, v: parts[u] != parts[v]]))
     shift = data.draw(st.integers(-3, 3))
-    new = graded_level_solve(lead, target, ctx, level, r, keep=keep, shift=shift)
     ref = ref_graded_level_solve(lead, target, ctx, level, r, keep=keep, shift=shift)
+    tgt = graded_component(target, ctx, level).pattern
+    pat = graded_component(lead, ctx, -r).pattern
+    ring = ring_of(pat, tgt)
+    x = graded_solver(pattern_level(pat, -r, ctx, ring), ctx, r, ring, keep)(
+        level, pattern_level(tgt, level, ctx, ring), shift)
+    new = None if x is None else levels_matrix({level + r: x}, ctx.n, ctx, ring)
     assert same_matrix(new, ref)
 
 
@@ -254,6 +264,16 @@ def test_realization_knows_exactly_the_degrees_below_prec(data):
                 assert entry.coeff_or_zero(w) != exact.rows[u][v].coeff_or_zero(w)
 
 
+# the entries of windowed_matrices, one strategy per field built once:
+# building a strategy per drawn entry costs more than the test itself
+WINDOWED_ENTRIES = {
+    field: st.builds(LaurentScalar,
+                     st.dictionaries(st.integers(-3, 3), st.one_of(scalars(field), rationals),
+                                     max_size=3),
+                     st.one_of(st.just(INF), st.integers(-4, 5)))
+    for field in (Q, QI, QZ3)}
+
+
 @st.composite
 def windowed_matrices(draw, n, field):
     """An n x n matrix whose entries may be known only to a window, which
@@ -261,16 +281,8 @@ def windowed_matrices(draw, n, field):
     matrix."""
     if draw(st.integers(0, 9)) == 0:
         return LaurentMatrix.zero(n)
-    rows = []
-    for _ in range(n):
-        row = []
-        for _ in range(n):
-            coeffs = draw(st.dictionaries(st.integers(-3, 3), st.one_of(scalars(field), rationals),
-                                          max_size=3))
-            prec = draw(st.one_of(st.just(INF), st.integers(-4, 5)))
-            row.append(LaurentScalar(coeffs, prec))
-        rows.append(row)
-    return LaurentMatrix(rows)
+    entries = WINDOWED_ENTRIES[field]
+    return LaurentMatrix([[draw(entries) for _ in range(n)] for _ in range(n)])
 
 
 @settings(max_examples=150, deadline=None)

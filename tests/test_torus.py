@@ -8,7 +8,7 @@ import pytest
 from formalconn.errors import NotRegular, PrecisionError
 from formalconn.matrices import LaurentMatrix, pairing
 from formalconn.parahoric import filtration_degree, in_filtration
-from formalconn.series import LaurentScalar, OneForm
+from formalconn.series import INF, LaurentScalar, OneForm
 from formalconn.scalars import get_field, sort_key
 from formalconn.torus import (ToralElement, TorusData, delta_kernel_dimension,
                               graded_ad_image_solve, graded_ad_solve, regular_depth,
@@ -188,6 +188,26 @@ def test_graded_ad_image_solve_obstruction():
     assert graded_ad_image_solve(xi, pure_cartan, ctx, 2) is None
     killed = lmat([[[(1, 1)], []], [[], [(1, -1)]]])  # trace-free diagonal slot
     assert graded_ad_image_solve(xi, killed, ctx, 2) is not None
+
+
+def test_graded_ad_solvers_at_the_boundary():
+    """A target whose graded level is cut by its window asks for the
+    window that decides it, a level beyond the window of the tame
+    corestriction is refused although its own slots are known, and the
+    zero target at level INF has the zero solution."""
+    torus = TorusData(1, 2)
+    xi = ToralElement(torus, [{-1: Fraction(2)}, {-1: Fraction(5)}])
+    y = LaurentMatrix([[LS([(1, 1)]), LS([], 1)], [LS([]), LS([])]])
+    with pytest.raises(PrecisionError) as info:
+        graded_ad_solve(xi, y)
+    assert info.value.needed == 2
+    # level 2 of the 2 x 2 complete chain is the diagonal at t^1, known;
+    # the window t^1 of entry (0, 1) leaves the corestriction below level 1
+    pure = ToralElement(TorusData(2, 1), [{-1: Fraction(1)}])
+    with pytest.raises(PrecisionError):
+        graded_ad_solve(pure, LaurentMatrix([[LS([(1, 1)]), LS([], 1)], [LS([]), LS([(1, -1)])]]))
+    zero = graded_ad_image_solve(xi, LaurentMatrix.zero(2), torus.context(), INF)
+    assert zero.is_zero()
 
 
 def test_delta_kernel_dimension_formula():
