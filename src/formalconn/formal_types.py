@@ -14,13 +14,13 @@ import math
 import warnings
 from fractions import Fraction
 
-from .errors import NonsplitField, NotRegular, ParseError, ShapeMismatch
+from .errors import ParseError, ShapeMismatch
 from .scalars import (congruent_mod_z, format_scalar, is_zero, parse_scalar,
                       scalar_coords, sort_key)
 from .series import LaurentScalar
 from .matrices import LaurentMatrix
-from .strata import Stratum, is_regular
-from .torus import TorusData, ToralElement
+from .strata import Stratum
+from .torus import TorusData, ToralElement, lead_collision
 
 
 class FormalType:
@@ -75,11 +75,6 @@ class FormalType:
             a == b for ra, rb in zip(self.coeffs, other.coeffs)
             for a, b in zip(ra, rb))
 
-    def sorted_blocks(self):
-        order = sorted(range(self.m), key=lambda j: tuple(sort_key(c) for c in self.coeffs[j]))
-        return FormalType(self.torus, self.depth,
-                          [self.coeffs[j] for j in order], self.field)
-
     def to_json(self):
         return {"e": self.e, "m": self.m, "r": self.depth,
                 "coeffs": [[format_scalar(c) for c in row] for row in self.coeffs]}
@@ -119,11 +114,6 @@ class WeylElement:
     @classmethod
     def identity(cls, m):
         return cls(tuple(range(m)), (0,) * m, (0,) * m)
-
-    def is_identity(self):
-        return (self.perm == tuple(range(len(self.perm)))
-                and all(g == 0 for g in self.galois)
-                and all(d == 0 for d in self.transl))
 
     def compose(self, other):
         """self after other: (self*other) . A = self . (other . A)."""
@@ -174,8 +164,11 @@ def _inverse_perm(perm):
 
 def validate_formal_type(a):
     """All invariants, with diagnostics: gcd(r,e) = 1 at positive depth,
-    nonzero regular leading data, the depth-zero mod-Z condition, and
-    regularity of the induced stratum."""
+    nonzero leading coefficients with pairwise distinct e-th powers
+    (:func:`formalconn.torus.lead_collision`), and at depth zero a split
+    torus and values pairwise incongruent modulo Z.  Together these are
+    the regularity of the induced stratum, which
+    :func:`formalconn.strata.is_regular` would decide by splitting it."""
     diags = []
     r, e = a.depth, a.e
     if r > 0:
@@ -184,8 +177,9 @@ def validate_formal_type(a):
         lead = a.leading()
         if any(is_zero(c) for c in lead):
             diags.append("a leading coefficient vanishes")
-        if len(set(map(sort_key, lead))) != len(lead):
-            diags.append("leading coefficients are not pairwise distinct")
+        clash = lead_collision(lead, e)
+        if clash:
+            diags.append(clash)
     else:
         if e != 1:
             diags.append("depth zero requires a split torus (e = 1)")
@@ -194,15 +188,6 @@ def validate_formal_type(a):
             for j in range(i + 1, len(vals)):
                 if congruent_mod_z(vals[i], vals[j]):
                     diags.append("coefficients %d and %d congruent modulo Z" % (i, j))
-    if not diags:
-        try:
-            report = is_regular(a.induced_stratum(), a.field)
-            if not report:
-                diags.append("induced stratum not regular: %s" % report.reason)
-        except NonsplitField as exc:
-            diags.append("regularity undecidable: %s" % exc)
-        except NotRegular as exc:
-            diags.append(str(exc))
     return (not diags), diags
 
 

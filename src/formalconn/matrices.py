@@ -58,10 +58,6 @@ class LaurentMatrix:
         return cls([[series if i == j else LaurentScalar.zero()
                      for j in range(n)] for i in range(n)])
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
-
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other):
@@ -100,12 +96,6 @@ class LaurentMatrix:
         """Apply t d/dt entrywise."""
         return LaurentMatrix([[a.tau() for a in r] for r in self.rows])
 
-    def precision(self):
-        return min((a.prec for r in self.rows for a in r), default=INF)
-
-    def min_order(self):
-        return min((a.order for r in self.rows for a in r), default=INF)
-
     def is_zero(self):
         return all(a.is_zero() for r in self.rows for a in r)
 
@@ -113,9 +103,6 @@ class LaurentMatrix:
         return all(a.agrees(b, through)
                    for ra, rb in zip(self.rows, other.rows)
                    for a, b in zip(ra, rb))
-
-    def coeff_matrix(self, k):
-        return [[a.coeff(k) for a in r] for r in self.rows]
 
     def inverse(self, digits=None):
         """Exact truncated inverse by Gauss-Jordan with valuation

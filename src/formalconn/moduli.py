@@ -45,22 +45,16 @@ class PrincipalPart:
     def __init__(self, point, part):
         if point != INFINITY:
             point = Fraction(point)
-        rows = []
-        for row in part.rows:
-            out = []
-            for entry in row:
-                if any(k > 0 for k in entry.support()):
-                    raise ParseError("principal part carries positive degrees")
-                if any(k < -MAX_POLE_ORDER for k in entry.support()):
-                    raise ParseError("principal part has a pole of order above %d"
-                                     % MAX_POLE_ORDER)
-                # degree 0 is killed by the residue pairing against the
-                # local maximal parahoric; store the canonical polar part
-                out.append(LaurentScalar({k: c for k, c in entry.coeffs.items()
-                                          if k <= -1}))
-            rows.append(out)
+        for entry in (x for row in part.rows for x in row):
+            if any(k > 0 for k in entry.support()):
+                raise ParseError("principal part carries positive degrees")
+            if any(k < -MAX_POLE_ORDER for k in entry.support()):
+                raise ParseError("principal part has a pole of order above %d" % MAX_POLE_ORDER)
         self.point = point
-        self.part = LaurentMatrix(rows)
+        # degree 0 is killed by the residue pairing against the local
+        # maximal parahoric; store the canonical polar part
+        self.part = LaurentMatrix([[LaurentScalar({k: c for k, c in x.coeffs.items() if k <= -1})
+                                    for x in row] for row in part.rows])
 
     @property
     def n(self):
@@ -202,20 +196,6 @@ class GlobalRationalMatrix:
             add(LaurentScalar.t_power(-k - 2, Fraction(-1)), mat)
         return LaurentMatrix(acc)
 
-    def principal_part_at(self, point):
-        """Local polar data (negative degrees of the local dt-matrix)."""
-        exp = self.local_expansion(point, 1)
-        n = self.n
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                entry = exp.rows[i][j]
-                row.append(LaurentScalar(
-                    {k: c for k, c in entry.coeffs.items() if k <= -1}))
-            rows.append(row)
-        return PrincipalPart(point, LaurentMatrix(rows))
-
     def to_json(self):
         return {
             "finite": [{"point": str(pt),
@@ -267,24 +247,17 @@ def assemble_global(cfg):
         if pp.point == INFINITY:
             inf_entry = pp
             continue
-        coeffs = []
-        depth = -pp.polar_orders()
-        for d in range(1, depth + 1):
-            coeffs.append([[pp.part.rows[i][j].coeff_or_zero(-d)
-                            for j in range(n)] for i in range(n)])
-        finite[pp.point] = coeffs
+        finite[pp.point] = [[[x.coeff_or_zero(-d) for x in row] for row in pp.part.rows]
+                            for d in range(1, -pp.polar_orders() + 1)]
     if inf_entry is not None:
         # w^(-d) dw terms, d >= 2, give polynomial coefficients -z^(d-2);
         # the w^(-1) coefficient is forced by the finite residues.
         depth = -inf_entry.polar_orders()
         for d in range(2, depth + 1):
-            c = [[inf_entry.part.rows[i][j].coeff_or_zero(-d)
-                  for j in range(n)] for i in range(n)]
             while len(poly) < d - 1:
                 poly.append(kzeros(n, n))
-            poly[d - 2] = [[-c[i][j] for j in range(n)] for i in range(n)]
-    out = GlobalRationalMatrix(n, finite, poly)
-    return out
+            poly[d - 2] = [[-x.coeff_or_zero(-d) for x in row] for row in inf_entry.part.rows]
+    return GlobalRationalMatrix(n, finite, poly)
 
 
 def check_framing(g_const, conn, formal_type):
@@ -317,51 +290,34 @@ def coadjoint_fixes(p, a_nu, ctx, i):
 
 def in_toral_congruence(p, torus, ctx, i, j, nu=None):
     """Decide p in T^i P^j (i < j) by peeling graded components: at each
-    level the image of p must be a Cartan pattern."""
+    level the image of p (of p - 1 above level 0) must be a Cartan
+    pattern, whose toral realization is then divided off."""
     if nu is None:
         nu = OneForm.dt_over_t()
-    n = ctx.n
-    q = p
-    lvl = i
+    one = LaurentMatrix.identity(ctx.n)
+    q, lvl = p, i
     while lvl < j:
-        if lvl == 0:
-            pat = graded_component(q, ctx, 0)
-            toral = tame_corestriction(_pattern_realization(ctx, pat, 0), torus, nu)
-            s_mat = toral.realization()
-            if not _pattern_matches(ctx, q, s_mat, 0):
-                return False
+        x, d = q, 0
+        if lvl:
+            x = q - one
             try:
-                q = q * s_mat.inverse()
-            except (PrecisionError, SingularGauge):
+                d = filtration_degree(x, ctx, stop_at=j)
+            except PrecisionError:
                 return False
-            lvl = 1
-            continue
-        x = q - LaurentMatrix.identity(n)
+            if d is INF or d >= j:
+                return True
+            if d < lvl:
+                return False
+        pattern = pattern_to_matrix(ctx, graded_component(x, ctx, d).pattern, d)
+        s_mat = tame_corestriction(pattern, torus, nu).realization()
+        if not in_filtration(x - s_mat, ctx, d + 1):
+            return False
         try:
-            d = filtration_degree(x, ctx, stop_at=j)
-        except PrecisionError:
+            q = q * (s_mat if lvl == 0 else one + s_mat).inverse()
+        except (PrecisionError, SingularGauge):
             return False
-        if d is INF or d >= j:
-            return True
-        if d < lvl:
-            return False
-        toral = tame_corestriction(_pattern_realization(ctx, graded_component(x, ctx, d), d),
-                                   torus, nu)
-        s_mat = toral.realization()
-        if not _pattern_matches(ctx, x, s_mat, d):
-            return False
-        q = q * (LaurentMatrix.identity(n) + s_mat).inverse()
         lvl = d + 1
     return True
-
-
-def _pattern_realization(ctx, graded, level):
-    return pattern_to_matrix(ctx, graded.pattern, level)
-
-
-def _pattern_matches(ctx, x, s_mat, level):
-    diff = x - s_mat
-    return in_filtration(diff, ctx, level + 1)
 
 
 def orbit_dimensions(formal_type, truncation):

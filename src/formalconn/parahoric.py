@@ -14,7 +14,6 @@ inside each of the n/e diagonal blocks.
 """
 
 import functools
-from fractions import Fraction
 
 from .errors import EmptyComposition, NotInFiltration, PrecisionError
 from .linalg import kernel_flag_basis, kmatmul, kzeros, read_matrix, ring_of
@@ -39,24 +38,22 @@ class LatticeChain:
         self.blocks = blocks
         self.period = len(blocks)
 
-    @property
-    def uniform(self):
-        return len(set(self.blocks)) == 1
-
     def __repr__(self):
         return "LatticeChain(n=%d, blocks=%r)" % (self.n, self.blocks)
 
 
 class ParahoricContext:
-    """A standard parahoric: chain data plus the phase vector and, for
-    uniform chains, the shift generator of P^1."""
+    """A standard parahoric: chain data and the phase vector, which decide
+    the lattices, the congruence ideals and the graded pieces, and for
+    uniform chains the shift generator varpi of P^1 and its powers (the
+    uniformizers).  :meth:`grouped` and :meth:`interleaved` build the
+    two standard layouts; any other phase vector may be given."""
 
-    __slots__ = ("chain", "phases", "layout", "_varpi", "_classes", "_memo")
+    __slots__ = ("chain", "phases", "_varpi", "_classes", "_memo")
 
-    def __init__(self, chain, phases, layout):
+    def __init__(self, chain, phases):
         self.chain = chain
         self.phases = tuple(phases)
-        self.layout = layout
         self._varpi = None
         self._classes = None
         self._memo = {}
@@ -65,26 +62,17 @@ class ParahoricContext:
 
     @classmethod
     def grouped(cls, blocks):
+        """The standard chain of a composition: phase e - 1 - b on block b."""
         blocks = tuple(blocks)
-        n = sum(blocks)
-        chain = LatticeChain(n, blocks)
-        e = len(blocks)
-        phases = []
-        for b_idx, size in enumerate(blocks):
-            phases.extend([e - 1 - b_idx] * size)
-        return cls(chain, phases, "grouped")
+        phases = [len(blocks) - 1 - b for b, size in enumerate(blocks) for _ in range(size)]
+        return cls(LatticeChain(sum(blocks), blocks), phases)
 
     @classmethod
     @functools.cache
     def interleaved(cls, e, m):
         """Torus-adapted context: m diagonal blocks of size e, each
         carrying the complete-chain phases; built once per shape."""
-        n = e * m
-        chain = LatticeChain(n, (m,) * e)
-        phases = []
-        for _ in range(m):
-            phases.extend(e - 1 - p for p in range(e))
-        return cls(chain, phases, "interleaved")
+        return cls(LatticeChain(e * m, (m,) * e), [e - 1 - p for _ in range(m) for p in range(e)])
 
     # -- basic data -------------------------------------------------------
 
@@ -98,30 +86,13 @@ class ParahoricContext:
 
     @property
     def uniform(self):
-        counts = {}
-        for p in self.phases:
-            counts[p] = counts.get(p, 0) + 1
-        return len(counts) == self.period and len(set(counts.values())) == 1
+        phases = set(self.phases)
+        return len(phases) == self.period and len({self.phases.count(p) for p in phases}) == 1
 
     def min_entry_order(self, u, v, level):
         """Smallest t-order allowed for entry (u, v) of P^level."""
         e = self.period
         return -((-(level + self.phases[v] - self.phases[u])) // e)
-
-    def lattice_exponents(self, j):
-        """Exponents m_u(j) such that L^j = sum t^(m_u) o e_u."""
-        e = self.period
-        return [-((-(j - p)) // e) for p in self.phases]
-
-    def translate(self, j):
-        """The chain reindexed by L[j]^i = L^(i+j).
-
-        Phases shift without normalization: the lattice set and the
-        congruence ideals are unchanged, only the base point moves, so
-        the translate of a normalized context (L^0 = o^n) is normalized
-        again only for j in e Z."""
-        return ParahoricContext(self.chain, tuple(p - j for p in self.phases),
-                                self.layout)
 
     def same_filtration(self, other):
         return self.period == other.period and self.phases == other.phases
@@ -183,7 +154,7 @@ class ParahoricContext:
         return out
 
     def __repr__(self):
-        return "ParahoricContext(blocks=%r, layout=%s)" % (self.chain.blocks, self.layout)
+        return "ParahoricContext(blocks=%r, phases=%r)" % (self.chain.blocks, self.phases)
 
 
 def standard_chain(blocks):
@@ -265,12 +236,6 @@ class GradedEndo:
         self.r = r
         self.ctx = ctx
 
-    def maps(self):
-        """The e maps Hom(Lbar^i, Lbar^(i+r)) as constant matrices."""
-        classes = self.ctx.phase_classes
-        return [[[self.pattern[ru][cu] for cu in src]
-                 for ru in classes[(c + self.r) % len(classes)]] for c, src in enumerate(classes)]
-
     def compose(self, other):
         """(self in degree r) o (other in degree s) -> degree r+s."""
         assert self.ctx.same_filtration(other.ctx)
@@ -325,12 +290,6 @@ def graded_monomials(ctx, r):
             if val % e == 0:
                 out.append((u, v, val // e))
     return out
-
-
-def monomial_matrix(ctx, u, v, order, coeff=Fraction(1)):
-    rows = [[LaurentScalar.zero() for _ in range(ctx.n)] for _ in range(ctx.n)]
-    rows[u][v] = LaurentScalar.t_power(order, coeff)
-    return LaurentMatrix(rows)
 
 
 def pattern_to_matrix(ctx, pattern, r):

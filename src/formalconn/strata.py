@@ -78,20 +78,6 @@ class Stratum:
     def graded_rep(self):
         return graded_component(self.beta, self.ctx, -self.r)
 
-    def translate_equal(self, other):
-        """Stratum equality: same depth, same chain up to translation,
-        same image in P^(-r)/P^(1-r).
-
-        Both contexts are base-point normalized (L^0 = o^n), and the
-        only normalized translates differ by multiples of e, which fix
-        the phase vector; so the chains coincide exactly and the graded
-        patterns (built from phase differences) compare directly."""
-        if self.r != other.r or self.n != other.n or self.e != other.e:
-            return False
-        if self.ctx.phases != other.ctx.phases:
-            return False
-        return self.graded_rep().pattern == other.graded_rep().pattern
-
     def to_json(self):
         return {"blocks": list(self.ctx.chain.blocks), "r": self.r,
                 "beta": self.beta.to_json(), "nu": self.nu.to_json()}
@@ -107,10 +93,6 @@ class StratumCharPoly:
 
     def __init__(self, poly):
         self.poly = kpoly_trim(poly)
-
-    @property
-    def degree(self):
-        return kpoly_deg(self.poly)
 
     def __repr__(self):
         return "StratumCharPoly(%s)" % kpoly_format(self.poly)
@@ -157,11 +139,8 @@ def reduce_stratum(s):
         return s
     e_new = s.e // g
     phases = tuple(p // g for p in s.ctx.phases)
-    counts = {}
-    for p in phases:
-        counts[p] = counts.get(p, 0) + 1
-    blocks = tuple(counts.get(e_new - 1 - b, 0) for b in range(e_new))
-    ctx = ParahoricContext(LatticeChain(s.n, blocks), phases, "grouped")
+    blocks = tuple(phases.count(e_new - 1 - b) for b in range(e_new))
+    ctx = ParahoricContext(LatticeChain(s.n, blocks), phases)
     return Stratum(ctx, s.r // g, s.beta, s.nu)
 
 
@@ -296,11 +275,8 @@ def _restrict_to_slots(ctx, mat, slots, r):
     # order slots so equal phases stay together, descending phase
     order = sorted(range(len(slots)), key=lambda i: (-sub_phases_raw[i], slots[i]))
     new_phases = [rank[sub_phases_raw[i] % e] for i in order]
-    counts = {}
-    for p in new_phases:
-        counts[p] = counts.get(p, 0) + 1
-    blocks = tuple(counts.get(e_new - 1 - b, 0) for b in range(e_new))
-    sub_ctx = ParahoricContext(LatticeChain(len(slots), blocks), new_phases, "grouped")
+    blocks = tuple(new_phases.count(e_new - 1 - b) for b in range(e_new))
+    sub_ctx = ParahoricContext(LatticeChain(len(slots), blocks), new_phases)
     picked = [slots[i] for i in order]
     sub = LaurentMatrix([[mat.rows[u][v] for v in picked] for u in picked])
     return sub_ctx, sub, picked

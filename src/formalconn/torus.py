@@ -169,13 +169,12 @@ def tame_corestriction(x, torus, nu):
     the chosen form (F-linearity moves the unit scalar through pi), so
     it is evaluated by the dt/t coefficient extraction on the level form
     of X on the interleaved chain: psi_s^i(X) is the mean of the Cartan
-    slots of block i at level s (:func:`cartan_slots`).  Every slot is
-    known below level e * x.precision() - (e - 1).
+    slots of block i at level s (:func:`cartan_slots`), known below
+    :func:`_cartan_window`.
     """
     if nu.order != -1:
         raise GcdViolation("tame corestriction requires a one-form of order -1")
-    e, known = torus.e, x.precision()
-    prec = INF if known is INF else e * known - (e - 1)
+    e, prec = torus.e, _cartan_window(x, torus)
     ring = ring_of([entry.coeffs.values() for row in x.rows for entry in row])
     levels = block_levels(x, prec, torus.context(), ring)
     blocks = [{} for _ in range(torus.m)]
@@ -192,6 +191,17 @@ def cartan_slots(torus, j):
     on ``torus.context()``: slot (j*e + q)*m + j is entry ((q - d) mod e,
     q) of block j, for q < e."""
     return [(j * torus.e + q) * torus.m + j for q in range(torus.e)]
+
+
+def _cartan_window(x, torus):
+    """The first level of x's level form on ``torus.context()`` with an
+    unknown Cartan slot: the least e * prec(u, v) + phase(u) - phase(v),
+    the level where entry (u, v)'s window starts, over the entries inside
+    the e x e diagonal blocks, the only ones that hold Cartan slots."""
+    e, phases = torus.e, torus.context().phases
+    return min((e * x.rows[u][v].prec + phases[u] - phases[v]
+                for b in range(0, torus.n, e) for u in range(b, b + e) for v in range(b, b + e)
+                if x.rows[u][v].prec is not INF), default=INF)
 
 
 def _cartan_vectors(torus, blocks):
@@ -213,10 +223,24 @@ def _cartan_sums(nums, torus, ring):
             for j in range(torus.m)]
 
 
+def lead_collision(lead, power):
+    """The diagnostic for the first two leading coefficients with equal
+    ``power``-th powers, or None.  At depth r > 0, y = beta^e t^r is
+    alpha_j^e on block j, so alpha and zeta alpha (zeta^e = 1) give
+    Galois-conjugate blocks; at depth zero y = beta (power 1)."""
+    seen = {}
+    for j, c in enumerate(lead):
+        i = seen.setdefault(sort_key(c ** power), j)
+        if i != j:
+            return "leading coefficients %d and %d have equal powers c^%d" % (i, j, power)
+    return None
+
+
 def regular_depth(xi):
     """Depth r of a toral element with regular leading term: leading
-    degree is -r, the per-block leading coefficients are nonzero and
-    pairwise distinct, and gcd(r, e) = 1 when r > 0."""
+    degree is -r, the per-block leading coefficients are nonzero, their
+    e-th powers (at r = 0 the coefficients themselves) are pairwise
+    distinct (:func:`lead_collision`), and gcd(r, e) = 1 when r > 0."""
     d0 = xi.min_degree()
     if d0 is INF or d0 > 0:
         raise NotRegular("toral element has no polar part")
@@ -224,8 +248,9 @@ def regular_depth(xi):
     lead = xi.leading_at(r)
     if any(is_zero(a) for a in lead) and xi.torus.m > 1:
         raise NotRegular("a block leading coefficient vanishes")
-    if len(set(map(sort_key, lead))) != len(lead):
-        raise NotRegular("leading coefficients are not pairwise distinct")
+    clash = lead_collision(lead, xi.torus.e if r > 0 else 1)
+    if clash:
+        raise NotRegular(clash)
     if r > 0 and math.gcd(r, xi.torus.e) != 1:
         raise GcdViolation("gcd(r, e) != 1")
     return r
@@ -239,7 +264,8 @@ def graded_ad_solve(xi, y):
     The graded level of Y loses its Cartan part and is solved by
     :func:`graded_solver`; the kernel ambiguity is fixed by removing the
     Cartan part of the solution too.  Returns the monomial representative
-    of X.
+    of X.  Raises PrecisionError when Y's level has an unknown Cartan
+    slot (:func:`_cartan_window`).
     """
     torus = xi.torus
     ctx = torus.context()
@@ -247,9 +273,10 @@ def graded_ad_solve(xi, y):
     level = filtration_degree(y, ctx)
     if level is INF:
         return LaurentMatrix.zero(ctx.n)
-    needed = -(-level // torus.e) + 1  # least window where tame_corestriction knows level
-    if needed > y.precision():
-        raise PrecisionError("Cartan part of level %d unknown" % level, needed=needed)
+    if level >= _cartan_window(y, torus):
+        # needed: the least window, common to all entries, that makes the level known
+        raise PrecisionError("Cartan part of level %d unknown" % level,
+                             needed=-(-level // torus.e) + 1)
     tgt = graded_component(y, ctx, level).pattern
     ring = ring_of([xi.leading_at(r)], tgt)
     x = graded_solver(_lead_level(xi, r, ring), ctx, r, ring)(

@@ -41,7 +41,7 @@ from formalconn.linalg import charpoly, kinverse, kmatmul, knullspace, ksolve, r
 from formalconn.matrices import LaurentMatrix, constant_product
 from formalconn.omodule import column_echelon
 from formalconn.parahoric import (filtration_degree, graded_component, graded_monomials,
-                                  monomial_matrix, pattern_to_matrix, standard_chain)
+                                  pattern_to_matrix, standard_chain)
 from formalconn.polys import (charpoly_series, hensel_lift, kpoly_deg, kpoly_divmod,
                               kpoly_factor, kpoly_gcdext, kpoly_mul, kpoly_sub, kpoly_trim)
 from formalconn.scalars import (Ext, as_fraction, get_field, is_rational_value, is_zero,
@@ -73,6 +73,26 @@ def random_series(rng, lo=-2, hi=3, density=0.6, denom=3, prec=INF):
 def random_matrix(rng, n, lo=-2, hi=3, density=0.6, prec=INF):
     return LaurentMatrix([[random_series(rng, lo, hi, density, prec=prec)
                            for _ in range(n)] for _ in range(n)])
+
+
+def monomial_matrix(ctx, u, v, order, coeff=Fraction(1)):
+    """The n x n matrix with coeff t^order at (u, v) and zero elsewhere."""
+    rows = [[LaurentScalar.zero() for _ in range(ctx.n)] for _ in range(ctx.n)]
+    rows[u][v] = LaurentScalar.t_power(order, coeff)
+    return LaurentMatrix(rows)
+
+
+def principal_part_at(g, point):
+    """The polar part (the negative degrees) of the local dt-matrix of the
+    global rational matrix g at ``point``."""
+    return LaurentMatrix([[LaurentScalar({k: c for k, c in entry.coeffs.items() if k <= -1})
+                           for entry in row] for row in g.local_expansion(point, 1).rows])
+
+
+def sorted_blocks(a):
+    """The formal type a with its blocks in sort_key order."""
+    order = sorted(range(a.m), key=lambda j: tuple(map(sort_key, a.coeffs[j])))
+    return FormalType(a.torus, a.depth, [a.coeffs[j] for j in order], a.field)
 
 
 def random_unit_matrix(rng, n, depth=3):
@@ -755,16 +775,20 @@ def ref_realization(x):
 def ref_tame_corestriction(x, torus, nu):
     """The tame corestriction read entry by entry from the series matrix:
     psi_s^i(X) is the mean of the coefficients of t^w at the e entries
-    (p, q) = ((q - s) mod e, q) of block i, w = (s - q + p) / e."""
+    (p, q) = ((q - s) mod e, q) of block i, w = (s - q + p) / e.  Each
+    block is walked up from below every entry's order until one of those
+    coefficients is unknown; the window is the first such s of any
+    block."""
     if nu.order != -1:
         raise GcdViolation("tame corestriction requires a one-form of order -1")
     e = torus.e
-    lo = x.min_order()
+    lo = _min_order(x)
     if lo is INF:
-        return ToralElement.zero(torus, _toral_prec_from_matrix(x, e))
+        return ToralElement.zero(torus)
     s_lo = e * lo - e
-    prec = _toral_prec_from_matrix(x, e)
-    hi_known = e * _max_known_exp(x) + e
+    windows = [entry.prec for row in x.rows for entry in row if entry.prec is not INF]
+    hi_known = e * max([_max_known_exp(x)] + windows) + e
+    prec = INF
     blocks = []
     for i in range(torus.m):
         blk = {}
@@ -793,11 +817,9 @@ def ref_tame_corestriction(x, torus, nu):
     return ToralElement(torus, blocks, prec)
 
 
-def _toral_prec_from_matrix(x, e):
-    p = x.precision()
-    if p is INF:
-        return INF
-    return e * p - (e - 1)
+def _min_order(x):
+    """The least order of an entry; a window for an entry zero to it."""
+    return min((entry.order for row in x.rows for entry in row), default=INF)
 
 
 def _max_known_exp(x):
@@ -1029,7 +1051,11 @@ def ref_split_stratum(s, field):
     t^r, known to r n + HENSEL_GUARD digits or to phi's least window,
     its coprime factorization lifted together by ``hensel_lift``, the
     o-kernel of each lifted factor at y, and a chain-adapted basis of
-    each kernel as the columns of a series basis change g in P."""
+    each kernel as the columns of a series basis change g in P.  y is
+    built from the known coefficients of beta taken as exact: a g that
+    splits that truncation splits beta modulo its windows, which
+    Ad(g^-1)(beta) keeps, and short windows (beta known to t^3 at e > 1)
+    would leave the kernel's pivots below the inverse's floor."""
     phi0 = charpoly(strata._y_pattern(s))
     factors = kpoly_factor(phi0, field)
     if len(factors) == 1:
@@ -1044,7 +1070,8 @@ def ref_split_stratum(s, field):
         groups.append((fac, power))
     groups.sort(key=strata._group_sort_key)
     digits = s.r * s.n + HENSEL_GUARD
-    y = _ref_power_truncated(s.beta, s.e, digits).shift(s.r).truncate(digits)
+    known = LaurentMatrix([[LaurentScalar(x.coeffs) for x in row] for row in s.beta.rows])
+    y = _ref_power_truncated(known, s.e, digits).shift(s.r).truncate(digits)
     phi = charpoly_series(y)
     digits = min([digits] + [c.prec for c in phi])
     phi = [c.truncate(digits) for c in phi]
@@ -1076,7 +1103,7 @@ def ref_split_diagonalize(conn, digits):
 def _ref_power_truncated(mat, k, digits):
     """mat^k known modulo t^(digits+1): intermediate products are
     truncated with headroom for the remaining factors' polar depth."""
-    order = mat.min_order()
+    order = _min_order(mat)
     depth = 0 if order is INF else max(0, -int(order))
     out = LaurentMatrix.identity(mat.n)
     for i in range(k):
@@ -1136,7 +1163,8 @@ def _ref_adapted_basis_change(ctx, kernels):
     e, n = ctx.period, ctx.n
     chosen = {p: [] for p in range(e)}
     for part, kcols in enumerate(kernels):
-        coords = [_ref_preimage_lattice(kcols, ctx.lattice_exponents(i)) for i in range(e + 1)]
+        coords = [_ref_preimage_lattice(kcols, [-((p - i) // e) for p in ctx.phases])
+                  for i in range(e + 1)]
         for i in range(e):
             ech = column_echelon(coords[i])
             rows = []

@@ -20,11 +20,11 @@ from formalconn.matrices import LaurentMatrix, pairing
 from formalconn.parahoric import fildeg_certified, filtration_degree, in_filtration, standard_chain
 from formalconn.scalars import get_field, sort_key
 from formalconn.series import INF, LaurentScalar, OneForm
-from formalconn.strata import Stratum, infer_field, is_regular
+from formalconn.strata import Stratum, infer_field, is_fundamental, is_regular
 from formalconn.torus import ToralElement, TorusData
 
 from helpers import (LS, katz_slope_oracle, lmat, random_matrix, random_regular_type,
-                     random_unit_matrix, ref_split_connection, seeded)
+                     random_unit_matrix, ref_split_connection, seeded, sorted_blocks)
 
 BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
@@ -114,7 +114,6 @@ def test_slope_matches_katz_oracle_spot():
 
 
 def test_fundamental_stratum_is_contained_and_fundamental():
-    from formalconn.strata import is_fundamental
     h, cur, s = fundamental_stratum(witten())
     assert is_fundamental(s)
     assert filtration_degree(cur.matrix, s.ctx) == -s.r
@@ -241,7 +240,7 @@ def test_diagonalize_uniqueness_mod_t1():
     for _ in range(3):
         p = random_unit_matrix(rng, 2)
         res = diagonalize(gauge_transform(p, base), digits=6)
-        assert res.formal_type == ft.sorted_blocks()
+        assert res.formal_type == sorted_blocks(ft)
 
 
 def test_diagonalize_regular_singular():
@@ -266,7 +265,7 @@ def test_diagonalize_depth_zero_gauge_reaches_digits(residues):
                            FormalConnection(ft.realization()))
     digits = 4
     res = diagonalize(conn, digits=digits)
-    assert res.formal_type == ft.sorted_blocks()
+    assert res.formal_type == sorted_blocks(ft)
     resid = gauge_transform(res.gauge, conn).matrix - res.A_rep.realization()
     deg = filtration_degree(resid, standard_chain((n,)), stop_at=digits + 1)
     assert deg > digits
@@ -393,7 +392,7 @@ def test_diagonalize_reduces_split_blocks_without_retesting(monkeypatch):
                                           [Fraction(2), Fraction(-1, 3)]], q)
     conn = gauge_transform(random_unit_matrix(seeded(23), 4), FormalConnection(ft.realization()))
     res = diagonalize(conn, digits=4)
-    assert res.formal_type == ft.sorted_blocks()
+    assert res.formal_type == sorted_blocks(ft)
     assert _diagonalizes(conn, res, 4)
     assert counts == {"fundamental_stratum": 1, "is_regular": 1}
 

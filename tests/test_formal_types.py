@@ -1,5 +1,6 @@
 """Formal types, the affine Weyl action, orbit equivalence."""
 
+import itertools
 import math
 import time
 import warnings
@@ -16,14 +17,16 @@ from formalconn.formal_types import (FormalType, WeylElement, orbit_equivalent,
                                      weyl_half_sum)
 from formalconn.matrices import LaurentMatrix
 from formalconn.parahoric import in_filtration
-from formalconn.scalars import congruent_mod_z, get_field
+from formalconn.scalars import congruent_mod_z, get_field, sort_key
 from formalconn.series import LaurentScalar, OneForm
+from formalconn.strata import is_regular
 from formalconn.torus import ToralElement, TorusData, tame_corestriction
 
 from helpers import LS, lmat, random_unit_matrix, ref_orbit_equivalent, seeded
 
 Q = get_field("Q")
 QI = get_field("Q(i)")
+QZ3 = get_field("Q(zeta_3)")
 
 
 def ft_of(e, m, r, rows, field=Q):
@@ -33,7 +36,6 @@ def ft_of(e, m, r, rows, field=Q):
 
 
 def random_formal_type(rng, field=Q, n_max=4, r_max=5):
-    import math
     while True:
         n = rng.randint(1, n_max)
         e = rng.choice([d for d in range(1, n + 1) if n % d == 0])
@@ -90,6 +92,46 @@ def test_validate_examples():
     # gcd violation
     bad3, _ = validate_formal_type(ft_of(2, 1, 2, [[1, 0, 0]]))
     assert not bad3
+
+
+def colliding_formal_type(rng, field):
+    """A formal type with gcd(r, e) = 1 and nonzero leading coefficients
+    (e = 1 at depth zero), n <= 8, whose blocks often repeat an earlier
+    leading coefficient times a root of unity of order dividing e (at
+    depth zero, plus an integer), so that e-th powers collide."""
+    e = rng.randint(1, 4)
+    m = rng.randint(1, min(3, 8 // e))
+    r = rng.choice([k for k in range(0 if e == 1 else 1, 4) if math.gcd(k, e) == 1])
+    roots = [field.root_of_unity(d) ** k for d in range(1, e + 1)
+             if e % d == 0 and field.has_root_of_unity(d) for k in range(d)]
+    rows = []
+    for _ in range(m):
+        if rows and rng.random() < 0.4:
+            lead = rng.choice(rows)[0]
+            lead = lead + rng.randint(-1, 1) if r == 0 else lead * rng.choice(roots)
+        else:
+            lead = field.zero()
+            while r and lead == 0:
+                lead = field.from_coords([Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                                          for _ in range(field.degree)])
+        rows.append([lead] + [field.from_rational(rng.randint(-2, 2)) for _ in range(r)])
+    return FormalType(TorusData(e, m), r, rows, field)
+
+
+def test_closed_form_regularity_matches_is_regular():
+    """validate_formal_type decides regularity in closed form; splitting
+    the induced stratum (is_regular) is the oracle."""
+    rng = seeded(61)
+    conjugate = 0
+    for field in (Q, QI, QZ3):
+        for _ in range(40):
+            a = colliding_formal_type(rng, field)
+            ok, diags = validate_formal_type(a)
+            assert ok == bool(is_regular(a.induced_stratum(), a.field)), (a, diags)
+            # distinct leads with equal e-th powers: Galois-conjugate blocks
+            conjugate += any("equal powers" in d for d in diags) and \
+                len(set(map(sort_key, a.leading()))) == a.m
+    assert conjugate >= 5
 
 
 def test_weyl_identity_action():
@@ -153,7 +195,7 @@ def test_weyl_preserves_validity():
 def test_orbit_equivalent_identity_and_roundtrip():
     rng = seeded(41)
     a = ft_of(1, 2, 1, [[1, 5], [2, 7]])
-    assert orbit_equivalent(a, a).is_identity()
+    assert orbit_equivalent(a, a) == WeylElement.identity(2)
     for _ in range(25):
         b = random_formal_type(rng)
         w = random_weyl(rng, b.e, b.m, Q.has_root_of_unity(b.e))
@@ -183,7 +225,6 @@ def test_orbit_equivalent_negative():
 
 
 def test_orbit_equivalent_uniqueness():
-    import itertools
     rng = seeded(43)
     for _ in range(10):
         a = random_formal_type(rng, n_max=3)
@@ -380,5 +421,5 @@ def test_orbit_equivalent_mixed_coefficient_types():
     a = FormalType(TorusData(1, 2), 1, [[QI.from_rational(1), QI.from_rational(3)],
                                         [i, QI.zero()]], QI)
     b = FormalType(a.torus, 1, [[Fraction(1), Fraction(3)], [i, Fraction(0)]], QI)
-    assert orbit_equivalent(a, b).is_identity()
-    assert orbit_equivalent(b, a).is_identity()
+    assert orbit_equivalent(a, b) == WeylElement.identity(2)
+    assert orbit_equivalent(b, a) == WeylElement.identity(2)

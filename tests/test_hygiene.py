@@ -1,5 +1,6 @@
 """Static checks on the library source, standing in for a linter: every
-module-level import is used, no function imports inside its body,
+module-level import is used, no library or test function imports
+inside its body (one named test-only exception),
 every top-level private name (function, class or assignment) is
 referenced somewhere in the library, every public function or method
 is read by the library, exported or wrapped by the benchmark's tracer,
@@ -14,32 +15,22 @@ TESTS = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(TESTS, os.pardir, "src", "formalconn")
 TRACING = os.path.join(TESTS, os.pardir, "bench", "tracing.py")
 
-# Public names that only tests reach, each kept until it is decided
-# whether the README promises it (moved into tests/helpers.py or
-# deleted otherwise).  A name leaves this list when the library reads
-# it again or it is gone; no name joins it.
+# Public names that only tests reach, kept on purpose, each with the
+# reason it stays in the library.  Any other public name that only tests
+# read is moved into tests/helpers.py or deleted; a name leaves this
+# list when the library reads it again or it is gone.
 ONLY_TESTS_REACH = {
-    "formal_types.py: FormalType.sorted_blocks": "diagonalize tests compare formal types",
-    "formal_types.py: WeylElement.is_identity": "orbit tests and acceptance criterion 7",
-    "matrices.py: LaurentMatrix.min_order": "helpers.ref_tame_corestriction",
-    "matrices.py: LaurentMatrix.coeff_matrix": "stratum split tests read constant terms",
-    "moduli.py: GlobalRationalMatrix.principal_part_at": "assembly tests and criterion 8",
-    "moduli.py: coadjoint_fixes": "isotropy tests and acceptance criterion 8",
-    "moduli.py: in_toral_congruence": "isotropy tests and acceptance criterion 8",
-    "parahoric.py: ParahoricContext.lattice_exponents": "chain tests and a reference lattice",
-    "parahoric.py: ParahoricContext.translate": "filtration tests on translated chains",
-    "parahoric.py: ParahoricContext.varpi_power": "tests build varpi powers as inputs",
-    "parahoric.py: GradedEndo.maps": "graded piece tests",
-    "parahoric.py: monomial_matrix": "helpers.ref_graded_level_solve and test inputs",
-    "strata.py: Stratum.translate_equal": "stratum translation tests",
+    "moduli.py: coadjoint_fixes": "the paper's isotropy criterion (Bremer-Sage)",
+    "moduli.py: in_toral_congruence": "the paper's isotropy criterion (Bremer-Sage)",
+    "parahoric.py: ParahoricContext.varpi_power": "the README promises uniformizers",
 }
 
 
-def _modules():
+def _modules(folder=SRC):
     out = {}
-    for name in sorted(os.listdir(SRC)):
+    for name in sorted(os.listdir(folder)):
         if name.endswith(".py"):
-            with open(os.path.join(SRC, name)) as fh:
+            with open(os.path.join(folder, name)) as fh:
                 out[name] = ast.parse(fh.read(), filename=name)
     return out
 
@@ -82,15 +73,22 @@ def test_no_unused_module_imports():
     assert not unused, "unused imports: %s" % ", ".join(unused)
 
 
+# sympy is a test-only oracle and slow to import: only the factoring
+# oracle that needs it imports it
+LAZY_IMPORTS = {"test_polys.py: sympy_factor"}
+
+
 def test_no_function_local_imports():
     local = []
-    for name, tree in _modules().items():
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                for sub in ast.walk(node):
-                    if isinstance(sub, (ast.Import, ast.ImportFrom)):
-                        local.append("%s:%d in %s" % (name, sub.lineno,
-                                                      getattr(node, "name", "lambda")))
+    for folder in (SRC, TESTS):
+        for name, tree in _modules(folder).items():
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                    func = getattr(node, "name", "lambda")
+                    if folder == SRC or "%s: %s" % (name, func) not in LAZY_IMPORTS:
+                        local.extend("%s:%d in %s" % (name, sub.lineno, func)
+                                     for sub in ast.walk(node)
+                                     if isinstance(sub, (ast.Import, ast.ImportFrom)))
     assert not local, "imports inside functions: %s" % ", ".join(local)
 
 
@@ -215,11 +213,7 @@ def test_no_keep_alive_assignments():
     # `_ = name` only silences an unused-name warning: drop the name instead
     found = []
     for folder in (SRC, TESTS):
-        for name in sorted(os.listdir(folder)):
-            if not name.endswith(".py"):
-                continue
-            with open(os.path.join(folder, name)) as fh:
-                tree = ast.parse(fh.read(), filename=name)
+        for name, tree in _modules(folder).items():
             found.extend("%s:%d" % (name, node.lineno) for node in ast.walk(tree)
                          if isinstance(node, ast.Assign) and isinstance(node.value, ast.Name)
                          and [getattr(t, "id", None) for t in node.targets] == ["_"])

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 from formalconn import cli
 from formalconn.errors import FactorTooLarge
 from formalconn.linalg import charpoly, minpoly
-from formalconn.polys import (MAX_NORM_DEGREE, charpoly_series, hensel_lift, kpoly_deg,
-                              kpoly_divmod, kpoly_factor, kpoly_gcd,
+from formalconn.polys import (MAX_NORM_DEGREE, charpoly_series, hensel_lift, kpoly_add,
+                              kpoly_deg, kpoly_divmod, kpoly_factor, kpoly_gcd,
                               kpoly_gcdext, kpoly_is_squarefree, kpoly_monic, kpoly_mul,
                               kpoly_roots, nth_root_in_field)
 from formalconn.scalars import format_scalar, get_field, scalar_coords, sort_key
@@ -44,7 +44,6 @@ def test_gcd_and_bezout():
     assert g == [F(-1), F(1)]
     g2, u, v = kpoly_gcdext([F(-2), F(1)], [F(-3), F(1)])
     assert kpoly_deg(g2) == 0
-    from formalconn.polys import kpoly_add
     combo = kpoly_add(kpoly_mul(u, [F(-2), F(1)]), kpoly_mul(v, [F(-3), F(1)]))
     assert combo == g2
 

@@ -192,9 +192,9 @@ def test_graded_ad_image_solve_obstruction():
 
 def test_graded_ad_solvers_at_the_boundary():
     """A target whose graded level is cut by its window asks for the
-    window that decides it, a level beyond the window of the tame
-    corestriction is refused although its own slots are known, and the
-    zero target at level INF has the zero solution."""
+    window that decides it, a short window on an entry that holds no
+    Cartan slot of the level hides nothing, and the zero target at level
+    INF has the zero solution."""
     torus = TorusData(1, 2)
     xi = ToralElement(torus, [{-1: Fraction(2)}, {-1: Fraction(5)}])
     y = LaurentMatrix([[LS([(1, 1)]), LS([], 1)], [LS([]), LS([])]])
@@ -202,10 +202,14 @@ def test_graded_ad_solvers_at_the_boundary():
         graded_ad_solve(xi, y)
     assert info.value.needed == 2
     # level 2 of the 2 x 2 complete chain is the diagonal at t^1, known;
-    # the window t^1 of entry (0, 1) leaves the corestriction below level 1
+    # the window t^1 of entry (0, 1) starts at level 3
     pure = ToralElement(TorusData(2, 1), [{-1: Fraction(1)}])
-    with pytest.raises(PrecisionError):
-        graded_ad_solve(pure, LaurentMatrix([[LS([(1, 1)]), LS([], 1)], [LS([]), LS([(1, -1)])]]))
+    y = LaurentMatrix([[LS([(1, 1)]), LS([], 1)], [LS([]), LS([(1, -1)])]])
+    x = graded_ad_solve(pure, y)
+    assert x.to_json() == lmat([[[], [(1, (1, 2))]], [[(2, (-1, 2))], []]]).to_json()
+    ad = x * pure.realization() - pure.realization() * x
+    resid = y - tame_corestriction(y, pure.torus, NU).realization() - ad
+    assert in_filtration(resid, pure.torus.context(), 3)
     zero = graded_ad_image_solve(xi, LaurentMatrix.zero(2), torus.context(), INF)
     assert zero.is_zero()
 
@@ -246,3 +250,13 @@ def test_equal_leading_coefficients_of_either_type_are_not_distinct():
     assert sort_key(1 - i) < sort_key(Fraction(1)) < sort_key(1 + i)
     with pytest.raises(NotRegular):
         regular_depth(ToralElement(TorusData(1, 2), [{-1: Fraction(1)}, {-1: qi.one()}]))
+
+
+def test_galois_conjugate_leads_are_not_regular():
+    """alpha and -alpha at depth 1 on e = 2 have equal squares: the two
+    blocks are Galois conjugate, so xi is not regular."""
+    xi = ToralElement(TorusData(2, 2), [{-1: Fraction(1)}, {-1: Fraction(-1)}])
+    with pytest.raises(NotRegular, match="equal powers"):
+        regular_depth(xi)
+    # the same leads at depth 0 on e = 1 differ, as they must there
+    assert regular_depth(ToralElement(TorusData(1, 2), [{0: Fraction(1)}, {0: Fraction(-1)}])) == 0
