@@ -111,10 +111,6 @@ class WeylElement:
         self.galois = tuple(galois)
         self.transl = tuple(transl)
 
-    @classmethod
-    def identity(cls, m):
-        return cls(tuple(range(m)), (0,) * m, (0,) * m)
-
     def compose(self, other):
         """self after other: (self*other) . A = self . (other . A)."""
         m = len(self.perm)
@@ -145,11 +141,6 @@ class WeylElement:
         return {"perm": list(self.perm), "galois": list(self.galois),
                 "translation": list(self.transl)}
 
-    @classmethod
-    def from_json(cls, data):
-        return cls(tuple(data["perm"]), tuple(data["galois"]),
-                   tuple(data["translation"]))
-
     def __repr__(self):
         return "WeylElement(perm=%r, galois=%r, transl=%r)" % (
             self.perm, self.galois, self.transl)
@@ -168,7 +159,8 @@ def validate_formal_type(a):
     (:func:`formalconn.torus.lead_collision`), and at depth zero a split
     torus and values pairwise incongruent modulo Z.  Together these are
     the regularity of the induced stratum, which
-    :func:`formalconn.strata.is_regular` would decide by splitting it."""
+    :func:`formalconn.strata.is_regular` decides from its characteristic
+    polynomial and one split."""
     diags = []
     r, e = a.depth, a.e
     if r > 0:

@@ -453,27 +453,3 @@ def charpoly(mat):
         m = [[ring.add(x, c) if i == j else x for j, x in enumerate(row)]
              for i, row in enumerate(prev)]
     return coeffs
-
-
-def minpoly(mat):
-    """Monic minimal polynomial (ascending coefficients): the first
-    linear dependence B^k = sum_j d_j B^j among the powers of B = D mat,
-    D the common denominator of the entries, rescaled to mat's
-    coefficients -d_j / D^(k-j)."""
-    n = len(mat)
-    ring = ring_of(mat)
-    den, b = read_matrix(ring, mat)
-    zero = ring.const(0)
-    vecs = [[ring.one if i == j else zero for i in range(n) for j in range(n)]]
-    power = b
-    for k in range(1, n + 1):
-        vecs.append([x for row in power for x in row])
-        red, pivots = _echelon(ring, [list(col) for col in zip(*vecs)], k)
-        if not any(row[k] for row in red[len(pivots):]):
-            coeffs = [ring.scalar(zero, 1)] * k
-            for row, pc in zip(red, pivots):
-                coeffs[pc] = _quotients(ring, [ring.neg(row[k])],
-                                        ring.mul(row[pc], ring.const(den ** (k - pc))))[0]
-            return coeffs + [ring.scalar(ring.one, 1)]
-        power = _matmul(ring, power, b)
-    raise AssertionError("minimal polynomial search exceeded degree bound")

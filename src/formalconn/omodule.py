@@ -33,10 +33,6 @@ class Echelon:
         self.cols = cols
         self.pivots = pivots
 
-    @property
-    def rank(self):
-        return len(self.cols)
-
 
 def column_echelon(columns, track=False):
     """o-column echelon of the given columns.

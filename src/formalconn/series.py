@@ -132,9 +132,6 @@ class LaurentScalar:
             return self
         return LaurentScalar._raw({k: v for k, v in self.coeffs.items() if k < prec}, prec)
 
-    def window(self):
-        return (self.order, self.prec)
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):

@@ -5,7 +5,8 @@ representative matrix under a fixed one-form of order -1.  This module
 decides fundamentality through the stratum characteristic polynomial,
 produces the gcd reduction along the sub-chain L'^j = L^(jg), splits
 fundamental strata along the coprime factorization of that polynomial,
-and classifies regular strata by recursive splitting.
+and classifies regular strata at every depth from that polynomial and
+one split (see :func:`is_regular`).
 
 A split reads only the leading term (after Bremer-Sage): the graded
 pattern of y = beta^e t^r is constant and block diagonal by phase
@@ -21,12 +22,12 @@ import math
 from fractions import Fraction
 
 from .errors import GcdViolation, IrreducibleStratum, NonsplitField, UnsupportedDepth
-from .linalg import charpoly, kinverse, kmatmul, knullspace, kzeros, minpoly
+from .linalg import charpoly, kinverse, kmatmul, knullspace, kzeros
 from .matrices import LaurentMatrix, constant_product
 from .parahoric import (LatticeChain, ParahoricContext, graded_component,
                         in_filtration)
-from .polys import (kpoly_deg, kpoly_factor, kpoly_format, kpoly_is_squarefree,
-                    kpoly_mul, kpoly_roots, kpoly_trim, nth_root_in_field)
+from .polys import (kpoly_deg, kpoly_derivative, kpoly_divmod, kpoly_factor, kpoly_format,
+                    kpoly_gcd, kpoly_mul, kpoly_sub, kpoly_trim, nth_root_in_field)
 from .scalars import Ext, congruent_mod_z, get_field, is_zero, sort_key
 from .series import LaurentScalar, OneForm
 
@@ -104,21 +105,21 @@ class StratumCharPoly:
 def stratum_char_poly(s):
     """char poly of y = beta^(e/g) t^(r/g) + P^1 via the Levi
     identification; g = gcd(r, e)."""
-    return StratumCharPoly(charpoly(_y_pattern(s)))
+    return StratumCharPoly(charpoly(_y_pattern(s, s.graded_rep())))
 
 
-def _y_pattern(s):
-    """Levi pattern of y = beta^(e/g) t^(r/g) + P^1, g = gcd(r, e).
+def _y_pattern(s, lead):
+    """Levi pattern of y = beta^(e/g) t^(r/g) + P^1, g = gcd(r, e), from
+    the leading term ``lead`` = s.graded_rep().
 
     Multiplying by t^(r/g) only relocates coefficient slots, so y's
     Levi pattern is the (e/g)-th power of the leading pattern of beta
     and the computation stays inside constant matrices.
     """
     g = math.gcd(s.r, s.e) if s.r else s.e
-    pat = s.graded_rep()
-    power = pat
+    power = lead
     for _ in range(s.e // g - 1):
-        power = power.compose(pat)
+        power = power.compose(lead)
     return power.pattern
 
 
@@ -166,8 +167,7 @@ def split_stratum(s, field=None):
     (entries only inside the phase classes), such that Ad(g^-1)(beta)
     is block diagonal modulo P^(1-r) with respect to the parts'
     coordinate slots; parts are sorted by the total order on their
-    phi-roots.  The regularity test keeps g^-1 and Ad(g^-1)(beta) as
-    well (see :class:`RegularityReport`).
+    phi-roots.
 
     Raises IrreducibleStratum for pure strata (single linear factor
     power) and NonsplitField when phi does not factor over the field.
@@ -184,7 +184,7 @@ def _split_stratum(s, field):
         raise GcdViolation("split requires gcd(r, e) = 1; reduce first")
     if not is_fundamental(s):
         raise GcdViolation("split requires a fundamental stratum")
-    y = _y_pattern(s)
+    y = _y_pattern(s, s.graded_rep())
     phi = charpoly(y)
     factors = kpoly_factor(phi, field)
     if len(factors) == 1:
@@ -192,13 +192,8 @@ def _split_stratum(s, field):
         if kpoly_deg(fac) == 1:
             raise IrreducibleStratum("pure stratum: phi = %s" % kpoly_format(phi))
         raise NonsplitField("phi has no root in %s: %s" % (field.name, kpoly_format(phi)))
-    powers = []
-    for fac, mult in sorted(factors, key=_group_sort_key):
-        power = [field.one()]
-        for _ in range(mult):
-            power = kpoly_mul(power, fac)
-        powers.append(power)
-    split = _constant_split(s, y, powers)
+    split = _constant_split(s, y, [_power(fac, mult, field)
+                                   for fac, mult in sorted(factors, key=_group_sort_key)])
     # g is constant inside the phase classes, so the off-block entries of
     # g^-1 beta g keep the windows and minimum orders that Stratum and
     # graded_rep certify for beta, and their leading terms vanish
@@ -209,7 +204,7 @@ def _split_stratum(s, field):
 def _constant_split(s, pat, powers):
     """(g, g^-1, Ad(g^-1)(beta), parts) for a constant Levi basis change
     g built from a degree-0 graded pattern that commutes with the
-    leading term of beta (y's pattern, or the residue at depth zero)
+    leading term of beta (y's pattern, the residue at depth zero)
     and pairwise coprime polynomials whose product annihilates it.
 
     The pattern is block diagonal by phase class.  In each class, the
@@ -252,7 +247,7 @@ def _split_parts(s, beta_conj, slot_lists):
     conjugated representative induces on those slots."""
     parts = []
     for slots in slot_lists:
-        sub_ctx, sub_beta, picked = _restrict_to_slots(s.ctx, beta_conj, slots, s.r)
+        sub_ctx, sub_beta, picked = _restrict_to_slots(s.ctx, beta_conj, slots)
         parts.append(SplitPart(picked, Stratum(sub_ctx, s.r, sub_beta, s.nu)))
     return parts
 
@@ -264,7 +259,7 @@ def _group_sort_key(group):
     return (1, tuple(sort_key(c) for c in fac))
 
 
-def _restrict_to_slots(ctx, mat, slots, r):
+def _restrict_to_slots(ctx, mat, slots):
     """Sub-context and sub-matrix on the given coordinate slots; the
     off-slot blocks must lie in P^(1-r)."""
     e = ctx.period
@@ -298,17 +293,18 @@ class RegularityReport:
     """Outcome of the regularity test: torus data and per-block leading
     coefficients when regular, a reason otherwise.
 
-    A regular stratum that splits also carries its top-level split of
-    the gcd-reduced stratum: the basis change ``gauge`` g, its inverse
-    ``gauge_inverse``, the representative conjugated by it,
-    ``conjugate`` = g^-1 beta g, which is block diagonal modulo P^(1-r),
-    and the ``parts``.  At positive depth g and the parts are what
-    :func:`split_stratum` returns; at depth zero and rank n >= 2 the
-    gauge is the constant residue eigenbasis and each part is one
-    eigenvector's slot, in the order of ``leading``.  Both come from the
-    one constant split (see the module docstring), so for a stratum
+    A regular stratum of rank n > e also carries the split of the
+    gcd-reduced stratum into its m = n/e pure parts: the basis change
+    ``gauge`` g, its inverse ``gauge_inverse``, the representative
+    conjugated by it, ``conjugate`` = g^-1 beta g, which is block
+    diagonal modulo P^(1-r), and the ``parts``, one per eigenvalue of y
+    in the order of ``leading``.  At positive depth g and the parts are
+    what :func:`split_stratum` returns; at depth zero g is the constant
+    residue eigenbasis and each part is one eigenvector's slot.  g is
+    the one constant split (see the module docstring), so for a stratum
     built from a connection's matrix, g^-1 . nabla is ``conjugate``
-    itself.  All four are None for pure strata and rank one."""
+    itself.  All four are None for a pure stratum (n = e), rank one
+    included."""
 
     __slots__ = ("regular", "reason", "e", "m", "leading", "gauge", "gauge_inverse",
                  "conjugate", "parts")
@@ -335,102 +331,86 @@ class RegularityReport:
 
 
 def is_regular(s, field=None):
-    """Classify the stratum: regular iff the recursive splitting yields
-    n/e blocks of dimension e with pairwise distinct leading data (plus
-    the mod-Z condition at depth zero and semisimplicity of y).  A
-    regular report carries the top-level split whenever there is one,
-    depth zero included (see :class:`RegularityReport`)."""
+    """Classify the stratum by one rule at every depth (Bremer-Sage).
+
+    After the gcd reduction gcd(r, e) = 1, and r = 0 lands on e = 1.  At
+    r > 0 the chain must be uniform and the stratum fundamental, which
+    fails exactly when phi = X^n (see :func:`is_fundamental`).  Then the
+    stratum is regular iff every eigenvalue of y = beta^e t^r has
+    multiplicity e, and 0 is one only at e = 1: phi = P^e for the
+    square-free part P = phi / gcd(phi, phi'), and P(0) != 0 if e > 1.
+    The roots of P, and at e > 1 the roots that :func:`pure_leading`
+    takes, must lie in the field, else NonsplitField is raised; at r = 0
+    the roots must be pairwise incongruent modulo Z.
+
+    Nothing else needs checking.  On gr of the chain, beta maps phase
+    class p onto class p - r, invertibly on the generalized eigenspace of
+    an eigenvalue c != 0; as gcd(r, e) = 1, that eigenspace meets every
+    class in the same dimension.  Multiplicity e leaves one slot per
+    class, so the part is pure: y is scalar on it, it splits no further,
+    and its leading datum (c at e = 1, at e > 1 the root alpha of
+    :func:`pure_leading`, with alpha^e = c) is distinct from the others.
+
+    A stratum with n = e is one pure block, read without factoring.
+    Otherwise P is factored once, and one constant split along the powers
+    (X - c)^e, in the sort order of c, gives the report's split (see
+    :class:`RegularityReport`).
+    """
     if field is None:
         field = infer_field(s.beta)
     if s.r > MAX_DEPTH:
         raise UnsupportedDepth("stratum depth %d exceeds %d" % (s.r, MAX_DEPTH))
     s = reduce_stratum(s)
-    if s.r == 0:
-        return _regular_depth_zero(s, field)
+    n, e, r = s.n, s.e, s.r
     if not s.ctx.uniform:
         return RegularityReport(False, reason="parahoric is not uniform")
-    if not is_fundamental(s):
+    lead = s.graded_rep()
+    y = _y_pattern(s, lead)
+    phi = charpoly(y)
+    if r and all(is_zero(c) for c in phi[:-1]):
         return RegularityReport(False, reason="stratum is not fundamental")
-    if not kpoly_is_squarefree(minpoly(_y_pattern(s))):
-        return RegularityReport(False, reason="y is not semisimple")
-    e = s.e
+    if n == e:
+        alpha = _pure_root(lead, field) if n > 1 else s.beta.rows[0][0].coeff_or_zero(-r)
+        return RegularityReport(True, e=e, m=1, leading=[alpha])
+    squarefree = kpoly_divmod(phi, kpoly_gcd(phi, kpoly_derivative(phi)))[0]
+    if kpoly_deg(kpoly_sub(_power(squarefree, e, field), phi)) >= 0:
+        return RegularityReport(False, reason="repeated residue eigenvalue" if r == 0 else
+                                "an eigenvalue of y has multiplicity other than e = %d" % e)
+    if e > 1 and is_zero(squarefree[0]):
+        return RegularityReport(False, reason="nilpotent summand not of the allowed shape")
+    factors = [fac for fac, _ in sorted(kpoly_factor(squarefree, field), key=_group_sort_key)]
+    nonlinear = [fac for fac in factors if kpoly_deg(fac) > 1]
+    if nonlinear and r == 0:
+        raise NonsplitField("residue eigenvalues do not all lie in %s" % field.name)
+    if nonlinear:
+        phi_part = kpoly_format(_power(nonlinear[0], e, field))
+        raise NonsplitField("regularity undecidable over %s: phi has no root in %s: %s"
+                            % (field.name, field.name, phi_part))
+    roots = [-fac[0] for fac in factors]
+    if r == 0 and any(congruent_mod_z(a, b) for a, b in itertools.combinations(roots, 2)):
+        return RegularityReport(False, reason="residue eigenvalues congruent modulo Z")
+    gauge, gauge_inverse, conjugate, parts = _constant_split(
+        s, y, [_power(fac, e, field) for fac in factors])
+    leading = roots if e == 1 else [_pure_root(part.stratum.graded_rep(), field)
+                                    for part in parts]
+    return RegularityReport(True, e=e, m=n // e, leading=leading, gauge=gauge,
+                            gauge_inverse=gauge_inverse, conjugate=conjugate, parts=parts)
+
+
+def _pure_root(lead, field):
+    """alpha of :func:`pure_leading` for the leading term of a pure
+    stratum at r > 0."""
     try:
-        split, leaves = _split_leaves(s, field)
+        return pure_leading(lead.pattern, field)[1]
     except NonsplitField as exc:
         raise NonsplitField("regularity undecidable over %s: %s" % (field.name, exc))
-    leading = []
-    for dim, alpha in leaves:
-        if alpha is None:
-            return RegularityReport(False, reason="a block of dimension %d is not pure"
-                                    % dim)
-        if dim != e:
-            return RegularityReport(False, reason="block dimension %d != e = %d"
-                                    % (dim, e))
-        leading.append(alpha)
-    zero_count = sum(1 for a in leading if is_zero(a))
-    if zero_count > 1 or (zero_count == 1 and e > 1):
-        return RegularityReport(False, reason="nilpotent summand not of the allowed shape")
-    if len(set(map(sort_key, leading))) != len(leading):
-        return RegularityReport(False, reason="leading coefficients are not pairwise distinct")
-    gauge, gauge_inverse, conjugate, parts = split or (None,) * 4
-    return RegularityReport(True, e=e, m=s.n // e, leading=leading, gauge=gauge,
-                            gauge_inverse=gauge_inverse, conjugate=conjugate, parts=parts)
 
 
-def _regular_depth_zero(s, field):
-    """Depth zero: the residue eigenvalues must lie in the field, be
-    simple and be pairwise incongruent modulo Z; they are reported as
-    the leading data, in sort order.  From rank two on, the split is
-    the constant eigenbasis in that order, one singleton part each."""
-    n = s.n
-    pat = s.graded_rep().pattern
-    roots, nonsplit = kpoly_roots(charpoly(pat), field)
-    if kpoly_deg(nonsplit) > 0:
-        raise NonsplitField("residue eigenvalues do not all lie in %s" % field.name)
-    if any(mult > 1 for _, mult in roots):
-        return RegularityReport(False, reason="repeated residue eigenvalue")
-    vals = sorted((root for root, _ in roots), key=sort_key)
-    if any(congruent_mod_z(a, b) for a, b in itertools.combinations(vals, 2)):
-        return RegularityReport(False, reason="residue eigenvalues congruent modulo Z")
-    if n == 1:
-        return RegularityReport(True, e=1, m=1, leading=vals)
-    # each eigenvalue is a simple root, so its eigenspace is a line
-    gauge, gauge_inverse, conjugate, parts = _constant_split(
-        s, pat, [[-root, field.one()] for root in vals])
-    return RegularityReport(True, e=1, m=n, leading=vals, gauge=gauge,
-                            gauge_inverse=gauge_inverse, conjugate=conjugate, parts=parts)
-
-
-def _split_leaves(s, field):
-    """Split recursively.  Returns (split, leaves): the top-level split
-    (g, g^-1, Ad(g^-1)(beta), parts) of s (None for rank one and pure
-    strata) and, for every leaf block, (dimension, alpha) with alpha the
-    pure-block leading coefficient (None if the block is neither pure
-    nor one-dimensional)."""
-    if s.n == 1:
-        return None, [(1, s.beta.rows[0][0].coeff_or_zero(-s.r))]
-    if s.n == s.e and s.ctx.uniform and math.gcd(s.r, s.e) == 1:
-        # One nonzero entry xs[u] per row of the pattern on the complete
-        # chain: as gcd(r, e) = 1 its e-th power is the scalar prod(xs),
-        # so phi = (X - prod(xs))^n and split_stratum would only raise
-        # IrreducibleStratum after factoring it.  A zero row makes the
-        # stratum non-fundamental, which split_stratum reports.
-        head = pure_leading(s.graded_rep().pattern, field)
-        if head is not None:
-            return None, [(s.n, head[1])]
-    try:
-        split = _split_stratum(s, field)
-    except IrreducibleStratum:
-        # phi is a power of one linear factor, and the stratum not pure
-        return None, [(s.n, None)]
-    leaves = []
-    for part in split[3]:
-        sub = part.stratum
-        if sub.n > 1 and not is_fundamental(sub):
-            leaves.append((sub.n, None))
-        else:
-            leaves.extend(_split_leaves(sub, field)[1])
-    return split, leaves
+def _power(poly, k, field):
+    out = [field.one()]
+    for _ in range(k):
+        out = kpoly_mul(out, poly)
+    return out
 
 
 def pure_leading(pat, field):

@@ -23,31 +23,37 @@ pure-block reduction applies one such gauge per level to the whole
 series matrix, and the reference split clears the off-blocks round by
 round with such gauges.  The reference stratum split is the Hensel
 split over k[[t]] that the constant split replaced: series kernels of
-the lifted factors of phi and a chain-adapted echelon basis.  The reference cyclotomic inverse is a dense
-Gauss-Jordan solve, and the reference echelon form is Gauss-Jordan
-elimination in field scalars.
+the lifted factors of phi and a chain-adapted echelon basis.  The
+reference regularity test is the recursive splitting classifier that
+the multiplicity rule of ``strata.is_regular`` replaced.  The reference
+cyclotomic inverse is a dense Gauss-Jordan solve, and the reference
+echelon form is Gauss-Jordan elimination in field scalars.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 from formalconn import connections, strata
 from formalconn.connections import FormalConnection, gauge_transform
 from formalconn.errors import (FormalConnError, GcdViolation, IrreducibleStratum, NonsplitField,
-                               NotRegular, NotSplit, PrecisionError, SingularGauge, ZeroLeading)
+                               NotRegular, NotSplit, PrecisionError, SingularGauge,
+                               UnsupportedDepth, ZeroLeading)
 from formalconn.formal_types import FormalType, WeylElement
 from formalconn.linalg import charpoly, kinverse, kmatmul, knullspace, ksolve, rref
 from formalconn.matrices import LaurentMatrix, constant_product
 from formalconn.omodule import column_echelon
 from formalconn.parahoric import (filtration_degree, graded_component, graded_monomials,
                                   pattern_to_matrix, standard_chain)
-from formalconn.polys import (charpoly_series, hensel_lift, kpoly_deg, kpoly_divmod,
-                              kpoly_factor, kpoly_gcdext, kpoly_mul, kpoly_sub, kpoly_trim)
-from formalconn.scalars import (Ext, as_fraction, get_field, is_rational_value, is_zero,
-                                scalar_inverse, sort_key)
+from formalconn.polys import (charpoly_series, hensel_lift, kpoly_deg, kpoly_derivative,
+                              kpoly_divmod, kpoly_factor, kpoly_gcd, kpoly_gcdext, kpoly_mul,
+                              kpoly_roots, kpoly_sub, kpoly_trim)
+from formalconn.scalars import (Ext, as_fraction, congruent_mod_z, get_field, is_rational_value,
+                                is_zero, scalar_inverse, sort_key)
 from formalconn.series import INF, PRECISION_FLOOR, LaurentScalar, default_precision
-from formalconn.strata import Stratum, pure_leading, reduce_stratum
+from formalconn.strata import (RegularityReport, Stratum, is_fundamental, pure_leading,
+                               reduce_stratum)
 from formalconn.torus import ToralElement, TorusData
 
 
@@ -707,6 +713,11 @@ def ref_orbit_equivalent(a, b):
     return None
 
 
+def weyl_identity(m):
+    """The identity of the affine Weyl group on m blocks."""
+    return WeylElement(tuple(range(m)), (0,) * m, (0,) * m)
+
+
 # -- reference steps of diagonalization ---------------------------------------
 
 
@@ -1047,35 +1058,40 @@ HENSEL_GUARD = 8
 
 def ref_split_stratum(s, field):
     """The split over k[[t]], as (g, g^-1, Ad(g^-1)(beta), parts) like
-    ``strata._split_stratum``: phi = charpoly of the series y = beta^e
-    t^r, known to r n + HENSEL_GUARD digits or to phi's least window,
-    its coprime factorization lifted together by ``hensel_lift``, the
-    o-kernel of each lifted factor at y, and a chain-adapted basis of
-    each kernel as the columns of a series basis change g in P.  y is
-    built from the known coefficients of beta taken as exact: a g that
-    splits that truncation splits beta modulo its windows, which
-    Ad(g^-1)(beta) keeps, and short windows (beta known to t^3 at e > 1)
-    would leave the kernel's pivots below the inverse's floor."""
-    phi0 = charpoly(strata._y_pattern(s))
-    factors = kpoly_factor(phi0, field)
+    ``strata._split_stratum``: the coprime factor powers of phi, sorted
+    as the library sorts them, split by :func:`ref_hensel_split`."""
+    factors = kpoly_factor(charpoly(strata._y_pattern(s, s.graded_rep())), field)
     if len(factors) == 1:
         if kpoly_deg(factors[0][0]) == 1:
             raise IrreducibleStratum("pure stratum")
         raise NonsplitField("phi has no root in %s" % field.name)
-    groups = []
-    for fac, mult in factors:
+    powers = []
+    for fac, mult in sorted(factors, key=strata._group_sort_key):
         power = [field.one()]
         for _ in range(mult):
             power = kpoly_mul(power, fac)
-        groups.append((fac, power))
-    groups.sort(key=strata._group_sort_key)
+        powers.append(power)
+    return ref_hensel_split(s, powers)
+
+
+def ref_hensel_split(s, powers):
+    """The split along pairwise coprime polynomials whose product is
+    phi, in the given order: phi = charpoly of the series y = beta^e
+    t^r, known to r n + HENSEL_GUARD digits or to phi's least window,
+    the powers lifted together by ``hensel_lift``, the o-kernel of each
+    lifted factor at y, and a chain-adapted basis of each kernel as the
+    columns of a series basis change g in P.  y is built from the known
+    coefficients of beta taken as exact: a g that splits that truncation
+    splits beta modulo its windows, which Ad(g^-1)(beta) keeps, and
+    short windows (beta known to t^3 at e > 1) would leave the kernel's
+    pivots below the inverse's floor."""
     digits = s.r * s.n + HENSEL_GUARD
     known = LaurentMatrix([[LaurentScalar(x.coeffs) for x in row] for row in s.beta.rows])
     y = _ref_power_truncated(known, s.e, digits).shift(s.r).truncate(digits)
     phi = charpoly_series(y)
     digits = min([digits] + [c.prec for c in phi])
     phi = [c.truncate(digits) for c in phi]
-    lifted = hensel_lift(phi, [power for _, power in groups], digits)
+    lifted = hensel_lift(phi, powers, digits)
     g, slot_lists = _ref_adapted_basis_change(s.ctx, [_ref_series_kernel(f, y) for f in lifted])
     g_inv = g.inverse()
     conj = g_inv * s.beta * g
@@ -1083,21 +1099,27 @@ def ref_split_stratum(s, field):
 
 
 def ref_split_diagonalize(conn, digits):
-    """``diagonalize`` with every positive-depth split taken by
-    :func:`ref_split_stratum`; its series g is not constant, so the
-    split connection g^-1 . nabla gets the term g^-1 tau(g) added.
-    (``unittest.mock`` would do the swap, but it imports asyncio, and
-    the benchmark imports this module.)"""
-    def split(s, field):
-        g, g_inv, conj, parts = ref_split_stratum(s, field)
+    """``diagonalize`` with every positive-depth split that the
+    regularity test makes taken by :func:`ref_hensel_split` on the same
+    factor powers, and the number of such splits; the series g is not
+    constant, so the split connection g^-1 . nabla gets the term g^-1
+    tau(g) added.  (``unittest.mock`` would do the swap, but it imports
+    asyncio, and the benchmark imports this module.)"""
+    library_split = strata._constant_split
+    taken = []
+
+    def split(s, pat, powers):
+        if s.r == 0:
+            return library_split(s, pat, powers)
+        taken.append(s)
+        g, g_inv, conj, parts = ref_hensel_split(s, powers)
         return g, g_inv, conj + g_inv * g.tau(), parts
 
-    library_split = strata._split_stratum
-    strata._split_stratum = split
+    strata._constant_split = split
     try:
-        return connections.diagonalize(conn, digits)
+        return connections.diagonalize(conn, digits), len(taken)
     finally:
-        strata._split_stratum = library_split
+        strata._constant_split = library_split
 
 
 def _ref_power_truncated(mat, k, digits):
@@ -1174,7 +1196,7 @@ def _ref_adapted_basis_change(ctx, kernels):
                 rows.append([c.coeff_or_zero(0) for c in coeffs])
             pivots = rref(rows)[1] if rows else []
             chosen[i].extend((part, _ref_combine(kcols, ech.cols[j]))
-                             for j in range(ech.rank) if j not in pivots)
+                             for j in range(len(ech.cols)) if j not in pivots)
     cols = [None] * n
     slot_lists = [[] for _ in kernels]
     for p in range(e):
@@ -1186,3 +1208,105 @@ def _ref_adapted_basis_change(ctx, kernels):
             slot_lists[part].append(slot)
     g = LaurentMatrix([[cols[j][i] for j in range(n)] for i in range(n)])
     return g, [sorted(sl) for sl in slot_lists]
+
+
+# -- the recursive regularity classifier ----------------------------------------
+
+
+def ref_is_regular(s, field):
+    """The regularity test that ``strata.is_regular`` replaced: at
+    positive depth, a uniform chain, a fundamental stratum and a
+    semisimple y, then the split applied recursively until every leaf is
+    pure or one-dimensional; regular iff the leaves are n/e pure blocks
+    of dimension e with pairwise distinct leading data, at most one of
+    them 0 and only at e = 1.  At depth zero the residue eigenvalues
+    must lie in the field, be simple and be pairwise incongruent modulo
+    Z.  Each split is ``strata._split_stratum``; y counts as semisimple
+    when the square-free part of its characteristic polynomial
+    annihilates it."""
+    if s.r > strata.MAX_DEPTH:
+        raise UnsupportedDepth("stratum depth %d exceeds %d" % (s.r, strata.MAX_DEPTH))
+    s = reduce_stratum(s)
+    if s.r == 0:
+        return _ref_regular_depth_zero(s, field)
+    if not s.ctx.uniform:
+        return RegularityReport(False, reason="parahoric is not uniform")
+    if not is_fundamental(s):
+        return RegularityReport(False, reason="stratum is not fundamental")
+    if not _ref_semisimple(strata._y_pattern(s, s.graded_rep())):
+        return RegularityReport(False, reason="y is not semisimple")
+    e = s.e
+    try:
+        split, leaves = _ref_split_leaves(s, field)
+    except NonsplitField as exc:
+        raise NonsplitField("regularity undecidable over %s: %s" % (field.name, exc))
+    leading = []
+    for dim, alpha in leaves:
+        if alpha is None:
+            return RegularityReport(False, reason="a block of dimension %d is not pure" % dim)
+        if dim != e:
+            return RegularityReport(False, reason="block dimension %d != e = %d" % (dim, e))
+        leading.append(alpha)
+    zero_count = sum(1 for a in leading if is_zero(a))
+    if zero_count > 1 or (zero_count == 1 and e > 1):
+        return RegularityReport(False, reason="nilpotent summand not of the allowed shape")
+    if len(set(map(sort_key, leading))) != len(leading):
+        return RegularityReport(False, reason="leading coefficients are not pairwise distinct")
+    gauge, gauge_inverse, conjugate, parts = split or (None,) * 4
+    return RegularityReport(True, e=e, m=s.n // e, leading=leading, gauge=gauge,
+                            gauge_inverse=gauge_inverse, conjugate=conjugate, parts=parts)
+
+
+def _ref_semisimple(pat):
+    phi = charpoly(pat)
+    squarefree = kpoly_divmod(phi, kpoly_gcd(phi, kpoly_derivative(phi)))[0]
+    n = len(pat)
+    acc = [[Fraction(0)] * n for _ in range(n)]
+    for c in reversed(squarefree):
+        acc = kmatmul(acc, pat)
+        acc = [[x + (c if i == j else 0) for j, x in enumerate(row)]
+               for i, row in enumerate(acc)]
+    return all(is_zero(x) for row in acc for x in row)
+
+
+def _ref_regular_depth_zero(s, field):
+    n = s.n
+    pat = s.graded_rep().pattern
+    roots, nonsplit = kpoly_roots(charpoly(pat), field)
+    if kpoly_deg(nonsplit) > 0:
+        raise NonsplitField("residue eigenvalues do not all lie in %s" % field.name)
+    if any(mult > 1 for _, mult in roots):
+        return RegularityReport(False, reason="repeated residue eigenvalue")
+    vals = sorted((root for root, _ in roots), key=sort_key)
+    if any(congruent_mod_z(a, b) for a, b in itertools.combinations(vals, 2)):
+        return RegularityReport(False, reason="residue eigenvalues congruent modulo Z")
+    if n == 1:
+        return RegularityReport(True, e=1, m=1, leading=vals)
+    gauge, gauge_inverse, conjugate, parts = strata._constant_split(
+        s, pat, [[-root, field.one()] for root in vals])
+    return RegularityReport(True, e=1, m=n, leading=vals, gauge=gauge,
+                            gauge_inverse=gauge_inverse, conjugate=conjugate, parts=parts)
+
+
+def _ref_split_leaves(s, field):
+    """(split, leaves): the top-level split of s (None for rank one and
+    pure strata) and (dimension, alpha) for every leaf block, alpha None
+    when the block is neither pure nor one-dimensional."""
+    if s.n == 1:
+        return None, [(1, s.beta.rows[0][0].coeff_or_zero(-s.r))]
+    if s.n == s.e and s.ctx.uniform and math.gcd(s.r, s.e) == 1:
+        head = pure_leading(s.graded_rep().pattern, field)
+        if head is not None:
+            return None, [(s.n, head[1])]
+    try:
+        split = strata._split_stratum(s, field)
+    except IrreducibleStratum:
+        return None, [(s.n, None)]
+    leaves = []
+    for part in split[3]:
+        sub = part.stratum
+        if sub.n > 1 and not is_fundamental(sub):
+            leaves.append((sub.n, None))
+        else:
+            leaves.extend(_ref_split_leaves(sub, field)[1])
+    return split, leaves

@@ -30,7 +30,8 @@ from formalconn.torus import (ToralElement, TorusData, delta_kernel_dimension,
 
 from helpers import (LS, brute_force_fundamental, katz_slope_oracle, krank, lmat,
                      monomial_lattice_columns, monomial_matrix, principal_part_at,
-                     random_matrix, random_series, random_unit_matrix, seeded, varpi_eps)
+                     random_matrix, random_series, random_unit_matrix, seeded, varpi_eps,
+                     weyl_identity)
 
 Q = get_field("Q")
 QI = get_field("Q(i)")
@@ -429,7 +430,7 @@ def test_criterion_7_splitting_contract():
         direct_sum = FormalType(ft.torus, r, rows, ft.field)
         whole = diagonalize(moved, digits=r + 3).formal_type
         w = orbit_equivalent(direct_sum, whole)
-        if w != WeylElement.identity(whole.m):
+        if w != weyl_identity(whole.m):
             ok = False
             detail = "direct sum disagrees with the whole (trial %d)" % trials
             break

@@ -118,6 +118,30 @@ def test_analyze_witten(capsys):
     assert doc["pure"] is True and doc["regular"] is True
 
 
+def test_analyze_decides_repeated_eigenvalue_over_nonsplit_field(tmp_path, capsys):
+    """d + t^-1 blockdiag(I_2, [[0, 2], [1, 0]]) dt/t over Q (the file
+    holds the coefficient of dt): y has the eigenvalue 1 twice at e = 1,
+    so the stratum is not regular, although the other eigenvalues
+    +-sqrt(2) do not lie in Q."""
+    def entry(c):
+        return [[-2, c]] if c else []
+
+    rows = [["1", 0, 0, 0], [0, "1", 0, 0], [0, 0, 0, "2"], [0, 0, "1", 0]]
+    path = tmp_path / "repeated.conn.json"
+    path.write_text(json.dumps({"field": "Q", "n": 4,
+                                "matrix": [[entry(c) for c in row] for row in rows]}))
+    code, out, _ = run_cli(capsys, "analyze", str(path))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["slope"] == "1" and doc["phi"] == "(1/1)*X^4 + (-2/1)*X^3 + (-1/1)*X^2 + " \
+        "(4/1)*X + -2/1"
+    assert doc["regular"] is False
+    assert doc["regular_failure"] == "an eigenvalue of y has multiplicity other than e = 1"
+    code, out, err = run_cli(capsys, "diagonalize", str(path))
+    assert code == 5 and out == ""
+    assert "multiplicity other than e = 1" in err
+
+
 def test_diagonalize_witten(capsys):
     code, out, _ = run_cli(capsys, "diagonalize", "--digits", "5",
                            os.path.join(DATA, "witten.conn.json"))

@@ -3,13 +3,15 @@ module-level import is used, no library or test function imports
 inside its body (one named test-only exception),
 every top-level private name (function, class or assignment) is
 referenced somewhere in the library, every public function or method
-is read by the library, exported or wrapped by the benchmark's tracer,
+is read by the library, exported or wrapped by the benchmark's tracer
+(a method only through its own class, see ``_library_dead_public``),
 no module imports another's private names, only ``scalars`` and
 ``linalg`` fold or write power-basis coordinates, and no library or test
 statement keeps a name alive by assigning it to ``_``."""
 
 import ast
 import os
+from fractions import Fraction
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(TESTS, os.pardir, "src", "formalconn")
@@ -23,7 +25,41 @@ ONLY_TESTS_REACH = {
     "moduli.py: coadjoint_fixes": "the paper's isotropy criterion (Bremer-Sage)",
     "moduli.py: in_toral_congruence": "the paper's isotropy criterion (Bremer-Sage)",
     "parahoric.py: ParahoricContext.varpi_power": "the README promises uniformizers",
+    "series.py: LaurentScalar.coeff": "the README's windows: a coefficient past the window "
+                                      "raises PrecisionError (the library reads coeff_or_zero)",
+    "torus.py: ToralElement.coeff": "a toral coefficient past the window raises PrecisionError",
+    "matrices.py: LaurentMatrix.tau": "the benchmark's gauges (bench/common.py) read it",
 }
+
+# Method names that several library classes define, or that builtin
+# values carry too, so that a read through a value (``x.m``) cannot be
+# told apart by class: such a read counts for every class defining the
+# name.  Each name says which classes share it and why; a name leaves
+# the list when only one class defines it again.
+_RING = "linalg's two integer rings share one interface, read through ring_of"
+_VALUES = "series, matrices and toral elements share one value interface"
+SHARED_METHOD_NAMES = {
+    **dict.fromkeys(("combine", "const", "content", "convolve", "dot", "exact_div", "mul",
+                     "neg", "reciprocal"), _RING),
+    "add": _RING + " (and set.add)",
+    "read": _RING + " (and IntMatrix.read)",
+    "scalar": _RING + " (and LaurentMatrix.scalar)",
+    "scale": _RING + " (and ToralElement.scale)",
+    **dict.fromkeys(("agrees", "is_zero", "shift", "tau", "truncate"), _VALUES),
+    "zero": _VALUES + " (and GroundField.zero)",
+    "inverse": "field values, series, matrices and Weyl elements invert",
+    "compose": "Weyl elements and graded maps compose",
+    "realization": "formal types and toral elements realize as matrices",
+    "leading": "FormalType.leading() and RegularityReport.leading",
+    "n": "connections, matrices, chains, strata, tori and global data have a rank n",
+    "to_json": "every serializable value writes its parts with their to_json",
+    "format": "StratumCharPoly.format and str.format",
+}
+
+# Attributes of builtin values: a class defining one of these names
+# shares it with them.
+BUILTIN_ATTRIBUTES = {name for kind in (str, bytes, list, dict, set, tuple, int, Fraction)
+                      for name in dir(kind)}
 
 
 def _modules(folder=SRC):
@@ -133,37 +169,92 @@ def test_no_unreferenced_private_names():
 
 
 def _traced_names():
-    """The function and method names in the tracer's TARGETS, read from
-    bench/tracing.py without importing it."""
+    """The names in the tracer's TARGETS ("function" or "Class.method"),
+    read from bench/tracing.py without importing it."""
     with open(TRACING) as fh:
         tree = ast.parse(fh.read(), filename="tracing.py")
     for stmt in tree.body:
         if isinstance(stmt, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "TARGETS" for t in stmt.targets):
-            return {elt.elts[1].value.split(".")[-1] for elt in stmt.value.elts}
+            return {elt.elts[1].value for elt in stmt.value.elts}
     raise AssertionError("bench/tracing.py defines no TARGETS")
+
+
+def _attribute_owners(modules):
+    """name -> the classes that define a method, a slot or a self
+    attribute of that name."""
+    owners = {}
+    for tree in modules.values():
+        for cls in (stmt for stmt in tree.body if isinstance(stmt, ast.ClassDef)):
+            names = [sub.name for sub in cls.body if isinstance(sub, ast.FunctionDef)]
+            names += [elt.value for sub in cls.body if isinstance(sub, ast.Assign)
+                      and any(getattr(t, "id", None) == "__slots__" for t in sub.targets)
+                      for elt in sub.value.elts]
+            names += [node.attr for node in ast.walk(cls)
+                      if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                      and getattr(node.value, "id", "") == "self"]
+            for name in names:
+                owners.setdefault(name, set()).add(cls.name)
+    return owners
 
 
 def _library_dead_public():
     """module: [Class.]name for every public top-level function or method
     that no other statement of the library reads (a method's class body
     is split into its statements; an import in __init__.py does not
-    count), that __all__ does not export and the tracer does not wrap."""
+    count), that __all__ does not export and the tracer does not wrap.
+
+    A function is read when another statement names it.  A method m of
+    class C is read only through C: as ``C.m``, as ``self.m`` or
+    ``cls.m`` in another statement of C, or as ``x.m`` on any other value
+    when C alone defines m (no other class and no builtin value has an
+    attribute m) or m is in SHARED_METHOD_NAMES.  A local variable named
+    m reads nothing."""
     modules = _modules()
+    owners = _attribute_owners(modules)
+    classes = {name for held in owners.values() for name in held}
     units = []
     for name, tree in modules.items():
         for stmt in tree.body:
             if isinstance(stmt, ast.ClassDef):
-                units.extend((name, stmt.name + ".", sub)
+                units.extend((name, stmt.name, sub)
                              for sub in stmt.body + stmt.bases + stmt.decorator_list)
             elif name != "__init__.py" or not isinstance(stmt, (ast.Import, ast.ImportFrom)):
-                units.append((name, "", stmt))
-    reads = [(unit, _names_used([unit])) for _, _, unit in units]
-    spared = _exported(modules["__init__.py"]) | _traced_names()
-    return ["%s: %s%s" % (name, owner, unit.name) for name, owner, unit in units
-            if isinstance(unit, ast.FunctionDef) and not unit.name.startswith("_")
-            and unit.name not in spared
-            and not any(unit.name in used for other, used in reads if other is not unit)]
+                units.append((name, None, stmt))
+    reads = []  # (unit, names read, (receiver class or None, attribute) pairs)
+    for _, owner, unit in units:
+        pairs = set()
+        for node in ast.walk(unit):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                base = getattr(node.value, "id", None)
+                held = owner if base in ("self", "cls") else base if base in classes else None
+                pairs.add((held, node.attr))
+        reads.append((unit, _names_used([unit]), pairs))
+    exported, traced = _exported(modules["__init__.py"]), _traced_names()
+    dead = []
+    for name, owner, unit in units:
+        if not isinstance(unit, ast.FunctionDef) or unit.name.startswith("_"):
+            continue
+        m = unit.name
+        others = [(used, pairs) for other, used, pairs in reads if other is not unit]
+        if owner is None:
+            read = m in exported or m in traced or any(m in used for used, _ in others)
+        else:
+            through_value = m in SHARED_METHOD_NAMES or (
+                owners[m] == {owner} and m not in BUILTIN_ATTRIBUTES)
+            read = "%s.%s" % (owner, m) in traced or any(
+                (owner, m) in pairs or (through_value and (None, m) in pairs)
+                for _, pairs in others)
+        if not read:
+            dead.append("%s: %s%s" % (name, owner + "." if owner else "", m))
+    return dead
+
+
+def test_shared_method_names_are_shared():
+    owners = _attribute_owners(_modules())
+    stale = sorted(m for m in SHARED_METHOD_NAMES
+                   if len(owners.get(m, ())) < 2 and m not in BUILTIN_ATTRIBUTES)
+    assert not stale, "defined by one class only, drop from the list: %s" % ", ".join(stale)
 
 
 def test_public_functions_are_read_exported_or_traced():

@@ -32,7 +32,7 @@ def test_mul_precision_window():
     b = LS([(-1, 1)], prec=2)
     prod = a * b
     assert prod.coeff(-3) == 1 and prod.coeff(-1) == 1
-    assert prod.window() == (-3, 0)
+    assert (prod.order, prod.prec) == (-3, 0)
 
 
 def test_zero_scalar_times_series_is_exact_zero():

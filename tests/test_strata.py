@@ -1,22 +1,31 @@
 """Strata: characteristic polynomials, the fundamental test against the
-brute-force oracle, reductions, Hensel splitting, regularity."""
+brute-force oracle, reductions, Hensel splitting, regularity (against
+the recursive splitting classifier of ``helpers.ref_is_regular``)."""
 
 import math
 from fractions import Fraction
 
 import pytest
 
-from formalconn.errors import IrreducibleStratum, NonsplitField
+from formalconn.connections import FormalConnection, fundamental_stratum, gauge_transform
+from formalconn.errors import FormalConnError, IrreducibleStratum, NonsplitField
+from formalconn.formal_types import FormalType
 from formalconn.matrices import LaurentMatrix
 from formalconn.parahoric import filtration_degree, standard_chain
-from formalconn.polys import kpoly_trim
-from formalconn.scalars import get_field
-from formalconn import strata
+from formalconn.polys import kpoly_derivative, kpoly_divmod, kpoly_gcd, kpoly_mul, kpoly_trim
+from formalconn.scalars import format_scalar, get_field
+from formalconn.series import LaurentScalar
+from formalconn import linalg, strata
 from formalconn.strata import (Stratum, is_fundamental, is_regular,
                                off_block_filtration_ok, reduce_stratum,
                                split_stratum, stratum_char_poly)
+from formalconn.torus import TorusData
 
-from helpers import LS, brute_force_fundamental, lmat, random_matrix, seeded
+from helpers import (LS, brute_force_fundamental, lmat, random_matrix, random_regular_type,
+                     random_unit_matrix, ref_is_regular, seeded, shear_gauged)
+
+Q = get_field("Q")
+QI = get_field("Q(i)")
 
 
 def F(x):
@@ -252,12 +261,14 @@ def test_regularity_report_carries_split():
 
 def test_pure_strata_classified_without_splitting(monkeypatch):
     """A pure stratum on the complete chain (one nonzero pattern entry
-    per row, gcd(r, e) = 1) is a leaf without factoring phi; a pure
-    block that needs a root the field lacks still raises NonsplitField."""
-    def no_split(*args, **kwargs):
-        raise AssertionError("split_stratum called on a pure stratum")
+    per row, gcd(r, e) = 1) is classified without factoring phi or
+    splitting; a pure block that needs a root the field lacks still
+    raises NonsplitField."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("pure stratum factored or split")
 
-    monkeypatch.setattr(strata, "_split_stratum", no_split)
+    monkeypatch.setattr(strata, "_constant_split", refuse)
+    monkeypatch.setattr(strata, "kpoly_factor", refuse)
     iw = standard_chain((1, 1))
     rep = is_regular(Stratum(iw, 3, iw.varpi_power(-3) * Fraction(5)))
     assert rep and rep.e == 2 and rep.m == 1 and rep.leading == [5]
@@ -266,8 +277,48 @@ def test_pure_strata_classified_without_splitting(monkeypatch):
     b = lmat([[[], [], [(-1, 2)]], [[(0, 4)], [], []], [[], [(0, 1)], []]])
     rep = is_regular(Stratum(iw3, 1, b))
     assert rep and rep.e == 3 and rep.leading == [2]
-    with pytest.raises(NonsplitField):
+    with pytest.raises(NonsplitField, match="regularity undecidable over Q: pure block"):
         is_regular(Stratum(iw, 1, lmat([[[], [(-1, 1)]], [[(0, 2)], []]])), get_field("Q"))
+
+
+def test_is_regular_work_per_call(monkeypatch):
+    """One classification computes phi once, factors at most once and
+    splits at most once, and never runs the recursive machinery (the
+    fundamental test, _split_stratum) or a minimal polynomial."""
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(strata, name, wrapper)
+
+    for name in ("charpoly", "kpoly_factor", "_constant_split", "is_fundamental",
+                 "_split_stratum"):
+        counted(name, getattr(strata, name))
+    assert not hasattr(linalg, "minpoly")
+    iw, mx = standard_chain((1, 1)), standard_chain((2,))
+    cases = [
+        Stratum(iw, 3, iw.varpi_power(-3)),                                # pure
+        Stratum(mx, 1, lmat([[[(-1, 1)], [(0, 1)]], [[], [(-1, 2)]]])),    # split
+        Stratum(mx, 0, lmat([[[(0, 1)], [(0, 1)]], [[(2, 3)], [(0, (1, 2))]]])),  # depth 0
+        Stratum(mx, 1, lmat([[[(-1, 1)], []], [[], [(-1, 1)]]])),          # repeated
+        Stratum(mx, 1, lmat([[[], [(-1, 1)]], [[], []]])),                 # nilpotent
+    ]
+    for s in cases:
+        calls.clear()
+        is_regular(s)
+        assert calls.get("charpoly") == 1, (s, calls)
+        assert calls.get("kpoly_factor", 0) <= 1 and calls.get("_constant_split", 0) <= 1
+        assert not calls.get("is_fundamental") and not calls.get("_split_stratum"), (s, calls)
+    s = Stratum(standard_chain((2, 2)), 1, lmat([[[], [], [(-1, 1)], []],
+                                                  [[], [], [], [(-1, 4)]],
+                                                  [[(0, 1)], [], [], []],
+                                                  [[], [(0, 1)], [], []]]))
+    calls.clear()
+    rep = is_regular(s)
+    assert rep.m == 2 and rep.leading == [1, 2]
+    assert calls == {"charpoly": 1, "kpoly_factor": 1, "_constant_split": 1}, calls
 
 
 def test_regularity_with_nilpotent_summand():
@@ -304,3 +355,127 @@ def test_stratum_serialization():
     s = Stratum(iw, 3, iw.varpi_power(-3))
     data = s.to_json()
     assert data["blocks"] == [1, 1] and data["r"] == 3
+
+
+
+def _random_matrix_strata(rng):
+    """Fundamental strata of random matrices, n <= 5, over Q."""
+    for _ in range(60):
+        conn = FormalConnection(random_matrix(rng, rng.randint(1, 5), lo=-rng.randint(0, 3)))
+        yield fundamental_stratum(conn)[2], Q
+
+
+def _gauged_type_strata(rng):
+    """Fundamental strata of regular formal types over Q, n <= 8, gauged
+    by a unit 1 + O(t) or by a shear."""
+    shapes = [(n, e, r) for n in range(1, 9) for e in range(1, n + 1) if n % e == 0
+              for r in range(4) if (r == 0 and e == 1) or (r and math.gcd(r, e) == 1)]
+    for k in range(60):
+        n, e, r = rng.choice(shapes)
+        conn = FormalConnection(random_regular_type(rng, n, e, r).realization())
+        if k % 2:
+            conn = shear_gauged(rng, conn)
+        else:
+            g = random_unit_matrix(rng, n, depth=2)
+            conn = gauge_transform(g, conn)
+        yield fundamental_stratum(conn)[2], Q
+
+
+def _random_pattern_strata(rng):
+    """Leading terms with coefficients from a small set on uniform chains,
+    over Q and Q(i), so that eigenvalues collide and factors go
+    nonlinear."""
+    for _ in range(300):
+        field = rng.choice([Q, QI])
+        e = rng.randint(1, 3)
+        k = rng.randint(1, 6 // e)
+        r = rng.choice([x for x in range(4) if math.gcd(x, e) == 1 and (x or e == 1)])
+        ctx = standard_chain((k,) * e)
+        coeffs = [0, 0, 1, -1, 2] + ([QI.generator()] if field is QI else [])
+        rows = []
+        for u in range(ctx.n):
+            row = []
+            for v in range(ctx.n):
+                c = rng.choice(coeffs)
+                row.append(LaurentScalar({ctx.min_entry_order(u, v, -r): c} if c else {}))
+            rows.append(row)
+        yield Stratum(ctx, r, LaurentMatrix(rows)), field
+
+
+def _toral_strata(rng):
+    """Toral sums whose leading coefficients repeat, are negated at
+    e = 2 (equal squares), or are complex conjugates over Q(i)."""
+    for _ in range(60):
+        field = rng.choice([Q, QI])
+        e = rng.randint(1, 3)
+        r = rng.choice([x for x in range(4) if math.gcd(x, e) == 1 and (x or e == 1)])
+        leads = []
+        for _ in range(rng.randint(1, 3)):
+            lead = field.from_coords([Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                                      for _ in range(field.degree)])
+            if leads and rng.random() < 0.6:
+                prev = rng.choice(leads)
+                twins = [prev] + ([-prev] if e == 2 else []) + \
+                    ([QI.from_coords([prev.coords[0], -prev.coords[1]])] if field is QI else [])
+                lead = rng.choice(twins)
+            leads.append(lead if r == 0 or lead != 0 else field.one())
+        rows = [[a] + [field.from_rational(rng.randint(-2, 2)) for _ in range(r)] for a in leads]
+        yield FormalType(TorusData(e, len(leads)), r, rows, field).induced_stratum(), field
+
+
+def _outcome(classify, s, field):
+    try:
+        return classify(s, field)
+    except FormalConnError as exc:
+        return exc
+
+
+def _report_json(rep):
+    """Everything a regular report holds, as comparable JSON-like values
+    (False for any "not regular", whatever the reason)."""
+    if not rep:
+        return False
+    return {"e": rep.e, "m": rep.m, "leading": [format_scalar(a) for a in rep.leading],
+            "gauge": rep.gauge and rep.gauge.to_json(),
+            "gauge_inverse": rep.gauge_inverse and rep.gauge_inverse.to_json(),
+            "conjugate": rep.conjugate and rep.conjugate.to_json(),
+            "parts": rep.parts and [(p.slots, p.stratum.ctx.phases, p.stratum.to_json())
+                                    for p in rep.parts]}
+
+
+def _multiplicity_fails(s):
+    """Whether some eigenvalue of y has multiplicity other than e, or 0
+    is one at e > 1, read off phi and its square-free part P."""
+    s = reduce_stratum(s)
+    phi = kpoly_trim(stratum_char_poly(s).poly)
+    part = kpoly_divmod(phi, kpoly_gcd(phi, kpoly_derivative(phi)))[0]
+    power = [F(1)]
+    for _ in range(s.e):
+        power = kpoly_mul(power, part)
+    return power != phi or (s.e > 1 and part[0] == 0)
+
+
+def test_is_regular_matches_recursive_reference():
+    """The one-rule classifier against the recursive splitting it
+    replaced (helpers.ref_is_regular), on four seeded families: equal
+    reports wherever the reference decides, and where the reference
+    finds the field lacking a root, the new test may instead decide "not
+    regular", only when the multiplicities already refute regularity."""
+    rng = seeded(4411)
+    tally = {"regular": 0, "not regular": 0, "decided now": 0, "raised": 0}
+    for family in (_random_matrix_strata, _gauged_type_strata, _random_pattern_strata,
+                   _toral_strata):
+        for s, field in family(rng):
+            new = _outcome(is_regular, s, field)
+            ref = _outcome(ref_is_regular, s, field)
+            if isinstance(ref, Exception) and not isinstance(new, Exception):
+                assert isinstance(ref, NonsplitField) and not new, (s, ref, new)
+                assert _multiplicity_fails(s), (s, ref, new)
+                tally["decided now"] += 1
+            elif isinstance(ref, Exception):
+                assert type(new) is type(ref), (s, ref, new)
+                tally["raised"] += 1
+            else:
+                assert _report_json(new) == _report_json(ref), (s, ref, new)
+                tally["regular" if ref else "not regular"] += 1
+    assert min(tally.values()) >= 5, tally
