@@ -5,8 +5,9 @@ Ext over Q(zeta_m); ints are accepted as input).  Every routine reads
 its matrices once into integer rows, each row multiplied through by the
 common denominator of its entries: over Q an entry is one integer, over
 Q(zeta_m) an element of Z[zeta_m] given by its phi(m) power-basis
-coordinates, whose products ``GroundField.fold`` reduces and whose
-quotients ``GroundField.element`` writes.  These two rings
+coordinates, whose products and reciprocals ``GroundField.dot`` and
+``GroundField.reciprocal`` take and whose quotients
+``GroundField.element`` writes.  These two rings
 (:func:`integer_ring`) are the library's one integer encoding of field
 values: the series kernel, ``matrices.IntMatrix`` and the level forms
 of :mod:`formalconn.torus` compute on them too, series through
@@ -121,11 +122,6 @@ class _CyclotomicIntegers:
 
     def __init__(self, field):
         self.field = field
-        # zeta_m^k in the power basis, k = 0..m-1, for the conjugates
-        powers = [[1]]
-        for _ in range(field.m - 1):
-            powers.append(field.fold([0] + powers[-1]))
-        self._powers = powers
 
     def read(self, row):
         coords = [x.coords if isinstance(x, Ext) else (x,) for x in row]
@@ -151,17 +147,7 @@ class _CyclotomicIntegers:
         return tuple(-c for c in a)
 
     def dot(self, xs, ys):
-        acc = []
-        for a, b in zip(xs, ys):
-            if a and b:
-                top = len(a) + len(b) - 1
-                if len(acc) < top:
-                    acc.extend([0] * (top - len(acc)))
-                for i, x in enumerate(a):
-                    if x:
-                        for j, y in enumerate(b):
-                            acc[i + j] += x * y
-        return _trim(self.field.fold(acc))
+        return _trim(self.field.dot(xs, ys))
 
     def convolve(self, acc, a, b, prec):
         # one dot, so one fold, per output exponent
@@ -203,21 +189,9 @@ class _CyclotomicIntegers:
         return self.field.element(a, den)
 
     def reciprocal(self, p):
-        """(den, w) with 1/p = w/den: w is the product of the Galois
-        conjugates zeta -> zeta^k (k > 1 prime to m) of p, and den the
-        norm p w, a positive int, as Q(zeta_m) has no real embedding."""
-        m, d = self.field.m, self.field.degree
-        w = self.one
-        for k in range(2, m):
-            if math.gcd(k, m) == 1:
-                conj = [0] * d
-                for j, c in enumerate(p):
-                    if c:
-                        for i, z in enumerate(self._powers[j * k % m]):
-                            conj[i] += c * z
-                w = self.mul(w, _trim(conj))
-        (den,) = self.mul(p, w)
-        return den, w
+        """(den, w) with 1/p = w/den, den the norm of p, a positive int."""
+        den, w = self.field.reciprocal(p)
+        return den, _trim(w)
 
 
 def _trim(coords):

@@ -163,34 +163,25 @@ def kpoly_factor(p, field):
     content is discarded.  Coefficients are Fractions over Q and Ext
     elements over Q(zeta_m).
 
-    Over Q, each square-free part is factored over Z by the Zassenhaus
-    method (:mod:`intpoly`).  Over Q(zeta_m), rational polynomials are
-    first factored over Q, and each part is split further by Trager's
-    norm method.
+    Each part of the square-free decomposition
+    (:func:`kpoly_squarefree_parts`) is factored by
+    :func:`kpoly_factor_squarefree`.
     """
     p = kpoly_monic(p)
-    rational = all(is_rational_value(c) for c in p)
-    if rational:
+    if all(is_rational_value(c) for c in p):
         p = [as_fraction(c) for c in p]
     else:
         _check_norm_degree(kpoly_deg(p), field)
-    out = []
-    for part, mult in _squarefree_parts(p):
-        if rational:
-            ints = integer_ring(get_field("Q")).read(part)[1]
-            facs = [_monic_rational(h) for h in factor_squarefree(primitive(ints))]
-            if field.m != 1:
-                facs = [g for f in facs for g in _trager(f, field)]
-        else:
-            facs = _trager(part, field)
-        out.extend((_in_field(f, field), mult) for f in facs)
+    out = [(fac, mult) for part, mult in kpoly_squarefree_parts(p)
+           for fac in kpoly_factor_squarefree(part, field)]
     out.sort(key=lambda fm: (kpoly_deg(fm[0]), _factor_sort_key(fm[0])))
     return out
 
 
-def _squarefree_parts(f):
+def kpoly_squarefree_parts(f):
     """Yun's square-free decomposition of a monic f: monic, square-free,
-    pairwise coprime parts with their multiplicities."""
+    pairwise coprime parts with their multiplicities, in ascending
+    multiplicity."""
     df = kpoly_derivative(f)
     a = kpoly_gcd(f, df)
     b = kpoly_divmod(f, a)[0]
@@ -205,6 +196,26 @@ def _squarefree_parts(f):
             out.append((a, mult))
         mult += 1
     return out
+
+
+def kpoly_factor_squarefree(g, field):
+    """The monic irreducible factors over the field of a monic
+    square-free g, unsorted, with coefficients in the field.
+
+    A rational g is factored over Z by the Zassenhaus method
+    (:mod:`intpoly`), and over Q(zeta_m) each factor is split further by
+    Trager's norm method; any other g goes to Trager's method directly,
+    after the norm-degree refusal (FactorTooLarge).
+    """
+    if all(is_rational_value(c) for c in g):
+        ints = integer_ring(get_field("Q")).read([as_fraction(c) for c in g])[1]
+        facs = [_monic_rational(h) for h in factor_squarefree(primitive(ints))]
+        if field.m != 1:
+            facs = [h for f in facs for h in _trager(f, field)]
+    else:
+        _check_norm_degree(kpoly_deg(g), field)
+        facs = _trager(g, field)
+    return [_in_field(f, field) for f in facs]
 
 
 def _monic_rational(h):

@@ -9,16 +9,23 @@ kinds interoperate: Fraction (or int) mixes freely into Ext arithmetic.
 
 :class:`GroundField` is the one place that knows this format: its
 :meth:`~GroundField.fold` reduces coordinates of degree >= phi(m) by
-the integer reduction table, and :meth:`~GroundField.element` writes
-integer coordinates over one denominator as the canonical Fraction or
-Ext.  ``Ext`` products and the integer rings of :mod:`formalconn.linalg`
-call them; every other module computes through those rings.
+the integer reduction table, :meth:`~GroundField.dot` multiplies
+elements of Z[zeta_m] given by integer coordinates,
+:meth:`~GroundField.reciprocal` inverts one by its norm (1/a = w / N(a)
+with w the product of the other Galois conjugates of a; Cohen, 4.2-4.3)
+and :meth:`~GroundField.element` writes integer coordinates over one
+denominator as the canonical Fraction or Ext.  ``Ext`` products and
+inverses read their coordinates over one denominator and go through
+them, as the integer rings of :mod:`formalconn.linalg` do; every other
+module computes through those rings.
 
 Field names accepted throughout: "Q", "Q(i)" (= Q(zeta_4)) and
 "Q(zeta_m)" for m <= MAX_CYCLOTOMIC_ORDER of degree phi(m) <=
 MAX_CYCLOTOMIC_DEGREE.
 """
 
+import functools
+import math
 from fractions import Fraction
 
 from .errors import NonsplitField, ParseError
@@ -185,6 +192,51 @@ class GroundField:
         del coords[d:]
         return coords
 
+    # -- the integer ring Z[zeta_m] ----------------------------------------
+
+    def dot(self, xs, ys):
+        """sum_i x_i y_i for elements x_i, y_i of Z[zeta_m], given by
+        their integer power-basis coordinates (at most phi(m) each): one
+        convolution and one fold, a list of at most phi(m) coordinates."""
+        acc = []
+        for a, b in zip(xs, ys):
+            if a and b:
+                top = len(a) + len(b) - 1
+                if len(acc) < top:
+                    acc.extend([0] * (top - len(acc)))
+                for i, x in enumerate(a):
+                    if x:
+                        for j, y in enumerate(b):
+                            acc[i + j] += x * y
+        return self.fold(acc)
+
+    def reciprocal(self, a):
+        """(den, w) with 1/a = w/den for a nonzero element a of Z[zeta_m]
+        (integer coordinates): w is the product of the Galois conjugates
+        zeta -> zeta^k (1 < k < m, k prime to m) of a, and den the norm
+        a w, a positive int, as Q(zeta_m) has no real embedding (Cohen,
+        4.2-4.3)."""
+        m, d, powers = self.m, self.degree, self._powers
+        w = [1]
+        for k in range(2, m):
+            if math.gcd(k, m) == 1:
+                conj = [0] * d
+                for j, c in enumerate(a):
+                    if c:
+                        for i, z in enumerate(powers[j * k % m]):
+                            conj[i] += c * z
+                w = self.dot([w], [conj])
+        return self.dot([a], [w])[0], w
+
+    @functools.cached_property
+    def _powers(self):
+        """zeta_m^k in the power basis, k = 0..m-1, for the conjugates;
+        built on the first reciprocal."""
+        powers = [[1]]
+        for _ in range(self.m - 1):
+            powers.append(self.fold([0] + powers[-1]))
+        return powers
+
     # -- roots of unity -------------------------------------------------
 
     def root_of_unity(self, e):
@@ -249,14 +301,9 @@ class Ext:
             return Ext(self.field, tuple(a * other for a in self.coords))
         if not isinstance(other, Ext):
             return NotImplemented
-        d = self.field.degree
-        prod = [Fraction(0)] * (2 * d - 1)
-        for i, a in enumerate(self.coords):
-            if a:
-                for j, b in enumerate(other.coords):
-                    if b:
-                        prod[i + j] += a * b
-        return Ext(self.field, tuple(self.field.fold(prod)))
+        da, a = _numerators(self.coords)
+        db, b = _numerators(other.coords)
+        return self.field.element(self.field.dot([a], [b]), da * db)
 
     __rmul__ = __mul__
 
@@ -282,20 +329,13 @@ class Ext:
         return result
 
     def inverse(self):
-        """1/self by the extended Euclidean algorithm against Phi_m:
-        the remainders of (Phi_m, self) end in a nonzero constant c,
-        since Phi_m is irreducible, and the cofactor s of self with
-        s * self = c mod Phi_m gives 1/self = s / c."""
-        r0, r1 = list(self.field.modulus), _poly_trim(list(self.coords))
-        if not r1:
+        """1/self = den / a = den w / N(a) for self = a / den with a in
+        Z[zeta_m], by :meth:`GroundField.reciprocal`."""
+        den, a = _numerators(self.coords)
+        if not any(a):
             raise ZeroDivisionError("division by zero in %s" % self.field.name)
-        s0, s1 = [], [Fraction(1)]
-        while len(r1) > 1:
-            quo, rem = _poly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _poly_sub_mul(s0, quo, s1)
-        c = r1[0]
-        return self.field.element(s1, c)
+        norm, w = self.field.reciprocal(a)
+        return self.field.element([den * c for c in w], norm)
 
     def __eq__(self, other):
         if isinstance(other, Ext):
@@ -316,36 +356,11 @@ class Ext:
         return "Ext(%s, %s)" % (self.field.name, format_scalar(self))
 
 
-def _poly_trim(p):
-    """Drop trailing zeros; the zero polynomial is []."""
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _poly_divmod(p, q):
-    """Quotient and remainder of rational polynomials (ascending lists,
-    q nonzero)."""
-    rem = list(p)
-    quo = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
-    inv_lead = 1 / Fraction(q[-1])
-    for k in range(len(quo) - 1, -1, -1):
-        c = rem[k + len(q) - 1] * inv_lead
-        if c:
-            quo[k] = c
-            for i, b in enumerate(q):
-                rem[k + i] -= c * b
-    return quo, _poly_trim(rem[:len(q) - 1])
-
-
-def _poly_sub_mul(a, b, c):
-    """a - b * c for rational polynomials."""
-    out = list(a) + [Fraction(0)] * max(len(b) + len(c) - 1 - len(a), 0)
-    for i, x in enumerate(b):
-        if x:
-            for j, y in enumerate(c):
-                out[i + j] -= x * y
-    return _poly_trim(out)
+def _numerators(coords):
+    """(den, nums): Fraction coordinates as integers over their common
+    denominator."""
+    den = math.lcm(*(c.denominator for c in coords))
+    return den, [c.numerator * (den // c.denominator) for c in coords]
 
 
 # -- generic helpers (work on Fraction and Ext alike) ------------------

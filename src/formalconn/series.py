@@ -204,7 +204,8 @@ class LaurentScalar:
         # With coeffs[s + j] = c_j / den, the inverse has t^(k - s)
         # coefficient den W_k / c_0^(k+1), where W_0 = 1 and
         # W_k = -sum_(j=1..k) c_j c_0^(j-1) W_(k-j).  With 1/c_0 =
-        # inv / dinv, read once, that is den W_k inv^(k+1) / dinv^(k+1).
+        # inv / dinv from ring.reciprocal, that is
+        # den W_k inv^(k+1) / dinv^(k+1).
         ring = ring_of_series([self])
         den, (nums,) = ring_form(ring, [self])
         lead = nums[s]
@@ -222,7 +223,7 @@ class LaurentScalar:
             if m < len(js) and js[m] == k:
                 m += 1
             w.append(ring.neg(ring.dot(cs[:m], [w[k - j] for j in js[:m]])))
-        dinv, (inv,) = ring.read([scalar_inverse(ring.scalar(lead, 1))])
+        dinv, inv = ring.reciprocal(lead)
         out = {}
         num, div = ring.scale(den, inv), dinv
         for k in range(digits):

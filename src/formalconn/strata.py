@@ -26,8 +26,8 @@ from .linalg import charpoly, kinverse, kmatmul, knullspace, kzeros
 from .matrices import LaurentMatrix, constant_product
 from .parahoric import (LatticeChain, ParahoricContext, graded_component,
                         in_filtration)
-from .polys import (kpoly_deg, kpoly_derivative, kpoly_divmod, kpoly_factor, kpoly_format,
-                    kpoly_gcd, kpoly_mul, kpoly_sub, kpoly_trim, nth_root_in_field)
+from .polys import (kpoly_deg, kpoly_factor, kpoly_factor_squarefree, kpoly_format, kpoly_mul,
+                    kpoly_squarefree_parts, kpoly_trim, nth_root_in_field)
 from .scalars import Ext, congruent_mod_z, get_field, is_zero, sort_key
 from .series import LaurentScalar, OneForm
 
@@ -192,8 +192,8 @@ def _split_stratum(s, field):
         if kpoly_deg(fac) == 1:
             raise IrreducibleStratum("pure stratum: phi = %s" % kpoly_format(phi))
         raise NonsplitField("phi has no root in %s: %s" % (field.name, kpoly_format(phi)))
-    split = _constant_split(s, y, [_power(fac, mult, field)
-                                   for fac, mult in sorted(factors, key=_group_sort_key)])
+    factors.sort(key=lambda fm: _split_order(fm[0]))
+    split = _constant_split(s, y, [_power(fac, mult, field) for fac, mult in factors])
     # g is constant inside the phase classes, so the off-block entries of
     # g^-1 beta g keep the windows and minimum orders that Stratum and
     # graded_rep certify for beta, and their leading terms vanish
@@ -252,8 +252,9 @@ def _split_parts(s, beta_conj, slot_lists):
     return parts
 
 
-def _group_sort_key(group):
-    fac, _ = group
+def _split_order(fac):
+    """Linear factors first, in the sort order of their roots, then the
+    others by their coefficients."""
     if kpoly_deg(fac) == 1:
         return (0, sort_key(-fac[0]))
     return (1, tuple(sort_key(c) for c in fac))
@@ -337,8 +338,9 @@ def is_regular(s, field=None):
     r > 0 the chain must be uniform and the stratum fundamental, which
     fails exactly when phi = X^n (see :func:`is_fundamental`).  Then the
     stratum is regular iff every eigenvalue of y = beta^e t^r has
-    multiplicity e, and 0 is one only at e = 1: phi = P^e for the
-    square-free part P = phi / gcd(phi, phi'), and P(0) != 0 if e > 1.
+    multiplicity e, and 0 is one only at e = 1: the square-free
+    decomposition of phi is P^e, one square-free P of multiplicity e,
+    and P(0) != 0 if e > 1.
     The roots of P, and at e > 1 the roots that :func:`pure_leading`
     takes, must lie in the field, else NonsplitField is raised; at r = 0
     the roots must be pairwise incongruent modulo Z.
@@ -372,13 +374,14 @@ def is_regular(s, field=None):
     if n == e:
         alpha = _pure_root(lead, field) if n > 1 else s.beta.rows[0][0].coeff_or_zero(-r)
         return RegularityReport(True, e=e, m=1, leading=[alpha])
-    squarefree = kpoly_divmod(phi, kpoly_gcd(phi, kpoly_derivative(phi)))[0]
-    if kpoly_deg(kpoly_sub(_power(squarefree, e, field), phi)) >= 0:
+    decomposition = kpoly_squarefree_parts(phi)
+    if [mult for _, mult in decomposition] != [e]:
         return RegularityReport(False, reason="repeated residue eigenvalue" if r == 0 else
                                 "an eigenvalue of y has multiplicity other than e = %d" % e)
+    ((squarefree, _),) = decomposition
     if e > 1 and is_zero(squarefree[0]):
         return RegularityReport(False, reason="nilpotent summand not of the allowed shape")
-    factors = [fac for fac, _ in sorted(kpoly_factor(squarefree, field), key=_group_sort_key)]
+    factors = sorted(kpoly_factor_squarefree(squarefree, field), key=_split_order)
     nonlinear = [fac for fac in factors if kpoly_deg(fac) > 1]
     if nonlinear and r == 0:
         raise NonsplitField("residue eigenvalues do not all lie in %s" % field.name)

@@ -103,29 +103,6 @@ class ToralElement:
         """Per-block coefficients at degree -depth."""
         return [block.get(-depth, Fraction(0)) for block in self.coeffs]
 
-    def truncate(self, prec):
-        if prec >= self.prec:
-            return self
-        return ToralElement(self.torus, self.coeffs, prec)
-
-    def __add__(self, other):
-        assert self.torus == other.torus
-        prec = min(self.prec, other.prec)
-        out = []
-        for a, b in zip(self.coeffs, other.coeffs):
-            d = dict(a)
-            for k, v in b.items():
-                d[k] = d.get(k, 0) + v
-            out.append(d)
-        return ToralElement(self.torus, out, prec)
-
-    def __sub__(self, other):
-        return self + other.scale(Fraction(-1))
-
-    def scale(self, c):
-        return ToralElement(self.torus, [{d: v * c for d, v in blk.items()}
-                                         for blk in self.coeffs], self.prec)
-
     def realization(self):
         """The block-diagonal series matrix, written as the level form on
         the interleaved chain whose level d holds the coefficient of

@@ -26,7 +26,10 @@ split over k[[t]] that the constant split replaced: series kernels of
 the lifted factors of phi and a chain-adapted echelon basis.  The
 reference regularity test is the recursive splitting classifier that
 the multiplicity rule of ``strata.is_regular`` replaced.  The reference
-cyclotomic inverse is a dense Gauss-Jordan solve, and the reference
+cyclotomic product convolves Fraction coordinates and reduces modulo
+the cyclotomic polynomial by long division, the reference cyclotomic
+inverses are a dense Gauss-Jordan solve and the extended Euclidean
+algorithm against the cyclotomic polynomial, and the reference
 echelon form is Gauss-Jordan elimination in field scalars.
 """
 
@@ -385,7 +388,7 @@ def ref_ext_inverse(x):
     for j in range(d):
         basis = [Fraction(0)] * d
         basis[j] = Fraction(1)
-        cols.append(list((x * Ext(field, tuple(basis))).coords))
+        cols.append(list(ref_ext_product(x, Ext(field, tuple(basis))).coords))
     aug = [[cols[j][i] for j in range(d)] + [Fraction(1) if i == 0 else Fraction(0)]
            for i in range(d)]
     for c in range(d):
@@ -400,6 +403,70 @@ def ref_ext_inverse(x):
                 f = aug[r][c]
                 aug[r] = [v - f * w for v, w in zip(aug[r], aug[c])]
     return Ext(field, tuple(aug[i][d] for i in range(d)))
+
+
+def ref_ext_product(x, y):
+    """x y in Q(zeta_m): the convolution of the Fraction coordinates,
+    reduced modulo Phi_m by long division."""
+    field = x.field
+    prod = [Fraction(0)] * (2 * field.degree - 1)
+    for i, a in enumerate(x.coords):
+        for j, b in enumerate(y.coords):
+            prod[i + j] += a * b
+    return _ref_ext(field, _ref_poly_divmod(prod, field.modulus)[1])
+
+
+def ref_ext_euclid_inverse(x):
+    """1/x in Q(zeta_m) by the extended Euclidean algorithm against
+    Phi_m: the remainders of (Phi_m, x) end in a nonzero constant c, as
+    Phi_m is irreducible, and the cofactor s of x with s x = c mod Phi_m
+    gives 1/x = s / c.  ZeroDivisionError for zero."""
+    field = x.field
+    r0, r1 = list(field.modulus), _ref_poly_trim(list(x.coords))
+    if not r1:
+        raise ZeroDivisionError("division by zero in %s" % field.name)
+    s0, s1 = [], [Fraction(1)]
+    while len(r1) > 1:
+        quo, rem = _ref_poly_divmod(r0, r1)
+        r0, r1 = r1, rem
+        s0, s1 = s1, _ref_poly_sub_mul(s0, quo, s1)
+    return _ref_ext(field, [c / r1[0] for c in s1])
+
+
+def _ref_ext(field, coords):
+    return Ext(field, tuple(coords) + (Fraction(0),) * (field.degree - len(coords)))
+
+
+def _ref_poly_trim(p):
+    """Drop trailing zeros; the zero polynomial is []."""
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _ref_poly_divmod(p, q):
+    """Quotient and remainder of rational polynomials (ascending lists,
+    q nonzero)."""
+    rem = list(p)
+    quo = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
+    inv_lead = 1 / Fraction(q[-1])
+    for k in range(len(quo) - 1, -1, -1):
+        c = rem[k + len(q) - 1] * inv_lead
+        if c:
+            quo[k] = c
+            for i, b in enumerate(q):
+                rem[k + i] -= c * b
+    return quo, _ref_poly_trim(rem[:len(q) - 1])
+
+
+def _ref_poly_sub_mul(a, b, c):
+    """a - b c for rational polynomials."""
+    out = list(a) + [Fraction(0)] * max(len(b) + len(c) - 1 - len(a), 0)
+    for i, x in enumerate(b):
+        if x:
+            for j, y in enumerate(c):
+                out[i + j] -= x * y
+    return _ref_poly_trim(out)
 
 
 def ref_inverse(a, digits=None):

@@ -101,6 +101,21 @@ def test_negative_digits_exit_2(capsys, argv):
     assert json.loads(err)["error"] == "PARSE_ERROR"
 
 
+@pytest.mark.parametrize("command", ["slope", "diagonalize"])
+def test_nu_flag_rewrites_the_one_form_only(capsys, command):
+    """--nu re-expresses the connection against another one-form, which
+    changes neither the slope nor the formal type; an unknown one-form
+    is a parse error."""
+    path = os.path.join(DATA, "witten.conn.json")
+    code, plain, _ = run_cli(capsys, command, path)
+    assert code == 0 and plain
+    for nu in ("dt", "dt/t", "dt/t^2"):
+        assert run_cli(capsys, command, path, "--nu", nu) == (0, plain, "")
+    code, out, err = run_cli(capsys, command, path, "--nu", "dx")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "PARSE_ERROR"
+
+
 def test_matrix_read_against_dt_without_nu(tmp_path, capsys):
     """With no nu in the file, nabla = d + M dt (nu = dt/t is only the
     form it is expressed against): t^-3 dt is t^-2 dt/t, of slope 2."""

@@ -36,20 +36,24 @@ ONLY_TESTS_REACH = {
 # told apart by class: such a read counts for every class defining the
 # name.  Each name says which classes share it and why; a name leaves
 # the list when only one class defines it again.
-_RING = "linalg's two integer rings share one interface, read through ring_of"
-_VALUES = "series, matrices and toral elements share one value interface"
+_RING = "linalg's two integer rings, _Integers and _CyclotomicIntegers, share one interface"
+_SERIES = "LaurentScalar and LaurentMatrix share one series interface"
 SHARED_METHOD_NAMES = {
-    **dict.fromkeys(("combine", "const", "content", "convolve", "dot", "exact_div", "mul",
-                     "neg", "reciprocal"), _RING),
+    **dict.fromkeys(("combine", "const", "content", "convolve", "exact_div", "mul", "neg"),
+                    _RING),
+    **dict.fromkeys(("dot", "reciprocal"),
+                    _RING + " (and GroundField, the Z[zeta_m] product and norm reciprocal "
+                    "that _CyclotomicIntegers and Ext call)"),
     "add": _RING + " (and set.add)",
     "read": _RING + " (and IntMatrix.read)",
     "scalar": _RING + " (and LaurentMatrix.scalar)",
-    "scale": _RING + " (and ToralElement.scale)",
-    **dict.fromkeys(("agrees", "is_zero", "shift", "tau", "truncate"), _VALUES),
-    "zero": _VALUES + " (and GroundField.zero)",
-    "inverse": "field values, series, matrices and Weyl elements invert",
-    "compose": "Weyl elements and graded maps compose",
-    "realization": "formal types and toral elements realize as matrices",
+    **dict.fromkeys(("shift", "tau", "truncate"), _SERIES),
+    "agrees": _SERIES + " (and ToralElement.agrees)",
+    "is_zero": _SERIES + " (and ToralElement.is_zero and GradedEndo.is_zero)",
+    "zero": _SERIES + " (and ToralElement.zero and GroundField.zero)",
+    "inverse": "Ext, LaurentScalar, LaurentMatrix and WeylElement invert",
+    "compose": "WeylElement and GradedEndo compose",
+    "realization": "FormalType and ToralElement realize as matrices",
     "leading": "FormalType.leading() and RegularityReport.leading",
     "n": "connections, matrices, chains, strata, tori and global data have a rank n",
     "to_json": "every serializable value writes its parts with their to_json",

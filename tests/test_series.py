@@ -10,12 +10,12 @@ import sympy
 from formalconn.errors import NonsplitField, ParseError, PrecisionError, ZeroLeading
 from formalconn.matrices import LaurentMatrix
 from formalconn.polys import nth_root_in_field
-from formalconn.scalars import (MAX_CYCLOTOMIC_DEGREE, MAX_CYCLOTOMIC_ORDER,
+from formalconn.scalars import (MAX_CYCLOTOMIC_DEGREE, MAX_CYCLOTOMIC_ORDER, Ext,
                                 _cyclotomic_poly, format_scalar, get_field,
                                 parse_scalar, scalar_coords)
 from formalconn.series import INF, LaurentScalar, OneForm, default_precision, residue
 
-from helpers import LS, random_series, seeded
+from helpers import LS, random_series, ref_ext_euclid_inverse, ref_ext_product, seeded
 
 
 def test_mul_inverse_powers():
@@ -171,6 +171,37 @@ def test_scalar_field_arithmetic():
     z = z5.generator()
     assert z ** 5 == 1 and z ** 4 != 1
     assert z * z.inverse() == 1
+
+
+@pytest.mark.parametrize("m", [4, 3, 5, 8, 12, 24])
+def test_ext_product_and_inverse_match_references(m):
+    """Ext products and inverses, on coordinates with mixed
+    denominators and on rational values held as Ext, equal the Fraction
+    convolution and the extended Euclidean algorithm."""
+    field = get_field("Q(zeta_%d)" % m)
+    rng = seeded(m)
+
+    def draw():
+        if rng.random() < 0.2:
+            return field.from_rational(Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
+        return field.from_coords([Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                                  if rng.random() < 0.7 else 0 for _ in range(field.degree)])
+
+    for _ in range(40):
+        x, y = draw(), draw()
+        assert (x * y).coords == ref_ext_product(x, y).coords
+        if not x:
+            with pytest.raises(ZeroDivisionError):
+                x.inverse()
+            continue
+        inv = x.inverse()
+        assert isinstance(inv, Ext) and inv.coords == ref_ext_euclid_inverse(x).coords
+        assert x * inv == 1
+        assert x ** -1 == inv and x ** -3 == inv * inv * inv
+        if y:
+            assert (x / y).coords == ref_ext_product(x, ref_ext_euclid_inverse(y)).coords
+    with pytest.raises(ZeroDivisionError):
+        field.zero().inverse()
 
 
 def _root_group(field):

@@ -15,7 +15,7 @@ from formalconn.parahoric import filtration_degree, standard_chain
 from formalconn.polys import kpoly_derivative, kpoly_divmod, kpoly_gcd, kpoly_mul, kpoly_trim
 from formalconn.scalars import format_scalar, get_field
 from formalconn.series import LaurentScalar
-from formalconn import linalg, strata
+from formalconn import linalg, polys, strata
 from formalconn.strata import (Stratum, is_fundamental, is_regular,
                                off_block_filtration_ok, reduce_stratum,
                                split_stratum, stratum_char_poly)
@@ -261,14 +261,16 @@ def test_regularity_report_carries_split():
 
 def test_pure_strata_classified_without_splitting(monkeypatch):
     """A pure stratum on the complete chain (one nonzero pattern entry
-    per row, gcd(r, e) = 1) is classified without factoring phi or
-    splitting; a pure block that needs a root the field lacks still
-    raises NonsplitField."""
+    per row, gcd(r, e) = 1) is classified without decomposing or
+    factoring phi or splitting; a pure block that needs a root the field
+    lacks still raises NonsplitField.  A stratum that splits reaches
+    each refused function, so none is patched in vain."""
     def refuse(*args, **kwargs):
-        raise AssertionError("pure stratum factored or split")
+        raise AssertionError("pure stratum decomposed, factored or split")
 
-    monkeypatch.setattr(strata, "_constant_split", refuse)
-    monkeypatch.setattr(strata, "kpoly_factor", refuse)
+    refused = ("kpoly_squarefree_parts", "kpoly_factor_squarefree", "_constant_split")
+    for name in refused:
+        monkeypatch.setattr(strata, name, refuse)
     iw = standard_chain((1, 1))
     rep = is_regular(Stratum(iw, 3, iw.varpi_power(-3) * Fraction(5)))
     assert rep and rep.e == 2 and rep.m == 1 and rep.leading == [5]
@@ -279,23 +281,36 @@ def test_pure_strata_classified_without_splitting(monkeypatch):
     assert rep and rep.e == 3 and rep.leading == [2]
     with pytest.raises(NonsplitField, match="regularity undecidable over Q: pure block"):
         is_regular(Stratum(iw, 1, lmat([[[], [(-1, 1)]], [[(0, 2)], []]])), get_field("Q"))
+    monkeypatch.undo()
+    split = Stratum(standard_chain((2,)), 1, lmat([[[(-1, 1)], [(0, 1)]], [[], [(-1, 2)]]]))
+    for name in refused:
+        with monkeypatch.context() as patch:
+            patch.setattr(strata, name, refuse)
+            with pytest.raises(AssertionError, match="pure stratum decomposed"):
+                is_regular(split)
 
 
 def test_is_regular_work_per_call(monkeypatch):
-    """One classification computes phi once, factors at most once and
-    splits at most once, and never runs the recursive machinery (the
-    fundamental test, _split_stratum) or a minimal polynomial."""
+    """One classification computes phi once, makes at most one
+    square-free decomposition (none inside the factoring), factors its
+    one part at most once and splits at most once, and never runs the
+    recursive machinery (the fundamental test, _split_stratum), the full
+    factorization or a minimal polynomial."""
     calls = {}
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
-            return fn(*args, **kwargs)
-        monkeypatch.setattr(strata, name, wrapper)
+    def counted(module, name, key):
+        fn = getattr(module, name)
 
-    for name in ("charpoly", "kpoly_factor", "_constant_split", "is_fundamental",
-                 "_split_stratum"):
-        counted(name, getattr(strata, name))
+        def wrapper(*args, **kwargs):
+            calls[key] = calls.get(key, 0) + 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("charpoly", "kpoly_squarefree_parts", "kpoly_factor_squarefree",
+                 "kpoly_factor", "_constant_split", "is_fundamental", "_split_stratum"):
+        counted(strata, name, name)
+    # a decomposition made inside polys (by kpoly_factor) counts too
+    counted(polys, "kpoly_squarefree_parts", "kpoly_squarefree_parts")
     assert not hasattr(linalg, "minpoly")
     iw, mx = standard_chain((1, 1)), standard_chain((2,))
     cases = [
@@ -309,7 +324,10 @@ def test_is_regular_work_per_call(monkeypatch):
         calls.clear()
         is_regular(s)
         assert calls.get("charpoly") == 1, (s, calls)
-        assert calls.get("kpoly_factor", 0) <= 1 and calls.get("_constant_split", 0) <= 1
+        assert calls.get("kpoly_squarefree_parts", 0) <= 1, (s, calls)
+        assert calls.get("kpoly_factor_squarefree", 0) <= 1, (s, calls)
+        assert calls.get("_constant_split", 0) <= 1, (s, calls)
+        assert not calls.get("kpoly_factor"), (s, calls)
         assert not calls.get("is_fundamental") and not calls.get("_split_stratum"), (s, calls)
     s = Stratum(standard_chain((2, 2)), 1, lmat([[[], [], [(-1, 1)], []],
                                                   [[], [], [], [(-1, 4)]],
@@ -318,7 +336,8 @@ def test_is_regular_work_per_call(monkeypatch):
     calls.clear()
     rep = is_regular(s)
     assert rep.m == 2 and rep.leading == [1, 2]
-    assert calls == {"charpoly": 1, "kpoly_factor": 1, "_constant_split": 1}, calls
+    assert calls == {"charpoly": 1, "kpoly_squarefree_parts": 1, "kpoly_factor_squarefree": 1,
+                     "_constant_split": 1}, calls
 
 
 def test_regularity_with_nilpotent_summand():
