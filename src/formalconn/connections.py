@@ -303,7 +303,9 @@ def _flag_levi(ring, pat, blocks):
     columns are a basis adapted to the kernel flag of the graded
     pattern, each vector 1 at its last nonzero coordinate and at a slot
     of its own phase class: g stabilizes the chain, and g^-1 pat g has a
-    support without cycles.  None when the pattern is not nilpotent."""
+    support without cycles.  g = g_int / den, and with (den_inv, right)
+    = g_int^-1, g^-1 = den right / den_inv cancelled by gcd(den,
+    den_inv).  None when the pattern is not nilpotent."""
     basis = kernel_flag_basis(ring, pat)
     if basis is None:
         return None
@@ -316,9 +318,9 @@ def _flag_levi(ring, pat, blocks):
         cols[next(free[next(k for k in range(len(blocks)) if u < starts[k + 1])])] = vec
     den, g_t = over_one_den(ring, [(vec, next(x for x in reversed(vec) if x)) for vec in cols])
     g = [list(row) for row in zip(*g_t)]
-    # g^-1 = den (den g)^-1
-    _, den_inv, g_inv, _ = solve_form(ring, g, n)
-    return (den_inv, [[ring.scale(den, x) for x in row] for row in g_inv]), (den, g)
+    _, den_inv, right, _ = solve_form(ring, g, n)
+    c = math.gcd(den, den_inv)
+    return (den_inv // c, [[ring.scale(den // c, x) for x in row] for row in right]), (den, g)
 
 
 def _in_filtration(mat, ctx, a):
@@ -412,12 +414,14 @@ def fundamental_stratum(conn):
 
     Arithmetic: every round works on the integer form of the matrix
     (matrices.IntMatrix): the order table and the graded pattern are
-    read off its numerators, shears move exponents and windows, the
+    read off its numerators, shears move exponents and windows, and the
     kernel flag (linalg.kernel_flag_basis, which decides nilpotency) has
-    integer columns, and g^-1 M g runs the integer product kernel with
-    g and g^-1 over one int denominator each.  The gauge replays the
-    recorded moves on the identity, in the same order; the matrix and
-    the gauge are written once, on return.
+    integer columns g_int = den g.  With g_int^-1 = right / den_inv from
+    one solve_form, g^-1 M g = right M g_int / den_inv, where den
+    cancels (it divides den_inv in practice; gcd(den, den_inv) always
+    does), and IntMatrix.times_constants ends in one content gcd.  The
+    gauge replays the recorded moves on the identity, in the same order;
+    the matrix and the gauge are written once, on return.
     """
     conn = conn.standardized()
     mat, moves, a, ctx, loose = _descent(conn)

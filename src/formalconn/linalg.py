@@ -11,7 +11,8 @@ coordinates, whose products and reciprocals ``GroundField.dot`` and
 (:func:`integer_ring`) are the library's one integer encoding of field
 values: the series kernel, ``matrices.IntMatrix`` and the level forms
 of :mod:`formalconn.torus` compute on them too, series through
-``convolve``.
+``convolve`` and products of series with constants through
+``scaled_sums``.
 
 Elimination is fraction-free (after Bareiss, "Sylvester's identity and
 multistep integer-preserving Gaussian elimination", Math. Comp. 22,
@@ -29,6 +30,7 @@ elimination over the field gives.
 
 import functools
 import math
+import operator
 from fractions import Fraction
 
 from .scalars import Ext
@@ -68,7 +70,7 @@ class _Integers:
 
     @staticmethod
     def dot(xs, ys):
-        return sum(x * y for x, y in zip(xs, ys) if x)
+        return sum(map(operator.mul, xs, ys))
 
     @staticmethod
     def convolve(acc, a, b, prec):
@@ -80,6 +82,24 @@ class _Integers:
                 if j < lim:
                     k = i + j
                     acc[k] = acc.get(k, 0) + x * y
+
+    @staticmethod
+    def scaled_sums(forms, entries):
+        """Per entry (terms, base, prec), the form of the sum of c
+        forms[base + k] over the pairs (c, k) of terms, c nonzero, below
+        exponent prec, with no zero coefficient (a form is a dict from
+        exponents to elements)."""
+        out = []
+        for terms, base, prec in entries:
+            acc = {}
+            for c, k in terms:
+                f = forms[base + k]
+                if prec != math.inf:
+                    f = {e: v for e, v in f.items() if e < prec}
+                for e, v in f.items():
+                    acc[e] = acc[e] + c * v if e in acc else c * v
+            out.append(acc if all(acc.values()) else {e: v for e, v in acc.items() if v})
+        return out
 
     @staticmethod
     def exact_div(a, k):
@@ -163,6 +183,21 @@ class _CyclotomicIntegers:
                     terms[k][1].append(y)
         for k, (xs, ys) in terms.items():
             acc[k] = self.dot(xs, ys)
+
+    def scaled_sums(self, forms, entries):
+        # every product at one exponent gathered, so one fold per coefficient
+        out = []
+        for terms, base, prec in entries:
+            gathered = {}
+            for c, k in terms:
+                for e, v in forms[base + k].items():
+                    if e < prec:
+                        xs, ys = gathered.setdefault(e, ([], []))
+                        xs.append(c)
+                        ys.append(v)
+            sums = ((e, self.dot(xs, ys)) for e, (xs, ys) in gathered.items())
+            out.append({e: v for e, v in sums if v})
+        return out
 
     @staticmethod
     def scale(k, a):
@@ -289,14 +324,24 @@ def kernel_flag_basis(ring, pat):
     block strictly upper triangular; None as soon as a kernel stops
     growing short of the whole space, that is when pat is not nilpotent.
     Round k adds, in order, the vectors of the kernel of pat^k that are
-    independent of the basis so far, each a multiple of knullspace's."""
+    independent of the basis so far, each a multiple of knullspace's,
+    until the basis spans that kernel; the kernel of a zero power is
+    spanned by the unit vectors, as knullspace gives them.  A pattern of
+    nonzero trace is not nilpotent."""
     n = len(pat)
+    zero = ring.const(0)
+    if functools.reduce(ring.add, (row[i] for i, row in enumerate(pat)), zero):
+        return None
+    units = [[ring.one if i == j else zero for i in range(n)] for j in range(n)]
     power = pat
     chosen = []
     echelon = []  # (pivot column, row), rows vanishing before their pivot, by column
     while True:
         found = len(chosen)
-        for vec in _kernel(ring, power, n):
+        kernel = _kernel(ring, power, n) if any(map(any, power)) else units
+        for vec in kernel:
+            if len(chosen) == len(kernel):
+                break
             rem = vec
             for c, row in echelon:
                 if rem[c]:

@@ -13,10 +13,11 @@ written once by ``ring.scalar``.  A product p M q with constant p and q
 (integer form), multiplies there and writes each entry once; the slope
 descent keeps its matrix in that form across its rounds and runs the
 same kernel, :meth:`IntMatrix.times_constants`, on constants that are
-integer rows over one denominator.
+integer rows over one denominator.  It takes p M and then (p M) q and
+divides out the content with one gcd, so an IntMatrix is canonical and
+the descent conjugates by den g and (den g)^-1, where den cancels.
 """
 
-import math
 from fractions import Fraction
 
 from .errors import ParseError, PrecisionError, SingularGauge
@@ -167,12 +168,14 @@ def _product_rows(a_rows, b_rows):
     ring = ring_of_series([x for rows in (a_rows, b_rows) for row in rows for x in row])
     a_forms = [ring_form(ring, r) for r in a_rows]
     b_forms = [ring_form(ring, c) for c in b_cols]
+    # the support of each row and column: its entries not exactly zero
+    b_supports = [{k for k in range(n) if not _exact_zero(c[k])} for c in b_cols]
     out = []
     for a_row, (da, a_nums) in zip(a_rows, a_forms):
+        a_support = [k for k in range(n) if not _exact_zero(a_row[k])]
         row = []
-        for b_col, (db, b_nums) in zip(b_cols, b_forms):
-            pairs = [k for k in range(n)
-                     if not _exact_zero(a_row[k]) and not _exact_zero(b_col[k])]
+        for b_col, (db, b_nums), b_support in zip(b_cols, b_forms, b_supports):
+            pairs = [k for k in a_support if k in b_support]
             prec = min((mul_prec(a_row[k], b_col[k]) for k in pairs), default=INF)
             acc = {}
             for k in pairs:
@@ -240,64 +243,44 @@ class IntMatrix:
     def times_constants(self, p, q=None):
         """p self q for constant matrices p and q, each given as (den,
         rows) with rows of elements of self's ring (q None for the
-        identity), with the windows of :func:`constant_product`.  p self
-        stays in integers, and (p self) q is taken as the transpose of
-        q^T (p self)^T; the result is divided by the content of its
-        numerators and denominator, so the numbers do not grow with
-        repeated products."""
+        identity), with the windows of :func:`constant_product`: p self
+        and then (p self) q, in row-major order, each entry one
+        ``ring.scaled_sums`` over its nonzero constants.  One gcd of the
+        denominator and every numerator then divides out their content:
+        the result is canonical, whatever factor p and q share with their
+        denominators, and the numbers do not grow with repeated products."""
         n, ring = self.n, self.ring
         den_p, p_rows = p
-        forms, precs = _left_product(n, ring, p_rows, self.forms, self.precs)
         den = den_p * self.den
+        # entry (i, l) of p y sums p[i][k] y[k][l]: the pairs (p[i][k], k n)
+        # at base l; entry (i, j) of y q sums y[i][l] q[l][j]: the pairs
+        # (q[l][j], l) at base i n
+        left = [[(x, k * n) for k, x in enumerate(row) if x] for row in p_rows]
+        forms, precs = _sums(ring, self.forms, self.precs,
+                             [(terms, l) for terms in left for l in range(n)])
         if q is not None:
             den_q, q_rows = q
-            forms, precs = _left_product(n, ring, list(zip(*q_rows)), _transposed(n, forms),
-                                         _transposed(n, precs))
-            forms, precs = _transposed(n, forms), _transposed(n, precs)
+            right = [[(x, l) for l, x in enumerate(col) if x] for col in zip(*q_rows)]
+            forms, precs = _sums(ring, forms, precs,
+                                 [(terms, i) for i in range(0, n * n, n) for terms in right])
             den *= den_q
-        return IntMatrix._primitive(n, den, ring, forms, precs)
-
-    @staticmethod
-    def _primitive(n, den, ring, accs, precs):
-        """The form of the sums ``accs`` over ``den``: zeros dropped, and
-        every numerator and the denominator divided by their gcd."""
-        forms = []
-        content = den
-        for acc in accs:
-            if not all(acc.values()):
-                acc = {k: v for k, v in acc.items() if v}
-            if content > 1:
-                content = math.gcd(content, ring.content(acc.values()))
-            forms.append(acc)
+        content = ring.content([ring.const(den)] + [v for f in forms for v in f.values()])
         if content > 1:
             forms = [{k: ring.exact_div(v, content) for k, v in f.items()} for f in forms]
             den //= content
         return IntMatrix(n, den, ring, forms, precs)
 
 
-def _left_product(n, ring, const_rows, forms, precs):
-    """(forms, windows) of the product c y of a constant matrix c, given
-    by its rows of ring elements, and a series matrix y in integer form:
-    entry (i, l) keeps the least window of y[k][l] over the k with
-    c[i][k] nonzero, and its exponents below it."""
+def _sums(ring, forms, precs, entries):
+    """(forms, windows) of the product of a series matrix y in integer
+    form and a constant, given per entry as (terms, base) for
+    ``ring.scaled_sums``: each entry keeps the least window of the
+    y[base + k] it reads."""
     exact = all(w is INF for w in precs)
-    out, out_precs = [], []
-    for row in const_rows:
-        terms = [(k, {0: x}) for k, x in enumerate(row) if x]
-        row_precs = [INF] * n if exact else \
-            [min((precs[k * n + l] for k, _ in terms), default=INF) for l in range(n)]
-        for l in range(n):
-            acc = {}
-            for k, x in terms:
-                ring.convolve(acc, x, forms[k * n + l], row_precs[l])
-            out.append(acc)
-        out_precs.extend(row_precs)
-    return out, out_precs
-
-
-def _transposed(n, flat):
-    """The transpose of a row-major n x n list."""
-    return [flat[j * n + i] for i in range(n) for j in range(n)]
+    entries = [(terms, base, INF if exact else min((precs[base + k] for _, k in terms),
+                                                   default=INF))
+               for terms, base in entries]
+    return ring.scaled_sums(forms, entries), [w for _, _, w in entries]
 
 
 def _sub_multiple(ring, xs, f, ys, ys_form):

@@ -252,25 +252,24 @@ def _trager(g, field):
     coords = [_padded_coords(c, field) for c in g]
     den = math.lcm(*(c.denominator for row in coords for c in row))
     rows = [[int(c * den) for c in row] for row in coords]
-    modulus = [int(c) for c in field.modulus]
     rational = all(not any(row[1:]) for row in rows)
     # For a rational g, N_0 = g^phi(m) is never square-free.
     for s in itertools.count(1 if rational else 0):
-        norm = primitive(cyclotomic_norm(rows, field.m, modulus, s))
+        norm = primitive(cyclotomic_norm(rows, field.m, field.modulus, s))
         if not (certify_squarefree(norm) or
                 kpoly_is_squarefree([Fraction(c) for c in norm])):
             continue
         hs = factor_squarefree(norm)
         if len(hs) == 1:
             return [g]
-        return [_trager_factor(g, rows, modulus, s, h, field) for h in hs]
+        return [_trager_factor(g, rows, s, h, field) for h in hs]
 
 
-def _trager_factor(g, rows, modulus, s, h, field):
+def _trager_factor(g, rows, s, h, field):
     """The monic factor gcd(g(x), h(x + s theta)), of degree deg(h) / phi(m),
     from the first multi-modular candidate that divides g exactly."""
     k = kpoly_deg(h) // field.degree
-    for cand in trager_factor_candidates(rows, field.m, modulus, s, h, k):
+    for cand in trager_factor_candidates(rows, field.m, field.modulus, s, h, k):
         fac = [field.from_coords(row) for row in cand]
         if kpoly_deg(kpoly_divmod(g, fac)[1]) < 0:
             return fac

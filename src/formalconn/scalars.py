@@ -102,7 +102,7 @@ class GroundField:
             mod = _cyclotomic_poly(m)
             d = len(mod) - 1
             self.degree = d
-            self.modulus = [Fraction(c) for c in mod]
+            self.modulus = mod  # Phi_m: integer coefficients, ascending
             # rows: z^(d+k) expressed in the power basis, k = 0..d-2;
             # integers, since Phi_m is monic over Z
             cur = [-c for c in mod[:d]]

@@ -413,7 +413,7 @@ def ref_ext_product(x, y):
     for i, a in enumerate(x.coords):
         for j, b in enumerate(y.coords):
             prod[i + j] += a * b
-    return _ref_ext(field, _ref_poly_divmod(prod, field.modulus)[1])
+    return _ref_ext(field, _ref_poly_divmod(prod, [Fraction(c) for c in field.modulus])[1])
 
 
 def ref_ext_euclid_inverse(x):
@@ -422,7 +422,7 @@ def ref_ext_euclid_inverse(x):
     Phi_m is irreducible, and the cofactor s of x with s x = c mod Phi_m
     gives 1/x = s / c.  ZeroDivisionError for zero."""
     field = x.field
-    r0, r1 = list(field.modulus), _ref_poly_trim(list(x.coords))
+    r0, r1 = [Fraction(c) for c in field.modulus], _ref_poly_trim(list(x.coords))
     if not r1:
         raise ZeroDivisionError("division by zero in %s" % field.name)
     s0, s1 = [], [Fraction(1)]

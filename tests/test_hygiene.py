@@ -39,8 +39,8 @@ ONLY_TESTS_REACH = {
 _RING = "linalg's two integer rings, _Integers and _CyclotomicIntegers, share one interface"
 _SERIES = "LaurentScalar and LaurentMatrix share one series interface"
 SHARED_METHOD_NAMES = {
-    **dict.fromkeys(("combine", "const", "content", "convolve", "exact_div", "mul", "neg"),
-                    _RING),
+    **dict.fromkeys(("combine", "const", "content", "convolve", "exact_div", "mul", "neg",
+                     "scaled_sums"), _RING),
     **dict.fromkeys(("dot", "reciprocal"),
                     _RING + " (and GroundField, the Z[zeta_m] product and norm reciprocal "
                     "that _CyclotomicIntegers and Ext call)"),

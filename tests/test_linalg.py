@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 
 from formalconn.connections import _flag_levi
 from formalconn.linalg import (charpoly, kernel_flag_basis, kinverse, kmatmul, knullspace,
-                               ksolve, read_matrix, ring_of, rref)
-from formalconn.matrices import LaurentMatrix, constant_product
+                               ksolve, read_matrix, ring_of, rref, solve_form)
+from formalconn.matrices import IntMatrix, LaurentMatrix, constant_product
 from formalconn.parahoric import GradedEndo, standard_chain
 from formalconn.scalars import get_field, is_zero
 from formalconn.series import INF, LaurentScalar
@@ -27,11 +27,14 @@ from helpers import ref_matmul, ref_rref
 
 QI = get_field("Q(i)")
 QZ5 = get_field("Q(zeta_5)")
+QZ3 = get_field("Q(zeta_3)")
 
 rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
 gaussians = st.builds(lambda a, b: QI.from_coords([a, b]), rationals, rationals)
 quintic = st.lists(st.one_of(st.just(Fraction(0)), rationals), min_size=4,
                    max_size=4).map(QZ5.from_coords)
+cubic = st.lists(st.one_of(st.just(Fraction(0)), rationals), min_size=2,
+                 max_size=2).map(QZ3.from_coords)
 
 
 def _dense(draw, rows, cols, scalars):
@@ -270,3 +273,40 @@ def test_constant_product_matches_series_products(data):
         assert _windows(got) == _windows(want)
         assert all((x.prec is INF) == (y.prec is INF)
                    for rx, ry in zip(got.rows, want.rows) for x, y in zip(rx, ry))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_conjugation_cancels_the_denominator_of_g(data):
+    """With den g = g_int and (den_inv, right) = g_int^-1 from solve_form,
+    g^-1 y g is the same canonical integer form whether the constants
+    carry den, as g^-1 = den right / den_inv and g = g_int / den, or it
+    is cancelled, as right / den_inv and g_int / 1."""
+    scalars = data.draw(st.sampled_from([rationals, gaussians, cubic]))
+    n = data.draw(st.integers(1, 4))
+    # g = L U: L unit lower triangular, U upper triangular with a nonzero
+    # diagonal, so g is invertible
+    nonzero = scalars.filter(lambda x: not is_zero(x))
+    lower = [[Fraction(int(i == j)) if j >= i else data.draw(scalars) for j in range(n)]
+             for i in range(n)]
+    upper = [[data.draw(nonzero) if j == i else data.draw(scalars) if j > i else Fraction(0)
+              for j in range(n)] for i in range(n)]
+    g = kmatmul(lower, upper)
+    m = LaurentMatrix([[data.draw(windowed_series(scalars)) for _ in range(n)]
+                       for _ in range(n)])
+    mat = IntMatrix.read(m)
+    ring = ring_of(g, base=mat.ring)
+    if ring is not mat.ring:
+        mat = IntMatrix(n, mat.den, ring, [{k: ring.const(v) for k, v in f.items()}
+                                           for f in mat.forms], mat.precs)
+    den, g_int = read_matrix(ring, g)
+    pivots, den_inv, right, _ = solve_form(ring, g_int, n)
+    assert pivots == list(range(n))
+    with_den = mat.times_constants((den_inv, [[ring.scale(den, x) for x in row]
+                                              for row in right]), (den, g_int))
+    cancelled = mat.times_constants((den_inv, right), (1, g_int))
+    assert (with_den.den, with_den.forms, with_den.precs) == \
+        (cancelled.den, cancelled.forms, cancelled.precs)
+    assert with_den.write().to_json() == ref_matmul(ref_matmul(
+        LaurentMatrix.from_scalar_matrix(kinverse(g)), m),
+        LaurentMatrix.from_scalar_matrix(g)).to_json()

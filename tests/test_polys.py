@@ -152,7 +152,7 @@ def sympy_factor(p, field):
     else:
         gen = sympy.I if field.m == 4 else sympy.exp(2 * sympy.pi * sympy.I / field.m)
         dom = sympy.QQ.algebraic_field(gen)
-        mod = [rational(c) for c in reversed(field.modulus)]
+        mod = [sympy.QQ(c) for c in reversed(field.modulus)]
 
         def to_dom(c):
             coords = scalar_coords(c) + [F(0)] * (field.degree - len(scalar_coords(c)))

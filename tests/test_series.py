@@ -215,7 +215,7 @@ def _root_group(field):
         return 2, {(1,): 0, (-1,): 1}
     big = m if m % 2 == 0 else 2 * m
     sign = 1 if m % 2 == 0 else -1
-    modulus = [int(c) for c in field.modulus]
+    modulus = field.modulus
     cur = [1] + [0] * (field.degree - 1)
     powers = {}
     for j in range(big):
