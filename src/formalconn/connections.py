@@ -28,9 +28,14 @@ per level: each level above the leading one loses the
 Cartan part of every part, into q or by a derivative gauge, and the
 rest, between the parts and inside them, by one graded solve.  The
 parts are the split's, or the whole matrix when there is no split.
-split_connection, which clears only the off-block levels, stays for
-callers that want a split connection.  A window too short for the
-requested digits raises PrecisionError at any depth.
+The loop keeps the product Q of its gauges and the levels of the gauged
+matrix that stay nonzero, and forms each level once, when it reaches
+it, from A'Q = QA - tau(Q) (torus.gauged_level), instead of gauging
+every level above at each step.  split_connection, which clears only
+the off-block levels, stays for callers that want a split connection;
+it returns every level of its window, so it gauges them all at each
+step (torus.gauge_levels).  A window too short for the requested
+digits raises PrecisionError at any depth.
 """
 
 import itertools
@@ -48,9 +53,9 @@ from .parahoric import (certifying_window, fildeg_certified, filtration_degree,
 from .scalars import get_field, is_zero, scalar_inverse, sort_key
 from .series import INF, LaurentScalar, OneForm, default_precision
 from .strata import Stratum, infer_field, is_regular, pure_leading
-from .torus import (ToralElement, TorusData, block_levels, gauge_levels, graded_solver,
-                    level_entries, level_sum, levels_matrix, negated, pattern_level,
-                    unipotent_times)
+from .torus import (ToralElement, TorusData, block_levels, gauge_levels, gauged_level,
+                    graded_solver, level_entries, level_product, level_sum, levels_matrix,
+                    neg_tau, negated, pattern_level, reduced, unipotent_times)
 
 
 class FormalConnection:
@@ -462,9 +467,13 @@ def split_connection(conn, ctx, r, slot_lists, digits=8):
     depth zero, where alone the shift -d enters); an unsolvable level
     raises NotSplit.  The gauge acts by the level recurrence of
     ``torus.gauge_levels``, with no inverse, and moves only the levels
-    from d on, so one pass in order clears them all.  Both the matrix
-    and the gauge, seeded at the identity, stay integer levels until
-    they are written out once.
+    from d on, so one pass in order clears them all.  Every level of
+    the window, up to e * default_precision(), is returned, so each
+    gauge moves them all at once: forming each level afresh from the
+    accumulated gauge (``torus.gauged_level``, as _pure_block_reduce
+    does for the few levels it keeps) would cost products quadratic in
+    the window.  Both the matrix and the gauge, seeded at the identity,
+    stay integer levels until they are written out once.
 
     Returns (p, conn') with p the exact product of the gauges 1 - X and
     conn' block diagonal to the requested depth: off-blocks have
@@ -569,21 +578,31 @@ def _pure_block_reduce(mat, ctx, r, parts, field, digits):
     integer level form (see :mod:`formalconn.torus`).
 
     The matrix is read once into levels, keeping the levels through
-    ``digits``, all that the reduction reads, after a normalizer, a
-    constant diagonal that also seeds the gauge, rescales each part's
-    slots so that its leading level is alpha varpi^(-r).  Each level v
-    from 1 - r through ``digits`` is then cleared.  The mean c of a
-    part's slots is its Cartan part: for v <= 0 it goes into that part's
-    q, for v > 0 the gauge 1 + (e c / v) varpi^v cancels it through its
+    ``digits``, all that the reduction reads, after a normalizer D, a
+    constant diagonal, rescales each part's slots so that its leading
+    level is alpha varpi^(-r).  Each level v from 1 - r through
+    ``digits`` is then cleared.  The mean c of a part's slots is its
+    Cartan part: for v <= 0 it goes into that part's q, for v > 0 the
+    gauge 1 + Y, Y = (e c / v) varpi^v, cancels it through its
     derivative term.  The rest of the level is the target of the graded
     ad-equation against the leading level, with the graded derivative -v
     X at depth zero, solved in integers by torus.graded_solver, which
     eliminates each level class once (v mod e, and v itself at depth
     zero, where alone the shift enters); the gauge 1 - X removes it, and
-    an unsolvable level raises NotRegular.  Gauges act by the level
-    recurrence of ``torus.gauge_levels``, without an inverse; their
-    product P <- (1 + X) P is kept below level e w, with w = ceil((digits
-    + r + e) / e), and cut to t^w: the levels above move the result only
+    an unsolvable level raises NotRegular.
+
+    The gauged matrix A' is never formed whole.  The loop keeps Q, the
+    product Q <- (1 + X) Q of the unipotent gauges so far (Q_0 = 1), and
+    the levels of A' that stay nonzero below the current one: the
+    leading level, then the Cartan levels v <= 0.  Level v is formed
+    once, when the loop reaches it, from A'Q = QA - tau(Q)
+    (``torus.gauged_level``), over one common denominator and without
+    an inverse.  A gauge applied at level v moves only the levels from v
+    on: X's gauge because X lies at v + r, the Cartan gauge because it
+    commutes with the leading and the Cartan levels, so that it moves
+    level v by -tau(Y) alone.  So the levels kept are final.  Q is kept
+    below level e w, with w = ceil((digits + r + e) / e), and the gauge
+    returned is Q D, cut to t^w: the levels above move the result only
     beyond level digits.
 
     Raises PrecisionError when the window ends before level digits + 1,
@@ -613,21 +632,26 @@ def _pure_block_reduce(mat, ctx, r, parts, field, digits):
                 h[u] = c
         qs.append({-r: alpha} if not is_zero(alpha) else {})
     diag = [[h[u] if u == v else 0 for v in range(n)] for u in range(n)]
-    if any(c != 1 for c in h):
+    normalize = any(c != 1 for c in h)
+    if normalize:
         inv = [[scalar_inverse(h[u]) if u == v else 0 for v in range(n)] for u in range(n)]
         mat = constant_product(diag, mat, inv)
     ring = integer_ring(field)
-    cur = block_levels(mat, below, ctx, ring)
-    gauge = {0: pattern_level(diag, 0, ctx, ring)}
+    a = block_levels(mat, below, ctx, ring)
     zero = ring.const(0)
-    solve = graded_solver(cur.get(-r, (1, [zero] * (n * m))), ctx, r, ring)
+    lead = a.get(-r, (1, [zero] * (n * m)))
+    solve = graded_solver(lead, ctx, r, ring)
+    gauge = {0: pattern_level([[int(u == v) for v in range(n)] for u in range(n)], 0, ctx, ring)}
+    # the levels of the gauged matrix below the current one that stay
+    # nonzero: the lead, then the Cartan levels v <= 0
+    low = {-r: lead} if any(lead[1]) else {}
     # the level slots of each part's own entries, by level mod e
     part_of = {u: k for k, slots in enumerate(parts) for u in slots}
     inner = [[[s for s, (u, v) in enumerate(level_entries(d, ctx))
                if part_of[u] == k == part_of[v]] for d in range(e)] for k in range(len(parts))]
     for v in range(1 - r, below):
-        level = cur.get(v)
-        if level is None or not any(level[1]):
+        level = gauged_level(v, gauge, a, low, ctx, ring)
+        if not any(level[1]):
             continue
         # the Cartan part of each part: its slots' mean, sum / (e den)
         den, nums = level
@@ -638,23 +662,26 @@ def _pure_block_reduce(mat, ctx, r, parts, field, digits):
                 for s in idx[v % e]:
                     cartan[s] = c
             if v > 0:
-                # the gauge 1 + (e mean / v) varpi^v
-                cur = gauge_levels(cur, v, (den * v, cartan), below, ctx, ring)
-                gauge = unipotent_times(v, (den * v, cartan), gauge, e * w, ctx, ring)
-                level = cur[v]
+                # the gauge 1 + Y, Y = (e mean / v) varpi^v, commutes with
+                # the levels below v, so it moves level v by -tau(Y) alone
+                y = (den * v, cartan)
+                gauge = unipotent_times(v, y, gauge, e * w, ctx, ring)
+                level = level_sum(level, neg_tau(y, v, ctx, ring), ring)
             else:
                 for q, c in zip(qs, sums):
                     if c:
                         q[v] = ring.scalar(c, den * e)
-                level = level_sum(level, negated((den * e, cartan), ring), ring)
+                low[v] = reduced(den * e, cartan, ring)
+                level = level_sum(level, negated(low[v], ring), ring)
         if not any(level[1]):
             continue
         x = solve(v, level, -v)
         if x is None:
             raise NotRegular("graded ad-equation unsolvable at level %d" % v)
-        xi = negated(x, ring)
-        cur = gauge_levels(cur, v + r, xi, below, ctx, ring)
-        gauge = unipotent_times(v + r, xi, gauge, e * w, ctx, ring)
+        gauge = unipotent_times(v + r, negated(x, ring), gauge, e * w, ctx, ring)
+    if normalize:
+        norm = pattern_level(diag, 0, ctx, ring)
+        gauge = {d: reduced(*level_product(g, 0, norm, ctx, ring), ring) for d, g in gauge.items()}
     return LaurentMatrix([[LaurentScalar(entry.truncate(w).coeffs) for entry in row]
                           for row in levels_matrix(gauge, n, ctx, ring).rows]), qs
 

@@ -389,13 +389,27 @@ def _prime_factors(m):
     return out + [m] if m > 1 else out
 
 
+# Per m, the pairs (p, w) that _splitting_primes has found, descending,
+# and the next k to try, p = k m + 1.
+_SPLITTING_PRIMES = {}
+
+
 def _splitting_primes(m):
-    """Primes p = 1 (mod m) below 2^_NORM_PRIME_BITS, descending."""
-    k = ((1 << _NORM_PRIME_BITS) - 2) // m
-    while k > 0:
-        if is_prime(k * m + 1):
-            yield k * m + 1
-        k -= 1
+    """The primes p = 1 (mod m) below 2^_NORM_PRIME_BITS, descending,
+    each with a primitive m-th root of unity w mod p: pairs (p, w).  The
+    pairs found are kept per m, so a later search reads them first and
+    resumes the scan only past the last one."""
+    found, scan = _SPLITTING_PRIMES.setdefault(m, ([], [((1 << _NORM_PRIME_BITS) - 2) // m]))
+    i = 0
+    while i < len(found) or scan[0] > 0:
+        if i == len(found):
+            p = scan[0] * m + 1
+            scan[0] -= 1
+            if not is_prime(p):
+                continue
+            found.append((p, _root_of_unity(p, m)))
+        yield found[i]
+        i += 1
 
 
 def cyclotomic_norm(rows, m, modulus, s):
@@ -409,10 +423,9 @@ def cyclotomic_norm(rows, m, modulus, s):
     bound = one_norm ** phi
     units = [j for j in range(1, m) if math.gcd(j, m) == 1]
     norm, modulus_prod = None, 1
-    for p in _splitting_primes(m):
+    for p, w in _splitting_primes(m):
         if modulus_prod > 2 * bound:
             break
-        w = _root_of_unity(p, m)
         prod = [1]
         for j in units:
             z = pow(w, j, p)
@@ -451,11 +464,10 @@ def trager_factor_candidates(rows, m, modulus, s, h, k):
     d = len(rows) - 1
     units = [j for j in range(1, m) if math.gcd(j, m) == 1]
     acc, acc_mod = None, 1
-    for p in _splitting_primes(m):
+    for p, w in _splitting_primes(m):
         lead_inv = pow(rows[d][0], -1, p) if rows[d][0] % p else None
         if lead_inv is None:
             continue
-        w = _root_of_unity(p, m)
         values, points = [], []
         for j in units:
             z = pow(w, j, p)

@@ -47,8 +47,9 @@ class _Integers:
     def read(row):
         """(den, elements): the row times the common denominator den of
         its entries."""
-        den = math.lcm(*(x.denominator for x in row))
-        return den, [x.numerator * (den // x.denominator) for x in row]
+        pairs = [x.as_integer_ratio() for x in row]
+        den = math.lcm(*(d for _, d in pairs))
+        return den, [a * (den // d) for a, d in pairs]
 
     @staticmethod
     def const(k):

@@ -17,12 +17,17 @@ filtration levels, where slot v*m + j of level d holds the coefficient
 of t^w in entry (u, v), u is the j-th slot of the phase class of
 phase(v) + d and d = e*w + phase(u) - phase(v).  The vector of level d
 is the graded piece P^d / P^(d+1), a product of two levels is again one
-level, and a gauge 1 + X, X one level, acts by a level recurrence with
-no inverse (:func:`gauge_levels`).  The complete chain of one e x e
-block is the case m = 1: there level d is varpi^d diag(c_d), slot q
-holding entry ((q - d) mod e, q), the Cartan part of a level is the
-mean of its vector, and the graded ad-equation against alpha
-varpi^(-r) is a cyclic difference system.
+level, and a gauge acts with no inverse, from A'Q = QA - tau(Q) for
+the gauged matrix A'.  A loop that clears one level at a time forms
+each level of A' once, when it reaches it, from the accumulated gauge
+Q (Q_0 = 1), the input A and the levels of A' below it
+(:func:`gauged_level`); a caller that returns every level of the
+gauged matrix applies each gauge 1 + X, X one level, to the whole level
+form by a level recurrence (:func:`gauge_levels`).  The complete chain
+of one e x e block is the case m = 1: there level d is varpi^d
+diag(c_d), slot q holding entry ((q - d) mod e, q), the Cartan part of
+a level is the mean of its vector, and the graded ad-equation against
+alpha varpi^(-r) is a cyclic difference system.
 
 A level is stored as ``(den, nums)``, integer numerators over one
 positive denominator, divided by their content after every update: an
@@ -493,6 +498,45 @@ def unipotent_times(ell, xi, levels, below, ctx, ring):
     return out
 
 
+def neg_tau(x, d, ctx, ring):
+    """The level -tau(X) for X the level x at d, tau = t d/dt: slot (u,
+    v) times minus its t-exponent w = (d - phase(u) + phase(v)) / e,
+    over x's denominator."""
+    e, phases = ctx.period, ctx.phases
+    return x[0], [ring.scale((phases[u] - phases[v] - d) // e, c)
+                  for c, (u, v) in zip(x[1], level_entries(d, ctx))]
+
+
+def gauged_level(d, q, a, low, ctx, ring):
+    """Level d of the gauged matrix A' = Q . A against dt/t, for the
+    level forms ``q`` of a gauge Q with Q_0 = 1 (its levels from 1 on
+    are read) and ``a`` of A, and ``low`` = {j: A'_j} holding every
+    nonzero level of A' below d.  From A'Q = QA - tau(Q),
+
+        A'_d = sum_i Q_i A_(d-i) - tau(Q)_d - sum_(j<d) A'_j Q_(d-j),
+
+    summed over the least common denominator of the terms and divided
+    by its content once.  No other level of A' is formed, so a loop that
+    clears A' level by level, and keeps only the levels it has left
+    nonzero, pays for each level once; :func:`gauge_levels` forms every
+    level at each gauge instead."""
+    terms = [(1, a[d])] if d in a else []
+    for i, qi in q.items():
+        if i > 0 and d - i in a:
+            terms.append((1, level_product(qi, d - i, a[d - i], ctx, ring)))
+    if d > 0 and d in q:
+        terms.append((1, neg_tau(q[d], d, ctx, ring)))
+    for j, lj in low.items():
+        if j < d and d - j in q:
+            terms.append((-1, level_product(lj, d - j, q[d - j], ctx, ring)))
+    if not terms:
+        return 1, [ring.const(0)] * (ctx.n * ctx.n // ctx.period)
+    den = math.lcm(*(level[0] for _, level in terms))
+    scales = [ring.const(sign * (den // level[0])) for sign, level in terms]
+    return reduced(den, [ring.dot(scales, col) for col in zip(*(level[1] for _, level in terms))],
+                   ring)
+
+
 def gauge_levels(levels, ell, xi, below, ctx, ring):
     """The level form of (1 + X) . A against dt/t for X the level xi at
     ell >= 1, with A known below level ``below``.
@@ -500,15 +544,16 @@ def gauge_levels(levels, ell, xi, below, ctx, ring):
     From A' (1 + X) = (1 + X) A - tau X, the matrix B = A + XA - tau X
     is formed once and A' = B - A'X is solved level by level from the
     bottom: A'X at level d needs A' only at level d - ell.  No inverse
-    is formed, and the window stays ``below``.  tau = t d/dt multiplies
-    each slot of X by its t-exponent w = (ell - phase(u) + phase(v)) / e.
+    is formed, and the window stays ``below``.  Every level of A' is
+    formed, so this suits a caller that returns the whole gauged
+    matrix: ``connections.split_connection``, its one caller, whose
+    window reaches up to e * default_precision() levels; forming each
+    of those afresh by :func:`gauged_level` would cost products
+    quadratic in the window.
     """
     out = unipotent_times(ell, xi, levels, below, ctx, ring)
     if ell < below:
-        e, phases = ctx.period, ctx.phases
-        tau = [ring.scale((phases[u] - phases[v] - ell) // e, c)
-               for c, (u, v) in zip(xi[1], level_entries(ell, ctx))]
-        out[ell] = level_sum(out.get(ell), (xi[0], tau), ring)
+        out[ell] = level_sum(out.get(ell), neg_tau(xi, ell, ctx, ring), ring)
     neg = negated(xi, ring)
     for d in range(min(out, default=below) + ell, below):
         src = out.get(d - ell)

@@ -1,6 +1,7 @@
 """Polynomial machinery: gcd, factorization, Hensel lifting, series
 characteristic polynomials."""
 
+import itertools
 import json
 import math
 import os
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from formalconn import cli
+from formalconn import cli, intpoly
 from formalconn.errors import FactorTooLarge
 from formalconn.linalg import charpoly
 from formalconn.polys import (MAX_NORM_DEGREE, charpoly_series, hensel_lift, kpoly_add,
@@ -232,6 +233,23 @@ def test_factor_non_monic_large_and_small_inputs():
     assert kpoly_factor([F(2), F(4)], Q) == [([F(1, 2), F(1)], 1)]
     i = QI.generator()
     assert kpoly_factor([i, QI.from_rational(2)], QI) == [([i / 2, QI.one()], 1)]
+
+
+def test_splitting_primes_are_searched_once(monkeypatch):
+    """The primes p = 1 (mod 4) of the Trager norms and gcds over Q(i)
+    are the largest below 2^62, descending, each with a primitive 4th
+    root of unity mod p; a second search reads the same ones, in the
+    same order, with no primality test."""
+    first = list(itertools.islice(intpoly._splitting_primes(4), 5))
+    top = (1 << intpoly._NORM_PRIME_BITS) - 1
+    scan = (p for p in range(top - top % 4 + 1, 0, -4) if intpoly.is_prime(p))
+    assert [p for p, _ in first] == list(itertools.islice(scan, 5))
+    assert all(pow(w, 2, p) == p - 1 for p, w in first)
+    tested = []
+    is_prime = intpoly.is_prime
+    monkeypatch.setattr(intpoly, "is_prime", lambda n: tested.append(n) or is_prime(n))
+    assert list(itertools.islice(intpoly._splitting_primes(4), 5)) == first
+    assert tested == []
 
 
 def test_factor_large_cyclotomic_field_is_quick():
