@@ -24,18 +24,20 @@ eigenbasis on the maximal chain), with its inverse and the conjugated
 matrix, so the split basis is applied with no further inverse and no
 tau(g) term.  One level loop, _pure_block_reduce, then works in the
 level form of the chain, on integer numerators over one denominator
-per level: each level above the leading one loses the
-Cartan part of every part, into q or by a derivative gauge, and the
-rest, between the parts and inside them, by one graded solve.  The
-parts are the split's, or the whole matrix when there is no split.
-The loop keeps the product Q of its gauges and the levels of the gauged
-matrix that stay nonzero, and forms each level once, when it reaches
-it, from A'Q = QA - tau(Q) (torus.gauged_level), instead of gauging
-every level above at each step.  split_connection, which clears only
-the off-block levels, stays for callers that want a split connection;
-it returns every level of its window, so it gauges them all at each
-step (torus.gauge_levels).  A window too short for the requested
-digits raises PrecisionError at any depth.
+per level, read from the matrix once (the lead is level -r) and
+written out once.  Each level above the leading one loses the Cartan
+part of every part, into q or by a derivative gauge, and the rest,
+between the parts and inside them, by one graded solve.  The parts are
+the split's, or the whole matrix when there is no split, each with the
+leading coefficient that is_regular reports.  The loop keeps the
+product Q of its gauges and the levels of the gauged matrix that stay
+nonzero, and forms each level once, when it reaches it, from A'Q = QA
+- tau(Q) (torus.gauged_level), instead of gauging every level above at
+each step.  split_connection, which clears only the off-block levels,
+stays for callers that want a split connection; it too takes its lead
+from its levels, and returns every level of its window, so it gauges
+them all at each step (torus.gauge_levels).  A window too short for
+the requested digits raises PrecisionError at any depth.
 """
 
 import itertools
@@ -47,15 +49,14 @@ from .errors import (NotInFiltration, NotRegular, NotSplit, ParseError, Precisio
                      SingularGauge)
 from .formal_types import FormalType
 from .linalg import integer_ring, kernel_flag_basis, over_one_den, solve_form
-from .matrices import IntMatrix, LaurentMatrix, constant_product
-from .parahoric import (certifying_window, fildeg_certified, filtration_degree,
-                        graded_component, standard_chain)
+from .matrices import IntMatrix, LaurentMatrix
+from .parahoric import certifying_window, fildeg_certified, filtration_degree, standard_chain
 from .scalars import get_field, is_zero, scalar_inverse, sort_key
 from .series import INF, LaurentScalar, OneForm, default_precision
-from .strata import Stratum, infer_field, is_regular, pure_leading
+from .strata import Stratum, infer_field, is_regular
 from .torus import (ToralElement, TorusData, block_levels, gauge_levels, gauge_step,
                     gauged_level, graded_solver, level_entries, level_product, level_sum,
-                    levels_matrix, neg_tau, negated, pattern_level, reduced)
+                    levels_matrix, neg_tau, negated, reduced)
 
 
 class FormalConnection:
@@ -460,49 +461,46 @@ def split_connection(conn, ctx, r, slot_lists, digits=8):
     The matrix is read once into its integer level form on the chain
     (see :mod:`formalconn.torus`), as far as it is known; an exact
     matrix to the session precision (default_precision() t-digits).
-    Each level d from 1 - r up to the target 1 - r + digits loses its
-    off-block part by the gauge 1 - X, X at level d + r solving
-    ad(X)(lead) - d X = off-block part in integers (torus.graded_solver,
-    which eliminates each level class once: d mod e, and d itself at
-    depth zero, where alone the shift -d enters); an unsolvable level
-    raises NotSplit.  The gauge acts by the level recurrence of
-    ``torus.gauge_levels``, with no inverse, and moves only the levels
-    from d on, so one pass in order clears them all.  Every level of the
-    window, up to e * default_precision(), is returned, so each gauge
-    moves them all at once: forming each level afresh from the
-    accumulated gauge (``torus.gauged_level``, as _pure_block_reduce
-    does for the few levels it keeps) pays a product per level of the
-    gauge at every level of the window, 1.9 times the time on exact
-    inputs (see ``torus.gauge_levels``).  Both the matrix and the gauge,
-    kept as the levels of p - 1 (``torus.gauge_step``), stay integer
-    levels until they are written out once.
+    Its lead is level -r, and the input is checked in integers: it lies
+    in P^-r (the least degree of parahoric.fildeg_certified), and its
+    lead is block diagonal along the slots.  Each level d from 1 - r up
+    to the target 1 - r + digits loses its off-block part by the gauge
+    1 - X, X at level d + r solving ad(X)(lead) - d X = off-block part
+    in integers (torus.graded_solver); an unsolvable level raises
+    NotSplit.  The gauge acts on every level of the window, which is
+    all returned, by the level recurrence of ``torus.gauge_levels`` (its
+    docstring says why), with no inverse, and moves only the levels from
+    d on, so one pass in order clears them all.  Both the matrix and the
+    gauge, kept as the levels of p - 1 (``torus.gauge_step``), stay
+    integer levels until they are written out once.
 
     Returns (p, conn') with p the exact product of the gauges 1 - X and
     conn' block diagonal to the requested depth: off-blocks have
     filtration degree >= 1 - r + digits, and conn' is known as far as
-    its level form was read.  Raises PrecisionError, with the window
-    needed, when the input is not known below the target level, and
-    NotSplit when its leading term is not block diagonal.
+    its level form was read.  Raises, in this order, PrecisionError,
+    with the window needed, when the input is not known below the target
+    level, NotInFiltration when it does not lie in P^-r, and NotSplit
+    when its leading term is not block diagonal.
     """
     conn = conn.standardized()
     n = conn.n
     part_of = {u: idx for idx, slots in enumerate(slot_lists) for u in slots}
     target = 1 - r + digits
-    _, window = fildeg_certified(conn.matrix, ctx)
+    least, window = fildeg_certified(conn.matrix, ctx)
     if window < target:
         needed, short_by = certifying_window(conn.matrix, ctx, target)
         raise PrecisionError("splitting needs the matrix below level %d, known below %d"
                              % (target, window), needed=needed, short_by=short_by)
+    if least < -r:
+        raise NotInFiltration("matrix does not lie in P^%d" % -r)
     below = min(window, max(target, ctx.period * default_precision()))
-    lead = graded_component(conn.matrix, ctx, -r).pattern
-    if any(not is_zero(c) for u, row in enumerate(lead) for v, c in enumerate(row)
-           if part_of[u] != part_of[v]):
-        raise NotSplit("the leading term is not block diagonal along the slots")
     ring = integer_ring(infer_field(conn.matrix))
     cur = block_levels(conn.matrix, below, ctx, ring)
+    lead = cur.get(-r) or (1, [ring.const(0)] * (n * n // ctx.period))
+    if any(c for c, (u, v) in zip(lead[1], level_entries(-r, ctx)) if part_of[u] != part_of[v]):
+        raise NotSplit("the leading term is not block diagonal along the slots")
     gauge = {}  # the levels of p - 1
-    solve = graded_solver(pattern_level(lead, -r, ctx, ring), ctx, r, ring,
-                          keep=lambda u, v: part_of[u] != part_of[v])
+    solve = graded_solver(lead, ctx, r, ring, keep=lambda u, v: part_of[u] != part_of[v])
     for d in range(min(cur, default=target), target):
         level = cur.get(d)
         if level is None or not any(c for c, (u, v) in zip(level[1], level_entries(d, ctx))
@@ -514,7 +512,7 @@ def split_connection(conn, ctx, r, slot_lists, digits=8):
         neg_x = negated(x, ring)
         cur = gauge_levels(cur, d + r, neg_x, below, ctx, ring)
         gauge = gauge_step(d + r, neg_x, gauge, INF, ctx, ring)
-    gauge[0] = pattern_level([[int(u == v) for v in range(n)] for u in range(n)], 0, ctx, ring)
+    gauge[0] = ring.read([int(u == v) for u, v in level_entries(0, ctx)])
     return (levels_matrix(gauge, n, ctx, ring),
             FormalConnection(levels_matrix(cur, n, ctx, ring, below), conn.nu))
 
@@ -564,7 +562,7 @@ def diagonalize(conn, digits=8):
         mat = report.conjugate
         gauge = report.gauge_inverse * gauge
         parts = [part.slots for part in report.parts]
-    p, qs = _pure_block_reduce(mat, ctx, r, parts, field, digits)
+    p, qs = _pure_block_reduce(mat, ctx, r, parts, report.leading, field, digits)
     rows = [[q.get(d, field.zero()) for d in range(-r, 1)] for q in qs]
     order = sorted(range(len(parts)), key=lambda k: sort_key(rows[k][0]))
     gauge = LaurentMatrix([p.rows[u] for k in order for u in parts[k]]) * gauge
@@ -574,25 +572,27 @@ def diagonalize(conn, digits=8):
     return DiagonalizationResult(gauge, a_rep, ft)
 
 
-def _pure_block_reduce(mat, ctx, r, parts, field, digits):
+def _pure_block_reduce(mat, ctx, r, parts, leading, field, digits):
     """Reduce a matrix on a uniform chain whose leading level -r is block
     diagonal along ``parts`` (lists of slots, one slot per phase class,
     in descending phase) to q(varpi^(-1)) in every part, working in its
-    integer level form (see :mod:`formalconn.torus`).
+    integer level form (see :mod:`formalconn.torus`).  Each part must be
+    pure, with its leading datum alpha in ``leading``, as is_regular
+    reports it (at rank one the t^-r coefficient, which may vanish).
 
-    The matrix is read once into levels, keeping the levels through
-    ``digits``, all that the reduction reads, after a normalizer D, a
-    constant diagonal, rescales each part's slots so that its leading
-    level is alpha varpi^(-r).  Each level v from 1 - r through
-    ``digits`` is then cleared.  The mean c of a part's slots is its
-    Cartan part: for v <= 0 it goes into that part's q, for v > 0 the
-    gauge 1 + Y, Y = (e c / v) varpi^v, cancels it through its
-    derivative term.  The rest of the level is the target of the graded
-    ad-equation against the leading level, with the graded derivative -v
-    X at depth zero, solved in integers by torus.graded_solver, which
-    eliminates each level class once (v mod e, and v itself at depth
-    zero, where alone the shift enters); the gauge 1 - X removes it, and
-    an unsolvable level raises NotRegular.
+    The matrix is read once into levels through ``digits``, all that the
+    reduction reads.  A normalizer D, a constant diagonal read off each
+    part's entries at level -r, rescales the part's slots so that its
+    lead is alpha varpi^(-r), by two level-0 products per level.  Each
+    level v from 1 - r through ``digits`` is then cleared.  The mean c
+    of a part's slots is its Cartan part: for v <= 0 it goes into that
+    part's q, for v > 0 the gauge 1 + Y, Y = (e c / v) varpi^v, cancels
+    it through its derivative term.  The rest of the level is the target
+    of the graded ad-equation against the leading level, with the graded
+    derivative -v X at depth zero, solved in integers by
+    torus.graded_solver, which eliminates each level class once (v mod
+    e, and v itself at depth zero, where alone the shift enters); the
+    gauge 1 - X removes it, and an unsolvable level raises NotRegular.
 
     The gauged matrix A' is never formed whole.  The loop keeps Q, the
     product Q <- (1 + X) Q of the unipotent gauges so far, as the levels
@@ -620,30 +620,26 @@ def _pure_block_reduce(mat, ctx, r, parts, field, digits):
         needed, short_by = certifying_window(mat, ctx, below)
         raise PrecisionError("diagonalization needs the matrix below level %d, known below %d"
                              % (below, window), needed=needed, short_by=short_by)
-    lead = graded_component(mat, ctx, -r).pattern
-    h = [Fraction(1)] * n
-    qs = []
-    for slots in parts:
-        pat = [[lead[u][v] for v in slots] for u in slots]
-        # rank one is all Cartan: its leading coefficient may vanish (the
-        # one nilpotent summand a regular split torus allows)
-        head = (pat[0], pat[0][0]) if e == 1 else pure_leading(pat, field)
-        if head is None:
-            raise NotRegular("pure block leading term is not a varpi multiple")
-        xs, alpha = head
-        if any(x != alpha for x in xs):
-            for u, c in zip(slots, _pure_normalizer(e, r, xs, alpha, field)):
-                h[u] = c
-        qs.append({-r: alpha} if not is_zero(alpha) else {})
-    diag = [[h[u] if u == v else 0 for v in range(n)] for u in range(n)]
-    normalize = any(c != 1 for c in h)
-    if normalize:
-        inv = [[scalar_inverse(h[u]) if u == v else 0 for v in range(n)] for u in range(n)]
-        mat = constant_product(diag, mat, inv)
     ring = integer_ring(field)
     a = block_levels(mat, below, ctx, ring)
     zero = ring.const(0)
-    lead = a.get(-r, (1, [zero] * (n * m)))
+    empty = (1, [zero] * (n * m))
+    den, lead = a.get(-r, empty)
+    # each row's one entry at the lead inside its own part
+    part_of = {u: k for k, slots in enumerate(parts) for u in slots}
+    xs = {u: ring.scalar(c, den) for c, (u, v) in zip(lead, level_entries(-r, ctx))
+          if part_of[u] == part_of[v]}
+    h = {}
+    for slots, alpha in zip(parts, leading):
+        h.update(zip(slots, _pure_normalizer(e, r, [xs[u] for u in slots], alpha, field)))
+    qs = [{-r: alpha} if not is_zero(alpha) else {} for alpha in leading]
+    norm = ring.read([h[u] if u == v else 0 for u, v in level_entries(0, ctx)])
+    normalize = any(c != 1 for c in h.values())
+    if normalize:
+        inv = ring.read([scalar_inverse(h[u]) if u == v else 0 for u, v in level_entries(0, ctx)])
+        a = {d: reduced(*level_product(level_product(norm, d, x, ctx, ring), 0, inv, ctx, ring),
+                        ring) for d, x in a.items()}
+    lead = a.get(-r, empty)
     solve = graded_solver(lead, ctx, r, ring)
     # Q - 1, Q the product of the unipotent gauges applied so far
     gauge = {}
@@ -651,7 +647,6 @@ def _pure_block_reduce(mat, ctx, r, parts, field, digits):
     # nonzero: the lead, then the Cartan levels v <= 0
     low = {-r: lead} if any(lead[1]) else {}
     # the level slots of each part's own entries, by level mod e
-    part_of = {u: k for k, slots in enumerate(parts) for u in slots}
     inner = [[[s for s, (u, v) in enumerate(level_entries(d, ctx))
                if part_of[u] == k == part_of[v]] for d in range(e)] for k in range(len(parts))]
     for v in range(1 - r, below):
@@ -685,7 +680,6 @@ def _pure_block_reduce(mat, ctx, r, parts, field, digits):
             raise NotRegular("graded ad-equation unsolvable at level %d" % v)
         gauge = gauge_step(v + r, negated(x, ring), gauge, e * w, ctx, ring)
     # the gauge returned is Q D = D + (Q - 1) D
-    norm = pattern_level(diag, 0, ctx, ring)
     if normalize:
         gauge = {d: reduced(*level_product(g, 0, norm, ctx, ring), ring) for d, g in gauge.items()}
     gauge[0] = norm

@@ -31,6 +31,7 @@ Chinese remaindering past a bound on its coefficients.
 import itertools
 import math
 import random
+import threading
 from fractions import Fraction
 
 # Odd primes compared when choosing the factoring prime.
@@ -392,24 +393,26 @@ def _prime_factors(m):
 # Per m, the pairs (p, w) that _splitting_primes has found, descending,
 # and the next k to try, p = k m + 1.
 _SPLITTING_PRIMES = {}
+_SPLITTING_LOCK = threading.Lock()
 
 
 def _splitting_primes(m):
     """The primes p = 1 (mod m) below 2^_NORM_PRIME_BITS, descending,
     each with a primitive m-th root of unity w mod p: pairs (p, w).  The
     pairs found are kept per m, so a later search reads them first and
-    resumes the scan only past the last one."""
+    resumes the scan only past the last one.  A lock spans each scan,
+    so threads that search at once never find a prime twice."""
     found, scan = _SPLITTING_PRIMES.setdefault(m, ([], [((1 << _NORM_PRIME_BITS) - 2) // m]))
-    i = 0
-    while i < len(found) or scan[0] > 0:
+    for i in itertools.count():
+        with _SPLITTING_LOCK:
+            while i == len(found) and scan[0] > 0:
+                p = scan[0] * m + 1
+                scan[0] -= 1
+                if is_prime(p):
+                    found.append((p, _root_of_unity(p, m)))
         if i == len(found):
-            p = scan[0] * m + 1
-            scan[0] -= 1
-            if not is_prime(p):
-                continue
-            found.append((p, _root_of_unity(p, m)))
+            return
         yield found[i]
-        i += 1
 
 
 def cyclotomic_norm(rows, m, modulus, s):

@@ -537,12 +537,13 @@ def _parse_term(term, sym):
         coef_s, mono = "1", term
     else:
         coef_s, mono = term, ""
+    exponent = mono[len(sym) + 1:]
     if mono == "":
         power = 0
     elif mono == sym:
         power = 1
-    elif mono.startswith(sym + "^"):
-        power = int(mono[len(sym) + 1:])
+    elif mono.startswith(sym + "^") and exponent.isascii() and exponent.isdigit():
+        power = int(exponent)
     else:
         raise ParseError("bad monomial %r" % term)
     try:

@@ -72,6 +72,16 @@ def test_malformed_connection_exit_2(tmp_path, capsys, doc):
     assert json.loads(err)["error"] == "PARSE_ERROR"
 
 
+@pytest.mark.parametrize("coeff", ["i^-1", "i^-2", "i^x", "i^", "i^1.5"])
+def test_bad_scalar_exponent_exit_2(tmp_path, capsys, coeff):
+    doc = {"n": 1, "field": "Q(i)", "matrix": [[[[-2, coeff]]]]}
+    bad = tmp_path / "bad.conn.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "slope", str(bad))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "PARSE_ERROR"
+
+
 @pytest.mark.parametrize("field", ["Q(zeta_30030)", "Q(zeta_9240)", "Q(zeta_" + "9" * 6000 + ")"])
 def test_oversized_cyclotomic_field_exit_2(tmp_path, capsys, field):
     doc = {"n": 1, "field": field, "matrix": [[[[-2, "1/1"]]]]}

@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 from formalconn.connections import (FormalConnection, contained_stratum,
                                     diagonalize, fundamental_stratum,
                                     gauge_transform, slope, split_connection)
-from formalconn import connections, torus
-from formalconn.errors import NotRegular, NotSplit, PrecisionError, SingularGauge
+from formalconn import connections, parahoric, strata, torus
+from formalconn.errors import (NotInFiltration, NotRegular, NotSplit, PrecisionError,
+                               SingularGauge)
 from formalconn.formal_types import FormalType
 from formalconn.matrices import LaurentMatrix, pairing
 from formalconn.parahoric import fildeg_certified, filtration_degree, in_filtration, standard_chain
@@ -172,6 +173,64 @@ def test_split_connection_refuses_leading_term_across_parts():
         split_connection(conn, standard_chain((2,)), 1, [[0], [1]], digits=4)
 
 
+def test_split_connection_refuses_matrix_outside_the_stratum_filtration():
+    # a t^-2 entry on the maximal chain lies below P^-1, so the input
+    # contains no stratum of depth r = 1
+    conn = FormalConnection(lmat([[[(-2, 1)], []], [[], [(-1, 2)]]]))
+    with pytest.raises(NotInFiltration, match="P\\^-1$"):
+        split_connection(conn, standard_chain((2,)), 1, [[0], [1]], digits=4)
+
+
+def test_split_connection_short_window_raises_before_filtration():
+    # the same matrix known only to t^2: the window short of the target
+    # level 4 is named first, before membership in P^-1 is decided
+    conn = FormalConnection(lmat([[[(-2, 1)], []], [[], [(-1, 2)]]], prec=2))
+    with pytest.raises(PrecisionError, match="below level 4, known below 2$"):
+        split_connection(conn, standard_chain((2,)), 1, [[0], [1]], digits=4)
+
+
+def test_level_loops_read_their_lead_from_levels(monkeypatch):
+    """The level loops take their lead from the level form and each
+    part's leading coefficient from the regularity report: a seeded
+    split diagonalization with e = 2 and m = 3 pure parts calls
+    pure_leading once per part, in is_regular, and graded_component
+    never inside _pure_block_reduce or split_connection."""
+    rng = seeded(5)
+    ft = random_regular_type(rng, 6, 2, 3)
+    conn = gauge_transform(random_unit_matrix(rng, 6), FormalConnection(ft.realization()))
+    inside, calls = [False], {"pure_leading": 0, "graded_component": 0}
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] += inside[0] if name == "graded_component" else 1
+            return fn(*args)
+        return wrapped
+
+    def flagged(fn):
+        def wrapped(*args, **kwargs):
+            inside[0] = True
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside[0] = False
+        return wrapped
+
+    for module in (connections, parahoric, strata, torus):
+        for name in calls:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    for name in ("_pure_block_reduce", "split_connection"):
+        monkeypatch.setattr(connections, name, flagged(getattr(connections, name)))
+    assert connections.diagonalize(conn, digits=4).formal_type == ft
+    assert calls["pure_leading"] == 3
+    _, cur, strat = fundamental_stratum(conn)
+    report = is_regular(Stratum(strat.ctx, strat.r, cur.matrix, cur.nu))
+    assert len(report.parts) == 3
+    connections.split_connection(FormalConnection(report.conjugate, cur.nu), strat.ctx, strat.r,
+                                 [part.slots for part in report.parts], digits=4)
+    assert calls["graded_component"] == 0
+
+
 def test_split_connection_depth_zero_resonance_free():
     base = lmat([[[(0, 0)], [(1, 1)]], [[], [(0, (1, 2))]]])
     conn = FormalConnection(base)
@@ -311,7 +370,7 @@ def test_pure_block_reduce_names_an_unsolvable_level():
     mat = lmat([[[], [(1, 1)]], [[], [(0, 1)]]])
     with pytest.raises(NotRegular, match="at level 1$"):
         connections._pure_block_reduce(mat, standard_chain([2]), 0, [[0], [1]],
-                                       get_field("Q"), 2)
+                                       [Fraction(0), Fraction(1)], get_field("Q"), 2)
 
 
 @pytest.mark.parametrize("seed, n, e, r", [(40, 4, 4, 5), (41, 4, 1, 1)])
@@ -454,10 +513,12 @@ def test_pure_block_window_short_of_digits_raises_precision_error():
     block = ToralElement(TorusData(2, 1), [{-1: Fraction(1), 0: Fraction(2),
                                            1: Fraction(3)}]).realization().truncate(1)
     ctx = standard_chain((1, 1))
-    _, qs = connections._pure_block_reduce(block, ctx, 1, [range(2)], get_field("Q"), 0)
+    _, qs = connections._pure_block_reduce(block, ctx, 1, [range(2)], [Fraction(1)],
+                                            get_field("Q"), 0)
     assert qs == [{-1: 1, 0: 2}]
     with pytest.raises(PrecisionError) as info:
-        connections._pure_block_reduce(block, ctx, 1, [range(2)], get_field("Q"), 3)
+        connections._pure_block_reduce(block, ctx, 1, [range(2)], [Fraction(1)],
+                                       get_field("Q"), 3)
     assert (info.value.needed, info.value.short_by) == (3, 2)
 
 

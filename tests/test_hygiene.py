@@ -6,16 +6,19 @@ referenced somewhere in the library, every public function or method
 is read by the library, exported or wrapped by the benchmark's tracer
 (a method only through its own class, see ``_library_dead_public``),
 no module imports another's private names, only ``scalars`` and
-``linalg`` fold or write power-basis coordinates, and no library or test
-statement keeps a name alive by assigning it to ``_``."""
+``linalg`` fold or write power-basis coordinates, no library or test
+statement keeps a name alive by assigning it to ``_``, and the README's
+Concurrency section names every piece of module-level mutable state."""
 
 import ast
 import os
+import re
 from fractions import Fraction
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(TESTS, os.pardir, "src", "formalconn")
 TRACING = os.path.join(TESTS, os.pardir, "bench", "tracing.py")
+README = os.path.join(TESTS, os.pardir, "README.md")
 
 # Public names that only tests reach, kept on purpose, each with the
 # reason it stays in the library.  Any other public name that only tests
@@ -313,3 +316,51 @@ def test_no_keep_alive_assignments():
                          if isinstance(node, ast.Assign) and isinstance(node.value, ast.Name)
                          and [getattr(t, "id", None) for t in node.targets] == ["_"])
     assert not found, "keep-alive assignments to _: %s" % ", ".join(found)
+
+
+CACHE_DECORATORS = {"cache", "lru_cache", "cached_property"}
+
+
+def _shared_state(name, tree):
+    """The module-level mutable state of one module, each as the README
+    names it: ``module.NAME`` for a dict, list or set bound at module
+    level (``__all__`` aside) or a name rebound through ``global``, and
+    ``module.function`` or ``Class.method`` for a cached function."""
+    module = name[:-len(".py")]
+    found = set()
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign)) and stmt.value is not None:
+            value = stmt.value
+            builder = getattr(value.func, "id", None) if isinstance(value, ast.Call) else None
+            if isinstance(value, (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
+                                  ast.SetComp)) or builder in ("dict", "list", "set"):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                found.update("%s.%s" % (module, t.id) for t in targets
+                             if isinstance(t, ast.Name) and t.id != "__all__")
+    found.update("%s.%s" % (module, ident) for node in ast.walk(tree)
+                 if isinstance(node, ast.Global) for ident in node.names)
+    owners = [(module, tree.body)] + [(node.name, node.body) for node in ast.walk(tree)
+                                      if isinstance(node, ast.ClassDef)]
+    for owner, body in owners:
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for dec in node.decorator_list:
+                    dec = dec.func if isinstance(dec, ast.Call) else dec
+                    if getattr(dec, "id", getattr(dec, "attr", None)) in CACHE_DECORATORS:
+                        found.add("%s.%s" % (owner, node.name))
+    return found
+
+
+def test_readme_concurrency_names_all_shared_state():
+    """Every module-level dict, list or set, every name rebound through
+    ``global`` and every functools cache in the library is mutable
+    state that threads share, so the README's Concurrency section,
+    which tells callers what is safe to share, names each of them."""
+    with open(README) as fh:
+        text = fh.read()
+    section = text.split("\n## Concurrency\n", 1)[1].split("\n## ", 1)[0]
+    state = set().union(*(_shared_state(name, tree) for name, tree in _modules().items()))
+    assert {"intpoly._SPLITTING_PRIMES", "linalg.integer_ring"} <= state
+    unnamed = sorted(name for name in state
+                     if not re.search(r"(?<![\w.])%s(?!\w)" % re.escape(name), section))
+    assert not unnamed, "README Concurrency does not name: %s" % ", ".join(unnamed)

@@ -1,12 +1,14 @@
 """Polynomial machinery: gcd, factorization, Hensel lifting, series
 characteristic polynomials."""
 
+import inspect
 import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import threading
 import time
 from fractions import Fraction
 
@@ -250,6 +252,95 @@ def test_splitting_primes_are_searched_once(monkeypatch):
     monkeypatch.setattr(intpoly, "is_prime", lambda n: tested.append(n) or is_prime(n))
     assert list(itertools.islice(intpoly._splitting_primes(4), 5)) == first
     assert tested == []
+
+
+def test_splitting_primes_are_found_once_across_threads(monkeypatch):
+    """Two threads search the primes p = 1 (mod 7) at once.  A line hook
+    holds thread A between reading the scan position and decrementing
+    it, at a prime p, until thread B has taken its first prime or waits
+    for the scan lock.  Without the lock B reads the same position and
+    appends p, and A appends it again: the duplicate makes every later
+    Chinese remaindering past it divide by zero mod p."""
+    m = 7
+    monkeypatch.setattr(intpoly, "_SPLITTING_PRIMES", {})
+    lines, start = inspect.getsourcelines(intpoly._splitting_primes)
+    decrement = start + next(k for k, line in enumerate(lines) if "scan[0] -= 1" in line)
+    code = intpoly._splitting_primes.__code__
+    a_held, b_moved = threading.Event(), threading.Event()
+    threads, firsts = {}, {}
+
+    class WatchedLock:
+        """The scan lock, telling when thread B reaches it."""
+
+        def __init__(self):
+            self.lock = threading.Lock()
+
+        def __enter__(self):
+            if threading.current_thread() is threads.get("b"):
+                b_moved.set()
+            self.lock.acquire()
+
+        def __exit__(self, *exc):
+            self.lock.release()
+
+    def hold_a(frame, event, arg):
+        if (event == "line" and frame.f_lineno == decrement and not a_held.is_set()
+                and threading.current_thread() is threads["a"]
+                and intpoly.is_prime(frame.f_locals["p"])):
+            a_held.set()
+            assert b_moved.wait(10), "thread B neither finished nor reached the lock"
+        return hold_a
+
+    def trace(frame, event, arg):
+        return hold_a if frame.f_code is code else None
+
+    def first_prime(name):
+        firsts[name] = next(intpoly._splitting_primes(m))
+        if name == "b":
+            b_moved.set()
+
+    monkeypatch.setattr(intpoly, "_SPLITTING_LOCK", WatchedLock(), raising=False)
+    threading.settrace(trace)
+    try:
+        threads["a"] = threading.Thread(target=first_prime, args=("a",))
+        threads["b"] = threading.Thread(target=first_prime, args=("b",))
+        threads["a"].start()
+        assert a_held.wait(10)
+        threads["b"].start()
+        for thread in threads.values():
+            thread.join(20)
+    finally:
+        threading.settrace(None)
+    found = [p for p, _ in intpoly._SPLITTING_PRIMES[m][0]]
+    assert firsts["a"] == firsts["b"]
+    assert found == sorted(set(found), reverse=True), "duplicate prime: %s" % found
+    primes = [p for p, _ in itertools.islice(intpoly._splitting_primes(m), 4)]
+    assert primes == sorted(set(primes), reverse=True)
+
+
+def test_splitting_primes_stress_across_threads(monkeypatch):
+    """Eight threads read the first primes p = 1 (mod 11) at once, with
+    the interpreter switching threads every microsecond: each sees the
+    same descending primes, with none twice."""
+    monkeypatch.setattr(intpoly, "_SPLITTING_PRIMES", {})
+    got = []
+
+    def read():
+        got.append([p for p, _ in itertools.islice(intpoly._splitting_primes(11), 12)])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(got) == 8 and all(primes == got[0] for primes in got)
+    assert got[0] == sorted(set(got[0]), reverse=True) and len(got[0]) == 12
 
 
 def test_factor_large_cyclotomic_field_is_quick():

@@ -36,7 +36,8 @@ from formalconn.parahoric import (ParahoricContext, fildeg_certified, filtration
 from formalconn.polys import hensel_lift, kpoly_deg, kpoly_gcd, kpoly_mul
 from formalconn.scalars import congruent_mod_z, get_field, sort_key
 from formalconn.series import INF, LaurentScalar, OneForm
-from formalconn.strata import off_block_filtration_ok, reduce_stratum, split_stratum
+from formalconn.strata import (off_block_filtration_ok, pure_leading, reduce_stratum,
+                               split_stratum)
 from formalconn.torus import (ToralElement, TorusData, block_levels, gauge_levels, gauge_step,
                               gauged_level, graded_solver, level_entries, level_product,
                               levels_matrix, pattern_level, tame_corestriction)
@@ -639,8 +640,12 @@ def pure_blocks(draw):
 
 
 def reduce_one_part(block, ctx, r, field, digits):
-    """The level loop on a pure block as its one part."""
-    p, (q,) = _pure_block_reduce(block, ctx, r, [range(ctx.n)], field, digits)
+    """The level loop on a pure block as its one part, given the leading
+    coefficient that is_regular reports for a pure stratum: the root of
+    pure_leading, or at rank one the t^-r coefficient, which may vanish."""
+    lead = graded_component(block, ctx, -r).pattern
+    alpha = lead[0][0] if ctx.n == 1 else pure_leading(lead, field)[1]
+    p, (q,) = _pure_block_reduce(block, ctx, r, [range(ctx.n)], [alpha], field, digits)
     return p, q
 
 

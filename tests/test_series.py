@@ -161,6 +161,25 @@ def test_scalar_parse_format_roundtrip_qi():
     assert parse_scalar(format_scalar(x), field) == x
 
 
+@pytest.mark.parametrize("text, name", [("i^-1", "Q(i)"), ("i^-2", "Q(i)"), ("z^-1", "Q(zeta_3)"),
+                                        ("i^x", "Q(i)"), ("i^", "Q(i)"), ("i^1.5", "Q(i)")])
+def test_parse_scalar_refuses_exponents_other_than_decimal_digits(text, name):
+    # int() read "-1" and indexed the coordinates from the end ("i^-1"
+    # read as i, "i^-2" as 1), and raised ValueError on the others
+    with pytest.raises(ParseError, match="bad monomial"):
+        parse_scalar(text, get_field(name))
+
+
+@pytest.mark.parametrize("name", ["Q", "Q(i)", "Q(zeta_3)", "Q(zeta_5)", "Q(zeta_12)"])
+def test_scalar_parse_format_roundtrip_every_power(name):
+    field = get_field(name)
+    rng = seeded(38)
+    for _ in range(20):
+        coords = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(field.degree)]
+        x = coords[0] if field.degree == 1 else field.from_coords(coords)
+        assert parse_scalar(format_scalar(x), field) == x
+
+
 def test_scalar_field_arithmetic():
     qi = get_field("Q(i)")
     i = qi.generator()
