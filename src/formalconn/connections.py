@@ -496,7 +496,7 @@ def split_connection(conn, ctx, r, slot_lists, digits=8):
     below = min(window, max(target, ctx.period * default_precision()))
     ring = integer_ring(infer_field(conn.matrix))
     cur = block_levels(conn.matrix, below, ctx, ring)
-    lead = cur.get(-r) or (1, [ring.const(0)] * (n * n // ctx.period))
+    lead = cur.get(-r, (1, [ring.const(0)] * (n * n // ctx.period)))
     if any(c for c, (u, v) in zip(lead[1], level_entries(-r, ctx)) if part_of[u] != part_of[v]):
         raise NotSplit("the leading term is not block diagonal along the slots")
     gauge = {}  # the levels of p - 1
